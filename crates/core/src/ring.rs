@@ -62,6 +62,11 @@ pub struct Ring<T> {
     enqueue_pos: AtomicUsize,
     dequeue_pos: AtomicUsize,
     state: AtomicU8,
+    /// Producers between reading `state` and publishing (or giving up).
+    /// A draining consumer waits for this to reach zero before it trusts
+    /// an empty ring: a producer that read Open just before `close()` has
+    /// not moved `enqueue_pos` yet, but will.
+    pushing: AtomicU32,
     /// Counts updated only while holding `park`; read lock-free on the
     /// fast path to decide whether a notify is needed at all.
     prod_waiting: AtomicU32,
@@ -98,6 +103,7 @@ impl<T> Ring<T> {
             enqueue_pos: AtomicUsize::new(0),
             dequeue_pos: AtomicUsize::new(0),
             state: AtomicU8::new(OPEN),
+            pushing: AtomicU32::new(0),
             prod_waiting: AtomicU32::new(0),
             cons_waiting: AtomicU32::new(0),
             park: Mutex::new(()),
@@ -137,9 +143,21 @@ impl<T> Ring<T> {
     /// `park`, and the wake helpers take `park` — waking through
     /// [`Ring::try_push`] there would self-deadlock on the re-lock.
     fn try_push_core(&self, value: T) -> Result<(), PushError<T>> {
-        if self.state.load(Ordering::Acquire) != OPEN {
-            return Err(PushError::Closed(value));
-        }
+        // Announce the attempt *before* reading the state (SeqCst on
+        // both, and on the consumer's mirror-image reads in `pop_wait`):
+        // either this push sees the ring closed, or the draining consumer
+        // sees this push pending.
+        self.pushing.fetch_add(1, Ordering::SeqCst);
+        let result = if self.state.load(Ordering::SeqCst) == OPEN {
+            self.claim_and_publish(value)
+        } else {
+            Err(PushError::Closed(value))
+        };
+        self.pushing.fetch_sub(1, Ordering::SeqCst);
+        result
+    }
+
+    fn claim_and_publish(&self, value: T) -> Result<(), PushError<T>> {
         let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
         loop {
             let slot = &self.buf[pos & self.mask];
@@ -260,15 +278,16 @@ impl<T> Ring<T> {
             if let Some(v) = self.try_pop() {
                 return Some(v);
             }
-            if self.state.load(Ordering::Acquire) != OPEN {
-                if let Some(v) = self.try_pop() {
-                    return Some(v);
-                }
-                // An in-flight push has claimed a slot but not yet
-                // published it when enqueue_pos is ahead of dequeue_pos.
+            if self.state.load(Ordering::SeqCst) != OPEN {
+                // A push that saw the ring open is still pending while
+                // `pushing` is non-zero; one that claimed a slot but has
+                // not published it shows as enqueue_pos ahead of
+                // dequeue_pos. Read in that order: once no push is
+                // pending, every successful one has moved enqueue_pos.
+                let pending = self.pushing.load(Ordering::SeqCst);
                 let tail = self.enqueue_pos.load(Ordering::SeqCst);
                 let head = self.dequeue_pos.load(Ordering::SeqCst);
-                if tail == head {
+                if pending == 0 && tail == head {
                     return None;
                 }
                 std::thread::yield_now();
@@ -298,7 +317,7 @@ impl<T> Ring<T> {
     pub fn close(&self) {
         let _ = self
             .state
-            .compare_exchange(OPEN, DRAINING, Ordering::AcqRel, Ordering::Acquire);
+            .compare_exchange(OPEN, DRAINING, Ordering::SeqCst, Ordering::SeqCst);
         self.wake_everyone();
     }
 
@@ -503,6 +522,42 @@ mod tests {
         producer.join().unwrap();
         ring.close();
         assert_eq!(consumer.join().unwrap(), ITEMS);
+    }
+
+    #[test]
+    fn close_never_strands_a_push_that_returned_ok() {
+        // A producer that read Open just before close() may publish after
+        // the consumer's last look at the ring; the consumer must wait for
+        // it rather than exit on empty.
+        for round in 0..1_000u64 {
+            let ring = Arc::new(Ring::with_capacity(64));
+            let producer = {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || {
+                    let mut acked = 0u64;
+                    while ring.push(acked).is_ok() {
+                        acked += 1;
+                    }
+                    acked
+                })
+            };
+            let consumer = {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || {
+                    let mut popped = 0u64;
+                    while ring.pop_wait().is_some() {
+                        popped += 1;
+                    }
+                    popped
+                })
+            };
+            for _ in 0..round % 50 {
+                std::thread::yield_now();
+            }
+            ring.close();
+            let (acked, popped) = (producer.join().unwrap(), consumer.join().unwrap());
+            assert_eq!(popped, acked, "round {round}");
+        }
     }
 
     #[test]

@@ -436,10 +436,13 @@ where
 // ---------------------------------------------------------------------------
 // CRC-32
 
-/// Byte-at-a-time lookup table for CRC-32/ISO-HDLC (the zlib/Ethernet
-/// polynomial, reflected 0xEDB88320), built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables for CRC-32/ISO-HDLC (the zlib/Ethernet
+/// polynomial, reflected 0xEDB88320), built at compile time. `[0]` is the
+/// classic byte-at-a-time table; `[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes, so eight table reads advance the register by eight
+/// input bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -452,19 +455,51 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
+/// One byte into the CRC register — the tail of [`crc32`] and the whole
+/// of the test reference.
+#[inline]
+fn crc32_step(crc: u32, byte: u8) -> u32 {
+    (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize]
+}
+
 /// CRC-32/ISO-HDLC of `bytes` (matches zlib's `crc32`). Used by the
-/// durable-record trailer; hand-rolled because the workspace carries no
-/// external dependencies.
+/// durable-record trailer — every WAL record, segment file and checkpoint
+/// passes through it — so it consumes eight bytes per step (slicing-by-8);
+/// hand-rolled because the workspace carries no external dependencies.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = crc32_step(crc, b);
     }
     !crc
 }
@@ -759,6 +794,34 @@ mod tests {
         assert_eq!(WireFrame::read_from(&mut cursor).unwrap().unwrap(), frame);
         assert_eq!(WireFrame::read_from(&mut cursor).unwrap().unwrap(), frame);
         assert!(WireFrame::read_from(&mut cursor).unwrap().is_none());
+    }
+
+    /// The byte-at-a-time loop `crc32` replaced, kept as the reference.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(u32::MAX, |crc, &b| crc32_step(crc, b))
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bytewise_reference() {
+        let mut rng = crate::rng::Rng64::new(0xC4C3_2026);
+        let mut buf = vec![0u8; 4096 + 8];
+        let mut lens: Vec<usize> = (0..=64).collect();
+        lens.extend((0..200).map(|_| rng.below_usize(4097)));
+        for len in lens {
+            for b in buf.iter_mut() {
+                *b = rng.next_u64() as u8;
+            }
+            // Every start alignment relative to the allocation: the
+            // eight-byte blocks fall differently over the same bytes.
+            for start in 0..8 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "len {len} start {start}"
+                );
+            }
+        }
     }
 
     #[test]

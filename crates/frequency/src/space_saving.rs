@@ -353,6 +353,22 @@ impl<I: Eq + Hash + Clone> SpaceSavingSummary<I> {
         MgSummary::from_parts(self.k - 1, self.counters, self.n)
     }
 
+    /// The SpaceSaving summary isomorphic to `mg` (§3, Lemma 1) — the
+    /// inverse of [`Self::into_mg`]: `mg.capacity() + 1` counters in the
+    /// merged (MG-form) representation, so it merges, bounds and encodes
+    /// exactly like a SpaceSaving summary that was streamed over `mg`'s
+    /// input and then converted at its first merge.
+    pub fn from_mg(mg: MgSummary<I>) -> Self {
+        SpaceSavingSummary {
+            k: mg.capacity() + 1,
+            n: mg.total_weight(),
+            counters: mg.into_counters(),
+            repr: Repr::Merged,
+            index: None,
+            scratch: Vec::new(),
+        }
+    }
+
     /// In-place §3 merge: convert both tables to the MG (`k−1`) form, fold
     /// `other`'s counters into `self`, and prune — the same result as
     /// [`Mergeable::merge`] without rebuilding `self`'s counter table. On
@@ -584,6 +600,69 @@ mod tests {
             SpaceSavingSummary::<u64>::for_epsilon(0.003).capacity(),
             334
         );
+    }
+
+    #[test]
+    fn for_epsilon_is_one_counter_above_mg() {
+        // Load-bearing for the segment cube: it derives its SpaceSaving
+        // family from the MG family via `from_mg`, which is only the
+        // summary `for_epsilon` would have streamed if the two sizings
+        // stay exactly one counter apart (Lemma 1: SS(k+1) ≅ MG(k)).
+        let mut eps = 0.9;
+        while eps > 1e-5 {
+            assert_eq!(
+                SpaceSavingSummary::<u64>::for_epsilon(eps).capacity(),
+                MgSummary::<u64>::for_epsilon(eps).capacity() + 1,
+                "epsilon {eps}"
+            );
+            eps *= 0.83;
+        }
+        for denom in 2..=200u32 {
+            let eps = 1.0 / f64::from(denom);
+            assert_eq!(
+                SpaceSavingSummary::<u64>::for_epsilon(eps).capacity(),
+                MgSummary::<u64>::for_epsilon(eps).capacity() + 1,
+                "epsilon 1/{denom}"
+            );
+        }
+    }
+
+    #[test]
+    fn from_mg_inverts_into_mg() {
+        use ms_workloads::StreamKind;
+        let items = StreamKind::Zipf {
+            s: 1.2,
+            universe: 700,
+        }
+        .generate(20_000, 11);
+        let oracle = FrequencyOracle::from_stream(items.clone());
+        let mut mg = MgSummary::new(15);
+        let mut streamed = SpaceSavingSummary::new(16);
+        for &item in &items {
+            mg.update(item);
+            streamed.update(item);
+        }
+        let derived = SpaceSavingSummary::from_mg(mg.clone());
+        assert_eq!(derived.capacity(), 16);
+        assert_bracket(&derived, &oracle);
+        let table = |mg: MgSummary<u64>| {
+            let mut v: Vec<(u64, u64)> = mg.iter().map(|(i, c)| (*i, c)).collect();
+            v.sort_unstable();
+            v
+        };
+        // Round trip is the identity, and on a unit-weight stream it is
+        // the very table the streamed SS(k+1) converts to — items included.
+        assert_eq!(table(derived.clone().into_mg()), table(mg));
+        assert_eq!(
+            table(derived.clone().into_mg()),
+            table(streamed.clone().into_mg())
+        );
+        for (item, _) in derived.iter() {
+            assert_eq!(derived.estimate(item), streamed.estimate(item));
+        }
+        // A derived summary still decodes under the merged-form checks.
+        let back = SpaceSavingSummary::<u64>::decode(&derived.encode()).unwrap();
+        assert_eq!(back.total_weight(), derived.total_weight());
     }
 
     #[test]

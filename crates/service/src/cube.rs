@@ -9,24 +9,69 @@
 //! the covering segments — error stays eps·(window weight), not
 //! eps·(total stream).
 //!
-//! Concurrency contract: when the cube is on, the engine routes every
-//! ingest through [`SegmentCube::record_with`], which runs the WAL
-//! append *inside* the cube's state lock. That serialization is what
-//! lets the cube assign its own dense seq counter and have it equal the
-//! WAL seq without the WAL reporting seqs back — recovery then aligns
-//! sealed segments against WAL records by seq alone.
+//! Summarise once: a segment *streams* three families — Misra-Gries,
+//! the hybrid quantile summary and Count-Min — and *derives* the fourth.
+//! §3 Lemma 1 of the paper: SpaceSaving with `k+1` counters over a stream
+//! is isomorphic to Misra-Gries with `k` counters over the same stream
+//! (subtract the minimum counter, drop the zeros), `for_epsilon` sizes the
+//! two families exactly one counter apart, and a SpaceSaving summary
+//! converts to that MG form at its first merge anyway. So the SpaceSaving
+//! slot of a [`SegmentRecord`] and every SpaceSaving range answer are read
+//! off the MG family through `SpaceSavingSummary::from_mg` instead of
+//! being maintained beside it. The segment file keeps its four slots in
+//! [`SummaryKind::all`] order; [`SegmentCube::adopt`] still validates the
+//! SpaceSaving slot of a file it reads and then drops it.
+//!
+//! Concurrency contract — each lock guards one thing:
+//!
+//! * **order** (`last_seq`): held across the WAL append and the seq
+//!   assignment of one batch, and nothing else. The engine routes every
+//!   ingest through [`SegmentCube::record_persisting`], which runs the
+//!   append as a closure under this lock, so the cube's own dense counter
+//!   equals the WAL seq without the WAL reporting seqs back — recovery
+//!   aligns sealed segments against WAL records by seq alone. Appends
+//!   therefore still enter the log one at a time while the cube is on: a
+//!   commit group holds exactly one record, as it did under the single
+//!   lock. What the split buys is that no fold and no reader ever waits
+//!   on an append or its `fsync`.
+//! * **fold** (the open segment): taken *before* the order lock is
+//!   released and held for the fold and any seal it triggers. The
+//!   hand-over-hand step is what keeps folds in seq order; releasing the
+//!   order lock before the fold starts is what lets the next caller's WAL
+//!   append (and its `fsync`) overlap this caller's fold. No lock is ever
+//!   held across both an append and a fold.
+//! * **persist** (the caller's segment store): when a fold sealed or
+//!   evicted something, taken before the fold lock is released — the same
+//!   hand-over-hand step — and held while the caller's `persist` closure
+//!   writes and removes segment files. Sealed records therefore reach the
+//!   store in seal order, off the fold lock — folds run on while a
+//!   segment is written, and only the *next* seal waits (fold lock in
+//!   hand) for that write to finish: the store paces sealing, one
+//!   segment deep.
+//! * **index** (`Arc<Segment>` handles to the sealed segments plus a copy
+//!   of the open segment's coordinates): held only to clone handles out
+//!   or swap one in. [`SegmentCube::report`] and [`SegmentCube::health`]
+//!   take nothing else. [`SegmentCube::query`] takes fold → index so its
+//!   cut across sealed and open segments is consistent, clones the
+//!   covering handles (and the one requested family of the open segment
+//!   when the window reaches it), drops both guards, and only then
+//!   merges.
+//!
+//! Lock order is order → fold → persist, with index innermost and never
+//! held across any of the others being taken.
 //!
 //! Crash safety: sealed segments are persisted by the engine via
-//! [`ms_store::SegmentStore`]; the WAL is never pruned past the last
-//! *persisted* segment ([`SegmentCube::persisted_floor`]), so any
-//! segment lost between seal and fsync is rebuilt by replaying the WAL
-//! tail through [`SegmentCube::record_at`].
+//! [`ms_store::SegmentStore`], in seal order; the WAL is never pruned
+//! past the last *persisted* segment ([`SegmentCube::persisted_floor`]),
+//! so any segment lost between seal and fsync is rebuilt by replaying the
+//! WAL tail through [`SegmentCube::record_at`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ms_core::{Wire, WireError};
+use ms_frequency::SpaceSavingSummary;
 use ms_store::SegmentRecord;
 
 use crate::config::{SegmentConfig, ServiceConfig, SummaryKind};
@@ -39,14 +84,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Index of `kind`'s summary in a segment's family array
-/// (`SummaryKind::all()` order, also the on-disk order).
-fn family_index(kind: SummaryKind) -> usize {
-    match kind {
-        SummaryKind::Mg => 0,
-        SummaryKind::SpaceSaving => 1,
-        SummaryKind::HybridQuantile => 2,
-        SummaryKind::CountMin => 3,
+/// Lemma 1: the SpaceSaving summary over the stream `mg` summarises.
+fn derive_space_saving(mg: ShardSummary) -> ShardSummary {
+    match mg {
+        ShardSummary::Mg(mg) => ShardSummary::SpaceSaving(SpaceSavingSummary::from_mg(mg)),
+        other => unreachable!("slot 0 streams Misra-Gries, found {:?}", other.kind()),
     }
 }
 
@@ -100,66 +142,104 @@ pub struct CubeHealth {
     pub max_tier: u64,
 }
 
-/// One segment: its coordinates plus a live summary per family.
+/// A segment's Count-Min family: a live sketch while the segment is
+/// open, the encoded slot of its record once it is sealed.
+///
+/// One segment's cells are small counts in 8-byte words, so the varint
+/// slot is ≈ 5× smaller than the table (2 KB against 11 KB at ε = 0.01),
+/// and no wire request reads a Count-Min range (an in-process
+/// [`SegmentCube::query`] for it decodes). Resident segments dominate
+/// the benchmark's `peak_rss_mb`, and the closed-loop `ingest-wal-cube`
+/// server now seals 1.8× the segments per window: with live tables it
+/// peaked 18 % above the parent commit (23.0 against 19.4 MiB, past the
+/// 15 % bound), with slots 12 %, with slots and the trim in
+/// [`Segment::seal`] 2 % (DESIGN.md §3f has the runs).
+#[derive(Clone)]
+enum CountMinFam {
+    Live(ShardSummary),
+    Slot(Vec<u8>),
+}
+
+impl CountMinFam {
+    fn live(&self) -> ShardSummary {
+        match self {
+            CountMinFam::Live(sketch) => sketch.clone(),
+            CountMinFam::Slot(bytes) => {
+                ShardSummary::decode(bytes).expect("encoded here or validated on adopt")
+            }
+        }
+    }
+
+    fn slot(&self) -> Vec<u8> {
+        match self {
+            CountMinFam::Live(sketch) => sketch.encode(),
+            CountMinFam::Slot(bytes) => bytes.clone(),
+        }
+    }
+}
+
+/// One segment — the open one under the fold lock, or a sealed one
+/// behind an `Arc` in the index (immutable there: coarsening builds a
+/// new segment and swaps it in): its coordinates plus a summary per
+/// streamed family.
+#[derive(Clone)]
 struct Segment {
-    id: u64,
-    start_seq: u64,
-    end_seq: u64,
-    start_micros: u64,
-    end_micros: u64,
-    weight: u64,
-    batches: u64,
-    /// Coarsening tier: 0 as sealed, `max(a,b)+1` after a pressure merge.
-    tier: u64,
-    fams: [ShardSummary; 4],
+    meta: SegmentMeta,
+    mg: ShardSummary,
+    quantile: ShardSummary,
+    count_min: CountMinFam,
 }
 
 impl Segment {
-    fn meta(&self, sealed: bool) -> SegmentMeta {
-        SegmentMeta {
-            id: self.id,
-            start_seq: self.start_seq,
-            end_seq: self.end_seq,
-            start_micros: self.start_micros,
-            end_micros: self.end_micros,
-            weight: self.weight,
-            batches: self.batches,
-            sealed,
-            tier: self.tier,
+    /// A copy of the streamed family that answers for `kind`
+    /// (SpaceSaving is derived from the MG one — see the module doc).
+    fn family(&self, kind: SummaryKind) -> ShardSummary {
+        match kind {
+            SummaryKind::Mg | SummaryKind::SpaceSaving => self.mg.clone(),
+            SummaryKind::HybridQuantile => self.quantile.clone(),
+            SummaryKind::CountMin => self.count_min.live(),
         }
     }
 
-    fn to_record(&self) -> SegmentRecord {
+    /// Seal: the record the store writes — four slots in
+    /// [`SummaryKind::all`] order, the SpaceSaving one derived from the
+    /// MG family — with the segment itself trimmed for residency, now
+    /// that it will not be updated again: the Count-Min family becomes
+    /// the slot just encoded, and the MG and quantile families are
+    /// re-read from theirs, which sheds the spare capacity streaming grew
+    /// (≈ 16 µs a seal, ≈ 5 KB a segment).
+    fn seal(&mut self) -> SegmentRecord {
+        self.meta.sealed = true;
+        let reread = |slot: &[u8]| ShardSummary::decode(slot).expect("a slot just encoded decodes");
+        let (mg, quantile, count_min) = (
+            self.mg.encode(),
+            self.quantile.encode(),
+            self.count_min.slot(),
+        );
+        self.mg = reread(&mg);
+        self.quantile = reread(&quantile);
+        self.count_min = CountMinFam::Slot(count_min.clone());
         SegmentRecord {
-            id: self.id,
-            start_seq: self.start_seq,
-            end_seq: self.end_seq,
-            start_micros: self.start_micros,
-            end_micros: self.end_micros,
-            weight: self.weight,
-            batches: self.batches,
-            tier: self.tier,
-            summaries: self.fams.iter().map(|f| f.encode()).collect(),
+            id: self.meta.id,
+            start_seq: self.meta.start_seq,
+            end_seq: self.meta.end_seq,
+            start_micros: self.meta.start_micros,
+            end_micros: self.meta.end_micros,
+            weight: self.meta.weight,
+            batches: self.meta.batches,
+            tier: self.meta.tier,
+            summaries: vec![
+                mg,
+                derive_space_saving(self.mg.clone()).encode(),
+                quantile,
+                count_min,
+            ],
         }
     }
 
-    /// Absorb the adjacent *later* segment `next` into this one: spans
-    /// and weights union, families one-shot merge (Definition 1 — the
-    /// merged summary covers the union at the same eps·n bound), tier
-    /// deepens.
-    fn absorb(&mut self, next: Segment) {
-        debug_assert_eq!(next.start_seq, self.end_seq + 1, "coarsen only adjacent");
-        self.end_seq = next.end_seq;
-        self.end_micros = next.end_micros;
-        self.weight += next.weight;
-        self.batches += next.batches;
-        self.tier = self.tier.max(next.tier) + 1;
-        for (mine, theirs) in self.fams.iter_mut().zip(next.fams) {
-            mine.merge_in_place(theirs)
-                .expect("same-family segment summaries always merge");
-        }
-    }
-
+    /// Rebuild a sealed segment from its record. All four slots must
+    /// decode in family order — the SpaceSaving slot of an existing file
+    /// is validated like the rest, then dropped (it is derived).
     fn from_record(rec: &SegmentRecord) -> Result<Segment, WireError> {
         if rec.summaries.len() != SummaryKind::all().len() {
             return Err(WireError::Malformed("segment record family count"));
@@ -172,46 +252,94 @@ impl Segment {
             }
             fams.push(fam);
         }
-        let fams: [ShardSummary; 4] = fams
+        let [mg, _space_saving, quantile, _count_min]: [ShardSummary; 4] = fams
             .try_into()
             .map_err(|_| WireError::Malformed("segment record family count"))?;
         Ok(Segment {
-            id: rec.id,
-            start_seq: rec.start_seq,
-            end_seq: rec.end_seq,
-            start_micros: rec.start_micros,
-            end_micros: rec.end_micros,
-            weight: rec.weight,
-            batches: rec.batches,
-            tier: rec.tier,
-            fams,
+            meta: SegmentMeta {
+                id: rec.id,
+                start_seq: rec.start_seq,
+                end_seq: rec.end_seq,
+                start_micros: rec.start_micros,
+                end_micros: rec.end_micros,
+                weight: rec.weight,
+                batches: rec.batches,
+                sealed: true,
+                tier: rec.tier,
+            },
+            mg,
+            quantile,
+            count_min: CountMinFam::Slot(rec.summaries[3].clone()),
         })
+    }
+
+    /// Absorb the adjacent *later* segment `next` into this one: spans
+    /// and weights union, families one-shot merge (Definition 1 — the
+    /// merged summary covers the union at the same eps·n bound), tier
+    /// deepens.
+    fn absorb(&mut self, next: Segment) {
+        debug_assert_eq!(
+            next.meta.start_seq,
+            self.meta.end_seq + 1,
+            "coarsen only adjacent"
+        );
+        self.meta.end_seq = next.meta.end_seq;
+        self.meta.end_micros = next.meta.end_micros;
+        self.meta.weight += next.meta.weight;
+        self.meta.batches += next.meta.batches;
+        self.meta.tier = self.meta.tier.max(next.meta.tier) + 1;
+        let mut count_min = self.count_min.live();
+        let merges = [
+            self.mg.merge_in_place(next.mg),
+            self.quantile.merge_in_place(next.quantile),
+            count_min.merge_in_place(next.count_min.live()),
+        ];
+        self.count_min = CountMinFam::Live(count_min);
+        for merge in merges {
+            merge.expect("same-family segment summaries always merge");
+        }
     }
 }
 
-struct CubeState {
-    /// Highest batch seq recorded (== WAL last seq while running).
-    last_seq: u64,
-    /// Monotone clamp over the injected clock: segment times never
-    /// regress even if the clock does.
-    last_micros: u64,
+/// Guarded by the fold lock: the segment being folded into.
+struct Fold {
     /// Id the next opened segment gets.
     next_id: u64,
     open: Option<Segment>,
-    sealed: VecDeque<Segment>,
 }
 
-/// The engine's segment cube. All methods are `&self`; internal state
-/// is one mutex plus the persisted-floor atomic.
+/// Guarded by the index lock: what readers clone out of.
+#[derive(Default)]
+struct Index {
+    sealed: VecDeque<Arc<Segment>>,
+    /// Coordinates of the open segment as of its last fold.
+    open: Option<SegmentMeta>,
+}
+
+/// Does a segment with these coordinates intersect `[start, end]` micros?
+fn intersects(meta: &SegmentMeta, start_micros: u64, end_micros: u64) -> bool {
+    meta.batches > 0 && meta.start_micros <= end_micros && meta.end_micros >= start_micros
+}
+
+/// The engine's segment cube. All methods are `&self`; see the module
+/// doc for what each lock guards.
 pub struct SegmentCube {
     epsilon: f64,
     seed: u64,
     cfg: SegmentConfig,
-    state: Mutex<CubeState>,
+    /// Highest batch seq recorded (== WAL last seq while running).
+    order: Mutex<u64>,
+    fold: Mutex<Fold>,
+    index: Mutex<Index>,
+    /// Monotone clamp over the injected clock: segment times never
+    /// regress even if the clock does.
+    last_micros: AtomicU64,
     /// End seq of the newest segment known durable on disk; the WAL
     /// must never be pruned past it (0 = no segment persisted, keep
     /// everything).
     persisted_floor: AtomicU64,
+    /// Serialises the callers' segment-store work in seal order.
+    persist: Mutex<()>,
 }
 
 impl SegmentCube {
@@ -223,39 +351,44 @@ impl SegmentCube {
             epsilon,
             seed,
             cfg,
-            state: Mutex::new(CubeState {
-                last_seq: 0,
-                last_micros: 0,
+            order: Mutex::new(0),
+            fold: Mutex::new(Fold {
                 next_id: 0,
                 open: None,
-                sealed: VecDeque::new(),
             }),
+            index: Mutex::new(Index::default()),
+            last_micros: AtomicU64::new(0),
             persisted_floor: AtomicU64::new(0),
+            persist: Mutex::new(()),
         }
     }
 
-    fn fresh_fams(&self) -> [ShardSummary; 4] {
-        SummaryKind::all().map(|kind| {
-            ShardSummary::new(&ServiceConfig::new(kind, self.epsilon).seed(self.seed), 0)
-        })
+    fn fresh(&self, kind: SummaryKind) -> ShardSummary {
+        ShardSummary::new(&ServiceConfig::new(kind, self.epsilon).seed(self.seed), 0)
     }
 
     /// Read the clock, clamped monotone against everything recorded.
-    fn now(&self, s: &mut CubeState) -> u64 {
-        let now = self.cfg.clock.now_micros().max(s.last_micros);
-        s.last_micros = now;
-        now
+    fn now(&self) -> u64 {
+        let now = self.cfg.clock.now_micros();
+        now.max(self.last_micros.fetch_max(now, Ordering::AcqRel))
     }
 
-    fn seal(&self, s: &mut CubeState, out: &mut CubeOutcome) {
-        if let Some(seg) = s.open.take() {
-            out.sealed.push(seg.to_record());
-            s.sealed.push_back(seg);
-            self.coarsen(s, out);
-            while s.sealed.len() > self.cfg.max_sealed {
-                let old = s.sealed.pop_front().expect("non-empty past cap");
-                out.evicted.push(old.id);
-            }
+    /// Seal the open segment into the index, then coarsen and evict.
+    fn seal(&self, fold: &mut Fold, out: &mut CubeOutcome) {
+        let Some(mut seg) = fold.open.take() else {
+            return;
+        };
+        out.sealed.push(seg.seal());
+        {
+            let mut ix = lock(&self.index);
+            ix.open = None;
+            ix.sealed.push_back(Arc::new(seg));
+        }
+        self.coarsen(out);
+        let mut ix = lock(&self.index);
+        while ix.sealed.len() > self.cfg.max_sealed {
+            let old = ix.sealed.pop_front().expect("non-empty past cap");
+            out.evicted.push(old.meta.id);
         }
     }
 
@@ -268,20 +401,34 @@ impl SegmentCube {
     /// merge, so range answers over the coarser segment keep the eps·n
     /// bound on its (admitted) weight — the window just snaps outward to
     /// coarser boundaries.
-    fn coarsen(&self, s: &mut CubeState, out: &mut CubeOutcome) {
+    ///
+    /// Runs under the fold lock, the only writer of the index, so a pair
+    /// picked under one index guard is still in place under the next;
+    /// the merge itself runs between the two, off the index lock.
+    fn coarsen(&self, out: &mut CubeOutcome) {
         if self.cfg.coarsen_watermark == 0 {
             return;
         }
-        while s.sealed.len() > self.cfg.coarsen_watermark && s.sealed.len() >= 2 {
-            let i = (0..s.sealed.len() - 1)
-                .min_by_key(|&i| s.sealed[i].tier.max(s.sealed[i + 1].tier))
-                .expect("at least one adjacent pair");
-            let next = s.sealed.remove(i + 1).expect("index in bounds");
-            out.evicted.push(next.id);
-            let survivor = &mut s.sealed[i];
-            survivor.absorb(next);
-            out.sealed.push(survivor.to_record());
+        loop {
+            let (i, survivor, next) = {
+                let ix = lock(&self.index);
+                if ix.sealed.len() <= self.cfg.coarsen_watermark || ix.sealed.len() < 2 {
+                    break;
+                }
+                let i = (0..ix.sealed.len() - 1)
+                    .min_by_key(|&i| ix.sealed[i].meta.tier.max(ix.sealed[i + 1].meta.tier))
+                    .expect("at least one adjacent pair");
+                (i, Arc::clone(&ix.sealed[i]), Arc::clone(&ix.sealed[i + 1]))
+            };
+            // Readers may hold either handle: merge into a copy.
+            let mut merged = Segment::clone(&survivor);
+            merged.absorb(Segment::clone(&next));
+            out.evicted.push(next.meta.id);
+            out.sealed.push(merged.seal());
             out.coarsened += 1;
+            let mut ix = lock(&self.index);
+            ix.sealed[i] = Arc::new(merged);
+            ix.sealed.remove(i + 1);
         }
         // A record both written and absorbed this call need not be
         // written at all, and only the last version per id matters.
@@ -297,77 +444,125 @@ impl SegmentCube {
         }
     }
 
-    fn fold(&self, s: &mut CubeState, seq: u64, now: u64, batch: &[u64]) -> CubeOutcome {
+    /// Fold batch `seq` into the open segment. Takes the fold lock before
+    /// giving up `order` (so folds happen in seq order) and gives `order`
+    /// up before folding (so the next append overlaps this fold). When the
+    /// fold left store work, `persist` runs on it under the persist lock,
+    /// taken the same hand-over-hand way (so store work happens in seal
+    /// order, off the fold lock).
+    fn fold_in_turn(
+        &self,
+        order: MutexGuard<'_, u64>,
+        seq: u64,
+        batch: &[u64],
+        persist: impl FnOnce(&CubeOutcome),
+    ) -> CubeOutcome {
+        let mut fold = lock(&self.fold);
+        drop(order);
+        let now = self.now();
         let mut out = CubeOutcome {
             seq,
             ..CubeOutcome::default()
         };
         // Wall-clock boundary first: an aged open segment seals *before*
         // this batch, which then opens the next segment.
-        if s.open
+        if fold
+            .open
             .as_ref()
-            .is_some_and(|o| now.saturating_sub(o.start_micros) >= self.cfg.seal_micros)
+            .is_some_and(|o| now.saturating_sub(o.meta.start_micros) >= self.cfg.seal_micros)
         {
-            self.seal(s, &mut out);
+            self.seal(&mut fold, &mut out);
         }
-        if s.open.is_none() {
-            let seg = Segment {
-                id: s.next_id,
-                start_seq: seq,
-                end_seq: seq,
-                start_micros: now,
-                end_micros: now,
-                weight: 0,
-                batches: 0,
-                tier: 0,
-                fams: self.fresh_fams(),
-            };
-            s.next_id += 1;
-            s.open = Some(seg);
+        if fold.open.is_none() {
+            fold.open = Some(Segment {
+                meta: SegmentMeta {
+                    id: fold.next_id,
+                    start_seq: seq,
+                    end_seq: seq,
+                    start_micros: now,
+                    end_micros: now,
+                    weight: 0,
+                    batches: 0,
+                    sealed: false,
+                    tier: 0,
+                },
+                mg: self.fresh(SummaryKind::Mg),
+                quantile: self.fresh(SummaryKind::HybridQuantile),
+                count_min: CountMinFam::Live(self.fresh(SummaryKind::CountMin)),
+            });
+            fold.next_id += 1;
         }
-        let open = s.open.as_mut().expect("open segment just ensured");
-        open.end_seq = seq;
-        open.end_micros = now;
-        open.batches += 1;
-        open.weight += batch.len() as u64;
-        for &item in batch {
-            for fam in open.fams.iter_mut() {
-                fam.update(item);
-            }
+        let open = fold.open.as_mut().expect("open segment just ensured");
+        open.meta.end_seq = seq;
+        open.meta.end_micros = now;
+        open.meta.batches += 1;
+        open.meta.weight += batch.len() as u64;
+        // Family-major: each family sees the whole batch at once, so
+        // Count-Min runs its dispatched hash-then-update kernel and the
+        // counter-map and quantile families keep their tables hot.
+        open.mg.update_batch(batch);
+        open.quantile.update_batch(batch);
+        match &mut open.count_min {
+            CountMinFam::Live(sketch) => sketch.update_batch(batch),
+            CountMinFam::Slot(_) => unreachable!("an open segment's sketch is live"),
         }
-        if open.batches >= self.cfg.seal_batches {
-            self.seal(s, &mut out);
+        if open.meta.batches >= self.cfg.seal_batches {
+            self.seal(&mut fold, &mut out);
+        } else {
+            lock(&self.index).open = Some(open.meta.clone());
+        }
+        if !out.sealed.is_empty() || !out.evicted.is_empty() {
+            let turn = lock(&self.persist);
+            drop(fold);
+            persist(&out);
+            drop(turn);
         }
         out
     }
 
-    /// Record one live batch, running `append` (the WAL append) inside
-    /// the cube lock so the seq this assigns equals the WAL's. On append
-    /// error nothing is recorded.
+    /// Record one live batch, running `append` (the WAL append) under
+    /// the order lock so the seq this assigns equals the WAL's. On append
+    /// error nothing is recorded. The caller does the outcome's store
+    /// work, if it has a store; callers that race each other to one use
+    /// [`SegmentCube::record_persisting`].
     pub fn record_with<E>(
         &self,
         batch: &[u64],
         append: impl FnOnce() -> Result<(), E>,
     ) -> Result<CubeOutcome, E> {
-        let mut s = lock(&self.state);
+        self.record_persisting(batch, append, |_| {})
+    }
+
+    /// [`SegmentCube::record_with`], plus `persist` — the caller's
+    /// segment-store writes and removes — run on every outcome that
+    /// sealed or evicted something, one caller at a time and in seal
+    /// order. Left to race to the store after `record_with` returns, a
+    /// later segment could reach disk (and lift the persisted floor)
+    /// before an earlier one.
+    pub fn record_persisting<E>(
+        &self,
+        batch: &[u64],
+        append: impl FnOnce() -> Result<(), E>,
+        persist: impl FnOnce(&CubeOutcome),
+    ) -> Result<CubeOutcome, E> {
+        let mut order = lock(&self.order);
         append()?;
-        let now = self.now(&mut s);
-        let seq = s.last_seq + 1;
-        s.last_seq = seq;
-        Ok(self.fold(&mut s, seq, now, batch))
+        *order += 1;
+        let seq = *order;
+        Ok(self.fold_in_turn(order, seq, batch, persist))
     }
 
     /// Replay one recovered WAL batch at its original seq (recovery
-    /// path — rebuilds segments lost between seal and fsync, and the
-    /// open segment). Seqs at or below the cube's floor are ignored.
+    /// path, one thread — rebuilds segments lost between seal and fsync,
+    /// and the open segment; the caller persists the outcome). Seqs at or
+    /// below the cube's floor are ignored.
     pub fn record_at(&self, seq: u64, batch: &[u64]) -> CubeOutcome {
-        let mut s = lock(&self.state);
-        if seq <= s.last_seq {
+        let mut order = lock(&self.order);
+        if seq <= *order {
             return CubeOutcome::default();
         }
-        let now = self.now(&mut s);
-        s.last_seq = seq;
-        self.fold(&mut s, seq, now, batch)
+        *order = seq;
+        self.fold_in_turn(order, seq, batch, |_| {})
     }
 
     /// Adopt sealed segments recovered from disk (called once at
@@ -375,15 +570,18 @@ impl SegmentCube {
     /// summaries do not decode, preserving contiguity; the rest is
     /// rebuilt from the WAL.
     pub fn adopt(&self, records: &[SegmentRecord]) -> AdoptOutcome {
-        let mut s = lock(&self.state);
+        let mut order = lock(&self.order);
+        let mut fold = lock(&self.fold);
+        let mut ix = lock(&self.index);
         let mut out = AdoptOutcome::default();
         for rec in records {
             match Segment::from_record(rec) {
                 Ok(seg) => {
-                    s.last_seq = seg.end_seq;
-                    s.last_micros = s.last_micros.max(seg.end_micros);
-                    s.next_id = seg.id + 1;
-                    s.sealed.push_back(seg);
+                    *order = seg.meta.end_seq;
+                    self.last_micros
+                        .fetch_max(seg.meta.end_micros, Ordering::AcqRel);
+                    fold.next_id = seg.meta.id + 1;
+                    ix.sealed.push_back(Arc::new(seg));
                     out.adopted += 1;
                 }
                 Err(why) => {
@@ -398,11 +596,11 @@ impl SegmentCube {
                 }
             }
         }
-        while s.sealed.len() > self.cfg.max_sealed {
-            let old = s.sealed.pop_front().expect("non-empty past cap");
-            out.evicted.push(old.id);
+        while ix.sealed.len() > self.cfg.max_sealed {
+            let old = ix.sealed.pop_front().expect("non-empty past cap");
+            out.evicted.push(old.meta.id);
         }
-        self.persisted_floor.store(s.last_seq, Ordering::Release);
+        self.persisted_floor.store(*order, Ordering::Release);
         out
     }
 
@@ -420,7 +618,7 @@ impl SegmentCube {
 
     /// Highest batch seq the cube has recorded.
     pub fn last_seq(&self) -> u64 {
-        lock(&self.state).last_seq
+        *lock(&self.order)
     }
 
     /// Answer a time-window query from `kind`'s family: merge the
@@ -430,41 +628,51 @@ impl SegmentCube {
     /// covering set is the minimal contiguous run of segments whose
     /// spans intersect the window — exactly the segments whose batches
     /// a per-range oracle must replay.
+    ///
+    /// Under the locks this only clones handles (and the open segment's
+    /// one requested family); the merge runs after both are released.
     pub fn query(
         &self,
         start_micros: u64,
         end_micros: u64,
         kind: SummaryKind,
     ) -> (RangeMeta, Option<ShardSummary>) {
-        let idx = family_index(kind);
-        let s = lock(&self.state);
+        let (covering, open) = {
+            let fold = lock(&self.fold);
+            let covering: Vec<Arc<Segment>> = lock(&self.index)
+                .sealed
+                .iter()
+                .filter(|seg| intersects(&seg.meta, start_micros, end_micros))
+                .cloned()
+                .collect();
+            let open = fold
+                .open
+                .as_ref()
+                .filter(|seg| intersects(&seg.meta, start_micros, end_micros))
+                .map(|seg| (seg.meta.clone(), seg.family(kind)));
+            (covering, open)
+        };
         let mut meta = RangeMeta {
             start_micros,
             end_micros,
             segments_merged: 0,
-            open_included: false,
+            open_included: open.is_some(),
             covered_weight: 0,
             start_seq: 0,
             end_seq: 0,
         };
         let mut merged: Option<ShardSummary> = None;
-        let all = s
-            .sealed
+        let parts = covering
             .iter()
-            .map(|seg| (seg, false))
-            .chain(s.open.iter().map(|seg| (seg, true)));
-        for (seg, open) in all {
-            if seg.batches == 0 || seg.start_micros > end_micros || seg.end_micros < start_micros {
-                continue;
-            }
+            .map(|seg| (seg.meta.clone(), seg.family(kind)))
+            .chain(open);
+        for (seg, part) in parts {
             meta.segments_merged += 1;
-            meta.open_included |= open;
             meta.covered_weight += seg.weight;
             if meta.segments_merged == 1 {
                 meta.start_seq = seg.start_seq;
             }
             meta.end_seq = seg.end_seq;
-            let part = seg.fams[idx].clone();
             merged = Some(match merged.take() {
                 None => part,
                 Some(mut acc) => {
@@ -474,6 +682,9 @@ impl SegmentCube {
                 }
             });
         }
+        if kind == SummaryKind::SpaceSaving {
+            merged = merged.map(derive_space_saving);
+        }
         (meta, merged)
     }
 
@@ -481,26 +692,30 @@ impl SegmentCube {
     /// read against the same monotone-clamped clock that stamps
     /// segments.
     pub fn health(&self) -> CubeHealth {
-        let mut s = lock(&self.state);
-        let now = self.now(&mut s);
-        let (open_age_micros, open_weight) = match &s.open {
-            Some(seg) => (now.saturating_sub(seg.start_micros), seg.weight),
+        let ix = lock(&self.index);
+        let now = self.now();
+        let (open_age_micros, open_weight) = match &ix.open {
+            Some(open) => (now.saturating_sub(open.start_micros), open.weight),
             None => (0, 0),
         };
         CubeHealth {
-            sealed: s.sealed.len() as u64,
+            sealed: ix.sealed.len() as u64,
             open_age_micros,
             open_weight,
-            max_tier: s.sealed.iter().map(|seg| seg.tier).max().unwrap_or(0),
+            max_tier: ix.sealed.iter().map(|seg| seg.meta.tier).max().unwrap_or(0),
         }
     }
 
     /// The cube's index: sealed segments in id order, then the open one.
     pub fn report(&self) -> SegmentReport {
-        let mut s = lock(&self.state);
-        let now = self.now(&mut s);
-        let mut segments: Vec<SegmentMeta> = s.sealed.iter().map(|seg| seg.meta(true)).collect();
-        segments.extend(s.open.iter().map(|seg| seg.meta(false)));
+        let ix = lock(&self.index);
+        let now = self.now();
+        let segments = ix
+            .sealed
+            .iter()
+            .map(|seg| seg.meta.clone())
+            .chain(ix.open.clone())
+            .collect();
         SegmentReport {
             now_micros: now,
             segments,
@@ -830,5 +1045,434 @@ mod tests {
         assert_eq!(h.sealed, 1);
         assert_eq!(h.open_age_micros, 0);
         assert_eq!(h.open_weight, 0);
+    }
+
+    // ---- Lemma 1: the derived SpaceSaving family ----
+
+    use ms_core::{ItemSummary, Summary};
+    use ms_frequency::MgSummary;
+    use ms_workloads::StreamKind;
+
+    const SEEDS: [u64; 3] = [0xF417_5EED, 0xB0B5_CAFE, 0x2026_0806];
+
+    fn space_saving(bytes: &[u8]) -> SpaceSavingSummary<u64> {
+        match ShardSummary::decode(bytes).expect("slot decodes") {
+            ShardSummary::SpaceSaving(ss) => ss,
+            other => panic!("slot 1 holds {:?}", other.kind()),
+        }
+    }
+
+    fn mg_table(mg: MgSummary<u64>) -> Vec<(u64, u64)> {
+        let mut table: Vec<(u64, u64)> = mg.iter().map(|(item, c)| (*item, c)).collect();
+        table.sort_unstable();
+        table
+    }
+
+    /// Everything a caller can read off a SpaceSaving range answer must
+    /// agree between the derived summary and one actually streamed.
+    fn assert_same_answers(
+        derived: &SpaceSavingSummary<u64>,
+        streamed: &SpaceSavingSummary<u64>,
+        what: &str,
+    ) {
+        assert_eq!(derived.capacity(), streamed.capacity(), "{what}");
+        assert_eq!(derived.total_weight(), streamed.total_weight(), "{what}");
+        assert_eq!(
+            mg_table(derived.clone().into_mg()),
+            mg_table(streamed.clone().into_mg()),
+            "{what}: MG-form counter tables"
+        );
+        for phi in [EPS, 1.5 * EPS, 0.05, 0.1, 0.3, 0.9] {
+            let sorted = |ss: &SpaceSavingSummary<u64>| {
+                let mut hh = ss.heavy_hitters(phi);
+                hh.sort_unstable();
+                hh
+            };
+            let reported = sorted(derived);
+            assert_eq!(reported, sorted(streamed), "{what}: heavy_hitters({phi})");
+            for (item, _) in reported {
+                assert_eq!(
+                    derived.estimate(&item),
+                    streamed.estimate(&item),
+                    "{what}: estimate({item})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn derived_space_saving_matches_a_streamed_one() {
+        let streams = [
+            StreamKind::Zipf {
+                s: 1.2,
+                universe: 5_000,
+            },
+            StreamKind::Uniform { universe: 400 },
+            StreamKind::AllDistinct,
+            StreamKind::AllSame,
+        ];
+        for seed in SEEDS {
+            for kind in &streams {
+                let items = kind.generate(200 * 48, seed);
+                for cadence in [1u64, 7, 64] {
+                    let what = format!("{} seed {seed:#x} cadence {cadence}", kind.label());
+                    let c = cube(
+                        SegmentConfig::new()
+                            .seal_batches(cadence)
+                            .clock(Arc::new(ManualClock::new(0))),
+                    );
+                    // One streamed reference per segment, sealed in step.
+                    let mut refs: Vec<SpaceSavingSummary<u64>> = Vec::new();
+                    let mut current = SpaceSavingSummary::for_epsilon(EPS);
+                    for batch in items.chunks(48) {
+                        current.extend_from(batch.iter().copied());
+                        for rec in ok(&c, batch).sealed {
+                            assert_same_answers(&space_saving(&rec.summaries[1]), &current, &what);
+                            refs.push(std::mem::replace(
+                                &mut current,
+                                SpaceSavingSummary::for_epsilon(EPS),
+                            ));
+                        }
+                    }
+                    if current.total_weight() > 0 {
+                        refs.push(current);
+                    }
+                    // The full-range answer folds MG segments and derives
+                    // once; the reference folds streamed summaries in the
+                    // same order.
+                    let mut folded = refs[0].clone();
+                    for next in &refs[1..] {
+                        folded.merge_from(next.clone()).unwrap();
+                    }
+                    let (meta, answer) = c.query(0, u64::MAX, SummaryKind::SpaceSaving);
+                    assert_eq!(meta.covered_weight, items.len() as u64, "{what}");
+                    let answer = match answer.expect("non-empty range") {
+                        ShardSummary::SpaceSaving(ss) => ss,
+                        other => panic!("{what}: answered with {:?}", other.kind()),
+                    };
+                    assert_same_answers(&answer, &folded, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn derived_space_saving_survives_coarsening() {
+        for seed in SEEDS {
+            let items = StreamKind::Zipf {
+                s: 1.1,
+                universe: 3_000,
+            }
+            .generate(64 * 40, seed);
+            let c = cube(
+                SegmentConfig::new()
+                    .seal_batches(1)
+                    .coarsen_watermark(3)
+                    .clock(Arc::new(ManualClock::new(0))),
+            );
+            // Mirror the cube's merge tree on streamed references, keyed
+            // by surviving segment id: a coarsened record re-appears under
+            // the older id and evicts the younger.
+            let mut refs: std::collections::BTreeMap<u64, SpaceSavingSummary<u64>> =
+                std::collections::BTreeMap::new();
+            for (id, batch) in items.chunks(40).enumerate() {
+                let mut streamed = SpaceSavingSummary::for_epsilon(EPS);
+                streamed.extend_from(batch.iter().copied());
+                refs.insert(id as u64, streamed);
+                let out = ok(&c, batch);
+                // Absorptions happen oldest-first within one seal; replay
+                // them on the references in the same order.
+                for &gone in &out.evicted {
+                    let absorbed = refs.remove(&gone).expect("evicted id was live");
+                    let (_, survivor) = refs.range_mut(..gone).next_back().expect("older neighbor");
+                    survivor.merge_from(absorbed).unwrap();
+                }
+                for rec in &out.sealed {
+                    assert_same_answers(
+                        &space_saving(&rec.summaries[1]),
+                        &refs[&rec.id],
+                        &format!("seed {seed:#x} segment {} tier {}", rec.id, rec.tier),
+                    );
+                }
+            }
+            assert!(c.health().max_tier >= 2, "the run must coarsen repeatedly");
+        }
+    }
+
+    #[test]
+    fn a_record_with_a_streamed_space_saving_slot_still_adopts() {
+        // What the code before this change wrote: slot 1 holds a
+        // SpaceSaving summary in its streaming representation.
+        let items = StreamKind::Zipf {
+            s: 1.3,
+            universe: 2_000,
+        }
+        .generate(6_000, SEEDS[0]);
+        let writer = cube(
+            SegmentConfig::new()
+                .seal_batches(2)
+                .clock(Arc::new(ManualClock::new(0))),
+        );
+        let mut records = Vec::new();
+        for (pair, batches) in items
+            .chunks(1_000)
+            .collect::<Vec<_>>()
+            .chunks(2)
+            .enumerate()
+        {
+            let mut streamed = SpaceSavingSummary::for_epsilon(EPS);
+            for batch in batches {
+                streamed.extend_from(batch.iter().copied());
+                records.extend(ok(&writer, batch).sealed);
+            }
+            let slot = ShardSummary::SpaceSaving(streamed).encode();
+            assert_ne!(
+                slot, records[pair].summaries[1],
+                "streaming form differs on disk"
+            );
+            records[pair].summaries[1] = slot;
+        }
+        assert_eq!(records.len(), 3);
+
+        let reader = cube(SegmentConfig::new().clock(Arc::new(ManualClock::new(0))));
+        let out = reader.adopt(&records);
+        assert_eq!((out.adopted, out.dropped), (3, 0), "{:?}", out.notes);
+        let (meta, answer) = reader.query(0, u64::MAX, SummaryKind::SpaceSaving);
+        assert_eq!(meta.covered_weight, 6_000);
+        let answer = answer.unwrap();
+        let mut truth: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        for &item in &items {
+            *truth.entry(item).or_default() += 1;
+        }
+        let slack = (EPS * 6_000.0).ceil() as u64;
+        for (&item, &count) in &truth {
+            let est = answer.point(item).unwrap();
+            assert!(
+                est.abs_diff(count) <= slack,
+                "item {item}: {est} vs {count}"
+            );
+        }
+
+        // The slot is still validated before it is dropped.
+        records[1].summaries[1] = vec![0xFF; 3];
+        let strict = cube(SegmentConfig::new().clock(Arc::new(ManualClock::new(0))));
+        let out = strict.adopt(&records);
+        assert_eq!((out.adopted, out.dropped), (1, 2));
+    }
+
+    // ---- the lock split ----
+
+    /// Run `body` on its own thread and fail loudly if it has not
+    /// finished in `secs` — a deadlock must not hang the suite.
+    fn under_watchdog(secs: u64, body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            body();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+            Ok(()) => handle.join().unwrap(),
+            // The body panicked (sender dropped): surface its message.
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(handle.join().unwrap_err())
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("watchdog: still running after {secs}s — deadlock?")
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_ingest_and_reads_keep_seqs_dense_and_ranges_exact() {
+        use ms_store::{FsyncPolicy, GroupCommit, Store, StoreConfig};
+        use std::sync::atomic::AtomicBool;
+
+        const WRITERS: u64 = 4;
+        // 4 × 151 batches at 3 per segment: one batch is left open at the end.
+        const PER_WRITER: u64 = 151;
+
+        under_watchdog(120, || {
+            let dir = std::env::temp_dir().join(format!("ms-cube-conc-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store_cfg = StoreConfig::new(&dir).fsync(FsyncPolicy::Never);
+            let (store, _) = Store::open(&store_cfg).unwrap();
+            let store = Mutex::new(store);
+            let group = GroupCommit::new();
+            let clock = Arc::new(ManualClock::new(0));
+            let c = cube(
+                SegmentConfig::new()
+                    .seal_batches(3)
+                    .coarsen_watermark(5)
+                    .clock(clock.clone()),
+            );
+            // seq -> batch length, filled in by whoever was assigned seq.
+            let lens: Vec<AtomicU64> = (0..=WRITERS * PER_WRITER)
+                .map(|_| AtomicU64::new(0))
+                .collect();
+            let writing = AtomicBool::new(true);
+            let start = std::sync::Barrier::new(WRITERS as usize + 3);
+            let mut metas: Vec<RangeMeta> = Vec::new();
+
+            std::thread::scope(|scope| {
+                let writers: Vec<_> = (0..WRITERS)
+                    .map(|w| {
+                        let (c, store, group, clock, lens, start) =
+                            (&c, &store, &group, &clock, &lens, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            let mut refused = 0u64;
+                            for i in 0..PER_WRITER {
+                                // Writer-tagged items; lengths differ so a
+                                // mismatched seq shows in the weights.
+                                let batch = vec![w; 1 + ((w * 31 + i * 7) % 23) as usize];
+                                clock.advance(1);
+                                if i % 11 == 5 {
+                                    // A refused append must leave no trace.
+                                    assert!(c.record_with(&batch, || Err::<(), ()>(())).is_err());
+                                    refused += 1;
+                                }
+                                let out = c
+                                    .record_with(&batch, || {
+                                        group
+                                            .append(store, batch.encode())
+                                            .map(|_| ())
+                                            .map_err(|e| e.to_string())
+                                    })
+                                    .unwrap();
+                                let was = lens[out.seq as usize]
+                                    .swap(batch.len() as u64, Ordering::SeqCst);
+                                assert_eq!(was, 0, "seq {} assigned twice", out.seq);
+                            }
+                            assert!(refused > 0);
+                        })
+                    })
+                    .collect();
+                let readers: Vec<_> = (0..2u64)
+                    .map(|r| {
+                        let (c, writing, start) = (&c, &writing, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            let mut seen = Vec::new();
+                            let kinds = SummaryKind::all();
+                            let mut turn = r as usize;
+                            while writing.load(Ordering::SeqCst) {
+                                let now = c.report().now_micros;
+                                let from = now.saturating_sub(1 + (turn as u64 * 37) % 300);
+                                let (meta, merged) = c.query(from, u64::MAX, kinds[turn % 4]);
+                                if let Some(merged) = merged {
+                                    assert_eq!(merged.kind(), kinds[turn % 4]);
+                                    assert_eq!(merged.total_weight(), meta.covered_weight);
+                                }
+                                seen.push(meta);
+                                turn += 1;
+                            }
+                            seen
+                        })
+                    })
+                    .collect();
+                let poller = {
+                    let (c, writing, start) = (&c, &writing, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut polls = 0u64;
+                        while writing.load(Ordering::SeqCst) {
+                            let report = c.report();
+                            for pair in report.segments.windows(2) {
+                                assert_eq!(
+                                    pair[1].start_seq,
+                                    pair[0].end_seq + 1,
+                                    "index has a hole"
+                                );
+                            }
+                            // A seal is visible for a moment before its
+                            // coarsening merge lands.
+                            assert!(c.health().sealed <= 5 + 1, "watermark holds");
+                            polls += 1;
+                        }
+                        polls
+                    })
+                };
+                for writer in writers {
+                    writer.join().unwrap();
+                }
+                writing.store(false, Ordering::SeqCst);
+                for reader in readers {
+                    metas.extend(reader.join().unwrap());
+                }
+                assert!(poller.join().unwrap() > 0);
+            });
+
+            // Dense: every seq in 1..=N was assigned exactly once.
+            let total = WRITERS * PER_WRITER;
+            assert_eq!(c.last_seq(), total);
+            let lens: Vec<u64> = lens.iter().map(|l| l.load(Ordering::SeqCst)).collect();
+            assert!(lens[1..].iter().all(|&l| l > 0));
+            // Cube seq == WAL seq: the record the log holds at each seq
+            // is the batch the cube folded under that seq.
+            drop(store);
+            let (_, recovery) = Store::open(&store_cfg).unwrap();
+            assert_eq!(recovery.last_seq, total);
+            assert_eq!(recovery.tail.len() as u64, total);
+            for entry in &recovery.tail {
+                let batch = Vec::<u64>::decode(&entry.payload).unwrap();
+                assert_eq!(
+                    batch.len() as u64,
+                    lens[entry.seq as usize],
+                    "seq {}",
+                    entry.seq
+                );
+            }
+            // Every range answer covered exactly the batches it names —
+            // the racing readers' and one taken now, across every sealed
+            // segment and the open one.
+            let (full, _) = c.query(0, u64::MAX, SummaryKind::Mg);
+            assert!(full.segments_merged > 1 && full.open_included, "{full:?}");
+            assert_eq!((full.start_seq, full.end_seq), (1, total));
+            metas.push(full);
+            for meta in metas.iter().filter(|m| m.segments_merged > 0) {
+                let want: u64 = lens[meta.start_seq as usize..=meta.end_seq as usize]
+                    .iter()
+                    .sum();
+                assert_eq!(meta.covered_weight, want, "{meta:?}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        });
+    }
+
+    #[test]
+    fn store_work_runs_in_seal_order() {
+        const WRITERS: u64 = 4;
+        const PER_WRITER: u64 = 200;
+        under_watchdog(60, || {
+            let c = cube(
+                SegmentConfig::new()
+                    .seal_batches(1)
+                    .clock(Arc::new(ManualClock::new(0))),
+            );
+            // end_seq of every record, in the order `persist` saw it.
+            let stored = Mutex::new(Vec::new());
+            std::thread::scope(|scope| {
+                for w in 0..WRITERS {
+                    let (c, stored) = (&c, &stored);
+                    scope.spawn(move || {
+                        for _ in 0..PER_WRITER {
+                            c.record_persisting::<()>(
+                                &[w],
+                                || Ok(()),
+                                |out| {
+                                    // Dawdle, so a racing later seal
+                                    // would overtake if it could.
+                                    std::thread::yield_now();
+                                    lock(stored).extend(out.sealed.iter().map(|r| r.end_seq));
+                                },
+                            )
+                            .unwrap();
+                        }
+                    });
+                }
+            });
+            let stored = stored.into_inner().unwrap();
+            assert_eq!(stored, (1..=WRITERS * PER_WRITER).collect::<Vec<_>>());
+        });
     }
 }

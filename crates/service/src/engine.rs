@@ -276,6 +276,12 @@ struct Durable {
     /// Leader–follower group commit over `store`: concurrent appends
     /// share one store-lock round and at most one fsync per group.
     group: GroupCommit,
+    /// Latched by the first failed segment-store write or remove: from
+    /// then on the segment directory is left alone and the cube's
+    /// persisted floor stands still, so the WAL keeps every record a
+    /// restart needs to rebuild what is missing on disk. Written and read
+    /// only by [`Engine::persist_sealed`].
+    segments_broken: AtomicBool,
     batches_since_ckpt: AtomicU64,
     /// `None` once the checkpointer stopped. A trigger may carry an ack
     /// sender ([`Engine::checkpoint_now`] waits on it).
@@ -511,6 +517,7 @@ impl Engine {
                 pause: RwLock::new(()),
                 store: Mutex::new(store),
                 group,
+                segments_broken: AtomicBool::new(false),
                 batches_since_ckpt: AtomicU64::new(0),
                 trigger_tx: Mutex::new(None),
                 checkpointer: Mutex::new(None),
@@ -596,7 +603,7 @@ impl Engine {
             report.cube_segments_adopted = adopt.adopted as u64;
             report.corrupt_cube_segments += adopt.dropped as u64;
             report.notes.extend(adopt.notes);
-            self.persist_sealed(&[], &adopt.evicted)?;
+            self.persist_sealed(&[], &adopt.evicted);
         }
         if let Some(set) = recovery.checkpoint {
             report.checkpoint_seq = set.wal_seq;
@@ -632,7 +639,7 @@ impl Engine {
             })?;
             if let Some(cube) = &self.cube {
                 let out = cube.record_at(entry.seq, &batch);
-                self.persist_sealed(&out.sealed, &out.evicted)?;
+                self.persist_sealed(&out.sealed, &out.evicted);
             }
             if entry.seq > report.checkpoint_seq {
                 report.replayed_records += 1;
@@ -779,6 +786,19 @@ impl Engine {
         if batch.is_empty() {
             return Ok(());
         }
+        let _pause = self.log_batch(&batch)?;
+        self.enqueue(batch)
+    }
+
+    /// The front half [`Engine::ingest`] and [`Engine::try_ingest`] share:
+    /// shed doomed work, then take the checkpoint pause lock for read and
+    /// log the batch (WAL, cube). The caller enqueues while still holding
+    /// the returned guard, so the append and the enqueue land on the same
+    /// side of any checkpoint cut.
+    fn log_batch(&self, batch: &[u64]) -> Result<Option<RwLockReadGuard<'_, ()>>, ServiceError> {
+        if self.stopped.load(Ordering::Acquire) {
+            return Err(ServiceError::Shutdown);
+        }
         // A spent deadline budget means the caller has stopped waiting:
         // appending + enqueueing now is doomed work that only deepens the
         // queues. Shed typed instead.
@@ -788,25 +808,31 @@ impl Engine {
                 retry_after_micros: self.admission.retry_after_micros(),
             });
         }
-        let _pause = self.durable.as_ref().map(|d| read(&d.pause));
-        self.record_and_append(&batch)?;
-        self.enqueue(batch)
+        let pause = self.durable.as_ref().map(|d| read(&d.pause));
+        self.record_and_append(batch)?;
+        Ok(pause)
     }
 
     /// The durable front half of ingest. With the cube enabled, the WAL
-    /// append runs inside the cube lock ([`SegmentCube::record_with`])
-    /// so the cube's seq counter tracks the WAL seq exactly; segments
-    /// sealed by this batch are persisted before the batch is enqueued.
-    /// Without a cube this is a plain [`Engine::append_durable`].
+    /// append runs under the cube's order lock
+    /// ([`SegmentCube::record_persisting`]) so the cube's seq counter
+    /// tracks the WAL seq exactly; segments sealed by this batch are
+    /// handed to the segment store, in seal order, before the batch is
+    /// enqueued. Without a cube this is a plain
+    /// [`Engine::append_durable`].
     fn record_and_append(&self, batch: &[u64]) -> Result<(), ServiceError> {
         match &self.cube {
             Some(cube) => {
-                let out = cube.record_with(batch, || self.append_durable(batch))?;
+                let out = cube.record_persisting(
+                    batch,
+                    || self.append_durable(batch),
+                    |out| self.persist_sealed(&out.sealed, &out.evicted),
+                )?;
                 if out.coarsened > 0 {
                     self.telemetry
                         .record_coarsen(out.coarsened, cube.health().max_tier);
                 }
-                self.persist_sealed(&out.sealed, &out.evicted)
+                Ok(())
             }
             None => self.append_durable(batch),
         }
@@ -814,24 +840,42 @@ impl Engine {
 
     /// Persist freshly sealed segments and delete evicted ones. No-op on
     /// engines without durability (the cube then lives purely in memory).
-    fn persist_sealed(
-        &self,
-        sealed: &[SegmentRecord],
-        evicted: &[u64],
-    ) -> Result<(), ServiceError> {
+    /// Calls are serialised in seal order by the cube's persist lock (or
+    /// by recovery being one thread).
+    ///
+    /// A segment-store error never fails the batch that sealed the
+    /// segment: the batch is already in the WAL and the cube, so it must
+    /// still reach a shard. The failure is traced and counted, and from
+    /// then on the segment directory is left exactly as it is: files only
+    /// go once everything written before them is on disk, so what is there
+    /// stays a gapless prefix up to the persisted floor — a coarsened
+    /// survivor that failed to write must still find the finer files it
+    /// was to replace. The floor stops with it, so the WAL keeps the tail
+    /// and the next recovery rebuilds whatever is missing (the
+    /// crash-safety contract of [`crate::cube`]).
+    fn persist_sealed(&self, sealed: &[SegmentRecord], evicted: &[u64]) {
         if sealed.is_empty() && evicted.is_empty() {
-            return Ok(());
+            return;
         }
         let Some(d) = &self.durable else {
-            return Ok(());
+            return;
         };
+        if d.segments_broken.load(Ordering::Acquire) {
+            return;
+        }
         let cube = self.cube.as_ref().expect("sealed segments imply a cube");
         let store = lock(&d.store);
         let Some(segs) = &store.segments else {
-            return Ok(());
+            return;
+        };
+        let failed = |id: u64| {
+            d.segments_broken.store(true, Ordering::Release);
+            self.telemetry.record_segment_persist_failed(id);
         };
         for rec in sealed {
-            segs.write(rec)?;
+            if segs.write(rec).is_err() {
+                return failed(rec.id);
+            }
             cube.note_persisted(rec.end_seq);
             self.telemetry.event(
                 "segment_sealed",
@@ -839,9 +883,10 @@ impl Engine {
             );
         }
         for &id in evicted {
-            segs.remove(id)?;
+            if segs.remove(id).is_err() {
+                return failed(id);
+            }
         }
-        Ok(())
     }
 
     /// Append one batch to the WAL via group commit and trigger a
@@ -926,11 +971,7 @@ impl Engine {
         if batch.is_empty() {
             return Ok(());
         }
-        if self.stopped.load(Ordering::Acquire) {
-            return Err(ServiceError::Shutdown);
-        }
-        let _pause = self.durable.as_ref().map(|d| read(&d.pause));
-        self.record_and_append(&batch)?;
+        let _pause = self.log_batch(&batch)?;
         let shard_count = self.cfg.shards;
         let mut batch = batch;
         let mut attempts = 0usize;
@@ -1823,6 +1864,32 @@ mod tests {
     }
 
     #[test]
+    fn spent_deadline_sheds_before_logging_on_both_ingest_paths() {
+        let dir = temp_data_dir("deadline");
+        let engine = Engine::start(durable_cfg(&dir)).unwrap();
+        deadline::with_deadline(Some(deadline::absolute(0)), || {
+            for attempt in [Engine::ingest, Engine::try_ingest] {
+                match attempt(&engine, vec![7; 16]) {
+                    Err(ServiceError::Overloaded { .. }) => {}
+                    other => panic!("spent deadline must shed typed, got {other:?}"),
+                }
+            }
+        });
+        // Doomed work was neither logged nor queued.
+        let d = engine.durable.as_ref().unwrap();
+        assert_eq!(lock(&d.store).wal.last_seq(), 0);
+        assert_eq!(engine.metrics().batches, 0);
+        // With budget left both paths log and enqueue as usual.
+        deadline::with_deadline(Some(deadline::absolute(60_000_000)), || {
+            engine.ingest(vec![7; 16]).unwrap();
+            engine.try_ingest(vec![7; 16]).unwrap();
+        });
+        assert_eq!(lock(&d.store).wal.last_seq(), 2);
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn pool_disabled_degrades_to_plain_allocation_with_counted_misses() {
         let cfg = ServiceConfig::new(SummaryKind::Mg, 0.05)
             .shards(2)
@@ -2366,6 +2433,187 @@ mod tests {
         assert_eq!(recovery.replayed_weight, 300);
         assert_eq!(engine.snapshot().summary.total_weight(), 300);
         assert_eq!(engine.snapshot().summary.point(9), Some(300));
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn cube_cfg(dir: &std::path::Path, seal_batches: u64) -> ServiceConfig {
+        durable_cfg(dir).segments(crate::config::SegmentConfig::new().seal_batches(seal_batches))
+    }
+
+    #[test]
+    fn failed_segment_write_still_acks_and_a_restart_rebuilds_it() {
+        let dir = temp_data_dir("segfail");
+        let engine = Engine::start(cube_cfg(&dir, 4)).unwrap();
+        for _ in 0..4u64 {
+            engine.ingest(vec![3; 10]).unwrap();
+        }
+        let cube = engine.cube().unwrap();
+        assert_eq!(cube.persisted_floor(), 4, "segment 0 is on disk");
+
+        // The segment directory disappears under the running engine: the
+        // write of segment 1 fails, its batches are acked all the same.
+        std::fs::remove_dir_all(dir.join("seg")).unwrap();
+        for _ in 0..6u64 {
+            engine.ingest(vec![3; 10]).unwrap();
+        }
+        engine.flush().unwrap();
+        assert_eq!(engine.snapshot().summary.total_weight(), 100);
+        assert_eq!(engine.metrics().updates, 100);
+        assert_eq!(
+            cube.persisted_floor(),
+            4,
+            "the floor must not pass a lost segment"
+        );
+        let failures = engine
+            .telemetry_snapshot()
+            .counters
+            .iter()
+            .find(|(name, _)| name == "segment_persist_failed_total")
+            .map(|(_, n)| *n);
+        assert_eq!(failures, Some(1));
+        // A checkpoint in this state keeps the WAL tail the rebuild needs.
+        engine.checkpoint_now().unwrap();
+        engine.abort();
+
+        let engine = Engine::start(cube_cfg(&dir, 4)).unwrap();
+        let recovery = engine.recovery().unwrap();
+        assert_eq!(recovery.cube_segments_adopted, 0, "the directory was wiped");
+        let report = engine.segment_report().unwrap();
+        let spans: Vec<(u64, u64, bool)> = report
+            .segments
+            .iter()
+            .map(|m| (m.start_seq, m.end_seq, m.sealed))
+            .collect();
+        assert_eq!(spans, vec![(1, 4, true), (5, 8, true), (9, 10, false)]);
+        assert_eq!(
+            engine.cube().unwrap().persisted_floor(),
+            8,
+            "rebuilt and rewritten"
+        );
+        assert_eq!(
+            engine.snapshot().summary.total_weight(),
+            100,
+            "no double count"
+        );
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_coarsened_rewrite_keeps_the_finer_files_it_replaces() {
+        let dir = temp_data_dir("segcoarsen");
+        let cfg = || {
+            durable_cfg(&dir).segments(
+                crate::config::SegmentConfig::new()
+                    .seal_batches(2)
+                    .coarsen_watermark(2),
+            )
+        };
+        let engine = Engine::start(cfg()).unwrap();
+        for _ in 0..8u64 {
+            engine.ingest(vec![3; 10]).unwrap();
+        }
+        // Four seals squeezed into two coarsened files: 0 = seqs 1..4,
+        // 2 = seqs 5..8. The checkpoint prunes the WAL up to them.
+        let cube = engine.cube().unwrap();
+        assert_eq!(cube.persisted_floor(), 8);
+        engine.checkpoint_now().unwrap();
+
+        // The next seal merges those two under id 0 and unlinks file 2.
+        // Make exactly that rewrite fail (its tmp path is taken by a
+        // directory) while the unlink would still succeed.
+        let blocker = dir.join("seg").join(format!("seg-{:016x}.tmp", 0));
+        std::fs::create_dir(&blocker).unwrap();
+        for _ in 0..6u64 {
+            engine.ingest(vec![3; 10]).unwrap();
+        }
+        engine.flush().unwrap();
+        assert_eq!(engine.metrics().updates, 140, "every batch was acked");
+        assert_eq!(
+            cube.persisted_floor(),
+            10,
+            "segment 4 (seqs 9..10) was written before the rewrite failed"
+        );
+        assert!(
+            dir.join("seg").join(format!("seg-{:016x}.seg", 2)).exists(),
+            "the file the failed rewrite was to replace must stay"
+        );
+        // Prunes the WAL to the floor: seqs 5..8 now live in file 2 only.
+        engine.checkpoint_now().unwrap();
+        engine.abort();
+        std::fs::remove_dir(&blocker).unwrap();
+
+        let engine = Engine::start(cfg()).unwrap();
+        let report = engine.segment_report().unwrap();
+        assert_eq!(report.segments[0].start_seq, 1, "{report:?}");
+        for pair in report.segments.windows(2) {
+            assert_eq!(pair[1].start_seq, pair[0].end_seq + 1, "{report:?}");
+        }
+        assert_eq!(report.segments.last().unwrap().end_seq, 14);
+        let (meta, _) = engine.range_query(0, u64::MAX, SummaryKind::Mg).unwrap();
+        assert_eq!(meta.covered_weight, 140, "no history lost");
+        assert_eq!(engine.snapshot().summary.total_weight(), 140);
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn persisted_floor_never_passes_a_segment_missing_from_disk() {
+        const BATCHES: u64 = 300;
+        let dir = temp_data_dir("segorder");
+        // One batch per segment and no coarsening: segment id `i` covers
+        // exactly seq `i + 1`, so a floor of F needs files 0..F on disk.
+        let engine = Engine::start(cube_cfg(&dir, 1)).unwrap();
+        let cube = Arc::clone(engine.cube().unwrap());
+        let seg_dir = dir.join("seg");
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        for _ in 0..BATCHES / 2 {
+                            engine.ingest(vec![5; 4]).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            let checker = scope.spawn(|| {
+                start.wait();
+                let mut checks = 0u64;
+                while !done.load(Ordering::SeqCst) {
+                    // Floor first, directory second: files only appear.
+                    let floor = cube.persisted_floor();
+                    let on_disk: std::collections::BTreeSet<u64> = std::fs::read_dir(&seg_dir)
+                        .unwrap()
+                        .filter_map(|e| {
+                            let name = e.unwrap().file_name().into_string().unwrap();
+                            let id = name.strip_prefix("seg-")?.strip_suffix(".seg")?;
+                            u64::from_str_radix(id, 16).ok()
+                        })
+                        .collect();
+                    let contiguous = (0..).take_while(|id| on_disk.contains(id)).count() as u64;
+                    assert!(
+                        floor <= contiguous,
+                        "floor {floor} is past the {contiguous} contiguous segment(s) on disk"
+                    );
+                    checks += 1;
+                }
+                checks
+            });
+            for writer in writers {
+                writer.join().unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+            assert!(checker.join().unwrap() > 0);
+        });
+        assert_eq!(
+            cube.persisted_floor(),
+            BATCHES,
+            "in order means it catches up"
+        );
         engine.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -93,6 +93,9 @@ pub struct EngineTelemetry {
     /// deepest tier currently resident.
     cube_coarsens: Arc<Counter>,
     cube_max_tier: Arc<Gauge>,
+    /// Segment-store writes or removes that failed (the WAL tail then
+    /// carries the segment until a restart rebuilds it).
+    segment_persist_failures: Arc<Counter>,
     /// Shared handle for rare cross-thread events (shard deaths, dumps).
     engine_events: TraceHandle,
     /// First-failure latch: only the first fatal error dumps the recorder.
@@ -146,6 +149,7 @@ impl EngineTelemetry {
             cube_open_age: registry.gauge("cube_open_age_micros"),
             cube_open_weight: registry.gauge("cube_open_weight"),
             cube_coarsens: registry.counter("cube_coarsen_total"),
+            segment_persist_failures: registry.counter("segment_persist_failed_total"),
             cube_max_tier: registry.gauge("cube_max_tier"),
             engine_events,
             registry,
@@ -378,6 +382,15 @@ impl EngineTelemetry {
         if self.enabled {
             self.cube_max_tier.set(max_tier as i64);
         }
+    }
+
+    /// Record one failed segment-store operation on segment `id`: a
+    /// `segment_persist_failed` trace event plus its counter.
+    pub fn record_segment_persist_failed(&self, id: u64) {
+        if self.enabled {
+            self.segment_persist_failures.inc();
+        }
+        self.event("segment_persist_failed", &[("id", id)]);
     }
 
     /// Record a rare cross-thread event (shard death, respawn, dump).

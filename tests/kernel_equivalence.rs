@@ -12,7 +12,9 @@
 
 use mergeable_summaries::core::simd::{self, Isa};
 use mergeable_summaries::core::{ItemSummary, Wire};
-use mergeable_summaries::service::{ServiceConfig, ShardSummary, SummaryKind};
+use mergeable_summaries::service::{
+    ManualClock, SegmentConfig, SegmentCube, ServiceConfig, ShardSummary, SummaryKind,
+};
 use mergeable_summaries::sketches::CountMinSketch;
 use mergeable_summaries::workloads::StreamKind;
 
@@ -111,6 +113,80 @@ fn all_families_batch_update_matches_sequential_updates() {
                 "seed {seed:#x} kind {kind:?}: batch update diverged"
             );
         }
+    }
+}
+
+/// The segment cube folds each batch family-major through
+/// `update_batch`; a per-item fold of the same batches must leave
+/// byte-identical MG, quantile and Count-Min slots in every sealed
+/// record, and the Count-Min slot must not depend on which kernel tier
+/// the host dispatched to.
+#[test]
+fn cube_batched_fold_matches_per_item_reference_in_every_record() {
+    const EPS: f64 = 0.02;
+    // (slot in the record, family streamed into it)
+    let streamed = [
+        (0, SummaryKind::Mg),
+        (2, SummaryKind::HybridQuantile),
+        (3, SummaryKind::CountMin),
+    ];
+    for &seed in &SEEDS {
+        let items = stream(seed, 20 * 257);
+        let cube = SegmentCube::new(
+            EPS,
+            seed,
+            SegmentConfig::new()
+                .seal_batches(5)
+                .clock(std::sync::Arc::new(ManualClock::new(0))),
+        );
+        let fresh = || {
+            streamed
+                .map(|(_, kind)| ShardSummary::new(&ServiceConfig::new(kind, EPS).seed(seed), 0))
+        };
+        let fresh_tiers = || -> Vec<(Isa, CountMinSketch<u64>)> {
+            simd::supported_isas()
+                .into_iter()
+                .map(|isa| (isa, CountMinSketch::for_epsilon_delta(EPS, 0.01, seed)))
+                .collect()
+        };
+        let mut per_item = fresh();
+        let mut tiers = fresh_tiers();
+        let mut records = 0;
+        for batch in items.chunks(257) {
+            for &item in batch {
+                for fam in per_item.iter_mut() {
+                    fam.update(item);
+                }
+            }
+            for (isa, cm) in tiers.iter_mut() {
+                cm.update_batch_with(*isa, batch);
+            }
+            let out = cube
+                .record_with(batch, || Ok::<(), ()>(()))
+                .expect("in-memory append cannot fail");
+            for rec in out.sealed {
+                for ((slot, kind), reference) in streamed.iter().zip(&per_item) {
+                    assert_eq!(
+                        rec.summaries[*slot],
+                        encoded(reference),
+                        "seed {seed:#x} segment {} {kind:?}: batched fold diverged",
+                        rec.id
+                    );
+                }
+                for (isa, cm) in &tiers {
+                    assert_eq!(
+                        rec.summaries[3],
+                        encoded(&ShardSummary::CountMin(cm.clone())),
+                        "seed {seed:#x} segment {} tier {isa:?}",
+                        rec.id
+                    );
+                }
+                per_item = fresh();
+                tiers = fresh_tiers();
+                records += 1;
+            }
+        }
+        assert_eq!(records, 4, "20 batches at 5 per segment");
     }
 }
 
