@@ -15,13 +15,14 @@
 //! Scheduling noise can leave a pool temporarily empty right after
 //! start-up, so the zero-allocation claim is checked over a few rounds:
 //! steady state must show up within [`ROUNDS`] attempts or the harness
-//! fails the build.
+//! fails the build. The client's send path (`Client::ingest_slice` over
+//! a loopback connection) is held to the same zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ms_core::Summary;
-use ms_service::{Engine, ServiceConfig, SummaryKind};
+use ms_service::{Client, Engine, Server, ServiceConfig, SummaryKind};
 use ms_workloads::StreamKind;
 
 thread_local! {
@@ -138,7 +139,23 @@ fn main() {
         }
     }
 
+    // The wire side of the same claim: `Client::ingest_slice` writes
+    // every frame into one scratch and reads every reply into another,
+    // both reused for the connection's lifetime.
+    let server = Server::bind(std::sync::Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.ingest_slice(&items[..BATCH]).unwrap();
+    let client_allocs = count_allocs(|| {
+        for chunk in items.chunks(BATCH) {
+            client.ingest_slice(chunk).unwrap();
+        }
+    });
+    println!("client ingest_slice: {client_allocs} allocations across {CHUNKS} sends");
+    assert_eq!(client_allocs, 0, "the client's send path allocates");
+    drop(client);
+
     let (reuses, misses, discards) = engine.pool_stats();
+    server.stop();
     let snapshot = engine.shutdown();
     assert!(snapshot.summary.total_weight() > 0);
 

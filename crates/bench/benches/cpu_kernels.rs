@@ -1,5 +1,5 @@
 //! Batched CPU hot-path kernels: Count-Min batch update and multiway
-//! merge, scalar reference vs runtime-dispatched (AVX2/NEON) variants.
+//! merge, scalar reference vs runtime-dispatched (AVX2/AVX-512) variants.
 //! Persists `results/BENCH_kernels.json`.
 //!
 //! Deterministic and meaningful on a 1-CPU host: every row is a
@@ -12,7 +12,7 @@
 //! path exists (or under `MS_FORCE_SCALAR=1`) both numbers are still
 //! recorded and the gate self-skips with a logged reason.
 //!
-//! `MS_BENCH_MS` / `MS_BENCH_ITEMS` budget knobs as in the other benches.
+//! `MS_BENCH_MS` is the budget knob, as in the other benches.
 
 use ms_bench::{Measurement, Suite};
 use ms_core::simd::{self, Isa};
@@ -39,10 +39,7 @@ fn rate(measurements: &[Measurement], label: &str) -> f64 {
 }
 
 fn main() {
-    let n: usize = std::env::var("MS_BENCH_ITEMS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(65_536);
+    let n: usize = 65_536;
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     let isa = simd::active_isa();
     println!(

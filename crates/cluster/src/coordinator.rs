@@ -12,11 +12,8 @@
 //! moment the node rejoins.
 //!
 //! With `replicas` on, consecutive nodes form **pairs** that both
-//! receive every write for their slot. On read the coordinator takes
-//! exactly **one** member per slot (the heavier): summary merge is
-//! additive, not idempotent, so merging both replicas would double-count
-//! the range. The pair exists so a single death never blanks a slot, not
-//! to add read quorum.
+//! receive every write for their slot, so a single death never blanks
+//! it; reads take one member per slot (`fold_groups` says which and why).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
@@ -25,14 +22,14 @@ use std::time::Duration;
 
 use ms_core::wire::FRAME_HEADER_LEN;
 use ms_core::{ServiceError, Summary, Wire};
-use ms_obs::{Counter, Gauge, Histogram, RegistrySnapshot, TraceHandle};
+use ms_obs::{Counter, Gauge, Histogram, RegistrySnapshot, SpanGuard, TraceHandle};
 use ms_service::deadline;
 use ms_service::telemetry::timed;
 use ms_service::tracectx::{self, FIELD_PARENT, FIELD_SPAN, FIELD_TRACE};
 use ms_service::{
-    check_phi, AccuracyAudit, Client, ClientOptions, ClusterInfo, CubeClock, EngineTelemetry,
-    MetricsReport, NodeInfo, OpClass, RangeAnswer, RangeMeta, Request, Response, SegmentReport,
-    Service, ShardSummary, SystemClock, TraceContext,
+    answer_query, answer_range, AccuracyAudit, Client, ClientOptions, ClusterInfo, CubeClock,
+    EngineTelemetry, MetricsReport, NodeInfo, OpClass, RangeMeta, Request, RequestEnvelope,
+    Response, SegmentReport, Service, ShardSummary, SystemClock, TraceContext,
 };
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryBudget};
@@ -192,25 +189,31 @@ struct Instruments {
     retry_tokens: Arc<Gauge>,
 }
 
-/// What one scatter/gather produced.
-pub struct GatherReport {
-    /// The one-shot merged summary; `None` when no slot answered.
-    pub summary: Option<ShardSummary>,
-    /// Backend nodes that contributed a summary.
+/// What one scatter/gather produced: by default the cluster summary,
+/// internally any reply that merges (metrics, audits, range answers).
+pub struct GatherReport<R = ShardSummary> {
+    /// The one-shot merge of every answering slot; `None` when none did.
+    pub summary: Option<R>,
+    /// Slots that contributed a reply.
     pub answered: usize,
     /// Slots with no live member — their range is missing from the
     /// merged summary (the loss-slack bound covers the gap).
     pub dark_slots: usize,
     /// Backend requests issued.
     pub fanout: usize,
-    /// Response bytes gathered.
-    pub bytes: u64,
     /// Fraction of slots that contributed to the merge, in [0, 1]. A
     /// partial gather (slow node tripped its breaker, a leg shed) is a
     /// valid summary of the answering slots' updates — Definition 1 —
     /// with its reduced reach made explicit here rather than failing
     /// the whole gather.
     pub coverage: f64,
+}
+
+impl<R> GatherReport<R> {
+    /// The merged reply, or the typed error when nothing answered at all.
+    fn live(self) -> Result<R, ServiceError> {
+        self.summary.ok_or_else(no_live_backend)
+    }
 }
 
 /// A federation coordinator over N backend `ms-service` nodes.
@@ -330,11 +333,6 @@ impl Coordinator {
         &self.telemetry
     }
 
-    /// Number of backend nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Stop the pinger. Backend nodes are *not* shut down: the
     /// coordinator federates processes it does not own.
     pub fn shutdown(&self) {
@@ -376,8 +374,7 @@ impl Coordinator {
             self.rebalanced_batches.fetch_add(1, Ordering::Relaxed);
             self.instruments.rebalances.add(1);
         }
-        for (slot, bucket) in buckets.iter_mut().enumerate() {
-            let mut bucket = std::mem::take(bucket);
+        for (slot, bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() {
                 continue;
             }
@@ -400,7 +397,6 @@ impl Coordinator {
                 self.rebalanced_batches.fetch_add(1, Ordering::Relaxed);
                 self.instruments.rebalances.add(1);
             }
-            bucket.clear();
         }
         Ok(())
     }
@@ -410,14 +406,6 @@ impl Coordinator {
     /// member's health and are otherwise swallowed here (the caller
     /// reroutes).
     fn send_bucket(&self, slot: usize, bucket: &[u64]) -> Result<bool, ServiceError> {
-        // A spent inbound deadline sheds the whole bucket here: the
-        // caller has given up, so no backend should see the frames.
-        let remaining = deadline::remaining_micros();
-        if remaining == Some(0) {
-            return Err(ServiceError::Overloaded {
-                retry_after_micros: 0,
-            });
-        }
         let frame_bytes = ingest_frame_bytes(bucket);
         let mut delivered = false;
         let mut last_err: Option<ServiceError> = None;
@@ -425,37 +413,15 @@ impl Coordinator {
             if self.nodes[member].health.is_dead() {
                 continue;
             }
-            self.instruments.scatter_bytes.add(frame_bytes);
-            // Ingest legs join the live trace the same way query legs
-            // do, so one traced ingest stitches coordinator → node; a
-            // remaining deadline rides the same envelope, decremented.
-            let result = match tracectx::current() {
-                Some(ctx) => {
-                    let leg = self.telemetry.next_span(ctx);
-                    let mut span = self.scatter_ring.span("scatter");
-                    span.field(FIELD_TRACE, ctx.trace_id);
-                    span.field(FIELD_SPAN, leg);
-                    span.field(FIELD_PARENT, ctx.parent_span);
-                    span.field("node", member as u64);
-                    span.field("op", Request::Ingest(Vec::new()).opcode() as u64);
-                    let child = TraceContext {
-                        trace_id: ctx.trace_id,
-                        parent_span: leg,
-                    };
-                    match remaining {
-                        Some(rem) => {
-                            self.with_node(member, |c| c.ingest_slice_deadline(child, rem, bucket))
-                        }
-                        None => self.with_node(member, |c| c.ingest_slice_traced(child, bucket)),
-                    }
-                }
-                None => match remaining {
-                    Some(rem) => {
-                        self.with_node(member, |c| c.ingest_slice_deadline(NO_TRACE, rem, bucket))
-                    }
-                    None => self.with_node(member, |c| c.ingest_slice(bucket)),
-                },
-            };
+            // Ingest legs join the live trace and carry the remaining
+            // deadline exactly as query legs do; a spent budget sheds the
+            // bucket before any backend sees the frames.
+            let result = self
+                .leg(member, Request::Ingest(Vec::new()).opcode())
+                .and_then(|(envelope, _span)| {
+                    self.instruments.scatter_bytes.add(frame_bytes);
+                    self.with_node(member, |c| c.ingest_slice_enveloped(envelope, bucket))
+                });
             match result {
                 Ok(()) => delivered = true,
                 Err(e) => last_err = Some(e),
@@ -474,121 +440,70 @@ impl Coordinator {
 
     /// Flush every live node so gathers see all prior ingests.
     pub fn flush(&self) -> Result<(), ServiceError> {
-        let mut flushed = 0usize;
-        for idx in 0..self.nodes.len() {
-            if self.nodes[idx].health.is_dead() {
-                continue;
-            }
-            if self.scatter_call(idx, &Request::Flush).is_ok() {
-                flushed += 1;
-            }
-        }
-        if flushed == 0 {
-            return Err(no_live_backend());
-        }
-        Ok(())
+        self.fold_nodes(&Request::Flush, |_| Some(()), |(), ()| {})
     }
 
     /// Scatter a summary request to every slot, gather the per-node
-    /// summaries, and merge them one-shot. Per slot exactly one member's
-    /// summary enters the merge (the heavier, when replicas diverge);
-    /// a slot with no live answer is reported dark, not an error — the
-    /// merged summary is then a valid summary of the surviving updates.
+    /// summaries, and merge them one-shot. A slot with no live answer is
+    /// reported dark, not an error — the merged summary is then a valid
+    /// summary of the surviving updates.
     pub fn gather(&self) -> Result<GatherReport, ServiceError> {
-        let mut merged: Option<ShardSummary> = None;
-        let mut answered = 0usize;
-        let mut dark_slots = 0usize;
-        let mut fanout = 0usize;
         let mut bytes = 0u64;
-        for members in &self.slots {
-            let mut best: Option<ShardSummary> = None;
-            for &member in members {
-                if self.nodes[member].health.is_dead() {
-                    continue;
-                }
-                fanout += 1;
-                let response = match self.scatter_call(member, &Request::Summary) {
-                    Ok(r) => r,
-                    Err(_) => continue,
-                };
-                let Response::Summary(raw) = response else {
-                    continue;
-                };
-                bytes +=
-                    (FRAME_HEADER_LEN + 1) as u64 + varint_len(raw.len() as u64) + raw.len() as u64;
-                let summary = ShardSummary::decode(&raw)
-                    .map_err(|e| ServiceError::Protocol(format!("bad node summary: {e}")))?;
-                self.nodes[member]
-                    .last_weight
-                    .store(summary.total_weight(), Ordering::Relaxed);
-                // Read-one replica semantics: merge is additive, so
-                // folding both members would double-count the slot.
-                // Keep the heavier member — it saw every write the
-                // lighter one saw, plus the ones delivered while the
-                // lighter one was down.
-                best = match best {
-                    Some(prev) if prev.total_weight() >= summary.total_weight() => Some(prev),
-                    _ => Some(summary),
-                };
-            }
-            match best {
-                Some(summary) => {
-                    answered += 1;
-                    match &mut merged {
-                        None => merged = Some(summary),
-                        Some(acc) => acc
-                            .merge_in_place(summary)
-                            .map_err(|e| ServiceError::Protocol(format!("gather merge: {e}")))?,
-                    }
-                }
-                None => dark_slots += 1,
-            }
-        }
-        self.instruments.gather_fanout.record(fanout as u64);
+        let accept = |member: usize, response| {
+            let Response::Summary(raw) = response else {
+                return Ok(None);
+            };
+            bytes +=
+                (FRAME_HEADER_LEN + 1) as u64 + varint_len(raw.len() as u64) + raw.len() as u64;
+            let summary = ShardSummary::decode(&raw)
+                .map_err(|e| ServiceError::Protocol(format!("bad node summary: {e}")))?;
+            self.nodes[member]
+                .last_weight
+                .store(summary.total_weight(), Ordering::Relaxed);
+            Ok(Some(summary))
+        };
+        let report = self.gather_fold(
+            &self.slots,
+            &Request::Summary,
+            accept,
+            ShardSummary::total_weight,
+            merge_summaries,
+        )?;
+        self.instruments.gather_fanout.record(report.fanout as u64);
         self.instruments.gather_bytes.add(bytes);
-        Ok(GatherReport {
-            summary: merged,
-            answered,
-            dark_slots,
-            fanout,
-            bytes,
-            coverage: answered as f64 / self.slots.len() as f64,
-        })
+        Ok(report)
+    }
+
+    /// The gathered cluster summary that global queries answer from.
+    fn gather_summary(&self) -> Result<ShardSummary, ServiceError> {
+        self.gather()?.live()
     }
 
     /// Merge every live node's [`MetricsReport`] into one cluster-wide
     /// report (work counters sum, per-node gauges take the max).
     pub fn metrics(&self) -> Result<MetricsReport, ServiceError> {
-        let mut merged: Option<MetricsReport> = None;
-        for idx in 0..self.nodes.len() {
-            if self.nodes[idx].health.is_dead() {
-                continue;
-            }
-            let Ok(Response::Metrics(report)) = self.scatter_call(idx, &Request::Metrics) else {
-                continue;
-            };
-            match &mut merged {
-                None => merged = Some(report),
-                Some(acc) => acc.merge_from(&report),
-            }
-        }
-        merged.ok_or_else(no_live_backend)
+        let accept = |response| match response {
+            Response::Metrics(report) => Some(report),
+            _ => None,
+        };
+        self.fold_nodes(&Request::Metrics, accept, |acc, report| {
+            acc.merge_from(&report)
+        })
     }
 
     /// The coordinator's own registry merged with every live backend's —
     /// the telemetry plane is itself mergeable (counters add, histograms
     /// merge bucket-wise).
     pub fn telemetry_merged(&self) -> RegistrySnapshot {
-        let mut merged = self.telemetry.snapshot();
-        for idx in 0..self.nodes.len() {
-            if self.nodes[idx].health.is_dead() {
-                continue;
-            }
-            if let Ok(Response::Telemetry(snapshot)) = self.scatter_call(idx, &Request::Telemetry) {
-                merged = merged.merge(&snapshot);
-            }
+        let own = self.telemetry.snapshot();
+        let accept = |response| match response {
+            Response::Telemetry(snapshot) => Some(snapshot),
+            _ => None,
+        };
+        match self.fold_nodes(&Request::Telemetry, accept, |acc, s| *acc = acc.merge(&s)) {
+            Ok(nodes) => own.merge(&nodes),
+            Err(_) => own,
         }
-        merged
     }
 
     /// Membership and routing state, as served to `ClusterInfo` queries.
@@ -665,149 +580,141 @@ impl Coordinator {
     }
 
     /// Scatter a range request to every slot and merge the per-node
-    /// range summaries one-shot. Per slot exactly one member's answer
-    /// enters the merge — the one covering more weight, mirroring the
-    /// read-one replica rule — because range summaries are additive, not
-    /// idempotent. The merged summary carries the same `ε·(covered
-    /// weight)` bound as a single node that held every covering segment
-    /// (Definition 1), so the caller recomputes the final answer from it
-    /// instead of averaging per-node scalars.
+    /// range summaries one-shot; a replica slot contributes the member
+    /// covering more weight. The merged summary carries the same
+    /// `ε·(covered weight)` bound as a single node that held every
+    /// covering segment (Definition 1), so the caller recomputes the
+    /// final answer from it instead of averaging per-node scalars.
     pub fn range_gather(
         &self,
         request: &Request,
     ) -> Result<(RangeMeta, Option<ShardSummary>), ServiceError> {
-        let (start_micros, end_micros) = match request {
-            Request::RangeQuantile {
-                start_micros,
-                end_micros,
-                ..
-            }
-            | Request::RangeHeavyHitters {
-                start_micros,
-                end_micros,
-                ..
-            } => (*start_micros, *end_micros),
-            _ => return Err(ServiceError::Config("not a range request")),
+        type Part = (RangeMeta, Option<ShardSummary>);
+        let accept = |_, response| {
+            let Response::Range(answer) = response else {
+                return Ok(None);
+            };
+            // No summary: the node is live but no segment overlaps the
+            // window, and its coverage is all zeros.
+            let summary = match answer.summary.as_slice() {
+                [] => None,
+                raw => Some(
+                    ShardSummary::decode(raw)
+                        .map_err(|e| ServiceError::Protocol(format!("bad range summary: {e}")))?,
+                ),
+            };
+            Ok(Some((answer.meta, summary)))
         };
-        let mut merged: Option<ShardSummary> = None;
-        let mut meta = RangeMeta {
-            start_micros,
-            end_micros,
-            segments_merged: 0,
-            open_included: false,
-            covered_weight: 0,
-            start_seq: 0,
-            end_seq: 0,
-        };
-        let mut answered = 0usize;
-        for members in &self.slots {
-            let mut best: Option<RangeAnswer> = None;
-            for &member in members {
-                if self.nodes[member].health.is_dead() {
-                    continue;
+        let merge = |(meta, merged): &mut Part, (other, summary): Part| {
+            meta.segments_merged += other.segments_merged;
+            meta.open_included |= other.open_included;
+            meta.covered_weight += other.covered_weight;
+            // Seq 0 is "covered nothing", not a first seq.
+            meta.start_seq = [meta.start_seq, other.start_seq]
+                .into_iter()
+                .filter(|&seq| seq != 0)
+                .min()
+                .unwrap_or(0);
+            meta.end_seq = meta.end_seq.max(other.end_seq);
+            match merged {
+                Some(acc) => summary.map_or(Ok(()), |s| merge_summaries(acc, s)),
+                None => {
+                    *merged = summary;
+                    Ok(())
                 }
-                let response = match self.scatter_call(member, request) {
-                    Ok(r) => r,
-                    Err(_) => continue,
-                };
-                let Response::Range(answer) = response else {
-                    continue;
-                };
-                best = match best {
-                    Some(prev) if prev.meta.covered_weight >= answer.meta.covered_weight => {
-                        Some(prev)
-                    }
-                    _ => Some(answer),
-                };
             }
-            let Some(answer) = best else {
-                continue;
-            };
-            answered += 1;
-            if answer.summary.is_empty() {
-                // The node is live but no segment overlaps the window.
-                continue;
-            }
-            let summary = ShardSummary::decode(&answer.summary)
-                .map_err(|e| ServiceError::Protocol(format!("bad range summary: {e}")))?;
-            meta.segments_merged += answer.meta.segments_merged;
-            meta.open_included |= answer.meta.open_included;
-            meta.covered_weight += answer.meta.covered_weight;
-            meta.start_seq = match meta.start_seq {
-                0 => answer.meta.start_seq,
-                s => s.min(answer.meta.start_seq),
-            };
-            meta.end_seq = meta.end_seq.max(answer.meta.end_seq);
-            match &mut merged {
-                None => merged = Some(summary),
-                Some(acc) => acc
-                    .merge_in_place(summary)
-                    .map_err(|e| ServiceError::Protocol(format!("range merge: {e}")))?,
-            }
-        }
-        if answered == 0 {
-            return Err(no_live_backend());
-        }
-        Ok((meta, merged))
+        };
+        self.gather_fold(
+            &self.slots,
+            request,
+            accept,
+            |(meta, _)| meta.covered_weight,
+            merge,
+        )?
+        .live()
     }
 
     /// Concatenate every live node's segment report. Node-local segment
     /// ids collide across backends, so entries keep their per-node ids
     /// and `now_micros` takes the max over answering nodes.
     pub fn segment_report(&self) -> Result<SegmentReport, ServiceError> {
-        let mut merged: Option<SegmentReport> = None;
-        for idx in 0..self.nodes.len() {
-            if self.nodes[idx].health.is_dead() {
-                continue;
-            }
-            let Ok(Response::Segments(report)) = self.scatter_call(idx, &Request::SegmentInfo)
-            else {
-                continue;
-            };
-            match &mut merged {
-                None => merged = Some(report),
-                Some(acc) => {
-                    acc.now_micros = acc.now_micros.max(report.now_micros);
-                    acc.segments.extend(report.segments);
-                }
-            }
-        }
-        merged.ok_or_else(no_live_backend)
+        let accept = |response| match response {
+            Response::Segments(report) => Some(report),
+            _ => None,
+        };
+        self.fold_nodes(&Request::SegmentInfo, accept, |acc, report| {
+            acc.now_micros = acc.now_micros.max(report.now_micros);
+            acc.segments.extend(report.segments);
+        })
     }
 
     /// Gather every slot's accuracy audit and merge them like summaries:
-    /// one member per slot (the heavier, mirroring the read-one replica
-    /// rule — both replicas audited the same writes, so folding both
-    /// would double-count), weights and envelopes adding, observed error
-    /// taking the worst. The merged report's `within_bound` holds only
-    /// if every contributing node held its own bound — exactly the
-    /// paper's claim that merging costs no accuracy.
+    /// weights and envelopes adding, observed error taking the worst. The
+    /// merged report's `within_bound` holds only if every contributing
+    /// node held its own bound — exactly the paper's claim that merging
+    /// costs no accuracy.
     pub fn accuracy_merged(&self) -> Result<AccuracyAudit, ServiceError> {
-        let mut merged: Option<AccuracyAudit> = None;
-        for members in &self.slots {
-            let mut best: Option<AccuracyAudit> = None;
-            for &member in members {
-                if self.nodes[member].health.is_dead() {
-                    continue;
-                }
-                let Ok(Response::Accuracy(audit)) =
-                    self.scatter_call(member, &Request::AccuracyReport)
-                else {
-                    continue;
-                };
-                best = match best {
-                    Some(prev) if prev.weight >= audit.weight => Some(prev),
-                    _ => Some(audit),
-                };
-            }
-            if let Some(audit) = best {
-                match &mut merged {
-                    None => merged = Some(audit),
-                    Some(acc) => acc.merge_from(&audit),
-                }
-            }
-        }
-        merged.ok_or_else(no_live_backend)
+        let accept = |_, response| match response {
+            Response::Accuracy(audit) => Ok(Some(audit)),
+            _ => Ok(None),
+        };
+        let merge = |acc: &mut AccuracyAudit, audit| {
+            acc.merge_from(&audit);
+            Ok(())
+        };
+        self.gather_fold(
+            &self.slots,
+            &Request::AccuracyReport,
+            accept,
+            |audit| audit.weight,
+            merge,
+        )?
+        .live()
+    }
+
+    /// The one gather: send `request` to every live node in `groups`,
+    /// let `accept` turn each response into a reply (`None`: not an
+    /// answer), and fold the replies with their own `merge`
+    /// ([`fold_groups`]). Answers that add across the ring read
+    /// `self.slots`; per-process answers go through
+    /// [`Coordinator::fold_nodes`].
+    fn gather_fold<R>(
+        &self,
+        groups: &[Vec<usize>],
+        request: &Request,
+        mut accept: impl FnMut(usize, Response) -> Result<Option<R>, ServiceError>,
+        weight: impl Fn(&R) -> u64,
+        merge: impl Fn(&mut R, R) -> Result<(), ServiceError>,
+    ) -> Result<GatherReport<R>, ServiceError> {
+        let live = |member: usize| !self.nodes[member].health.is_dead();
+        let ask = |member| match self.scatter_call(member, request) {
+            Ok(response) => accept(member, response),
+            Err(_) => Ok(None),
+        };
+        fold_groups(groups, live, ask, weight, merge)
+    }
+
+    /// [`Coordinator::gather_fold`] over every live node, each its own
+    /// group: nothing to decode, no replica to choose, no merge that can
+    /// fail — only "nobody answered" can.
+    fn fold_nodes<R>(
+        &self,
+        request: &Request,
+        accept: impl Fn(Response) -> Option<R>,
+        merge: impl Fn(&mut R, R),
+    ) -> Result<R, ServiceError> {
+        let every_node: Vec<Vec<usize>> = (0..self.nodes.len()).map(|n| vec![n]).collect();
+        self.gather_fold(
+            &every_node,
+            request,
+            |_, response| Ok(accept(response)),
+            |_| 0,
+            |acc, reply| {
+                merge(acc, reply);
+                Ok(())
+            },
+        )?
+        .live()
     }
 
     /// Is every member of `slot` dead?
@@ -824,47 +731,61 @@ impl Coordinator {
         self.instruments
             .scatter_bytes
             .add((FRAME_HEADER_LEN + request.wire_len()) as u64);
-        // A spent inbound deadline fails the leg locally: the caller has
-        // already given up, so the backend should never see the work.
-        let remaining = deadline::remaining_micros();
-        if remaining == Some(0) {
+        let (envelope, _span) = self.leg(idx, request.opcode())?;
+        // A typed shed becomes the typed error, so the breaker and every
+        // caller see one shape for "this leg delivered nothing".
+        self.with_node(idx, |client| {
+            match client.call_enveloped(envelope, request)? {
+                Response::Overloaded { retry_after_micros } => {
+                    Err(ServiceError::Overloaded { retry_after_micros })
+                }
+                response => Ok(response),
+            }
+        })
+    }
+
+    /// The envelope one backend leg travels in, and the scatter span that
+    /// times it. Under a live trace (the server put one up before calling
+    /// `handle`) the leg gets its own span and ships the context, so the
+    /// backend's request span parents under it; the *decremented* deadline
+    /// rides along, so time this coordinator already burned never reaches
+    /// the node. Pings and other context-free, deadline-free calls get
+    /// the empty envelope — a plain `REQUEST_TAG` frame. A spent deadline
+    /// fails the leg locally: the caller has already given up.
+    fn leg(
+        &self,
+        node: usize,
+        opcode: u8,
+    ) -> Result<(RequestEnvelope, Option<SpanGuard<'_>>), ServiceError> {
+        let deadline_micros = deadline::remaining_micros();
+        if deadline_micros == Some(0) {
             return Err(ServiceError::Overloaded {
                 retry_after_micros: 0,
             });
         }
-        // Under a live trace (the server put one up before calling
-        // `handle`), every leg gets its own span and ships the context to
-        // the backend, whose request span then parents under this leg.
-        // Pings and other context-free calls stay plain `REQUEST_TAG` —
-        // unless a deadline must ride along, which needs the envelope (a
-        // zero trace id in it still means "no trace").
-        let Some(ctx) = tracectx::current() else {
-            return self.with_node(idx, |client| {
-                shed_to_error(match remaining {
-                    Some(rem) => client.call_with_deadline(NO_TRACE, rem, request)?,
-                    None => client.call(request)?,
-                })
-            });
-        };
-        let leg = self.telemetry.next_span(ctx);
-        let mut span = self.scatter_ring.span("scatter");
-        span.field(FIELD_TRACE, ctx.trace_id);
-        span.field(FIELD_SPAN, leg);
-        span.field(FIELD_PARENT, ctx.parent_span);
-        span.field("node", idx as u64);
-        span.field("op", request.opcode() as u64);
-        let child = TraceContext {
-            trace_id: ctx.trace_id,
-            parent_span: leg,
-        };
-        self.with_node(idx, |client| {
-            shed_to_error(match remaining {
-                // The *decremented* budget rides the envelope: the time
-                // this coordinator already burned never reaches the node.
-                Some(rem) => client.call_with_deadline(child, rem, request)?,
-                None => client.call_traced(child, request)?,
+        let (ctx, span) = tracectx::current()
+            .map(|ctx| {
+                let leg = self.telemetry.next_span(ctx);
+                let mut span = self.scatter_ring.span("scatter");
+                span.field(FIELD_TRACE, ctx.trace_id);
+                span.field(FIELD_SPAN, leg);
+                span.field(FIELD_PARENT, ctx.parent_span);
+                span.field("node", node as u64);
+                span.field("op", opcode as u64);
+                let child = TraceContext {
+                    trace_id: ctx.trace_id,
+                    parent_span: leg,
+                };
+                (child, span)
             })
-        })
+            .unzip();
+        Ok((
+            RequestEnvelope {
+                ctx,
+                deadline_micros,
+            },
+            span,
+        ))
     }
 
     /// Run `f` against node `idx` with the overload plane in front: an
@@ -889,11 +810,7 @@ impl Coordinator {
         }
         self.retry_budget.note_request();
         let mut result = self.attempt(idx, &f);
-        if matches!(
-            &result,
-            Err(ServiceError::Io { .. } | ServiceError::Timeout { .. } | ServiceError::Wire(_))
-        ) && node.breaker.allow()
-        {
+        if transport_failure(&result) && node.breaker.allow() {
             if self.retry_budget.try_withdraw() {
                 self.instruments.retries_granted.add(1);
                 result = self.attempt(idx, &f);
@@ -943,17 +860,14 @@ impl Coordinator {
         }
         let client = guard.as_mut().expect("client connected above");
         let (result, micros) = timed(|| f(client));
-        let transport_failure = matches!(
-            &result,
-            Err(ServiceError::Io { .. } | ServiceError::Timeout { .. } | ServiceError::Wire(_))
-        );
+        let failed = transport_failure(&result);
         let shed = matches!(&result, Err(ServiceError::Overloaded { .. }));
-        if transport_failure {
+        if failed {
             *guard = None;
         }
         drop(guard);
         self.instruments.node_latency[idx].record(micros);
-        if transport_failure {
+        if failed {
             node.failures.fetch_add(1, Ordering::Relaxed);
             self.instruments.node_failures[idx].add(1);
             if node.health.failure() {
@@ -965,7 +879,7 @@ impl Coordinator {
                 self.telemetry.event("node-rejoin", &[("node", idx as u64)]);
             }
         }
-        node.breaker.record(!(transport_failure || shed));
+        node.breaker.record(!(failed || shed));
         self.sync_state_gauge(idx);
         self.sync_breaker_instruments(idx);
         result
@@ -1027,83 +941,36 @@ impl Service for Coordinator {
         }
         match request {
             Request::Ping => Response::Ok,
-            Request::Ingest(items) => match self.ingest(&items) {
-                Ok(()) => Response::Ok,
-                Err(e) => error_response(e),
-            },
-            Request::Flush => match self.flush() {
-                Ok(()) => Response::Ok,
-                Err(e) => error_response(e),
-            },
-            Request::Point(item) => self.query(|s| s.point(item).map(Response::Count), "point"),
-            Request::HeavyHitters(phi) => match check_phi(phi) {
-                Err(e) => Response::Error(e),
-                Ok(()) => self.query(
-                    |s| s.heavy_hitters(phi).map(Response::Items),
-                    "heavy-hitters",
-                ),
-            },
-            Request::Rank(x) => self.query(|s| s.rank(x).map(Response::Count), "rank"),
-            Request::Quantile(phi) => match check_phi(phi) {
-                Err(e) => Response::Error(e),
-                Ok(()) => self.query(|s| s.quantile(phi).map(Response::Value), "quantile"),
-            },
-            Request::Metrics => match self.metrics() {
-                Ok(report) => Response::Metrics(report),
-                Err(e) => error_response(e),
-            },
-            Request::Summary => match self.gather() {
-                Ok(GatherReport {
-                    summary: Some(s), ..
-                }) => Response::Summary(s.encode()),
-                Ok(_) => Response::Error("no live backend answered".to_string()),
-                Err(e) => error_response(e),
-            },
+            Request::Ingest(items) => self
+                .ingest(&items)
+                .map_or_else(Into::into, |()| Response::Ok),
+            Request::Flush => self.flush().map_or_else(Into::into, |()| Response::Ok),
+            Request::Point(_)
+            | Request::HeavyHitters(_)
+            | Request::Rank(_)
+            | Request::Quantile(_) => answer_query(&request, || self.gather_summary()),
+            Request::Metrics => self.metrics().map_or_else(Into::into, Response::Metrics),
+            Request::Summary => self
+                .gather_summary()
+                .map_or_else(Into::into, |s| Response::Summary(s.encode())),
             Request::Telemetry => Response::Telemetry(self.telemetry_merged()),
             Request::ClusterInfo => Response::Cluster(self.cluster_info()),
-            Request::NodeSummary(idx) => match self.node_summary(idx) {
-                Ok(raw) => Response::Summary(raw),
-                Err(e) => error_response(e),
-            },
-            ref request @ Request::RangeQuantile { phi, .. } => match check_phi(phi) {
-                Err(e) => Response::Error(e),
-                Ok(()) => match self.range_gather(request) {
-                    Ok((meta, merged)) => Response::Range(RangeAnswer {
-                        meta,
-                        value: merged.as_ref().and_then(|s| s.quantile(phi)).flatten(),
-                        items: Vec::new(),
-                        summary: merged.map(|s| s.encode()).unwrap_or_default(),
-                    }),
-                    Err(e) => error_response(e),
-                },
-            },
-            ref request @ Request::RangeHeavyHitters { phi, .. } => match check_phi(phi) {
-                Err(e) => Response::Error(e),
-                Ok(()) => match self.range_gather(request) {
-                    Ok((meta, merged)) => Response::Range(RangeAnswer {
-                        meta,
-                        value: None,
-                        items: merged
-                            .as_ref()
-                            .and_then(|s| s.heavy_hitters(phi))
-                            .unwrap_or_default(),
-                        summary: merged.map(|s| s.encode()).unwrap_or_default(),
-                    }),
-                    Err(e) => error_response(e),
-                },
-            },
-            Request::SegmentInfo => match self.segment_report() {
-                Ok(report) => Response::Segments(report),
-                Err(e) => error_response(e),
-            },
+            Request::NodeSummary(idx) => self
+                .node_summary(idx)
+                .map_or_else(Into::into, Response::Summary),
+            Request::RangeQuantile { phi, .. } | Request::RangeHeavyHitters { phi, .. } => {
+                answer_range(phi, || self.range_gather(&request))
+            }
+            Request::SegmentInfo => self
+                .segment_report()
+                .map_or_else(Into::into, Response::Segments),
             // The coordinator answers with its *own* rings (request and
             // scatter spans); tooling pulls each backend's rings directly
             // and stitches the processes together by trace id.
             Request::TraceDump => Response::Trace(self.telemetry.trace_report()),
-            Request::AccuracyReport => match self.accuracy_merged() {
-                Ok(audit) => Response::Accuracy(audit),
-                Err(e) => error_response(e),
-            },
+            Request::AccuracyReport => self
+                .accuracy_merged()
+                .map_or_else(Into::into, Response::Accuracy),
         }
     }
 
@@ -1123,24 +990,6 @@ impl Service for Coordinator {
         // The coordinator holds no durable state of its own: abort and
         // graceful shutdown both just stop the pinger.
         Coordinator::shutdown(self);
-    }
-}
-
-impl Coordinator {
-    /// Gather, then answer a query on the merged summary.
-    fn query(&self, f: impl FnOnce(&ShardSummary) -> Option<Response>, what: &str) -> Response {
-        match self.gather() {
-            Ok(GatherReport {
-                summary: Some(s), ..
-            }) => match f(&s) {
-                Some(response) => response,
-                None => Response::Error(format!(
-                    "{what} queries are not supported by this summary kind"
-                )),
-            },
-            Ok(_) => Response::Error("no live backend answered".to_string()),
-            Err(e) => error_response(e),
-        }
     }
 }
 
@@ -1177,35 +1026,63 @@ fn ping_loop(
     }
 }
 
-/// A zero context for deadline envelopes sent outside any trace: the
-/// decoder reads trace id 0 as "no trace", so these bytes are exactly
-/// what a context-free envelope carries.
-const NO_TRACE: TraceContext = TraceContext {
-    trace_id: 0,
-    parent_span: 0,
-};
-
-/// Lift a typed shed response into the matching typed error, so the
-/// breaker and every caller see one shape for "this leg delivered
-/// nothing".
-fn shed_to_error(response: Response) -> Result<Response, ServiceError> {
-    match response {
-        Response::Overloaded { retry_after_micros } => {
-            Err(ServiceError::Overloaded { retry_after_micros })
-        }
-        other => Ok(other),
-    }
+/// The leg never completed a round-trip (as opposed to the node answering
+/// with an error, which proves it alive).
+fn transport_failure<T>(result: &Result<T, ServiceError>) -> bool {
+    matches!(
+        result,
+        Err(ServiceError::Io { .. } | ServiceError::Timeout { .. } | ServiceError::Wire(_))
+    )
 }
 
-/// Map a coordinator-side error onto the wire: typed sheds stay typed,
-/// everything else degrades to a string error as before.
-fn error_response(e: ServiceError) -> Response {
-    match e {
-        ServiceError::Overloaded { retry_after_micros } => {
-            Response::Overloaded { retry_after_micros }
+/// Scatter to `groups` of nodes and fold the replies: dead members are
+/// skipped, a silent one (`ask` returned `None`) is passed over, and each
+/// group contributes exactly **one** reply — the heavier, when replicas
+/// diverge. Merges are additive, not idempotent, so folding both members
+/// of a pair would double-count their range; the heavier member saw every
+/// write the lighter one saw, plus those delivered while the lighter one
+/// was down. A group with no reply is dark, not fatal: the fold of the
+/// rest is a valid answer over the surviving updates (Definition 1). An
+/// `ask` or `merge` error is fatal and surfaces typed.
+fn fold_groups<R>(
+    groups: &[Vec<usize>],
+    live: impl Fn(usize) -> bool,
+    mut ask: impl FnMut(usize) -> Result<Option<R>, ServiceError>,
+    weight: impl Fn(&R) -> u64,
+    merge: impl Fn(&mut R, R) -> Result<(), ServiceError>,
+) -> Result<GatherReport<R>, ServiceError> {
+    let mut report = GatherReport {
+        summary: None,
+        answered: 0,
+        dark_slots: 0,
+        fanout: 0,
+        coverage: 0.0,
+    };
+    for members in groups {
+        let mut best: Option<R> = None;
+        for &member in members.iter().filter(|&&m| live(m)) {
+            report.fanout += 1;
+            if let Some(reply) = ask(member)? {
+                if best.as_ref().is_none_or(|b| weight(b) < weight(&reply)) {
+                    best = Some(reply);
+                }
+            }
         }
-        other => Response::Error(other.to_string()),
+        match (best, &mut report.summary) {
+            (None, _) => report.dark_slots += 1,
+            (Some(reply), None) => report.summary = Some(reply),
+            (Some(reply), Some(acc)) => merge(acc, reply)?,
+        }
     }
+    report.answered = groups.len() - report.dark_slots;
+    report.coverage = report.answered as f64 / groups.len() as f64;
+    Ok(report)
+}
+
+/// The summaries' own merge, as a gather's fold step.
+fn merge_summaries(acc: &mut ShardSummary, other: ShardSummary) -> Result<(), ServiceError> {
+    acc.merge_in_place(other)
+        .map_err(|e| ServiceError::Protocol(format!("gather merge: {e}")))
 }
 
 fn no_live_backend() -> ServiceError {
@@ -1256,6 +1133,74 @@ mod tests {
         )
         .to_bytes();
         assert_eq!(ingest_frame_bytes(&items), frame.len() as u64);
+    }
+
+    /// One scripted backend leg for [`fold_groups`].
+    #[derive(Clone, Copy)]
+    enum Leg {
+        Dead,
+        Silent,
+        Weighs(u64),
+        Fails,
+    }
+    use Leg::*;
+
+    /// What the fold made of a script: (merged weight, answered, dark, fanout).
+    type Folded = Result<(Option<u64>, usize, usize, usize), ServiceError>;
+
+    fn fold(legs: &[Leg], groups: &[Vec<usize>]) -> Folded {
+        fold_groups(
+            groups,
+            |node| !matches!(legs[node], Dead),
+            |node| match legs[node] {
+                Dead => panic!("asked dead node {node}"),
+                Silent => Ok(None),
+                Weighs(w) => Ok(Some(w)),
+                Fails => Err(ServiceError::Protocol("bad reply".to_string())),
+            },
+            |&w| w,
+            |acc, w| {
+                *acc = acc
+                    .checked_add(w)
+                    .ok_or_else(|| ServiceError::Protocol("merge overflow".to_string()))?;
+                Ok(())
+            },
+        )
+        .map(|r| {
+            assert_eq!(r.coverage, r.answered as f64 / groups.len() as f64);
+            (r.summary, r.answered, r.dark_slots, r.fanout)
+        })
+    }
+
+    #[test]
+    fn fold_groups_states_the_gather_rules() {
+        let pairs = [vec![0, 1], vec![2, 3]];
+        let singles = [vec![0], vec![1], vec![2]];
+        // The heavier member of a diverged slot wins, whichever answers first.
+        let diverged = [Weighs(70), Weighs(90), Weighs(40), Weighs(10)];
+        assert_eq!(fold(&diverged, &pairs), Ok((Some(130), 2, 0, 4)));
+        // A dead member is never asked, a silent one is passed over.
+        let degraded = [Dead, Weighs(5), Weighs(8), Silent];
+        assert_eq!(fold(&degraded, &pairs), Ok((Some(13), 2, 0, 3)));
+        // A slot with no live answer is dark, not fatal.
+        let half_dark = [Weighs(7), Weighs(7), Dead, Silent];
+        assert_eq!(fold(&half_dark, &pairs), Ok((Some(7), 1, 1, 3)));
+        // Every live node contributes when each is its own group.
+        let nodes = [Weighs(1), Weighs(2), Weighs(4)];
+        assert_eq!(fold(&nodes, &singles), Ok((Some(7), 3, 0, 3)));
+        // All dead: nothing merged — the typed "no live backend" to a
+        // caller that needs an answer.
+        assert_eq!(fold(&[Dead; 3], &singles), Ok((None, 0, 3, 0)));
+        let nothing = fold_groups(&singles, |_| false, |_| Ok(Some(0)), |&w| w, |_, _| Ok(()));
+        assert_eq!(nothing.unwrap().live(), Err(no_live_backend()));
+        // A fatal leg and a failed merge both surface typed.
+        let bad_reply = Err(ServiceError::Protocol("bad reply".to_string()));
+        assert_eq!(fold(&[Weighs(1), Fails, Weighs(4)], &singles), bad_reply);
+        let overflow = Err(ServiceError::Protocol("merge overflow".to_string()));
+        assert_eq!(
+            fold(&[Weighs(u64::MAX), Weighs(1), Silent], &singles),
+            overflow
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! counter decrements, rank scans — are all flat passes over `u64` slices.
 //! This module gives them one home: a scalar implementation that is the
 //! **single source of truth for semantics**, plus `std::arch` variants
-//! (x86_64 AVX2/AVX-512, aarch64 NEON) selected once at startup by
+//! (x86_64 AVX2/AVX-512) selected once at startup by
 //! [`active_isa`]. Every vector variant must produce bit-identical output
 //! to its scalar twin; the differential tests at the bottom of this file
 //! and the workspace-level `tests/kernel_equivalence.rs` suite pin that.
@@ -14,9 +14,8 @@
 //! - `MS_FORCE_SCALAR=1` in the environment forces the scalar path
 //!   everywhere, so CI can exercise both paths on any host.
 //! - On x86_64, AVX-512 (F+DQ) is preferred, then AVX2, per
-//!   `is_x86_feature_detected!`; on aarch64 NEON is baseline and always
-//!   available.
-//! - Anything else falls back to scalar.
+//!   `is_x86_feature_detected!`.
+//! - Anything else — aarch64 included — runs scalar.
 //!
 //! The slice kernels in this file deliberately serve [`Isa::Avx512`] with
 //! their 256-bit bodies: flat adds and compares are load/store-bound, so
@@ -39,8 +38,6 @@ pub enum Isa {
     Avx2,
     /// x86_64 AVX-512 F+DQ (512-bit lanes, 8 × u64, mask registers).
     Avx512,
-    /// aarch64 NEON (128-bit lanes, 2 × u64).
-    Neon,
 }
 
 impl Isa {
@@ -50,7 +47,6 @@ impl Isa {
             Isa::Scalar => "scalar",
             Isa::Avx2 => "avx2",
             Isa::Avx512 => "avx512",
-            Isa::Neon => "neon",
         }
     }
 
@@ -84,11 +80,6 @@ fn detect() -> Isa {
             return Isa::Avx2;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        return Isa::Neon;
-    }
-    #[allow(unreachable_code)]
     Isa::Scalar
 }
 
@@ -115,8 +106,6 @@ pub fn supported_isas() -> Vec<Isa> {
             isas.push(Isa::Avx512);
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    isas.push(Isa::Neon);
     isas
 }
 
@@ -139,8 +128,6 @@ pub fn add_slices_with(isa: Isa, dst: &mut [u64], src: &[u64]) {
     match isa {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 | Isa::Avx512 => unsafe { x86::add_slices_avx2(dst, src) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::add_slices_neon(dst, src),
         _ => add_slices_scalar(dst, src),
     }
 }
@@ -176,8 +163,6 @@ pub fn add_slices_multi_with(isa: Isa, dst: &mut [u64], srcs: &[&[u64]]) {
     match isa {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 | Isa::Avx512 => unsafe { x86::add_slices_multi_avx2(dst, srcs) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::add_slices_multi_neon(dst, srcs),
         _ => add_slices_multi_scalar(dst, srcs),
     }
 }
@@ -205,8 +190,6 @@ pub fn sub_clamp_with(isa: Isa, values: &mut [u64], s: u64) {
     match isa {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 | Isa::Avx512 => unsafe { x86::sub_clamp_avx2(values, s) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::sub_clamp_neon(values, s),
         _ => sub_clamp_scalar(values, s),
     }
 }
@@ -233,8 +216,6 @@ pub fn count_gt_with(isa: Isa, values: &[u64], s: u64) -> usize {
     match isa {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 | Isa::Avx512 => unsafe { x86::count_gt_avx2(values, s) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::count_gt_neon(values, s),
         _ => count_gt_scalar(values, s),
     }
 }
@@ -354,108 +335,6 @@ mod x86 {
             .iter()
             .fold(0u64, |a, &b| a.wrapping_add(b))
             .wrapping_neg() as usize;
-        for &v in &values[lanes..] {
-            if v > s {
-                count += 1;
-            }
-        }
-        count
-    }
-}
-
-// ---------------------------------------------------------------------------
-// aarch64 NEON variants
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use std::arch::aarch64::*;
-
-    pub fn add_slices_neon(dst: &mut [u64], src: &[u64]) {
-        assert_eq!(dst.len(), src.len(), "add_slices length mismatch");
-        let n = dst.len();
-        let lanes = n / 2 * 2;
-        unsafe {
-            let dp = dst.as_mut_ptr();
-            let sp = src.as_ptr();
-            let mut i = 0;
-            while i < lanes {
-                let a = vld1q_u64(dp.add(i));
-                let b = vld1q_u64(sp.add(i));
-                vst1q_u64(dp.add(i), vaddq_u64(a, b));
-                i += 2;
-            }
-        }
-        for j in lanes..n {
-            dst[j] = dst[j].wrapping_add(src[j]);
-        }
-    }
-
-    pub fn add_slices_multi_neon(dst: &mut [u64], srcs: &[&[u64]]) {
-        for s in srcs {
-            assert_eq!(dst.len(), s.len(), "add_slices_multi length mismatch");
-        }
-        let n = dst.len();
-        let lanes = n / 2 * 2;
-        unsafe {
-            let dp = dst.as_mut_ptr();
-            let mut i = 0;
-            while i < lanes {
-                let mut acc = vld1q_u64(dp.add(i));
-                for s in srcs {
-                    acc = vaddq_u64(acc, vld1q_u64(s.as_ptr().add(i)));
-                }
-                vst1q_u64(dp.add(i), acc);
-                i += 2;
-            }
-        }
-        for j in lanes..n {
-            let mut acc = dst[j];
-            for s in srcs {
-                acc = acc.wrapping_add(s[j]);
-            }
-            dst[j] = acc;
-        }
-    }
-
-    pub fn sub_clamp_neon(values: &mut [u64], s: u64) {
-        let n = values.len();
-        let lanes = n / 2 * 2;
-        unsafe {
-            let vp = values.as_mut_ptr();
-            let sv = vdupq_n_u64(s);
-            let mut i = 0;
-            while i < lanes {
-                let v = vld1q_u64(vp.add(i));
-                let gt = vcgtq_u64(v, sv);
-                let diff = vsubq_u64(v, sv);
-                vst1q_u64(vp.add(i), vandq_u64(diff, gt));
-                i += 2;
-            }
-        }
-        for v in &mut values[lanes..] {
-            *v = v.saturating_sub(s);
-        }
-    }
-
-    pub fn count_gt_neon(values: &[u64], s: u64) -> usize {
-        let n = values.len();
-        let lanes = n / 2 * 2;
-        let mut count = unsafe {
-            let vp = values.as_ptr();
-            let sv = vdupq_n_u64(s);
-            let mut acc = vdupq_n_u64(0);
-            let mut i = 0;
-            while i < lanes {
-                let v = vld1q_u64(vp.add(i));
-                // matching lanes are all-ones (= -1); accumulate and negate
-                acc = vaddq_u64(acc, vcgtq_u64(v, sv));
-                i += 2;
-            }
-            let mut lanes_out = [0u64; 2];
-            vst1q_u64(lanes_out.as_mut_ptr(), acc);
-            lanes_out[0].wrapping_add(lanes_out[1]).wrapping_neg() as usize
-        };
         for &v in &values[lanes..] {
             if v > s {
                 count += 1;

@@ -1193,9 +1193,13 @@ fn segment_crash(kind: SummaryKind, seed: u64) -> Result<ScheduleReport, String>
     let mut rng = Rng64::new(seed ^ 0x5E67_C4A5);
     let dir = scratch_dir(FaultClass::SegmentCrash, kind, seed);
     let clock = Arc::new(ManualClock::new(1));
+    // Odd seeds (one of the three pinned ones) also coarsen under
+    // pressure, so the crash lands on a directory of merged tiers with id
+    // gaps; keyed off the seed, not `rng`, so the other draws stay put.
     let seg_cfg = SegmentConfig::new()
         .seal_batches(8)
         .seal_micros(5_000)
+        .coarsen_watermark(if seed & 1 == 1 { 3 } else { 0 })
         .clock(Arc::clone(&clock) as Arc<dyn CubeClock>);
     let config =
         |seg: SegmentConfig| durable_config(kind, seed, &dir, FsyncPolicy::EveryN(4)).segments(seg);

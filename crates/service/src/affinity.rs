@@ -1,10 +1,9 @@
 //! Core-affinity runtime for shard workers and the compactor.
 //!
-//! The scaling table in `BENCH_service.json` showed shard count failing to
-//! translate into throughput: workers migrate between cores, dragging
-//! their delta summaries and pool buffers across caches. Pinning each
-//! worker to its own core (and the compactor to the next one) keeps the
-//! per-shard working set hot.
+//! Shard count alone does not translate into throughput when workers
+//! migrate between cores, dragging their delta summaries and pool
+//! buffers across caches. Pinning each worker to its own core (and the
+//! compactor to the next one) keeps the per-shard working set hot.
 //!
 //! The binding is a raw `extern "C"` declaration of Linux's
 //! `sched_setaffinity(2)` — the workspace stays dependency-free, no

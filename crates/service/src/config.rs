@@ -301,7 +301,7 @@ pub struct ServiceConfig {
     /// Record latency histograms, gauges and flight-recorder traces
     /// (see [`crate::EngineTelemetry`]). On by default; turn off to
     /// measure the instrumentation's own overhead (`serve
-    /// --no-telemetry`, `MS_BENCH_TELEMETRY=0`).
+    /// --no-telemetry`).
     pub telemetry: bool,
     /// Accuracy self-audit: keep a seeded reservoir of raw items plus
     /// exact counts of a hash-chosen 1/16 of the item space, so

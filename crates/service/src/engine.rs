@@ -299,13 +299,12 @@ enum WorkerMsg {
 }
 
 enum CompactMsg {
-    /// A delta handed off by the worker for `shard` (the index keys the
-    /// compactor's per-shard checkpoint accumulators).
-    Delta(usize, ShardSummary),
+    /// A delta handed off by a worker.
+    Delta(ShardSummary),
     Publish(Sender<()>),
-    /// Request a consistent clone of the per-shard accumulators (empty
-    /// when durability is off); also publishes the global summary.
-    Checkpoint(Sender<Vec<ShardSummary>>),
+    /// Publish the global summary and hand that snapshot back: by
+    /// Definition 1 the merged summary *is* the checkpoint.
+    Checkpoint(Sender<Arc<Snapshot>>),
     /// Shut the compactor down. The engine caches a plain `Sender` (no
     /// lock on the hand-off path), so the channel never disconnects by
     /// itself; this sentinel is the explicit stop signal.
@@ -622,10 +621,10 @@ impl Engine {
                     })?;
                 parts.push(merged);
             }
-            for (i, part) in parts.into_iter().enumerate() {
+            for part in parts {
                 report.preloaded_weight += part.total_weight();
                 self.compact_tx
-                    .send(CompactMsg::Delta(i % self.cfg.shards, part))
+                    .send(CompactMsg::Delta(part))
                     .map_err(|_| ServiceError::Shutdown)?;
             }
         }
@@ -1107,8 +1106,8 @@ impl Engine {
     /// last_seq` covers exactly the enqueued batches; the flush barrier
     /// then pushes all of them through the workers into the compactor
     /// queue, and the `Checkpoint` message drains behind them — the
-    /// accumulators it clones hold precisely the surviving data of seqs
-    /// ≤ W. The lock is released before waiting, so ingest resumes while
+    /// snapshot it hands back holds precisely the surviving data of
+    /// seqs ≤ W. The lock is released before waiting, so ingest resumes while
     /// the compactor catches up and files are written.
     fn perform_checkpoint(&self) -> Result<(), ServiceError> {
         let Some(d) = &self.durable else {
@@ -1117,7 +1116,7 @@ impl Engine {
         if self.stopped.load(Ordering::Acquire) {
             return Ok(());
         }
-        let (cut, parts_rx) = {
+        let (cut, merged_rx) = {
             let _pause = write(&d.pause);
             let cut = lock(&d.store).wal.last_seq();
             self.flush_workers();
@@ -1127,23 +1126,24 @@ impl Engine {
             }
             (cut, rx)
         };
-        let parts = parts_rx.recv().map_err(|_| ServiceError::Shutdown)?;
-        self.write_checkpoint(&parts, cut)
+        let merged = merged_rx.recv().map_err(|_| ServiceError::Shutdown)?;
+        self.write_checkpoint(&merged, cut)
     }
 
-    /// Persist `parts` as the checkpoint set for WAL cut `cut`, then prune
-    /// older sets and the segments they cover. The WAL is fsync'd first so
-    /// the set never claims a cut newer than what is durable.
-    fn write_checkpoint(&self, parts: &[ShardSummary], cut: u64) -> Result<(), ServiceError> {
+    /// Persist `merged` as the one-part checkpoint set for WAL cut `cut`,
+    /// then prune older sets and the segments they cover. The WAL is
+    /// fsync'd first so the set never claims a cut newer than what is
+    /// durable.
+    fn write_checkpoint(&self, merged: &Snapshot, cut: u64) -> Result<(), ServiceError> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
-        let encoded: Vec<Vec<u8>> = parts.iter().map(|p| p.encode()).collect();
-        let epoch = self.snapshot().epoch;
         {
             let mut store = lock(&d.store);
             store.wal.sync()?;
-            store.checkpoints.write_set(cut, epoch, &encoded)?;
+            store
+                .checkpoints
+                .write_set(cut, merged.epoch, &[merged.summary.encode()])?;
             if let Some(floor) = store.checkpoints.prune_keep(d.cfg.keep_checkpoints)? {
                 // The cube rebuilds lost segments from the WAL, so never
                 // prune past the last *persisted* segment. A floor of 0
@@ -1466,12 +1466,12 @@ impl Engine {
         self.drain_workers();
         if let Some(d) = &self.durable {
             // All deltas are on the compactor queue; the Checkpoint
-            // message drains behind them and snapshots the accumulators.
+            // message drains behind them and hands back their merge.
             let (tx, rx) = mpsc::channel();
             if self.compact_tx.send(CompactMsg::Checkpoint(tx)).is_ok() {
-                if let Ok(parts) = rx.recv() {
+                if let Ok(merged) = rx.recv() {
                     let cut = lock(&d.store).wal.last_seq();
-                    if self.write_checkpoint(&parts, cut).is_err() {
+                    if self.write_checkpoint(&merged, cut).is_err() {
                         self.telemetry.event("final_checkpoint_failed", &[]);
                     }
                 }
@@ -1589,7 +1589,7 @@ fn spawn_worker(
             let hand_off = |delta: &mut ShardSummary, pending: &mut usize| {
                 if *pending > 0 {
                     let full = std::mem::replace(delta, ShardSummary::new(&cfg, shard));
-                    let _ = compact_tx.send(CompactMsg::Delta(shard, full));
+                    let _ = compact_tx.send(CompactMsg::Delta(full));
                     *pending = 0;
                 }
             };
@@ -1668,16 +1668,6 @@ fn spawn_compactor(
                 trace.event("pinned", &[("cpu", cpu as u64)]);
             }
             let mut global = ShardSummary::new(&cfg, usize::MAX);
-            // With durability on, the compactor also folds each shard's
-            // deltas into a per-shard accumulator — the checkpointable
-            // decomposition of `global`. Mergeability makes the double
-            // bookkeeping sound: global == merge(accumulators) under any
-            // arrival order. In-memory engines skip the extra merges.
-            let mut accumulators: Option<Vec<ShardSummary>> = engine.durable.as_ref().map(|_| {
-                (0..cfg.shards)
-                    .map(|s| ShardSummary::new(&cfg, s))
-                    .collect()
-            });
             let mut merge_index = 0u64;
             // Lineage mirrors the left-deep fold below: after k deltas,
             // merges == depth == k and weight == global.total_weight().
@@ -1698,14 +1688,14 @@ fn spawn_compactor(
                     },
                 };
                 match msg {
-                    CompactMsg::Delta(shard, delta) => {
+                    CompactMsg::Delta(delta) => {
                         // Drain whatever backlog is already queued, stopping
                         // at the first non-delta message so barriers keep
                         // their channel ordering.
-                        let mut batch = vec![(shard, delta)];
+                        let mut batch = vec![delta];
                         while batch.len() < MAX_COMPACT_FUSE {
                             match rx.try_recv() {
-                                Ok(CompactMsg::Delta(s, d)) => batch.push((s, d)),
+                                Ok(CompactMsg::Delta(delta)) => batch.push(delta),
                                 Ok(other) => {
                                     carried = Some(other);
                                     break;
@@ -1715,15 +1705,12 @@ fn spawn_compactor(
                         }
                         let fused = batch.len() as u64;
                         let mut weights = Vec::with_capacity(batch.len());
-                        for (shard, delta) in &batch {
+                        for delta in &batch {
                             let stall_ms = cfg.fault_plan.compactor_merge(merge_index);
                             merge_index += 1;
                             if stall_ms > 0 {
                                 trace.event("stall", &[("ms", stall_ms)]);
                                 std::thread::sleep(std::time::Duration::from_millis(stall_ms));
-                            }
-                            if let Some(accs) = accumulators.as_mut() {
-                                let _ = accs[*shard].merge_in_place(delta.clone());
                             }
                             weights.push(delta.total_weight());
                         }
@@ -1734,8 +1721,7 @@ fn spawn_compactor(
                         // In-place: the global summary's storage is reused
                         // across merges instead of being cloned per delta;
                         // linear families fold the whole batch in one pass.
-                        let deltas: Vec<ShardSummary> = batch.into_iter().map(|(_, d)| d).collect();
-                        let (results, micros) = timed(|| global.merge_in_place_many(deltas));
+                        let (results, micros) = timed(|| global.merge_in_place_many(batch));
                         let mut any_merged = false;
                         for (result, weight) in results.iter().zip(weights) {
                             if result.is_ok() {
@@ -1761,8 +1747,10 @@ fn spawn_compactor(
                         let _ = ack.send(());
                     }
                     CompactMsg::Checkpoint(ack) => {
+                        // Only this thread publishes, so the current
+                        // snapshot is the one just published.
                         engine.publish(global.clone(), lineage);
-                        let _ = ack.send(accumulators.clone().unwrap_or_default());
+                        let _ = ack.send(engine.snapshot());
                     }
                     CompactMsg::Stop => break,
                 }

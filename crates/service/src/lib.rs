@@ -50,12 +50,11 @@ pub use engine::{Engine, MetricsReport, RecoveryReport, Snapshot};
 pub use fault::{plan_fn, FaultAction, FaultPlan, NoFaults};
 pub use overload::{Admission, AdmitGuard, OpClass, OverloadConfig, ShedReason};
 pub use protocol::{
-    deadline_frame, decode_request, decode_traced_request, traced_frame, AccuracyAudit,
-    ClusterInfo, NodeInfo, NodeState, RangeAnswer, RangeMeta, Request, RequestEnvelope, Response,
-    SegmentMeta, SegmentReport, ThreadTrace, TraceDumpReport, TraceEventRecord, REQUEST_TAG,
-    RESPONSE_TAG, TRACED_REQUEST_TAG,
+    decode_request, decode_traced_request, AccuracyAudit, ClusterInfo, NodeInfo, NodeState,
+    RangeAnswer, RangeMeta, Request, RequestEnvelope, Response, SegmentMeta, SegmentReport,
+    ThreadTrace, TraceDumpReport, TraceEventRecord, REQUEST_TAG, RESPONSE_TAG, TRACED_REQUEST_TAG,
 };
-pub use server::{check_phi, dispatch, Client, ClientOptions, Server, Service};
+pub use server::{answer_query, answer_range, dispatch, Client, ClientOptions, Server, Service};
 pub use summary::{MergeLineage, ShardSummary};
 pub use telemetry::{EngineTelemetry, OPCODE_LABELS};
 pub use tracectx::{stitch, StitchedSpan, TraceContext};

@@ -7,7 +7,8 @@
 //! that the server converts into a [`Response::Error`] (and counts in
 //! `frames_rejected`) instead of killing the connection thread.
 
-use ms_core::{Wire, WireError, WireFrame, WireReader};
+use ms_core::wire::encode_frame_into;
+use ms_core::{ServiceError, Wire, WireError, WireFrame, WireReader};
 use ms_obs::RegistrySnapshot;
 
 use crate::engine::MetricsReport;
@@ -176,70 +177,56 @@ pub fn decode_traced_request(frame: &WireFrame) -> Result<(Request, RequestEnvel
         REQUEST_TAG => Ok((frame.value::<Request>()?, RequestEnvelope::default())),
         TRACED_REQUEST_TAG => {
             let mut r = WireReader::new(&frame.payload);
+            // Trace ids are never 0, so a leading 0 is the deadline
+            // layout's sentinel; otherwise the first varint IS the id.
             let first = u64::decode_from(&mut r)?;
-            let envelope = if first != 0 {
-                // Legacy layout: the first varint IS the trace id.
-                RequestEnvelope {
-                    ctx: Some(TraceContext {
-                        trace_id: first,
-                        parent_span: u64::decode_from(&mut r)?,
-                    }),
-                    deadline_micros: None,
-                }
-            } else {
-                // Deadline layout: sentinel 0, then trace id (0 = none),
-                // parent span, deadline budget.
-                let trace_id = u64::decode_from(&mut r)?;
-                let parent_span = u64::decode_from(&mut r)?;
-                let deadline_micros = u64::decode_from(&mut r)?;
-                RequestEnvelope {
-                    ctx: (trace_id != 0).then_some(TraceContext {
-                        trace_id,
-                        parent_span,
-                    }),
-                    deadline_micros: Some(deadline_micros),
-                }
+            let trace_id = match first {
+                0 => u64::decode_from(&mut r)?,
+                id => id,
+            };
+            let parent_span = u64::decode_from(&mut r)?;
+            let envelope = RequestEnvelope {
+                ctx: (trace_id != 0).then_some(TraceContext {
+                    trace_id,
+                    parent_span,
+                }),
+                deadline_micros: match first {
+                    0 => Some(u64::decode_from(&mut r)?),
+                    _ => None,
+                },
             };
             let req = Request::decode_from(&mut r)?;
-            let left = frame.payload.len() - r.pos();
-            if left != 0 {
-                return Err(WireError::Trailing(left));
-            }
+            r.finish()?;
             Ok((req, envelope))
         }
         other => Err(WireError::BadTag(other)),
     }
 }
 
-/// Build the wire frame for `req` carrying trace context `ctx`
-/// (tag [`TRACED_REQUEST_TAG`], legacy layout — no deadline).
-pub fn traced_frame(ctx: TraceContext, req: &Request) -> WireFrame {
-    let mut payload = Vec::with_capacity(ctx.wire_len() + req.wire_len());
-    ctx.encode_into(&mut payload);
-    req.encode_into(&mut payload);
-    WireFrame {
-        tag: TRACED_REQUEST_TAG,
-        payload,
-    }
-}
-
-/// Build the deadline-bearing wire frame for `req`: tag
-/// [`TRACED_REQUEST_TAG`], sentinel-0 layout, optional trace context,
-/// and `deadline_micros` of remaining budget.
-pub fn deadline_frame(ctx: Option<TraceContext>, deadline_micros: u64, req: &Request) -> WireFrame {
-    let mut payload = Vec::with_capacity(20 + req.wire_len());
-    payload.push(0);
-    let (trace_id, parent_span) = match ctx {
-        Some(c) => (c.trace_id, c.parent_span),
-        None => (0, 0),
-    };
-    trace_id.encode_into(&mut payload);
-    parent_span.encode_into(&mut payload);
-    deadline_micros.encode_into(&mut payload);
-    req.encode_into(&mut payload);
-    WireFrame {
-        tag: TRACED_REQUEST_TAG,
-        payload,
+impl RequestEnvelope {
+    /// Append one complete request frame to `out`: the header, this
+    /// envelope's prefix ([`TRACED_REQUEST_TAG`]'s layouts; none at all,
+    /// under a plain [`REQUEST_TAG`], when the envelope is empty), then
+    /// whatever `request` writes — a [`Request`] encoding. The only
+    /// writer of envelope bytes, beside the only reader above.
+    pub fn encode_frame_into(&self, out: &mut Vec<u8>, request: impl FnOnce(&mut Vec<u8>)) {
+        let tag = match (self.ctx, self.deadline_micros) {
+            (None, None) => REQUEST_TAG,
+            _ => TRACED_REQUEST_TAG,
+        };
+        encode_frame_into(out, tag, |out| {
+            if let Some(deadline_micros) = self.deadline_micros {
+                out.push(0);
+                let (trace_id, parent_span) =
+                    self.ctx.map_or((0, 0), |c| (c.trace_id, c.parent_span));
+                trace_id.encode_into(out);
+                parent_span.encode_into(out);
+                deadline_micros.encode_into(out);
+            } else if let Some(ctx) = self.ctx {
+                ctx.encode_into(out);
+            }
+            request(out);
+        });
     }
 }
 
@@ -348,6 +335,19 @@ pub enum Response {
         /// Suggested client wait before retrying, in microseconds.
         retry_after_micros: u64,
     },
+}
+
+/// A handler error on the wire: a shed stays typed so clients see the
+/// retry hint, everything else degrades to its message.
+impl From<ServiceError> for Response {
+    fn from(e: ServiceError) -> Self {
+        match e {
+            ServiceError::Overloaded { retry_after_micros } => {
+                Response::Overloaded { retry_after_micros }
+            }
+            e => Response::Error(e.to_string()),
+        }
+    }
 }
 
 /// One recorded flight-recorder event, wire-encodable (the in-memory
@@ -1266,147 +1266,91 @@ mod tests {
         );
     }
 
-    #[test]
-    fn traced_frames_roundtrip_and_plain_frames_still_decode() {
-        let ctx = TraceContext {
-            trace_id: 0xDEAD_BEEF_CAFE_F00D,
-            parent_span: 77,
-        };
-        let req = Request::Quantile(0.5);
-        let frame = traced_frame(ctx, &req);
-        assert_eq!(frame.tag, TRACED_REQUEST_TAG);
-        assert_eq!(
-            decode_traced_request(&frame).unwrap(),
-            (
-                req,
-                RequestEnvelope {
-                    ctx: Some(ctx),
-                    deadline_micros: None,
-                }
-            )
-        );
+    const CTX: Option<TraceContext> = Some(TraceContext {
+        trace_id: 0xDEAD_BEEF_CAFE_F00D,
+        parent_span: 77,
+    });
 
-        // A plain frame decodes through the same entry point, context-free.
-        let plain = WireFrame::from_value(REQUEST_TAG, &Request::Ping);
-        assert_eq!(
-            decode_traced_request(&plain).unwrap(),
-            (Request::Ping, RequestEnvelope::default())
-        );
+    fn enveloped(ctx: Option<TraceContext>, deadline_micros: Option<u64>) -> RequestEnvelope {
+        RequestEnvelope {
+            ctx,
+            deadline_micros,
+        }
+    }
 
-        // But decode_request (old entry point) rejects the traced tag, so
-        // a component that never learned about tracing fails loudly
-        // instead of misparsing the context bytes as an opcode.
-        assert_eq!(
-            decode_request(&frame).unwrap_err(),
-            WireError::BadTag(TRACED_REQUEST_TAG)
-        );
+    fn framed(envelope: RequestEnvelope, req: &Request) -> WireFrame {
+        let mut bytes = Vec::new();
+        envelope.encode_frame_into(&mut bytes, |out| req.encode_into(out));
+        WireFrame::from_bytes(&bytes).unwrap()
     }
 
     #[test]
-    fn traced_decode_rejects_truncation_trailing_and_bad_tags() {
-        let ctx = TraceContext {
-            trace_id: 1,
-            parent_span: 0,
-        };
-        let good = traced_frame(ctx, &Request::Flush);
+    fn envelopes_roundtrip_in_all_four_forms() {
+        let req = Request::Ingest(vec![1, 2, 3]);
+        for (ctx, deadline) in [(None, None), (CTX, None), (None, Some(0)), (CTX, Some(250))] {
+            let envelope = enveloped(ctx, deadline);
+            let frame = framed(envelope, &req);
+            assert_eq!(
+                decode_traced_request(&frame).unwrap(),
+                (req.clone(), envelope)
+            );
+            // The three byte forms: no envelope bytes at all, the legacy
+            // context prefix, the sentinel-0 deadline prefix.
+            match (ctx, deadline) {
+                (None, None) => assert_eq!(frame, WireFrame::from_value(REQUEST_TAG, &req)),
+                (Some(ctx), None) => assert_eq!(frame.payload[..ctx.wire_len()], ctx.encode()),
+                (_, Some(_)) => assert_eq!(frame.payload[0], 0, "sentinel discriminates v2"),
+            }
+            // decode_request (old entry point) rejects the traced tag, so
+            // a component that never learned about tracing fails loudly
+            // instead of misparsing the context bytes as an opcode.
+            if envelope != RequestEnvelope::default() {
+                assert_eq!(
+                    decode_request(&frame).unwrap_err(),
+                    WireError::BadTag(TRACED_REQUEST_TAG)
+                );
+            }
+            // A borrowed batch written through the same envelope is
+            // byte-identical to the owned `Request::Ingest`.
+            let mut borrowed = Vec::new();
+            envelope.encode_frame_into(&mut borrowed, |out| {
+                out.push(Request::Ingest(Vec::new()).opcode());
+                ms_core::wire::encode_u64_slice_into(out, &[1, 2, 3]);
+            });
+            assert_eq!(borrowed, frame.to_bytes());
+        }
+    }
 
-        let mut trailing = good.clone();
-        trailing.payload.push(0xAB);
-        assert_eq!(
-            decode_traced_request(&trailing).unwrap_err(),
-            WireError::Trailing(1)
-        );
-
-        // Context present, request missing.
-        let mut cut = good.clone();
-        cut.payload.truncate(ctx.wire_len());
-        assert_eq!(
-            decode_traced_request(&cut).unwrap_err(),
-            WireError::Truncated
-        );
-
+    #[test]
+    fn enveloped_decode_rejects_truncation_trailing_and_bad_tags() {
+        // (envelope, prefix length): a sentinel alone is a truncated
+        // envelope, not an empty one.
+        let ctx_len = CTX.map_or(0, |c| c.wire_len());
+        for (envelope, prefix) in [
+            (enveloped(CTX, None), ctx_len),
+            (enveloped(None, Some(9)), 1),
+        ] {
+            let good = framed(envelope, &Request::Flush);
+            let mut trailing = good.clone();
+            trailing.payload.push(0xAB);
+            assert_eq!(
+                decode_traced_request(&trailing).unwrap_err(),
+                WireError::Trailing(1)
+            );
+            // Envelope present, request missing.
+            for cut_at in [prefix, good.payload.len() - 1] {
+                let mut cut = good.clone();
+                cut.payload.truncate(cut_at);
+                assert_eq!(
+                    decode_traced_request(&cut).unwrap_err(),
+                    WireError::Truncated
+                );
+            }
+        }
         let response_tag = WireFrame::from_value(RESPONSE_TAG, &Request::Ping);
         assert_eq!(
             decode_traced_request(&response_tag).unwrap_err(),
             WireError::BadTag(RESPONSE_TAG)
-        );
-    }
-
-    #[test]
-    fn deadline_frames_roundtrip_with_and_without_context() {
-        let ctx = TraceContext {
-            trace_id: 0xFEED_F00D,
-            parent_span: 42,
-        };
-        let req = Request::Ingest(vec![1, 2, 3]);
-
-        let with_ctx = deadline_frame(Some(ctx), 250_000, &req);
-        assert_eq!(with_ctx.tag, TRACED_REQUEST_TAG);
-        assert_eq!(with_ctx.payload[0], 0, "sentinel byte discriminates v2");
-        assert_eq!(
-            decode_traced_request(&with_ctx).unwrap(),
-            (
-                req.clone(),
-                RequestEnvelope {
-                    ctx: Some(ctx),
-                    deadline_micros: Some(250_000),
-                }
-            )
-        );
-
-        // Deadline without a trace context (trace id 0 on the wire).
-        let bare = deadline_frame(None, 0, &Request::Quantile(0.5));
-        assert_eq!(
-            decode_traced_request(&bare).unwrap(),
-            (
-                Request::Quantile(0.5),
-                RequestEnvelope {
-                    ctx: None,
-                    deadline_micros: Some(0),
-                }
-            )
-        );
-
-        // Legacy and v2 frames for the same (ctx, request) differ only by
-        // the envelope prefix; the legacy decode path is byte-stable.
-        let legacy = traced_frame(ctx, &req);
-        assert_ne!(legacy.payload, with_ctx.payload);
-        assert_eq!(
-            decode_traced_request(&legacy).unwrap().1,
-            RequestEnvelope {
-                ctx: Some(ctx),
-                deadline_micros: None,
-            }
-        );
-    }
-
-    #[test]
-    fn deadline_frame_rejects_truncation_and_trailing() {
-        let frame = deadline_frame(None, 9_000, &Request::Ping);
-
-        let mut trailing = frame.clone();
-        trailing.payload.push(0x00);
-        assert_eq!(
-            decode_traced_request(&trailing).unwrap_err(),
-            WireError::Trailing(1)
-        );
-
-        // Envelope present, request missing.
-        let mut cut = frame.clone();
-        cut.payload.truncate(frame.payload.len() - 1);
-        assert_eq!(
-            decode_traced_request(&cut).unwrap_err(),
-            WireError::Truncated
-        );
-
-        // Sentinel alone is a truncated envelope, not an empty one.
-        let bare_sentinel = WireFrame {
-            tag: TRACED_REQUEST_TAG,
-            payload: vec![0],
-        };
-        assert_eq!(
-            decode_traced_request(&bare_sentinel).unwrap_err(),
-            WireError::Truncated
         );
     }
 

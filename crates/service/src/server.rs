@@ -11,6 +11,7 @@
 //! ([`ClientOptions`]), so a hung server surfaces as a typed
 //! [`ServiceError::Timeout`] rather than a wedged caller.
 
+use std::borrow::Borrow;
 use std::io::{self, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -18,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ms_core::wire::{encode_frame_into, encode_u64_slice_into, FRAME_HEADER_LEN};
+use ms_core::wire::{encode_u64_slice_into, FRAME_HEADER_LEN};
 use ms_core::{ServiceError, Wire, WireFrame};
 use ms_obs::RegistrySnapshot;
 
@@ -27,10 +28,10 @@ use crate::deadline;
 use crate::engine::{Engine, MetricsReport};
 use crate::overload::{Admission, AdmitGuard};
 use crate::protocol::{
-    deadline_frame, decode_traced_request, traced_frame, AccuracyAudit, RangeAnswer, Request,
-    RequestEnvelope, Response, SegmentReport, TraceDumpReport, REQUEST_TAG, RESPONSE_TAG,
-    TRACED_REQUEST_TAG,
+    decode_traced_request, AccuracyAudit, RangeAnswer, RangeMeta, Request, RequestEnvelope,
+    Response, SegmentReport, TraceDumpReport, RESPONSE_TAG,
 };
+use crate::summary::ShardSummary;
 use crate::telemetry::{timed, EngineTelemetry};
 use crate::tracectx::{self, TraceContext, FIELD_PARENT, FIELD_SPAN, FIELD_TRACE};
 
@@ -350,118 +351,115 @@ pub fn dispatch(engine: &Engine, request: Request) -> Response {
                     &[(FIELD_TRACE, ctx.trace_id), (FIELD_PARENT, ctx.parent_span)],
                 );
             }
-            match engine.ingest(items) {
-                Ok(()) => Response::Ok,
-                Err(e) => error_response(e),
-            }
+            engine
+                .ingest(items)
+                .map_or_else(Into::into, |()| Response::Ok)
         }
-        Request::Flush => match engine.flush() {
-            Ok(()) => Response::Ok,
-            Err(e) => error_response(e),
-        },
-        Request::Point(item) => match engine.snapshot().summary.point(item) {
-            Some(count) => Response::Count(count),
-            None => Response::Error(unsupported(engine, "point")),
-        },
-        Request::HeavyHitters(phi) => match check_phi(phi) {
-            Err(e) => Response::Error(e),
-            Ok(()) => match engine.snapshot().summary.heavy_hitters(phi) {
-                Some(items) => Response::Items(items),
-                None => Response::Error(unsupported(engine, "heavy-hitters")),
-            },
-        },
-        Request::Rank(x) => match engine.snapshot().summary.rank(x) {
-            Some(rank) => Response::Count(rank),
-            None => Response::Error(unsupported(engine, "rank")),
-        },
-        Request::Quantile(phi) => match check_phi(phi) {
-            Err(e) => Response::Error(e),
-            Ok(()) => match engine.snapshot().summary.quantile(phi) {
-                Some(value) => Response::Value(value),
-                None => Response::Error(unsupported(engine, "quantile")),
-            },
-        },
+        Request::Flush => engine.flush().map_or_else(Into::into, |()| Response::Ok),
+        Request::Point(_) | Request::HeavyHitters(_) | Request::Rank(_) | Request::Quantile(_) => {
+            let snapshot = engine.snapshot();
+            answer_query(&request, || Ok(&snapshot.summary))
+        }
         Request::Metrics => Response::Metrics(engine.metrics()),
         Request::Summary => Response::Summary(engine.snapshot().summary.encode()),
         Request::Telemetry => Response::Telemetry(engine.telemetry_snapshot()),
         Request::ClusterInfo | Request::NodeSummary(_) => {
             Response::Error("cluster queries are only answered by a coordinator node".to_string())
         }
+        // Quantiles always come from the cube's hybrid-quantile family and
+        // heavy hitters from its MG family, whatever the engine's kind is.
         Request::RangeQuantile {
             start_micros,
             end_micros,
             phi,
-        } => match check_phi(phi) {
-            Err(e) => Response::Error(e),
-            // Quantiles always come from the cube's hybrid-quantile
-            // family, whatever the engine's global kind is.
-            Ok(()) => {
-                match engine.range_query(start_micros, end_micros, SummaryKind::HybridQuantile) {
-                    Err(e) => Response::Error(e.to_string()),
-                    Ok((meta, merged)) => Response::Range(RangeAnswer {
-                        meta,
-                        value: merged.as_ref().and_then(|s| s.quantile(phi)).flatten(),
-                        items: Vec::new(),
-                        summary: merged.map(|s| s.encode()).unwrap_or_default(),
-                    }),
-                }
-            }
-        },
+        } => answer_range(phi, || {
+            engine.range_query(start_micros, end_micros, SummaryKind::HybridQuantile)
+        }),
         Request::RangeHeavyHitters {
             start_micros,
             end_micros,
             phi,
-        } => match check_phi(phi) {
-            Err(e) => Response::Error(e),
-            // Heavy hitters come from the cube's MG family.
-            Ok(()) => match engine.range_query(start_micros, end_micros, SummaryKind::Mg) {
-                Err(e) => Response::Error(e.to_string()),
-                Ok((meta, merged)) => Response::Range(RangeAnswer {
-                    meta,
-                    value: None,
-                    items: merged
-                        .as_ref()
-                        .and_then(|s| s.heavy_hitters(phi))
-                        .unwrap_or_default(),
-                    summary: merged.map(|s| s.encode()).unwrap_or_default(),
-                }),
-            },
-        },
-        Request::SegmentInfo => match engine.segment_report() {
-            Ok(report) => Response::Segments(report),
-            Err(e) => Response::Error(e.to_string()),
-        },
+        } => answer_range(phi, || {
+            engine.range_query(start_micros, end_micros, SummaryKind::Mg)
+        }),
+        Request::SegmentInfo => engine
+            .segment_report()
+            .map_or_else(Into::into, Response::Segments),
         Request::TraceDump => Response::Trace(engine.trace_dump()),
         Request::AccuracyReport => Response::Accuracy(engine.accuracy_audit()),
     }
 }
 
+/// Answer a point / heavy-hitter / rank / quantile `request` from the
+/// merged summary `merged` produces — an engine's published snapshot or a
+/// coordinator's gather; by Definition 1 the answer carries the same ε
+/// either way. φ is validated before `merged` runs, and a family that
+/// cannot answer the query says so.
+pub fn answer_query<S: Borrow<ShardSummary>>(
+    request: &Request,
+    merged: impl FnOnce() -> Result<S, ServiceError>,
+) -> Response {
+    if let Request::HeavyHitters(phi) | Request::Quantile(phi) = *request {
+        if let Err(e) = check_phi(phi) {
+            return Response::Error(e);
+        }
+    }
+    let summary = match merged() {
+        Ok(summary) => summary,
+        Err(e) => return e.into(),
+    };
+    let summary = summary.borrow();
+    let (answer, query) = match *request {
+        Request::Point(item) => (summary.point(item).map(Response::Count), "point"),
+        Request::HeavyHitters(phi) => (
+            summary.heavy_hitters(phi).map(Response::Items),
+            "heavy-hitters",
+        ),
+        Request::Rank(x) => (summary.rank(x).map(Response::Count), "rank"),
+        Request::Quantile(phi) => (summary.quantile(phi).map(Response::Value), "quantile"),
+        _ => (None, "these"),
+    };
+    answer.unwrap_or_else(|| {
+        Response::Error(format!(
+            "{query} queries are not supported by a {} summary",
+            summary.kind().label()
+        ))
+    })
+}
+
+/// Answer a range request from the window's coverage and merged summary:
+/// the φ-quantile when the family has quantiles, the φ-heavy hitters when
+/// it has those, and the summary itself so the next merge up recomputes
+/// instead of averaging scalars.
+pub fn answer_range(
+    phi: f64,
+    merged: impl FnOnce() -> Result<(RangeMeta, Option<ShardSummary>), ServiceError>,
+) -> Response {
+    if let Err(e) = check_phi(phi) {
+        return Response::Error(e);
+    }
+    match merged() {
+        Err(e) => e.into(),
+        Ok((meta, merged)) => Response::Range(RangeAnswer {
+            meta,
+            value: merged.as_ref().and_then(|s| s.quantile(phi)).flatten(),
+            items: merged
+                .as_ref()
+                .and_then(|s| s.heavy_hitters(phi))
+                .unwrap_or_default(),
+            summary: merged.map(|s| s.encode()).unwrap_or_default(),
+        }),
+    }
+}
+
 /// φ parameters arrive as raw `f64` bits off the wire; reject NaN,
 /// infinities and out-of-range values before they reach a summary.
-pub fn check_phi(phi: f64) -> Result<(), String> {
+fn check_phi(phi: f64) -> Result<(), String> {
     if phi.is_finite() && (0.0..=1.0).contains(&phi) {
         Ok(())
     } else {
         Err(format!("phi must be a finite value in [0, 1], got {phi}"))
     }
-}
-
-/// Map a handler error to its wire response, preserving the typed
-/// `Overloaded` shed so clients see a retry hint, not an opaque string.
-fn error_response(e: ServiceError) -> Response {
-    match e {
-        ServiceError::Overloaded { retry_after_micros } => {
-            Response::Overloaded { retry_after_micros }
-        }
-        e => Response::Error(e.to_string()),
-    }
-}
-
-fn unsupported(engine: &Engine, query: &str) -> String {
-    format!(
-        "{query} queries are not supported by a {} engine",
-        engine.config().kind.label()
-    )
 }
 
 /// Transport behavior of a [`Client`]: per-request deadline, connect
@@ -582,81 +580,47 @@ impl Client {
         }))
     }
 
-    /// One wire round-trip on the current connection. `frame` is the
-    /// complete, already-serialized request frame (header + payload).
-    fn call_once(&mut self, frame: &[u8]) -> Result<Response, ServiceError> {
-        let timeout_ms = self.opts.read_timeout.as_millis() as u64;
-        let stream = self.stream.as_mut().ok_or_else(|| ServiceError::Io {
-            kind: io::ErrorKind::NotConnected,
-            detail: "connection is down".to_string(),
-        })?;
-        stream.write_all(frame).map_err(ServiceError::from)?;
-        let tag = match WireFrame::read_from_into(stream, &mut self.resp) {
-            Ok(Some(tag)) => tag,
-            // The server closed the connection between our request and its
-            // response: a clean, typed EOF instead of a hang.
-            Ok(None) => {
-                return Err(ServiceError::Io {
-                    kind: io::ErrorKind::UnexpectedEof,
-                    detail: "server closed the connection".to_string(),
-                })
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Err(ServiceError::Timeout { millis: timeout_ms })
-            }
-            Err(e) => return Err(ServiceError::from(e)),
-        };
-        if tag != RESPONSE_TAG {
-            return Err(ServiceError::Wire(ms_core::WireError::BadTag(tag)));
-        }
-        Response::decode(&self.resp).map_err(ServiceError::from)
-    }
-
     /// Send one request and wait for its response, retrying transient
     /// transport failures with exponential backoff when safe (see
     /// [`ClientOptions`]). After any failure the connection is torn down
     /// and re-established, so a late response to a timed-out request can
     /// never be mistaken for the answer to the next one.
     pub fn call(&mut self, request: &Request) -> Result<Response, ServiceError> {
-        let frame = match self.opts.deadline {
-            Some(budget) => deadline_frame(None, budget.as_micros() as u64, request).to_bytes(),
-            None => WireFrame::from_value(REQUEST_TAG, request).to_bytes(),
-        };
-        self.call_frame(&frame, request.is_idempotent())
+        self.call_enveloped(RequestEnvelope::default(), request)
     }
 
-    /// Like [`Client::call`], but the request travels in a
-    /// `TRACED_REQUEST_TAG` envelope carrying `ctx` — the server adopts
-    /// the trace instead of rooting a fresh one. The coordinator uses
-    /// this for every scatter leg; tooling can use it to follow one
-    /// request across the cluster.
-    pub fn call_traced(
+    /// [`Client::call`] with the request inside `envelope`: a trace
+    /// context the server adopts instead of rooting a fresh trace, and/or
+    /// a remaining deadline budget. An envelope without a deadline takes
+    /// [`ClientOptions::deadline`]; the coordinator passes its
+    /// *decremented* budget on every scatter leg.
+    pub fn call_enveloped(
         &mut self,
-        ctx: TraceContext,
+        envelope: RequestEnvelope,
         request: &Request,
     ) -> Result<Response, ServiceError> {
-        let frame = match self.opts.deadline {
-            Some(budget) => {
-                deadline_frame(Some(ctx), budget.as_micros() as u64, request).to_bytes()
-            }
-            None => traced_frame(ctx, request).to_bytes(),
-        };
-        self.call_frame(&frame, request.is_idempotent())
+        self.send(envelope, request.is_idempotent(), |out| {
+            request.encode_into(out)
+        })
     }
 
-    /// [`Client::call_traced`] with an explicit remaining-budget override:
-    /// the coordinator uses this to forward its *decremented* deadline to
-    /// each scatter leg rather than this client's static option.
-    pub fn call_with_deadline(
+    /// Serialize one enveloped request frame into the scratch buffer this
+    /// client reuses for the life of the connection, and run the retry
+    /// loop on it.
+    fn send(
         &mut self,
-        ctx: TraceContext,
-        deadline_micros: u64,
-        request: &Request,
+        mut envelope: RequestEnvelope,
+        idempotent: bool,
+        request: impl FnOnce(&mut Vec<u8>),
     ) -> Result<Response, ServiceError> {
-        let frame = deadline_frame(Some(ctx), deadline_micros, request).to_bytes();
-        self.call_frame(&frame, request.is_idempotent())
+        let budget = self.opts.deadline.map(|d| d.as_micros() as u64);
+        envelope.deadline_micros = envelope.deadline_micros.or(budget);
+        let mut frame = std::mem::take(&mut self.scratch);
+        frame.clear();
+        envelope.encode_frame_into(&mut frame, request);
+        let result = self.call_frame(&frame, idempotent);
+        self.scratch = frame;
+        result
     }
 
     /// Pull the server's flight-recorder rings (trace spans and events).
@@ -676,14 +640,12 @@ impl Client {
         }
     }
 
-    /// The retry loop behind [`Client::call`], operating on a serialized
-    /// frame so callers can bring their own (reused) encode buffer.
+    /// The retry loop behind [`Client::send`], on the serialized frame.
     fn call_frame(&mut self, frame: &[u8], idempotent: bool) -> Result<Response, ServiceError> {
         let start = Instant::now();
         let mut attempt = 0u32;
         loop {
-            let result = self.call_once(frame);
-            match result {
+            match self.send_raw(frame).and_then(|()| self.read_response()) {
                 Ok(response) => return Ok(response),
                 Err(e) => {
                     self.stream = None; // never reuse a connection that failed
@@ -732,10 +694,7 @@ impl Client {
 
     /// Ingest a batch, erroring on a server-side failure.
     pub fn ingest(&mut self, items: Vec<u64>) -> Result<(), ServiceError> {
-        match self.call(&Request::Ingest(items))? {
-            Response::Ok => Ok(()),
-            other => Err(protocol_error(other)),
-        }
+        self.ingest_slice(&items)
     }
 
     /// Ingest a borrowed batch without allocating on the send path: the
@@ -743,86 +702,23 @@ impl Client {
     /// by this client and reused across calls. Byte-identical on the
     /// wire to [`Client::ingest`].
     pub fn ingest_slice(&mut self, items: &[u64]) -> Result<(), ServiceError> {
-        let mut frame = std::mem::take(&mut self.scratch);
-        frame.clear();
-        match self.opts.deadline {
-            // Hand-encode the same sentinel-0 deadline envelope that
-            // `deadline_frame` builds (no trace context).
-            Some(budget) => encode_frame_into(&mut frame, TRACED_REQUEST_TAG, |out| {
-                out.push(0);
-                0u64.encode_into(out);
-                0u64.encode_into(out);
-                (budget.as_micros() as u64).encode_into(out);
-                out.push(Request::Ingest(Vec::new()).opcode());
-                encode_u64_slice_into(out, items);
-            }),
-            None => encode_frame_into(&mut frame, REQUEST_TAG, |out| {
-                out.push(Request::Ingest(Vec::new()).opcode());
-                encode_u64_slice_into(out, items);
-            }),
-        }
-        let result = self.call_frame(&frame, false);
-        self.scratch = frame;
-        match result? {
-            Response::Ok => Ok(()),
-            other => Err(protocol_error(other)),
-        }
+        self.ingest_slice_enveloped(RequestEnvelope::default(), items)
     }
 
-    /// [`Client::ingest_slice`] inside a traced envelope: same reused
-    /// scratch buffer, but the frame carries `ctx` so the receiving
-    /// node's request span joins the caller's trace.
-    pub fn ingest_slice_traced(
+    /// [`Client::ingest_slice`] inside `envelope` (see
+    /// [`Client::call_enveloped`]): same reused scratch buffer, so the
+    /// coordinator's ingest legs join the caller's trace and carry its
+    /// remaining budget without allocating either.
+    pub fn ingest_slice_enveloped(
         &mut self,
-        ctx: TraceContext,
+        envelope: RequestEnvelope,
         items: &[u64],
     ) -> Result<(), ServiceError> {
-        let mut frame = std::mem::take(&mut self.scratch);
-        frame.clear();
-        encode_frame_into(&mut frame, TRACED_REQUEST_TAG, |out| {
-            match self.opts.deadline {
-                Some(budget) => {
-                    out.push(0);
-                    ctx.trace_id.encode_into(out);
-                    ctx.parent_span.encode_into(out);
-                    (budget.as_micros() as u64).encode_into(out);
-                }
-                None => ctx.encode_into(out),
-            }
+        let response = self.send(envelope, false, |out| {
             out.push(Request::Ingest(Vec::new()).opcode());
             encode_u64_slice_into(out, items);
-        });
-        let result = self.call_frame(&frame, false);
-        self.scratch = frame;
-        match result? {
-            Response::Ok => Ok(()),
-            other => Err(protocol_error(other)),
-        }
-    }
-
-    /// [`Client::ingest_slice_traced`] with an explicit remaining-budget
-    /// override, mirroring [`Client::call_with_deadline`]: the
-    /// coordinator forwards its decremented deadline on ingest legs. A
-    /// zero `ctx` means "no trace" on the wire.
-    pub fn ingest_slice_deadline(
-        &mut self,
-        ctx: TraceContext,
-        deadline_micros: u64,
-        items: &[u64],
-    ) -> Result<(), ServiceError> {
-        let mut frame = std::mem::take(&mut self.scratch);
-        frame.clear();
-        encode_frame_into(&mut frame, TRACED_REQUEST_TAG, |out| {
-            out.push(0);
-            ctx.trace_id.encode_into(out);
-            ctx.parent_span.encode_into(out);
-            deadline_micros.encode_into(out);
-            out.push(Request::Ingest(Vec::new()).opcode());
-            encode_u64_slice_into(out, items);
-        });
-        let result = self.call_frame(&frame, false);
-        self.scratch = frame;
-        match result? {
+        })?;
+        match response {
             Response::Ok => Ok(()),
             other => Err(protocol_error(other)),
         }
@@ -860,14 +756,11 @@ impl Client {
         end_micros: u64,
         phi: f64,
     ) -> Result<RangeAnswer, ServiceError> {
-        match self.call(&Request::RangeQuantile {
+        self.range(&Request::RangeQuantile {
             start_micros,
             end_micros,
             phi,
-        })? {
-            Response::Range(answer) => Ok(answer),
-            other => Err(protocol_error(other)),
-        }
+        })
     }
 
     /// Heavy hitters over the time window `[start, end]` micros.
@@ -877,11 +770,15 @@ impl Client {
         end_micros: u64,
         phi: f64,
     ) -> Result<RangeAnswer, ServiceError> {
-        match self.call(&Request::RangeHeavyHitters {
+        self.range(&Request::RangeHeavyHitters {
             start_micros,
             end_micros,
             phi,
-        })? {
+        })
+    }
+
+    fn range(&mut self, request: &Request) -> Result<RangeAnswer, ServiceError> {
+        match self.call(request)? {
             Response::Range(answer) => Ok(answer),
             other => Err(protocol_error(other)),
         }
@@ -895,39 +792,42 @@ impl Client {
         }
     }
 
-    /// Write `bytes` raw onto the connection — fault-injection tooling
-    /// uses this to deliver deliberately corrupt frames. Normal callers
-    /// never need it.
+    /// Write `bytes` raw onto the connection — every request frame goes
+    /// out through here, and fault-injection tooling uses it directly to
+    /// deliver deliberately corrupt frames.
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), ServiceError> {
-        let stream = self.stream.as_mut().ok_or_else(|| ServiceError::Io {
-            kind: io::ErrorKind::NotConnected,
-            detail: "connection is down".to_string(),
-        })?;
+        let stream = self.stream.as_mut().ok_or_else(not_connected)?;
         stream.write_all(bytes)?;
-        stream.flush()?;
         Ok(())
     }
 
-    /// Read one response frame (after [`Client::send_raw`]).
+    /// Read one response frame into the reused response scratch (after
+    /// [`Client::send_raw`]).
     pub fn read_response(&mut self) -> Result<Response, ServiceError> {
-        let timeout_ms = self.opts.read_timeout.as_millis() as u64;
-        let stream = self.stream.as_mut().ok_or_else(|| ServiceError::Io {
-            kind: io::ErrorKind::NotConnected,
-            detail: "connection is down".to_string(),
-        })?;
-        match WireFrame::read_from(stream) {
-            Ok(Some(frame)) => frame.value::<Response>().map_err(ServiceError::from),
-            Ok(None) => Err(ServiceError::Io {
-                kind: io::ErrorKind::UnexpectedEof,
-                detail: "server closed the connection".to_string(),
-            }),
+        let stream = self.stream.as_mut().ok_or_else(not_connected)?;
+        let tag = match WireFrame::read_from_into(stream, &mut self.resp) {
+            Ok(Some(tag)) => tag,
+            // The server closed the connection between our request and its
+            // response: a clean, typed EOF instead of a hang.
+            Ok(None) => {
+                return Err(ServiceError::Io {
+                    kind: io::ErrorKind::UnexpectedEof,
+                    detail: "server closed the connection".to_string(),
+                })
+            }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                Err(ServiceError::Timeout { millis: timeout_ms })
+                return Err(ServiceError::Timeout {
+                    millis: self.opts.read_timeout.as_millis() as u64,
+                })
             }
-            Err(e) => Err(ServiceError::from(e)),
+            Err(e) => return Err(ServiceError::from(e)),
+        };
+        if tag != RESPONSE_TAG {
+            return Err(ServiceError::Wire(ms_core::WireError::BadTag(tag)));
         }
+        Response::decode(&self.resp).map_err(ServiceError::from)
     }
 
     /// Drop the connection without a clean shutdown (simulates a client
@@ -936,6 +836,13 @@ impl Client {
         if let Some(stream) = self.stream.take() {
             let _ = stream.shutdown(NetShutdown::Both);
         }
+    }
+}
+
+fn not_connected() -> ServiceError {
+    ServiceError::Io {
+        kind: io::ErrorKind::NotConnected,
+        detail: "connection is down".to_string(),
     }
 }
 
@@ -954,8 +861,8 @@ fn protocol_error(response: Response) -> ServiceError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ServiceConfig, SummaryKind};
-    use crate::summary::ShardSummary;
+    use crate::config::ServiceConfig;
+    use crate::protocol::REQUEST_TAG;
     use ms_core::Summary;
 
     fn mg_server() -> Server {
@@ -991,24 +898,6 @@ mod tests {
         let m = client.metrics().unwrap();
         assert_eq!(m.updates, 2000);
         assert_eq!(m.snapshot_weight, 2000);
-        assert_eq!(m.frames_rejected, 0);
-        server.stop();
-    }
-
-    #[test]
-    fn ingest_slice_matches_owned_ingest_on_the_wire() {
-        let server = mg_server();
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        let batch: Vec<u64> = (0..100).map(|v| v % 5).collect();
-        for _ in 0..10 {
-            client.ingest_slice(&batch).unwrap();
-        }
-        // The scratch frame is reused: same buffer, same bytes each call.
-        assert!(client.scratch.capacity() > 0);
-        client.flush().unwrap();
-        let m = client.metrics().unwrap();
-        assert_eq!(m.updates, 1000);
-        assert_eq!(m.snapshot_weight, 1000);
         assert_eq!(m.frames_rejected, 0);
         server.stop();
     }
@@ -1245,7 +1134,15 @@ mod tests {
             parent_span: 7,
         };
         assert_eq!(
-            client.call_traced(ctx, &Request::Ping).unwrap(),
+            client
+                .call_enveloped(
+                    RequestEnvelope {
+                        ctx: Some(ctx),
+                        deadline_micros: None,
+                    },
+                    &Request::Ping
+                )
+                .unwrap(),
             Response::Ok
         );
         client.ingest(vec![3; 100]).unwrap();

@@ -322,18 +322,6 @@ impl EngineTelemetry {
         }
     }
 
-    /// Record one WAL append: payload bytes written and whether the
-    /// append fsynced the segment.
-    pub fn record_wal_append(&self, bytes: u64, synced: bool) {
-        if self.enabled {
-            self.wal_records.add(1);
-            self.wal_bytes.add(bytes);
-            if synced {
-                self.wal_fsyncs.add(1);
-            }
-        }
-    }
-
     /// Record the WAL groups a caller *led* through group commit:
     /// `records` appends across `groups` store-lock rounds with `fsyncs`
     /// syncs. Followers report all-zero stats, so summed over every

@@ -178,9 +178,7 @@ impl CheckpointStore {
     /// Read and verify every part of one set; any failure rejects the
     /// whole set (a partial merge would silently lose shards).
     fn load_set(&self, wal_seq: u64, paths: &[PathBuf]) -> Result<CheckpointSet, String> {
-        let mut parts: Vec<Option<(CheckpointRecord, PathBuf)>> = Vec::new();
-        let mut shards_total: Option<u32> = None;
-        let mut epoch = 0u64;
+        let mut records = Vec::with_capacity(paths.len());
         for path in paths {
             let record = read_part(path).map_err(|e| format!("{}: {e}", path.display()))?;
             if record.wal_seq != wal_seq {
@@ -190,12 +188,25 @@ impl CheckpointStore {
                     record.wal_seq
                 ));
             }
-            match shards_total {
-                None => shards_total = Some(record.shards_total),
-                Some(t) if t != record.shards_total => {
-                    return Err(format!("{}: inconsistent shard count", path.display()));
-                }
-                Some(_) => {}
+            records.push((record, path));
+        }
+        // Part 0 names the set's layout. A cut can be rewritten with fewer
+        // parts (a one-part merged checkpoint over an earlier engine's
+        // part-per-shard set): the rename of part 0 switches the set over
+        // atomically, and the old layout's higher-numbered files are
+        // leftovers to ignore until the seq is pruned.
+        let Some(total) = records
+            .iter()
+            .find(|(record, _)| record.shard == 0)
+            .map(|(record, _)| record.shards_total as usize)
+        else {
+            return Err("incomplete set: shard 0's file is missing".to_string());
+        };
+        let mut parts: Vec<Option<(CheckpointRecord, PathBuf)>> = Vec::new();
+        let mut epoch = 0u64;
+        for (record, path) in records {
+            if record.shards_total as usize != total {
+                continue;
             }
             let shard = record.shard as usize;
             if parts.len() <= shard {
@@ -207,7 +218,6 @@ impl CheckpointStore {
             epoch = record.epoch;
             parts[shard] = Some((record, path.clone()));
         }
-        let total = shards_total.unwrap_or(0) as usize;
         if parts.len() != total || parts.iter().any(|p| p.is_none()) {
             return Err(format!(
                 "incomplete set: {} of {total} shard file(s) present",
@@ -355,6 +365,26 @@ mod tests {
         assert!(loaded.newest.is_none());
         assert_eq!(loaded.discarded, 2);
         assert!(loaded.notes[0].contains("incomplete"));
+        cleanup(&store);
+    }
+
+    #[test]
+    fn part_zero_names_the_layout_of_a_rewritten_cut() {
+        // An earlier engine left one part per shard at cut 100; this one
+        // rewrites the cut as a single merged part. Parts 1..3 are
+        // leftovers of the old layout, not an inconsistent set.
+        let store = temp_store("relayout");
+        store.write_set(100, 1, &parts(4, 1)).unwrap();
+        store.write_set(100, 2, &parts(1, 2)).unwrap();
+        let loaded = store.load_newest().unwrap();
+        assert_eq!(loaded.discarded, 0, "{:?}", loaded.notes);
+        let set = loaded.newest.unwrap();
+        assert_eq!((set.wal_seq, set.epoch, set.parts), (100, 2, parts(1, 2)));
+        // With no part 0 there is no layout to follow: incomplete.
+        fs::remove_file(store.part_path(100, 0)).unwrap();
+        let loaded = store.load_newest().unwrap();
+        assert!(loaded.newest.is_none());
+        assert!(loaded.notes[0].contains("incomplete"), "{:?}", loaded.notes);
         cleanup(&store);
     }
 

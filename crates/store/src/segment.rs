@@ -84,8 +84,9 @@ impl Wire for SegmentRecord {
 pub struct LoadedSegments {
     /// Intact records forming a contiguous seq prefix, in id order.
     pub records: Vec<SegmentRecord>,
-    /// Files discarded: CRC/decode failures, id/filename mismatches, or
-    /// records after a contiguity gap.
+    /// Files discarded: CRC/decode failures, id/filename mismatches,
+    /// stale files a coarsened segment already covers, or records after a
+    /// contiguity gap.
     pub discarded: u64,
     /// Human-readable notes on what was discarded and why.
     pub notes: Vec<String>,
@@ -159,7 +160,8 @@ impl SegmentStore {
     /// Load every intact segment, verify each fully, and keep the longest
     /// contiguous prefix by batch seq: the first gap (damaged or missing
     /// file) discards everything after it, because the cube must never
-    /// answer a range with a silent hole in the middle.
+    /// answer a range with a silent hole in the middle. A file whose span
+    /// the prefix already covers is removed, not treated as a gap.
     pub fn load_all(&self) -> io::Result<LoadedSegments> {
         let mut loaded = LoadedSegments::default();
         let mut files: Vec<(u64, PathBuf)> = Vec::new();
@@ -199,29 +201,45 @@ impl SegmentStore {
         // need only strictly increase — coarsening merges adjacent
         // segments under the older id and evicts the younger, leaving id
         // gaps while seq coverage stays gapless.
-        let mut keep = 0usize;
-        for (i, record) in records.iter().enumerate() {
-            let contiguous = match i.checked_sub(1).map(|p| &records[p]) {
+        let mut dropped = 0u64;
+        let mut records = records.into_iter();
+        while let Some(record) = records.next() {
+            let contiguous = match loaded.records.last() {
                 Some(prev) => record.id > prev.id && record.start_seq == prev.end_seq + 1,
                 None => record.start_seq >= 1,
             } && record.start_seq <= record.end_seq;
-            if !contiguous {
+            // A coarsened survivor is renamed into place before the file
+            // it absorbed is unlinked; a kill between the two leaves the
+            // finer file behind. The kept prefix already covers its span,
+            // so it is stale, not a gap: finish the interrupted unlink.
+            let kept = loaded.records.first().zip(loaded.records.last());
+            let stale = kept.is_some_and(|(first, last)| {
+                first.start_seq <= record.start_seq && record.end_seq <= last.end_seq
+            });
+            if contiguous {
+                loaded.records.push(record);
+            } else if stale {
+                self.remove(record.id)?;
+                loaded.discarded += 1;
+                loaded.notes.push(format!(
+                    "stale segment id {} (seqs {}..={}) already covered by a coarsened \
+                     segment: removed",
+                    record.id, record.start_seq, record.end_seq
+                ));
+            } else {
+                dropped = 1 + records.len() as u64;
                 break;
             }
-            keep = i + 1;
         }
-        if keep < records.len() {
-            let dropped = records.len() - keep;
-            loaded.discarded += dropped as u64;
+        if dropped > 0 {
+            loaded.discarded += dropped;
             loaded.notes.push(format!(
                 "segment contiguity gap after id {}: {} later segment(s) dropped \
                  (rebuilt from the WAL tail)",
-                records.get(keep.wrapping_sub(1)).map_or(0, |r| r.id),
+                loaded.records.last().map_or(0, |r| r.id),
                 dropped
             ));
-            records.truncate(keep);
         }
-        loaded.records = records;
         Ok(loaded)
     }
 
@@ -351,6 +369,34 @@ mod tests {
         assert_eq!(loaded.records[0], merged);
         assert_eq!(loaded.records[0].tier, 1);
         assert_eq!(loaded.records[2].id, 5);
+        cleanup(&store);
+    }
+
+    #[test]
+    fn stale_finer_file_left_by_a_killed_coarsen_is_skipped_and_removed() {
+        // Coarsening renamed A'(1..8) into place and was killed before
+        // unlinking the absorbed B(5..8): C must survive recovery.
+        let store = temp_store("coarse-kill");
+        let mut merged = record(0, 1, 8);
+        merged.tier = 1;
+        for rec in [merged.clone(), record(1, 5, 8), record(2, 9, 12)] {
+            store.write(&rec).unwrap();
+        }
+        let loaded = store.load_all().unwrap();
+        assert_eq!(loaded.records, vec![merged, record(2, 9, 12)]);
+        assert_eq!(loaded.discarded, 1);
+        assert!(
+            loaded.notes[0].contains("stale segment id 1"),
+            "{:?}",
+            loaded.notes
+        );
+        assert!(
+            !store.segment_path(1).exists(),
+            "the interrupted unlink is finished"
+        );
+        // The next recovery sees a clean directory.
+        let again = store.load_all().unwrap();
+        assert_eq!((again.records.len(), again.discarded), (2, 0));
         cleanup(&store);
     }
 

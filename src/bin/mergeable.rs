@@ -49,58 +49,6 @@ use mergeable_summaries::{
 /// Frame tag for a summary file produced by `build`/`merge`.
 const SUMMARY_TAG: u8 = 0x01;
 
-mod alloc_count {
-    //! Pass-through global allocator that counts allocating calls per
-    //! thread, so `bench-client` can report allocations per send and
-    //! prove the reused request buffer keeps the hot loop allocation-free.
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    thread_local! {
-        static COUNT: Cell<u64> = const { Cell::new(0) };
-    }
-
-    pub struct Counting;
-
-    impl Counting {
-        fn bump() {
-            // `try_with`: the allocator also runs during TLS teardown.
-            let _ = COUNT.try_with(|c| c.set(c.get() + 1));
-        }
-    }
-
-    /// Allocating calls made by this thread so far.
-    pub fn current() -> u64 {
-        COUNT.with(|c| c.get())
-    }
-
-    // SAFETY: defers entirely to `System`; the counter is thread-local.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            Self::bump();
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            Self::bump();
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            Self::bump();
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-    }
-}
-
-#[global_allocator]
-static ALLOC: alloc_count::Counting = alloc_count::Counting;
-
 /// The on-disk envelope: every supported summary, tagged by kind.
 enum AnySummary {
     Mg(MgSummary<u64>),
@@ -973,26 +921,22 @@ fn cmd_bench_client(args: &[String]) -> Result<(), String> {
     client
         .ingest_slice(first)
         .map_err(|e| format!("ingest failed: {e}"))?;
-    let mut sends = 0u64;
     let mut sent_items = 0u64;
-    let allocs_before = alloc_count::current();
     let start = Instant::now();
     for chunk in stream.chunks(batch.max(1)).skip(1) {
         client
             .ingest_slice(chunk)
             .map_err(|e| format!("ingest failed: {e}"))?;
-        sends += 1;
         sent_items += chunk.len() as u64;
     }
     let secs = start.elapsed().as_secs_f64();
-    let allocs_per_op = (alloc_count::current() - allocs_before) as f64 / sends.max(1) as f64;
     client.flush().map_err(|e| format!("flush failed: {e}"))?;
 
     let m = client
         .metrics()
         .map_err(|e| format!("metrics failed: {e}"))?;
     println!(
-        "sent {items} items in {secs:.3}s ({:.0} updates/sec, {allocs_per_op:.2} allocations/op)",
+        "sent {items} items in {secs:.3}s ({:.0} updates/sec)",
         sent_items as f64 / secs
     );
     println!("engine updates:   {}", m.updates);

@@ -8,8 +8,11 @@
 
 use std::path::PathBuf;
 
-use mergeable_summaries::core::{FrequencyOracle, Summary};
-use mergeable_summaries::service::{DurabilityConfig, Engine, ServiceConfig, SummaryKind};
+use mergeable_summaries::core::{FrequencyOracle, Summary, Wire};
+use mergeable_summaries::service::{
+    DurabilityConfig, Engine, ServiceConfig, ShardSummary, SummaryKind,
+};
+use mergeable_summaries::store::CheckpointStore;
 
 const EPS: f64 = 0.05;
 const BATCH: usize = 50;
@@ -182,5 +185,70 @@ fn recovery_is_idempotent_across_repeated_restarts() {
         engine.abort();
     }
     assert_eq!(weights, vec![(20 * BATCH) as u64; 2]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn multi_part_checkpoint_set_recovers_and_the_next_set_is_one_part() {
+    // Engines before the compactor stopped keeping per-shard accumulators
+    // wrote one checkpoint part per shard. Plant exactly that — three
+    // shard summaries at cut 20, same file format — beside a WAL holding
+    // 30 batches, and recover from it.
+    let dir = tempdir("multi-part");
+    let stream = batches(30);
+    let engine = Engine::start(durable_cfg(&dir)).unwrap();
+    for batch in &stream {
+        engine.ingest(batch.clone()).unwrap();
+    }
+    engine.abort();
+
+    let plant_shard_parts = |cut: usize| {
+        let cfg = durable_cfg(&dir);
+        let mut shards: Vec<ShardSummary> = (0..3).map(|s| ShardSummary::new(&cfg, s)).collect();
+        for (i, batch) in stream[..cut].iter().enumerate() {
+            shards[i % 3].update_batch(batch);
+        }
+        let parts: Vec<Vec<u8>> = shards.iter().map(|s| s.encode()).collect();
+        CheckpointStore::open(dir.join("ckpt"), false)
+            .unwrap()
+            .write_set(cut as u64, 1, &parts)
+            .unwrap();
+    };
+    // A restart's (checkpoint seq, parts, preloaded batches, replayed WAL
+    // records); whatever it recovered from, it holds all 30 batches.
+    let restart = || {
+        let engine = Engine::start(durable_cfg(&dir)).unwrap();
+        let r = engine.recovery().unwrap();
+        assert_eq!(r.corrupt_checkpoints, 0, "{:?}", r.notes);
+        assert_eq!(
+            engine.snapshot().summary.total_weight(),
+            (30 * BATCH) as u64
+        );
+        assert_within_bound(&engine, &stream);
+        let preloaded = r.preloaded_weight / BATCH as u64;
+        let found = (r.checkpoint_seq, r.checkpoint_parts, preloaded);
+        (engine, found, r.replayed_records)
+    };
+
+    plant_shard_parts(20);
+    let (engine, found, replayed) = restart();
+    assert_eq!((found, replayed), ((20, 3, 20), 10));
+    // What this engine checkpoints is the merged summary itself.
+    engine.checkpoint_now().unwrap();
+    engine.abort();
+    let (engine, found, replayed) = restart();
+    assert_eq!((found, replayed), ((30, 1, 30), 0));
+    engine.abort();
+
+    // The upgrade path: the old layout sits at the very cut the next
+    // checkpoint takes (restart, no ingest, clean stop). The one-part set
+    // replaces it; the old parts 1 and 2 are ignored, not a corrupt set.
+    plant_shard_parts(30);
+    let (engine, found, _) = restart();
+    assert_eq!(found, (30, 3, 30));
+    engine.shutdown();
+    let (engine, found, _) = restart();
+    assert_eq!(found, (30, 1, 30));
+    engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

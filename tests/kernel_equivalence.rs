@@ -1,7 +1,7 @@
 //! Differential pinning of the batched CPU kernels (tier-1).
 //!
 //! The scalar kernels are the semantic source of truth; every dispatched
-//! (AVX2/NEON) variant must be bit-identical to them. These tests prove
+//! (AVX2/AVX-512) variant must be bit-identical to them. These tests prove
 //! it end-to-end over the three pinned seeds, all four summary families,
 //! and merge-order permutations, comparing wire encodings byte-for-byte.
 //!

@@ -25,7 +25,7 @@ use mergeable_summaries::cluster::{BreakerConfig, BreakerState, ClusterConfig, C
 use mergeable_summaries::core::{RankOracle, ServiceError, Summary};
 use mergeable_summaries::service::{
     plan_fn, Client, ClientOptions, Engine, FaultAction, ManualClock, OverloadConfig, Request,
-    Response, SegmentConfig, Server, ServiceConfig, SummaryKind, TraceContext,
+    RequestEnvelope, Response, SegmentConfig, Server, ServiceConfig, SummaryKind, TraceContext,
 };
 use mergeable_summaries::workloads::StreamKind;
 
@@ -161,20 +161,23 @@ fn spent_deadline_is_shed_before_dispatch() {
         .expect("engine");
     let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("server");
     let mut client = Client::connect_with(server.local_addr(), fast_options()).expect("client");
-    let ctx = TraceContext {
-        trace_id: 0x51,
-        parent_span: 0,
+    let budget = |deadline_micros| RequestEnvelope {
+        ctx: Some(TraceContext {
+            trace_id: 0x51,
+            parent_span: 0,
+        }),
+        deadline_micros: Some(deadline_micros),
     };
 
     // A generous budget flows through untouched.
     let ok = client
-        .call_with_deadline(ctx, 5_000_000, &Request::Ping)
+        .call_enveloped(budget(5_000_000), &Request::Ping)
         .expect("ping under budget");
     assert_eq!(ok, Response::Ok);
 
     // A spent budget is shed before dispatch, typed.
     let shed = client
-        .call_with_deadline(ctx, 0, &Request::Quantile(0.5))
+        .call_enveloped(budget(0), &Request::Quantile(0.5))
         .expect("transport ok; shed is in-band");
     let Response::Overloaded { .. } = shed else {
         panic!("spent deadline must shed, got {shed:?}");

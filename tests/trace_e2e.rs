@@ -15,7 +15,8 @@ use std::sync::Arc;
 
 use mergeable_summaries::cluster::{ClusterConfig, Coordinator};
 use mergeable_summaries::service::{
-    stitch, Client, ClientOptions, Engine, Server, ServiceConfig, SummaryKind, TraceContext,
+    stitch, Client, ClientOptions, Engine, RequestEnvelope, Server, ServiceConfig, SummaryKind,
+    TraceContext,
 };
 use mergeable_summaries::workloads::StreamKind;
 
@@ -93,8 +94,12 @@ fn one_query_stitches_into_a_single_cross_process_trace_tree() {
         parent_span: 0,
     };
     let items: Vec<u64> = (0..4096).collect();
+    let traced = |ctx| RequestEnvelope {
+        ctx: Some(ctx),
+        deadline_micros: None,
+    };
     client
-        .ingest_slice_traced(ingest_ctx, &items)
+        .ingest_slice_enveloped(traced(ingest_ctx), &items)
         .expect("traced ingest");
     client.flush().expect("cluster flush");
 
@@ -106,7 +111,10 @@ fn one_query_stitches_into_a_single_cross_process_trace_tree() {
         parent_span: 0,
     };
     let response = client
-        .call_traced(query_ctx, &mergeable_summaries::service::Request::Summary)
+        .call_enveloped(
+            traced(query_ctx),
+            &mergeable_summaries::service::Request::Summary,
+        )
         .expect("traced summary rpc");
     assert!(
         matches!(response, mergeable_summaries::service::Response::Summary(_)),

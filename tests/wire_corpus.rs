@@ -17,12 +17,28 @@
 use std::path::PathBuf;
 
 use mergeable_summaries::service::protocol::{
-    deadline_frame, decode_request, decode_traced_request, traced_frame, Request, RequestEnvelope,
-    Response, REQUEST_TAG, RESPONSE_TAG, TRACED_REQUEST_TAG,
+    decode_request, decode_traced_request, Request, RequestEnvelope, Response, REQUEST_TAG,
+    RESPONSE_TAG, TRACED_REQUEST_TAG,
 };
 use mergeable_summaries::service::TraceContext;
 use ms_core::wire::{FRAME_HEADER_LEN, MAX_FRAME_LEN, WIRE_VERSION};
-use ms_core::{WireError, WireFrame};
+use ms_core::{Wire, WireError, WireFrame};
+
+const CTX: TraceContext = TraceContext {
+    trace_id: 0x1122_3344_5566_7788,
+    parent_span: 0x0000_9876_5432_10AB,
+};
+
+/// `req` framed inside an envelope by the one encoder every client uses.
+fn enveloped(ctx: Option<TraceContext>, deadline_micros: Option<u64>, req: &Request) -> WireFrame {
+    let envelope = RequestEnvelope {
+        ctx,
+        deadline_micros,
+    };
+    let mut bytes = Vec::new();
+    envelope.encode_frame_into(&mut bytes, |out| req.encode_into(out));
+    WireFrame::from_bytes(&bytes).expect("the encoder writes well-formed frames")
+}
 
 /// What the decoder must say about one corpus entry.
 enum Expect {
@@ -384,21 +400,11 @@ fn corpus() -> Vec<Case> {
         // failure modes of a damaged context prefix.
         Case {
             name: "traced_query_request.bin",
-            bytes: traced_frame(
-                TraceContext {
-                    trace_id: 0x1122_3344_5566_7788,
-                    parent_span: 0x0000_9876_5432_10AB,
-                },
-                &Request::Quantile(0.5),
-            )
-            .to_bytes(),
+            bytes: enveloped(Some(CTX), None, &Request::Quantile(0.5)).to_bytes(),
             expect: Expect::Traced(
                 Request::Quantile(0.5),
                 RequestEnvelope {
-                    ctx: Some(TraceContext {
-                        trace_id: 0x1122_3344_5566_7788,
-                        parent_span: 0x0000_9876_5432_10AB,
-                    }),
+                    ctx: Some(CTX),
                     deadline_micros: None,
                 },
             ),
@@ -411,13 +417,7 @@ fn corpus() -> Vec<Case> {
         Case {
             name: "traced_ctx_truncated.bin",
             bytes: {
-                let mut frame = traced_frame(
-                    TraceContext {
-                        trace_id: 0x1122_3344_5566_7788,
-                        parent_span: 0x0000_9876_5432_10AB,
-                    },
-                    &Request::Ping,
-                );
+                let mut frame = enveloped(Some(CTX), None, &Request::Ping);
                 // Cut inside the varint trace context, before the request.
                 frame.payload.truncate(1);
                 frame.to_bytes()
@@ -427,13 +427,7 @@ fn corpus() -> Vec<Case> {
         Case {
             name: "traced_trailing.bin",
             bytes: {
-                let mut frame = traced_frame(
-                    TraceContext {
-                        trace_id: 0x1122_3344_5566_7788,
-                        parent_span: 0x0000_9876_5432_10AB,
-                    },
-                    &Request::Ping,
-                );
+                let mut frame = enveloped(Some(CTX), None, &Request::Ping);
                 frame.payload.push(0xFF);
                 frame.to_bytes()
             },
@@ -447,29 +441,18 @@ fn corpus() -> Vec<Case> {
         // damaged forms.
         Case {
             name: "deadline_request.bin",
-            bytes: deadline_frame(
-                Some(TraceContext {
-                    trace_id: 0x1122_3344_5566_7788,
-                    parent_span: 0x0000_9876_5432_10AB,
-                }),
-                250_000,
-                &Request::Quantile(0.5),
-            )
-            .to_bytes(),
+            bytes: enveloped(Some(CTX), Some(250_000), &Request::Quantile(0.5)).to_bytes(),
             expect: Expect::Traced(
                 Request::Quantile(0.5),
                 RequestEnvelope {
-                    ctx: Some(TraceContext {
-                        trace_id: 0x1122_3344_5566_7788,
-                        parent_span: 0x0000_9876_5432_10AB,
-                    }),
+                    ctx: Some(CTX),
                     deadline_micros: Some(250_000),
                 },
             ),
         },
         Case {
             name: "deadline_no_trace_request.bin",
-            bytes: deadline_frame(None, 1_000, &Request::Ingest(vec![7, 8, 9])).to_bytes(),
+            bytes: enveloped(None, Some(1_000), &Request::Ingest(vec![7, 8, 9])).to_bytes(),
             expect: Expect::Traced(
                 Request::Ingest(vec![7, 8, 9]),
                 RequestEnvelope {
@@ -480,7 +463,7 @@ fn corpus() -> Vec<Case> {
         },
         Case {
             name: "deadline_spent_request.bin",
-            bytes: deadline_frame(None, 0, &Request::Ping).to_bytes(),
+            bytes: enveloped(None, Some(0), &Request::Ping).to_bytes(),
             expect: Expect::Traced(
                 Request::Ping,
                 RequestEnvelope {
@@ -492,7 +475,7 @@ fn corpus() -> Vec<Case> {
         Case {
             name: "deadline_truncated.bin",
             bytes: {
-                let mut frame = deadline_frame(None, 250_000, &Request::Ping);
+                let mut frame = enveloped(None, Some(250_000), &Request::Ping);
                 // Cut inside the budget varint, before the request.
                 frame.payload.truncate(4);
                 frame.to_bytes()
@@ -502,7 +485,7 @@ fn corpus() -> Vec<Case> {
         Case {
             name: "deadline_trailing.bin",
             bytes: {
-                let mut frame = deadline_frame(None, 250_000, &Request::Ping);
+                let mut frame = enveloped(None, Some(250_000), &Request::Ping);
                 frame.payload.push(0xFF);
                 frame.to_bytes()
             },
@@ -511,7 +494,7 @@ fn corpus() -> Vec<Case> {
         Case {
             name: "deadline_bad_magic.bin",
             bytes: {
-                let mut b = deadline_frame(None, 250_000, &Request::Ping).to_bytes();
+                let mut b = enveloped(None, Some(250_000), &Request::Ping).to_bytes();
                 b[0] = b'D';
                 b[1] = b'L';
                 b
