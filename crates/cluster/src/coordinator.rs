@@ -1,15 +1,17 @@
 //! The coordinator: N independent `ms-service` nodes behind one
 //! [`Service`].
 //!
-//! Ingest batches are consistent-hash routed across backends
-//! ([`HashRing`]); queries scatter to every live node, gather per-node
-//! summaries, and merge them **one-shot** — by the paper's Definition 1
-//! the merged answer carries the same `εn` bound as a single node that
-//! saw the whole stream, so federation costs no accuracy. Membership
-//! ([`NodeHealth`]) turns request outcomes and periodic pings into
-//! alive/suspect/dead states; a dead node's key range drains to the
-//! survivors through the ring's liveness-aware routing and returns the
-//! moment the node rejoins.
+//! The coordinator is a node of the merge tree, not a partitioner. By
+//! the paper's Definition 1 *any* split of the stream merges to the same
+//! `εn` bound, so an ingest batch is forwarded **whole** to one slot —
+//! the ring ([`HashRing`]) is asked for a batch counter's home, not for
+//! each key's — and queries scatter to every live node, gather per-node
+//! summaries, and merge them **one-shot**: federation costs no accuracy
+//! and one downstream round trip per batch. Membership ([`NodeHealth`])
+//! turns request outcomes and periodic pings into alive/suspect/dead
+//! states; a dead slot's share of the batches drains to the survivors
+//! through the ring's liveness-aware routing and returns the moment the
+//! node rejoins.
 //!
 //! With `replicas` on, consecutive nodes form **pairs** that both
 //! receive every write for their slot, so a single death never blanks
@@ -18,7 +20,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ms_core::wire::FRAME_HEADER_LEN;
 use ms_core::{ServiceError, Summary, Wire};
@@ -27,127 +29,15 @@ use ms_service::deadline;
 use ms_service::telemetry::timed;
 use ms_service::tracectx::{self, FIELD_PARENT, FIELD_SPAN, FIELD_TRACE};
 use ms_service::{
-    answer_query, answer_range, AccuracyAudit, Client, ClientOptions, ClusterInfo, CubeClock,
-    EngineTelemetry, MetricsReport, NodeInfo, OpClass, RangeMeta, Request, RequestEnvelope,
-    Response, SegmentReport, Service, ShardSummary, SystemClock, TraceContext,
+    answer_query, answer_range, AccuracyAudit, Client, ClientOptions, ClusterInfo, EngineTelemetry,
+    MetricsReport, NodeInfo, OpClass, RangeMeta, Request, RequestEnvelope, Response, SegmentReport,
+    Service, ShardSummary, TraceContext,
 };
 
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryBudget};
+use crate::breaker::{BreakerState, CircuitBreaker, RetryBudget};
+use crate::config::ClusterConfig;
 use crate::membership::NodeHealth;
 use crate::ring::HashRing;
-
-/// How a coordinator is built: the backend set and the knobs on routing,
-/// health, and transport.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Backend addresses (`host:port`). With [`ClusterConfig::replicas`]
-    /// the count must be even; consecutive addresses pair up.
-    pub nodes: Vec<String>,
-    /// Pair consecutive nodes as replicas: writes go to both members,
-    /// reads take the heavier one.
-    pub replicas: bool,
-    /// Virtual nodes per ring slot.
-    pub vnodes: usize,
-    /// Consecutive failures before a node is suspect.
-    pub suspect_after: u32,
-    /// Consecutive failures before a node is dead (routed around).
-    pub dead_after: u32,
-    /// Transport options for every backend client.
-    pub client: ClientOptions,
-    /// Ping cadence for the background prober; `None` disables it (tests
-    /// drive health through request outcomes alone).
-    pub ping_interval: Option<Duration>,
-    /// Record coordinator telemetry.
-    pub telemetry: bool,
-    /// Seed for deterministic trace/span ids (and anything else the
-    /// coordinator derives randomness from). Two coordinators with
-    /// different seeds can never mint colliding trace ids.
-    pub seed: u64,
-    /// Per-node circuit-breaker thresholds.
-    pub breaker: BreakerConfig,
-    /// Retry-budget capacity in whole tokens (bucket starts full).
-    pub retry_budget_capacity: u64,
-    /// Millitokens deposited per first attempt: 100 allows roughly one
-    /// retry per ten requests in steady state.
-    pub retry_budget_deposit_milli: u64,
-    /// Time source for breaker open windows (tests inject a
-    /// [`ms_service::ManualClock`]).
-    pub clock: Arc<dyn CubeClock>,
-}
-
-impl ClusterConfig {
-    /// Defaults: no replicas, 64 vnodes, suspect after 1 failure, dead
-    /// after 3, default client transport, 1s pings, telemetry on.
-    pub fn new<S: Into<String>>(nodes: impl IntoIterator<Item = S>) -> ClusterConfig {
-        ClusterConfig {
-            nodes: nodes.into_iter().map(Into::into).collect(),
-            replicas: false,
-            vnodes: 64,
-            suspect_after: 1,
-            dead_after: 3,
-            client: ClientOptions::default(),
-            ping_interval: Some(Duration::from_secs(1)),
-            telemetry: true,
-            seed: 0x0C00_D1E5,
-            breaker: BreakerConfig::default(),
-            retry_budget_capacity: 10,
-            retry_budget_deposit_milli: 100,
-            clock: Arc::new(SystemClock::new()),
-        }
-    }
-
-    /// Override the trace-id seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enable replica pairs.
-    pub fn replicas(mut self, on: bool) -> Self {
-        self.replicas = on;
-        self
-    }
-
-    /// Override the transport options.
-    pub fn client_options(mut self, opts: ClientOptions) -> Self {
-        self.client = opts;
-        self
-    }
-
-    /// Override (or disable) the background ping cadence.
-    pub fn ping_interval(mut self, interval: Option<Duration>) -> Self {
-        self.ping_interval = interval;
-        self
-    }
-
-    /// Override the failure thresholds.
-    pub fn thresholds(mut self, suspect_after: u32, dead_after: u32) -> Self {
-        self.suspect_after = suspect_after;
-        self.dead_after = dead_after;
-        self
-    }
-
-    /// Override the circuit-breaker thresholds.
-    pub fn breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
-    /// Override the retry budget (capacity in whole tokens, deposit per
-    /// request in millitokens).
-    pub fn retry_budget(mut self, capacity: u64, deposit_milli: u64) -> Self {
-        self.retry_budget_capacity = capacity;
-        self.retry_budget_deposit_milli = deposit_milli;
-        self
-    }
-
-    /// Install a time source for breaker windows (tests inject a
-    /// [`ms_service::ManualClock`]).
-    pub fn clock(mut self, clock: Arc<dyn CubeClock>) -> Self {
-        self.clock = clock;
-        self
-    }
-}
 
 /// One backend node as the coordinator sees it.
 struct Node {
@@ -164,6 +54,19 @@ struct Node {
     failures: AtomicU64,
     /// Total weight of this node's summary at the last gather.
     last_weight: AtomicU64,
+}
+
+/// One gather leg between its send and its reply.
+struct Flight<'a> {
+    /// The node's client lock, held across both halves.
+    client: MutexGuard<'a, Option<Client>>,
+    /// The scatter span, open until the reply lands.
+    _span: Option<SpanGuard<'a>>,
+    envelope: RequestEnvelope,
+    started: Instant,
+    /// Outer error: the connect failed (and is already booked against the
+    /// node). Inner: what the write made of it, booked when it lands.
+    sent: Result<Result<(), ServiceError>, ServiceError>,
 }
 
 /// Coordinator-plane instruments, registered on the same registry the
@@ -231,6 +134,11 @@ pub struct Coordinator {
     instruments: Instruments,
     /// Token bucket bounding coordinator-initiated retries.
     retry_budget: RetryBudget,
+    /// The next ingest batch's key on the ring: a counter, started at the
+    /// seed — the ring's own points are the hashes of small integers, so
+    /// a count from 0 would sit its first `vnodes` batches exactly on
+    /// slot 0's points.
+    batches: AtomicU64,
     rebalanced_batches: AtomicU64,
     stopped: AtomicBool,
     /// Pinger wake/stop signal: the bool is "stop requested".
@@ -262,26 +170,26 @@ impl Coordinator {
         let telemetry = Arc::new(EngineTelemetry::new(0, cfg.telemetry, cfg.seed));
         let scatter_ring = telemetry.recorder().register("scatter");
         let registry = telemetry.registry();
+        let per_node = |name: &str| -> Vec<String> {
+            (0..cfg.nodes.len())
+                .map(|n| format!("{name}{{node=\"{n}\"}}"))
+                .collect()
+        };
+        let gauges = |name| per_node(name).iter().map(|n| registry.gauge(n)).collect();
+        let counters = |name| per_node(name).iter().map(|n| registry.counter(n)).collect();
         let instruments = Instruments {
-            node_latency: (0..cfg.nodes.len())
-                .map(|n| registry.histogram(&format!("node_request_micros{{node=\"{n}\"}}")))
+            node_latency: per_node("node_request_micros")
+                .iter()
+                .map(|n| registry.histogram(n))
                 .collect(),
-            node_state: (0..cfg.nodes.len())
-                .map(|n| registry.gauge(&format!("node_state{{node=\"{n}\"}}")))
-                .collect(),
-            node_failures: (0..cfg.nodes.len())
-                .map(|n| registry.counter(&format!("node_failures_total{{node=\"{n}\"}}")))
-                .collect(),
+            node_state: gauges("node_state"),
+            node_failures: counters("node_failures_total"),
             gather_fanout: registry.histogram("gather_fanout"),
             scatter_bytes: registry.counter("scatter_bytes_total"),
             gather_bytes: registry.counter("gather_bytes_total"),
             rebalances: registry.counter("ring_rebalances_total"),
-            breaker_state: (0..cfg.nodes.len())
-                .map(|n| registry.gauge(&format!("breaker_state{{node=\"{n}\"}}")))
-                .collect(),
-            breaker_trips: (0..cfg.nodes.len())
-                .map(|n| registry.counter(&format!("breaker_trips_total{{node=\"{n}\"}}")))
-                .collect(),
+            breaker_state: gauges("breaker_state"),
+            breaker_trips: counters("breaker_trips_total"),
             retries_granted: registry.counter("coordinator_retries_granted_total"),
             retries_denied: registry.counter("coordinator_retries_denied_total"),
             retry_tokens: registry.gauge("retry_budget_tokens"),
@@ -312,6 +220,7 @@ impl Coordinator {
             scatter_ring,
             instruments,
             retry_budget,
+            batches: AtomicU64::new(cfg.seed),
             rebalanced_batches: AtomicU64::new(0),
             stopped: AtomicBool::new(false),
             ping_stop: Arc::new((Mutex::new(false), Condvar::new())),
@@ -347,66 +256,34 @@ impl Coordinator {
         }
     }
 
-    /// Route `items` across the cluster. Each item goes to the live slot
-    /// owning its hash; with replicas every live member of the slot
-    /// receives the batch (delivery succeeds when at least one member
-    /// takes it). A bucket whose every member fails mid-send is rerouted
-    /// to the next live slot on the ring — counted as a rebalance — so a
-    /// node death during ingest loses at most the in-flight frames the
-    /// retry layer could not confirm.
+    /// Forward `items` whole to one slot. What the ring routes is the
+    /// batch — its key is this coordinator's batch counter — because no
+    /// query reads a key partition: every answer is a merge over all
+    /// slots, and the merge holds `εn` for any split (Definition 1). With
+    /// replicas every live member of the slot receives the batch
+    /// (delivery succeeds when at least one member takes it). A batch
+    /// whose slot refuses it walks on round the ring to the next live
+    /// slot, so a node death during ingest loses at most the in-flight
+    /// frames the retry layer could not confirm; a batch that lands
+    /// anywhere but its home slot counts, once, as a rebalance.
     pub fn ingest(&self, items: &[u64]) -> Result<(), ServiceError> {
         if items.is_empty() {
             return Ok(());
         }
-        let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); self.slots.len()];
-        let mut saw_dead_slot = false;
-        for &item in items {
-            let slot = self
-                .ring
-                .route(item, |s| self.slot_dead(s))
-                .ok_or_else(no_live_backend)?;
-            if self.slot_dead(self.ring.slot_of(item)) {
-                saw_dead_slot = true;
-            }
-            buckets[slot].push(item);
-        }
-        if saw_dead_slot {
+        let key = self.batches.fetch_add(1, Ordering::Relaxed);
+        let dead = |slot| self.slot_dead(slot);
+        if route_frame(&self.ring, key, dead, |slot| self.send_batch(slot, items))? {
             self.rebalanced_batches.fetch_add(1, Ordering::Relaxed);
             self.instruments.rebalances.add(1);
-        }
-        for (slot, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            // Walk slots until one accepts the bucket; every hop past a
-            // freshly-dead slot is a rebalance.
-            let mut target = slot;
-            let mut attempts = 0usize;
-            loop {
-                if self.send_bucket(target, &bucket)? {
-                    break;
-                }
-                attempts += 1;
-                if attempts >= self.slots.len() {
-                    return Err(no_live_backend());
-                }
-                target = self
-                    .ring
-                    .route(bucket[0], |s| self.slot_dead(s))
-                    .ok_or_else(no_live_backend)?;
-                self.rebalanced_batches.fetch_add(1, Ordering::Relaxed);
-                self.instruments.rebalances.add(1);
-            }
         }
         Ok(())
     }
 
-    /// Send one bucket to every live member of `slot`. Returns whether
+    /// Send one batch to every live member of `slot`. Returns whether
     /// at least one member accepted it; transport failures mark the
     /// member's health and are otherwise swallowed here (the caller
-    /// reroutes).
-    fn send_bucket(&self, slot: usize, bucket: &[u64]) -> Result<bool, ServiceError> {
-        let frame_bytes = ingest_frame_bytes(bucket);
+    /// walks on).
+    fn send_batch(&self, slot: usize, items: &[u64]) -> Result<bool, ServiceError> {
         let mut delivered = false;
         let mut last_err: Option<ServiceError> = None;
         for &member in &self.slots[slot] {
@@ -415,12 +292,18 @@ impl Coordinator {
             }
             // Ingest legs join the live trace and carry the remaining
             // deadline exactly as query legs do; a spent budget sheds the
-            // bucket before any backend sees the frames.
+            // batch before any backend sees the frame.
             let result = self
                 .leg(member, Request::Ingest(Vec::new()).opcode())
                 .and_then(|(envelope, _span)| {
-                    self.instruments.scatter_bytes.add(frame_bytes);
-                    self.with_node(member, |c| c.ingest_slice_enveloped(envelope, bucket))
+                    let send = |client: &mut Client| {
+                        let result = client.ingest_slice_enveloped(envelope, items);
+                        self.count_scatter(client);
+                        result
+                    };
+                    let mut client = lock(&self.nodes[member].client);
+                    let first = self.attempt(member, &mut client, &send);
+                    self.retry(member, &mut client, first, &send)
                 });
             match result {
                 Ok(()) => delivered = true,
@@ -429,10 +312,10 @@ impl Coordinator {
         }
         match (delivered, last_err) {
             (true, _) => Ok(true),
-            // A shed is not a death: rerouting the bucket would aim the
+            // A shed is not a death: rerouting the batch would aim the
             // same storm at the next node, so surface it typed instead.
             (false, Some(e @ ServiceError::Overloaded { .. })) => Err(e),
-            (false, Some(e)) if e.is_transient() => Ok(false), // reroute
+            (false, Some(e)) if e.is_transient() => Ok(false), // walk on
             (false, Some(e)) => Err(e),                        // the backend answered and refused
             (false, None) => Ok(false),                        // every member already dead
         }
@@ -453,8 +336,7 @@ impl Coordinator {
             let Response::Summary(raw) = response else {
                 return Ok(None);
             };
-            bytes +=
-                (FRAME_HEADER_LEN + 1) as u64 + varint_len(raw.len() as u64) + raw.len() as u64;
+            bytes += (FRAME_HEADER_LEN + 1 + raw.len().wire_len() + raw.len()) as u64;
             let summary = ShardSummary::decode(&raw)
                 .map_err(|e| ServiceError::Protocol(format!("bad node summary: {e}")))?;
             self.nodes[member]
@@ -561,13 +443,16 @@ impl Coordinator {
         if let Some(addr) = addr {
             *lock(&node.addr) = addr.to_string();
         }
-        *lock(&node.client) = None;
-        // The rejoin ping bypasses the breaker's fail-fast (`attempt`
-        // instead of `with_node`): rejoin *is* the recovery probe, and
-        // it is the operator asserting the node is back — so a
-        // successful ping also resets the breaker outright instead of
+        let mut client = lock(&node.client);
+        *client = None;
+        // The rejoin ping bypasses the breaker's fail-fast (a bare
+        // `attempt`, not behind `leg`'s gate): rejoin *is* the recovery
+        // probe, and it is the operator asserting the node is back — so
+        // a successful ping also resets the breaker outright instead of
         // waiting out the open window.
-        match self.attempt(idx, &|client| client.call(&Request::Ping))? {
+        let pong = self.attempt(idx, &mut client, &|c| c.call(&Request::Ping))?;
+        drop(client);
+        match pong {
             Response::Ok => {
                 node.breaker.reset();
                 self.sync_breaker_instruments(idx);
@@ -672,10 +557,11 @@ impl Coordinator {
         .live()
     }
 
-    /// The one gather: send `request` to every live node in `groups`,
-    /// let `accept` turn each response into a reply (`None`: not an
-    /// answer), and fold the replies with their own `merge`
-    /// ([`fold_groups`]). Answers that add across the ring read
+    /// The one gather: send `request` to every live node in `groups`
+    /// before reading any reply ([`Coordinator::launch`], then
+    /// [`Coordinator::land`]), let `accept` turn each response into a
+    /// reply (`None`: not an answer), and fold the replies with their own
+    /// `merge` ([`fold_groups`]). Answers that add across the ring read
     /// `self.slots`; per-process answers go through
     /// [`Coordinator::fold_nodes`].
     fn gather_fold<R>(
@@ -687,11 +573,12 @@ impl Coordinator {
         merge: impl Fn(&mut R, R) -> Result<(), ServiceError>,
     ) -> Result<GatherReport<R>, ServiceError> {
         let live = |member: usize| !self.nodes[member].health.is_dead();
-        let ask = |member| match self.scatter_call(member, request) {
+        let land = |member, flight| match self.land(member, flight, request) {
             Ok(response) => accept(member, response),
             Err(_) => Ok(None),
         };
-        fold_groups(groups, live, ask, weight, merge)
+        let launch = |member| self.launch(member, request);
+        fold_groups(groups, live, launch, land, weight, merge)
     }
 
     /// [`Coordinator::gather_fold`] over every live node, each its own
@@ -724,45 +611,106 @@ impl Coordinator {
             .all(|&m| self.nodes[m].health.is_dead())
     }
 
-    /// One request/response round-trip to node `idx`, with scatter-byte
-    /// accounting on top of [`Coordinator::with_node`]'s health and
-    /// latency bookkeeping.
+    /// One request/response round-trip to node `idx`: a gather of one leg.
     fn scatter_call(&self, idx: usize, request: &Request) -> Result<Response, ServiceError> {
+        self.land(idx, self.launch(idx, request), request)
+    }
+
+    /// `request` out and its reply back on `client`, as one blocking call.
+    fn round_trip(
+        &self,
+        client: &mut Client,
+        envelope: RequestEnvelope,
+        request: &Request,
+    ) -> Result<Response, ServiceError> {
+        let reply = client.call_enveloped(envelope, request);
+        self.count_scatter(client);
+        reply.and_then(typed_shed)
+    }
+
+    /// Scatter-byte accounting: the request frame `client` just wrote.
+    fn count_scatter(&self, client: &Client) {
         self.instruments
             .scatter_bytes
-            .add((FRAME_HEADER_LEN + request.wire_len()) as u64);
-        let (envelope, _span) = self.leg(idx, request.opcode())?;
-        // A typed shed becomes the typed error, so the breaker and every
-        // caller see one shape for "this leg delivered nothing".
-        self.with_node(idx, |client| {
-            match client.call_enveloped(envelope, request)? {
-                Response::Overloaded { retry_after_micros } => {
-                    Err(ServiceError::Overloaded { retry_after_micros })
-                }
-                response => Ok(response),
-            }
+            .add(client.last_frame_len() as u64);
+    }
+
+    /// The send half of one query leg: write `request` to node `idx` and
+    /// return with the reply still to come, holding the node's client
+    /// lock so nothing else can interleave on the connection. A gather
+    /// launches its legs in node-index order and never re-takes a lock it
+    /// let go, so two gathers cannot deadlock on each other's flights.
+    fn launch(&self, idx: usize, request: &Request) -> Result<Flight<'_>, ServiceError> {
+        let (envelope, span) = self.leg(idx, request.opcode())?;
+        let mut client = lock(&self.nodes[idx].client);
+        let started = Instant::now();
+        let sent = self.connect(idx, &mut client).map(|client| {
+            let sent = client.send_enveloped(envelope, request);
+            self.count_scatter(client);
+            sent
+        });
+        Ok(Flight {
+            client,
+            _span: span,
+            envelope,
+            started,
+            sent,
         })
     }
 
-    /// The envelope one backend leg travels in, and the scatter span that
-    /// times it. Under a live trace (the server put one up before calling
-    /// `handle`) the leg gets its own span and ships the context, so the
-    /// backend's request span parents under it; the *decremented* deadline
-    /// rides along, so time this coordinator already burned never reaches
-    /// the node. Pings and other context-free, deadline-free calls get
-    /// the empty envelope — a plain `REQUEST_TAG` frame. A spent deadline
-    /// fails the leg locally: the caller has already given up.
+    /// The receive half: read the reply a [`Coordinator::launch`] left in
+    /// flight and book the exchange exactly as a blocking
+    /// [`Coordinator::attempt`] would have — a leg that died between its
+    /// send and its reply is a transport failure like any other, and gets
+    /// the same budget-gated retry (a whole round trip this time).
+    fn land(
+        &self,
+        idx: usize,
+        flight: Result<Flight<'_>, ServiceError>,
+        request: &Request,
+    ) -> Result<Response, ServiceError> {
+        let mut flight = flight?;
+        let first = flight.sent.and_then(|sent| {
+            let reply = sent
+                .and_then(|()| flight.client.as_mut().expect("sent on it").read_response())
+                .and_then(typed_shed);
+            let micros = flight.started.elapsed().as_micros() as u64;
+            self.settle(idx, &mut flight.client, reply, micros)
+        });
+        self.retry(idx, &mut flight.client, first, &|client| {
+            self.round_trip(client, flight.envelope, request)
+        })
+    }
+
+    /// The gate in front of every backend leg, the envelope the leg
+    /// travels in, and the scatter span that times it. A spent deadline
+    /// fails the leg locally (the caller has already given up) and an
+    /// open breaker fails it fast — typed [`ServiceError::Overloaded`], no
+    /// connection touched, health untouched: backing off says nothing new
+    /// about the node. Every leg that passes funds the retry budget.
+    /// Under a live trace (the server put one up before calling `handle`)
+    /// the leg gets its own span and ships the context, so the backend's
+    /// request span parents under it; the *decremented* deadline rides
+    /// along, so time this coordinator already burned never reaches the
+    /// node. Pings and other context-free, deadline-free calls get the
+    /// empty envelope — a plain `REQUEST_TAG` frame.
     fn leg(
         &self,
         node: usize,
         opcode: u8,
     ) -> Result<(RequestEnvelope, Option<SpanGuard<'_>>), ServiceError> {
         let deadline_micros = deadline::remaining_micros();
-        if deadline_micros == Some(0) {
-            return Err(ServiceError::Overloaded {
-                retry_after_micros: 0,
-            });
+        let breaker = &self.nodes[node].breaker;
+        let refused = match deadline_micros {
+            Some(0) => Some(0),
+            _ if !breaker.allow() => Some(breaker.retry_after_micros()),
+            _ => None,
+        };
+        if let Some(retry_after_micros) = refused {
+            self.sync_breaker_instruments(node);
+            return Err(ServiceError::Overloaded { retry_after_micros });
         }
+        self.retry_budget.note_request();
         let (ctx, span) = tracectx::current()
             .map(|ctx| {
                 let leg = self.telemetry.next_span(ctx);
@@ -788,32 +736,21 @@ impl Coordinator {
         ))
     }
 
-    /// Run `f` against node `idx` with the overload plane in front: an
-    /// open breaker fails fast (typed [`ServiceError::Overloaded`], no
-    /// connection touched, health untouched — backing off says nothing
-    /// new about the node), every first attempt funds the retry budget,
-    /// and one budget-gated coordinator retry replays transient
-    /// *transport* failures. A shed is never retried here: the node
+    /// One budget-gated coordinator retry replays a transient
+    /// *transport* failure. A shed is never retried here: the node
     /// answered and asked for air — an immediate replay would feed the
     /// storm it is shedding.
-    fn with_node<T>(
+    fn retry<T>(
         &self,
         idx: usize,
-        f: impl Fn(&mut Client) -> Result<T, ServiceError>,
+        client: &mut Option<Client>,
+        mut result: Result<T, ServiceError>,
+        f: &impl Fn(&mut Client) -> Result<T, ServiceError>,
     ) -> Result<T, ServiceError> {
-        let node = &self.nodes[idx];
-        if !node.breaker.allow() {
-            self.sync_breaker_instruments(idx);
-            return Err(ServiceError::Overloaded {
-                retry_after_micros: node.breaker.retry_after_micros(),
-            });
-        }
-        self.retry_budget.note_request();
-        let mut result = self.attempt(idx, &f);
-        if transport_failure(&result) && node.breaker.allow() {
+        if transport_failure(&result) && self.nodes[idx].breaker.allow() {
             if self.retry_budget.try_withdraw() {
                 self.instruments.retries_granted.add(1);
-                result = self.attempt(idx, &f);
+                result = self.attempt(idx, client, f);
             } else {
                 self.instruments.retries_denied.add(1);
             }
@@ -824,28 +761,32 @@ impl Coordinator {
         result
     }
 
-    /// One connect-and-call attempt against node `idx`'s client
-    /// (connecting lazily), recording latency and translating the outcome
-    /// into health and breaker state. Transport failures drop the
-    /// connection and count toward death; a refused connect kills the
-    /// node immediately (the process is gone, no three-strikes grace
-    /// needed). Protocol-level errors mean the node answered, which is a
-    /// liveness *success* — but a shed ([`ServiceError::Overloaded`])
-    /// still counts against the breaker: the path is alive yet not
-    /// delivering work.
+    /// One connect-and-call attempt on node `idx`'s (locked) client.
     fn attempt<T>(
         &self,
         idx: usize,
+        client: &mut Option<Client>,
         f: &impl Fn(&mut Client) -> Result<T, ServiceError>,
     ) -> Result<T, ServiceError> {
-        let node = &self.nodes[idx];
-        let mut guard = lock(&node.client);
-        if guard.is_none() {
+        let connected = self.connect(idx, client)?;
+        let (result, micros) = timed(|| f(connected));
+        self.settle(idx, client, result, micros)
+    }
+
+    /// Node `idx`'s client, connecting lazily. A refused connect kills
+    /// the node immediately (the process is gone, no three-strikes grace
+    /// needed).
+    fn connect<'c>(
+        &self,
+        idx: usize,
+        client: &'c mut Option<Client>,
+    ) -> Result<&'c mut Client, ServiceError> {
+        if client.is_none() {
+            let node = &self.nodes[idx];
             let addr = lock(&node.addr).clone();
             match Client::connect_with(addr.as_str(), self.client_opts.clone()) {
-                Ok(client) => *guard = Some(client),
+                Ok(connected) => *client = Some(connected),
                 Err(e) => {
-                    drop(guard);
                     node.failures.fetch_add(1, Ordering::Relaxed);
                     self.instruments.node_failures[idx].add(1);
                     if node.health.mark_dead() {
@@ -858,16 +799,29 @@ impl Coordinator {
                 }
             }
         }
-        let client = guard.as_mut().expect("client connected above");
-        let (result, micros) = timed(|| f(client));
+        Ok(client.as_mut().expect("client connected above"))
+    }
+
+    /// Book one finished exchange with node `idx`: its latency, and its
+    /// outcome into health and breaker state. Transport failures drop
+    /// the connection (a poisoned one is never reused) and count toward
+    /// death. Protocol-level errors mean the node answered, which is a
+    /// liveness *success* — but a shed ([`ServiceError::Overloaded`])
+    /// still counts against the breaker: the path is alive yet not
+    /// delivering work.
+    fn settle<T>(
+        &self,
+        idx: usize,
+        client: &mut Option<Client>,
+        result: Result<T, ServiceError>,
+        micros: u64,
+    ) -> Result<T, ServiceError> {
+        let node = &self.nodes[idx];
         let failed = transport_failure(&result);
         let shed = matches!(&result, Err(ServiceError::Overloaded { .. }));
-        if failed {
-            *guard = None;
-        }
-        drop(guard);
         self.instruments.node_latency[idx].record(micros);
         if failed {
+            *client = None;
             node.failures.fetch_add(1, Ordering::Relaxed);
             self.instruments.node_failures[idx].add(1);
             if node.health.failure() {
@@ -1035,48 +989,101 @@ fn transport_failure<T>(result: &Result<T, ServiceError>) -> bool {
     )
 }
 
-/// Scatter to `groups` of nodes and fold the replies: dead members are
-/// skipped, a silent one (`ask` returned `None`) is passed over, and each
-/// group contributes exactly **one** reply — the heavier, when replicas
-/// diverge. Merges are additive, not idempotent, so folding both members
-/// of a pair would double-count their range; the heavier member saw every
-/// write the lighter one saw, plus those delivered while the lighter one
-/// was down. A group with no reply is dark, not fatal: the fold of the
-/// rest is a valid answer over the surviving updates (Definition 1). An
-/// `ask` or `merge` error is fatal and surfaces typed.
-fn fold_groups<R>(
+/// A typed shed becomes the typed error, so the breaker and every caller
+/// see one shape for "this leg delivered nothing".
+fn typed_shed(response: Response) -> Result<Response, ServiceError> {
+    match response {
+        Response::Overloaded { retry_after_micros } => {
+            Err(ServiceError::Overloaded { retry_after_micros })
+        }
+        response => Ok(response),
+    }
+}
+
+/// Deliver one batch: offer it to the first live slot at or after `key`
+/// on the ring until one takes it (`send` says `true`). A slot that
+/// refused has as a rule just been found dead, so the same key then walks
+/// past it — that walk *is* the rebalance. `Ok(true)` when the batch
+/// landed anywhere but its home, the slot that owns `key` with every slot
+/// alive; the typed "no live backend" once every slot has had its offer.
+fn route_frame(
+    ring: &HashRing,
+    key: u64,
+    dead: impl Fn(usize) -> bool,
+    mut send: impl FnMut(usize) -> Result<bool, ServiceError>,
+) -> Result<bool, ServiceError> {
+    for _ in 0..ring.slots() {
+        let slot = ring.route(key, &dead).ok_or_else(no_live_backend)?;
+        if send(slot)? {
+            return Ok(slot != ring.slot_of(key));
+        }
+    }
+    Err(no_live_backend())
+}
+
+/// Scatter to `groups` of nodes and fold the replies. Every live member
+/// is `launch`ed — sent its request, in the order given, which is node
+/// index order — before any reply is `land`ed, so the nodes work at the
+/// same time and a gather costs one round trip, not one per node; every
+/// flight is then landed, even past an error, because a reply left
+/// unread would answer that connection's next request. Dead members are
+/// skipped, a silent one (`land` returned `None`: it shed, or died after
+/// its send) is passed over, and each group contributes exactly **one**
+/// reply — the heavier, when replicas diverge. Merges are additive, not
+/// idempotent, so folding both members of a pair would double-count
+/// their share; the heavier member saw every write the lighter one saw,
+/// plus those delivered while the lighter one was down. A group with no
+/// reply is dark, not fatal: the fold of the rest is a valid answer over
+/// the surviving updates (Definition 1). A `land` or `merge` error is
+/// fatal and surfaces typed.
+fn fold_groups<F, R>(
     groups: &[Vec<usize>],
     live: impl Fn(usize) -> bool,
-    mut ask: impl FnMut(usize) -> Result<Option<R>, ServiceError>,
+    mut launch: impl FnMut(usize) -> F,
+    mut land: impl FnMut(usize, F) -> Result<Option<R>, ServiceError>,
     weight: impl Fn(&R) -> u64,
     merge: impl Fn(&mut R, R) -> Result<(), ServiceError>,
 ) -> Result<GatherReport<R>, ServiceError> {
-    let mut report = GatherReport {
-        summary: None,
-        answered: 0,
-        dark_slots: 0,
-        fanout: 0,
-        coverage: 0.0,
-    };
-    for members in groups {
-        let mut best: Option<R> = None;
+    let mut flights = Vec::new();
+    for (group, members) in groups.iter().enumerate() {
         for &member in members.iter().filter(|&&m| live(m)) {
-            report.fanout += 1;
-            if let Some(reply) = ask(member)? {
-                if best.as_ref().is_none_or(|b| weight(b) < weight(&reply)) {
-                    best = Some(reply);
-                }
+            flights.push((group, member, launch(member)));
+        }
+    }
+    debug_assert!(flights.windows(2).all(|w| w[0].1 < w[1].1));
+    let fanout = flights.len();
+    let replies: Vec<_> = flights
+        .into_iter()
+        .map(|(group, member, flight)| (group, land(member, flight)))
+        .collect();
+    let mut best: Vec<Option<R>> = groups.iter().map(|_| None).collect();
+    for (group, reply) in replies {
+        if let Some(reply) = reply? {
+            if best[group]
+                .as_ref()
+                .is_none_or(|b| weight(b) < weight(&reply))
+            {
+                best[group] = Some(reply);
             }
         }
-        match (best, &mut report.summary) {
-            (None, _) => report.dark_slots += 1,
-            (Some(reply), None) => report.summary = Some(reply),
+    }
+    let mut summary: Option<R> = None;
+    let mut dark_slots = 0;
+    for reply in best {
+        match (reply, &mut summary) {
+            (None, _) => dark_slots += 1,
+            (Some(reply), None) => summary = Some(reply),
             (Some(reply), Some(acc)) => merge(acc, reply)?,
         }
     }
-    report.answered = groups.len() - report.dark_slots;
-    report.coverage = report.answered as f64 / groups.len() as f64;
-    Ok(report)
+    let answered = groups.len() - dark_slots;
+    Ok(GatherReport {
+        summary,
+        answered,
+        dark_slots,
+        fanout,
+        coverage: answered as f64 / groups.len() as f64,
+    })
 }
 
 /// The summaries' own merge, as a gather's fold step.
@@ -1096,67 +1103,52 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Exact wire size of an `Ingest` request frame for `items`, matching
-/// `Client::ingest_slice`'s encoding without re-serializing the batch.
-fn ingest_frame_bytes(items: &[u64]) -> u64 {
-    let mut n = (FRAME_HEADER_LEN + 1) as u64 + varint_len(items.len() as u64);
-    for &item in items {
-        n += varint_len(item);
-    }
-    n
-}
-
-/// Encoded length of one LEB128 varint.
-fn varint_len(v: u64) -> u64 {
-    u64::from(64 - (v | 1).leading_zeros()).div_ceil(7)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn varint_len_matches_encoder() {
-        for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
-            let mut buf = Vec::new();
-            ms_core::wire::put_varint(&mut buf, v);
-            assert_eq!(varint_len(v), buf.len() as u64, "v={v}");
-        }
-    }
-
-    #[test]
-    fn ingest_frame_bytes_matches_wire_encoding() {
-        let items = [0u64, 1, 300, 1 << 20, u64::MAX];
-        let frame = ms_core::WireFrame::from_value(
-            ms_service::REQUEST_TAG,
-            &Request::Ingest(items.to_vec()),
-        )
-        .to_bytes();
-        assert_eq!(ingest_frame_bytes(&items), frame.len() as u64);
-    }
+    use ms_service::Server;
 
     /// One scripted backend leg for [`fold_groups`].
     #[derive(Clone, Copy)]
     enum Leg {
         Dead,
+        /// Answers, but not with an answer (a shed, say).
         Silent,
+        /// Takes its request and is gone before the reply.
+        DiesAfterSend,
         Weighs(u64),
         Fails,
     }
     use Leg::*;
 
+    /// What a scripted gather did on the wire, in order.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Io {
+        Sent(usize),
+        Read(usize),
+    }
+    use Io::*;
+
     /// What the fold made of a script: (merged weight, answered, dark, fanout).
     type Folded = Result<(Option<u64>, usize, usize, usize), ServiceError>;
 
-    fn fold(legs: &[Leg], groups: &[Vec<usize>]) -> Folded {
-        fold_groups(
+    fn fold_logged(legs: &[Leg], groups: &[Vec<usize>]) -> (Folded, Vec<Io>) {
+        let log = std::cell::RefCell::new(Vec::new());
+        let folded = fold_groups(
             groups,
             |node| !matches!(legs[node], Dead),
-            |node| match legs[node] {
-                Dead => panic!("asked dead node {node}"),
-                Silent => Ok(None),
-                Weighs(w) => Ok(Some(w)),
-                Fails => Err(ServiceError::Protocol("bad reply".to_string())),
+            |node| {
+                assert!(!matches!(legs[node], Dead), "asked dead node {node}");
+                log.borrow_mut().push(Sent(node));
+            },
+            |node, ()| {
+                log.borrow_mut().push(Read(node));
+                match legs[node] {
+                    Dead => unreachable!("never launched"),
+                    Silent | DiesAfterSend => Ok(None),
+                    Weighs(w) => Ok(Some(w)),
+                    Fails => Err(ServiceError::Protocol("bad reply".to_string())),
+                }
             },
             |&w| w,
             |acc, w| {
@@ -1169,37 +1161,162 @@ mod tests {
         .map(|r| {
             assert_eq!(r.coverage, r.answered as f64 / groups.len() as f64);
             (r.summary, r.answered, r.dark_slots, r.fanout)
-        })
+        });
+        (folded, log.into_inner())
+    }
+
+    fn fold(legs: &[Leg], groups: &[Vec<usize>]) -> Folded {
+        let (folded, log) = fold_logged(legs, groups);
+        // The overlap: no reply is read until every request is out, and
+        // every request that went out has its reply read — in node order
+        // both times — whatever any leg answered.
+        let live: Vec<usize> = (0..legs.len())
+            .filter(|&n| !matches!(legs[n], Dead) && groups.iter().any(|g| g.contains(&n)))
+            .collect();
+        let sends = live.iter().map(|&n| Sent(n));
+        let reads = live.iter().map(|&n| Read(n));
+        assert_eq!(log, sends.chain(reads).collect::<Vec<_>>());
+        folded
     }
 
     #[test]
     fn fold_groups_states_the_gather_rules() {
         let pairs = [vec![0, 1], vec![2, 3]];
         let singles = [vec![0], vec![1], vec![2]];
+        // Every live member is sent to before any reply is read.
+        let (_, log) = fold_logged(&[Weighs(1), Weighs(2), Weighs(4)], &singles);
+        assert_eq!(log, [Sent(0), Sent(1), Sent(2), Read(0), Read(1), Read(2)]);
         // The heavier member of a diverged slot wins, whichever answers first.
         let diverged = [Weighs(70), Weighs(90), Weighs(40), Weighs(10)];
         assert_eq!(fold(&diverged, &pairs), Ok((Some(130), 2, 0, 4)));
         // A dead member is never asked, a silent one is passed over.
         let degraded = [Dead, Weighs(5), Weighs(8), Silent];
         assert_eq!(fold(&degraded, &pairs), Ok((Some(13), 2, 0, 3)));
+        // A leg that dies after its send is dark, not fatal — alone in its
+        // slot or beside a partner that answers.
+        let dies = [Weighs(3), DiesAfterSend, DiesAfterSend, Dead];
+        assert_eq!(fold(&dies, &pairs), Ok((Some(3), 1, 1, 3)));
         // A slot with no live answer is dark, not fatal.
         let half_dark = [Weighs(7), Weighs(7), Dead, Silent];
         assert_eq!(fold(&half_dark, &pairs), Ok((Some(7), 1, 1, 3)));
         // Every live node contributes when each is its own group.
         let nodes = [Weighs(1), Weighs(2), Weighs(4)];
         assert_eq!(fold(&nodes, &singles), Ok((Some(7), 3, 0, 3)));
-        // All dead: nothing merged — the typed "no live backend" to a
-        // caller that needs an answer.
+        // All dead: nothing sent, nothing merged — the typed "no live
+        // backend" to a caller that needs an answer.
         assert_eq!(fold(&[Dead; 3], &singles), Ok((None, 0, 3, 0)));
-        let nothing = fold_groups(&singles, |_| false, |_| Ok(Some(0)), |&w| w, |_, _| Ok(()));
+        let nothing = fold_groups(
+            &singles,
+            |_| false,
+            |_| (),
+            |_, ()| Ok(Some(0)),
+            |&w| w,
+            |_, _| Ok(()),
+        );
         assert_eq!(nothing.unwrap().live(), Err(no_live_backend()));
-        // A fatal leg and a failed merge both surface typed.
+        // A fatal leg and a failed merge both surface typed — after every
+        // reply in flight has been read (`fold` checks the log).
         let bad_reply = Err(ServiceError::Protocol("bad reply".to_string()));
         assert_eq!(fold(&[Weighs(1), Fails, Weighs(4)], &singles), bad_reply);
         let overflow = Err(ServiceError::Protocol("merge overflow".to_string()));
         assert_eq!(
             fold(&[Weighs(u64::MAX), Weighs(1), Silent], &singles),
             overflow
+        );
+    }
+
+    /// Three real backends behind a coordinator that learns of a death
+    /// only from a failed request (no pinger, dead on the first failure).
+    fn three_nodes() -> (Vec<Option<Server>>, Arc<Coordinator>) {
+        let servers: Vec<Option<Server>> = (0..3)
+            .map(|_| {
+                let cfg = ms_service::ServiceConfig::new(ms_service::SummaryKind::Mg, 0.01);
+                let engine = ms_service::Engine::start(cfg.shards(1)).unwrap();
+                Some(Server::bind(engine, "127.0.0.1:0").unwrap())
+            })
+            .collect();
+        let addrs = servers
+            .iter()
+            .map(|s| s.as_ref().unwrap().local_addr().to_string());
+        let cfg = ClusterConfig::new(addrs)
+            .client_options(ClientOptions {
+                retries: 0,
+                ..ClientOptions::default()
+            })
+            .ping_interval(None)
+            .thresholds(1, 1);
+        (servers, Coordinator::start(cfg).unwrap())
+    }
+
+    #[test]
+    fn rebalanced_batches_counts_batches_not_hops() {
+        let (mut servers, coordinator) = three_nodes();
+        let defaults = ClusterConfig::new(["x"]);
+        let ring = HashRing::new(3, defaults.vnodes);
+        let key = |batch: u64| defaults.seed + batch;
+        let rebalanced = || coordinator.cluster_info().rebalanced_batches;
+        // Batch 0, every slot alive: delivered home.
+        coordinator.ingest(&[1, 2, 3]).unwrap();
+        assert_eq!(rebalanced(), 0);
+        // Batch 1: its home and the slot the ring walks to next both die
+        // unnoticed. Two refused hops, one batch off its home slot.
+        let home = ring.slot_of(key(1));
+        let next = ring.route(key(1), |s| s == home).unwrap();
+        for victim in [home, next] {
+            servers[victim].take().unwrap().kill();
+        }
+        coordinator.ingest(&[4, 5, 6]).unwrap();
+        assert_eq!(rebalanced(), 1);
+        // From here the deaths are known and nothing hops: a batch whose
+        // home is dead counts once, one whose home is the survivor does not.
+        let mut want = 1;
+        for batch in 2..12 {
+            coordinator.ingest(&[batch]).unwrap();
+            want += u64::from([home, next].contains(&ring.slot_of(key(batch))));
+            assert_eq!(rebalanced(), want, "batch {batch}");
+        }
+        assert!((2..11).contains(&want), "both cases exercised: {want}");
+        // Every batch acked since the deaths is on the survivor, whole
+        // (batch 0 too, unless it went down with its home).
+        coordinator.flush().unwrap();
+        let report = coordinator.gather().unwrap();
+        assert_eq!((report.answered, report.dark_slots), (1, 2));
+        let lost = 3 * u64::from([home, next].contains(&ring.slot_of(key(0))));
+        assert_eq!(report.summary.unwrap().total_weight(), 16 - lost);
+        coordinator.shutdown();
+        for server in servers.into_iter().flatten() {
+            server.stop();
+        }
+    }
+
+    #[test]
+    fn route_frame_walks_the_ring_once_round() {
+        let ring = HashRing::new(3, 8);
+        let home = ring.slot_of(5);
+        // A refused offer that leaves the slot alive is offered again —
+        // the walk is bounded by the slot count, not by the refusals.
+        let offers = std::cell::Cell::new(0);
+        let refused = route_frame(
+            &ring,
+            5,
+            |_| false,
+            |slot| {
+                assert_eq!(slot, home);
+                offers.set(offers.get() + 1);
+                Ok(false)
+            },
+        );
+        assert_eq!((refused, offers.get()), (Err(no_live_backend()), 3));
+        // Nothing alive: no offer at all.
+        let none = route_frame(&ring, 5, |_| true, |_| panic!("offered to a dead slot"));
+        assert_eq!(none, Err(no_live_backend()));
+        // A refusal that is an answer (a shed) ends the walk typed.
+        let shed = ServiceError::Overloaded {
+            retry_after_micros: 7,
+        };
+        assert_eq!(
+            route_frame(&ring, 5, |_| false, |_| Err(shed.clone())),
+            Err(shed)
         );
     }
 

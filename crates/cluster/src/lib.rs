@@ -4,13 +4,14 @@
 //! *distributed-systems* property: summaries built independently at N
 //! sites merge — in any order, in one shot — into a summary whose `εn`
 //! error bound is the same as if one site had seen the whole stream.
-//! This crate cashes that in. A [`Coordinator`] consistent-hash-routes
-//! ingest across backend nodes ([`HashRing`]), answers queries by
-//! scatter/gather + one-shot merge, tracks per-node health
-//! ([`NodeHealth`]: alive → suspect → dead → rejoin), reroutes a dead
-//! node's key range to the survivors, and optionally writes each slot to
-//! a **replica pair** read-one-of-two so a single death never blanks a
-//! range.
+//! This crate cashes that in. A [`Coordinator`] forwards each ingest
+//! batch whole to one backend node — *any* split of the stream merges
+//! to the same bound, so the [`HashRing`] routes a batch counter, not
+//! keys — answers queries by an overlapped scatter/gather + one-shot
+//! merge, tracks per-node health ([`NodeHealth`]: alive → suspect →
+//! dead → rejoin), reroutes a dead node's share of the batches to the
+//! survivors, and optionally writes each slot to a **replica pair**
+//! read-one-of-two so a single death never blanks a slot.
 //!
 //! The coordinator implements the same [`ms_service::Service`] trait
 //! (and wire protocol) as a single engine, so `mergeable serve
@@ -18,11 +19,13 @@
 //! including another coordinator's.
 
 pub mod breaker;
+pub mod config;
 pub mod coordinator;
 pub mod membership;
 pub mod ring;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryBudget};
-pub use coordinator::{ClusterConfig, Coordinator, GatherReport};
+pub use config::ClusterConfig;
+pub use coordinator::{Coordinator, GatherReport};
 pub use membership::NodeHealth;
 pub use ring::HashRing;

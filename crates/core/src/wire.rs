@@ -207,6 +207,19 @@ pub fn encode_u64_slice_into(out: &mut Vec<u8>, items: &[u64]) {
     }
 }
 
+/// Decode what [`encode_u64_slice_into`] wrote, appending the items to a
+/// caller-owned buffer — the server fills a recycled ingest buffer with
+/// this instead of allocating a `Vec` per frame. The length prefix is
+/// checked against what is physically left before anything is reserved.
+pub fn decode_u64_slice_into(r: &mut WireReader<'_>, out: &mut Vec<u64>) -> Result<(), WireError> {
+    let len = r.length()?;
+    out.reserve(len);
+    for _ in 0..len {
+        out.push(r.varint()?);
+    }
+    Ok(())
+}
+
 /// Append a complete frame (header + payload) to `out`, byte-identical
 /// to `WireFrame::to_bytes` but without materialising an intermediate
 /// payload `Vec`. `fill` writes the payload directly after the header;
@@ -686,7 +699,22 @@ mod tests {
             encode_u64_slice_into(&mut from_slice, &items);
             assert_eq!(from_slice, items.encode());
             assert_eq!(Vec::<u64>::decode(&from_slice).unwrap(), items);
+            let mut r = WireReader::new(&from_slice);
+            let mut into = vec![7u64]; // appended to, never cleared
+            decode_u64_slice_into(&mut r, &mut into).unwrap();
+            r.finish().unwrap();
+            assert_eq!(into[0], 7);
+            assert_eq!(&into[1..], items.as_slice());
         }
+        // A length prefix past the end of the input reserves nothing.
+        let mut into = Vec::new();
+        let bomb = [0xFF, 0xFF, 0xFF, 0x7F, 1];
+        let mut r = WireReader::new(&bomb);
+        assert_eq!(
+            decode_u64_slice_into(&mut r, &mut into),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(into.capacity(), 0);
     }
 
     #[test]

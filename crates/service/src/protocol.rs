@@ -7,7 +7,7 @@
 //! that the server converts into a [`Response::Error`] (and counts in
 //! `frames_rejected`) instead of killing the connection thread.
 
-use ms_core::wire::encode_frame_into;
+use ms_core::wire::{decode_u64_slice_into, encode_frame_into};
 use ms_core::{ServiceError, Wire, WireError, WireFrame, WireReader};
 use ms_obs::RegistrySnapshot;
 
@@ -173,10 +173,23 @@ pub struct RequestEnvelope {
 /// is rejected, and all forms enforce no-trailing-bytes like
 /// [`decode_request`].
 pub fn decode_traced_request(frame: &WireFrame) -> Result<(Request, RequestEnvelope), WireError> {
-    match frame.tag {
-        REQUEST_TAG => Ok((frame.value::<Request>()?, RequestEnvelope::default())),
+    decode_request_with(frame.tag, &frame.payload, Vec::new)
+}
+
+/// [`decode_traced_request`] on a borrowed payload, with the items of an
+/// [`Request::Ingest`] decoded into the buffer `ingest_buffer` supplies
+/// (called at most once, only for an ingest). The server passes its
+/// service's recycled buffers here, so the `Vec` a shard worker hands
+/// back is the one the next frame fills.
+pub fn decode_request_with(
+    tag: u8,
+    payload: &[u8],
+    ingest_buffer: impl FnOnce() -> Vec<u64>,
+) -> Result<(Request, RequestEnvelope), WireError> {
+    let mut r = WireReader::new(payload);
+    let envelope = match tag {
+        REQUEST_TAG => RequestEnvelope::default(),
         TRACED_REQUEST_TAG => {
-            let mut r = WireReader::new(&frame.payload);
             // Trace ids are never 0, so a leading 0 is the deadline
             // layout's sentinel; otherwise the first varint IS the id.
             let first = u64::decode_from(&mut r)?;
@@ -185,7 +198,7 @@ pub fn decode_traced_request(frame: &WireFrame) -> Result<(Request, RequestEnvel
                 id => id,
             };
             let parent_span = u64::decode_from(&mut r)?;
-            let envelope = RequestEnvelope {
+            RequestEnvelope {
                 ctx: (trace_id != 0).then_some(TraceContext {
                     trace_id,
                     parent_span,
@@ -194,13 +207,13 @@ pub fn decode_traced_request(frame: &WireFrame) -> Result<(Request, RequestEnvel
                     0 => Some(u64::decode_from(&mut r)?),
                     _ => None,
                 },
-            };
-            let req = Request::decode_from(&mut r)?;
-            r.finish()?;
-            Ok((req, envelope))
+            }
         }
-        other => Err(WireError::BadTag(other)),
-    }
+        other => return Err(WireError::BadTag(other)),
+    };
+    let request = Request::decode_with(&mut r, ingest_buffer)?;
+    r.finish()?;
+    Ok((request, envelope))
 }
 
 impl RequestEnvelope {
@@ -266,9 +279,24 @@ impl Wire for Request {
     }
 
     fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
+        Self::decode_with(r, Vec::new)
+    }
+}
+
+impl Request {
+    /// [`Wire::decode_from`], with an ingest's items appended to the
+    /// (empty) buffer `ingest_buffer` hands over.
+    fn decode_with(
+        r: &mut WireReader<'_>,
+        ingest_buffer: impl FnOnce() -> Vec<u64>,
+    ) -> std::result::Result<Self, WireError> {
         Ok(match r.byte()? {
             0 => Request::Ping,
-            1 => Request::Ingest(Vec::decode_from(r)?),
+            1 => {
+                let mut items = ingest_buffer();
+                decode_u64_slice_into(r, &mut items)?;
+                Request::Ingest(items)
+            }
             2 => Request::Flush,
             3 => Request::Point(u64::decode_from(r)?),
             4 => Request::HeavyHitters(f64::decode_from(r)?),
@@ -339,6 +367,16 @@ pub enum Response {
 
 /// A handler error on the wire: a shed stays typed so clients see the
 /// retry hint, everything else degrades to its message.
+impl Response {
+    /// Append this response as one complete [`RESPONSE_TAG`] frame to
+    /// `out` — the bytes of `WireFrame::from_value(RESPONSE_TAG, self)`
+    /// with no payload `Vec` in between. A server connection writes every
+    /// reply through here into the one scratch buffer it reuses.
+    pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
+        encode_frame_into(out, RESPONSE_TAG, |out| self.encode_into(out));
+    }
+}
+
 impl From<ServiceError> for Response {
     fn from(e: ServiceError) -> Self {
         match e {
@@ -796,8 +834,9 @@ pub struct ClusterInfo {
     pub slots: u32,
     /// Virtual nodes per slot on the ring.
     pub vnodes: u32,
-    /// Ingest buckets delivered to a slot other than their home slot
-    /// because the home slot was entirely dead (ring rebalances).
+    /// Ingest batches delivered to a slot other than their home slot
+    /// because the home slot was entirely dead (ring rebalances) — each
+    /// batch once, however many slots it walked past.
     pub rebalanced_batches: u64,
 }
 
@@ -973,6 +1012,42 @@ mod tests {
     }
 
     #[test]
+    fn an_ingest_decodes_into_the_buffer_it_is_handed() {
+        let request = Request::Ingest(vec![1, 2, 3, u64::MAX]);
+        let recycled = || {
+            let mut buf = Vec::with_capacity(64);
+            buf.extend([9, 9]); // a buffer comes cleared; the decode must not rely on it
+            buf.clear();
+            buf
+        };
+        for envelope in [
+            RequestEnvelope::default(),
+            RequestEnvelope {
+                ctx: None,
+                deadline_micros: Some(5),
+            },
+        ] {
+            let mut bytes = Vec::new();
+            envelope.encode_frame_into(&mut bytes, |out| request.encode_into(out));
+            let frame = WireFrame::from_bytes(&bytes).unwrap();
+            let (decoded, seen) = decode_request_with(frame.tag, &frame.payload, recycled).unwrap();
+            assert_eq!((&decoded, seen), (&request, envelope));
+            let Request::Ingest(items) = decoded else {
+                unreachable!()
+            };
+            assert_eq!(items.capacity(), 64, "the handed buffer, not a fresh Vec");
+            assert_eq!(
+                decode_traced_request(&frame).unwrap(),
+                (request.clone(), envelope)
+            );
+        }
+        // No other opcode asks for a buffer.
+        let ping = WireFrame::from_value(REQUEST_TAG, &Request::Ping);
+        let no_buffer = || panic!("only an ingest takes a buffer");
+        assert!(decode_request_with(ping.tag, &ping.payload, no_buffer).is_ok());
+    }
+
+    #[test]
     fn responses_roundtrip() {
         let cases = [
             Response::Ok,
@@ -1110,8 +1185,16 @@ mod tests {
                 retry_after_micros: u64::MAX,
             },
         ];
+        // One scratch across every reply, as a server connection holds it.
+        let mut scratch = Vec::new();
         for resp in cases {
             assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+            scratch.clear();
+            resp.encode_frame_into(&mut scratch);
+            assert_eq!(
+                scratch,
+                WireFrame::from_value(RESPONSE_TAG, &resp).to_bytes()
+            );
         }
     }
 

@@ -28,8 +28,8 @@ use crate::deadline;
 use crate::engine::{Engine, MetricsReport};
 use crate::overload::{Admission, AdmitGuard};
 use crate::protocol::{
-    decode_traced_request, AccuracyAudit, RangeAnswer, RangeMeta, Request, RequestEnvelope,
-    Response, SegmentReport, TraceDumpReport, RESPONSE_TAG,
+    decode_request_with, AccuracyAudit, RangeAnswer, RangeMeta, Request, RequestEnvelope, Response,
+    SegmentReport, TraceDumpReport, RESPONSE_TAG,
 };
 use crate::summary::ShardSummary;
 use crate::telemetry::{timed, EngineTelemetry};
@@ -62,6 +62,13 @@ pub trait Service: Send + Sync + 'static {
     fn admission(&self) -> Option<&Arc<Admission>> {
         None
     }
+
+    /// The buffer the connection loop decodes the next
+    /// [`Request::Ingest`] into. A service that recycles its batch
+    /// buffers hands one back here; the default is a fresh `Vec`.
+    fn ingest_buffer(&self) -> Vec<u64> {
+        Vec::new()
+    }
 }
 
 impl Service for Engine {
@@ -71,6 +78,10 @@ impl Service for Engine {
 
     fn admission(&self) -> Option<&Arc<Admission>> {
         Some(Engine::admission(self))
+    }
+
+    fn ingest_buffer(&self) -> Vec<u64> {
+        Engine::ingest_buffer(self)
     }
 
     fn telemetry(&self) -> &Arc<EngineTelemetry> {
@@ -222,9 +233,20 @@ fn serve_connection(mut stream: TcpStream, service: Arc<dyn Service>) {
     // serial per connection today, so it only exceeds 1 if that changes;
     // the cap is enforced here so it cannot regress silently.
     let conn_inflight = Arc::new(AtomicU64::new(0));
+    // One request-payload buffer and one reply scratch for the life of the
+    // connection: past the largest frame seen, a request allocates nothing
+    // here (an ingest's items land in the service's own recycled buffer).
+    let mut payload = Vec::new();
+    let mut reply = Vec::new();
+    let mut respond = |stream: &mut TcpStream, response: &Response| {
+        reply.clear();
+        response.encode_frame_into(&mut reply);
+        telemetry.add_bytes_out(reply.len() as u64);
+        stream.write_all(&reply)
+    };
     loop {
-        let frame = match WireFrame::read_from(&mut stream) {
-            Ok(Some(frame)) => frame,
+        let tag = match WireFrame::read_from_into(&mut stream, &mut payload) {
+            Ok(Some(tag)) => tag,
             // Clean EOF at a frame boundary: the peer is done.
             Ok(None) => return,
             // Garbage header, foreign magic, or a partial frame (the peer
@@ -234,16 +256,16 @@ fn serve_connection(mut stream: TcpStream, service: Arc<dyn Service>) {
                 if is_frame_rejection(&e) {
                     service.record_rejected_frame();
                     let msg = Response::Error(format!("bad frame: {e}"));
-                    let _ = WireFrame::from_value(RESPONSE_TAG, &msg).write_to(&mut stream);
+                    let _ = respond(&mut stream, &msg);
                     let _ = stream.shutdown(NetShutdown::Both);
                 }
                 return;
             }
         };
-        telemetry.add_bytes_in((FRAME_HEADER_LEN + frame.payload.len()) as u64);
+        telemetry.add_bytes_in((FRAME_HEADER_LEN + payload.len()) as u64);
         // The frame itself was well-formed; a payload that fails to decode
         // is a protocol error worth answering, and the connection lives on.
-        let response = match decode_traced_request(&frame) {
+        let response = match decode_request_with(tag, &payload, || service.ingest_buffer()) {
             Ok((request, envelope)) => {
                 let opcode = request.opcode();
                 // Untraced (plain `REQUEST_TAG`) frames root a fresh
@@ -287,9 +309,7 @@ fn serve_connection(mut stream: TcpStream, service: Arc<dyn Service>) {
                 Response::Error(format!("bad request: {e}"))
             }
         };
-        let out = WireFrame::from_value(RESPONSE_TAG, &response);
-        telemetry.add_bytes_out((FRAME_HEADER_LEN + out.payload.len()) as u64);
-        if out.write_to(&mut stream).is_err() {
+        if respond(&mut stream, &response).is_err() {
             return;
         }
     }
@@ -604,23 +624,58 @@ impl Client {
         })
     }
 
+    /// The first half of [`Client::call_enveloped`]: serialize and write
+    /// the request, read nothing. A caller with several connections sends
+    /// on all of them and only then collects each reply with
+    /// [`Client::read_response`], so the servers work at the same time.
+    /// No retry here — after an error on either half the connection must
+    /// not be used again.
+    pub fn send_enveloped(
+        &mut self,
+        envelope: RequestEnvelope,
+        request: &Request,
+    ) -> Result<(), ServiceError> {
+        let frame = self.encode(envelope, |out| request.encode_into(out));
+        let result = self.send_raw(&frame);
+        self.scratch = frame;
+        result
+    }
+
+    /// Bytes of the request frame most recently serialized (header,
+    /// envelope and request) — what the last call put on the wire.
+    pub fn last_frame_len(&self) -> usize {
+        self.scratch.len()
+    }
+
     /// Serialize one enveloped request frame into the scratch buffer this
     /// client reuses for the life of the connection, and run the retry
     /// loop on it.
     fn send(
         &mut self,
-        mut envelope: RequestEnvelope,
+        envelope: RequestEnvelope,
         idempotent: bool,
         request: impl FnOnce(&mut Vec<u8>),
     ) -> Result<Response, ServiceError> {
+        let frame = self.encode(envelope, request);
+        let result = self.call_frame(&frame, idempotent);
+        self.scratch = frame;
+        result
+    }
+
+    /// Take the scratch buffer and fill it with one enveloped request
+    /// frame (an envelope without a deadline takes
+    /// [`ClientOptions::deadline`]); the caller puts it back.
+    fn encode(
+        &mut self,
+        mut envelope: RequestEnvelope,
+        request: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
         let budget = self.opts.deadline.map(|d| d.as_micros() as u64);
         envelope.deadline_micros = envelope.deadline_micros.or(budget);
         let mut frame = std::mem::take(&mut self.scratch);
         frame.clear();
         envelope.encode_frame_into(&mut frame, request);
-        let result = self.call_frame(&frame, idempotent);
-        self.scratch = frame;
-        result
+        frame
     }
 
     /// Pull the server's flight-recorder rings (trace spans and events).
@@ -899,6 +954,32 @@ mod tests {
         assert_eq!(m.updates, 2000);
         assert_eq!(m.snapshot_weight, 2000);
         assert_eq!(m.frames_rejected, 0);
+        server.stop();
+    }
+
+    #[test]
+    fn server_ingests_recycle_the_pool() {
+        // The connection decodes each ingest into a buffer from the
+        // engine's shard pools, which the workers refill: past warm-up the
+        // buffers circulate and nearly every get is a reuse.
+        let server = mg_server();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let batch: Vec<u64> = (0..256).collect();
+        for sent in 1..=2_000 {
+            client.ingest_slice(&batch).unwrap();
+            // A get misses only while every buffer made so far is still
+            // queued, so misses count the deepest backlog. Draining every
+            // 50 batches bounds that by the test, not by the scheduler.
+            if sent % 50 == 0 {
+                client.flush().unwrap();
+            }
+        }
+        let (reuses, misses, _) = server.engine().pool_stats();
+        assert!(
+            reuses >= 1_900 && misses <= 100,
+            "2000 ingests over TCP: {reuses} reuses, {misses} misses"
+        );
+        assert_eq!(server.engine().metrics().updates, 2_000 * 256);
         server.stop();
     }
 
