@@ -17,6 +17,7 @@
 use ms_bench::{Measurement, Suite};
 use ms_core::simd::{self, Isa};
 use ms_core::{ItemSummary, Json, Rng64, Summary, ToJson};
+use ms_quantiles::{HybridQuantile, RankSummary};
 use ms_sketches::batch;
 use ms_sketches::hashing::PairwiseHash;
 use ms_sketches::CountMinSketch;
@@ -29,6 +30,13 @@ const UPDATE_EPS: f64 = 0.01;
 const MERGE_TABLE_CELLS: usize = 2719 * 5;
 /// Sources fused per multiway merge — the compactor's backlog fan-in.
 const MERGE_SOURCES: usize = 8;
+/// The segment cube's hybrid quantile geometry (m = 921, L = 9).
+const HYBRID_EPS: f64 = 0.01;
+/// Items in one sealed segment of the ledger's `read-write` workload
+/// (256 batches × 128).
+const SEGMENT_ITEMS: usize = 32_768;
+/// Items per ingest batch on the hybrid insert rows.
+const INSERT_BATCH: usize = 1_024;
 
 fn rate(measurements: &[Measurement], label: &str) -> f64 {
     measurements
@@ -126,6 +134,65 @@ fn main() {
     });
     let merge_rows = merge.finish();
 
+    // -- Hybrid quantile (§4.3): the three kernels every cube fold,
+    // range read and quantile answer bottoms out in. No gate; the rows
+    // exist so a change to them is a number, not a guess.
+    let mut hybrid_insert = Suite::new("hybrid_insert (eps=0.01, m=921)");
+    hybrid_insert.bench_elems("per_item", n as u64, || {
+        let mut q = HybridQuantile::new(HYBRID_EPS, 7);
+        for &item in &items {
+            q.insert(std::hint::black_box(item));
+        }
+        std::hint::black_box(q.count())
+    });
+    hybrid_insert.bench_elems("batch", n as u64, || {
+        let mut q = HybridQuantile::new(HYBRID_EPS, 7);
+        for batch in items.chunks(INSERT_BATCH) {
+            q.insert_batch(std::hint::black_box(batch));
+        }
+        std::hint::black_box(q.count())
+    });
+    let hybrid_insert_rows = hybrid_insert.finish();
+
+    // Eight sealed-segment-sized summaries, merged the way
+    // `SegmentCube::query` merges them: clone each part, fold pairwise.
+    let segments: Vec<HybridQuantile<u64>> = StreamKind::Zipf {
+        s: 1.1,
+        universe: 1 << 20,
+    }
+    .generate(MERGE_SOURCES * SEGMENT_ITEMS, 0x5E6_0001)
+    .chunks(SEGMENT_ITEMS)
+    .enumerate()
+    .map(|(i, chunk)| {
+        let mut q = HybridQuantile::new(HYBRID_EPS, 100 + i as u64);
+        q.insert_batch(chunk);
+        q
+    })
+    .collect();
+    let fold = |parts: &[HybridQuantile<u64>]| {
+        let mut acc = parts[0].clone();
+        for part in &parts[1..] {
+            acc.merge_from(part.clone()).expect("same geometry");
+        }
+        acc
+    };
+    let mut hybrid_merge = Suite::new("hybrid_merge (32Ki-item summaries)");
+    // Rotated over the seven adjacent pairs: one pair merged over and over
+    // is a branch pattern the predictor learns, which flatters any merge
+    // loop that branches on the data.
+    let mut at = 0;
+    hybrid_merge.bench("pair", || {
+        at = (at + 1) % (MERGE_SOURCES - 1);
+        std::hint::black_box(fold(&segments[at..at + 2])).count()
+    });
+    hybrid_merge.bench("fold8", || std::hint::black_box(fold(&segments)).count());
+    let hybrid_merge_rows = hybrid_merge.finish();
+
+    let merged = fold(&segments);
+    let mut hybrid_quantile = Suite::new("hybrid_quantile (8 merged segments)");
+    hybrid_quantile.bench("answer", || merged.quantile(std::hint::black_box(0.5)));
+    let hybrid_quantile_rows = hybrid_quantile.finish();
+
     let update_scalar = rate(&update_rows, "batch_scalar");
     let update_dispatched = rate(&update_rows, "batch_dispatched");
     let update_ratio = update_dispatched / update_scalar.max(1.0);
@@ -187,6 +254,9 @@ fn main() {
         ("cm_update", suite_json(&update_rows)),
         ("row_buckets", suite_json(&hash_rows)),
         ("cm_merge", suite_json(&merge_rows)),
+        ("hybrid_insert", suite_json(&hybrid_insert_rows)),
+        ("hybrid_merge", suite_json(&hybrid_merge_rows)),
+        ("hybrid_quantile", suite_json(&hybrid_quantile_rows)),
         (
             "ratios",
             Json::obj([

@@ -85,42 +85,61 @@ impl<T: Ord + Clone> SortedBuffer<T> {
         b: SortedBuffer<T>,
         rng: &mut Rng64,
     ) -> SortedBuffer<T> {
-        let merged = merge_sorted(a.points, b.points);
         let offset = usize::from(rng.coin());
-        let points = merged
-            .into_iter()
-            .skip(offset)
-            .step_by(2)
-            .collect::<Vec<T>>();
-        SortedBuffer { points }
+        SortedBuffer {
+            points: merge_keep_parity(&a.points, &b.points, offset),
+        }
     }
 }
 
-/// Standard two-way merge of sorted vectors.
-fn merge_sorted<T: Ord>(a: Vec<T>, b: Vec<T>) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut ia = a.into_iter().peekable();
-    let mut ib = b.into_iter().peekable();
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (Some(x), Some(y)) => {
-                if x <= y {
-                    out.push(ia.next().expect("peeked"));
-                } else {
-                    out.push(ib.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => out.push(ia.next().expect("peeked")),
-            (None, Some(_)) => out.push(ib.next().expect("peeked")),
-            (None, None) => break,
+/// Positions `offset, offset + 2, …` of the stable two-way merge of `a`
+/// and `b` (ties taken from `a`), without materialising the merge: the
+/// dropped parity is compared and stepped over, never copied.
+fn merge_keep_parity<T: Ord + Clone>(a: &[T], b: &[T], offset: usize) -> Vec<T> {
+    let total = a.len() + b.len();
+    let mut out = Vec::with_capacity(total.saturating_sub(offset).div_ceil(2));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let from_a = a[i] <= b[j];
+        if (i + j) & 1 == offset {
+            out.push(if from_a { a[i].clone() } else { b[j].clone() });
         }
+        i += usize::from(from_a);
+        j += usize::from(!from_a);
     }
+    // One input is exhausted; the other's tail is the rest of the merge.
+    let tail = if i < a.len() { &a[i..] } else { &b[j..] };
+    let skip = ((i + j) & 1) ^ offset;
+    out.extend(tail.iter().skip(skip).step_by(2).cloned());
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference: the standard stable two-way merge (ties from `a`) that
+    /// `merge_keep_parity` must agree with on every kept position.
+    fn merge_sorted<T: Ord>(a: Vec<T>, b: Vec<T>) -> Vec<T> {
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let mut ia = a.into_iter().peekable();
+        let mut ib = b.into_iter().peekable();
+        loop {
+            match (ia.peek(), ib.peek()) {
+                (Some(x), Some(y)) => {
+                    if x <= y {
+                        out.push(ia.next().expect("peeked"));
+                    } else {
+                        out.push(ib.next().expect("peeked"));
+                    }
+                }
+                (Some(_), None) => out.push(ia.next().expect("peeked")),
+                (None, Some(_)) => out.push(ib.next().expect("peeked")),
+                (None, None) => break,
+            }
+        }
+        out
+    }
 
     #[test]
     fn from_unsorted_sorts() {
@@ -224,5 +243,35 @@ mod tests {
             vec![1, 2, 3, 3, 4, 5]
         );
         assert_eq!(merge_sorted(Vec::<u32>::new(), vec![1]), vec![1]);
+    }
+
+    #[test]
+    fn keep_parity_matches_the_reference_merge_for_both_offsets() {
+        // Values only; `tests/properties.rs` pins which input a tie is
+        // taken from. A universe of 4 forces long runs of ties.
+        let mut rng = Rng64::new(0xB0FF);
+        let lens = [0usize, 1, 2, 3, 7, 8, 64, 65];
+        for &la in &lens {
+            for &lb in &lens {
+                for universe in [4u64, 1 << 40] {
+                    let mut side = |len: usize| {
+                        let mut v: Vec<u64> = (0..len).map(|_| rng.below(universe)).collect();
+                        v.sort_unstable();
+                        v
+                    };
+                    let (a, b) = (side(la), side(lb));
+                    let merged = merge_sorted(a.clone(), b.clone());
+                    for offset in [0usize, 1] {
+                        let want: Vec<u64> =
+                            merged.iter().skip(offset).step_by(2).copied().collect();
+                        assert_eq!(
+                            merge_keep_parity(&a, &b, offset),
+                            want,
+                            "{la}+{lb} offset {offset}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -25,9 +25,13 @@ impl<T: Wire + Ord> Wire for BufferHierarchy<T> {
     }
 
     fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        Ok(BufferHierarchy {
-            levels: Vec::<Option<SortedBuffer<T>>>::decode_from(r)?,
-        })
+        let levels = Vec::<Option<SortedBuffer<T>>>::decode_from(r)?;
+        // Level `i` weighs `base_weight << i`; a 65th level has no weight.
+        // The cap also bounds the runs a quantile selection walks per round.
+        if levels.len() > u64::BITS as usize {
+            return Err(WireError::Malformed("more levels than weight bits"));
+        }
+        Ok(BufferHierarchy { levels })
     }
 }
 
@@ -103,6 +107,14 @@ impl<T: Ord + Clone> BufferHierarchy<T> {
             .enumerate()
             .filter_map(|(i, slot)| slot.as_ref().map(|b| (base_weight << i) * b.len() as u64))
             .sum()
+    }
+
+    /// Every occupied level as a sorted run and the weight of its points.
+    pub fn weighted_runs(&self, base_weight: u64) -> impl Iterator<Item = (&[T], u64)> {
+        self.levels
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, slot)| slot.as_ref().map(|b| (b.points(), base_weight << i)))
     }
 
     /// Append every stored point with its weight to `out`.
@@ -258,6 +270,20 @@ mod tests {
         h.collect_weighted(10, &mut out);
         out.sort_unstable();
         assert_eq!(out, vec![(5, 10), (7, 20)]);
+    }
+
+    #[test]
+    fn decode_rejects_more_levels_than_weight_bits() {
+        let mut h = BufferHierarchy::new();
+        h.push_buffer(64, buf(vec![1]), &mut Rng64::new(10));
+        assert!(matches!(
+            BufferHierarchy::<u64>::decode(&h.encode()),
+            Err(WireError::Malformed(_))
+        ));
+        h.levels.truncate(64);
+        h.levels[63] = Some(buf(vec![1]));
+        let back = BufferHierarchy::<u64>::decode(&h.encode()).expect("64 levels fit");
+        assert_eq!(back.num_levels(), 64);
     }
 
     #[test]

@@ -203,9 +203,44 @@ impl<T: Ord + Clone> HybridQuantile<T> {
     fn push_representative(&mut self, rep: T) {
         self.base.push(rep);
         if self.base.len() >= self.m {
-            let buffer = SortedBuffer::from_unsorted(std::mem::take(&mut self.base));
-            self.hierarchy.push_buffer(0, buffer, &mut self.rng);
-            self.enforce_level_cap();
+            self.flush_base();
+        }
+    }
+
+    /// Sort the full base buffer into level 0 and enforce the level cap.
+    /// The replacement is allocated at full size: `base` refills to `m`
+    /// before the next flush, so growing it from empty is pure waste.
+    fn flush_base(&mut self) {
+        let full = std::mem::replace(&mut self.base, Vec::with_capacity(self.m));
+        self.hierarchy
+            .push_buffer(0, SortedBuffer::from_unsorted(full), &mut self.rng);
+        self.enforce_level_cap();
+    }
+
+    /// Insert a batch of values; the summary ends in exactly the state
+    /// (every encoded byte, the RNG included) that calling
+    /// [`RankSummary::insert`] on each value in order would leave.
+    ///
+    /// While the base weight is 1 and no partial block is pending, a raw
+    /// value *is* a completed representative and the block sampler draws
+    /// nothing from the RNG, so whole slices are copied into the base
+    /// buffer up to each flush boundary. Past the first doubling the
+    /// sampler is RNG-coupled per value and the per-item path runs.
+    pub fn insert_batch(&mut self, values: &[T]) {
+        let mut rest = values;
+        while self.w == 1 && self.block_candidate.is_none() && !rest.is_empty() {
+            // `max(1)`: like `insert`, always take a value before flushing.
+            let room = self.m.saturating_sub(self.base.len()).max(1);
+            let (head, tail) = rest.split_at(room.min(rest.len()));
+            self.n += head.len() as u64;
+            self.base.extend_from_slice(head);
+            if self.base.len() >= self.m {
+                self.flush_base();
+            }
+            rest = tail;
+        }
+        for value in rest {
+            self.insert(value.clone());
         }
     }
 
@@ -345,7 +380,14 @@ impl<T: Ord + Clone> RankSummary<T> for HybridQuantile<T> {
     }
 
     fn quantile(&self, phi: f64) -> Option<T> {
-        weighted_quantile(self.weighted_points(), phi)
+        let mut base = self.base.clone();
+        base.sort_unstable();
+        let mut runs = vec![(&base[..], self.w)];
+        runs.extend(self.hierarchy.weighted_runs(self.w));
+        if let Some(candidate) = &self.block_candidate {
+            runs.push((std::slice::from_ref(candidate), self.block_count));
+        }
+        weighted_quantile(runs, phi)
     }
 }
 

@@ -110,17 +110,13 @@ impl<T: Ord + Clone> KnownNQuantile<T> {
         self.m
     }
 
-    /// All stored points with their weights (base points have weight 1).
-    fn weighted_points(&self) -> Vec<(T, u64)> {
-        let mut out: Vec<(T, u64)> = self.base.iter().map(|v| (v.clone(), 1)).collect();
-        self.hierarchy.collect_weighted(1, &mut out);
-        out
-    }
-
     fn flush_base_if_full(&mut self) {
         if self.base.len() >= self.m {
-            let buffer = SortedBuffer::from_unsorted(std::mem::take(&mut self.base));
-            self.hierarchy.push_buffer(0, buffer, &mut self.rng);
+            // Allocated at full size: `base` refills to `m` before the
+            // next flush.
+            let full = std::mem::replace(&mut self.base, Vec::with_capacity(self.m));
+            self.hierarchy
+                .push_buffer(0, SortedBuffer::from_unsorted(full), &mut self.rng);
         }
     }
 }
@@ -142,7 +138,11 @@ impl<T: Ord + Clone> RankSummary<T> for KnownNQuantile<T> {
     }
 
     fn quantile(&self, phi: f64) -> Option<T> {
-        weighted_quantile(self.weighted_points(), phi)
+        let mut base = self.base.clone();
+        base.sort_unstable();
+        let mut runs = vec![(&base[..], 1)];
+        runs.extend(self.hierarchy.weighted_runs(1));
+        weighted_quantile(runs, phi)
     }
 }
 
@@ -177,23 +177,48 @@ impl<T: Ord + Clone> Mergeable for KnownNQuantile<T> {
 }
 
 /// Select the value whose cumulative weight first reaches `φ` of the total
-/// stored weight. Shared by the quantile summaries in this crate.
-pub(crate) fn weighted_quantile<T: Ord + Clone>(mut points: Vec<(T, u64)>, phi: f64) -> Option<T> {
-    if points.is_empty() {
+/// stored weight — the least stored `v` with `weight(points ≤ v) ≥ ⌈φ·W⌉`.
+/// Each run is a sorted slice whose points all carry the paired weight.
+/// Shared by the quantile summaries in this crate.
+///
+/// A multi-sequence selection: the runs are read in place, never copied
+/// or re-sorted. Each round takes the median of the longest remaining run
+/// as pivot, ranks it in every run by binary search, and either answers
+/// with it or cuts every run on its wrong side — the longest run at least
+/// halves, and runs drawn from one distribution all roughly do.
+pub(crate) fn weighted_quantile<T: Ord + Clone>(mut runs: Vec<(&[T], u64)>, phi: f64) -> Option<T> {
+    let total: u64 = runs.iter().map(|(run, w)| run.len() as u64 * w).sum();
+    if total == 0 {
         return None;
     }
-    let phi = phi.clamp(0.0, 1.0);
-    points.sort_by(|a, b| a.0.cmp(&b.0));
-    let total: u64 = points.iter().map(|&(_, w)| w).sum();
-    let target = ((phi * total as f64).ceil() as u64).clamp(1, total);
-    let mut cumulative = 0u64;
-    for (value, w) in &points {
-        cumulative += w;
-        if cumulative >= target {
-            return Some(value.clone());
+    // Rank sought among the points still in `runs`, counted in weight from
+    // their low end; `1 ≤ target ≤ weight(runs)` holds on every round.
+    let mut target = ((phi.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
+    loop {
+        let longest = runs
+            .iter()
+            .map(|&(run, _)| run)
+            .max_by_key(|run| run.len())
+            .expect("total > 0, so there is a run");
+        let pivot = &longest[longest.len() / 2];
+        let (mut below, mut at_most) = (0u64, 0u64);
+        for &(run, w) in &runs {
+            below += w * run.partition_point(|v| v < pivot) as u64;
+            at_most += w * run.partition_point(|v| v <= pivot) as u64;
+        }
+        if at_most < target {
+            target -= at_most;
+            for (run, _) in &mut runs {
+                *run = &run[run.partition_point(|v| v <= pivot)..];
+            }
+        } else if below < target {
+            return Some(pivot.clone());
+        } else {
+            for (run, _) in &mut runs {
+                *run = &run[..run.partition_point(|v| v < pivot)];
+            }
         }
     }
-    points.pop().map(|(v, _)| v)
 }
 
 #[cfg(test)]
@@ -339,12 +364,60 @@ mod tests {
 
     #[test]
     fn weighted_quantile_selection() {
-        let pts = vec![(10u64, 1u64), (20, 2), (30, 1)];
-        assert_eq!(weighted_quantile(pts.clone(), 0.0), Some(10));
-        assert_eq!(weighted_quantile(pts.clone(), 0.25), Some(10));
-        assert_eq!(weighted_quantile(pts.clone(), 0.5), Some(20));
-        assert_eq!(weighted_quantile(pts.clone(), 0.75), Some(20));
-        assert_eq!(weighted_quantile(pts, 1.0), Some(30));
-        assert_eq!(weighted_quantile(Vec::<(u64, u64)>::new(), 0.5), None);
+        let select = |phi| weighted_quantile(vec![(&[10u64, 30][..], 1), (&[20][..], 2)], phi);
+        assert_eq!(select(0.0), Some(10));
+        assert_eq!(select(0.25), Some(10));
+        assert_eq!(select(0.5), Some(20));
+        assert_eq!(select(0.75), Some(20));
+        assert_eq!(select(1.0), Some(30));
+        assert_eq!(weighted_quantile(Vec::<(&[u64], u64)>::new(), 0.5), None);
+        assert_eq!(weighted_quantile(vec![(&[][..] as &[u64], 4)], 0.5), None);
+    }
+
+    /// Reference: flatten, sort by value, scan the running weight.
+    fn select_by_sorting(runs: &[(&[u64], u64)], phi: f64) -> Option<u64> {
+        let mut points: Vec<(u64, u64)> = runs
+            .iter()
+            .flat_map(|&(run, w)| run.iter().map(move |&v| (v, w)))
+            .collect();
+        points.sort_unstable();
+        let total: u64 = points.iter().map(|&(_, w)| w).sum();
+        let target = ((phi * total as f64).ceil() as u64).clamp(1, total.max(1));
+        let mut cumulative = 0;
+        points.into_iter().find_map(|(v, w)| {
+            cumulative += w;
+            (cumulative >= target).then_some(v)
+        })
+    }
+
+    #[test]
+    fn selection_matches_the_full_sort_on_weighted_runs() {
+        let mut rng = Rng64::new(0x5E1);
+        let phis = [0.0, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0];
+        for run_count in [1usize, 2, 5, 11] {
+            // Universe 1 is all-equal values; 5 is almost all ties.
+            for universe in [1u64, 5, 1 << 40] {
+                for max_len in [1usize, 2, 300] {
+                    let owned: Vec<(Vec<u64>, u64)> = (0..run_count)
+                        .map(|level| {
+                            let mut run: Vec<u64> = (0..rng.below_usize(max_len + 1))
+                                .map(|_| rng.below(universe))
+                                .collect();
+                            run.sort_unstable();
+                            (run, 1 << level)
+                        })
+                        .collect();
+                    let runs: Vec<(&[u64], u64)> =
+                        owned.iter().map(|(run, w)| (&run[..], *w)).collect();
+                    for phi in phis {
+                        assert_eq!(
+                            weighted_quantile(runs.clone(), phi),
+                            select_by_sorting(&runs, phi),
+                            "{run_count} runs ≤ {max_len} over {universe}, phi {phi}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -116,11 +116,13 @@ impl ShardSummary {
 
     /// Insert a batch of items — the worker ingest path.
     ///
+    /// Every arm leaves exactly the bytes the per-item path would.
     /// Count-Min routes through its hash-then-update batch kernel (see
-    /// `ms_sketches::batch`); the counter-map and quantile families keep
-    /// the per-item loop because their updates are data-dependent (map
-    /// probes, RNG-coupled compactions) and must apply in order to stay
-    /// bit-identical with the sequential path.
+    /// `ms_sketches::batch`); the hybrid quantile summary copies slices
+    /// into its base buffer for as long as its block sampler draws no
+    /// randomness (`HybridQuantile::insert_batch`); the counter-map
+    /// families keep the per-item loop because their updates are
+    /// data-dependent map probes that must apply in order.
     pub fn update_batch(&mut self, items: &[u64]) {
         match self {
             ShardSummary::CountMin(s) => s.update_batch(items),
@@ -134,11 +136,7 @@ impl ShardSummary {
                     s.update(item);
                 }
             }
-            ShardSummary::HybridQuantile(s) => {
-                for &item in items {
-                    s.insert(item);
-                }
-            }
+            ShardSummary::HybridQuantile(s) => s.insert_batch(items),
         }
     }
 

@@ -116,6 +116,35 @@ fn all_families_batch_update_matches_sequential_updates() {
     }
 }
 
+/// At ε = 0.02 the 5,000-item streams above never leave the hybrid
+/// summary's base weight 1, where `insert_batch` is a slice copy. ε = 0.1
+/// (m = 93, L = 6) doubles the weight after ≈ 6 K items, so these odd-sized
+/// batches also start on a pending partial block and cross flushes with
+/// the block sampler drawing from the RNG.
+#[test]
+fn hybrid_batch_update_matches_sequential_updates_past_a_weight_doubling() {
+    for &seed in &SEEDS {
+        let cfg = ServiceConfig::new(SummaryKind::HybridQuantile, 0.1).seed(seed);
+        let mut sequential = ShardSummary::new(&cfg, 0);
+        let mut batched = ShardSummary::new(&cfg, 0);
+        for (i, batch) in stream(seed, 30_000).chunks(257).enumerate() {
+            for &item in batch {
+                sequential.update(item);
+            }
+            batched.update_batch(batch);
+            assert_eq!(
+                encoded(&sequential),
+                encoded(&batched),
+                "seed {seed:#x} batch {i}: batch update diverged"
+            );
+        }
+        let ShardSummary::HybridQuantile(q) = &batched else {
+            panic!("hybrid config built {:?}", batched.kind());
+        };
+        assert!(q.base_weight() >= 4, "w = {}", q.base_weight());
+    }
+}
+
 /// The segment cube folds each batch family-major through
 /// `update_batch`; a per-item fold of the same batches must leave
 /// byte-identical MG, quantile and Count-Min slots in every sealed
