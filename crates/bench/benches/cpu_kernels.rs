@@ -1,6 +1,7 @@
 //! Batched CPU hot-path kernels: Count-Min batch update and multiway
-//! merge, scalar reference vs runtime-dispatched (AVX2/AVX-512) variants.
-//! Persists `results/BENCH_kernels.json`.
+//! merge, scalar reference vs runtime-dispatched (AVX2/AVX-512) variants,
+//! the hybrid quantile kernels, and the batch varint codec beside the
+//! byte-at-a-time loops it replaced. Persists `results/BENCH_kernels.json`.
 //!
 //! Deterministic and meaningful on a 1-CPU host: every row is a
 //! single-threaded kernel measured over seeded inputs, so the
@@ -16,7 +17,8 @@
 
 use ms_bench::{Measurement, Suite};
 use ms_core::simd::{self, Isa};
-use ms_core::{ItemSummary, Json, Rng64, Summary, ToJson};
+use ms_core::wire::{check_u64_slice, decode_u64_slice_into, encode_u64_slice_into, put_varint};
+use ms_core::{ItemSummary, Json, Rng64, Summary, ToJson, WireReader};
 use ms_quantiles::{HybridQuantile, RankSummary};
 use ms_sketches::batch;
 use ms_sketches::hashing::PairwiseHash;
@@ -44,6 +46,71 @@ fn rate(measurements: &[Measurement], label: &str) -> f64 {
         .find(|m| m.label == label)
         .and_then(Measurement::throughput)
         .unwrap_or(0.0)
+}
+
+/// The batch codec over `items` in ingest-sized batches, the word-at-a-time
+/// kernels beside the per-item loops they replaced (same bytes, same
+/// accept set — `ms-core`'s differential test holds them to that).
+fn varint_rows(name: &str, items: &[u64]) -> Vec<Measurement> {
+    let n = items.len() as u64;
+    let frames: Vec<Vec<u8>> = items
+        .chunks(INSERT_BATCH)
+        .map(|batch| {
+            let mut frame = Vec::new();
+            encode_u64_slice_into(&mut frame, batch);
+            frame
+        })
+        .collect();
+    let mut bytes = Vec::new();
+    let mut decoded = Vec::new();
+    let mut suite = Suite::new(name);
+    suite.bench_elems("encode_bytewise", n, || {
+        for batch in items.chunks(INSERT_BATCH) {
+            bytes.clear();
+            put_varint(&mut bytes, batch.len() as u64);
+            for &v in std::hint::black_box(batch) {
+                put_varint(&mut bytes, v);
+            }
+        }
+        std::hint::black_box(bytes.len())
+    });
+    suite.bench_elems("encode", n, || {
+        for batch in items.chunks(INSERT_BATCH) {
+            bytes.clear();
+            encode_u64_slice_into(&mut bytes, std::hint::black_box(batch));
+        }
+        std::hint::black_box(bytes.len())
+    });
+    suite.bench_elems("decode_bytewise", n, || {
+        for frame in &frames {
+            decoded.clear();
+            let mut r = WireReader::new(std::hint::black_box(frame));
+            for _ in 0..r.length().expect("a length prefix") {
+                decoded.push(r.varint().expect("a valid varint"));
+            }
+        }
+        std::hint::black_box(decoded.len())
+    });
+    suite.bench_elems("decode", n, || {
+        for frame in &frames {
+            decoded.clear();
+            let mut r = WireReader::new(std::hint::black_box(frame));
+            decode_u64_slice_into(&mut r, &mut decoded).expect("a valid batch");
+        }
+        std::hint::black_box(decoded.len())
+    });
+    suite.bench_elems("check", n, || {
+        frames
+            .iter()
+            .map(|frame| check_u64_slice(&mut WireReader::new(std::hint::black_box(frame))))
+            .map(|count| count.expect("a valid batch"))
+            .sum::<usize>()
+    });
+    let rows = suite.finish();
+    for m in &rows {
+        println!("{:<16} {:>6.2} ns/item", m.label, m.ns_per_iter / n as f64);
+    }
+    rows
 }
 
 fn main() {
@@ -193,6 +260,12 @@ fn main() {
     hybrid_quantile.bench("answer", || merged.quantile(std::hint::black_box(0.5)));
     let hybrid_quantile_rows = hybrid_quantile.finish();
 
+    // -- Batch varint codec: what every ingest frame, WAL record and
+    // coordinator leg goes through. The ledger's stream, and a uniform
+    // one that lives on the 9- and 10-byte slow path.
+    let varint_zipf_rows = varint_rows("varint (zipf 1.1 over 2^20, 1024-item batches)", &items);
+    let varint_uniform_rows = varint_rows("varint (uniform u64, 1024-item batches)", &fps);
+
     let update_scalar = rate(&update_rows, "batch_scalar");
     let update_dispatched = rate(&update_rows, "batch_dispatched");
     let update_ratio = update_dispatched / update_scalar.max(1.0);
@@ -257,6 +330,8 @@ fn main() {
         ("hybrid_insert", suite_json(&hybrid_insert_rows)),
         ("hybrid_merge", suite_json(&hybrid_merge_rows)),
         ("hybrid_quantile", suite_json(&hybrid_quantile_rows)),
+        ("varint_zipf", suite_json(&varint_zipf_rows)),
+        ("varint_uniform", suite_json(&varint_uniform_rows)),
         (
             "ratios",
             Json::obj([

@@ -30,8 +30,8 @@ use ms_service::telemetry::timed;
 use ms_service::tracectx::{self, FIELD_PARENT, FIELD_SPAN, FIELD_TRACE};
 use ms_service::{
     answer_query, answer_range, AccuracyAudit, Client, ClientOptions, ClusterInfo, EngineTelemetry,
-    MetricsReport, NodeInfo, OpClass, RangeMeta, Request, RequestEnvelope, Response, SegmentReport,
-    Service, ShardSummary, TraceContext,
+    IngestFrame, MetricsReport, NodeInfo, OpClass, RangeMeta, Request, RequestEnvelope, Response,
+    SegmentReport, Service, ShardSummary, TraceContext,
 };
 
 use crate::breaker::{BreakerState, CircuitBreaker, RetryBudget};
@@ -256,23 +256,30 @@ impl Coordinator {
         }
     }
 
-    /// Forward `items` whole to one slot. What the ring routes is the
-    /// batch — its key is this coordinator's batch counter — because no
-    /// query reads a key partition: every answer is a merge over all
-    /// slots, and the merge holds `εn` for any split (Definition 1). With
+    /// Encode `items` once and [`Coordinator::forward`] the frame.
+    pub fn ingest(&self, items: &[u64]) -> Result<(), ServiceError> {
+        self.forward(&IngestFrame::encode(Vec::new(), items))
+    }
+
+    /// Forward a batch whole to one slot, as the bytes it already is: a
+    /// coordinator never looks inside a batch, so it holds the validated
+    /// frame and no items. What the ring routes is the batch — its key is
+    /// this coordinator's batch counter — because no query reads a key
+    /// partition: every answer is a merge over all slots, and the merge
+    /// holds `εn` for any split (Definition 1). With
     /// replicas every live member of the slot receives the batch
     /// (delivery succeeds when at least one member takes it). A batch
     /// whose slot refuses it walks on round the ring to the next live
     /// slot, so a node death during ingest loses at most the in-flight
     /// frames the retry layer could not confirm; a batch that lands
     /// anywhere but its home slot counts, once, as a rebalance.
-    pub fn ingest(&self, items: &[u64]) -> Result<(), ServiceError> {
-        if items.is_empty() {
+    pub fn forward(&self, frame: &IngestFrame) -> Result<(), ServiceError> {
+        if frame.is_empty() {
             return Ok(());
         }
         let key = self.batches.fetch_add(1, Ordering::Relaxed);
         let dead = |slot| self.slot_dead(slot);
-        if route_frame(&self.ring, key, dead, |slot| self.send_batch(slot, items))? {
+        if route_frame(&self.ring, key, dead, |slot| self.send_batch(slot, frame))? {
             self.rebalanced_batches.fetch_add(1, Ordering::Relaxed);
             self.instruments.rebalances.add(1);
         }
@@ -283,7 +290,7 @@ impl Coordinator {
     /// at least one member accepted it; transport failures mark the
     /// member's health and are otherwise swallowed here (the caller
     /// walks on).
-    fn send_batch(&self, slot: usize, items: &[u64]) -> Result<bool, ServiceError> {
+    fn send_batch(&self, slot: usize, frame: &IngestFrame) -> Result<bool, ServiceError> {
         let mut delivered = false;
         let mut last_err: Option<ServiceError> = None;
         for &member in &self.slots[slot] {
@@ -297,7 +304,7 @@ impl Coordinator {
                 .leg(member, Request::Ingest(Vec::new()).opcode())
                 .and_then(|(envelope, _span)| {
                     let send = |client: &mut Client| {
-                        let result = client.ingest_slice_enveloped(envelope, items);
+                        let result = client.ingest_frame_enveloped(envelope, frame);
                         self.count_scatter(client);
                         result
                     };
@@ -926,6 +933,14 @@ impl Service for Coordinator {
                 .accuracy_merged()
                 .map_or_else(Into::into, Response::Accuracy),
         }
+    }
+
+    fn ingest_frame(&self, frame: IngestFrame) -> (Response, Vec<u8>) {
+        let response = self.all_breakers_open().unwrap_or_else(|| {
+            self.forward(&frame)
+                .map_or_else(Into::into, |()| Response::Ok)
+        });
+        (response, frame.into_bytes())
     }
 
     fn telemetry(&self) -> &Arc<EngineTelemetry> {

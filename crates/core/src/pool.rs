@@ -1,10 +1,10 @@
 //! Lock-free recycling pool for reusable `Vec` buffers.
 //!
-//! The aggregation service moves one `Vec<u64>` per ingest batch from the
-//! caller through the WAL and a shard queue to a worker thread, which drops
-//! it after absorbing the items. At steady state that is one heap
+//! The aggregation service moves one `Vec<u8>` frame per ingest batch from
+//! the socket through a shard queue to a worker thread, which is done with
+//! it once the items are decoded. At steady state that is one heap
 //! allocation and one deallocation per batch for a buffer whose capacity
-//! never changes. [`BufferPool`] removes both: workers return spent buffers
+//! hardly changes. [`BufferPool`] removes both: workers return spent buffers
 //! with [`BufferPool::put`] and callers fetch them back with
 //! [`BufferPool::get`], so the same handful of allocations circulate for
 //! the life of the engine.
@@ -76,32 +76,39 @@ impl<T> BufferPool<T> {
     /// empty pool this returns `Vec::new()` (no reserved capacity — the
     /// caller's first pushes will allocate) and counts a miss.
     pub fn get(&self) -> Vec<T> {
+        self.take().unwrap_or_else(|| {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            Vec::new()
+        })
+    }
+
+    /// A pooled buffer if one is idle (a counted reuse), `None` otherwise
+    /// — and no miss: the caller has somewhere else to look before it
+    /// allocates.
+    pub fn take(&self) -> Option<Vec<T>> {
         let n = self.slots.len();
-        if n != 0 {
-            let start = self.hint.load(Ordering::Relaxed);
-            for i in 0..n {
-                let slot = &self.slots[(start + i) % n];
-                if slot.state.load(Ordering::Relaxed) != FULL {
-                    continue;
-                }
-                if slot
-                    .state
-                    .compare_exchange(FULL, BUSY, Ordering::Acquire, Ordering::Relaxed)
-                    .is_err()
-                {
-                    continue;
-                }
-                // SAFETY: we hold the slot in BUSY, so no other thread
-                // touches `buf` until we release it below.
-                let buf = unsafe { std::mem::take(&mut *slot.buf.get()) };
-                slot.state.store(EMPTY, Ordering::Release);
-                self.hint.store((start + i + 1) % n, Ordering::Relaxed);
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                return buf;
+        let start = self.hint.load(Ordering::Relaxed);
+        for i in 0..n {
+            let slot = &self.slots[(start + i) % n];
+            if slot.state.load(Ordering::Relaxed) != FULL {
+                continue;
             }
+            if slot
+                .state
+                .compare_exchange(FULL, BUSY, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+            {
+                continue;
+            }
+            // SAFETY: we hold the slot in BUSY, so no other thread
+            // touches `buf` until we release it below.
+            let buf = unsafe { std::mem::take(&mut *slot.buf.get()) };
+            slot.state.store(EMPTY, Ordering::Release);
+            self.hint.store((start + i + 1) % n, Ordering::Relaxed);
+            self.reuses.fetch_add(1, Ordering::Relaxed);
+            return Some(buf);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Vec::new()
+        None
     }
 
     /// Return a spent buffer to the pool. The buffer is cleared (elements

@@ -196,28 +196,142 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// The stop bit of every byte in a word: clear in a varint's last byte.
+const STOP_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// Items [`encode_u64_slice_into`] stages on the stack per copy, and the
+/// most bytes one varint takes.
+const ENCODE_CHUNK: usize = 64;
+const MAX_VARINT_LEN: usize = 10;
+
+/// The eight bytes at `pos` as a little-endian word, when there are eight.
+#[inline]
+fn load_word(bytes: &[u8], pos: usize) -> Option<u64> {
+    let word = bytes.get(pos..pos.checked_add(8)?)?;
+    Some(u64::from_le_bytes(word.try_into().expect("8 bytes")))
+}
+
+/// Drop bit 7 of each byte and close the gaps: eight 7-bit groups become
+/// one 56-bit value, three mask-and-shift steps.
+#[inline]
+fn pack7(x: u64) -> u64 {
+    let x = (x & 0x007f_007f_007f_007f) | ((x & 0x7f00_7f00_7f00_7f00) >> 1);
+    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x3fff_0000_3fff_0000) >> 2);
+    (x & 0x0000_0000_0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4)
+}
+
+/// The inverse of [`pack7`]: a value below 2⁵⁶ as eight 7-bit groups, one
+/// per byte, bit 7 of each clear.
+#[inline]
+fn spread7(v: u64) -> u64 {
+    let x = (v & 0x0000_0000_0fff_ffff) | ((v & 0x00ff_ffff_f000_0000) << 4);
+    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x0fff_c000_0fff_c000) << 2);
+    (x & 0x007f_007f_007f_007f) | ((x & 0x3f80_3f80_3f80_3f80) << 1)
+}
+
 /// Encode a `&[u64]` exactly as `Vec<u64>::encode_into` would — varint
 /// length followed by varint elements — without requiring an owned `Vec`.
 /// The ingest hot path uses this to serialize a borrowed batch into a
 /// reusable scratch buffer instead of cloning it first.
+///
+/// Byte-identical to a [`put_varint`] loop, a word at a time: a value
+/// below 2⁵⁶ is spread into its 7-bit groups, gets its continuation bits
+/// OR-ed in and is stored as one eight-byte word of which the cursor keeps
+/// `len`; only the 9- and 10-byte values take the byte loop.
 pub fn encode_u64_slice_into(out: &mut Vec<u8>, items: &[u64]) {
     put_varint(out, items.len() as u64);
-    for &v in items {
-        put_varint(out, v);
+    // What is certain: a byte per item. Past it the buffer doubles.
+    out.reserve(items.len());
+    let mut staged = [0u8; ENCODE_CHUNK * MAX_VARINT_LEN];
+    for chunk in items.chunks(ENCODE_CHUNK) {
+        let mut pos = 0;
+        for &v in chunk {
+            if v < 1 << 56 {
+                let len = ((70 - (v | 1).leading_zeros()) / 7) as usize;
+                let continued = !(u64::MAX << (8 * (len - 1))) & STOP_BITS;
+                let word = spread7(v) | continued;
+                staged[pos..pos + 8].copy_from_slice(&word.to_le_bytes());
+                pos += len;
+            } else {
+                let mut v = v;
+                while v >= 0x80 {
+                    staged[pos] = v as u8 | 0x80;
+                    pos += 1;
+                    v >>= 7;
+                }
+                staged[pos] = v as u8;
+                pos += 1;
+            }
+        }
+        out.extend_from_slice(&staged[..pos]);
     }
 }
 
 /// Decode what [`encode_u64_slice_into`] wrote, appending the items to a
-/// caller-owned buffer — the server fills a recycled ingest buffer with
-/// this instead of allocating a `Vec` per frame. The length prefix is
-/// checked against what is physically left before anything is reserved.
+/// caller-owned buffer — a shard worker fills its own scratch with this
+/// instead of allocating a `Vec` per frame. The length prefix is checked
+/// against what is physically left before anything is reserved.
+///
+/// A word at a time: every clear stop bit in the eight bytes at the
+/// cursor ends a varint that lies wholly inside the word, so each is
+/// peeled with two shifts and a [`pack7`]. A word with no stop bit (a
+/// varint of nine bytes or more) and the last few bytes of the input go
+/// through [`WireReader::varint`], which owns the overflow and truncation
+/// checks — the accept set is that loop's, exactly.
 pub fn decode_u64_slice_into(r: &mut WireReader<'_>, out: &mut Vec<u64>) -> Result<(), WireError> {
-    let len = r.length()?;
-    out.reserve(len);
-    for _ in 0..len {
-        out.push(r.varint()?);
+    let mut left = r.length()?;
+    out.reserve(left);
+    while left > 0 {
+        let word = load_word(r.bytes, r.pos).unwrap_or(u64::MAX);
+        let mut stops = !word & STOP_BITS;
+        if stops == 0 {
+            out.push(r.varint()?);
+            left -= 1;
+            continue;
+        }
+        // Bits [from, to) of the word hold the next varint.
+        let mut from = 0;
+        while stops != 0 && left > 0 {
+            let to = stops.trailing_zeros() + 1;
+            out.push(pack7((word << (64 - to)) >> (64 - to + from)));
+            from = to;
+            stops &= stops - 1;
+            left -= 1;
+        }
+        r.pos += (from / 8) as usize;
     }
     Ok(())
+}
+
+/// Walk what [`decode_u64_slice_into`] would decode without producing the
+/// items: same length check, same slow path, same accept set, same bytes
+/// consumed. Returns the item count. A server validates an ingest payload
+/// with this once and then moves the bytes, not the items.
+pub fn check_u64_slice(r: &mut WireReader<'_>) -> Result<usize, WireError> {
+    let len = r.length()?;
+    let mut left = len;
+    while left > 0 {
+        let word = load_word(r.bytes, r.pos).unwrap_or(u64::MAX);
+        let mut stops = !word & STOP_BITS;
+        let found = stops.count_ones() as usize;
+        if found == 0 {
+            r.varint()?;
+            left -= 1;
+        } else if found <= left {
+            // Every varint that ends in this word is wanted: step past
+            // the word's last stop byte.
+            r.pos += 8 - (stops.leading_zeros() / 8) as usize;
+            left -= found;
+        } else {
+            // The batch ends inside this word, at its `left`-th stop byte.
+            for _ in 1..left {
+                stops &= stops - 1;
+            }
+            r.pos += (stops.trailing_zeros() / 8) as usize + 1;
+            left = 0;
+        }
+    }
+    Ok(len)
 }
 
 /// Append a complete frame (header + payload) to `out`, byte-identical
@@ -676,12 +790,19 @@ impl WireFrame {
         if len > MAX_FRAME_LEN {
             return Err(WireError::Malformed("frame length over limit").into());
         }
+        // Exactly: a server's buffer rides a shard ring and a pool long
+        // after this frame, and amortized doubling would keep up to twice
+        // the bytes resident for every one of them.
         payload.clear();
+        payload.reserve_exact(len as usize);
         payload.resize(len as usize, 0);
         r.read_exact(payload)?;
         Ok(Some(tag))
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

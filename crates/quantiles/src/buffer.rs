@@ -75,6 +75,13 @@ impl<T: Ord + Clone> SortedBuffer<T> {
         self.points.partition_point(|v| v < x)
     }
 
+    /// The buffer with every point sent through `f`, which must be
+    /// monotone: the images are trusted to be in order, as
+    /// [`SortedBuffer::from_sorted`] trusts its input.
+    pub fn map<U: Ord + Clone>(&self, f: impl Fn(&T) -> U) -> SortedBuffer<U> {
+        SortedBuffer::from_sorted(self.points.iter().map(f).collect())
+    }
+
     /// The same-weight merge: merge-sort both buffers' points and keep the
     /// positions of one parity, chosen by a fair coin. Both inputs must
     /// hold points of equal weight `w`; the output's points represent

@@ -127,6 +127,18 @@ impl<T: Ord + Clone> BufferHierarchy<T> {
         }
     }
 
+    /// The same hierarchy over the images of its points under the monotone
+    /// `f` ([`SortedBuffer::map`]).
+    pub fn map<U: Ord + Clone>(&self, f: impl Fn(&T) -> U) -> BufferHierarchy<U> {
+        BufferHierarchy {
+            levels: self
+                .levels
+                .iter()
+                .map(|slot| slot.as_ref().map(|buffer| buffer.map(&f)))
+                .collect(),
+        }
+    }
+
     /// Drop level 0 and shift every other level down by one, returning the
     /// removed level-0 buffer (if any). Used by the hybrid summary when it
     /// doubles its base weight: old level `i+1` *is* new level `i` under

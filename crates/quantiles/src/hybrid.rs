@@ -312,6 +312,37 @@ impl<T: Ord + Clone> HybridQuantile<T> {
         Ok(())
     }
 
+    /// Every stored point: the base buffer's, the partial block's
+    /// candidate and the hierarchy's, in no particular order.
+    pub fn points(&self) -> impl Iterator<Item = &T> {
+        let levels = self
+            .hierarchy
+            .weighted_runs(self.w)
+            .flat_map(|(run, _)| run);
+        self.base.iter().chain(&self.block_candidate).chain(levels)
+    }
+
+    /// The same summary — every weight, counter and the generator state —
+    /// over the images of its stored points under `f`, which must be
+    /// monotone so that sorted buffers stay sorted. A summary at rest can
+    /// sit in a narrower point type this way (`u64` values that fit `u32`
+    /// take half the room) and widen back, with the inverse map, into the
+    /// summary it was.
+    pub fn map<U: Ord + Clone>(&self, f: impl Fn(&T) -> U) -> HybridQuantile<U> {
+        HybridQuantile {
+            epsilon: self.epsilon,
+            m: self.m,
+            max_levels: self.max_levels,
+            w: self.w,
+            block_count: self.block_count,
+            block_candidate: self.block_candidate.as_ref().map(&f),
+            base: self.base.iter().map(&f).collect(),
+            hierarchy: self.hierarchy.map(&f),
+            n: self.n,
+            rng: self.rng.clone(),
+        }
+    }
+
     /// All stored points with their weights (the partial block contributes
     /// its candidate at the block's accumulated count).
     fn weighted_points(&self) -> Vec<(T, u64)> {
@@ -618,5 +649,27 @@ mod tests {
                 .collect::<Vec<u64>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Narrowed to `u32` points and widened back, a summary is the one it
+    /// was — same bytes, and the same coins from there on.
+    #[test]
+    fn map_round_trips_every_field() {
+        // Odd length: leaves a partial block once the base weight is 2.
+        let values: Vec<u64> = (0..40_001u64)
+            .map(|v| (v * 2_654_435_761) % 1_000_003)
+            .collect();
+        for n in [0, 3, 700, 40_001] {
+            let q = build(&values[..n], 0.05, 9);
+            assert_eq!(q.points().count(), q.size(), "n = {n}");
+            assert!(q.points().all(|&v| u32::try_from(v).is_ok()));
+            let narrow: HybridQuantile<u32> = q.map(|&v| v as u32);
+            let mut wide = narrow.map(|&v| u64::from(v));
+            assert_eq!(wide.encode(), q.encode(), "n = {n}");
+            let (mut q, other) = (q, build(&values[..5_000], 0.05, 10));
+            q.merge_from(other.clone()).unwrap();
+            wide.merge_from(other).unwrap();
+            assert_eq!(wide.encode(), q.encode(), "merged, n = {n}");
+        }
     }
 }

@@ -278,10 +278,11 @@ pub struct ServiceConfig {
     /// Updates a worker absorbs into its delta before handing it to the
     /// compactor and starting a fresh one.
     pub delta_updates: usize,
-    /// Slots in the engine's recycling buffer pool. Workers return each
-    /// absorbed batch's `Vec<u64>` here and [`crate::Engine::ingest_buffer`]
-    /// hands them back out, so a steady-state ingest loop allocates
-    /// nothing. `0` disables recycling (every batch allocates fresh).
+    /// Slots in the engine's recycling buffer pools, split across the
+    /// shards. Workers return each decoded frame's `Vec<u8>` here and the
+    /// next ingest draws it back out, so a steady-state ingest loop
+    /// allocates nothing. `0` disables recycling (every batch allocates
+    /// fresh).
     pub pool_buffers: usize,
     /// Which summary family to maintain.
     pub kind: SummaryKind,

@@ -72,6 +72,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use ms_core::{Wire, WireError};
 use ms_frequency::SpaceSavingSummary;
+use ms_quantiles::HybridQuantile;
 use ms_store::SegmentRecord;
 
 use crate::config::{SegmentConfig, ServiceConfig, SummaryKind};
@@ -178,6 +179,55 @@ impl CountMinFam {
     }
 }
 
+/// A segment's quantile family: the live summary while the segment is
+/// open, and once it is sealed the same summary over `u32` points when
+/// every stored value fits — a copy that answers for it is widened back,
+/// at about the cost of the clone a live one needs.
+///
+/// The quantile family is most of a sealed segment (≈ 30 of ≈ 34 KB at
+/// ε = 0.01: four buffers of 921 eight-byte points), and the resident
+/// segments are what `peak_rss_mb` of a cube server grows by, so a
+/// closed-loop server's peak follows its throughput — and the
+/// throughput's spread from one run to the next. Half-width points take
+/// ≈ 15 KB off each segment and that much off the spread. A summary
+/// holding a value past `u32::MAX` stays live, re-read from its slot to
+/// shed the capacity streaming grew.
+#[derive(Clone)]
+enum QuantileFam {
+    Live(ShardSummary),
+    Narrow(HybridQuantile<u32>),
+}
+
+impl QuantileFam {
+    fn live(&self) -> ShardSummary {
+        match self {
+            QuantileFam::Live(summary) => summary.clone(),
+            QuantileFam::Narrow(narrow) => {
+                ShardSummary::HybridQuantile(narrow.map(|&v| u64::from(v)))
+            }
+        }
+    }
+
+    fn slot(&self) -> Vec<u8> {
+        match self {
+            QuantileFam::Live(summary) => summary.encode(),
+            QuantileFam::Narrow(_) => self.live().encode(),
+        }
+    }
+
+    /// The resident form of `summary`, whose encoding is `slot`.
+    fn at_rest(summary: &ShardSummary, slot: &[u8]) -> QuantileFam {
+        match summary {
+            ShardSummary::HybridQuantile(wide)
+                if wide.points().all(|&v| u32::try_from(v).is_ok()) =>
+            {
+                QuantileFam::Narrow(wide.map(|&v| v as u32))
+            }
+            _ => QuantileFam::Live(ShardSummary::decode(slot).expect("a quantile slot decodes")),
+        }
+    }
+}
+
 /// One segment — the open one under the fold lock, or a sealed one
 /// behind an `Arc` in the index (immutable there: coarsening builds a
 /// new segment and swaps it in): its coordinates plus a summary per
@@ -186,7 +236,7 @@ impl CountMinFam {
 struct Segment {
     meta: SegmentMeta,
     mg: ShardSummary,
-    quantile: ShardSummary,
+    quantile: QuantileFam,
     count_min: CountMinFam,
 }
 
@@ -196,7 +246,7 @@ impl Segment {
     fn family(&self, kind: SummaryKind) -> ShardSummary {
         match kind {
             SummaryKind::Mg | SummaryKind::SpaceSaving => self.mg.clone(),
-            SummaryKind::HybridQuantile => self.quantile.clone(),
+            SummaryKind::HybridQuantile => self.quantile.live(),
             SummaryKind::CountMin => self.count_min.live(),
         }
     }
@@ -205,19 +255,20 @@ impl Segment {
     /// [`SummaryKind::all`] order, the SpaceSaving one derived from the
     /// MG family — with the segment itself trimmed for residency, now
     /// that it will not be updated again: the Count-Min family becomes
-    /// the slot just encoded, and the MG and quantile families are
-    /// re-read from theirs, which sheds the spare capacity streaming grew
-    /// (≈ 16 µs a seal, ≈ 5 KB a segment).
+    /// the slot just encoded, the MG family is re-read from its slot,
+    /// which sheds the spare capacity streaming grew, and the quantile
+    /// family goes to its resident form ([`QuantileFam::at_rest`]).
     fn seal(&mut self) -> SegmentRecord {
         self.meta.sealed = true;
-        let reread = |slot: &[u8]| ShardSummary::decode(slot).expect("a slot just encoded decodes");
         let (mg, quantile, count_min) = (
             self.mg.encode(),
-            self.quantile.encode(),
+            self.quantile.slot(),
             self.count_min.slot(),
         );
-        self.mg = reread(&mg);
-        self.quantile = reread(&quantile);
+        self.mg = ShardSummary::decode(&mg).expect("a slot just encoded decodes");
+        if let QuantileFam::Live(live) = &self.quantile {
+            self.quantile = QuantileFam::at_rest(live, &quantile);
+        }
         self.count_min = CountMinFam::Slot(count_min.clone());
         SegmentRecord {
             id: self.meta.id,
@@ -268,7 +319,7 @@ impl Segment {
                 tier: rec.tier,
             },
             mg,
-            quantile,
+            quantile: QuantileFam::at_rest(&quantile, &rec.summaries[2]),
             count_min: CountMinFam::Slot(rec.summaries[3].clone()),
         })
     }
@@ -288,12 +339,13 @@ impl Segment {
         self.meta.weight += next.meta.weight;
         self.meta.batches += next.meta.batches;
         self.meta.tier = self.meta.tier.max(next.meta.tier) + 1;
-        let mut count_min = self.count_min.live();
+        let (mut quantile, mut count_min) = (self.quantile.live(), self.count_min.live());
         let merges = [
             self.mg.merge_in_place(next.mg),
-            self.quantile.merge_in_place(next.quantile),
+            quantile.merge_in_place(next.quantile.live()),
             count_min.merge_in_place(next.count_min.live()),
         ];
+        self.quantile = QuantileFam::Live(quantile);
         self.count_min = CountMinFam::Live(count_min);
         for merge in merges {
             merge.expect("same-family segment summaries always merge");
@@ -487,7 +539,7 @@ impl SegmentCube {
                     tier: 0,
                 },
                 mg: self.fresh(SummaryKind::Mg),
-                quantile: self.fresh(SummaryKind::HybridQuantile),
+                quantile: QuantileFam::Live(self.fresh(SummaryKind::HybridQuantile)),
                 count_min: CountMinFam::Live(self.fresh(SummaryKind::CountMin)),
             });
             fold.next_id += 1;
@@ -501,10 +553,12 @@ impl SegmentCube {
         // Count-Min runs its dispatched hash-then-update kernel and the
         // counter-map and quantile families keep their tables hot.
         open.mg.update_batch(batch);
-        open.quantile.update_batch(batch);
-        match &mut open.count_min {
-            CountMinFam::Live(sketch) => sketch.update_batch(batch),
-            CountMinFam::Slot(_) => unreachable!("an open segment's sketch is live"),
+        match (&mut open.quantile, &mut open.count_min) {
+            (QuantileFam::Live(quantile), CountMinFam::Live(sketch)) => {
+                quantile.update_batch(batch);
+                sketch.update_batch(batch);
+            }
+            _ => unreachable!("an open segment's families are live"),
         }
         if open.meta.batches >= self.cfg.seal_batches {
             self.seal(&mut fold, &mut out);
@@ -869,6 +923,59 @@ mod tests {
         let (a, b) = (live.report(), replayed.report());
         assert_eq!(a.segments, b.segments);
         assert_eq!(live.last_seq(), replayed.last_seq());
+    }
+
+    /// A sealed segment keeps its quantile family over `u32` points when
+    /// the values fit and live when one does not; sealed, adopted or
+    /// coarsened, the copy a reader gets encodes to the record's slot.
+    #[test]
+    fn sealed_quantile_family_rests_narrow_and_reads_back_the_same() {
+        let quantile_slots = |c: &SegmentCube| -> Vec<(bool, Vec<u8>)> {
+            let sealed = lock(&c.index).sealed.clone();
+            sealed
+                .iter()
+                .map(|seg| {
+                    (
+                        matches!(seg.quantile, QuantileFam::Narrow(_)),
+                        seg.family(SummaryKind::HybridQuantile).encode(),
+                    )
+                })
+                .collect()
+        };
+        let c = cube(SegmentConfig::new().seal_batches(2));
+        let mut records = Vec::new();
+        for i in 0..4u64 {
+            // Enough values to flush base buffers into the hierarchy.
+            let batch: Vec<u64> = (0..600).map(|v| (v * 7919 + i) % 100_000).collect();
+            records.extend(ok(&c, &batch).sealed);
+        }
+        records.extend(ok(&c, &[1, u64::from(u32::MAX) + 1]).sealed);
+        records.extend(ok(&c, &[2]).sealed);
+        assert_eq!(records.len(), 3);
+        let slots = quantile_slots(&c);
+        assert_eq!(
+            slots.iter().map(|(narrow, _)| *narrow).collect::<Vec<_>>(),
+            [true, true, false]
+        );
+        for ((_, read), rec) in slots.iter().zip(&records) {
+            assert_eq!(read, &rec.summaries[2]);
+        }
+
+        let adopted = cube(SegmentConfig::new().seal_batches(2));
+        assert_eq!(adopted.adopt(&records).adopted, 3);
+        assert_eq!(quantile_slots(&adopted), slots);
+
+        // Coarsening merges widened copies and the survivor rests again.
+        let coarse = cube(SegmentConfig::new().seal_batches(1).coarsen_watermark(1));
+        let mut last = Vec::new();
+        for i in 0..3u64 {
+            let batch: Vec<u64> = (0..600).map(|v| v * 31 + i).collect();
+            last = ok(&coarse, &batch).sealed;
+        }
+        let slots = quantile_slots(&coarse);
+        assert_eq!(slots.len(), 1);
+        assert!(slots[0].0);
+        assert_eq!(slots[0].1, last.last().unwrap().summaries[2]);
     }
 
     #[test]

@@ -47,12 +47,19 @@
 //!
 //! ## Hot path
 //!
-//! In steady state one `ingest(batch)` call performs **zero heap
-//! allocations and zero shared-lock acquisitions**: the shard table is an
-//! atomically swapped snapshot ([`ms_core::SwapCell`], one `Acquire` load
-//! to read), each shard queue is a bounded lock-free ring
-//! ([`ms_core::Ring`]), batch buffers and WAL encode buffers recycle
-//! through [`ms_core::BufferPool`]s, and durable appends go through
+//! A batch is bytes from the socket to the shard: the connection thread
+//! validates the payload once ([`IngestFrame`]), the WAL logs those bytes
+//! verbatim, the shard ring carries the buffer they arrived in, and the
+//! worker decodes it into its own scratch right before `update_batch`.
+//! An in-process [`Engine::ingest`] encodes once into a pooled frame and
+//! joins the same path.
+//!
+//! In steady state one ingest performs **zero heap allocations and zero
+//! shared-lock acquisitions**: the shard table is an atomically swapped
+//! snapshot ([`ms_core::SwapCell`], one `Acquire` load to read), each
+//! shard queue is a bounded lock-free ring ([`ms_core::Ring`]), frame
+//! buffers and WAL record buffers recycle through
+//! [`ms_core::BufferPool`]s, and durable appends go through
 //! leader–follower group commit ([`ms_store::GroupCommit`]) so the store
 //! mutex is amortized across concurrent callers. See DESIGN.md §Hot path
 //! for the per-operation budget.
@@ -64,7 +71,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ms_core::rng::splitmix64;
-use ms_core::wire::encode_u64_slice_into;
 use ms_core::{
     BufferPool, FxHashMap, Mergeable, PushError, Ring, ServiceError, Summary, SwapCell, Wire,
 };
@@ -77,7 +83,7 @@ use crate::cube::SegmentCube;
 use crate::deadline;
 use crate::fault::FaultAction;
 use crate::overload::Admission;
-use crate::protocol::{AccuracyAudit, RangeMeta, SegmentReport, TraceDumpReport};
+use crate::protocol::{AccuracyAudit, IngestFrame, RangeMeta, SegmentReport, TraceDumpReport};
 use crate::summary::{MergeLineage, ShardSummary};
 use crate::telemetry::{timed, EngineTelemetry};
 
@@ -293,8 +299,9 @@ struct Durable {
 }
 
 enum WorkerMsg {
-    /// A batch of items plus its enqueue time (for queue-wait histograms).
-    Batch(Vec<u64>, Instant),
+    /// A batch, still encoded, plus its enqueue time (for queue-wait
+    /// histograms).
+    Batch(IngestFrame, Instant),
     Flush(Sender<()>),
 }
 
@@ -310,6 +317,9 @@ enum CompactMsg {
     /// itself; this sentinel is the explicit stop signal.
     Stop,
 }
+
+/// Idle `Vec<u64>` buffers [`Engine::ingest_buffer`] keeps at most.
+const ITEM_POOL_SLOTS: usize = 8;
 
 /// One ingest shard in the lock-free table: its bounded ring, a generation
 /// counter so concurrent senders agree on *which* incarnation died (only
@@ -369,13 +379,17 @@ pub struct Engine {
     /// compactor exits on [`CompactMsg::Stop`], after which sends fail
     /// with a disconnect the callers map to [`ServiceError::Shutdown`].
     compact_tx: Sender<CompactMsg>,
-    /// Recycled ingest batch buffers (`Vec<u64>`), one pool per shard.
-    /// [`Engine::ingest_buffer`] hands out the next shard's buffer and
-    /// each worker returns absorbed batches to its own pool, so shards
-    /// stop contending for (and stealing) each other's slots — the global
-    /// pool's reuse rate collapsed from 73% to 29% at 8 shards.
-    pools: Vec<Arc<BufferPool<u64>>>,
-    /// Recycled WAL encode buffers (`Vec<u8>`), refilled by the
+    /// Recycled frame buffers (`Vec<u8>`), one pool per shard. The front
+    /// half draws the next shard's buffer and each worker returns decoded
+    /// frames to its own pool, so shards stop contending for (and
+    /// stealing) each other's slots — the global pool's reuse rate
+    /// collapsed from 73% to 29% at 8 shards.
+    pools: Vec<Arc<BufferPool<u8>>>,
+    /// Recycled item buffers (`Vec<u64>`) off the ring's path: what
+    /// [`Engine::ingest_buffer`] lends an in-process caller, and what the
+    /// cube's fold decodes a received frame into.
+    item_pool: BufferPool<u64>,
+    /// Recycled WAL record buffers (`Vec<u8>`), refilled by the
     /// group-commit leader once a group is appended.
     wal_pool: Arc<BufferPool<u8>>,
     snapshot: RwLock<Arc<Snapshot>>,
@@ -464,10 +478,13 @@ impl Engine {
         } else {
             (cfg.pool_buffers / cfg.shards).max(2)
         };
-        let pools: Vec<Arc<BufferPool<u64>>> = (0..cfg.shards)
+        let pools: Vec<Arc<BufferPool<u8>>> = (0..cfg.shards)
             .map(|_| Arc::new(BufferPool::new(per_shard_buffers)))
             .collect();
-        // WAL encode buffers only circulate on durable engines.
+        // A caller holds an item buffer only for the length of one call,
+        // so a few slots cover every thread that ingests at once.
+        let item_pool = BufferPool::new(cfg.pool_buffers.min(ITEM_POOL_SLOTS));
+        // WAL record buffers only circulate on durable engines.
         let wal_pool = Arc::new(BufferPool::new(if cfg.durability.is_some() {
             cfg.pool_buffers
         } else {
@@ -539,6 +556,7 @@ impl Engine {
             batch_indices,
             compact_tx,
             pools,
+            item_pool,
             wal_pool,
             counters,
             next_shard: AtomicUsize::new(0),
@@ -632,18 +650,21 @@ impl Engine {
         // cube replays every record above *its* floor to rebuild lost or
         // unsealed segments, while the global summary only re-applies
         // records the checkpoint has not already restored.
-        for entry in &recovery.tail {
-            let batch = Vec::<u64>::decode(&entry.payload).map_err(|_| {
+        let mut items = Vec::new();
+        for mut entry in recovery.tail {
+            let frame = IngestFrame::parse(&mut entry.payload, 0).map_err(|_| {
                 ServiceError::Config("WAL record does not decode as an ingest batch")
             })?;
             if let Some(cube) = &self.cube {
-                let out = cube.record_at(entry.seq, &batch);
+                items.clear();
+                frame.decode_into(&mut items);
+                let out = cube.record_at(entry.seq, &items);
                 self.persist_sealed(&out.sealed, &out.evicted);
             }
             if entry.seq > report.checkpoint_seq {
                 report.replayed_records += 1;
-                report.replayed_weight += batch.len() as u64;
-                self.enqueue(batch)?;
+                report.replayed_weight += frame.len() as u64;
+                self.enqueue(frame, true)?;
             }
         }
         self.flush()?;
@@ -663,17 +684,30 @@ impl Engine {
     }
 
     /// A recycled buffer for building the next [`Engine::ingest`] batch:
-    /// cleared, with its previous capacity intact, when the pool has one
-    /// idle; freshly allocated otherwise. The buffer comes from the pool
-    /// of the shard the next enqueue will route to, and that worker puts
-    /// it back — so an ingest loop that takes its buffers from here
-    /// reaches a per-shard steady state that allocates nothing at all.
+    /// cleared, with its previous capacity intact, when one is idle;
+    /// freshly allocated otherwise. [`Engine::ingest`] puts it back once
+    /// the batch is encoded, so an ingest loop that takes its buffers from
+    /// here allocates nothing at all.
     pub fn ingest_buffer(&self) -> Vec<u64> {
-        let shard = self.next_shard.load(Ordering::Relaxed) % self.cfg.shards;
-        self.pools[shard].get()
+        self.item_pool.get()
     }
 
-    /// Aggregate buffer-pool traffic across all shard pools:
+    /// A recycled frame buffer, from the pool of the shard the next
+    /// enqueue will route to when it has one — the worker that decodes the
+    /// frame puts it back, so each pool reaches a steady state of its own.
+    /// When that pool is dry the others are asked before a buffer is
+    /// minted: on few cores a worker's time slice refills its own pool
+    /// while its neighbour's drains, and every buffer minted then stays
+    /// resident for good.
+    fn frame_buffer(&self) -> Vec<u8> {
+        let shards = self.pools.len();
+        let home = self.next_shard.load(Ordering::Relaxed) % shards;
+        (0..shards)
+            .find_map(|i| self.pools[(home + i) % shards].take())
+            .unwrap_or_else(|| self.pools[home].get())
+    }
+
+    /// Aggregate frame-buffer traffic across all shard pools:
     /// `(reuses, misses, discards)` so far.
     pub fn pool_stats(&self) -> (u64, u64, u64) {
         self.pools.iter().fold((0, 0, 0), |(r, m, d), p| {
@@ -681,7 +715,7 @@ impl Engine {
         })
     }
 
-    /// Per-shard buffer-pool traffic: `(reuses, misses, discards)` for
+    /// Per-shard frame-buffer traffic: `(reuses, misses, discards)` for
     /// each shard's pool, in shard order.
     pub fn shard_pool_stats(&self) -> Vec<(u64, u64, u64)> {
         self.pools
@@ -780,21 +814,47 @@ impl Engine {
     /// configured, and the batch rerouted. With durability enabled the
     /// batch is appended to the WAL (fsync'd per policy) *before* it is
     /// enqueued, so an acked batch is exactly as durable as the policy
-    /// promises.
+    /// promises. The batch is encoded once, into a pooled frame, and from
+    /// there shares [`Engine::ingest_frame`]'s path; the `Vec` goes back
+    /// to [`Engine::ingest_buffer`]'s pool.
     pub fn ingest(&self, batch: Vec<u64>) -> Result<(), ServiceError> {
+        self.ingest_items(batch, true)
+    }
+
+    /// [`Engine::ingest`] for a batch that is still the bytes a client
+    /// sent. Returns the outcome and a buffer for the caller's next frame:
+    /// a recycled one when this frame went onto a ring, the frame's own
+    /// when it did not.
+    pub fn ingest_frame(&self, frame: IngestFrame) -> (Result<(), ServiceError>, Vec<u8>) {
+        if frame.is_empty() {
+            return (Ok(()), frame.into_bytes());
+        }
+        match self.log_batch(&frame) {
+            Err(e) => (Err(e), frame.into_bytes()),
+            Ok(_pause) => (self.enqueue(frame, true), self.frame_buffer()),
+        }
+    }
+
+    /// What [`Engine::ingest`] and [`Engine::try_ingest`] share: encode,
+    /// log, enqueue.
+    fn ingest_items(&self, batch: Vec<u64>, blocking: bool) -> Result<(), ServiceError> {
         if batch.is_empty() {
             return Ok(());
         }
-        let _pause = self.log_batch(&batch)?;
-        self.enqueue(batch)
+        let frame = IngestFrame::encode(self.frame_buffer(), &batch);
+        self.item_pool.put(batch);
+        let _pause = self.log_batch(&frame)?;
+        self.enqueue(frame, blocking)
     }
 
-    /// The front half [`Engine::ingest`] and [`Engine::try_ingest`] share:
-    /// shed doomed work, then take the checkpoint pause lock for read and
-    /// log the batch (WAL, cube). The caller enqueues while still holding
-    /// the returned guard, so the append and the enqueue land on the same
-    /// side of any checkpoint cut.
-    fn log_batch(&self, batch: &[u64]) -> Result<Option<RwLockReadGuard<'_, ()>>, ServiceError> {
+    /// The front half of every ingest: shed doomed work, then take the
+    /// checkpoint pause lock for read and log the batch (WAL, cube). The
+    /// caller enqueues while still holding the returned guard, so the
+    /// append and the enqueue land on the same side of any checkpoint cut.
+    fn log_batch(
+        &self,
+        frame: &IngestFrame,
+    ) -> Result<Option<RwLockReadGuard<'_, ()>>, ServiceError> {
         if self.stopped.load(Ordering::Acquire) {
             return Err(ServiceError::Shutdown);
         }
@@ -808,33 +868,43 @@ impl Engine {
             });
         }
         let pause = self.durable.as_ref().map(|d| read(&d.pause));
-        self.record_and_append(batch)?;
+        match &self.cube {
+            None => self.append_durable(frame.payload())?,
+            // The fold reads items, so with the cube on this thread
+            // decodes too, into a buffer that goes straight back.
+            Some(cube) => {
+                let mut items = self.item_pool.get();
+                frame.decode_into(&mut items);
+                let recorded = self.record_and_append(cube, &items, frame.payload());
+                self.item_pool.put(items);
+                recorded?
+            }
+        }
         Ok(pause)
     }
 
-    /// The durable front half of ingest. With the cube enabled, the WAL
+    /// The durable front half of ingest with the cube enabled: the WAL
     /// append runs under the cube's order lock
     /// ([`SegmentCube::record_persisting`]) so the cube's seq counter
     /// tracks the WAL seq exactly; segments sealed by this batch are
     /// handed to the segment store, in seal order, before the batch is
-    /// enqueued. Without a cube this is a plain
-    /// [`Engine::append_durable`].
-    fn record_and_append(&self, batch: &[u64]) -> Result<(), ServiceError> {
-        match &self.cube {
-            Some(cube) => {
-                let out = cube.record_persisting(
-                    batch,
-                    || self.append_durable(batch),
-                    |out| self.persist_sealed(&out.sealed, &out.evicted),
-                )?;
-                if out.coarsened > 0 {
-                    self.telemetry
-                        .record_coarsen(out.coarsened, cube.health().max_tier);
-                }
-                Ok(())
-            }
-            None => self.append_durable(batch),
+    /// enqueued.
+    fn record_and_append(
+        &self,
+        cube: &SegmentCube,
+        items: &[u64],
+        payload: &[u8],
+    ) -> Result<(), ServiceError> {
+        let out = cube.record_persisting(
+            items,
+            || self.append_durable(payload),
+            |out| self.persist_sealed(&out.sealed, &out.evicted),
+        )?;
+        if out.coarsened > 0 {
+            self.telemetry
+                .record_coarsen(out.coarsened, cube.health().max_tier);
         }
+        Ok(())
     }
 
     /// Persist freshly sealed segments and delete evicted ones. No-op on
@@ -894,16 +964,17 @@ impl Engine {
     /// read, so the append and the subsequent enqueue land on the same
     /// side of any checkpoint cut.
     ///
-    /// The encode buffer comes from (and returns to) `wal_pool`, and the
-    /// batch is encoded in place from the borrowed slice, so the durable
-    /// hot path allocates nothing in steady state either.
-    fn append_durable(&self, batch: &[u64]) -> Result<(), ServiceError> {
+    /// `payload` is the batch as received ([`IngestFrame::payload`]) and
+    /// is logged verbatim: one copy into a record buffer that comes from
+    /// (and returns to) `wal_pool`, so the durable hot path neither
+    /// re-encodes nor allocates in steady state.
+    fn append_durable(&self, payload: &[u8]) -> Result<(), ServiceError> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
-        let mut payload = self.wal_pool.get();
-        encode_u64_slice_into(&mut payload, batch);
-        let outcome = d.group.append(&d.store, payload)?;
+        let mut record = self.wal_pool.get();
+        record.extend_from_slice(payload);
+        let outcome = d.group.append(&d.store, record)?;
         self.telemetry.record_wal_group(
             outcome.led.groups,
             outcome.led.records,
@@ -919,12 +990,14 @@ impl Engine {
         Ok(())
     }
 
-    /// The enqueue half of [`Engine::ingest`]: route to a live shard with
-    /// backpressure and dead-shard rerouting. Recovery replay calls this
+    /// The enqueue half of every ingest: route to a live shard, rerouting
+    /// off dead ones. A full ring blocks (backpressure) when `blocking`,
+    /// and otherwise counts the batch as dropped, recycles its buffer and
+    /// returns [`ServiceError::Backpressure`]. Recovery replay calls this
     /// directly (the records are already in the WAL).
-    fn enqueue(&self, batch: Vec<u64>) -> Result<(), ServiceError> {
+    fn enqueue(&self, frame: IngestFrame, blocking: bool) -> Result<(), ServiceError> {
         let shard_count = self.cfg.shards;
-        let mut batch = batch;
+        let mut msg = WorkerMsg::Batch(frame, Instant::now());
         let mut failures = 0usize;
         loop {
             if self.stopped.load(Ordering::Acquire) {
@@ -940,14 +1013,23 @@ impl Engine {
                 }
                 continue;
             }
-            match slot.ring.push(WorkerMsg::Batch(batch, Instant::now())) {
+            let pushed = match blocking {
+                true => slot.ring.push(msg).map_err(PushError::Closed),
+                false => slot.ring.try_push(msg),
+            };
+            match pushed {
                 Ok(()) => {
                     self.counters.batches.fetch_add(1, Ordering::Relaxed);
                     self.telemetry.queue_pushed(shard);
                     return Ok(());
                 }
-                Err(WorkerMsg::Batch(b, _)) => {
-                    batch = b;
+                Err(PushError::Full(WorkerMsg::Batch(frame, _))) => {
+                    self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+                    self.pools[shard].put(frame.into_bytes());
+                    return Err(ServiceError::Backpressure);
+                }
+                Err(PushError::Closed(refused)) => {
+                    msg = refused;
                     self.note_dead_shard(shard, slot.gen);
                     self.counters.retries.fetch_add(1, Ordering::Release);
                     failures += 1;
@@ -955,7 +1037,7 @@ impl Engine {
                         return Err(self.all_shards_lost());
                     }
                 }
-                Err(WorkerMsg::Flush(_)) => unreachable!("push hands back what it was given"),
+                Err(PushError::Full(_)) => unreachable!("a push hands back what it was given"),
             }
         }
     }
@@ -967,47 +1049,7 @@ impl Engine {
     /// for backpressure is still on disk and will be restored by the next
     /// recovery — the WAL acks writes, not queue admission.
     pub fn try_ingest(&self, batch: Vec<u64>) -> Result<(), ServiceError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let _pause = self.log_batch(&batch)?;
-        let shard_count = self.cfg.shards;
-        let mut batch = batch;
-        let mut attempts = 0usize;
-        while attempts < shard_count.saturating_mul(2) {
-            let table = self.table.load();
-            let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % shard_count;
-            let slot = &table.slots[shard];
-            if !slot.alive {
-                attempts += 1;
-                if self.all_shards_dead() {
-                    return Err(self.all_shards_lost());
-                }
-                continue;
-            }
-            match slot.ring.try_push(WorkerMsg::Batch(batch, Instant::now())) {
-                Ok(()) => {
-                    self.counters.batches.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.queue_pushed(shard);
-                    return Ok(());
-                }
-                Err(PushError::Full(WorkerMsg::Batch(b, _))) => {
-                    self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    // The caller handed the buffer over; recycle it into
-                    // the pool of the shard that rejected it.
-                    self.pools[shard].put(b);
-                    return Err(ServiceError::Backpressure);
-                }
-                Err(PushError::Closed(WorkerMsg::Batch(b, _))) => {
-                    batch = b;
-                    self.note_dead_shard(shard, slot.gen);
-                    self.counters.retries.fetch_add(1, Ordering::Release);
-                    attempts += 1;
-                }
-                Err(_) => unreachable!("try_push hands back what it was given"),
-            }
-        }
-        Err(self.all_shards_lost())
+        self.ingest_items(batch, false)
     }
 
     /// Total shard loss is the engine's fatal state: dump the flight
@@ -1569,7 +1611,7 @@ fn spawn_worker(
     counters: Arc<Counters>,
     batch_indices: Arc<Vec<AtomicU64>>,
     telemetry: Arc<EngineTelemetry>,
-    pool: Arc<BufferPool<u64>>,
+    pool: Arc<BufferPool<u8>>,
     audit: Arc<AuditPlane>,
     affinity: Arc<AffinityPlan>,
 ) -> std::io::Result<JoinHandle<()>> {
@@ -1586,6 +1628,8 @@ fn spawn_worker(
             };
             let mut delta = ShardSummary::new(&cfg, shard);
             let mut pending = 0usize;
+            // The one place a batch becomes items: this worker's scratch.
+            let mut items: Vec<u64> = Vec::new();
             let hand_off = |delta: &mut ShardSummary, pending: &mut usize| {
                 if *pending > 0 {
                     let full = std::mem::replace(delta, ShardSummary::new(&cfg, shard));
@@ -1595,7 +1639,7 @@ fn spawn_worker(
             };
             while let Some(msg) = ring.pop_wait() {
                 match msg {
-                    WorkerMsg::Batch(items, enqueued) => {
+                    WorkerMsg::Batch(frame, enqueued) => {
                         telemetry.queue_popped(shard);
                         telemetry.record_queue_wait(shard, enqueued.elapsed().as_micros() as u64);
                         let index = batch_indices[shard].fetch_add(1, Ordering::Relaxed);
@@ -1618,6 +1662,11 @@ fn spawn_worker(
                                 return;
                             }
                         }
+                        items.clear();
+                        frame.decode_into(&mut items);
+                        // The decoded frame's buffer goes back to the
+                        // pool for the next frame off a socket.
+                        pool.put(frame.into_bytes());
                         counters
                             .updates
                             .fetch_add(items.len() as u64, Ordering::Relaxed);
@@ -1630,9 +1679,6 @@ fn spawn_worker(
                         // hash-then-update kernel, other families through
                         // their (order-preserving) per-item loops.
                         let (_, micros) = timed(|| delta.update_batch(&items));
-                        // The absorbed batch buffer goes back to the pool
-                        // for the next ingest caller.
-                        pool.put(items);
                         telemetry.record_ingest_batch(shard, micros);
                         if pending >= cfg.delta_updates {
                             let handed = pending as u64;
@@ -2151,14 +2197,18 @@ mod tests {
         )
         .unwrap();
         let stop = Arc::new(AtomicBool::new(false));
+        // The writers start only once every reader has one read behind it:
+        // on a busy host they used to finish before a reader was scheduled.
+        let first_reads = Arc::new(std::sync::Barrier::new(3));
         let readers: Vec<_> = (0..2)
             .map(|_| {
                 let engine = Arc::clone(&engine);
                 let stop = Arc::clone(&stop);
+                let first_reads = Arc::clone(&first_reads);
                 std::thread::spawn(move || {
                     let mut prev = engine.metrics();
                     let mut reads = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    while reads == 0 || !stop.load(Ordering::Relaxed) {
                         let m = engine.metrics();
                         assert!(m.updates >= prev.updates, "updates went backwards");
                         assert!(m.batches >= prev.batches, "batches went backwards");
@@ -2169,11 +2219,15 @@ mod tests {
                         assert!(m.retries >= prev.retries);
                         prev = m;
                         reads += 1;
+                        if reads == 1 {
+                            first_reads.wait();
+                        }
                     }
                     reads
                 })
             })
             .collect();
+        first_reads.wait();
         let writers: Vec<_> = (0..4)
             .map(|_| {
                 let engine = Arc::clone(&engine);

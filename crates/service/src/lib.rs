@@ -50,10 +50,10 @@ pub use engine::{Engine, MetricsReport, RecoveryReport, Snapshot};
 pub use fault::{plan_fn, FaultAction, FaultPlan, NoFaults};
 pub use overload::{Admission, AdmitGuard, OpClass, OverloadConfig, ShedReason};
 pub use protocol::{
-    decode_request, decode_request_with, decode_traced_request, AccuracyAudit, ClusterInfo,
-    NodeInfo, NodeState, RangeAnswer, RangeMeta, Request, RequestEnvelope, Response, SegmentMeta,
-    SegmentReport, ThreadTrace, TraceDumpReport, TraceEventRecord, REQUEST_TAG, RESPONSE_TAG,
-    TRACED_REQUEST_TAG,
+    decode_incoming, decode_request, decode_traced_request, AccuracyAudit, ClusterInfo, Incoming,
+    IngestFrame, NodeInfo, NodeState, RangeAnswer, RangeMeta, Request, RequestEnvelope, Response,
+    SegmentMeta, SegmentReport, ThreadTrace, TraceDumpReport, TraceEventRecord, REQUEST_TAG,
+    RESPONSE_TAG, TRACED_REQUEST_TAG,
 };
 pub use server::{answer_query, answer_range, dispatch, Client, ClientOptions, Server, Service};
 pub use summary::{MergeLineage, ShardSummary};

@@ -7,7 +7,9 @@
 //! that the server converts into a [`Response::Error`] (and counts in
 //! `frames_rejected`) instead of killing the connection thread.
 
-use ms_core::wire::{decode_u64_slice_into, encode_frame_into};
+use ms_core::wire::{
+    check_u64_slice, decode_u64_slice_into, encode_frame_into, encode_u64_slice_into,
+};
 use ms_core::{ServiceError, Wire, WireError, WireFrame, WireReader};
 use ms_obs::RegistrySnapshot;
 
@@ -123,7 +125,7 @@ impl Request {
     pub fn opcode(&self) -> u8 {
         match self {
             Request::Ping => 0,
-            Request::Ingest(_) => 1,
+            Request::Ingest(_) => INGEST_OPCODE,
             Request::Flush => 2,
             Request::Point(_) => 3,
             Request::HeavyHitters(_) => 4,
@@ -173,55 +175,157 @@ pub struct RequestEnvelope {
 /// is rejected, and all forms enforce no-trailing-bytes like
 /// [`decode_request`].
 pub fn decode_traced_request(frame: &WireFrame) -> Result<(Request, RequestEnvelope), WireError> {
-    decode_request_with(frame.tag, &frame.payload, Vec::new)
+    let mut r = WireReader::new(&frame.payload);
+    let envelope = RequestEnvelope::decode_from(frame.tag, &mut r)?;
+    Ok((Request::decode(&frame.payload[r.pos()..])?, envelope))
 }
 
-/// [`decode_traced_request`] on a borrowed payload, with the items of an
-/// [`Request::Ingest`] decoded into the buffer `ingest_buffer` supplies
-/// (called at most once, only for an ingest). The server passes its
-/// service's recycled buffers here, so the `Vec` a shard worker hands
-/// back is the one the next frame fills.
-pub fn decode_request_with(
-    tag: u8,
-    payload: &[u8],
-    ingest_buffer: impl FnOnce() -> Vec<u64>,
-) -> Result<(Request, RequestEnvelope), WireError> {
-    let mut r = WireReader::new(payload);
-    let envelope = match tag {
-        REQUEST_TAG => RequestEnvelope::default(),
-        TRACED_REQUEST_TAG => {
-            // Trace ids are never 0, so a leading 0 is the deadline
-            // layout's sentinel; otherwise the first varint IS the id.
-            let first = u64::decode_from(&mut r)?;
-            let trace_id = match first {
-                0 => u64::decode_from(&mut r)?,
-                id => id,
-            };
-            let parent_span = u64::decode_from(&mut r)?;
-            RequestEnvelope {
-                ctx: (trace_id != 0).then_some(TraceContext {
-                    trace_id,
-                    parent_span,
-                }),
-                deadline_micros: match first {
-                    0 => Some(u64::decode_from(&mut r)?),
-                    _ => None,
-                },
-            }
+/// The opcode of [`Request::Ingest`], the one request a server keeps as
+/// bytes.
+const INGEST_OPCODE: u8 = 1;
+
+/// An ingest batch as the bytes that arrived, checked once: from
+/// `items_at` to its end the buffer holds exactly one encoded `[u64]`
+/// (varint count, then varint items) that [`decode_u64_slice_into`]
+/// accepts. Canonical encoding is not required — the decoder's accept set
+/// is the contract. The WAL logs [`IngestFrame::payload`] verbatim, a
+/// shard ring carries the frame itself, a coordinator forwards the payload
+/// under its own envelope; only the shard worker (and the segment cube)
+/// ever turns it into items.
+#[derive(Debug)]
+pub struct IngestFrame {
+    bytes: Vec<u8>,
+    items_at: usize,
+    len: usize,
+}
+
+impl IngestFrame {
+    /// Validate `bytes[items_at..]` and, only if it is one whole batch,
+    /// take the buffer (an empty `Vec` is left in its place).
+    pub fn parse(bytes: &mut Vec<u8>, items_at: usize) -> Result<IngestFrame, WireError> {
+        let mut r = WireReader::new(bytes.get(items_at..).ok_or(WireError::Truncated)?);
+        let len = check_u64_slice(&mut r)?;
+        r.finish()?;
+        Ok(IngestFrame {
+            bytes: std::mem::take(bytes),
+            items_at,
+            len,
+        })
+    }
+
+    /// The frame of `items`, written over whatever `bytes` held.
+    pub fn encode(mut bytes: Vec<u8>, items: &[u64]) -> IngestFrame {
+        bytes.clear();
+        encode_u64_slice_into(&mut bytes, items);
+        IngestFrame {
+            bytes,
+            items_at: 0,
+            len: items.len(),
         }
-        other => return Err(WireError::BadTag(other)),
+    }
+
+    /// The encoded batch: a WAL record's payload, and what follows the
+    /// opcode in a [`Request::Ingest`].
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[self.items_at..]
+    }
+
+    /// Items in the batch.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for a batch of no items.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Append the items to `out`.
+    pub fn decode_into(&self, out: &mut Vec<u64>) {
+        decode_u64_slice_into(&mut WireReader::new(self.payload()), out)
+            .expect("an IngestFrame holds a payload the decoder accepts");
+    }
+
+    /// Give the buffer up for reuse.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
+    }
+}
+
+/// What a server reads off a request frame: an ingest stays bytes, every
+/// other request is decoded.
+#[derive(Debug)]
+pub enum Incoming {
+    /// A validated [`Request::Ingest`], holding the connection's buffer.
+    Ingest(IngestFrame),
+    /// Any other request.
+    Request(Request),
+}
+
+impl Incoming {
+    /// The wire opcode (see [`Request::opcode`]).
+    pub fn opcode(&self) -> u8 {
+        match self {
+            Incoming::Ingest(_) => INGEST_OPCODE,
+            Incoming::Request(request) => request.opcode(),
+        }
+    }
+}
+
+/// [`decode_traced_request`] as the connection loop runs it, on the
+/// buffer the frame was read into: an ingest payload is validated, not
+/// decoded, and leaves inside the [`IngestFrame`] (`payload` is then
+/// empty); anything else decodes as usual and `payload` stays put.
+pub fn decode_incoming(
+    tag: u8,
+    payload: &mut Vec<u8>,
+) -> Result<(Incoming, RequestEnvelope), WireError> {
+    let mut r = WireReader::new(payload);
+    let envelope = RequestEnvelope::decode_from(tag, &mut r)?;
+    let at = r.pos();
+    let incoming = if payload.get(at) == Some(&INGEST_OPCODE) {
+        Incoming::Ingest(IngestFrame::parse(payload, at + 1)?)
+    } else {
+        Incoming::Request(Request::decode(&payload[at..])?)
     };
-    let request = Request::decode_with(&mut r, ingest_buffer)?;
-    r.finish()?;
-    Ok((request, envelope))
+    Ok((incoming, envelope))
 }
 
 impl RequestEnvelope {
+    /// Read the envelope a frame tagged `tag` opens with, leaving `r` at
+    /// the request. The only reader of envelope bytes.
+    fn decode_from(tag: u8, r: &mut WireReader<'_>) -> Result<RequestEnvelope, WireError> {
+        match tag {
+            REQUEST_TAG => Ok(RequestEnvelope::default()),
+            TRACED_REQUEST_TAG => {
+                // Trace ids are never 0, so a leading 0 is the deadline
+                // layout's sentinel; otherwise the first varint IS the id.
+                let first = u64::decode_from(r)?;
+                let trace_id = match first {
+                    0 => u64::decode_from(r)?,
+                    id => id,
+                };
+                let parent_span = u64::decode_from(r)?;
+                Ok(RequestEnvelope {
+                    ctx: (trace_id != 0).then_some(TraceContext {
+                        trace_id,
+                        parent_span,
+                    }),
+                    deadline_micros: match first {
+                        0 => Some(u64::decode_from(r)?),
+                        _ => None,
+                    },
+                })
+            }
+            other => Err(WireError::BadTag(other)),
+        }
+    }
+
     /// Append one complete request frame to `out`: the header, this
     /// envelope's prefix ([`TRACED_REQUEST_TAG`]'s layouts; none at all,
     /// under a plain [`REQUEST_TAG`], when the envelope is empty), then
     /// whatever `request` writes — a [`Request`] encoding. The only
-    /// writer of envelope bytes, beside the only reader above.
+    /// writer of envelope bytes.
     pub fn encode_frame_into(&self, out: &mut Vec<u8>, request: impl FnOnce(&mut Vec<u8>)) {
         let tag = match (self.ctx, self.deadline_micros) {
             (None, None) => REQUEST_TAG,
@@ -247,7 +351,7 @@ impl Wire for Request {
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(self.opcode());
         match self {
-            Request::Ingest(items) => items.encode_into(out),
+            Request::Ingest(items) => encode_u64_slice_into(out, items),
             Request::Point(item) => item.encode_into(out),
             Request::HeavyHitters(phi) | Request::Quantile(phi) => phi.encode_into(out),
             Request::Rank(x) => x.encode_into(out),
@@ -279,21 +383,10 @@ impl Wire for Request {
     }
 
     fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        Self::decode_with(r, Vec::new)
-    }
-}
-
-impl Request {
-    /// [`Wire::decode_from`], with an ingest's items appended to the
-    /// (empty) buffer `ingest_buffer` hands over.
-    fn decode_with(
-        r: &mut WireReader<'_>,
-        ingest_buffer: impl FnOnce() -> Vec<u64>,
-    ) -> std::result::Result<Self, WireError> {
         Ok(match r.byte()? {
             0 => Request::Ping,
-            1 => {
-                let mut items = ingest_buffer();
+            INGEST_OPCODE => {
+                let mut items = Vec::new();
                 decode_u64_slice_into(r, &mut items)?;
                 Request::Ingest(items)
             }
@@ -1012,14 +1105,8 @@ mod tests {
     }
 
     #[test]
-    fn an_ingest_decodes_into_the_buffer_it_is_handed() {
+    fn an_incoming_ingest_keeps_the_buffer_it_arrived_in() {
         let request = Request::Ingest(vec![1, 2, 3, u64::MAX]);
-        let recycled = || {
-            let mut buf = Vec::with_capacity(64);
-            buf.extend([9, 9]); // a buffer comes cleared; the decode must not rely on it
-            buf.clear();
-            buf
-        };
         for envelope in [
             RequestEnvelope::default(),
             RequestEnvelope {
@@ -1030,21 +1117,69 @@ mod tests {
             let mut bytes = Vec::new();
             envelope.encode_frame_into(&mut bytes, |out| request.encode_into(out));
             let frame = WireFrame::from_bytes(&bytes).unwrap();
-            let (decoded, seen) = decode_request_with(frame.tag, &frame.payload, recycled).unwrap();
-            assert_eq!((&decoded, seen), (&request, envelope));
-            let Request::Ingest(items) = decoded else {
-                unreachable!()
+            let mut payload = frame.payload.clone();
+            let arrived_at = payload.as_ptr();
+            let (incoming, seen) = decode_incoming(frame.tag, &mut payload).unwrap();
+            assert_eq!(seen, envelope);
+            assert_eq!(incoming.opcode(), request.opcode());
+            let Incoming::Ingest(ingest) = incoming else {
+                panic!("an ingest must stay a frame")
             };
-            assert_eq!(items.capacity(), 64, "the handed buffer, not a fresh Vec");
+            assert!(payload.is_empty(), "the frame took the buffer");
+            assert_eq!(ingest.len(), 4);
+            // The payload is the request's bytes past envelope and opcode,
+            // untouched and unmoved: what the WAL logs and a node is sent.
+            assert_eq!(ingest.payload(), &vec![1u64, 2, 3, u64::MAX].encode()[..]);
+            let mut items = vec![9];
+            ingest.decode_into(&mut items);
+            assert_eq!(items, [9, 1, 2, 3, u64::MAX]);
+            let bytes = ingest.into_bytes();
+            assert_eq!(bytes.as_ptr(), arrived_at);
+            // Both readers see the same request.
             assert_eq!(
                 decode_traced_request(&frame).unwrap(),
                 (request.clone(), envelope)
             );
         }
-        // No other opcode asks for a buffer.
-        let ping = WireFrame::from_value(REQUEST_TAG, &Request::Ping);
-        let no_buffer = || panic!("only an ingest takes a buffer");
-        assert!(decode_request_with(ping.tag, &ping.payload, no_buffer).is_ok());
+        // Every other opcode decodes, and leaves the buffer where it was.
+        let mut ping = Request::Ping.encode();
+        let (incoming, _) = decode_incoming(REQUEST_TAG, &mut ping).unwrap();
+        assert!(matches!(incoming, Incoming::Request(Request::Ping)));
+        assert_eq!(ping, Request::Ping.encode());
+    }
+
+    #[test]
+    fn a_malformed_incoming_ingest_is_rejected_like_a_decoded_one() {
+        let good = Request::Ingest(vec![5, 300, u64::MAX]).encode();
+        let mut damaged: Vec<Vec<u8>> = (1..good.len()).map(|cut| good[..cut].to_vec()).collect();
+        damaged.push([&good[..], &[0][..]].concat()); // trailing byte
+        damaged.push(vec![
+            1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02,
+        ]);
+        damaged.push(vec![1, 0xff, 0xff, 0xff, 0x7f, 1]); // length past the buffer
+        for bytes in damaged {
+            let frame = WireFrame {
+                tag: REQUEST_TAG,
+                payload: bytes.clone(),
+            };
+            let mut payload = bytes.clone();
+            assert_eq!(
+                decode_incoming(REQUEST_TAG, &mut payload).unwrap_err(),
+                decode_traced_request(&frame).unwrap_err(),
+                "{bytes:02x?}"
+            );
+            assert_eq!(payload, bytes, "a rejected frame leaves the buffer behind");
+        }
+        // Legal but not canonical (an overlong zero) is accepted as it is.
+        let mut overlong = vec![1, 2, 0x80, 0x00, 7];
+        let (incoming, _) = decode_incoming(REQUEST_TAG, &mut overlong).unwrap();
+        let Incoming::Ingest(ingest) = incoming else {
+            panic!("an ingest must stay a frame")
+        };
+        assert_eq!(ingest.payload(), [2, 0x80, 0x00, 7]);
+        let mut items = Vec::new();
+        ingest.decode_into(&mut items);
+        assert_eq!(items, [0, 7]);
     }
 
     #[test]

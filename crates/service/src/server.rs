@@ -28,8 +28,8 @@ use crate::deadline;
 use crate::engine::{Engine, MetricsReport};
 use crate::overload::{Admission, AdmitGuard};
 use crate::protocol::{
-    decode_request_with, AccuracyAudit, RangeAnswer, RangeMeta, Request, RequestEnvelope, Response,
-    SegmentReport, TraceDumpReport, RESPONSE_TAG,
+    decode_incoming, AccuracyAudit, Incoming, IngestFrame, RangeAnswer, RangeMeta, Request,
+    RequestEnvelope, Response, SegmentReport, TraceDumpReport, RESPONSE_TAG,
 };
 use crate::summary::ShardSummary;
 use crate::telemetry::{timed, EngineTelemetry};
@@ -43,6 +43,12 @@ use crate::tracectx::{self, TraceContext, FIELD_PARENT, FIELD_SPAN, FIELD_TRACE}
 pub trait Service: Send + Sync + 'static {
     /// Serve one decoded request.
     fn handle(&self, request: Request) -> Response;
+
+    /// Serve one ingest that is still the bytes it arrived as. Returns the
+    /// reply and the buffer the connection reads its next frame into: a
+    /// service that keeps the frame hands back a recycled buffer, one that
+    /// only looked at it hands back the frame's own.
+    fn ingest_frame(&self, frame: IngestFrame) -> (Response, Vec<u8>);
 
     /// The telemetry plane (per-opcode latency, byte counters).
     fn telemetry(&self) -> &Arc<EngineTelemetry>;
@@ -62,13 +68,6 @@ pub trait Service: Send + Sync + 'static {
     fn admission(&self) -> Option<&Arc<Admission>> {
         None
     }
-
-    /// The buffer the connection loop decodes the next
-    /// [`Request::Ingest`] into. A service that recycles its batch
-    /// buffers hands one back here; the default is a fresh `Vec`.
-    fn ingest_buffer(&self) -> Vec<u64> {
-        Vec::new()
-    }
 }
 
 impl Service for Engine {
@@ -80,8 +79,10 @@ impl Service for Engine {
         Some(Engine::admission(self))
     }
 
-    fn ingest_buffer(&self) -> Vec<u64> {
-        Engine::ingest_buffer(self)
+    fn ingest_frame(&self, frame: IngestFrame) -> (Response, Vec<u8>) {
+        note_ingest_admitted(self);
+        let (outcome, next) = Engine::ingest_frame(self, frame);
+        (outcome.map_or_else(Into::into, |()| Response::Ok), next)
     }
 
     fn telemetry(&self) -> &Arc<EngineTelemetry> {
@@ -235,7 +236,8 @@ fn serve_connection(mut stream: TcpStream, service: Arc<dyn Service>) {
     let conn_inflight = Arc::new(AtomicU64::new(0));
     // One request-payload buffer and one reply scratch for the life of the
     // connection: past the largest frame seen, a request allocates nothing
-    // here (an ingest's items land in the service's own recycled buffer).
+    // here. An ingest takes `payload` away inside its frame, and the
+    // service hands a buffer back for the next read.
     let mut payload = Vec::new();
     let mut reply = Vec::new();
     let mut respond = |stream: &mut TcpStream, response: &Response| {
@@ -265,9 +267,9 @@ fn serve_connection(mut stream: TcpStream, service: Arc<dyn Service>) {
         telemetry.add_bytes_in((FRAME_HEADER_LEN + payload.len()) as u64);
         // The frame itself was well-formed; a payload that fails to decode
         // is a protocol error worth answering, and the connection lives on.
-        let response = match decode_request_with(tag, &payload, || service.ingest_buffer()) {
-            Ok((request, envelope)) => {
-                let opcode = request.opcode();
+        let response = match decode_incoming(tag, &mut payload) {
+            Ok((incoming, envelope)) => {
+                let opcode = incoming.opcode();
                 // Untraced (plain `REQUEST_TAG`) frames root a fresh
                 // trace here, so every request belongs to exactly one
                 // trace whether or not the caller propagates context.
@@ -278,7 +280,12 @@ fn serve_connection(mut stream: TcpStream, service: Arc<dyn Service>) {
                     .deadline_micros
                     .map(|micros| Instant::now() + Duration::from_micros(micros));
                 match admit(&service, opcode, &envelope, &conn_inflight) {
-                    Err(shed) => shed,
+                    Err(shed) => {
+                        if let Incoming::Ingest(frame) = incoming {
+                            payload = frame.into_bytes();
+                        }
+                        shed
+                    }
                     Ok(_guard) => {
                         let span_id = telemetry.next_span(ctx);
                         let mut span = trace_ring.span("request");
@@ -293,9 +300,17 @@ fn serve_connection(mut stream: TcpStream, service: Arc<dyn Service>) {
                             trace_id: ctx.trace_id,
                             parent_span: span_id,
                         };
+                        let serve = || match incoming {
+                            Incoming::Request(request) => service.handle(request),
+                            Incoming::Ingest(frame) => {
+                                let (response, next) = service.ingest_frame(frame);
+                                payload = next;
+                                response
+                            }
+                        };
                         let (response, micros) = timed(|| {
                             deadline::with_deadline(abs_deadline, || {
-                                tracectx::with_current(child, || service.handle(request))
+                                tracectx::with_current(child, serve)
                             })
                         });
                         drop(span);
@@ -362,15 +377,7 @@ pub fn dispatch(engine: &Engine, request: Request) -> Response {
     match request {
         Request::Ping => Response::Ok,
         Request::Ingest(items) => {
-            // The engine's own ring notes the admission under the live
-            // trace; worker/compactor spans for the same data then sit in
-            // the same dump as this event's trace id.
-            if let Some(ctx) = tracectx::current() {
-                engine.telemetry().event(
-                    "ingest_admit",
-                    &[(FIELD_TRACE, ctx.trace_id), (FIELD_PARENT, ctx.parent_span)],
-                );
-            }
+            note_ingest_admitted(engine);
             engine
                 .ingest(items)
                 .map_or_else(Into::into, |()| Response::Ok)
@@ -407,6 +414,18 @@ pub fn dispatch(engine: &Engine, request: Request) -> Response {
             .map_or_else(Into::into, Response::Segments),
         Request::TraceDump => Response::Trace(engine.trace_dump()),
         Request::AccuracyReport => Response::Accuracy(engine.accuracy_audit()),
+    }
+}
+
+/// The engine's own ring notes an ingest's admission under the live
+/// trace; worker/compactor spans for the same data then sit in the same
+/// dump as this event's trace id.
+fn note_ingest_admitted(engine: &Engine) {
+    if let Some(ctx) = tracectx::current() {
+        engine.telemetry().event(
+            "ingest_admit",
+            &[(FIELD_TRACE, ctx.trace_id), (FIELD_PARENT, ctx.parent_span)],
+        );
     }
 }
 
@@ -769,9 +788,29 @@ impl Client {
         envelope: RequestEnvelope,
         items: &[u64],
     ) -> Result<(), ServiceError> {
+        self.send_ingest(envelope, |out| encode_u64_slice_into(out, items))
+    }
+
+    /// [`Client::ingest_slice_enveloped`] for a batch that is already
+    /// encoded: the frame's payload is copied behind the opcode as it is,
+    /// so a coordinator forwards a batch without decoding it.
+    pub fn ingest_frame_enveloped(
+        &mut self,
+        envelope: RequestEnvelope,
+        frame: &IngestFrame,
+    ) -> Result<(), ServiceError> {
+        self.send_ingest(envelope, |out| out.extend_from_slice(frame.payload()))
+    }
+
+    /// Send one [`Request::Ingest`] whose encoded batch `batch` writes.
+    fn send_ingest(
+        &mut self,
+        envelope: RequestEnvelope,
+        batch: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), ServiceError> {
         let response = self.send(envelope, false, |out| {
             out.push(Request::Ingest(Vec::new()).opcode());
-            encode_u64_slice_into(out, items);
+            batch(out);
         })?;
         match response {
             Response::Ok => Ok(()),

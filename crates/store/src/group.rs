@@ -53,6 +53,9 @@ pub struct LedStats {
 struct GroupState {
     /// Payloads queued for the next group, in ticket order.
     queue: Vec<Vec<u8>>,
+    /// The emptied vector of the last group appended: the leader swaps it
+    /// in for `queue`, so draining a group allocates nothing.
+    spare: Vec<Vec<u8>>,
     /// A leader is currently appending.
     leader: bool,
     /// Tickets handed out (== payloads ever submitted).
@@ -86,6 +89,7 @@ impl GroupCommit {
         GroupCommit {
             state: Mutex::new(GroupState {
                 queue: Vec::new(),
+                spare: Vec::new(),
                 leader: false,
                 submitted: 0,
                 completed: 0,
@@ -137,11 +141,12 @@ impl GroupCommit {
         st.leader = true;
         let mut led = LedStats::default();
         loop {
-            let group = std::mem::take(&mut st.queue);
-            if group.is_empty() {
+            if st.queue.is_empty() {
                 st.leader = false;
                 break;
             }
+            let spare = std::mem::take(&mut st.spare);
+            let mut group = std::mem::replace(&mut st.queue, spare);
             drop(st);
             let appended = {
                 let mut store = store.lock().unwrap_or_else(|e| e.into_inner());
@@ -159,11 +164,11 @@ impl GroupCommit {
                     led.bytes += g.bytes;
                     led.fsyncs += u64::from(g.synced);
                     self.done.notify_all();
-                    if let Some(recycle) = &self.recycle {
-                        for buf in group {
-                            recycle(buf);
-                        }
+                    match &self.recycle {
+                        Some(recycle) => group.drain(..).for_each(recycle),
+                        None => group.clear(),
                     }
+                    st.spare = group;
                 }
                 Err(e) => {
                     st.failed = Some((e.kind(), e.to_string()));
