@@ -21,7 +21,10 @@
 //! their 256-bit bodies: flat adds and compares are load/store-bound, so
 //! wider lanes buy nothing here. The tier exists for the ALU-bound hash
 //! kernels in `ms-sketches::batch`, where 8 × u64 lanes, native 64-bit
-//! multiplies and mask registers pay off.
+//! multiplies and mask registers pay off, and for the keep-parity merge
+//! behind the quantile summaries' same-weight merge
+//! ([`merge_keep_parity_u64`]), a bitonic network built from 64-bit
+//! unsigned min/max and compress, which only AVX-512 has.
 //!
 //! The kernels deliberately operate on raw slices rather than summary
 //! types: the summary crates stage their work into fixed-width lane
@@ -226,7 +229,80 @@ pub fn count_gt(values: &[u64], s: u64) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// x86_64 AVX2 variants
+// merge_keep_parity: the §4.1 same-weight merge of two sorted buffers
+// ---------------------------------------------------------------------------
+
+/// How many of `total` merged positions `offset, offset + 2, …` keeps.
+fn kept_len(total: usize, offset: usize) -> usize {
+    total.saturating_sub(offset).div_ceil(2)
+}
+
+/// Positions `offset, offset + 2, …` (`offset` is 0 or 1) of the stable
+/// two-way merge of the sorted `a` and `b` (ties taken from `a`),
+/// appended to `out` without materialising the merge: the dropped parity
+/// is compared and stepped over, never copied.
+///
+/// Generic over the point type: it is the same-weight merge of every
+/// point type without a kernel of its own, the scalar reference of the
+/// `u64` kernels, and their tail.
+pub fn merge_keep_parity_into<T: Ord + Clone>(a: &[T], b: &[T], offset: usize, out: &mut Vec<T>) {
+    debug_assert!(offset < 2, "offset {offset} is not a parity");
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let from_a = a[i] <= b[j];
+        if (i + j) & 1 == offset {
+            out.push(if from_a { a[i].clone() } else { b[j].clone() });
+        }
+        i += usize::from(from_a);
+        j += usize::from(!from_a);
+    }
+    // One input is exhausted; the other's tail is the rest of the merge.
+    let tail = if i < a.len() { &a[i..] } else { &b[j..] };
+    let skip = ((i + j) & 1) ^ offset;
+    out.extend(tail.iter().skip(skip).step_by(2).cloned());
+}
+
+/// Scalar reference: positions `offset, offset + 2, …` of the sorted
+/// multiset `a ∪ b` of two sorted `u64` slices.
+pub fn merge_keep_parity_u64_scalar(a: &[u64], b: &[u64], offset: usize) -> Vec<u64> {
+    assert!(offset < 2, "offset {offset} is not a parity");
+    let mut out = Vec::with_capacity(kept_len(a.len() + b.len(), offset));
+    merge_keep_parity_into(a, b, offset, &mut out);
+    out
+}
+
+/// True when `isa` has a vector keep-parity merge. AVX2 has none: it
+/// lacks 64-bit unsigned min/max and compress, so every compare-exchange
+/// of the network costs a sign-biased compare and two blends, and the
+/// same network four lanes wide measured only 1.39× the scalar loop
+/// (DESIGN.md §3a″), below the 1.5× a kernel must clear to ship.
+pub fn has_merge_kernel(isa: Isa) -> bool {
+    cfg!(target_arch = "x86_64") && isa == Isa::Avx512
+}
+
+/// Keep-parity merge of two sorted `u64` slices using the given ISA.
+///
+/// Equal `u64`s are indistinguishable, so every correct merge returns the
+/// same vector: the kernel's output is the scalar reference's, whatever
+/// order its network takes ties in.
+pub fn merge_keep_parity_u64_with(isa: Isa, a: &[u64], b: &[u64], offset: usize) -> Vec<u64> {
+    assert!(offset < 2, "offset {offset} is not a parity");
+    match isa {
+        // SAFETY: `Isa::Avx512` is only ever detected (or listed by
+        // `supported_isas`) on hosts with AVX-512 F, all the kernel needs.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { x86::merge_keep_parity_avx512(a, b, offset) },
+        _ => merge_keep_parity_u64_scalar(a, b, offset),
+    }
+}
+
+/// Keep-parity merge of two sorted `u64` slices on the host-detected ISA.
+pub fn merge_keep_parity_u64(a: &[u64], b: &[u64], offset: usize) -> Vec<u64> {
+    merge_keep_parity_u64_with(active_isa(), a, b, offset)
+}
+
+// ---------------------------------------------------------------------------
+// x86_64 AVX2 and AVX-512 variants
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -342,6 +418,103 @@ mod x86 {
         }
         count
     }
+
+    /// Sorts a bitonic 8-lane vector ascending: half-cleaners at lane
+    /// distances 4, 2 and 1, each a swap permute, a min, and a max
+    /// written only into the upper lane of every pair.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512 F is available.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn bitonic_sort8(v: __m512i) -> __m512i {
+        let p = _mm512_shuffle_i64x2::<0b01_00_11_10>(v, v);
+        let v = _mm512_mask_max_epu64(_mm512_min_epu64(v, p), 0xF0, v, p);
+        let p = _mm512_shuffle_i64x2::<0b10_11_00_01>(v, v);
+        let v = _mm512_mask_max_epu64(_mm512_min_epu64(v, p), 0xCC, v, p);
+        let p = _mm512_shuffle_epi32::<0b01_00_11_10>(v);
+        _mm512_mask_max_epu64(_mm512_min_epu64(v, p), 0xAA, v, p)
+    }
+
+    /// Keep-parity merge: an 8 × 8 bitonic merge network carries the
+    /// upper eight of every step and loads the next eight lanes from
+    /// whichever input has the smaller head, so at most eight loaded
+    /// values can exceed an unloaded one and the lower eight are final.
+    /// Output blocks start at multiples of 8, so one fixed compress mask
+    /// keeps the wanted parity of each; a scalar tail merges the carry
+    /// with what is left of both inputs.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512 F is available and `offset < 2`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn merge_keep_parity_avx512(a: &[u64], b: &[u64], offset: usize) -> Vec<u64> {
+        let mut out = Vec::with_capacity(super::kept_len(a.len() + b.len(), offset));
+        if a.len() < 8 || b.len() < 8 {
+            super::merge_keep_parity_into(a, b, offset, &mut out);
+            return out;
+        }
+        let keep: __mmask8 = if offset == 0 { 0x55 } else { 0xAA };
+        let reverse = _mm512_set_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        let (mut i, mut j) = (8, 8);
+        // SAFETY: both inputs hold at least eight values (checked above).
+        let mut hi = _mm512_loadu_si512(ap as *const __m512i);
+        let mut next = _mm512_loadu_si512(bp as *const __m512i);
+        let mut blocks = 0;
+        loop {
+            // Ascending `hi` against descending `next` is a bitonic 16:
+            // one min/max splits it into the lower and upper eight.
+            let rev = _mm512_permutexvar_epi64(reverse, next);
+            let lo = bitonic_sort8(_mm512_min_epu64(hi, rev));
+            hi = bitonic_sort8(_mm512_max_epu64(hi, rev));
+            let kept = _mm512_maskz_compress_epi64(keep, lo);
+            // SAFETY: block `blocks` is merged positions
+            // `8·blocks .. 8·blocks + 8`, all below `a.len() + b.len()`,
+            // so its four kept ones are output slots `4·blocks ..
+            // 4·blocks + 4`, inside the capacity reserved above.
+            _mm256_storeu_si256(
+                out.as_mut_ptr().add(4 * blocks) as *mut __m256i,
+                _mm512_castsi512_si256(kept),
+            );
+            blocks += 1;
+            if i + 8 > a.len() || j + 8 > b.len() {
+                break;
+            }
+            // SAFETY: `i + 8 <= a.len()` and `j + 8 <= b.len()` (checked
+            // above), so both heads and the chosen eight lanes are in
+            // bounds.
+            let from_a = *ap.add(i) <= *bp.add(j);
+            let src = if from_a { ap.add(i) } else { bp.add(j) };
+            next = _mm512_loadu_si512(src as *const __m512i);
+            i += 8 * usize::from(from_a);
+            j += 8 * usize::from(!from_a);
+        }
+        // SAFETY: the loop initialised exactly the first `4·blocks` slots.
+        out.set_len(4 * blocks);
+
+        // Tail: the carry, then every value not yet loaded. One input has
+        // fewer than eight left; merge it into the carry, then the other.
+        let mut carry = [0u64; 8];
+        // SAFETY: `carry` is eight `u64`s, one unaligned 512-bit store.
+        _mm512_storeu_si512(carry.as_mut_ptr() as *mut __m512i, hi);
+        let (short, long) = if a.len() - i < 8 {
+            (&a[i..], &b[j..])
+        } else {
+            (&b[j..], &a[i..])
+        };
+        let mut head = [0u64; 15];
+        let (mut x, mut y) = (0, 0);
+        for slot in &mut head[..8 + short.len()] {
+            let from_carry = y == short.len() || (x < 8 && carry[x] <= short[y]);
+            *slot = if from_carry { carry[x] } else { short[y] };
+            x += usize::from(from_carry);
+            y += usize::from(!from_carry);
+        }
+        // Every block covered an even number of positions, so the tail's
+        // first position has the parity of the whole merge's first.
+        super::merge_keep_parity_into(&head[..8 + short.len()], long, offset, &mut out);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -412,6 +585,103 @@ mod tests {
                     assert_eq!(a, b, "seed {seed:#x} s {s} isa {isa:?}");
                 }
             }
+        }
+    }
+
+    /// Sort-then-step: the keep-parity merge by its definition, with no
+    /// merge loop in it.
+    fn keep_parity_reference(a: &[u64], b: &[u64], offset: usize) -> Vec<u64> {
+        let mut all = [a, b].concat();
+        all.sort_unstable();
+        all.into_iter().skip(offset).step_by(2).collect()
+    }
+
+    /// `len` sorted values below `universe` (any `u64` when `None`).
+    fn sorted_side(rng: &mut Rng64, len: usize, universe: Option<u64>) -> Vec<u64> {
+        let mut v: Vec<u64> = (0..len)
+            .map(|_| match universe {
+                Some(u) => rng.below(u),
+                None => rng.next_u64(),
+            })
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Both offsets, the scalar reference and every tier this host runs,
+    /// against sort-then-step.
+    fn check_keep_parity(a: &[u64], b: &[u64], what: &str) {
+        for offset in [0, 1] {
+            let want = keep_parity_reference(a, b, offset);
+            let got = merge_keep_parity_u64_scalar(a, b, offset);
+            assert_eq!(got, want, "{what} offset {offset} scalar");
+            for isa in supported_isas() {
+                let got = merge_keep_parity_u64_with(isa, a, b, offset);
+                assert_eq!(got, want, "{what} offset {offset} isa {isa:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn keep_parity_every_length_pair_around_the_vector_width() {
+        let mut rng = Rng64::new(0x3E26_E001);
+        for la in 0..=20 {
+            for lb in 0..=20 {
+                // A universe of 4 is long runs of ties; `None` has none.
+                for universe in [Some(4), None] {
+                    let a = sorted_side(&mut rng, la, universe);
+                    let b = sorted_side(&mut rng, lb, universe);
+                    check_keep_parity(&a, &b, &format!("{la}+{lb} universe {universe:?}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keep_parity_buffer_sized_and_random_lengths() {
+        let mut rng = Rng64::new(0x3E26_E002);
+        for (la, lb) in [(921, 921), (921, 460), (460, 921), (1, 921), (921, 1)] {
+            for universe in [Some(4), Some(1 << 20), None] {
+                let a = sorted_side(&mut rng, la, universe);
+                let b = sorted_side(&mut rng, lb, universe);
+                check_keep_parity(&a, &b, &format!("{la}+{lb} universe {universe:?}"));
+            }
+        }
+        for case in 0..200 {
+            let (la, lb) = (rng.below_usize(300), rng.below_usize(300));
+            let universe = [Some(2), Some(50), None][case % 3];
+            let a = sorted_side(&mut rng, la, universe);
+            let b = sorted_side(&mut rng, lb, universe);
+            check_keep_parity(&a, &b, &format!("case {case}: {la}+{lb}"));
+        }
+    }
+
+    #[test]
+    fn keep_parity_extremes_ties_and_disjoint_ranges() {
+        let mut rng = Rng64::new(0x3E26_E003);
+        // Values at both ends of the range, where a signed compare would
+        // order them wrongly.
+        for (la, lb) in [(9, 9), (24, 17), (921, 921)] {
+            let mut edged = |len: usize| {
+                let mut v = sorted_side(&mut rng, len, None);
+                v[..3].fill(0);
+                let n = v.len();
+                v[n - 3..].fill(u64::MAX);
+                v
+            };
+            let (a, b) = (edged(la), edged(lb));
+            check_keep_parity(&a, &b, &format!("0 and MAX, {la}+{lb}"));
+        }
+        for v in [0, 7, u64::MAX] {
+            for (la, lb) in [(8, 8), (37, 29), (921, 921)] {
+                check_keep_parity(&vec![v; la], &vec![v; lb], &format!("all {v}, {la}+{lb}"));
+            }
+        }
+        for (la, lb) in [(16, 16), (100, 37), (921, 921)] {
+            let low: Vec<u64> = (0..la as u64).collect();
+            let high: Vec<u64> = (0..lb as u64).map(|v| u64::MAX - lb as u64 + v).collect();
+            check_keep_parity(&low, &high, &format!("low then high, {la}+{lb}"));
+            check_keep_parity(&high, &low, &format!("high then low, {lb}+{la}"));
         }
     }
 

@@ -9,8 +9,39 @@
 //! which is what makes whole merge trees behave like random walks rather
 //! than accumulating worst cases.
 
+use ms_core::simd;
 use ms_core::wire::{Wire, WireError, WireReader};
 use ms_core::Rng64;
+
+/// A point a [`SortedBuffer`] can hold: ordered, cloneable, and able to
+/// run the §4.1 keep-parity merge. The default method is the generic
+/// stable merge loop (ties taken from `a`); `u64` overrides it with the
+/// dispatched SIMD kernel, which returns the same vector because equal
+/// `u64`s are indistinguishable. A point type whose ties carry a payload
+/// must keep the default, since only the loop fixes which input a tie
+/// comes from. Every primitive integer implements it; any other `Ord +
+/// Clone` point opts in with an empty `impl`.
+pub trait MergePoint: Ord + Clone {
+    /// Positions `offset, offset + 2, …` (`offset` is 0 or 1) of the
+    /// sorted merge of the sorted `a` and `b`.
+    fn merge_keep_parity(a: &[Self], b: &[Self], offset: usize) -> Vec<Self> {
+        let mut out = Vec::with_capacity((a.len() + b.len()).div_ceil(2));
+        simd::merge_keep_parity_into(a, b, offset, &mut out);
+        out
+    }
+}
+
+impl MergePoint for u64 {
+    fn merge_keep_parity(a: &[u64], b: &[u64], offset: usize) -> Vec<u64> {
+        simd::merge_keep_parity_u64(a, b, offset)
+    }
+}
+
+macro_rules! generic_merge_points {
+    ($($t:ty),*) => { $(impl MergePoint for $t {})* };
+}
+
+generic_merge_points!(u8, u16, u32, u128, usize, i8, i16, i32, i64, i128, isize);
 
 /// A sorted buffer of points sharing one weight (the weight itself lives in
 /// the hierarchy; buffers only know their points).
@@ -81,7 +112,9 @@ impl<T: Ord + Clone> SortedBuffer<T> {
     pub fn map<U: Ord + Clone>(&self, f: impl Fn(&T) -> U) -> SortedBuffer<U> {
         SortedBuffer::from_sorted(self.points.iter().map(f).collect())
     }
+}
 
+impl<T: MergePoint> SortedBuffer<T> {
     /// The same-weight merge: merge-sort both buffers' points and keep the
     /// positions of one parity, chosen by a fair coin. Both inputs must
     /// hold points of equal weight `w`; the output's points represent
@@ -94,31 +127,9 @@ impl<T: Ord + Clone> SortedBuffer<T> {
     ) -> SortedBuffer<T> {
         let offset = usize::from(rng.coin());
         SortedBuffer {
-            points: merge_keep_parity(&a.points, &b.points, offset),
+            points: T::merge_keep_parity(&a.points, &b.points, offset),
         }
     }
-}
-
-/// Positions `offset, offset + 2, …` of the stable two-way merge of `a`
-/// and `b` (ties taken from `a`), without materialising the merge: the
-/// dropped parity is compared and stepped over, never copied.
-fn merge_keep_parity<T: Ord + Clone>(a: &[T], b: &[T], offset: usize) -> Vec<T> {
-    let total = a.len() + b.len();
-    let mut out = Vec::with_capacity(total.saturating_sub(offset).div_ceil(2));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let from_a = a[i] <= b[j];
-        if (i + j) & 1 == offset {
-            out.push(if from_a { a[i].clone() } else { b[j].clone() });
-        }
-        i += usize::from(from_a);
-        j += usize::from(!from_a);
-    }
-    // One input is exhausted; the other's tail is the rest of the merge.
-    let tail = if i < a.len() { &a[i..] } else { &b[j..] };
-    let skip = ((i + j) & 1) ^ offset;
-    out.extend(tail.iter().skip(skip).step_by(2).cloned());
-    out
 }
 
 #[cfg(test)]
@@ -126,7 +137,8 @@ mod tests {
     use super::*;
 
     /// Reference: the standard stable two-way merge (ties from `a`) that
-    /// `merge_keep_parity` must agree with on every kept position.
+    /// [`MergePoint::merge_keep_parity`] must agree with on every kept
+    /// position.
     fn merge_sorted<T: Ord>(a: Vec<T>, b: Vec<T>) -> Vec<T> {
         let mut out = Vec::with_capacity(a.len() + b.len());
         let mut ia = a.into_iter().peekable();
@@ -272,7 +284,7 @@ mod tests {
                         let want: Vec<u64> =
                             merged.iter().skip(offset).step_by(2).copied().collect();
                         assert_eq!(
-                            merge_keep_parity(&a, &b, offset),
+                            u64::merge_keep_parity(&a, &b, offset),
                             want,
                             "{la}+{lb} offset {offset}"
                         );

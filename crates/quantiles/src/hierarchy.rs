@@ -11,7 +11,7 @@
 use ms_core::wire::{Wire, WireError, WireReader};
 use ms_core::Rng64;
 
-use crate::buffer::SortedBuffer;
+use crate::buffer::{MergePoint, SortedBuffer};
 
 /// A stack of at-most-one-buffer-per-level, carrying upward on collision.
 #[derive(Debug, Clone)]
@@ -35,7 +35,7 @@ impl<T: Wire + Ord> Wire for BufferHierarchy<T> {
     }
 }
 
-impl<T: Ord + Clone> BufferHierarchy<T> {
+impl<T: MergePoint> BufferHierarchy<T> {
     /// Empty hierarchy.
     pub fn new() -> Self {
         BufferHierarchy { levels: Vec::new() }
@@ -151,7 +151,7 @@ impl<T: Ord + Clone> BufferHierarchy<T> {
     }
 }
 
-impl<T: Ord + Clone> Default for BufferHierarchy<T> {
+impl<T: MergePoint> Default for BufferHierarchy<T> {
     fn default() -> Self {
         Self::new()
     }

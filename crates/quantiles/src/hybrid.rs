@@ -26,7 +26,7 @@ use ms_core::error::ensure_same_capacity;
 use ms_core::wire::{Wire, WireError, WireReader};
 use ms_core::{MergeError, Mergeable, Result, Rng64, Summary};
 
-use crate::buffer::SortedBuffer;
+use crate::buffer::{MergePoint, SortedBuffer};
 use crate::hierarchy::BufferHierarchy;
 use crate::known_n::weighted_quantile;
 use crate::RankSummary;
@@ -114,7 +114,7 @@ impl<T: Wire + Ord> Wire for HybridQuantile<T> {
     }
 }
 
-impl<T: Ord + Clone> HybridQuantile<T> {
+impl<T: MergePoint> HybridQuantile<T> {
     /// Create a summary with rank-error target `ε·n` (w.h.p.), seeded for
     /// reproducible sampling and merge coins.
     ///
@@ -303,7 +303,14 @@ impl<T: Ord + Clone> HybridQuantile<T> {
         self.hierarchy.absorb(other.hierarchy, &mut self.rng);
         self.enforce_level_cap();
         for rep in std::mem::take(&mut other.base) {
-            self.push_representative(rep);
+            // `other`'s representatives weigh `target`. Once the cap above,
+            // or a flush in this loop, has doubled `self.w` they are partial
+            // blocks of the coarser base, not whole representatives.
+            if self.w == target {
+                self.push_representative(rep);
+            } else {
+                self.absorb_block(rep, target);
+            }
         }
         if let Some(candidate) = other.block_candidate.take() {
             self.absorb_block(candidate, other.block_count);
@@ -357,7 +364,7 @@ impl<T: Ord + Clone> HybridQuantile<T> {
     }
 }
 
-impl<T: Ord + Clone + ms_core::ToJson> ms_core::ToJson for HybridQuantile<T> {
+impl<T: MergePoint + ms_core::ToJson> ms_core::ToJson for HybridQuantile<T> {
     fn to_json(&self) -> ms_core::Json {
         use ms_core::Json;
         Json::obj([
@@ -389,7 +396,7 @@ impl<T: Ord + Clone + ms_core::ToJson> ms_core::ToJson for HybridQuantile<T> {
     }
 }
 
-impl<T: Ord + Clone> RankSummary<T> for HybridQuantile<T> {
+impl<T: MergePoint> RankSummary<T> for HybridQuantile<T> {
     fn insert(&mut self, value: T) {
         self.n += 1;
         self.absorb_block(value, 1);
@@ -422,7 +429,7 @@ impl<T: Ord + Clone> RankSummary<T> for HybridQuantile<T> {
     }
 }
 
-impl<T: Ord + Clone> Summary for HybridQuantile<T> {
+impl<T: MergePoint> Summary for HybridQuantile<T> {
     fn total_weight(&self) -> u64 {
         self.n
     }
@@ -434,7 +441,7 @@ impl<T: Ord + Clone> Summary for HybridQuantile<T> {
     }
 }
 
-impl<T: Ord + Clone> Mergeable for HybridQuantile<T> {
+impl<T: MergePoint> Mergeable for HybridQuantile<T> {
     fn merge(mut self, other: Self) -> Result<Self> {
         self.merge_from(other)?;
         Ok(self)
@@ -492,6 +499,28 @@ mod tests {
             "stored weight {total} vs n {} (slack {slack})",
             q.count()
         );
+    }
+
+    /// Every flushed buffer holds exactly `m` points, so merging two
+    /// summaries must store exactly their combined `n` — including when
+    /// the merge doubles the base weight while `other`'s pending base
+    /// representatives (weighing the pre-doubling weight) are still to
+    /// be added. Two 262,144- or 470,000-item sides double it (and used to
+    /// store 580 and 290 too many); two 40,000-item sides do not.
+    #[test]
+    fn merge_stores_exactly_n_across_a_weight_doubling() {
+        for (n, doubles) in [(262_144usize, true), (470_000, true), (40_000, false)] {
+            let values = ValueDist::Uniform.generate(2 * n, 11);
+            let mut q = HybridQuantile::new(0.01, 1);
+            q.insert_batch(&values[..n]);
+            let mut other = HybridQuantile::new(0.01, 2);
+            other.insert_batch(&values[n..]);
+            let w = q.base_weight();
+            q.merge_from(other).unwrap();
+            assert_eq!(q.base_weight() > w, doubles, "n = {n}");
+            let stored: u64 = q.weighted_points().iter().map(|&(_, w)| w).sum();
+            assert_eq!(stored, q.count(), "n = {n}");
+        }
     }
 
     #[test]

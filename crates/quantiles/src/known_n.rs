@@ -17,7 +17,7 @@ use ms_core::error::ensure_same_capacity;
 use ms_core::wire::{Wire, WireError, WireReader};
 use ms_core::{MergeError, Mergeable, Result, Rng64, Summary};
 
-use crate::buffer::SortedBuffer;
+use crate::buffer::{MergePoint, SortedBuffer};
 use crate::hierarchy::BufferHierarchy;
 use crate::RankSummary;
 
@@ -73,7 +73,7 @@ fn buffer_size(epsilon: f64, n_max: u64) -> usize {
     (m.ceil() as usize).max(8)
 }
 
-impl<T: Ord + Clone> KnownNQuantile<T> {
+impl<T: MergePoint> KnownNQuantile<T> {
     /// Create a summary with rank-error target `ε·n` (w.h.p.) for streams
     /// of up to roughly `n_max` total values, seeded for reproducible
     /// merge coins. `n_max` sizes the buffers (more data → more hierarchy
@@ -121,7 +121,7 @@ impl<T: Ord + Clone> KnownNQuantile<T> {
     }
 }
 
-impl<T: Ord + Clone> RankSummary<T> for KnownNQuantile<T> {
+impl<T: MergePoint> RankSummary<T> for KnownNQuantile<T> {
     fn insert(&mut self, value: T) {
         self.n += 1;
         self.base.push(value);
@@ -146,7 +146,7 @@ impl<T: Ord + Clone> RankSummary<T> for KnownNQuantile<T> {
     }
 }
 
-impl<T: Ord + Clone> Summary for KnownNQuantile<T> {
+impl<T: MergePoint> Summary for KnownNQuantile<T> {
     fn total_weight(&self) -> u64 {
         self.n
     }
@@ -156,7 +156,7 @@ impl<T: Ord + Clone> Summary for KnownNQuantile<T> {
     }
 }
 
-impl<T: Ord + Clone> Mergeable for KnownNQuantile<T> {
+impl<T: MergePoint> Mergeable for KnownNQuantile<T> {
     fn merge(mut self, other: Self) -> Result<Self> {
         if (self.epsilon - other.epsilon).abs() > f64::EPSILON {
             return Err(MergeError::EpsilonMismatch {

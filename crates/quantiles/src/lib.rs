@@ -36,7 +36,7 @@ pub mod hybrid;
 pub mod known_n;
 pub mod sampling;
 
-pub use buffer::SortedBuffer;
+pub use buffer::{MergePoint, SortedBuffer};
 pub use gk::GkSummary;
 pub use hybrid::HybridQuantile;
 pub use known_n::KnownNQuantile;

@@ -6,7 +6,7 @@ use std::cmp::Ordering;
 
 use ms_core::{Mergeable, Rng64, Summary, Wire};
 use ms_quantiles::{
-    BottomKSample, GkSummary, HybridQuantile, KnownNQuantile, RankSummary, SortedBuffer,
+    BottomKSample, GkSummary, HybridQuantile, KnownNQuantile, MergePoint, RankSummary, SortedBuffer,
 };
 
 const CASES: u64 = 96;
@@ -192,6 +192,8 @@ impl Ord for Tagged {
         self.key.cmp(&other.key)
     }
 }
+/// Ties carry a payload, so `Tagged` keeps the default (stable) merge.
+impl MergePoint for Tagged {}
 
 /// The textbook form of §4.1: a stable merge-sort of both inputs (ties
 /// from `a`), then every second position from `offset`.

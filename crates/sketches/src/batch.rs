@@ -64,6 +64,31 @@ pub fn row_buckets_with(isa: Isa, h: &PairwiseHash, width: usize, xs: &[u64], ou
     }
 }
 
+/// `e % width` for every `e < 2⁶¹` in `es`, through the given ISA's
+/// vector remainder step alone (scalar `%` elsewhere): the step whose
+/// exactness rests on the magic multiplier's error bound. Every value
+/// goes through the vector body; the last lane group is padded.
+#[cfg(test)]
+fn rem_width_with(isa: Isa, width: u64, es: &[u64]) -> Vec<u64> {
+    #[cfg(target_arch = "x86_64")]
+    if (2..=MAX_KERNEL_WIDTH as u64).contains(&width) && matches!(isa, Isa::Avx2 | Isa::Avx512) {
+        let mut padded = es.to_vec();
+        padded.resize(es.len().div_ceil(8) * 8, 0);
+        let mut out = vec![0; padded.len()];
+        match isa {
+            // SAFETY: `Isa::Avx512` is listed by `supported_isas` only on
+            // hosts with AVX-512 F+DQ; the width is in range and `padded`
+            // is a whole number of lane groups.
+            Isa::Avx512 => unsafe { avx512::rem_width_avx512(width, &padded, &mut out) },
+            // SAFETY: as above, for AVX2 and groups of four.
+            _ => unsafe { avx2::rem_width_avx2(width, &padded, &mut out) },
+        }
+        out.truncate(es.len());
+        return out;
+    }
+    es.iter().map(|e| e % width).collect()
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::MERSENNE_P;
@@ -139,17 +164,63 @@ mod avx2 {
         );
         let mut e = cond_sub(red, k.pv, k.pm1);
         e = cond_sub(_mm256_add_epi64(e, k.a0v), k.pv, k.pm1);
-        // e % width: q̂ = mulhi(e, magic) is floor(e/width) or one less;
-        // a single conditional subtract makes the remainder exact.
+        let r = rem_width(k, e);
+        // Each remainder fits u32: gather the even dwords.
+        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(r, k.pack))
+    }
+
+    /// `e % width` for `e < 2⁶¹`: q̂ = mulhi(e, magic) is floor(e/width)
+    /// or one less; a single conditional subtract makes the remainder
+    /// exact.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn rem_width(k: &RowConsts, e: __m256i) -> __m256i {
         let (_, q) = mul_wide(e, k.mv);
         // low 64 bits of q · width, width < 2³² so two muls suffice.
         let qw = _mm256_add_epi64(
             _mm256_mul_epu32(q, k.wv),
             _mm256_slli_epi64(_mm256_mul_epu32(_mm256_srli_epi64(q, 32), k.wv), 32),
         );
-        let r = cond_sub(_mm256_sub_epi64(e, qw), k.wv, k.wm1);
-        // Each remainder fits u32: gather the even dwords.
-        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(r, k.pack))
+        cond_sub(_mm256_sub_epi64(e, qw), k.wv, k.wm1)
+    }
+
+    impl RowConsts {
+        /// # Safety
+        /// AVX2 must be available; `2 <= width <= u32::MAX`.
+        #[target_feature(enable = "avx2")]
+        unsafe fn new(a0: u64, a1: u64, width: u64) -> Self {
+            debug_assert!((2..=MASK32).contains(&width));
+            let magic = ((1u128 << 64) / width as u128) as u64;
+            RowConsts {
+                pv: _mm256_set1_epi64x(MERSENNE_P as i64),
+                pm1: _mm256_set1_epi64x((MERSENNE_P - 1) as i64),
+                a0v: _mm256_set1_epi64x(a0 as i64),
+                a1v: _mm256_set1_epi64x(a1 as i64),
+                wv: _mm256_set1_epi64x(width as i64),
+                wm1: _mm256_set1_epi64x((width - 1) as i64),
+                mv: _mm256_set1_epi64x(magic as i64),
+                pack: _mm256_set_epi32(0, 0, 0, 0, 6, 4, 2, 0),
+            }
+        }
+    }
+
+    /// `out[i] = es[i] % width` through [`rem_width`] alone, four lanes
+    /// at a time.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `2 <= width <= u32::MAX`; every
+    /// `e < 2⁶¹`; `es.len()` is a multiple of 4 and `out` as long.
+    #[cfg(test)]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn rem_width_avx2(width: u64, es: &[u64], out: &mut [u64]) {
+        let k = RowConsts::new(0, 0, width);
+        for (e, r) in es.chunks_exact(4).zip(out.chunks_exact_mut(4)) {
+            let e = _mm256_loadu_si256(e.as_ptr() as *const __m256i);
+            _mm256_storeu_si256(r.as_mut_ptr() as *mut __m256i, rem_width(&k, e));
+        }
     }
 
     /// Affine Mersenne hash + exact magic-multiply `% width` over a slice.
@@ -163,18 +234,7 @@ mod avx2 {
     /// AVX2 must be available; `2 <= width <= u32::MAX`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn row_buckets_avx2(a0: u64, a1: u64, width: u64, xs: &[u64], out: &mut [u32]) {
-        debug_assert!((2..=MASK32).contains(&width));
-        let magic = ((1u128 << 64) / width as u128) as u64;
-        let k = RowConsts {
-            pv: _mm256_set1_epi64x(MERSENNE_P as i64),
-            pm1: _mm256_set1_epi64x((MERSENNE_P - 1) as i64),
-            a0v: _mm256_set1_epi64x(a0 as i64),
-            a1v: _mm256_set1_epi64x(a1 as i64),
-            wv: _mm256_set1_epi64x(width as i64),
-            wm1: _mm256_set1_epi64x((width - 1) as i64),
-            mv: _mm256_set1_epi64x(magic as i64),
-            pack: _mm256_set_epi32(0, 0, 0, 0, 6, 4, 2, 0),
-        };
+        let k = RowConsts::new(a0, a1, width);
         let n = xs.len().min(out.len());
         let mut i = 0;
         while i + 16 <= n {
@@ -278,12 +338,55 @@ mod avx512 {
             _mm512_or_si512(_mm512_srli_epi64(lo, 61), _mm512_slli_epi64(hi, 3)),
         );
         let e = cond_sub(_mm512_add_epi64(cond_sub(red, k.pv), k.a0v), k.pv);
-        // e % width: q̂ = mulhi(e, magic) is floor(e/width) or one less
-        // (e < 2⁶¹, magic ≤ 2⁶³); one conditional subtract makes it exact.
-        let q = mulhi_narrow(e, _mm512_srli_epi64(e, 32), k.mv, k.mh);
-        let r = cond_sub(_mm512_sub_epi64(e, _mm512_mullo_epi64(q, k.wv)), k.wv);
         // Remainders fit u32: truncating vpmovqd pack.
-        _mm512_cvtepi64_epi32(r)
+        _mm512_cvtepi64_epi32(rem_width(k, e))
+    }
+
+    /// `e % width`: q̂ = mulhi(e, magic) is floor(e/width) or one less
+    /// (e < 2⁶¹, magic ≤ 2⁶³); one conditional subtract makes it exact.
+    ///
+    /// # Safety
+    /// AVX-512 F+DQ must be available.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn rem_width(k: &RowConsts, e: __m512i) -> __m512i {
+        let q = mulhi_narrow(e, _mm512_srli_epi64(e, 32), k.mv, k.mh);
+        cond_sub(_mm512_sub_epi64(e, _mm512_mullo_epi64(q, k.wv)), k.wv)
+    }
+
+    impl RowConsts {
+        /// # Safety
+        /// AVX-512 F must be available; `2 <= width <= u32::MAX`.
+        #[target_feature(enable = "avx512f")]
+        unsafe fn new(a0: u64, a1: u64, width: u64) -> Self {
+            debug_assert!((2..=MASK32).contains(&width));
+            let magic = ((1u128 << 64) / width as u128) as u64;
+            RowConsts {
+                pv: _mm512_set1_epi64(MERSENNE_P as i64),
+                a0v: _mm512_set1_epi64(a0 as i64),
+                a1v: _mm512_set1_epi64(a1 as i64),
+                a1h: _mm512_set1_epi64((a1 >> 32) as i64),
+                wv: _mm512_set1_epi64(width as i64),
+                mv: _mm512_set1_epi64(magic as i64),
+                mh: _mm512_set1_epi64((magic >> 32) as i64),
+            }
+        }
+    }
+
+    /// `out[i] = es[i] % width` through [`rem_width`] alone, eight lanes
+    /// at a time.
+    ///
+    /// # Safety
+    /// AVX-512 F+DQ must be available; `2 <= width <= u32::MAX`; every
+    /// `e < 2⁶¹`; `es.len()` is a multiple of 8 and `out` as long.
+    #[cfg(test)]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub unsafe fn rem_width_avx512(width: u64, es: &[u64], out: &mut [u64]) {
+        let k = RowConsts::new(0, 0, width);
+        for (e, r) in es.chunks_exact(8).zip(out.chunks_exact_mut(8)) {
+            let e = _mm512_loadu_si512(e.as_ptr() as *const __m512i);
+            _mm512_storeu_si512(r.as_mut_ptr() as *mut __m512i, rem_width(&k, e));
+        }
     }
 
     /// Eight-lane affine Mersenne hash + exact magic-multiply `% width`,
@@ -293,17 +396,7 @@ mod avx512 {
     /// AVX-512 F+DQ must be available; `2 <= width <= u32::MAX`.
     #[target_feature(enable = "avx512f,avx512dq")]
     pub unsafe fn row_buckets_avx512(a0: u64, a1: u64, width: u64, xs: &[u64], out: &mut [u32]) {
-        debug_assert!((2..=MASK32).contains(&width));
-        let magic = ((1u128 << 64) / width as u128) as u64;
-        let k = RowConsts {
-            pv: _mm512_set1_epi64(MERSENNE_P as i64),
-            a0v: _mm512_set1_epi64(a0 as i64),
-            a1v: _mm512_set1_epi64(a1 as i64),
-            a1h: _mm512_set1_epi64((a1 >> 32) as i64),
-            wv: _mm512_set1_epi64(width as i64),
-            mv: _mm512_set1_epi64(magic as i64),
-            mh: _mm512_set1_epi64((magic >> 32) as i64),
-        };
+        let k = RowConsts::new(a0, a1, width);
         let n = xs.len().min(out.len());
         let mut i = 0;
         while i + 16 <= n {
@@ -386,6 +479,32 @@ mod tests {
                 let mut got = vec![0u32; xs.len()];
                 row_buckets_with(isa, &h, width, &xs, &mut got);
                 assert_eq!(want, got, "width {width} isa {isa:?}");
+            }
+        }
+    }
+
+    /// The vector `e % width` at the edges the magic multiplier's proof
+    /// is about: `k·w − 1`, `k·w`, `k·w + 1` for `k` near 0 and near
+    /// `⌊(2⁶¹ − 1)/w⌋`, and `e = 2⁶¹ − 1`, for the smallest widths, the
+    /// Count-Min widths in use, and the largest ones a `u32` holds.
+    #[test]
+    fn remainder_step_is_exact_at_every_width_edge() {
+        const E_MAX: u64 = (1 << 61) - 1;
+        for width in [2u64, 3, 272, 2719, (1 << 31) - 1, u32::MAX as u64] {
+            let top = E_MAX / width;
+            let mut es = vec![E_MAX];
+            for k in [0, 1, 2, 3, top - 2, top - 1, top, top + 1] {
+                for d in [-1i64, 0, 1] {
+                    es.extend((k * width).checked_add_signed(d).filter(|&e| e <= E_MAX));
+                }
+            }
+            let want: Vec<u64> = es.iter().map(|e| e % width).collect();
+            for isa in supported_isas() {
+                assert_eq!(
+                    rem_width_with(isa, width, &es),
+                    want,
+                    "width {width} isa {isa:?}"
+                );
             }
         }
     }

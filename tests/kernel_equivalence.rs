@@ -12,6 +12,7 @@
 
 use mergeable_summaries::core::simd::{self, Isa};
 use mergeable_summaries::core::{ItemSummary, Wire};
+use mergeable_summaries::quantiles::{HybridQuantile, RankSummary};
 use mergeable_summaries::service::{
     ManualClock, SegmentConfig, SegmentCube, ServiceConfig, ShardSummary, SummaryKind,
 };
@@ -309,6 +310,66 @@ fn slice_kernels_scalar_vs_dispatched_bit_identical() {
                 );
             }
         }
+    }
+}
+
+/// FNV-1a over an encoding: a digest that pins bytes across commits.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
+/// `segments` hybrid summaries of 32 Ki items each (the ledger's Zipf
+/// stream, the cube's ε = 0.01 geometry, the `read-write` segment size)
+/// folded the way `SegmentCube::query` folds a covering run: the first
+/// one, then `merge_from` each of the rest in order.
+fn segment_fold(segments: usize) -> HybridQuantile<u64> {
+    const SEGMENT_ITEMS: usize = 32_768;
+    let items = StreamKind::Zipf {
+        s: 1.1,
+        universe: 1 << 20,
+    }
+    .generate(segments * SEGMENT_ITEMS, 0x5E6_0001);
+    let mut parts = items.chunks(SEGMENT_ITEMS).enumerate().map(|(i, chunk)| {
+        let mut q = HybridQuantile::new(0.01, 100 + i as u64);
+        q.insert_batch(chunk);
+        q
+    });
+    let mut acc = parts.next().expect("at least one segment");
+    for part in parts {
+        acc.merge_from(part).expect("same geometry");
+    }
+    acc
+}
+
+/// A range read's fold, pinned to its encoded bytes on whichever merge
+/// kernel the host dispatches to (CI also runs this file under
+/// `MS_FORCE_SCALAR=1`). The 8-segment digest predates the vector merge
+/// kernel and stays at base weight 1; the 64-segment fold doubles the
+/// base weight three times and is pinned with every representative
+/// stored at its own weight — its stored weight is exactly `n`.
+#[test]
+fn segment_folds_reproduce_their_pinned_bytes() {
+    for (segments, len, want, w) in [
+        (8usize, 6_961usize, 0x2A9F_6A32_F580_E23Cu64, 1u64),
+        (64, 6_991, 0x00D2_36A0_9A22_4D8E, 8),
+    ] {
+        let folded = segment_fold(segments);
+        let bytes = folded.encode();
+        assert_eq!(
+            (bytes.len(), digest(&bytes)),
+            (len, want),
+            "{segments} segments on {:?}",
+            simd::active_isa()
+        );
+        assert_eq!(folded.base_weight(), w, "{segments} segments");
+        // Every stream value is below 2^20, so this is the stored weight.
+        assert_eq!(
+            folded.rank(&u64::MAX),
+            folded.count(),
+            "{segments} segments"
+        );
     }
 }
 
