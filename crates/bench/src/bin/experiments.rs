@@ -1054,7 +1054,6 @@ fn e10_cluster_bytes() {
 fn e12_service_scaling() {
     use ms_core::{ToJson, Wire};
     use ms_service::{Engine, ServiceConfig, SummaryKind};
-    use std::time::Instant;
 
     let n = 1 << 20;
     let eps = 0.01;
@@ -1075,7 +1074,6 @@ fn e12_service_scaling() {
         ),
         &[
             "shards",
-            "updates/sec",
             "merges",
             "epochs",
             "max error",
@@ -1091,12 +1089,10 @@ fn e12_service_scaling() {
             .delta_updates(16_384)
             .seed(7);
         let engine = Engine::start(cfg).unwrap();
-        let start = Instant::now();
         for chunk in items.chunks(4_096) {
             engine.ingest(chunk.to_vec()).unwrap();
         }
         let snapshot = engine.shutdown();
-        let secs = start.elapsed().as_secs_f64();
         let m = engine.metrics();
         let max_err = oracle
             .iter()
@@ -1105,7 +1101,6 @@ fn e12_service_scaling() {
             .unwrap_or(0);
         table.row(vec![
             shards.to_string(),
-            fmt(n as f64 / secs),
             m.merges.to_string(),
             m.epoch.to_string(),
             max_err.to_string(),

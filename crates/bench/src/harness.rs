@@ -1,7 +1,7 @@
 //! Self-contained micro-benchmark harness.
 //!
-//! The `benches/` targets are ordinary `harness = false` binaries built on
-//! this module: each registers closures with a [`Suite`], which warms up,
+//! The `cpu_kernels` bench (a `harness = false` binary) is built on this
+//! module: it registers closures with a [`Suite`], which warms up,
 //! calibrates an iteration count against a wall-clock budget, measures,
 //! and prints an aligned table of ns/iter plus throughput.
 //!
@@ -9,7 +9,7 @@
 //!
 //! * `MS_BENCH_MS` — measurement budget per benchmark in milliseconds
 //!   (default 200). `MS_BENCH_MS=1` makes a full bench run finish in
-//!   seconds, which is how `cargo test` exercises these targets.
+//!   seconds, for a quick smoke run of `cargo bench`.
 
 use std::time::{Duration, Instant};
 

@@ -1,4 +1,4 @@
-//! Shared harness for the experiment binary and the micro-benches:
+//! Shared harness for the experiment binary and the CPU-kernel bench:
 //! markdown table rendering, machine-readable result records, and a
 //! self-contained timing harness (see [`harness`]).
 

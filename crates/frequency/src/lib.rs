@@ -12,7 +12,8 @@
 //!   counter from every counter, discard non-positive counters.
 //! * [`SpaceSavingSummary`] — the SpaceSaving summary with `k` counters.
 //!   Estimates **overestimate** by at most the minimum counter (streaming),
-//!   and merging reduces to the MG merge through the isomorphism below.
+//!   and merging reduces to the MG merge through the isomorphism below: a
+//!   merged SpaceSaving summary holds an [`MgSummary`] and runs its code.
 //! * [`isomorphism`] — Lemma 1 of the paper: after the same input stream,
 //!   the SpaceSaving summary with `k+1` counters equals the MG summary with
 //!   `k` counters plus `(n − n̂)/(k+1)` added to every counter (and one

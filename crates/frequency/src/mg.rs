@@ -70,21 +70,28 @@ impl<I: Wire + Eq + Hash> Wire for MgSummary<I> {
         if k == 0 {
             return Err(WireError::Malformed("MG capacity must be >= 1"));
         }
-        let counters: FxHashMap<I, u64> = Wire::decode_from(r)?;
-        if counters.len() > k {
-            return Err(WireError::Malformed("MG stores more than k counters"));
-        }
+        let counters = Wire::decode_from(r)?;
         let n = u64::decode_from(r)?;
-        if counters.values().sum::<u64>() > n {
-            return Err(WireError::Malformed("MG stored weight exceeds n"));
-        }
-        Ok(MgSummary {
-            k,
-            counters,
-            n,
-            scratch: Vec::new(),
-        })
+        MgSummary::from_decoded(k, counters, n)
     }
+}
+
+/// (internal) The stored weight `n̂` of a decoded counter table, refusing
+/// what no encoder writes: a zero counter, or counters whose sum
+/// overflows. Shared with the SpaceSaving codec.
+pub(crate) fn checked_stored_weight<I>(
+    counters: &FxHashMap<I, u64>,
+) -> std::result::Result<u64, WireError> {
+    let mut sum = 0u64;
+    for &c in counters.values() {
+        if c == 0 {
+            return Err(WireError::Malformed("zero counter"));
+        }
+        sum = sum
+            .checked_add(c)
+            .ok_or(WireError::Malformed("counter sum overflows u64"))?;
+    }
+    Ok(sum)
 }
 
 impl<I: ToJson> ToJson for MgSummary<I> {
@@ -102,6 +109,44 @@ impl<I: ToJson> ToJson for MgSummary<I> {
             ),
             ("n", Json::U64(self.n)),
         ])
+    }
+}
+
+impl<I> MgSummary<I> {
+    /// (internal) Build directly from parts — used by the SpaceSaving
+    /// conversion, which must preserve `n` while supplying pruned counters.
+    pub(crate) fn from_parts(k: usize, counters: FxHashMap<I, u64>, n: u64) -> Self {
+        debug_assert!(counters.len() <= k);
+        debug_assert!(counters.values().all(|&c| c > 0));
+        MgSummary {
+            k,
+            counters,
+            n,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// (internal) Build from decoded parts, refusing what no encoder
+    /// writes: more than `k` counters, a zero counter, or stored weight
+    /// above `n`. A merged-form SpaceSaving summary decodes through here.
+    pub(crate) fn from_decoded(
+        k: usize,
+        counters: FxHashMap<I, u64>,
+        n: u64,
+    ) -> std::result::Result<Self, WireError> {
+        if counters.len() > k {
+            return Err(WireError::Malformed("MG stores more than k counters"));
+        }
+        if checked_stored_weight(&counters)? > n {
+            return Err(WireError::Malformed("MG stored weight exceeds n"));
+        }
+        Ok(MgSummary::from_parts(k, counters, n))
+    }
+
+    /// (internal) The counter table and `n` — what the SpaceSaving view
+    /// over this summary encodes and iterates.
+    pub(crate) fn parts(&self) -> (&FxHashMap<I, u64>, u64) {
+        (&self.counters, self.n)
     }
 }
 
@@ -196,24 +241,6 @@ impl<I: Eq + Hash + Clone> MgSummary<I> {
     /// Iterate over stored `(item, count)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&I, u64)> {
         self.counters.iter().map(|(i, &c)| (i, c))
-    }
-
-    /// Consume the summary, yielding its counters.
-    pub fn into_counters(self) -> FxHashMap<I, u64> {
-        self.counters
-    }
-
-    /// (internal) Build directly from parts — used by the SpaceSaving
-    /// conversion, which must preserve `n` while supplying pruned counters.
-    pub(crate) fn from_parts(k: usize, counters: FxHashMap<I, u64>, n: u64) -> Self {
-        debug_assert!(counters.len() <= k);
-        debug_assert!(counters.values().all(|&c| c > 0));
-        MgSummary {
-            k,
-            counters,
-            n,
-            scratch: Vec::new(),
-        }
     }
 
     /// In-place Theorem 1 merge: the same counter-wise combine + prune as
@@ -629,6 +656,32 @@ mod tests {
         let mut mg = MgSummary::new(2);
         mg.update_weighted(1u64, u64::MAX);
         mg.update_weighted(2u64, 1);
+    }
+
+    #[test]
+    fn decode_rejects_a_zero_counter_or_an_overflowing_sum() {
+        // k = 3, counters {1: 4, 2: c}, n = 7: legal bytes for 0 < c ≤ 3.
+        // No encoder writes c = 0, and c = u64::MAX makes n̂ overflow.
+        let bytes = |c: u64| {
+            let mut counters = FxHashMap::default();
+            counters.insert(1u64, 4u64);
+            counters.insert(2u64, c);
+            let mut out = Vec::new();
+            3usize.encode_into(&mut out);
+            counters.encode_into(&mut out);
+            7u64.encode_into(&mut out);
+            out
+        };
+        assert_eq!(MgSummary::<u64>::decode(&bytes(3)).unwrap().estimate(&2), 3);
+        for c in [0, u64::MAX] {
+            assert!(
+                matches!(
+                    MgSummary::<u64>::decode(&bytes(c)),
+                    Err(WireError::Malformed(_))
+                ),
+                "c = {c}"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! Misra-Gries summary with `k−1` counters (subtract the minimum counter
 //! from every counter and drop the zeros). The merge converts both inputs
 //! to MG form, applies the MG merge (Theorem 1), and keeps the result in MG
-//! form: counters are then **lower bounds**, and the deficit `n − n̂`
+//! form — an [`MgSummary`] with `k−1` counters, so every later update,
+//! merge and bound of a merged summary is `MgSummary`'s own. Its counters
+//! are **lower bounds**, and the deficit `n − n̂`
 //! (weight not represented in the counters) yields integer-exact upper
 //! bounds `counter + ⌈(n − n̂)/k⌉`. The MG invariant
 //! `(f(x) − est(x))·k ≤ n − n̂` is self-maintaining under this merge —
@@ -35,16 +37,22 @@ use ms_core::error::ensure_same_capacity;
 use ms_core::wire::{Wire, WireError, WireReader};
 use ms_core::{FxHashMap, ItemSummary, Json, Mergeable, Result, Summary, ToJson};
 
-use crate::mg::MgSummary;
+use crate::mg::{checked_stored_weight, MgSummary};
 
 /// Which invariant the counter table currently satisfies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Repr {
+#[derive(Debug, Clone)]
+enum Repr<I> {
     /// Classic SpaceSaving: counters sum to `n`, counters overestimate.
-    Stream,
-    /// Misra-Gries form (capacity `k−1`): counters underestimate and
-    /// `n − n̂` bounds the total underestimation `k`-fold.
-    Merged,
+    Stream {
+        counters: FxHashMap<I, u64>,
+        n: u64,
+        /// Derived eviction index; rebuilt on demand after decoding.
+        index: Option<MinIndex<I>>,
+    },
+    /// Misra-Gries form: the MG summary with `k−1` counters. Counters
+    /// underestimate and `n − n̂` bounds the total underestimation
+    /// `k`-fold.
+    Merged(MgSummary<I>),
 }
 
 /// Value-bucket index over the streaming counter table, so evictions find
@@ -52,7 +60,7 @@ enum Repr {
 ///
 /// Maintained only in the streaming representation; rebuilt lazily after
 /// deserialization (it is derived state, so it is not serialized) and
-/// dropped on merge.
+/// dropped when the summary turns into MG form.
 #[derive(Debug, Clone, Default)]
 struct MinIndex<I> {
     buckets: std::collections::BTreeMap<u64, ms_core::FxHashSet<I>>,
@@ -123,27 +131,31 @@ impl<I: Eq + Hash + Clone> MinIndex<I> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpaceSavingSummary<I> {
+    /// Counter capacity; in merged form the MG summary holds `k − 1`.
     k: usize,
-    counters: FxHashMap<I, u64>,
-    n: u64,
-    repr: Repr,
-    /// Derived eviction index (streaming representation only); rebuilt on
-    /// demand after decoding or cloning from a merged summary.
-    index: Option<MinIndex<I>>,
-    /// Reusable sort buffer for the in-place merge's prune step. Kept
-    /// empty between calls; never part of the logical state.
-    scratch: Vec<u64>,
+    repr: Repr<I>,
+}
+
+impl<I> SpaceSavingSummary<I> {
+    /// The counter table and `n` in whichever form is current.
+    fn parts(&self) -> (&FxHashMap<I, u64>, u64) {
+        match &self.repr {
+            Repr::Stream { counters, n, .. } => (counters, *n),
+            Repr::Merged(mg) => mg.parts(),
+        }
+    }
 }
 
 impl<I: Wire + Eq + Hash> Wire for SpaceSavingSummary<I> {
     fn encode_into(&self, out: &mut Vec<u8>) {
+        let (counters, n) = self.parts();
         self.k.encode_into(out);
-        self.counters.encode_into(out);
-        self.n.encode_into(out);
+        counters.encode_into(out);
+        n.encode_into(out);
         // The eviction index is derived state and is rebuilt lazily.
         out.push(match self.repr {
-            Repr::Stream => 0,
-            Repr::Merged => 1,
+            Repr::Stream { .. } => 0,
+            Repr::Merged(_) => 1,
         });
     }
 
@@ -151,70 +163,66 @@ impl<I: Wire + Eq + Hash> Wire for SpaceSavingSummary<I> {
         let k = usize::decode_from(r)?;
         let counters = FxHashMap::<I, u64>::decode_from(r)?;
         let n = u64::decode_from(r)?;
-        let repr = match r.byte()? {
-            0 => Repr::Stream,
-            1 => Repr::Merged,
-            _ => return Err(WireError::Malformed("unknown SpaceSaving representation")),
-        };
+        let repr = r.byte()?;
         if k < 2 {
             return Err(WireError::Malformed("SpaceSaving needs k >= 2"));
         }
-        let cap = match repr {
-            Repr::Stream => k,
-            Repr::Merged => k - 1,
+        let repr = match repr {
+            // Streaming invariant: at most k counters summing to exactly n.
+            0 if counters.len() <= k && checked_stored_weight(&counters)? == n => Repr::Stream {
+                counters,
+                n,
+                index: None,
+            },
+            0 => return Err(WireError::Malformed("SpaceSaving stream invariant")),
+            // Merged form: an MG summary with k − 1 counters, checked as one.
+            1 => Repr::Merged(MgSummary::from_decoded(k - 1, counters, n)?),
+            _ => return Err(WireError::Malformed("unknown SpaceSaving representation")),
         };
-        if counters.len() > cap {
-            return Err(WireError::Malformed("SpaceSaving has more than k counters"));
-        }
-        let stored: u64 = counters.values().sum();
-        let valid = match repr {
-            // Streaming invariant: counters sum to exactly n.
-            Repr::Stream => stored == n,
-            // Merged (MG) form: counters underestimate, so n̂ ≤ n.
-            Repr::Merged => stored <= n,
-        };
-        if !valid {
-            return Err(WireError::Malformed(
-                "SpaceSaving counter sum violates repr",
-            ));
-        }
-        Ok(SpaceSavingSummary {
-            k,
-            counters,
-            n,
-            repr,
-            index: None,
-            scratch: Vec::new(),
-        })
+        Ok(SpaceSavingSummary { k, repr })
     }
 }
 
 impl<I: ToJson> ToJson for SpaceSavingSummary<I> {
     fn to_json(&self) -> Json {
+        let (counters, n) = self.parts();
+        let repr = match self.repr {
+            Repr::Stream { .. } => "stream",
+            Repr::Merged(_) => "merged",
+        };
         Json::obj([
             ("k", Json::U64(self.k as u64)),
-            (
-                "repr",
-                Json::Str(
-                    match self.repr {
-                        Repr::Stream => "stream",
-                        Repr::Merged => "merged",
-                    }
-                    .to_string(),
-                ),
-            ),
+            ("repr", Json::Str(repr.to_string())),
             (
                 "counters",
                 Json::Arr(
-                    self.counters
+                    counters
                         .iter()
                         .map(|(i, &c)| Json::Arr(vec![i.to_json(), Json::U64(c)]))
                         .collect(),
                 ),
             ),
-            ("n", Json::U64(self.n)),
+            ("n", Json::U64(n)),
         ])
     }
+}
+
+/// Lemma 1: the MG summary with `k−1` counters isomorphic to a streaming
+/// table of `k` — when the table is saturated, subtract the minimum
+/// counter from every counter and drop the zeros.
+fn stream_to_mg<I: Eq + Hash + Clone>(
+    k: usize,
+    mut counters: FxHashMap<I, u64>,
+    n: u64,
+) -> MgSummary<I> {
+    if counters.len() == k {
+        let m = counters.values().copied().min().unwrap_or(0);
+        counters.retain(|_, c| {
+            *c -= m;
+            *c > 0
+        });
+    }
+    MgSummary::from_parts(k - 1, counters, n)
 }
 
 impl<I: Eq + Hash + Clone> SpaceSavingSummary<I> {
@@ -227,11 +235,11 @@ impl<I: Eq + Hash + Clone> SpaceSavingSummary<I> {
         assert!(k >= 2, "SpaceSavingSummary needs at least two counters");
         SpaceSavingSummary {
             k,
-            counters: FxHashMap::default(),
-            n: 0,
-            repr: Repr::Stream,
-            index: None,
-            scratch: Vec::new(),
+            repr: Repr::Stream {
+                counters: FxHashMap::default(),
+                n: 0,
+                index: None,
+            },
         }
     }
 
@@ -256,65 +264,67 @@ impl<I: Eq + Hash + Clone> SpaceSavingSummary<I> {
 
     /// Smallest stored counter (0 if the summary is not saturated).
     pub fn min_counter(&self) -> u64 {
-        if self.counters.len() < self.k {
+        let (counters, _) = self.parts();
+        if counters.len() < self.k {
             0
         } else {
-            self.counters.values().copied().min().unwrap_or(0)
+            counters.values().copied().min().unwrap_or(0)
         }
     }
 
     /// Guaranteed lower bound on the true frequency of `item`.
     pub fn lower_bound(&self, item: &I) -> u64 {
-        match self.repr {
-            Repr::Stream => {
-                let c = self.counters.get(item).copied().unwrap_or(0);
-                c.saturating_sub(self.stream_error())
+        match &self.repr {
+            Repr::Stream { counters, .. } => {
+                let c = counters.get(item).copied().unwrap_or(0);
+                c.saturating_sub(self.min_counter())
             }
-            Repr::Merged => self.counters.get(item).copied().unwrap_or(0),
+            Repr::Merged(mg) => mg.estimate(item),
         }
     }
 
     /// Guaranteed upper bound on the true frequency of `item` — also valid
     /// for items the summary has never seen.
     pub fn upper_bound(&self, item: &I) -> u64 {
-        match self.repr {
-            Repr::Stream => self
-                .counters
+        match &self.repr {
+            Repr::Stream { counters, .. } => counters
                 .get(item)
                 .copied()
-                .unwrap_or_else(|| self.stream_error()),
-            Repr::Merged => self.counters.get(item).copied().unwrap_or(0) + self.merged_error(),
+                .unwrap_or_else(|| self.min_counter()),
+            Repr::Merged(mg) => mg.estimate_upper(item),
         }
     }
 
     /// Point estimate: the upper bound (the conventional SpaceSaving
     /// answer) for stored items, 0 for unstored items.
     pub fn estimate(&self, item: &I) -> u64 {
-        match self.repr {
-            Repr::Stream => self.counters.get(item).copied().unwrap_or(0),
-            Repr::Merged => match self.counters.get(item) {
-                Some(&c) => c + self.merged_error(),
-                None => 0,
+        match &self.repr {
+            Repr::Stream { counters, .. } => counters.get(item).copied().unwrap_or(0),
+            // No stored counter is zero, so 0 means unstored.
+            Repr::Merged(mg) => match mg.estimate(item) {
+                0 => 0,
+                _ => mg.estimate_upper(item),
             },
         }
     }
 
     /// The guaranteed error radius: for every item the true frequency lies
     /// within `error_bound()` of [`Self::estimate`] (taking absent items'
-    /// estimate as 0 with one-sided error). Always `≤ ⌈n/k⌉`.
+    /// estimate as 0 with one-sided error). Always `≤ ⌈n/k⌉`: the minimum
+    /// counter in streaming form, `⌈(n − n̂)/k⌉` in MG form.
     pub fn error_bound(&self) -> u64 {
-        match self.repr {
-            Repr::Stream => self.stream_error(),
-            Repr::Merged => self.merged_error(),
+        match &self.repr {
+            Repr::Stream { .. } => self.min_counter(),
+            Repr::Merged(mg) => mg.error_numerator().div_ceil(self.k as u64),
         }
     }
 
     /// Items whose upper bound exceeds `εn` — contains every true ε-heavy
     /// hitter.
     pub fn heavy_hitters(&self, epsilon: f64) -> Vec<(I, u64)> {
-        let threshold = epsilon * self.n as f64;
-        let mut out: Vec<(I, u64)> = self
-            .counters
+        let (counters, n) = self.parts();
+        let threshold = epsilon * n as f64;
+        let mut out: Vec<(I, u64)> = counters
             .keys()
             .filter_map(|i| {
                 let ub = self.upper_bound(i);
@@ -328,7 +338,8 @@ impl<I: Eq + Hash + Clone> SpaceSavingSummary<I> {
     /// The `k` stored items with the largest upper bounds.
     pub fn top_k(&self, k: usize) -> Vec<(I, u64)> {
         let mut all: Vec<(I, u64)> = self
-            .counters
+            .parts()
+            .0
             .keys()
             .map(|i| (i.clone(), self.upper_bound(i)))
             .collect();
@@ -341,172 +352,103 @@ impl<I: Eq + Hash + Clone> SpaceSavingSummary<I> {
     /// order. Counter semantics depend on the representation; prefer the
     /// bound accessors for guaranteed statements.
     pub fn iter(&self) -> impl Iterator<Item = (&I, u64)> {
-        self.counters.iter().map(|(i, &c)| (i, c))
+        self.parts().0.iter().map(|(i, &c)| (i, c))
     }
 
     /// Convert into the isomorphic Misra-Gries summary with `k−1` counters
     /// (§3, Lemma 1): subtract the minimum counter from every counter and
-    /// drop zeros. A merged-form summary is already MG-form and converts
-    /// losslessly.
-    pub fn into_mg(mut self) -> MgSummary<I> {
-        self.make_merged();
-        MgSummary::from_parts(self.k - 1, self.counters, self.n)
+    /// drop zeros. A merged-form summary already is that MG summary and is
+    /// moved out as it is.
+    pub fn into_mg(self) -> MgSummary<I> {
+        match self.repr {
+            Repr::Stream { counters, n, .. } => stream_to_mg(self.k, counters, n),
+            Repr::Merged(mg) => mg,
+        }
     }
 
     /// The SpaceSaving summary isomorphic to `mg` (§3, Lemma 1) — the
-    /// inverse of [`Self::into_mg`]: `mg.capacity() + 1` counters in the
-    /// merged (MG-form) representation, so it merges, bounds and encodes
-    /// exactly like a SpaceSaving summary that was streamed over `mg`'s
-    /// input and then converted at its first merge.
+    /// inverse of [`Self::into_mg`]: a view with `mg.capacity() + 1`
+    /// counters over `mg` itself, in the merged (MG-form) representation.
+    /// Updates, merges and bounds then run `MgSummary`'s own code, and on
+    /// a unit-weight stream the view answers exactly as a SpaceSaving
+    /// summary streamed over `mg`'s input.
     pub fn from_mg(mg: MgSummary<I>) -> Self {
         SpaceSavingSummary {
             k: mg.capacity() + 1,
-            n: mg.total_weight(),
-            counters: mg.into_counters(),
-            repr: Repr::Merged,
-            index: None,
-            scratch: Vec::new(),
+            repr: Repr::Merged(mg),
         }
     }
 
-    /// In-place §3 merge: convert both tables to the MG (`k−1`) form, fold
-    /// `other`'s counters into `self`, and prune — the same result as
+    /// In-place §3 merge: convert both sides to the MG (`k−1`) form and
+    /// apply [`MgSummary::merge_from`] — the same result as
     /// [`Mergeable::merge`] without rebuilding `self`'s counter table. On
     /// error (capacity mismatch) `self` is left untouched.
-    pub fn merge_from(&mut self, mut other: Self) -> Result<()> {
+    pub fn merge_from(&mut self, other: Self) -> Result<()> {
         ensure_same_capacity("counters (k)", self.k, other.k)?;
-        self.make_merged();
-        other.make_merged();
-        self.n += other.n;
-        for (item, c) in other.counters {
-            *self.counters.entry(item).or_insert(0) += c;
+        self.make_merged().merge_from(other.into_mg())
+    }
+
+    /// Turn `self` into the MG (`k−1`) representation in place (Lemma 1)
+    /// and return that MG summary.
+    fn make_merged(&mut self) -> &mut MgSummary<I> {
+        if let Repr::Stream { counters, n, .. } = &mut self.repr {
+            let mg = stream_to_mg(self.k, std::mem::take(counters), *n);
+            self.repr = Repr::Merged(mg);
         }
-        self.prune_merged();
-        Ok(())
-    }
-
-    /// Convert the counter table to the MG (`k−1`) representation in place
-    /// (§3, Lemma 1): when the streaming table is saturated, subtract the
-    /// minimum counter and drop zeros.
-    fn make_merged(&mut self) {
-        if self.repr == Repr::Stream {
-            if self.counters.len() == self.k {
-                let m = self.counters.values().copied().min().unwrap_or(0);
-                self.counters.retain(|_, c| {
-                    *c -= m;
-                    *c > 0
-                });
-            }
-            self.repr = Repr::Merged;
-            self.index = None;
-        }
-    }
-
-    /// MG prune at capacity `k−1`: subtract the `k`-th largest counter
-    /// value from every counter and discard non-positive ones. Selects in
-    /// the reusable scratch buffer, so repeated prunes allocate nothing.
-    fn prune_merged(&mut self) {
-        let cap = self.k - 1;
-        if self.counters.len() <= cap {
-            return;
-        }
-        let mut values = std::mem::take(&mut self.scratch);
-        values.extend(self.counters.values().copied());
-        // O(n) quickselect for the k-th largest; the subtrahend `s` is the
-        // same value the old descending full sort produced at index `cap`.
-        let (_, &mut s, _) = values.select_nth_unstable_by(cap, |a, b| b.cmp(a));
-        values.clear();
-        self.scratch = values;
-        self.counters.retain(|_, c| {
-            if *c > s {
-                *c -= s;
-                true
-            } else {
-                false
-            }
-        });
-        debug_assert!(self.counters.len() <= cap);
-    }
-
-    /// Streaming-representation error: the minimum counter when saturated.
-    fn stream_error(&self) -> u64 {
-        self.min_counter()
-    }
-
-    /// Merged-representation error: `⌈(n − n̂)/k⌉` from the MG deficit.
-    fn merged_error(&self) -> u64 {
-        let stored: u64 = self.counters.values().sum();
-        (self.n - stored).div_ceil(self.k as u64)
-    }
-
-    /// Misra-Gries update with capacity `k−1` (used after a merge; the MG
-    /// invariant keeps the merged guarantee self-maintaining).
-    fn update_merged(&mut self, item: I, weight: u64) {
-        self.n += weight;
-        if let Some(c) = self.counters.get_mut(&item) {
-            *c += weight;
-            return;
-        }
-        self.counters.insert(item, weight);
-        if self.counters.len() > self.k - 1 {
-            let d = *self.counters.values().min().expect("non-empty");
-            self.counters.retain(|_, c| {
-                *c -= d;
-                *c > 0
-            });
+        match &mut self.repr {
+            Repr::Merged(mg) => mg,
+            Repr::Stream { .. } => unreachable!("converted above"),
         }
     }
 }
 
 impl<I: Eq + Hash + Clone> Summary for SpaceSavingSummary<I> {
     fn total_weight(&self) -> u64 {
-        self.n
+        self.parts().1
     }
 
     fn size(&self) -> usize {
-        self.counters.len()
+        self.parts().0.len()
     }
 }
 
 impl<I: Eq + Hash + Clone> ItemSummary<I> for SpaceSavingSummary<I> {
     fn update_weighted(&mut self, item: I, weight: u64) {
+        let k = self.k;
+        let (counters, n, index) = match &mut self.repr {
+            Repr::Stream { counters, n, index } => (counters, n, index),
+            Repr::Merged(mg) => return mg.update_weighted(item, weight),
+        };
         if weight == 0 {
             return;
         }
-        if self.repr == Repr::Merged {
-            self.update_merged(item, weight);
-            return;
-        }
-        self.n = self
-            .n
-            .checked_add(weight)
-            .expect("total weight overflows u64");
-        if self.counters.len() >= self.k && self.index.is_none() {
+        *n = n.checked_add(weight).expect("total weight overflows u64");
+        if counters.len() >= k && index.is_none() {
             // First saturated update (or first after deserialization):
             // build the eviction index.
-            self.index = Some(MinIndex::build(&self.counters));
+            *index = Some(MinIndex::build(counters));
         }
-        if let Some(c) = self.counters.get_mut(&item) {
+        if let Some(c) = counters.get_mut(&item) {
             let old = *c;
             *c += weight;
-            if let Some(index) = &mut self.index {
+            if let Some(index) = index {
                 index.bump(&item, old, old + weight);
             }
             return;
         }
-        if self.counters.len() < self.k {
-            self.counters.insert(item.clone(), weight);
-            if let Some(index) = &mut self.index {
+        if counters.len() < k {
+            counters.insert(item.clone(), weight);
+            if let Some(index) = index {
                 index.bump(&item, 0, weight);
             }
             return;
         }
         // Evict a minimum counter: the newcomer inherits its count, keeping
         // the sum of counters equal to n (the SpaceSaving invariant).
-        let index = self.index.as_mut().expect("index built when saturated");
+        let index = index.as_mut().expect("index built when saturated");
         let (evict, m) = index.pop_min();
-        self.counters.remove(&evict);
-        self.counters.insert(item.clone(), m + weight);
+        counters.remove(&evict);
+        counters.insert(item.clone(), m + weight);
         index.bump(&item, 0, m + weight);
     }
 }
@@ -663,6 +605,34 @@ mod tests {
         // A derived summary still decodes under the merged-form checks.
         let back = SpaceSavingSummary::<u64>::decode(&derived.encode()).unwrap();
         assert_eq!(back.total_weight(), derived.total_weight());
+    }
+
+    #[test]
+    fn decode_rejects_a_zero_counter() {
+        // k = 3, counters {1: 4, 2: c}, n = 4 + c: legal bytes in either
+        // representation for any c > 0, which no encoder writes for c = 0.
+        let bytes = |c: u64, repr: u8| {
+            let mut counters = FxHashMap::default();
+            counters.insert(1u64, 4u64);
+            counters.insert(2u64, c);
+            let mut out = Vec::new();
+            3usize.encode_into(&mut out);
+            counters.encode_into(&mut out);
+            (4 + c).encode_into(&mut out);
+            out.push(repr);
+            out
+        };
+        for repr in [0, 1] {
+            let ss = SpaceSavingSummary::<u64>::decode(&bytes(3, repr)).unwrap();
+            assert_eq!(ss.lower_bound(&2), 3, "repr {repr}");
+            assert!(
+                matches!(
+                    SpaceSavingSummary::<u64>::decode(&bytes(0, repr)),
+                    Err(WireError::Malformed(_))
+                ),
+                "repr {repr}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the heavy-hitter summaries: the §3 invariants over
 //! randomized weighted update sequences (seeded, so failures reproduce).
 
-use ms_core::{ItemSummary, Mergeable, Rng64, Summary};
+use ms_core::{ItemSummary, Mergeable, Rng64, Summary, Wire};
 use ms_frequency::isomorphism::{check_isomorphism, mg_offset};
 use ms_frequency::{ExactCounts, MgSummary, SpaceSavingSummary};
 
@@ -116,6 +116,45 @@ fn split_anywhere_and_merge() {
             let est = merged.estimate(&item);
             assert!(est <= truth);
             assert!((truth - est) * (k as u64 + 1) <= err_num);
+        }
+    }
+}
+
+/// A SpaceSaving view over an MG summary runs MG's own code: driven in
+/// lockstep with a bare `MgSummary` through the same weighted updates and
+/// merges, after every step it holds the same MG table (same bytes) and
+/// its bounds are MG's `estimate` / `estimate_upper`, stored or absent.
+#[test]
+fn ss_view_is_mg_in_lockstep() {
+    let mut rng = Rng64::new(0xF0_06);
+    let assert_lockstep = |mg: &MgSummary<u64>, ss: &SpaceSavingSummary<u64>| {
+        assert_eq!(ss.clone().into_mg().encode(), mg.encode());
+        // Items 0..40 are the update universe; 40..48 are never stored.
+        for item in 0u64..48 {
+            assert_eq!(ss.lower_bound(&item), mg.estimate(&item));
+            assert_eq!(ss.upper_bound(&item), mg.estimate_upper(&item));
+        }
+    };
+    for _ in 0..CASES {
+        let k = 1 + rng.below_usize(15);
+        let mut mg = MgSummary::new(k);
+        let mut ss = SpaceSavingSummary::from_mg(MgSummary::new(k));
+        for (item, w) in updates(&mut rng) {
+            if rng.below(16) == 0 {
+                // A merge step: fold in a side summary built in lockstep.
+                let mut side_mg = MgSummary::new(k);
+                let mut side_ss = SpaceSavingSummary::from_mg(MgSummary::new(k));
+                for (item, w) in updates(&mut rng).into_iter().take(40) {
+                    side_mg.update_weighted(item, w);
+                    side_ss.update_weighted(item, w);
+                }
+                mg.merge_from(side_mg).unwrap();
+                ss.merge_from(side_ss).unwrap();
+            } else {
+                mg.update_weighted(item, w);
+                ss.update_weighted(item, w);
+            }
+            assert_lockstep(&mg, &ss);
         }
     }
 }

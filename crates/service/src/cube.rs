@@ -13,14 +13,16 @@
 //! the hybrid quantile summary and Count-Min — and *derives* the fourth.
 //! §3 Lemma 1 of the paper: SpaceSaving with `k+1` counters over a stream
 //! is isomorphic to Misra-Gries with `k` counters over the same stream
-//! (subtract the minimum counter, drop the zeros), `for_epsilon` sizes the
-//! two families exactly one counter apart, and a SpaceSaving summary
-//! converts to that MG form at its first merge anyway. So the SpaceSaving
-//! slot of a [`SegmentRecord`] and every SpaceSaving range answer are read
-//! off the MG family through `SpaceSavingSummary::from_mg` instead of
-//! being maintained beside it. The segment file keeps its four slots in
-//! [`SummaryKind::all`] order; [`SegmentCube::adopt`] still validates the
-//! SpaceSaving slot of a file it reads and then drops it.
+//! (subtract the minimum counter, drop the zeros), and `for_epsilon` sizes
+//! the two families exactly one counter apart. A `SpaceSavingSummary` in
+//! merged form *is* that MG summary, and the engine's SpaceSaving shards
+//! run it from their first item (`ShardSummary::new`). So the SpaceSaving
+//! slot of a [`SegmentRecord`] and every SpaceSaving range answer are the
+//! MG family viewed through `SpaceSavingSummary::from_mg` — the same call
+//! the engine makes — instead of being maintained beside it. The segment
+//! file keeps its four slots in [`SummaryKind::all`] order;
+//! [`SegmentCube::adopt`] still validates the SpaceSaving slot of a file
+//! it reads and then drops it.
 //!
 //! Concurrency contract — each lock guards one thing:
 //!

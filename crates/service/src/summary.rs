@@ -75,13 +75,16 @@ impl ShardSummary {
     ///
     /// Linear sketches share `cfg.seed` across shards (merging requires the
     /// same hash family); the randomized quantile summary gets a distinct
-    /// per-shard seed so shard RNG streams are independent.
+    /// per-shard seed so shard RNG streams are independent. A SpaceSaving
+    /// summary starts in MG form (§3 Lemma 1: SpaceSaving with `k+1`
+    /// counters is MG with `k`), so shards, deltas and every merge run the
+    /// one Misra-Gries implementation and SpaceSaving is a view over it.
     pub fn new(cfg: &ServiceConfig, shard: usize) -> Self {
         match cfg.kind {
             SummaryKind::Mg => ShardSummary::Mg(MgSummary::for_epsilon(cfg.epsilon)),
-            SummaryKind::SpaceSaving => {
-                ShardSummary::SpaceSaving(SpaceSavingSummary::for_epsilon(cfg.epsilon))
-            }
+            SummaryKind::SpaceSaving => ShardSummary::SpaceSaving(SpaceSavingSummary::from_mg(
+                MgSummary::for_epsilon(cfg.epsilon),
+            )),
             SummaryKind::HybridQuantile => ShardSummary::HybridQuantile(HybridQuantile::new(
                 cfg.epsilon,
                 cfg.seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),

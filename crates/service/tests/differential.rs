@@ -5,6 +5,7 @@
 //! arbitrary merge tree, so it cannot degrade the `εn` guarantee.
 
 use ms_core::{FrequencyOracle, Summary};
+use ms_frequency::{MgSummary, SpaceSavingSummary};
 use ms_service::{Engine, ServiceConfig, ShardSummary, SummaryKind};
 use ms_workloads::StreamKind;
 
@@ -73,6 +74,45 @@ fn space_saving_concurrent_matches_reference_bound() {
     let reference = reference_summary(SummaryKind::SpaceSaving, &items);
     assert!(max_point_error(&concurrent, &oracle) <= bound);
     assert!(max_point_error(&reference, &oracle) <= bound);
+}
+
+/// Lemma 1 in the engine: a SpaceSaving engine runs MG(k−1) from its
+/// first item. With one shard the merge tree is fixed by the batches, so
+/// the SpaceSaving snapshot must be the MG engine's table, items included,
+/// and answer exactly as the SpaceSaving view of the MG snapshot.
+#[test]
+fn one_shard_space_saving_engine_is_the_mg_engine_viewed() {
+    let items = stream(16);
+    let oracle = FrequencyOracle::from_stream(items.iter().copied());
+    let (ss, mg) = match (
+        engine_summary(SummaryKind::SpaceSaving, &items, 1),
+        engine_summary(SummaryKind::Mg, &items, 1),
+    ) {
+        (ShardSummary::SpaceSaving(ss), ShardSummary::Mg(mg)) => (ss, mg),
+        (a, b) => panic!("kinds {:?} and {:?}", a.kind(), b.kind()),
+    };
+    let table = |mg: MgSummary<u64>| {
+        let mut t: Vec<(u64, u64)> = mg.iter().map(|(item, c)| (*item, c)).collect();
+        t.sort_unstable();
+        t
+    };
+    assert!(mg.size() > 0);
+    assert_eq!(table(ss.clone().into_mg()), table(mg.clone()));
+
+    let view = SpaceSavingSummary::from_mg(mg);
+    let absent = (1u64 << 40)..(1u64 << 40) + 100;
+    for item in oracle.iter().map(|(item, _)| *item).chain(absent) {
+        assert_eq!(ss.estimate(&item), view.estimate(&item), "item {item}");
+    }
+    assert!(!view.heavy_hitters(EPS).is_empty());
+    for phi in [EPS, 0.02, 0.05, 0.1] {
+        let sorted = |s: &SpaceSavingSummary<u64>| {
+            let mut hh = s.heavy_hitters(phi);
+            hh.sort_unstable();
+            hh
+        };
+        assert_eq!(sorted(&ss), sorted(&view), "heavy_hitters({phi})");
+    }
 }
 
 #[test]

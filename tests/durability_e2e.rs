@@ -8,11 +8,12 @@
 
 use std::path::PathBuf;
 
-use mergeable_summaries::core::{FrequencyOracle, Summary, Wire};
+use mergeable_summaries::core::{FrequencyOracle, ItemSummary, Summary, Wire};
 use mergeable_summaries::service::{
     DurabilityConfig, Engine, ServiceConfig, ShardSummary, SummaryKind,
 };
 use mergeable_summaries::store::CheckpointStore;
+use mergeable_summaries::SpaceSavingSummary;
 
 const EPS: f64 = 0.05;
 const BATCH: usize = 50;
@@ -23,20 +24,30 @@ fn tempdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn durable_cfg(dir: &PathBuf) -> ServiceConfig {
-    ServiceConfig::new(SummaryKind::Mg, EPS)
+fn durable_cfg(kind: SummaryKind, dir: &PathBuf) -> ServiceConfig {
+    ServiceConfig::new(kind, EPS)
         .shards(2)
         .delta_updates(64)
         .durability(DurabilityConfig::new(dir).segment_bytes(1024))
 }
 
-/// A deterministic stream of `batches` batches; item `i % 17` keeps a
-/// few items heavy so point estimates are meaningful.
+/// A deterministic stream of `batches` batches. Two items in three cycle
+/// through 17 values, keeping a few items heavy so point estimates are
+/// meaningful; every third item is new, so the ≈ 1/ε counters fill up
+/// and the summaries prune.
 fn batches(batches: usize) -> Vec<Vec<u64>> {
     (0..batches)
-        .map(|b| (0..BATCH).map(|i| ((b * BATCH + i) % 17) as u64).collect())
+        .map(|b| {
+            (b * BATCH..(b + 1) * BATCH)
+                .map(|j| if j % 3 == 2 { 1_000 + j } else { j % 17 } as u64)
+                .collect()
+        })
         .collect()
 }
+
+/// The two heavy-hitter kinds; `serve --kind space-saving` runs MG from
+/// its first item and must survive restarts exactly as `--kind mg` does.
+const COUNTER_KINDS: [SummaryKind; 2] = [SummaryKind::Mg, SummaryKind::SpaceSaving];
 
 /// The recovered summary must answer every item within `ε·n` of the
 /// exact counts of the stream it claims to hold.
@@ -57,7 +68,7 @@ fn assert_within_bound(engine: &Engine, stream: &[Vec<u64>]) {
 #[test]
 fn empty_data_dir_starts_fresh() {
     let dir = tempdir("fresh");
-    let engine = Engine::start(durable_cfg(&dir)).unwrap();
+    let engine = Engine::start(durable_cfg(SummaryKind::Mg, &dir)).unwrap();
     let report = engine.recovery().expect("durable engine reports recovery");
     assert_eq!(report.checkpoint_seq, 0);
     assert_eq!(report.checkpoint_parts, 0);
@@ -76,38 +87,41 @@ fn empty_data_dir_starts_fresh() {
 
 #[test]
 fn clean_shutdown_restart_recovers_from_checkpoint_alone() {
-    let dir = tempdir("clean");
-    let stream = batches(40);
-    let engine = Engine::start(durable_cfg(&dir)).unwrap();
-    for batch in &stream {
-        engine.ingest(batch.clone()).unwrap();
-    }
-    // A clean shutdown writes a final checkpoint covering the whole WAL.
-    let weight = engine.shutdown().summary.total_weight();
-    assert_eq!(weight, (40 * BATCH) as u64);
+    for kind in COUNTER_KINDS {
+        let dir = tempdir(&format!("clean-{}", kind.label()));
+        let stream = batches(40);
+        let engine = Engine::start(durable_cfg(kind, &dir)).unwrap();
+        for batch in &stream {
+            engine.ingest(batch.clone()).unwrap();
+        }
+        // A clean shutdown writes a final checkpoint covering the whole WAL.
+        let weight = engine.shutdown().summary.total_weight();
+        assert_eq!(weight, (40 * BATCH) as u64);
 
-    let engine = Engine::start(durable_cfg(&dir)).unwrap();
-    let report = engine.recovery().unwrap();
-    assert_eq!(
-        report.checkpoint_seq, 40,
-        "final checkpoint covers all batches"
-    );
-    assert_eq!(
-        report.replayed_records, 0,
-        "no WAL tail after a clean shutdown"
-    );
-    assert_eq!(report.preloaded_weight, weight);
-    assert_eq!(engine.snapshot().summary.total_weight(), weight);
-    assert_within_bound(&engine, &stream);
-    engine.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+        let engine = Engine::start(durable_cfg(kind, &dir)).unwrap();
+        let report = engine.recovery().unwrap();
+        assert_eq!(
+            report.checkpoint_seq, 40,
+            "final checkpoint covers all batches"
+        );
+        assert_eq!(
+            report.replayed_records, 0,
+            "no WAL tail after a clean shutdown"
+        );
+        assert_eq!(report.preloaded_weight, weight);
+        assert_eq!(engine.snapshot().summary.kind(), kind);
+        assert_eq!(engine.snapshot().summary.total_weight(), weight);
+        assert_within_bound(&engine, &stream);
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
 fn checkpoint_with_no_wal_tail_restores_exactly() {
     let dir = tempdir("ckpt-no-tail");
     let stream = batches(25);
-    let engine = Engine::start(durable_cfg(&dir)).unwrap();
+    let engine = Engine::start(durable_cfg(SummaryKind::Mg, &dir)).unwrap();
     for batch in &stream {
         engine.ingest(batch.clone()).unwrap();
     }
@@ -116,7 +130,7 @@ fn checkpoint_with_no_wal_tail_restores_exactly() {
     engine.checkpoint_now().unwrap();
     engine.abort();
 
-    let engine = Engine::start(durable_cfg(&dir)).unwrap();
+    let engine = Engine::start(durable_cfg(SummaryKind::Mg, &dir)).unwrap();
     let report = engine.recovery().unwrap();
     assert_eq!(report.checkpoint_seq, 25);
     assert_eq!(report.replayed_records, 0);
@@ -133,7 +147,7 @@ fn checkpoint_with_no_wal_tail_restores_exactly() {
 fn wal_with_no_checkpoint_replays_everything() {
     let dir = tempdir("wal-only");
     let stream = batches(30);
-    let engine = Engine::start(durable_cfg(&dir)).unwrap();
+    let engine = Engine::start(durable_cfg(SummaryKind::Mg, &dir)).unwrap();
     for batch in &stream {
         engine.ingest(batch.clone()).unwrap();
     }
@@ -141,7 +155,7 @@ fn wal_with_no_checkpoint_replays_everything() {
     // whole stream across small rotated segments.
     engine.abort();
 
-    let engine = Engine::start(durable_cfg(&dir)).unwrap();
+    let engine = Engine::start(durable_cfg(SummaryKind::Mg, &dir)).unwrap();
     let report = engine.recovery().unwrap();
     assert_eq!(report.checkpoint_seq, 0);
     assert_eq!(report.checkpoint_parts, 0);
@@ -159,32 +173,76 @@ fn wal_with_no_checkpoint_replays_everything() {
 
 #[test]
 fn recovery_is_idempotent_across_repeated_restarts() {
-    let dir = tempdir("idempotent");
-    let stream = batches(20);
-    let engine = Engine::start(durable_cfg(&dir)).unwrap();
-    for (i, batch) in stream.iter().enumerate() {
-        engine.ingest(batch.clone()).unwrap();
-        if i + 1 == 12 {
-            engine.checkpoint_now().unwrap();
+    for kind in COUNTER_KINDS {
+        let dir = tempdir(&format!("idempotent-{}", kind.label()));
+        let stream = batches(20);
+        let engine = Engine::start(durable_cfg(kind, &dir)).unwrap();
+        for (i, batch) in stream.iter().enumerate() {
+            engine.ingest(batch.clone()).unwrap();
+            if i + 1 == 12 {
+                engine.checkpoint_now().unwrap();
+            }
         }
+        engine.abort();
+
+        // Restart twice, aborting in between so nothing new is written:
+        // both recoveries must read the same state (checkpoint plus WAL
+        // tail) and apply each record exactly once — replay never
+        // inflates weight.
+        let mut weights = Vec::new();
+        for _ in 0..2 {
+            let engine = Engine::start(durable_cfg(kind, &dir)).unwrap();
+            let report = engine.recovery().unwrap();
+            assert_eq!(report.checkpoint_seq, 12);
+            assert_eq!(report.replayed_records, 8);
+            assert_eq!(report.duplicate_records, 0);
+            weights.push(engine.snapshot().summary.total_weight());
+            assert_within_bound(&engine, &stream);
+            engine.abort();
+        }
+        assert_eq!(weights, vec![(20 * BATCH) as u64; 2], "{}", kind.label());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_streamed_space_saving_checkpoint_part_still_adopts() {
+    // Engines before SpaceSaving shards ran MG form could checkpoint a
+    // SpaceSaving summary that had never merged, in its streaming
+    // representation. Plant one such part at cut 20 beside a WAL of 30
+    // batches: recovery adopts it through Lemma 1 and replays the tail.
+    let dir = tempdir("streamed-ss");
+    let stream = batches(30);
+    let cfg = || durable_cfg(SummaryKind::SpaceSaving, &dir);
+    let engine = Engine::start(cfg()).unwrap();
+    for batch in &stream {
+        engine.ingest(batch.clone()).unwrap();
     }
     engine.abort();
 
-    // Restart twice, aborting in between so nothing new is written: both
-    // recoveries must read the same state and apply each record exactly
-    // once — replay never inflates weight.
-    let mut weights = Vec::new();
-    for _ in 0..2 {
-        let engine = Engine::start(durable_cfg(&dir)).unwrap();
-        let report = engine.recovery().unwrap();
-        assert_eq!(report.checkpoint_seq, 12);
-        assert_eq!(report.replayed_records, 8);
-        assert_eq!(report.duplicate_records, 0);
-        weights.push(engine.snapshot().summary.total_weight());
-        assert_within_bound(&engine, &stream);
-        engine.abort();
+    let mut streamed = SpaceSavingSummary::for_epsilon(EPS);
+    for batch in &stream[..20] {
+        streamed.extend_from(batch.iter().copied());
     }
-    assert_eq!(weights, vec![(20 * BATCH) as u64; 2]);
+    assert!(streamed.min_counter() > 0, "the streamed part must be full");
+    let part = ShardSummary::SpaceSaving(streamed).encode();
+    assert_eq!(*part.last().unwrap(), 0, "streaming representation");
+    CheckpointStore::open(dir.join("ckpt"), false)
+        .unwrap()
+        .write_set(20, 1, &[part])
+        .unwrap();
+
+    let engine = Engine::start(cfg()).unwrap();
+    let report = engine.recovery().unwrap();
+    assert_eq!(report.corrupt_checkpoints, 0, "{:?}", report.notes);
+    assert_eq!((report.checkpoint_seq, report.checkpoint_parts), (20, 1));
+    assert_eq!(report.replayed_records, 10);
+    assert_eq!(
+        engine.snapshot().summary.total_weight(),
+        (30 * BATCH) as u64
+    );
+    assert_within_bound(&engine, &stream);
+    engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -196,14 +254,14 @@ fn multi_part_checkpoint_set_recovers_and_the_next_set_is_one_part() {
     // 30 batches, and recover from it.
     let dir = tempdir("multi-part");
     let stream = batches(30);
-    let engine = Engine::start(durable_cfg(&dir)).unwrap();
+    let engine = Engine::start(durable_cfg(SummaryKind::Mg, &dir)).unwrap();
     for batch in &stream {
         engine.ingest(batch.clone()).unwrap();
     }
     engine.abort();
 
     let plant_shard_parts = |cut: usize| {
-        let cfg = durable_cfg(&dir);
+        let cfg = durable_cfg(SummaryKind::Mg, &dir);
         let mut shards: Vec<ShardSummary> = (0..3).map(|s| ShardSummary::new(&cfg, s)).collect();
         for (i, batch) in stream[..cut].iter().enumerate() {
             shards[i % 3].update_batch(batch);
@@ -217,7 +275,7 @@ fn multi_part_checkpoint_set_recovers_and_the_next_set_is_one_part() {
     // A restart's (checkpoint seq, parts, preloaded batches, replayed WAL
     // records); whatever it recovered from, it holds all 30 batches.
     let restart = || {
-        let engine = Engine::start(durable_cfg(&dir)).unwrap();
+        let engine = Engine::start(durable_cfg(SummaryKind::Mg, &dir)).unwrap();
         let r = engine.recovery().unwrap();
         assert_eq!(r.corrupt_checkpoints, 0, "{:?}", r.notes);
         assert_eq!(
