@@ -319,11 +319,6 @@ pub struct ServiceConfig {
     /// Admission control and load shedding (in-flight caps + queue
     /// pressure watermarks). Fully permissive by default.
     pub overload: OverloadConfig,
-    /// Pin each shard worker (and, with a spare core, the compactor) to
-    /// its own CPU via `sched_setaffinity` (`serve --pin-cores`). Off by
-    /// default; a no-op with a logged reason on non-Linux hosts or when
-    /// `host_cpus < shards` — see [`crate::AffinityPlan`].
-    pub pin_cores: bool,
 }
 
 impl ServiceConfig {
@@ -344,7 +339,6 @@ impl ServiceConfig {
             durability: None,
             segments: None,
             overload: OverloadConfig::default(),
-            pin_cores: false,
         }
     }
 
@@ -399,12 +393,6 @@ impl ServiceConfig {
     /// Enable or disable the accuracy self-audit plane.
     pub fn audit(mut self, enabled: bool) -> Self {
         self.audit = enabled;
-        self
-    }
-
-    /// Enable or disable core pinning for workers and the compactor.
-    pub fn pin_cores(mut self, enabled: bool) -> Self {
-        self.pin_cores = enabled;
         self
     }
 

@@ -77,7 +77,6 @@ use ms_core::{
 use ms_obs::{RegistrySnapshot, Reservoir};
 use ms_store::{GroupCommit, SegmentRecord, Store};
 
-use crate::affinity::{AffinityPlan, AffinityStatus};
 use crate::config::{DurabilityConfig, ServiceConfig, SummaryKind};
 use crate::cube::SegmentCube;
 use crate::deadline;
@@ -412,9 +411,6 @@ pub struct Engine {
     /// The segment cube (time-windowed range queries); `None` unless
     /// [`ServiceConfig::segments`] is set.
     cube: Option<Arc<SegmentCube>>,
-    /// Core-pinning plan for workers and the compactor (a recorded no-op
-    /// unless [`ServiceConfig::pin_cores`] applies on this host).
-    affinity: Arc<AffinityPlan>,
 }
 
 impl Engine {
@@ -454,22 +450,6 @@ impl Engine {
                 .collect::<Vec<_>>(),
         );
 
-        let host_cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let affinity = Arc::new(AffinityPlan::new(cfg.pin_cores, cfg.shards, host_cpus));
-        if cfg.pin_cores && !affinity.enabled() {
-            // The skip reason itself lives in `affinity_status()`; the
-            // event marks when it happened for the flight recorder.
-            telemetry.event(
-                "affinity_skipped",
-                &[
-                    ("shards", cfg.shards as u64),
-                    ("host_cpus", host_cpus as u64),
-                ],
-            );
-        }
-
         // One pool per shard: capacity pool_buffers/shards (min 2 so a
         // small total still double-buffers), zero stays zero so disabling
         // recycling disables it everywhere.
@@ -505,7 +485,6 @@ impl Engine {
                 Arc::clone(&telemetry),
                 Arc::clone(pool),
                 Arc::clone(&audit),
-                Arc::clone(&affinity),
             )?;
             slots.push(TableSlot {
                 gen: 0,
@@ -569,7 +548,6 @@ impl Engine {
             audit,
             durable,
             cube,
-            affinity,
         });
 
         let compactor = spawn_compactor(Arc::clone(&engine), compact_rx)?;
@@ -724,11 +702,6 @@ impl Engine {
             .collect()
     }
 
-    /// What the core-affinity runtime decided and did so far.
-    pub fn affinity_status(&self) -> AffinityStatus {
-        self.affinity.status()
-    }
-
     /// True when no shard has a live worker.
     fn all_shards_dead(&self) -> bool {
         self.table.load().slots.iter().all(|s| !s.alive)
@@ -771,7 +744,6 @@ impl Engine {
                 Arc::clone(&self.telemetry),
                 Arc::clone(&self.pools[shard]),
                 Arc::clone(&self.audit),
-                Arc::clone(&self.affinity),
             ) {
                 Ok(handle) => {
                     self.telemetry
@@ -1331,14 +1303,6 @@ impl Engine {
                 .gauges
                 .push((format!("pool_reuse_pct{{shard=\"{shard}\"}}"), pct as i64));
         }
-        let affinity = self.affinity_status();
-        engine
-            .gauges
-            .push(("affinity_enabled".to_string(), affinity.enabled as i64));
-        engine.gauges.push((
-            "affinity_pinned_threads".to_string(),
-            affinity.pinned as i64,
-        ));
         if let Some(d) = &self.durable {
             let recovery = lock(&d.recovery);
             engine.gauges.extend([
@@ -1613,15 +1577,11 @@ fn spawn_worker(
     telemetry: Arc<EngineTelemetry>,
     pool: Arc<BufferPool<u8>>,
     audit: Arc<AuditPlane>,
-    affinity: Arc<AffinityPlan>,
 ) -> std::io::Result<JoinHandle<()>> {
     std::thread::Builder::new()
         .name(format!("ms-worker-{shard}"))
         .spawn(move || {
             let trace = telemetry.recorder().register(&format!("worker-{shard}"));
-            if let Some(cpu) = affinity.pin_worker(shard) {
-                trace.event("pinned", &[("cpu", cpu as u64)]);
-            }
             let mut sentinel = RingGuard {
                 ring: Arc::clone(&ring),
                 clean: false,
@@ -1710,9 +1670,6 @@ fn spawn_compactor(
         .spawn(move || {
             let cfg = engine.cfg.clone();
             let trace = engine.telemetry.recorder().register("compactor");
-            if let Some(cpu) = engine.affinity.pin_compactor() {
-                trace.event("pinned", &[("cpu", cpu as u64)]);
-            }
             let mut global = ShardSummary::new(&cfg, usize::MAX);
             let mut merge_index = 0u64;
             // Lineage mirrors the left-deep fold below: after k deltas,
@@ -2004,7 +1961,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_snapshot_reports_per_shard_pool_reuse_and_affinity() {
+    fn telemetry_snapshot_reports_per_shard_pool_reuse() {
         let cfg = ServiceConfig::new(SummaryKind::Mg, 0.05).shards(2);
         let engine = Engine::start(cfg).unwrap();
         for _ in 0..100 {
@@ -2025,34 +1982,7 @@ mod tests {
                 .expect("per-shard reuse pct gauge");
             assert!((0..=100).contains(pct), "{pct_key} = {pct}");
         }
-        // pin_cores defaults off: the affinity gauges report a no-op.
-        let (_, enabled) = snap
-            .gauges
-            .iter()
-            .find(|(k, _)| k == "affinity_enabled")
-            .expect("affinity gauge");
-        assert_eq!(*enabled, 0);
-        assert!(!engine.affinity_status().requested);
         engine.shutdown();
-    }
-
-    #[test]
-    fn pin_cores_on_an_undersized_host_is_a_recorded_noop() {
-        // 64 shards exceed any CI host's CPU count, so the plan must skip
-        // with a reason instead of stacking workers on one core.
-        let cfg = ServiceConfig::new(SummaryKind::CountMin, 0.05)
-            .shards(64)
-            .pin_cores(true);
-        let engine = Engine::start(cfg).unwrap();
-        engine.ingest((0..100).collect()).unwrap();
-        engine.flush().unwrap();
-        let status = engine.affinity_status();
-        assert!(status.requested);
-        if !status.enabled {
-            let reason = status.skip_reason.expect("skip must carry a reason");
-            assert!(reason.contains("host_cpus"), "{reason}");
-        }
-        assert_eq!(engine.shutdown().summary.total_weight(), 100);
     }
 
     #[test]

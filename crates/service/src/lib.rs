@@ -27,7 +27,6 @@
 //!
 //! [`Wire`]: ms_core::Wire
 
-pub mod affinity;
 pub mod config;
 pub mod cube;
 pub mod deadline;
@@ -40,7 +39,6 @@ pub mod summary;
 pub mod telemetry;
 pub mod tracectx;
 
-pub use affinity::{AffinityPlan, AffinityStatus};
 pub use config::{
     CubeClock, DurabilityConfig, ManualClock, SegmentConfig, ServiceConfig, SummaryKind,
     SystemClock,
@@ -56,7 +54,7 @@ pub use protocol::{
     RESPONSE_TAG, TRACED_REQUEST_TAG,
 };
 pub use server::{answer_query, answer_range, dispatch, Client, ClientOptions, Server, Service};
-pub use summary::{MergeLineage, ShardSummary};
+pub use summary::{MergeLineage, ShardSummary, SUMMARY_FILE_TAG};
 pub use telemetry::{EngineTelemetry, OPCODE_LABELS};
 pub use tracectx::{stitch, StitchedSpan, TraceContext};
 

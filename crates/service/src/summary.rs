@@ -11,6 +11,12 @@ use ms_sketches::CountMinSketch;
 
 use crate::config::{ServiceConfig, SummaryKind};
 
+/// Frame tag of a summary file (`mergeable build` / `merge`): a
+/// `WireFrame` whose payload is [`ShardSummary`] bytes — exactly the
+/// payload [`crate::Request::Summary`] answers with, so a summary shipped
+/// by a server, framed under this tag, is a file the CLI can merge.
+pub const SUMMARY_FILE_TAG: u8 = 0x02;
+
 /// Merge lineage of a published summary: how the `ε·n` promise was
 /// earned. The paper guarantees the bound under *any* merge tree
 /// (PODS'12, Definition 1); the lineage records which tree this summary

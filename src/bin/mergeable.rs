@@ -2,12 +2,13 @@
 //! the command line.
 //!
 //! Summaries are stored as binary wire frames (magic `MS`, codec version,
-//! a tag byte, then the summary's compact encoding), so a fleet of
+//! the summary-file tag, then `ShardSummary` bytes), so a fleet of
 //! machines can each `build` a summary of their local data, ship the
 //! files anywhere, and any machine can `merge` them and `query` the
 //! result — the command-line rendition of the paper's model. `serve`
 //! runs the sharded concurrent aggregation engine behind a TCP front-end
-//! speaking the same codec, and `bench-client` drives it.
+//! speaking the same codec — its `Request::Summary` payload, framed under
+//! the file tag, is a summary file — and `bench-client` drives it.
 //!
 //! ```text
 //! mergeable build --kind mg --epsilon 0.01 --out site1.ms  < site1.txt
@@ -33,130 +34,18 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use mergeable_summaries::cluster::{ClusterConfig, Coordinator};
-use mergeable_summaries::core::{
-    ItemSummary, Mergeable, Summary, ToJson, Wire, WireError, WireFrame, WireReader,
-};
-use mergeable_summaries::quantiles::RankSummary;
+use mergeable_summaries::core::{Mergeable, Summary, ToJson, WireFrame};
 use mergeable_summaries::service::{
-    DurabilityConfig, Engine, FsyncPolicy, OverloadConfig, Request, Response, SegmentConfig,
-    Server, ServiceConfig, SummaryKind,
+    answer_query, DurabilityConfig, Engine, FsyncPolicy, OverloadConfig, Request, Response,
+    SegmentConfig, Server, ServiceConfig, ShardSummary, SummaryKind, SUMMARY_FILE_TAG,
 };
 use mergeable_summaries::workloads::StreamKind;
-use mergeable_summaries::{
-    BottomKSample, CountMinSketch, HybridQuantile, MgSummary, SpaceSavingSummary,
-};
 
-/// Frame tag for a summary file produced by `build`/`merge`.
-const SUMMARY_TAG: u8 = 0x01;
-
-/// The on-disk envelope: every supported summary, tagged by kind.
-enum AnySummary {
-    Mg(MgSummary<u64>),
-    SpaceSaving(SpaceSavingSummary<u64>),
-    CountMin(CountMinSketch<u64>),
-    HybridQuantile(HybridQuantile<u64>),
-    BottomK(BottomKSample<u64>),
-}
-
-impl AnySummary {
-    fn kind(&self) -> &'static str {
-        match self {
-            AnySummary::Mg(_) => "mg",
-            AnySummary::SpaceSaving(_) => "space-saving",
-            AnySummary::CountMin(_) => "count-min",
-            AnySummary::HybridQuantile(_) => "hybrid-quantile",
-            AnySummary::BottomK(_) => "bottom-k",
-        }
-    }
-
-    fn total_weight(&self) -> u64 {
-        match self {
-            AnySummary::Mg(s) => s.total_weight(),
-            AnySummary::SpaceSaving(s) => s.total_weight(),
-            AnySummary::CountMin(s) => s.total_weight(),
-            AnySummary::HybridQuantile(s) => s.total_weight(),
-            AnySummary::BottomK(s) => s.total_weight(),
-        }
-    }
-
-    fn size(&self) -> usize {
-        match self {
-            AnySummary::Mg(s) => s.size(),
-            AnySummary::SpaceSaving(s) => s.size(),
-            AnySummary::CountMin(s) => s.size(),
-            AnySummary::HybridQuantile(s) => s.size(),
-            AnySummary::BottomK(s) => s.size(),
-        }
-    }
-
-    fn merge(self, other: AnySummary) -> Result<AnySummary, String> {
-        let pair = (self, other);
-        match pair {
-            (AnySummary::Mg(a), AnySummary::Mg(b)) => {
-                a.merge(b).map(AnySummary::Mg).map_err(|e| e.to_string())
-            }
-            (AnySummary::SpaceSaving(a), AnySummary::SpaceSaving(b)) => a
-                .merge(b)
-                .map(AnySummary::SpaceSaving)
-                .map_err(|e| e.to_string()),
-            (AnySummary::CountMin(a), AnySummary::CountMin(b)) => a
-                .merge(b)
-                .map(AnySummary::CountMin)
-                .map_err(|e| e.to_string()),
-            (AnySummary::HybridQuantile(a), AnySummary::HybridQuantile(b)) => a
-                .merge(b)
-                .map(AnySummary::HybridQuantile)
-                .map_err(|e| e.to_string()),
-            (AnySummary::BottomK(a), AnySummary::BottomK(b)) => a
-                .merge(b)
-                .map(AnySummary::BottomK)
-                .map_err(|e| e.to_string()),
-            (a, b) => Err(format!(
-                "cannot merge a '{}' summary with a '{}' summary",
-                a.kind(),
-                b.kind()
-            )),
-        }
-    }
-}
-
-impl Wire for AnySummary {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            AnySummary::Mg(s) => {
-                out.push(1);
-                s.encode_into(out);
-            }
-            AnySummary::SpaceSaving(s) => {
-                out.push(2);
-                s.encode_into(out);
-            }
-            AnySummary::CountMin(s) => {
-                out.push(3);
-                s.encode_into(out);
-            }
-            AnySummary::HybridQuantile(s) => {
-                out.push(4);
-                s.encode_into(out);
-            }
-            AnySummary::BottomK(s) => {
-                out.push(5);
-                s.encode_into(out);
-            }
-        }
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        Ok(match r.byte()? {
-            1 => AnySummary::Mg(MgSummary::decode_from(r)?),
-            2 => AnySummary::SpaceSaving(SpaceSavingSummary::decode_from(r)?),
-            3 => AnySummary::CountMin(CountMinSketch::decode_from(r)?),
-            4 => AnySummary::HybridQuantile(HybridQuantile::decode_from(r)?),
-            5 => AnySummary::BottomK(BottomKSample::decode_from(r)?),
-            _ => return Err(WireError::Malformed("unknown summary kind")),
-        })
-    }
-}
+/// The frame tag summary files carried before they held `ShardSummary`
+/// bytes. Its kind bytes number the families differently (kind 1 was MG,
+/// which `ShardSummary` reads as SpaceSaving), so such a file is refused,
+/// never decoded.
+const OLD_SUMMARY_TAG: u8 = 0x01;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -194,11 +83,11 @@ mergeable — build, merge, query and serve mergeable summaries (PODS'12)
 USAGE:
   mergeable build --kind KIND --epsilon E [--seed S] [--input FILE] --out FILE
   mergeable merge FILE... --out FILE
-  mergeable query FILE (--heavy-hitters E | --estimate ITEM | --quantile PHI | --rank X)
+  mergeable query FILE (--heavy-hitters PHI | --estimate ITEM | --quantile PHI | --rank X)
   mergeable query --addr A (--window W (--quantile PHI | --heavy-hitters PHI) | --segments)
   mergeable info FILE
   mergeable serve --kind KIND --epsilon E [--addr A] [--shards N] [--seed S] [--no-telemetry]
-                  [--audit] [--pin-cores] [--data-dir DIR] [--fsync always|every:N|never]
+                  [--audit] [--data-dir DIR] [--fsync always|every:N|never]
                   [--checkpoint-batches N] [--segment-batches N] [--segment-secs N]
                   [--coarsen-watermark N] [--max-inflight N] [--max-inflight-per-conn N]
                   [--shed-watermark F] [--ingest-watermark F] [--retry-after-micros U]
@@ -215,29 +104,27 @@ KINDS:
   space-saving     SpaceSaving heavy hitters (deterministic bracket)
   count-min        Count-Min sketch (probabilistic overestimate)
   hybrid-quantile  fully mergeable quantile summary (rank error <= eps*n whp)
-  bottom-k         uniform sample of ceil(1/eps^2) values (quantile baseline)
 
-Summary files are binary wire frames (the same codec the TCP protocol
-uses). `serve` runs the sharded concurrent engine (mg, space-saving,
-count-min or hybrid-quantile) on A (default 127.0.0.1:7433) until stdin
-closes; `serve --pin-cores` pins each shard worker (and the compactor)
-to its own CPU via sched_setaffinity — a logged no-op on non-Linux
-hosts or when the host has fewer CPUs than shards. `bench-client`
-streams a seeded Zipf workload at it and reports throughput, engine
-metrics, per-shard buffer-pool reuse and affinity status. `metrics`
-scrapes a live server's
-telemetry plane: per-opcode latency histograms (p50/p95/p99/max),
-per-shard queue-depth gauges and byte counters, as a table or (--prom)
-Prometheus text exposition.
+Summary files hold exactly what a server's summary request ships: the
+same binary wire frame payload, so `build`, `merge`, `serve` and a
+coordinator all produce files any of the others can merge and query
+(files written before this format are refused: rebuild them). `serve`
+runs the sharded concurrent engine on A (default 127.0.0.1:7433) until
+stdin closes. `bench-client` streams a seeded Zipf workload at it and
+reports throughput, engine metrics and per-shard buffer-pool reuse.
+`metrics` scrapes a live server's telemetry plane: per-opcode latency
+histograms (p50/p95/p99/max), per-shard queue-depth gauges and byte
+counters, as a table or (--prom) Prometheus text exposition.
 
 `serve --coordinator` federates N already-running `serve` backends into
 one logical service: ingest batches are consistent-hash routed across
 the nodes (with automatic rebalance around dead ones), queries are
 answered by scatter/gather plus a one-shot merge — the same eps*n bound
 as a single node — and `--replicas` pairs consecutive nodes for
-redundancy. `metrics --cluster` scrapes every node directly and merges
-their metric planes client-side (work counters sum, gauges take max,
-latency histograms merge bucket-wise).
+redundancy. `metrics --cluster` runs that coordinator's gather in
+process, once: unreachable nodes are skipped, and the live ones' metric
+planes merge (work counters sum, gauges take max, latency histograms
+merge bucket-wise).
 
 `serve --data-dir DIR` makes the engine crash-safe: every acked batch is
 appended to a write-ahead log and periodically folded into per-shard
@@ -334,24 +221,39 @@ fn read_items(input: Option<String>) -> Result<Vec<u64>, String> {
     Ok(items)
 }
 
-fn load(path: &str) -> Result<AnySummary, String> {
+fn load(path: &str) -> Result<ShardSummary, String> {
     let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let frame =
         WireFrame::from_bytes(&bytes).map_err(|e| format!("{path} is not a summary file: {e}"))?;
-    if frame.tag != SUMMARY_TAG {
-        return Err(format!(
-            "{path} is not a summary file: unexpected frame tag {:#x}",
-            frame.tag
-        ));
+    match frame.tag {
+        SUMMARY_FILE_TAG => frame
+            .value::<ShardSummary>()
+            .map_err(|e| format!("{path} is not a summary file: {e}")),
+        OLD_SUMMARY_TAG => Err(format!(
+            "{path} is an old-format summary file (frame tag {OLD_SUMMARY_TAG:#04x}); \
+             rebuild it with `mergeable build`"
+        )),
+        tag => Err(format!(
+            "{path} is not a summary file: unexpected frame tag {tag:#x}"
+        )),
     }
-    frame
-        .value::<AnySummary>()
-        .map_err(|e| format!("{path} is not a summary file: {e}"))
 }
 
-fn store(path: &str, summary: &AnySummary) -> Result<(), String> {
-    let bytes = WireFrame::from_value(SUMMARY_TAG, summary).to_bytes();
-    fs::write(path, bytes).map_err(|e| format!("cannot write {path}: {e}"))
+fn store(path: &str, summary: &ShardSummary) -> Result<(), String> {
+    let bytes = WireFrame::from_value(SUMMARY_FILE_TAG, summary).to_bytes();
+    fs::write(path, bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!(
+        "wrote {path} ({} items, {} stored entries)",
+        summary.total_weight(),
+        summary.size()
+    );
+    Ok(())
+}
+
+fn parse_kind(kind: &str) -> Result<SummaryKind, String> {
+    SummaryKind::parse(kind).ok_or_else(|| {
+        format!("unknown --kind '{kind}'; use mg, space-saving, count-min or hybrid-quantile")
+    })
 }
 
 fn parse_epsilon(value: &str) -> Result<f64, String> {
@@ -362,9 +264,23 @@ fn parse_epsilon(value: &str) -> Result<f64, String> {
     Ok(epsilon)
 }
 
+/// Pull `--nodes host:port,host:port,...` out of an argument list.
+fn take_nodes(args: &mut Vec<String>) -> Option<Vec<String>> {
+    let list = take_flag(args, "--nodes")?;
+    Some(
+        list.split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(str::to_string)
+            .collect(),
+    )
+}
+
+/// `build`: one shard's summary under the config `serve` would run, so
+/// the file merges with anything a server or coordinator ships.
 fn cmd_build(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let kind = take_flag(&mut args, "--kind").ok_or("build requires --kind")?;
+    let kind = parse_kind(&take_flag(&mut args, "--kind").ok_or("build requires --kind")?)?;
     let epsilon =
         parse_epsilon(&take_flag(&mut args, "--epsilon").ok_or("build requires --epsilon")?)?;
     let seed: u64 = match take_flag(&mut args, "--seed") {
@@ -377,48 +293,9 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         return Err(format!("unexpected arguments: {args:?}"));
     }
 
-    let items = read_items(input)?;
-    let summary = match kind.as_str() {
-        "mg" => {
-            let mut s = MgSummary::for_epsilon(epsilon);
-            s.extend_from(items);
-            AnySummary::Mg(s)
-        }
-        "space-saving" => {
-            let mut s = SpaceSavingSummary::for_epsilon(epsilon);
-            s.extend_from(items);
-            AnySummary::SpaceSaving(s)
-        }
-        "count-min" => {
-            let mut s = CountMinSketch::for_epsilon_delta(epsilon, 0.01, seed);
-            s.extend_from(items);
-            AnySummary::CountMin(s)
-        }
-        "hybrid-quantile" => {
-            let mut s = HybridQuantile::new(epsilon, seed);
-            for v in items {
-                s.insert(v);
-            }
-            AnySummary::HybridQuantile(s)
-        }
-        "bottom-k" => {
-            let k = (1.0 / (epsilon * epsilon)).ceil() as usize;
-            let mut s = BottomKSample::new(k.max(1), seed);
-            for v in items {
-                s.insert(v);
-            }
-            AnySummary::BottomK(s)
-        }
-        other => return Err(format!("unknown --kind '{other}'; see --help")),
-    };
-    store(&out, &summary)?;
-    eprintln!(
-        "wrote {} ({} items, {} stored entries)",
-        out,
-        summary.total_weight(),
-        summary.size()
-    );
-    Ok(())
+    let mut summary = ShardSummary::new(&ServiceConfig::new(kind, epsilon).seed(seed), 0);
+    summary.update_batch(&read_items(input)?);
+    store(&out, &summary)
 }
 
 fn cmd_merge(args: &[String]) -> Result<(), String> {
@@ -429,16 +306,11 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
     }
     let mut merged = load(&args[0])?;
     for path in &args[1..] {
-        merged = merged.merge(load(path)?)?;
+        merged = merged
+            .merge(load(path)?)
+            .map_err(|e| format!("{path}: {e}"))?;
     }
-    store(&out, &merged)?;
-    eprintln!(
-        "wrote {} ({} items, {} stored entries)",
-        out,
-        merged.total_weight(),
-        merged.size()
-    );
-    Ok(())
+    store(&out, &merged)
 }
 
 /// Parse a `--window` duration (`90s`, `5m`, `2h`, or plain seconds)
@@ -551,6 +423,8 @@ fn cmd_query_live(mut args: Vec<String>, addr: String) -> Result<(), String> {
     Err("query --addr needs one of --quantile / --heavy-hitters / --segments".into())
 }
 
+/// `query FILE`: the request a server would get, answered the way a
+/// server answers it — same φ check, same "not supported" wording.
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     if let Some(addr) = take_flag(&mut args, "--addr") {
@@ -560,80 +434,36 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let est = take_flag(&mut args, "--estimate");
     let quant = take_flag(&mut args, "--quantile");
     let rank = take_flag(&mut args, "--rank");
+    let request = if let Some(phi) = hh {
+        Request::HeavyHitters(
+            phi.parse()
+                .map_err(|e| format!("bad --heavy-hitters: {e}"))?,
+        )
+    } else if let Some(item) = est {
+        Request::Point(item.parse().map_err(|e| format!("bad --estimate: {e}"))?)
+    } else if let Some(phi) = quant {
+        Request::Quantile(phi.parse().map_err(|e| format!("bad --quantile: {e}"))?)
+    } else if let Some(x) = rank {
+        Request::Rank(x.parse().map_err(|e| format!("bad --rank: {e}"))?)
+    } else {
+        return Err("query needs one of --heavy-hitters / --estimate / --quantile / --rank".into());
+    };
     let [path] = args.as_slice() else {
         return Err("query requires exactly one summary file".into());
     };
     let summary = load(path)?;
-
-    if let Some(eps) = hh {
-        let eps: f64 = eps
-            .parse()
-            .map_err(|e| format!("bad --heavy-hitters: {e}"))?;
-        let hits: Vec<(u64, u64)> = match &summary {
-            AnySummary::Mg(s) => s.heavy_hitters(eps),
-            AnySummary::SpaceSaving(s) => s.heavy_hitters(eps),
-            _ => {
-                return Err(format!(
-                    "--heavy-hitters applies to mg/space-saving, not {}",
-                    summary.kind()
-                ))
+    match answer_query(&request, || Ok(&summary)) {
+        Response::Items(hits) => {
+            for (item, count) in hits {
+                println!("{item}\t{count}");
             }
-        };
-        for (item, count) in hits {
-            println!("{item}\t{count}");
         }
-        return Ok(());
+        Response::Count(value) | Response::Value(Some(value)) => println!("{value}"),
+        Response::Value(None) => return Err("summary is empty".into()),
+        Response::Error(message) => return Err(message),
+        other => return Err(format!("unexpected answer {other:?}")),
     }
-    if let Some(item) = est {
-        let item: u64 = item.parse().map_err(|e| format!("bad --estimate: {e}"))?;
-        let value = match &summary {
-            AnySummary::Mg(s) => s.estimate(&item),
-            AnySummary::SpaceSaving(s) => s.estimate(&item),
-            AnySummary::CountMin(s) => s.estimate(&item),
-            _ => {
-                return Err(format!(
-                    "--estimate applies to counter summaries, not {}",
-                    summary.kind()
-                ))
-            }
-        };
-        println!("{value}");
-        return Ok(());
-    }
-    if let Some(phi) = quant {
-        let phi: f64 = phi.parse().map_err(|e| format!("bad --quantile: {e}"))?;
-        let value = match &summary {
-            AnySummary::HybridQuantile(s) => s.quantile(phi),
-            AnySummary::BottomK(s) => s.quantile(phi),
-            _ => {
-                return Err(format!(
-                    "--quantile applies to quantile summaries, not {}",
-                    summary.kind()
-                ))
-            }
-        };
-        match value {
-            Some(v) => println!("{v}"),
-            None => return Err("summary is empty".into()),
-        }
-        return Ok(());
-    }
-    if let Some(x) = rank {
-        let x: u64 = x.parse().map_err(|e| format!("bad --rank: {e}"))?;
-        let value = match &summary {
-            AnySummary::HybridQuantile(s) => s.rank(&x),
-            AnySummary::BottomK(s) => s.rank(&x),
-            _ => {
-                return Err(format!(
-                    "--rank applies to quantile summaries, not {}",
-                    summary.kind()
-                ))
-            }
-        };
-        println!("{value}");
-        return Ok(());
-    }
-    Err("query needs one of --heavy-hitters / --estimate / --quantile / --rank".into())
+    Ok(())
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
@@ -641,7 +471,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         return Err("info requires exactly one summary file".into());
     };
     let summary = load(path)?;
-    println!("kind:           {}", summary.kind());
+    println!("kind:           {}", summary.kind().label());
     println!("items absorbed: {}", summary.total_weight());
     println!("stored entries: {}", summary.size());
     Ok(())
@@ -652,12 +482,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if take_switch(&mut args, "--coordinator") {
         return cmd_serve_coordinator(args);
     }
-    let kind = take_flag(&mut args, "--kind").ok_or("serve requires --kind")?;
-    let kind = SummaryKind::parse(&kind).ok_or_else(|| {
-        format!(
-            "unknown --kind '{kind}'; serve supports mg, space-saving, count-min, hybrid-quantile"
-        )
-    })?;
+    let kind = parse_kind(&take_flag(&mut args, "--kind").ok_or("serve requires --kind")?)?;
     let epsilon =
         parse_epsilon(&take_flag(&mut args, "--epsilon").ok_or("serve requires --epsilon")?)?;
     let addr = take_flag(&mut args, "--addr").unwrap_or_else(|| "127.0.0.1:7433".to_string());
@@ -673,9 +498,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     if take_switch(&mut args, "--audit") {
         cfg = cfg.audit(true);
-    }
-    if take_switch(&mut args, "--pin-cores") {
-        cfg = cfg.pin_cores(true);
     }
     let max_inflight = take_flag(&mut args, "--max-inflight");
     let max_inflight_per_conn = take_flag(&mut args, "--max-inflight-per-conn");
@@ -778,7 +600,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 
     let engine = Engine::start(cfg).map_err(|e| format!("cannot start engine: {e}"))?;
-    println!("{}", engine.affinity_status().describe());
     if let Some(r) = engine.recovery() {
         println!(
             "recovered: checkpoint seq {} ({} parts, weight {}), replayed {} WAL \
@@ -829,14 +650,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// consistent hash and answering queries by scatter/gather + one-shot
 /// merge.
 fn cmd_serve_coordinator(mut args: Vec<String>) -> Result<(), String> {
-    let nodes = take_flag(&mut args, "--nodes")
-        .ok_or("serve --coordinator requires --nodes host:port,...")?;
-    let nodes: Vec<String> = nodes
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
+    let nodes =
+        take_nodes(&mut args).ok_or("serve --coordinator requires --nodes host:port,...")?;
     let addr = take_flag(&mut args, "--addr").unwrap_or_else(|| "127.0.0.1:7433".to_string());
     let mut cfg = ClusterConfig::new(nodes);
     if take_switch(&mut args, "--replicas") {
@@ -949,8 +764,8 @@ fn cmd_bench_client(args: &[String]) -> Result<(), String> {
     println!("frames rejected:  {}", m.frames_rejected);
     println!("server retries:   {}", m.retries);
 
-    // Per-shard pool reuse and affinity come from the telemetry snapshot
-    // (the engine exports them as labeled gauges).
+    // Per-shard pool reuse comes from the telemetry snapshot (the engine
+    // exports it as labeled gauges).
     let telemetry = client
         .telemetry()
         .map_err(|e| format!("telemetry failed: {e}"))?;
@@ -973,24 +788,6 @@ fn cmd_bench_client(args: &[String]) -> Result<(), String> {
             .collect::<Vec<_>>()
             .join(" ");
         println!("pool reuse:       {line}");
-    }
-    let gauge = |name: &str| {
-        telemetry
-            .gauges
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-    };
-    if let Some(enabled) = gauge("affinity_enabled") {
-        let pinned = gauge("affinity_pinned_threads").unwrap_or(0);
-        println!(
-            "affinity:         {}",
-            if enabled != 0 {
-                format!("on ({pinned} threads pinned)")
-            } else {
-                "off".to_string()
-            }
-        );
     }
     Ok(())
 }
@@ -1097,62 +894,33 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `metrics --cluster --nodes a,b,c`: scrape every node and merge the
-/// planes client-side — `MetricsReport`s fold with the same
-/// sum-the-work / max-the-gauges rule the coordinator uses, registry
-/// snapshots merge counter-by-counter and histogram-bucket-wise.
+/// `metrics --cluster --nodes a,b,c`: one gather by an in-process
+/// [`Coordinator`] over the nodes — the same fold `serve --coordinator`
+/// answers `metrics` with, so a node that refuses the connection and one
+/// that fails its scrape are both skipped, and the live ones merge.
 fn cmd_metrics_cluster(mut args: Vec<String>, prom: bool) -> Result<(), String> {
-    let nodes = take_flag(&mut args, "--nodes")
-        .ok_or("metrics --cluster requires --nodes host:port,...")?;
-    let nodes: Vec<String> = nodes
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
-    if nodes.is_empty() {
-        return Err("metrics --cluster requires at least one node".into());
-    }
+    let nodes = take_nodes(&mut args).ok_or("metrics --cluster requires --nodes host:port,...")?;
     if !args.is_empty() {
         return Err(format!("unexpected arguments: {args:?}"));
     }
 
-    let mut merged_report: Option<mergeable_summaries::service::MetricsReport> = None;
-    let mut merged_snap: Option<mergeable_summaries::obs::RegistrySnapshot> = None;
-    let mut scraped = 0usize;
-    for addr in &nodes {
-        let mut client = match mergeable_summaries::service::Client::connect(addr.as_str()) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("warning: skipping {addr}: {e}");
-                continue;
-            }
-        };
-        let report = client
-            .metrics()
-            .map_err(|e| format!("{addr}: metrics scrape failed: {e}"))?;
-        let snap = client
-            .telemetry()
-            .map_err(|e| format!("{addr}: telemetry scrape failed: {e}"))?;
-        match &mut merged_report {
-            None => merged_report = Some(report),
-            Some(acc) => acc.merge_from(&report),
-        }
-        merged_snap = Some(match merged_snap.take() {
-            None => snap,
-            Some(acc) => acc.merge(&snap),
-        });
-        scraped += 1;
-    }
-    let (report, snap) = merged_report
-        .zip(merged_snap)
-        .ok_or("no node could be scraped")?;
+    let coordinator = Coordinator::start(ClusterConfig::new(nodes))
+        .map_err(|e| format!("cannot start coordinator: {e}"))?;
+    let gathered = coordinator
+        .metrics()
+        .map(|report| (report, coordinator.telemetry_merged()));
+    let info = coordinator.cluster_info();
+    coordinator.shutdown();
+    let (report, snap) = gathered.map_err(|e| format!("no node could be scraped: {e}"))?;
 
     if prom {
         print!("{}", mergeable_summaries::obs::render_prometheus(&snap));
         return Ok(());
     }
-    println!("== cluster ({scraped} of {} nodes scraped) ==", nodes.len());
+    println!("== cluster ==");
+    for node in &info.nodes {
+        println!("{:<44} {}", node.addr, node.state.label());
+    }
     println!("{:<44} {}", "updates", report.updates);
     println!("{:<44} {}", "batches", report.batches);
     println!("{:<44} {}", "dropped", report.dropped);
@@ -1212,15 +980,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let addr = take_flag(&mut args, "--addr").ok_or("trace requires --addr")?;
     let json = take_switch(&mut args, "--json");
-    let nodes: Vec<String> = take_flag(&mut args, "--nodes")
-        .map(|s| {
-            s.split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default();
+    let nodes = take_nodes(&mut args).unwrap_or_default();
     if !args.is_empty() {
         return Err(format!("unexpected arguments: {args:?}"));
     }

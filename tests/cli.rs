@@ -3,8 +3,16 @@
 //! workflow, exercised through the real binary.
 
 use std::fs;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use mergeable_summaries::core::{Wire, WireFrame};
+use mergeable_summaries::service::{
+    Client, Engine, Request, Response, Server, ServiceConfig, SummaryKind, SUMMARY_FILE_TAG,
+};
+use mergeable_summaries::{ItemSummary, MgSummary};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mergeable"))
@@ -19,6 +27,34 @@ fn tempdir(tag: &str) -> PathBuf {
 fn write_data(path: &PathBuf, items: &[u64]) {
     let text: String = items.iter().map(|i| format!("{i}\n")).collect();
     fs::write(path, text).expect("write data");
+}
+
+fn run_err(cmd: &mut Command) -> String {
+    let output = cmd.output().expect("spawn");
+    assert!(
+        !output.status.success(),
+        "command succeeded\nstdout: {}",
+        String::from_utf8_lossy(&output.stdout)
+    );
+    String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
+/// A live mg server at ε = 0.05 that has ingested and flushed `items`.
+fn live_server(items: &[u64]) -> Server {
+    let engine = Engine::start(ServiceConfig::new(SummaryKind::Mg, 0.05)).expect("engine");
+    let server = Server::bind(engine, "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for chunk in items.chunks(100) {
+        client.ingest_slice(chunk).expect("ingest");
+    }
+    client.flush().expect("flush");
+    server
+}
+
+/// An address nothing listens on: bind an ephemeral port, then free it.
+fn dead_addr() -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    listener.local_addr().unwrap().to_string()
 }
 
 fn run_ok(cmd: &mut Command) -> Output {
@@ -236,7 +272,11 @@ fn bad_inputs_produce_clear_errors() {
         .output()
         .expect("spawn");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("quantile summaries"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("quantile queries are not supported by a mg summary"),
+        "{stderr}"
+    );
 
     fs::remove_dir_all(dir).ok();
 }
@@ -266,24 +306,26 @@ fn space_saving_and_bottom_k_kinds() {
     let est: u64 = String::from_utf8_lossy(&out.stdout).trim().parse().unwrap();
     assert!((400..=440).contains(&est), "estimate {est}");
 
-    // Bottom-k sample: median of the mixed data.
-    let bk = dir.join("bk.json");
-    run_ok(bin().args([
-        "build",
-        "--kind",
-        "bottom-k",
-        "--epsilon",
-        "0.05",
-        "--seed",
-        "3",
-        "--input",
-        data.to_str().unwrap(),
-        "--out",
-        bk.to_str().unwrap(),
-    ]));
-    let out = run_ok(bin().args(["query", bk.to_str().unwrap(), "--quantile", "0.9"]));
-    let q: u64 = String::from_utf8_lossy(&out.stdout).trim().parse().unwrap();
-    assert!(q >= 150, "p90 {q}");
+    // Bottom-k is a library baseline, not a family `serve` runs: `build`
+    // refuses it like any other unknown kind.
+    let out = bin()
+        .args([
+            "build",
+            "--kind",
+            "bottom-k",
+            "--epsilon",
+            "0.05",
+            "--input",
+            data.to_str().unwrap(),
+            "--out",
+            dir.join("bk.ms").to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown --kind 'bottom-k'"), "{stderr}");
+    assert!(!dir.join("bk.ms").exists());
 
     fs::remove_dir_all(dir).ok();
 }
@@ -294,4 +336,183 @@ fn help_prints_usage() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("USAGE"));
     assert!(text.contains("hybrid-quantile"));
+}
+
+#[test]
+fn a_server_summary_is_a_summary_file() {
+    let dir = tempdir("served");
+    // The server saw item 7 heavy; a site file adds more of it.
+    let mut served: Vec<u64> = vec![7; 600];
+    served.extend(3000..3400u64);
+    let server = live_server(&served);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let Response::Summary(payload) = client.call(&Request::Summary).expect("summary") else {
+        panic!("summary request answered with something else");
+    };
+    server.stop();
+    let from_server = dir.join("served.ms");
+    let frame = WireFrame {
+        tag: SUMMARY_FILE_TAG,
+        payload,
+    };
+    fs::write(&from_server, frame.to_bytes()).unwrap();
+
+    let info = run_ok(bin().args(["info", from_server.to_str().unwrap()]));
+    let text = String::from_utf8_lossy(&info.stdout);
+    assert!(text.contains("kind:           mg"), "{text}");
+    assert!(text.contains("items absorbed: 1000"), "{text}");
+
+    let out = run_ok(bin().args(["query", from_server.to_str().unwrap(), "--estimate", "7"]));
+    let est: u64 = String::from_utf8_lossy(&out.stdout).trim().parse().unwrap();
+    assert!((550..=600).contains(&est), "estimate {est}");
+
+    let data = dir.join("site.txt");
+    let mut site: Vec<u64> = vec![7; 300];
+    site.extend(5000..5300u64);
+    write_data(&data, &site);
+    let built = dir.join("site.ms");
+    run_ok(bin().args([
+        "build",
+        "--kind",
+        "mg",
+        "--epsilon",
+        "0.05",
+        "--input",
+        data.to_str().unwrap(),
+        "--out",
+        built.to_str().unwrap(),
+    ]));
+    let merged = dir.join("merged.ms");
+    run_ok(bin().args([
+        "merge",
+        from_server.to_str().unwrap(),
+        built.to_str().unwrap(),
+        "--out",
+        merged.to_str().unwrap(),
+    ]));
+    let info = run_ok(bin().args(["info", merged.to_str().unwrap()]));
+    let text = String::from_utf8_lossy(&info.stdout);
+    assert!(text.contains("items absorbed: 1600"), "{text}");
+    let out = run_ok(bin().args(["query", merged.to_str().unwrap(), "--heavy-hitters", "0.3"]));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let first = stdout.lines().next().expect("item 7 is a 0.3-heavy hitter");
+    assert!(first.starts_with("7\t"), "{stdout}");
+
+    fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn query_rejects_phi_outside_the_unit_interval() {
+    let dir = tempdir("phi");
+    let data = dir.join("d.txt");
+    write_data(&data, &(0..1000u64).collect::<Vec<_>>());
+    let mut files = Vec::new();
+    for kind in ["mg", "hybrid-quantile"] {
+        let out = dir.join(format!("{kind}.ms"));
+        run_ok(bin().args([
+            "build",
+            "--kind",
+            kind,
+            "--epsilon",
+            "0.05",
+            "--input",
+            data.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+        ]));
+        files.push(out);
+    }
+    for (file, flag) in [(&files[0], "--heavy-hitters"), (&files[1], "--quantile")] {
+        for phi in ["2.0", "NaN", "-0.5"] {
+            let stderr = run_err(bin().args(["query", file.to_str().unwrap(), flag, phi]));
+            assert!(
+                stderr.contains("phi must be a finite value in [0, 1]"),
+                "{flag} {phi}: {stderr}"
+            );
+        }
+    }
+    fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn an_old_format_summary_file_is_refused() {
+    // The layout `build` wrote before summary files held `ShardSummary`
+    // bytes: frame tag 0x01, kind byte 1 = MG (which `ShardSummary`
+    // would read as SpaceSaving).
+    let dir = tempdir("oldfmt");
+    let mut mg = MgSummary::<u64>::for_epsilon(0.05);
+    mg.extend_from(vec![7u64; 50]);
+    let mut payload = vec![1u8];
+    mg.encode_into(&mut payload);
+    let old = dir.join("old.ms");
+    fs::write(&old, WireFrame { tag: 0x01, payload }.to_bytes()).unwrap();
+    for args in [
+        vec!["info", old.to_str().unwrap()],
+        vec!["query", old.to_str().unwrap(), "--estimate", "7"],
+    ] {
+        let stderr = run_err(bin().args(&args));
+        assert!(
+            stderr.contains("old-format summary file (frame tag 0x01)"),
+            "{stderr}"
+        );
+        assert!(stderr.contains("rebuild it"), "{stderr}");
+    }
+    fs::remove_dir_all(dir).ok();
+}
+
+/// The value printed on `metrics --cluster`'s `updates` line.
+fn cluster_updates(stdout: &str) -> u64 {
+    stdout
+        .lines()
+        .find_map(|line| line.strip_prefix("updates "))
+        .expect("an updates line")
+        .trim()
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn metrics_cluster_merges_live_nodes_and_skips_dead_ones() {
+    let a = live_server(&(0..3000u64).collect::<Vec<_>>());
+    let b = live_server(&(0..1234u64).collect::<Vec<_>>());
+    let live = format!("{},{}", a.local_addr(), b.local_addr());
+
+    let out = run_ok(bin().args(["metrics", "--cluster", "--nodes", &live]));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(cluster_updates(&stdout), 4234, "{stdout}");
+
+    // A node that refuses the connection and one that accepts it but
+    // hangs up on every request are both skipped, not fatal.
+    let dead = dead_addr();
+    let hangup = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let hangup_addr = hangup.local_addr().unwrap();
+    let nodes = format!("{live},{dead},{hangup_addr}");
+    let done = AtomicBool::new(false);
+    let out = std::thread::scope(|s| {
+        s.spawn(|| {
+            for stream in hangup.incoming() {
+                if done.load(Ordering::SeqCst) {
+                    break;
+                }
+                drop(stream);
+            }
+        });
+        let out = run_ok(bin().args(["metrics", "--cluster", "--nodes", &nodes]));
+        done.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(hangup_addr); // wake the accept loop
+        out
+    });
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(cluster_updates(&stdout), 4234, "{stdout}");
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with(&dead) && l.ends_with("dead")),
+        "{stdout}"
+    );
+
+    a.stop();
+    b.stop();
+    let stderr = run_err(bin().args(["metrics", "--cluster", "--nodes", &dead]));
+    assert!(stderr.contains("no node could be scraped"), "{stderr}");
 }
