@@ -1,7 +1,8 @@
 //! Batched CPU hot-path kernels: Count-Min batch update and multiway
 //! merge, scalar reference vs runtime-dispatched (AVX2/AVX-512) variants,
-//! the hybrid quantile kernels, and the batch varint codec beside the
-//! byte-at-a-time loops it replaced. Persists `results/BENCH_kernels.json`.
+//! the hybrid quantile kernels, the segment cube's range read cold and
+//! through its memo, and the batch varint codec beside the byte-at-a-time
+//! loops it replaced. Persists `results/BENCH_kernels.json`.
 //!
 //! Deterministic and meaningful on a 1-CPU host: every row is a
 //! single-threaded kernel measured over seeded inputs, so the
@@ -22,10 +23,12 @@ use ms_core::simd::{self, Isa};
 use ms_core::wire::{check_u64_slice, decode_u64_slice_into, encode_u64_slice_into, put_varint};
 use ms_core::{ItemSummary, Json, Rng64, Summary, ToJson, WireReader};
 use ms_quantiles::{HybridQuantile, RankSummary};
+use ms_service::{ManualClock, SegmentConfig, SegmentCube, SummaryKind};
 use ms_sketches::batch;
 use ms_sketches::hashing::PairwiseHash;
 use ms_sketches::CountMinSketch;
 use ms_workloads::StreamKind;
+use std::sync::Arc;
 
 /// ε = 0.01 Count-Min geometry (width 272 × depth 5) for the update rows.
 const UPDATE_EPS: f64 = 0.01;
@@ -43,6 +46,12 @@ const SEGMENT_ITEMS: usize = 32_768;
 const HYBRID_M: usize = 921;
 /// Items per ingest batch on the hybrid insert rows.
 const INSERT_BATCH: usize = 1_024;
+/// The ledger's `read-write` segment: 256 batches of 128 items.
+const SEGMENT_BATCHES: u64 = 256;
+const SEGMENT_BATCH: usize = 128;
+/// Distinct windows a cold row rotates over: more than the range memo
+/// keeps, so every window's fold has aged out before it comes round.
+const COLD_WINDOWS: usize = 16;
 
 fn rate(measurements: &[Measurement], label: &str) -> f64 {
     measurements
@@ -115,6 +124,42 @@ fn varint_rows(name: &str, items: &[u64]) -> Vec<Measurement> {
         println!("{:<16} {:>6.2} ns/item", m.label, m.ns_per_iter / n as f64);
     }
     rows
+}
+
+/// A cube of `segments` sealed `read-write`-shaped segments (Zipf items,
+/// ε = 0.01, one clock micro per batch) and each one's `[start, end]`.
+fn sealed_cube(segments: usize) -> (SegmentCube, Vec<(u64, u64)>) {
+    let clock = Arc::new(ManualClock::new(0));
+    let cfg = SegmentConfig::new()
+        .seal_batches(SEGMENT_BATCHES)
+        .clock(clock.clone());
+    let cube = SegmentCube::new(HYBRID_EPS, 7, cfg);
+    let mut seq = 0;
+    for i in 0..segments as u64 {
+        let items = StreamKind::Zipf {
+            s: 1.1,
+            universe: 1 << 20,
+        }
+        .generate(SEGMENT_ITEMS, 0x5E6_0100 + i);
+        for batch in items.chunks(SEGMENT_BATCH) {
+            clock.advance(1);
+            seq += 1;
+            cube.record_at(seq, batch);
+        }
+    }
+    let spans = cube
+        .report()
+        .segments
+        .iter()
+        .map(|seg| (seg.start_micros, seg.end_micros))
+        .collect();
+    (cube, spans)
+}
+
+/// The range memo's counts: hits, extends, misses.
+fn memo_counts(cube: &SegmentCube) -> [u64; 3] {
+    let h = cube.health();
+    [h.memo_hits, h.memo_extends, h.memo_misses]
 }
 
 fn main() {
@@ -290,6 +335,60 @@ fn main() {
     hybrid_quantile.bench("answer", || merged.quantile(std::hint::black_box(0.5)));
     let hybrid_quantile_rows = hybrid_quantile.finish();
 
+    // -- The segment cube's quantile range read over 8 and 64 sealed
+    // segments, through `SegmentCube::query` and its range memo: a cold
+    // fold (the window rotates past what the memo keeps), a repeat of a
+    // memoized window, and a window one sealed segment longer than a
+    // memoized one (the read after a seal). The ledger's in-process
+    // replay repeats one window, so its `cube.query_us_per_segment` reads
+    // the hit path; the cold rows are where a fold's per-segment cost
+    // stays measured. Each row checks it took the memo path it names.
+    let (cube, spans) = sealed_cube(64 + COLD_WINDOWS);
+    let window = |first: usize, len: usize| (spans[first].0, spans[first + len - 1].1);
+    let read = |(start, end): (u64, u64)| cube.query(start, end, SummaryKind::HybridQuantile);
+    // Ages every memoized fold out (more distinct runs than the memo
+    // keeps) and returns the counts to measure a row's lookups from.
+    let fresh_memo = || {
+        for first in 0..COLD_WINDOWS {
+            cube.query(spans[first].0, spans[first + 1].1, SummaryKind::Mg);
+        }
+        memo_counts(&cube)
+    };
+    let since = |before: [u64; 3]| -> [u64; 3] {
+        let now = memo_counts(&cube);
+        std::array::from_fn(|i| now[i] - before[i])
+    };
+    let mut cube_range = Suite::new("cube_range (read-write segments: 32Ki items, eps=0.01)");
+    for len in [8, 64] {
+        let before = fresh_memo();
+        let mut at = 0;
+        cube_range.bench(&format!("fold{len}_cold"), || {
+            at = (at + 1) % COLD_WINDOWS;
+            read(window(at, len))
+        });
+        let [hits, extends, _] = since(before);
+        assert_eq!((hits, extends), (0, 0), "fold{len}_cold must miss");
+        let before = fresh_memo();
+        read(window(0, len));
+        cube_range.bench(&format!("fold{len}_hit"), || read(window(0, len)));
+        let [_, extends, misses] = since(before);
+        assert_eq!((extends, misses), (0, 1), "fold{len}_hit must hit");
+    }
+    let before = fresh_memo();
+    let mut at = 0;
+    cube_range.bench_with_setup(
+        "fold8_extend",
+        || {
+            at = (at + 1) % COLD_WINDOWS;
+            read(window(at, 7));
+            at
+        },
+        |at| read(window(at, 8)),
+    );
+    let [hits, extends, misses] = since(before);
+    assert!(hits == 0 && extends == misses, "fold8_extend must extend");
+    let cube_range_rows = cube_range.finish();
+
     // -- Batch varint codec: what every ingest frame, WAL record and
     // coordinator leg goes through. The ledger's stream, and a uniform
     // one that lives on the 9- and 10-byte slow path.
@@ -367,6 +466,7 @@ fn main() {
         ("hybrid_insert", suite_json(&hybrid_insert_rows)),
         ("hybrid_merge", suite_json(&hybrid_merge_rows)),
         ("hybrid_quantile", suite_json(&hybrid_quantile_rows)),
+        ("cube_range", suite_json(&cube_range_rows)),
         ("varint_zipf", suite_json(&varint_zipf_rows)),
         ("varint_uniform", suite_json(&varint_uniform_rows)),
         (

@@ -69,6 +69,31 @@ impl Suite {
         self.run(label, elements, f);
     }
 
+    /// Benchmark `f` on a fresh input from `setup` per call, timing `f`
+    /// alone — for a routine whose precondition each call consumes.
+    pub fn bench_with_setup<S, T>(
+        &mut self,
+        label: &str,
+        mut setup: impl FnMut() -> S,
+        mut f: impl FnMut(S) -> T,
+    ) {
+        let mut timed = || {
+            let input = std::hint::black_box(setup());
+            let t0 = Instant::now();
+            std::hint::black_box(f(input));
+            t0.elapsed()
+        };
+        let once = timed().max(Duration::from_nanos(1));
+        let iters = (self.budget.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
+        let total: Duration = (0..iters).map(|_| timed()).sum();
+        self.results.push(Measurement {
+            label: label.to_string(),
+            iters,
+            ns_per_iter: total.as_nanos() as f64 / iters as f64,
+            elements: 0,
+        });
+    }
+
     fn run<T>(&mut self, label: &str, elements: u64, mut f: impl FnMut() -> T) {
         // Warm-up: one untimed call, also used to calibrate.
         let t0 = Instant::now();
@@ -153,6 +178,25 @@ mod tests {
         assert!(results[0].iters >= 1);
         assert!(results[0].ns_per_iter > 0.0);
         assert!(results[0].throughput().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn setup_runs_once_per_timed_call() {
+        let mut s = Suite::new("unit");
+        s.budget = Duration::from_millis(5);
+        let (mut setups, mut calls) = (0u64, 0u64);
+        s.bench_with_setup(
+            "fresh",
+            || setups += 1,
+            |()| {
+                calls += 1;
+                std::hint::black_box(calls)
+            },
+        );
+        let results = s.finish();
+        // One untimed calibration call, then `iters` timed ones.
+        assert_eq!(calls, results[0].iters + 1);
+        assert_eq!(setups, calls);
     }
 
     #[test]

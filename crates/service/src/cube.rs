@@ -58,9 +58,26 @@
 //!   covering handles (and the one requested family of the open segment
 //!   when the window reaches it), drops both guards, and only then
 //!   merges.
+//! * **memo** (the range memo, see below): taken alone — never while a
+//!   cube lock is held and never across a merge — to look up and bump
+//!   one entry, or to store one.
 //!
 //! Lock order is order → fold → persist, with index innermost and never
-//! held across any of the others being taken.
+//! held across any of the others being taken; the memo lock is held
+//! with none of them.
+//!
+//! Range memo: a handful of left-deep folds over sealed runs, least
+//! recently used first out (`MEMO_ENTRIES`). An entry is keyed by the
+//! streamed family and the exact list of sealed segments it covers, each
+//! named by `(id, end_seq)` — coarsening keeps a survivor's id but moves
+//! its `end_seq`, and ids are never reused, so a coarsened or evicted
+//! segment can never match. [`SegmentCube::query`] resumes from the
+//! longest memoized prefix of its covering run (after a seal, one merge
+//! is left), stores the longer fold, and only then merges the open
+//! segment, which is never memoized. A hit is byte-exact: the merges are
+//! deterministic — the hybrid summary's generator is part of its state —
+//! and a clone carries that whole state, so a clone of `fold(s₁..sₖ)`
+//! merged with `x` is `fold(s₁..sₖ, x)` to the byte.
 //!
 //! Crash safety: sealed segments are persisted by the engine via
 //! [`ms_store::SegmentStore`], in seal order; the WAL is never pruned
@@ -131,7 +148,9 @@ pub struct AdoptOutcome {
 /// precomputation exists, and how stale/heavy the open segment is. A
 /// fast-growing `open_age_micros` under a wall-clock seal policy means
 /// sealing has stalled; `open_weight` bounds how much of a range answer
-/// comes from the unsealed (still-moving) segment.
+/// comes from the unsealed (still-moving) segment. The `memo_*` fields
+/// are counts since the cube was built: how its range reads used the
+/// range memo (module doc).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CubeHealth {
     /// Sealed segments currently queryable.
@@ -143,6 +162,15 @@ pub struct CubeHealth {
     /// Deepest coarsening tier among resident sealed segments (0 when
     /// pressure never forced a merge).
     pub max_tier: u64,
+    /// Range reads over two or more sealed segments whose whole sealed
+    /// run was memoized.
+    pub memo_hits: u64,
+    /// Range reads that resumed from a shorter memoized prefix (after a
+    /// seal: one merge).
+    pub memo_extends: u64,
+    /// Range reads over two or more sealed segments that folded from
+    /// scratch.
+    pub memo_misses: u64,
 }
 
 /// A segment's Count-Min family: a live sketch while the segment is
@@ -375,6 +403,81 @@ fn intersects(meta: &SegmentMeta, start_micros: u64, end_micros: u64) -> bool {
     meta.batches > 0 && meta.start_micros <= end_micros && meta.end_micros >= start_micros
 }
 
+/// `part` merged into `acc`, left-deep.
+fn merged(mut acc: ShardSummary, part: ShardSummary) -> ShardSummary {
+    acc.merge_in_place(part)
+        .expect("same-family segment summaries always merge");
+    acc
+}
+
+/// Folds the range memo keeps. The ledger's `read-write` reader has three
+/// windows over two or more sealed segments live at once (quantile over 8
+/// and 64, heavy hitters over 8); the rest is room for the folds a moved
+/// left edge strands, which age out.
+const MEMO_ENTRIES: usize = 8;
+
+/// A sealed segment as the memo names it (see the module doc).
+type SegKey = (u64, u64);
+
+/// One memoized fold: `family`'s summaries of the sealed segments `run`
+/// names, merged left-deep in index order.
+struct MemoEntry {
+    family: SummaryKind,
+    run: Vec<SegKey>,
+    fold: Arc<ShardSummary>,
+}
+
+/// Guarded by the memo lock.
+#[derive(Default)]
+struct Memo {
+    /// Least recently used first.
+    entries: VecDeque<MemoEntry>,
+    hits: u64,
+    extends: u64,
+    misses: u64,
+}
+
+impl Memo {
+    /// The longest memoized prefix of `run` for `family`, as its length
+    /// and fold, made the most recently used entry. Counts the lookup.
+    fn longest_prefix(
+        &mut self,
+        family: SummaryKind,
+        run: &[SegKey],
+    ) -> Option<(usize, Arc<ShardSummary>)> {
+        let found = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.family == family && run.starts_with(&e.run))
+            .max_by_key(|(_, e)| e.run.len())
+            .map(|(at, _)| at);
+        let Some(entry) = found.and_then(|at| self.entries.remove(at)) else {
+            self.misses += 1;
+            return None;
+        };
+        if entry.run.len() == run.len() {
+            self.hits += 1;
+        } else {
+            self.extends += 1;
+        }
+        let prefix = (entry.run.len(), Arc::clone(&entry.fold));
+        self.entries.push_back(entry);
+        Some(prefix)
+    }
+
+    /// Keep `entry` as the most recently used, in place of every entry it
+    /// extends (a racing reader's copy of the same run included).
+    fn store(&mut self, entry: MemoEntry) {
+        self.entries
+            .retain(|e| e.family != entry.family || !entry.run.starts_with(&e.run));
+        if self.entries.len() == MEMO_ENTRIES {
+            self.entries.pop_front();
+        }
+        self.entries.push_back(entry);
+    }
+}
+
 /// The engine's segment cube. All methods are `&self`; see the module
 /// doc for what each lock guards.
 pub struct SegmentCube {
@@ -394,6 +497,7 @@ pub struct SegmentCube {
     persisted_floor: AtomicU64,
     /// Serialises the callers' segment-store work in seal order.
     persist: Mutex<()>,
+    memo: Mutex<Memo>,
 }
 
 impl SegmentCube {
@@ -414,6 +518,7 @@ impl SegmentCube {
             last_micros: AtomicU64::new(0),
             persisted_floor: AtomicU64::new(0),
             persist: Mutex::new(()),
+            memo: Mutex::new(Memo::default()),
         }
     }
 
@@ -686,28 +791,16 @@ impl SegmentCube {
     /// a per-range oracle must replay.
     ///
     /// Under the locks this only clones handles (and the open segment's
-    /// one requested family); the merge runs after both are released.
+    /// one requested family); the merge runs after both are released,
+    /// resuming from the range memo (see the module doc). The reply is
+    /// byte for byte the plain left-deep fold's.
     pub fn query(
         &self,
         start_micros: u64,
         end_micros: u64,
         kind: SummaryKind,
     ) -> (RangeMeta, Option<ShardSummary>) {
-        let (covering, open) = {
-            let fold = lock(&self.fold);
-            let covering: Vec<Arc<Segment>> = lock(&self.index)
-                .sealed
-                .iter()
-                .filter(|seg| intersects(&seg.meta, start_micros, end_micros))
-                .cloned()
-                .collect();
-            let open = fold
-                .open
-                .as_ref()
-                .filter(|seg| intersects(&seg.meta, start_micros, end_micros))
-                .map(|seg| (seg.meta.clone(), seg.family(kind)));
-            (covering, open)
-        };
+        let (covering, open) = self.cut(start_micros, end_micros, kind);
         let mut meta = RangeMeta {
             start_micros,
             end_micros,
@@ -717,49 +810,110 @@ impl SegmentCube {
             start_seq: 0,
             end_seq: 0,
         };
-        let mut merged: Option<ShardSummary> = None;
-        let parts = covering
-            .iter()
-            .map(|seg| (seg.meta.clone(), seg.family(kind)))
-            .chain(open);
-        for (seg, part) in parts {
+        let segs = covering.iter().map(|seg| &seg.meta);
+        for seg in segs.chain(open.as_ref().map(|(seg, _)| seg)) {
             meta.segments_merged += 1;
             meta.covered_weight += seg.weight;
             if meta.segments_merged == 1 {
                 meta.start_seq = seg.start_seq;
             }
             meta.end_seq = seg.end_seq;
-            merged = Some(match merged.take() {
+        }
+        let mut answer = self.fold_sealed(kind, &covering);
+        if let Some((_, part)) = open {
+            answer = Some(match answer {
                 None => part,
-                Some(mut acc) => {
-                    acc.merge_in_place(part)
-                        .expect("same-family segment summaries always merge");
-                    acc
-                }
+                Some(acc) => merged(acc, part),
             });
         }
         if kind == SummaryKind::SpaceSaving {
-            merged = merged.map(derive_space_saving);
+            answer = answer.map(derive_space_saving);
         }
-        (meta, merged)
+        (meta, answer)
+    }
+
+    /// The sealed segments intersecting `[start, end]` micros and, when
+    /// the window reaches it, the open segment's coordinates and a copy of
+    /// its `kind` family: one consistent cut, taken under fold → index.
+    fn cut(
+        &self,
+        start_micros: u64,
+        end_micros: u64,
+        kind: SummaryKind,
+    ) -> (Vec<Arc<Segment>>, Option<(SegmentMeta, ShardSummary)>) {
+        let fold = lock(&self.fold);
+        let covering = lock(&self.index)
+            .sealed
+            .iter()
+            .filter(|seg| intersects(&seg.meta, start_micros, end_micros))
+            .cloned()
+            .collect();
+        let open = fold
+            .open
+            .as_ref()
+            .filter(|seg| intersects(&seg.meta, start_micros, end_micros))
+            .map(|seg| (seg.meta.clone(), seg.family(kind)));
+        (covering, open)
+    }
+
+    /// `kind`'s family folded left-deep over the sealed run `covering`,
+    /// resumed from the longest memoized prefix; a fold that merged
+    /// anything is memoized. Takes only the memo lock, and never across a
+    /// merge.
+    fn fold_sealed(&self, kind: SummaryKind, covering: &[Arc<Segment>]) -> Option<ShardSummary> {
+        let (first, rest) = covering.split_first()?;
+        if rest.is_empty() {
+            return Some(first.family(kind));
+        }
+        // SpaceSaving answers are derived from the MG family's fold.
+        let family = match kind {
+            SummaryKind::SpaceSaving => SummaryKind::Mg,
+            other => other,
+        };
+        let run: Vec<SegKey> = covering
+            .iter()
+            .map(|seg| (seg.meta.id, seg.meta.end_seq))
+            .collect();
+        let prefix = lock(&self.memo).longest_prefix(family, &run);
+        let (done, mut acc) = match prefix {
+            Some((done, fold)) => (done, ShardSummary::clone(&fold)),
+            None => (1, first.family(kind)),
+        };
+        if done == covering.len() {
+            return Some(acc);
+        }
+        for seg in &covering[done..] {
+            acc = merged(acc, seg.family(kind));
+        }
+        let fold = Arc::new(acc.clone());
+        lock(&self.memo).store(MemoEntry { family, run, fold });
+        Some(acc)
     }
 
     /// Current health gauges (sealed count, open-segment age/weight),
     /// read against the same monotone-clamped clock that stamps
-    /// segments.
+    /// segments, and the range memo's counts.
     pub fn health(&self) -> CubeHealth {
-        let ix = lock(&self.index);
-        let now = self.now();
-        let (open_age_micros, open_weight) = match &ix.open {
-            Some(open) => (now.saturating_sub(open.start_micros), open.weight),
-            None => (0, 0),
+        let mut health = {
+            let ix = lock(&self.index);
+            let now = self.now();
+            let (open_age_micros, open_weight) = match &ix.open {
+                Some(open) => (now.saturating_sub(open.start_micros), open.weight),
+                None => (0, 0),
+            };
+            CubeHealth {
+                sealed: ix.sealed.len() as u64,
+                open_age_micros,
+                open_weight,
+                max_tier: ix.sealed.iter().map(|seg| seg.meta.tier).max().unwrap_or(0),
+                ..CubeHealth::default()
+            }
         };
-        CubeHealth {
-            sealed: ix.sealed.len() as u64,
-            open_age_micros,
-            open_weight,
-            max_tier: ix.sealed.iter().map(|seg| seg.meta.tier).max().unwrap_or(0),
-        }
+        let memo = lock(&self.memo);
+        health.memo_hits = memo.hits;
+        health.memo_extends = memo.extends;
+        health.memo_misses = memo.misses;
+        health
     }
 
     /// The cube's index: sealed segments in id order, then the open one.
@@ -1156,6 +1310,159 @@ mod tests {
         assert_eq!(h.open_weight, 0);
     }
 
+    // ---- the range memo ----
+
+    /// What `query` returned before the range memo: every covering
+    /// segment's family merged left-deep, the open one last.
+    fn query_unmemoized(
+        c: &SegmentCube,
+        start_micros: u64,
+        end_micros: u64,
+        kind: SummaryKind,
+    ) -> (RangeMeta, Option<ShardSummary>) {
+        let (covering, open) = c.cut(start_micros, end_micros, kind);
+        let mut meta = RangeMeta {
+            start_micros,
+            end_micros,
+            segments_merged: 0,
+            open_included: open.is_some(),
+            covered_weight: 0,
+            start_seq: 0,
+            end_seq: 0,
+        };
+        let mut answer: Option<ShardSummary> = None;
+        let parts = covering
+            .iter()
+            .map(|seg| (seg.meta.clone(), seg.family(kind)))
+            .chain(open);
+        for (seg, part) in parts {
+            meta.segments_merged += 1;
+            meta.covered_weight += seg.weight;
+            if meta.segments_merged == 1 {
+                meta.start_seq = seg.start_seq;
+            }
+            meta.end_seq = seg.end_seq;
+            answer = Some(match answer.take() {
+                None => part,
+                Some(acc) => merged(acc, part),
+            });
+        }
+        if kind == SummaryKind::SpaceSaving {
+            answer = answer.map(derive_space_saving);
+        }
+        (meta, answer)
+    }
+
+    fn memo_counts(c: &SegmentCube) -> (u64, u64, u64) {
+        let h = c.health();
+        (h.memo_hits, h.memo_extends, h.memo_misses)
+    }
+
+    /// Seeded ingest beside range reads of every kind: windows anchored
+    /// at now (repeats between seals, one-seal extensions after them, a
+    /// left edge that moves), sealed-only windows, windows asked again
+    /// after the segments under them were coarsened or evicted, and the
+    /// full range after every seal that did either. Coarsening holds the
+    /// sealed count at the watermark, so a cube evicts past `max_sealed`
+    /// only when that is below the watermark — hence two cubes.
+    #[test]
+    fn memo_replies_equal_the_unmemoized_fold() {
+        for seed in SEEDS {
+            for cfg in [
+                SegmentConfig::new().seal_batches(3).coarsen_watermark(5),
+                SegmentConfig::new()
+                    .seal_batches(3)
+                    .coarsen_watermark(5)
+                    .max_sealed(4),
+            ] {
+                let clock = Arc::new(ManualClock::new(0));
+                let c = cube(cfg.clock(clock.clone()));
+                let mut rng = ms_core::Rng64::new(seed);
+                let mut asked: VecDeque<(u64, u64)> = VecDeque::new();
+                let mut gone = 0;
+                for step in 0..240 {
+                    // Enough items that the quantile family flushes
+                    // buffers and its merges draw coins.
+                    let universe = 1 << (4 + rng.below(28));
+                    let batch: Vec<u64> = (0..1 + rng.below(300))
+                        .map(|_| rng.below(universe))
+                        .collect();
+                    clock.advance(1 + rng.below(3));
+                    let out = ok(&c, &batch);
+                    gone += out.evicted.len();
+                    let segs = c.report().segments;
+                    let back = 2 + rng.below_usize(5);
+                    let first = &segs[segs.len().saturating_sub(back)];
+                    let mut windows = vec![(first.start_micros, u64::MAX)];
+                    let sealed: Vec<&SegmentMeta> = segs.iter().filter(|s| s.sealed).collect();
+                    if sealed.len() >= 2 {
+                        let from = rng.below_usize(sealed.len() - 1);
+                        let to = from + 1 + rng.below_usize(sealed.len() - 1 - from);
+                        windows.push((sealed[from].start_micros, sealed[to].end_micros));
+                    }
+                    if !asked.is_empty() {
+                        windows.push(asked[rng.below_usize(asked.len())]);
+                    }
+                    if out.coarsened > 0 || !out.evicted.is_empty() {
+                        windows.push((0, u64::MAX));
+                    }
+                    for &(start, end) in &windows {
+                        let kind = SummaryKind::all()[rng.below_usize(4)];
+                        let (meta, answer) = c.query(start, end, kind);
+                        let (want_meta, want) = query_unmemoized(&c, start, end, kind);
+                        let what = format!("seed {seed:#x} step {step} [{start}, {end}] {kind:?}");
+                        assert_eq!(meta, want_meta, "{what}");
+                        let bytes = |s: Option<ShardSummary>| s.map(|s| s.encode());
+                        assert!(bytes(answer) == bytes(want), "{what}: reply bytes differ");
+                        asked.push_back((start, end));
+                    }
+                    while asked.len() > 12 {
+                        asked.pop_front();
+                    }
+                }
+                let (hits, extends, misses) = memo_counts(&c);
+                assert!(
+                    hits > 0 && extends > 0 && misses > 0,
+                    "{hits} {extends} {misses}"
+                );
+                assert!(gone > 0, "no segment was absorbed or evicted");
+            }
+        }
+    }
+
+    #[test]
+    fn memo_counts_hits_extends_and_misses() {
+        let clock = Arc::new(ManualClock::new(0));
+        let c = cube(SegmentConfig::new().seal_batches(1).clock(clock.clone()));
+        // Segments 0, 1, 2 sealed at t = 10, 20, 30.
+        for i in 0..3u64 {
+            clock.advance(10);
+            ok(&c, &[i; 5]);
+        }
+        c.query(0, u64::MAX, SummaryKind::HybridQuantile);
+        assert_eq!(memo_counts(&c), (0, 0, 1));
+        c.query(0, u64::MAX, SummaryKind::HybridQuantile);
+        assert_eq!(memo_counts(&c), (1, 0, 1));
+        // SpaceSaving and MG answers share the MG family's fold.
+        c.query(0, u64::MAX, SummaryKind::SpaceSaving);
+        c.query(0, u64::MAX, SummaryKind::Mg);
+        assert_eq!(memo_counts(&c), (2, 0, 2));
+        clock.advance(10);
+        ok(&c, &[3; 5]);
+        c.query(0, u64::MAX, SummaryKind::HybridQuantile);
+        assert_eq!(memo_counts(&c), (2, 1, 2), "one seal later: extend");
+        c.query(0, u64::MAX, SummaryKind::HybridQuantile);
+        assert_eq!(memo_counts(&c), (3, 1, 2));
+        // The left edge moves past segment 0; a window shorter than the
+        // memoized run is not its prefix either.
+        c.query(15, u64::MAX, SummaryKind::HybridQuantile);
+        c.query(0, 25, SummaryKind::HybridQuantile);
+        assert_eq!(memo_counts(&c), (3, 1, 4));
+        // One sealed segment is nothing to fold: not counted.
+        c.query(35, u64::MAX, SummaryKind::HybridQuantile);
+        assert_eq!(memo_counts(&c), (3, 1, 4));
+    }
+
     // ---- Lemma 1: the derived SpaceSaving family ----
 
     use ms_core::{ItemSummary, Summary};
@@ -1419,18 +1726,27 @@ mod tests {
                 .map(|_| AtomicU64::new(0))
                 .collect();
             let writing = AtomicBool::new(true);
+            // Readers and poller that have run once; the writers hold
+            // their last batch until all three have, so each overlaps
+            // the writes however the threads are scheduled.
+            let observed = AtomicU64::new(0);
             let start = std::sync::Barrier::new(WRITERS as usize + 3);
             let mut metas: Vec<RangeMeta> = Vec::new();
 
             std::thread::scope(|scope| {
                 let writers: Vec<_> = (0..WRITERS)
                     .map(|w| {
-                        let (c, store, group, clock, lens, start) =
-                            (&c, &store, &group, &clock, &lens, &start);
+                        let (c, store, group, clock, lens, observed, start) =
+                            (&c, &store, &group, &clock, &lens, &observed, &start);
                         scope.spawn(move || {
                             start.wait();
                             let mut refused = 0u64;
                             for i in 0..PER_WRITER {
+                                if i == PER_WRITER - 1 {
+                                    while observed.load(Ordering::SeqCst) < 3 {
+                                        std::thread::yield_now();
+                                    }
+                                }
                                 // Writer-tagged items; lengths differ so a
                                 // mismatched seq shows in the weights.
                                 let batch = vec![w; 1 + ((w * 31 + i * 7) % 23) as usize];
@@ -1458,7 +1774,7 @@ mod tests {
                     .collect();
                 let readers: Vec<_> = (0..2u64)
                     .map(|r| {
-                        let (c, writing, start) = (&c, &writing, &start);
+                        let (c, writing, observed, start) = (&c, &writing, &observed, &start);
                         scope.spawn(move || {
                             start.wait();
                             let mut seen = Vec::new();
@@ -1473,6 +1789,9 @@ mod tests {
                                     assert_eq!(merged.total_weight(), meta.covered_weight);
                                 }
                                 seen.push(meta);
+                                if seen.len() == 1 {
+                                    observed.fetch_add(1, Ordering::SeqCst);
+                                }
                                 turn += 1;
                             }
                             seen
@@ -1480,7 +1799,7 @@ mod tests {
                     })
                     .collect();
                 let poller = {
-                    let (c, writing, start) = (&c, &writing, &start);
+                    let (c, writing, observed, start) = (&c, &writing, &observed, &start);
                     scope.spawn(move || {
                         start.wait();
                         let mut polls = 0u64;
@@ -1497,6 +1816,9 @@ mod tests {
                             // coarsening merge lands.
                             assert!(c.health().sealed <= 5 + 1, "watermark holds");
                             polls += 1;
+                            if polls == 1 {
+                                observed.fetch_add(1, Ordering::SeqCst);
+                            }
                         }
                         polls
                     })

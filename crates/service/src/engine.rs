@@ -1341,6 +1341,11 @@ impl Engine {
             );
             // Keep the tier gauge fresh even if no coarsen ran recently.
             self.telemetry.record_coarsen(0, health.max_tier);
+            engine.counters.extend([
+                ("cube_range_memo_hits".to_string(), health.memo_hits),
+                ("cube_range_memo_extends".to_string(), health.memo_extends),
+                ("cube_range_memo_misses".to_string(), health.memo_misses),
+            ]);
         }
         self.telemetry.snapshot().merge(&engine)
     }
@@ -2217,6 +2222,28 @@ mod tests {
                 Some(0)
             );
         }
+        engine.shutdown();
+    }
+
+    #[test]
+    fn telemetry_snapshot_exports_the_range_memo_counts() {
+        let engine = Engine::start(
+            ServiceConfig::new(SummaryKind::Mg, 0.05)
+                .segments(crate::config::SegmentConfig::new().seal_batches(1)),
+        )
+        .unwrap();
+        for i in 0..3 {
+            engine.ingest(vec![i; 10]).unwrap();
+        }
+        for _ in 0..2 {
+            engine
+                .range_query(0, u64::MAX, SummaryKind::HybridQuantile)
+                .unwrap();
+        }
+        let snap = engine.telemetry_snapshot();
+        assert_eq!(snap.counter("cube_range_memo_hits"), Some(1));
+        assert_eq!(snap.counter("cube_range_memo_extends"), Some(0));
+        assert_eq!(snap.counter("cube_range_memo_misses"), Some(1));
         engine.shutdown();
     }
 
