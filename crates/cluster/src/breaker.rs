@@ -26,8 +26,9 @@
 //! one attempt per request instead of amplifying the overload.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
+use ms_core::lock;
 use ms_service::CubeClock;
 
 /// Where a [`CircuitBreaker`] currently stands.
@@ -269,10 +270,6 @@ impl RetryBudget {
     pub fn denied(&self) -> u64 {
         self.denied.load(Ordering::Relaxed)
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]

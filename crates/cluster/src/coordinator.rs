@@ -23,7 +23,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ms_core::wire::FRAME_HEADER_LEN;
-use ms_core::{ServiceError, Summary, Wire};
+use ms_core::{lock, ServiceError, Summary, Wire};
 use ms_obs::{Counter, Gauge, Histogram, RegistrySnapshot, SpanGuard, TraceHandle};
 use ms_service::deadline;
 use ms_service::telemetry::timed;
@@ -1112,10 +1112,6 @@ fn no_live_backend() -> ServiceError {
         kind: std::io::ErrorKind::NotConnected,
         detail: "no live backend node".to_string(),
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]

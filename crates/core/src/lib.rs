@@ -53,3 +53,13 @@ pub use summary::{ItemSummary, Mergeable, Summary};
 pub use swap::SwapCell;
 pub use tree::{merge_all, MergeTree};
 pub use wire::{crc32, Wire, WireError, WireFrame, WireReader};
+
+use std::sync::{Mutex, MutexGuard};
+
+/// Lock `m`, tolerating poison. A poisoned mutex means some thread
+/// panicked while holding it; every critical section in the workspace
+/// leaves its data structurally valid, so callers keep serving instead of
+/// propagating the panic.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

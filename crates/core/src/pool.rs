@@ -1,4 +1,4 @@
-//! Lock-free recycling pool for reusable `Vec` buffers.
+//! Recycling pool for reusable `Vec` buffers.
 //!
 //! The aggregation service moves one `Vec<u8>` frame per ingest batch from
 //! the socket through a shard queue to a worker thread, which is done with
@@ -9,49 +9,28 @@
 //! [`BufferPool::get`], so the same handful of allocations circulate for
 //! the life of the engine.
 //!
-//! The pool is a fixed array of slots, each a tiny state machine
-//! (`EMPTY → BUSY → FULL → BUSY → EMPTY`) driven by compare-and-swap — no
-//! locks, no allocation in `get` or `put` themselves. When every slot is
-//! empty, `get` falls back to a plain `Vec::new()` and counts a **miss**;
-//! when every slot is full, `put` drops the buffer and counts a
-//! **discard**. Both counters are exported so an operator can see when the
-//! pool is undersized (misses climb) or oversized (discards climb).
+//! The pool is a mutex around a stack of idle buffers whose room is
+//! reserved up front, so neither `get` nor `put` allocates; each costs one
+//! uncontended lock per batch. When the stack is empty, `get` falls back
+//! to a plain `Vec::new()` and counts a **miss**; when it is full, `put`
+//! drops the buffer and counts a **discard**. Both counters are exported
+//! so an operator can see when the pool is undersized (misses climb) or
+//! oversized (discards climb).
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-/// Slot holds no buffer.
-const EMPTY: u8 = 0;
-/// Slot is being written or taken by exactly one thread.
-const BUSY: u8 = 1;
-/// Slot holds a recycled buffer ready for reuse.
-const FULL: u8 = 2;
+use crate::lock;
 
-struct Slot<T> {
-    state: AtomicU8,
-    buf: UnsafeCell<Vec<T>>,
-}
-
-/// A fixed-size, lock-free pool of reusable `Vec<T>` buffers.
-///
-/// `get` and `put` never allocate and never block: each is a short scan of
-/// the slot array with one successful compare-and-swap. Exhaustion
-/// degrades to plain allocation (counted), never to an error.
+/// A bounded pool of reusable `Vec<T>` buffers. Exhaustion degrades to
+/// plain allocation (counted), never to an error.
 pub struct BufferPool<T> {
-    slots: Box<[Slot<T>]>,
-    /// Rotating start index so concurrent callers spread over the array
-    /// instead of all contending on slot 0.
-    hint: AtomicUsize,
+    idle: Mutex<Vec<Vec<T>>>,
+    slots: usize,
     reuses: AtomicU64,
     misses: AtomicU64,
     discards: AtomicU64,
 }
-
-// SAFETY: a slot's `buf` is only touched by the single thread that CASed
-// its state to BUSY; the Acquire/Release pair on `state` orders those
-// accesses across threads.
-unsafe impl<T: Send> Sync for BufferPool<T> {}
-unsafe impl<T: Send> Send for BufferPool<T> {}
 
 impl<T> BufferPool<T> {
     /// A pool with room for `slots` idle buffers. Zero slots is allowed
@@ -59,13 +38,8 @@ impl<T> BufferPool<T> {
     /// every `put` a discard).
     pub fn new(slots: usize) -> Self {
         BufferPool {
-            slots: (0..slots)
-                .map(|_| Slot {
-                    state: AtomicU8::new(EMPTY),
-                    buf: UnsafeCell::new(Vec::new()),
-                })
-                .collect(),
-            hint: AtomicUsize::new(0),
+            idle: Mutex::new(Vec::with_capacity(slots)),
+            slots,
             reuses: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             discards: AtomicU64::new(0),
@@ -86,33 +60,13 @@ impl<T> BufferPool<T> {
     /// — and no miss: the caller has somewhere else to look before it
     /// allocates.
     pub fn take(&self) -> Option<Vec<T>> {
-        let n = self.slots.len();
-        let start = self.hint.load(Ordering::Relaxed);
-        for i in 0..n {
-            let slot = &self.slots[(start + i) % n];
-            if slot.state.load(Ordering::Relaxed) != FULL {
-                continue;
-            }
-            if slot
-                .state
-                .compare_exchange(FULL, BUSY, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-            {
-                continue;
-            }
-            // SAFETY: we hold the slot in BUSY, so no other thread
-            // touches `buf` until we release it below.
-            let buf = unsafe { std::mem::take(&mut *slot.buf.get()) };
-            slot.state.store(EMPTY, Ordering::Release);
-            self.hint.store((start + i + 1) % n, Ordering::Relaxed);
-            self.reuses.fetch_add(1, Ordering::Relaxed);
-            return Some(buf);
-        }
-        None
+        let buf = lock(&self.idle).pop()?;
+        self.reuses.fetch_add(1, Ordering::Relaxed);
+        Some(buf)
     }
 
     /// Return a spent buffer to the pool. The buffer is cleared (elements
-    /// dropped, capacity kept); if every slot is already full it is
+    /// dropped, capacity kept); if the pool is already full it is
     /// dropped and counted as a discard.
     pub fn put(&self, mut buf: Vec<T>) {
         buf.clear();
@@ -120,25 +74,12 @@ impl<T> BufferPool<T> {
             // Nothing worth recycling; don't burn a slot on it.
             return;
         }
-        let n = self.slots.len();
-        let start = self.hint.load(Ordering::Relaxed);
-        for i in 0..n {
-            let slot = &self.slots[(start + i) % n];
-            if slot.state.load(Ordering::Relaxed) != EMPTY {
-                continue;
-            }
-            if slot
-                .state
-                .compare_exchange(EMPTY, BUSY, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-            {
-                continue;
-            }
-            // SAFETY: as in `get` — exclusive access while BUSY.
-            unsafe { *slot.buf.get() = buf };
-            slot.state.store(FULL, Ordering::Release);
+        let mut idle = lock(&self.idle);
+        if idle.len() < self.slots {
+            idle.push(buf);
             return;
         }
+        drop(idle);
         self.discards.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -159,15 +100,12 @@ impl<T> BufferPool<T> {
 
     /// Number of buffers currently parked in the pool.
     pub fn idle(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.state.load(Ordering::Relaxed) == FULL)
-            .count()
+        lock(&self.idle).len()
     }
 
     /// Slot capacity the pool was built with.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.slots
     }
 }
 

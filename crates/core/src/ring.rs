@@ -1,44 +1,36 @@
-//! Bounded lock-free queue for the shard ingest path.
+//! Bounded queue for the shard ingest path.
 //!
 //! [`Ring`] replaces `std::sync::mpsc::sync_channel` on the engine's
-//! per-shard queues. The steady-state enqueue is a couple of atomic
-//! operations on a fixed slot array (Vyukov's bounded MPMC design: every
-//! slot carries a sequence stamp that encodes whose turn it is), so an
-//! ingest caller never takes a lock and never allocates to hand a batch
-//! to a worker. Mutex/condvar parking exists only on the *slow* paths —
-//! a producer blocking on a full ring, the consumer idling on an empty
-//! one — and is never touched while the queue is making progress.
+//! per-shard queues. It is one mutex around a `VecDeque` plus two
+//! condvars. Every operation moves a whole batch, so one uncontended lock
+//! per push and per pop is a small, amortized cost, and because push, pop
+//! and the lifecycle changes all serialize on that one lock, none of them
+//! can observe another half-done. The queue only has to be lossless and
+//! ordered: by Definition 1 any interleaving the scheduler picks is just
+//! another merge tree.
+//!
+//! Waiters are counted under the lock and a side notifies only when the
+//! count says someone sleeps (std's `notify_one` always makes a syscall),
+//! after releasing the guard so the woken thread does not block on it.
 //!
 //! Unlike a channel, a ring has an explicit lifecycle, which is what the
 //! engine's failure model needs:
 //!
 //! * **Open** — normal operation.
 //! * **Draining** ([`Ring::close`]) — shutdown: producers are refused,
-//!   the consumer drains every queued item (including pushes that were
-//!   already in flight when the state flipped — see `pop_wait`) and then
-//!   sees `None`. This is what makes clean shutdown lossless.
+//!   the consumer drains every queued item and then sees `None`. Every
+//!   push that returned `Ok` landed before the close, so clean shutdown is
+//!   lossless.
 //! * **Dead** ([`Ring::mark_dead`]) — the consumer died. Producers are
 //!   refused so they can reroute, but queued items are *retained*: a
 //!   respawned worker calls [`Ring::revive`] and picks up exactly where
 //!   its predecessor stopped, so batches that were acked into the queue
 //!   survive a worker death instead of being dropped with the channel.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicU32, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// Producers and consumer both make progress.
-const OPEN: u8 = 0;
-/// No new pushes; consumer drains what is queued, then exits.
-const DRAINING: u8 = 1;
-/// The consumer died; queued items are held for a possible revive.
-const DEAD: u8 = 2;
-
-/// Safety-net park timeout: wakeups are signalled explicitly, the
-/// timeout only bounds the cost of a theoretical missed signal.
-const PARK: Duration = Duration::from_millis(1);
+use crate::lock;
 
 /// Why a push did not enqueue; the item is handed back in both cases.
 #[derive(Debug)]
@@ -49,64 +41,45 @@ pub enum PushError<T> {
     Closed(T),
 }
 
-struct Slot<T> {
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Life {
+    /// Producers and consumer both make progress.
+    Open,
+    /// No new pushes; the consumer drains what is queued, then exits.
+    Draining,
+    /// The consumer died; queued items are held for a possible revive.
+    Dead,
 }
 
-/// Bounded lock-free MPMC queue with an explicit Open/Draining/Dead
-/// lifecycle. Capacity is rounded up to a power of two.
+struct State<T> {
+    items: VecDeque<T>,
+    life: Life,
+    producers_waiting: usize,
+    consumers_waiting: usize,
+}
+
+/// Bounded MPMC queue with an explicit Open/Draining/Dead lifecycle.
+/// Capacity is rounded up to a power of two.
 pub struct Ring<T> {
-    buf: Box<[Slot<T>]>,
-    mask: usize,
-    enqueue_pos: AtomicUsize,
-    dequeue_pos: AtomicUsize,
-    state: AtomicU8,
-    /// Producers between reading `state` and publishing (or giving up).
-    /// A draining consumer waits for this to reach zero before it trusts
-    /// an empty ring: a producer that read Open just before `close()` has
-    /// not moved `enqueue_pos` yet, but will.
-    pushing: AtomicU32,
-    /// Counts updated only while holding `park`; read lock-free on the
-    /// fast path to decide whether a notify is needed at all.
-    prod_waiting: AtomicU32,
-    cons_waiting: AtomicU32,
-    park: Mutex<()>,
+    cap: usize,
+    state: Mutex<State<T>>,
     not_full: Condvar,
     not_empty: Condvar,
 }
 
-// SAFETY: slot values are handed between threads through the seq-stamp
-// protocol (Release publish, Acquire claim); each value is touched by
-// exactly one thread at a time.
-unsafe impl<T: Send> Sync for Ring<T> {}
-unsafe impl<T: Send> Send for Ring<T> {}
-
 impl<T> Ring<T> {
     /// A ring holding at least `capacity` items (rounded up to a power
     /// of two, minimum 2).
-    ///
-    /// The minimum is 2, not 1: the seq-stamp protocol tells "free for
-    /// position `p`" from "filled at position `p − cap`" by the slot's
-    /// stamp, and with a single slot those two states collide — a second
-    /// push would overwrite an unconsumed item.
     pub fn with_capacity(capacity: usize) -> Self {
         let cap = capacity.max(2).next_power_of_two();
         Ring {
-            buf: (0..cap)
-                .map(|i| Slot {
-                    seq: AtomicUsize::new(i),
-                    value: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect(),
-            mask: cap - 1,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
-            state: AtomicU8::new(OPEN),
-            pushing: AtomicU32::new(0),
-            prod_waiting: AtomicU32::new(0),
-            cons_waiting: AtomicU32::new(0),
-            park: Mutex::new(()),
+            cap,
+            state: Mutex::new(State {
+                items: VecDeque::with_capacity(cap),
+                life: Life::Open,
+                producers_waiting: 0,
+                consumers_waiting: 0,
+            }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
         }
@@ -114,271 +87,146 @@ impl<T> Ring<T> {
 
     /// Usable capacity.
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.cap
     }
 
-    /// Approximate number of queued items (racy by nature).
+    /// Number of queued items (a moment's view; others may change it).
     pub fn len(&self) -> usize {
-        let tail = self.enqueue_pos.load(Ordering::Acquire);
-        let head = self.dequeue_pos.load(Ordering::Acquire);
-        tail.saturating_sub(head)
+        lock(&self.state).items.len()
     }
 
-    /// True when no items are queued (approximate, like [`Ring::len`]).
+    /// True when no items are queued (a moment's view, like [`Ring::len`]).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Non-blocking enqueue: a couple of atomics in the common case.
+    /// Non-blocking enqueue.
     pub fn try_push(&self, value: T) -> Result<(), PushError<T>> {
-        let result = self.try_push_core(value);
-        if result.is_ok() {
-            self.wake_consumer();
+        let st = lock(&self.state);
+        if st.life != Life::Open {
+            return Err(PushError::Closed(value));
         }
-        result
-    }
-
-    /// The enqueue protocol without the consumer wakeup. The under-lock
-    /// double-checks in [`Ring::push`] must use this: they already hold
-    /// `park`, and the wake helpers take `park` — waking through
-    /// [`Ring::try_push`] there would self-deadlock on the re-lock.
-    fn try_push_core(&self, value: T) -> Result<(), PushError<T>> {
-        // Announce the attempt *before* reading the state (SeqCst on
-        // both, and on the consumer's mirror-image reads in `pop_wait`):
-        // either this push sees the ring closed, or the draining consumer
-        // sees this push pending.
-        self.pushing.fetch_add(1, Ordering::SeqCst);
-        let result = if self.state.load(Ordering::SeqCst) == OPEN {
-            self.claim_and_publish(value)
-        } else {
-            Err(PushError::Closed(value))
-        };
-        self.pushing.fetch_sub(1, Ordering::SeqCst);
-        result
-    }
-
-    fn claim_and_publish(&self, value: T) -> Result<(), PushError<T>> {
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.buf[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos as isize;
-            if diff == 0 {
-                match self.enqueue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS claimed this slot for us alone.
-                        unsafe { (*slot.value.get()).write(value) };
-                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if diff < 0 {
-                return Err(PushError::Full(value));
-            } else {
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
-            }
+        if st.items.len() == self.cap {
+            return Err(PushError::Full(value));
         }
+        self.enqueue(st, value);
+        Ok(())
     }
 
-    /// Blocking enqueue: parks while the ring is full, returns the item
+    /// Blocking enqueue: waits while the ring is full, returns the item
     /// as `Err` once the ring stops accepting (draining or dead).
     pub fn push(&self, value: T) -> Result<(), T> {
-        let mut value = value;
+        let mut st = lock(&self.state);
         loop {
-            match self.try_push(value) {
-                Ok(()) => return Ok(()),
-                Err(PushError::Closed(v)) => return Err(v),
-                Err(PushError::Full(v)) => value = v,
+            if st.life != Life::Open {
+                return Err(value);
             }
-            // Slow path: register as a waiting producer, re-check under
-            // the park lock (the consumer notifies only after seeing the
-            // waiting count), then sleep until a pop frees a slot. The
-            // re-check must not go through `try_push`: its wakeup helper
-            // takes `park`, which this thread already holds.
-            let guard = self.park.lock().unwrap_or_else(|e| e.into_inner());
-            self.prod_waiting.fetch_add(1, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            match self.try_push_core(value) {
-                Ok(()) => {
-                    self.prod_waiting.fetch_sub(1, Ordering::SeqCst);
-                    // Already holding `park`: notify the consumer directly.
-                    self.not_empty.notify_all();
-                    return Ok(());
-                }
-                Err(PushError::Closed(v)) => {
-                    self.prod_waiting.fetch_sub(1, Ordering::SeqCst);
-                    return Err(v);
-                }
-                Err(PushError::Full(v)) => value = v,
+            if st.items.len() < self.cap {
+                self.enqueue(st, value);
+                return Ok(());
             }
-            let _unused = self
-                .not_full
-                .wait_timeout(guard, PARK)
-                .unwrap_or_else(|e| e.into_inner());
-            self.prod_waiting.fetch_sub(1, Ordering::SeqCst);
+            st.producers_waiting += 1;
+            st = self.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
+            st.producers_waiting -= 1;
         }
     }
 
     /// Non-blocking dequeue.
     pub fn try_pop(&self) -> Option<T> {
-        let value = self.try_pop_core();
-        if value.is_some() {
-            self.wake_producers();
-        }
-        value
-    }
-
-    /// The dequeue protocol without the producer wakeup; see
-    /// [`Ring::try_push_core`] for why the under-lock double-check in
-    /// [`Ring::pop_wait`] needs it.
-    fn try_pop_core(&self) -> Option<T> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.buf[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos.wrapping_add(1) as isize;
-            if diff == 0 {
-                match self.dequeue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS claimed this slot; the producer
-                        // published the value before setting seq.
-                        let value = unsafe { (*slot.value.get()).assume_init_read() };
-                        slot.seq
-                            .store(pos.wrapping_add(self.mask + 1), Ordering::Release);
-                        return Some(value);
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if diff < 0 {
-                return None;
-            } else {
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
-            }
-        }
+        self.dequeue(lock(&self.state))
     }
 
     /// Blocking dequeue for the consumer. Returns `None` only once the
-    /// ring has left the Open state **and** every in-flight push has
-    /// landed and been drained — a producer that won the enqueue race
-    /// just before `close()` is still honored, which is what makes
-    /// engine shutdown lossless for acked batches.
+    /// ring has left the Open state and every queued item is drained.
     pub fn pop_wait(&self) -> Option<T> {
+        let mut st = lock(&self.state);
         loop {
-            if let Some(v) = self.try_pop() {
-                return Some(v);
+            if !st.items.is_empty() {
+                return self.dequeue(st);
             }
-            if self.state.load(Ordering::SeqCst) != OPEN {
-                // A push that saw the ring open is still pending while
-                // `pushing` is non-zero; one that claimed a slot but has
-                // not published it shows as enqueue_pos ahead of
-                // dequeue_pos. Read in that order: once no push is
-                // pending, every successful one has moved enqueue_pos.
-                let pending = self.pushing.load(Ordering::SeqCst);
-                let tail = self.enqueue_pos.load(Ordering::SeqCst);
-                let head = self.dequeue_pos.load(Ordering::SeqCst);
-                if pending == 0 && tail == head {
-                    return None;
-                }
-                std::thread::yield_now();
-                continue;
+            if st.life != Life::Open {
+                return None;
             }
-            let guard = self.park.lock().unwrap_or_else(|e| e.into_inner());
-            self.cons_waiting.fetch_add(1, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            if let Some(v) = self.try_pop_core() {
-                self.cons_waiting.fetch_sub(1, Ordering::SeqCst);
-                // Already holding `park`: notify producers directly.
-                self.not_full.notify_all();
-                return Some(v);
-            }
-            if self.state.load(Ordering::SeqCst) == OPEN {
-                let _unused = self
-                    .not_empty
-                    .wait_timeout(guard, PARK)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            self.cons_waiting.fetch_sub(1, Ordering::SeqCst);
+            st.consumers_waiting += 1;
+            st = self.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
+            st.consumers_waiting -= 1;
         }
     }
 
     /// Begin draining: refuse new pushes, let the consumer empty the
     /// ring and exit. A dead ring stays dead.
     pub fn close(&self) {
-        let _ = self
-            .state
-            .compare_exchange(OPEN, DRAINING, Ordering::SeqCst, Ordering::SeqCst);
-        self.wake_everyone();
+        let mut st = lock(&self.state);
+        if st.life == Life::Open {
+            st.life = Life::Draining;
+        }
+        self.wake_everyone(st);
     }
 
     /// Record that the consumer died. Queued items are retained for
     /// [`Ring::revive`]; producers get [`PushError::Closed`] and reroute.
     pub fn mark_dead(&self) {
-        self.state.store(DEAD, Ordering::Release);
-        self.wake_everyone();
+        let mut st = lock(&self.state);
+        st.life = Life::Dead;
+        self.wake_everyone(st);
     }
 
     /// Reopen a dead ring for a respawned consumer. Returns false if the
     /// ring was not dead (e.g. shutdown already started draining it).
     pub fn revive(&self) -> bool {
-        self.state
-            .compare_exchange(DEAD, OPEN, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+        let mut st = lock(&self.state);
+        let dead = st.life == Life::Dead;
+        if dead {
+            st.life = Life::Open;
+        }
+        dead
     }
 
     /// True once the consumer has been marked dead.
     pub fn is_dead(&self) -> bool {
-        self.state.load(Ordering::Acquire) == DEAD
+        lock(&self.state).life == Life::Dead
     }
 
-    /// True while pushes are accepted.
-    pub fn is_open(&self) -> bool {
-        self.state.load(Ordering::Acquire) == OPEN
-    }
-
-    fn wake_consumer(&self) {
-        fence(Ordering::SeqCst);
-        if self.cons_waiting.load(Ordering::SeqCst) > 0 {
-            let _guard = self.park.lock().unwrap_or_else(|e| e.into_inner());
-            self.not_empty.notify_all();
+    /// Append under `st`, then wake a waiting consumer once `st` is released.
+    fn enqueue(&self, mut st: MutexGuard<'_, State<T>>, value: T) {
+        st.items.push_back(value);
+        let wake = st.consumers_waiting > 0;
+        drop(st);
+        if wake {
+            self.not_empty.notify_one();
         }
     }
 
-    fn wake_producers(&self) {
-        fence(Ordering::SeqCst);
-        if self.prod_waiting.load(Ordering::SeqCst) > 0 {
-            let _guard = self.park.lock().unwrap_or_else(|e| e.into_inner());
+    /// Pop under `st`, then wake a waiting producer once `st` is released.
+    fn dequeue(&self, mut st: MutexGuard<'_, State<T>>) -> Option<T> {
+        let value = st.items.pop_front();
+        let wake = value.is_some() && st.producers_waiting > 0;
+        drop(st);
+        if wake {
+            self.not_full.notify_one();
+        }
+        value
+    }
+
+    /// Wake every waiter on both sides once `st` is released.
+    fn wake_everyone(&self, st: MutexGuard<'_, State<T>>) {
+        let (producers, consumers) = (st.producers_waiting > 0, st.consumers_waiting > 0);
+        drop(st);
+        if producers {
             self.not_full.notify_all();
         }
-    }
-
-    fn wake_everyone(&self) {
-        let _guard = self.park.lock().unwrap_or_else(|e| e.into_inner());
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
-impl<T> Drop for Ring<T> {
-    fn drop(&mut self) {
-        while self.try_pop().is_some() {}
+        if consumers {
+            self.not_empty.notify_all();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn fifo_order_single_thread() {
@@ -398,7 +246,7 @@ mod tests {
         let ring: Ring<u8> = Ring::with_capacity(5);
         assert_eq!(ring.capacity(), 8);
         let ring: Ring<u8> = Ring::with_capacity(1);
-        assert_eq!(ring.capacity(), 2, "one slot cannot disambiguate laps");
+        assert_eq!(ring.capacity(), 2, "the minimum capacity is 2");
     }
 
     #[test]
@@ -457,6 +305,70 @@ mod tests {
         assert_eq!(producer.join().unwrap(), Err(2), "item handed back");
     }
 
+    /// Run `wake` against a thread parked in `park`, and fail instead of
+    /// hanging if the parked thread misses its wakeup.
+    fn parked_then_woken<R: Send + 'static>(
+        ring: Ring<u64>,
+        park: impl FnOnce(&Ring<u64>) -> R + Send + 'static,
+        parked: impl Fn(&State<u64>) -> bool,
+        wake: impl FnOnce(&Ring<u64>),
+    ) -> R {
+        let ring = Arc::new(ring);
+        let (tx, rx) = mpsc::channel();
+        {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || {
+                let _ = tx.send(park(&ring));
+            });
+        }
+        // Wake only once the other thread is really asleep on the condvar:
+        // it counts itself waiting and releases the lock in one step.
+        let start = Instant::now();
+        while !parked(&lock(&ring.state)) {
+            assert!(start.elapsed() < Duration::from_secs(2), "never parked");
+            std::thread::yield_now();
+        }
+        wake(&ring);
+        rx.recv_timeout(Duration::from_secs(2))
+            .expect("a parked thread missed its wakeup")
+    }
+
+    #[test]
+    fn a_push_wakes_a_consumer_parked_on_an_empty_ring() {
+        let got = parked_then_woken(
+            Ring::with_capacity(4),
+            |ring| ring.pop_wait(),
+            |st| st.consumers_waiting == 1,
+            |ring| ring.push(42).unwrap(),
+        );
+        assert_eq!(got, Some(42));
+    }
+
+    #[test]
+    fn close_wakes_a_consumer_parked_on_an_empty_ring() {
+        let got = parked_then_woken(
+            Ring::with_capacity(4),
+            |ring| ring.pop_wait(),
+            |st| st.consumers_waiting == 1,
+            |ring| ring.close(),
+        );
+        assert_eq!(got, None);
+    }
+
+    #[test]
+    fn mark_dead_hands_a_parked_producer_its_item_back() {
+        let ring = Ring::with_capacity(2);
+        ring.try_push(0).map_err(|_| "full").unwrap();
+        ring.try_push(1).map_err(|_| "full").unwrap();
+        let got = parked_then_woken(
+            ring,
+            |ring| ring.push(2),
+            |st| st.producers_waiting == 1,
+            |ring| ring.mark_dead(),
+        );
+        assert_eq!(got, Err(2));
+    }
+
     #[test]
     fn mpmc_stress_preserves_every_item_exactly_once() {
         const PRODUCERS: u64 = 4;
@@ -493,11 +405,8 @@ mod tests {
 
     #[test]
     fn tiny_ring_park_paths_never_self_deadlock() {
-        // Regression: the under-lock double-checks in `push`/`pop_wait`
-        // used to wake the other side through `try_push`/`try_pop`, whose
-        // wake helpers re-take the `park` mutex the thread already holds
-        // — a self-deadlock that needed a full ring and a racing drain. A
-        // capacity-2 ring keeps both slow paths hot enough to hit it.
+        // A capacity-2 ring keeps both wait paths hot: a wake path that
+        // re-took the lock its caller already holds would deadlock here.
         const ITEMS: u64 = 20_000;
         let ring = Arc::new(Ring::with_capacity(2));
         let producer = {
@@ -526,9 +435,8 @@ mod tests {
 
     #[test]
     fn close_never_strands_a_push_that_returned_ok() {
-        // A producer that read Open just before close() may publish after
-        // the consumer's last look at the ring; the consumer must wait for
-        // it rather than exit on empty.
+        // A producer racing close() either lands its item before the
+        // close (and the consumer drains it) or gets it back.
         for round in 0..1_000u64 {
             let ring = Arc::new(Ring::with_capacity(64));
             let producer = {

@@ -1,8 +1,10 @@
 //! Runtime ISA dispatch and batched slice kernels.
 //!
-//! The hot inner loops of the workspace — Count-Min cell adds, Misra-Gries
-//! counter decrements, rank scans — are all flat passes over `u64` slices.
-//! This module gives them one home: a scalar implementation that is the
+//! Two hot loops of the workspace are flat passes over `u64` slices: the
+//! Count-Min cell adds of a sketch merge ([`add_slices`],
+//! [`add_slices_multi`]) and the quantile summaries' same-weight merge
+//! ([`merge_keep_parity_u64`]). This module gives them one home: a scalar
+//! implementation that is the
 //! **single source of truth for semantics**, plus `std::arch` variants
 //! (x86_64 AVX2/AVX-512) selected once at startup by
 //! [`active_isa`]. Every vector variant must produce bit-identical output
@@ -17,9 +19,9 @@
 //!   `is_x86_feature_detected!`.
 //! - Anything else — aarch64 included — runs scalar.
 //!
-//! The slice kernels in this file deliberately serve [`Isa::Avx512`] with
-//! their 256-bit bodies: flat adds and compares are load/store-bound, so
-//! wider lanes buy nothing here. The tier exists for the ALU-bound hash
+//! The add kernels in this file deliberately serve [`Isa::Avx512`] with
+//! their 256-bit bodies: flat adds are load/store-bound, so wider lanes
+//! buy nothing here. The tier exists for the ALU-bound hash
 //! kernels in `ms-sketches::batch`, where 8 × u64 lanes, native 64-bit
 //! multiplies and mask registers pay off, and for the keep-parity merge
 //! behind the quantile summaries' same-weight merge
@@ -176,59 +178,6 @@ pub fn add_slices_multi(dst: &mut [u64], srcs: &[&[u64]]) {
 }
 
 // ---------------------------------------------------------------------------
-// sub_clamp: v = if v > s { v - s } else { 0 }  (Misra-Gries decrement)
-// ---------------------------------------------------------------------------
-
-/// Scalar reference: subtract `s` from every value, clamping at zero.
-/// This is the Misra-Gries / SpaceSaving prune decrement applied to a
-/// staged lane array of counter values.
-pub fn sub_clamp_scalar(values: &mut [u64], s: u64) {
-    for v in values.iter_mut() {
-        *v = v.saturating_sub(s);
-    }
-}
-
-/// Branch-free clamped subtract using the given ISA.
-pub fn sub_clamp_with(isa: Isa, values: &mut [u64], s: u64) {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 | Isa::Avx512 => unsafe { x86::sub_clamp_avx2(values, s) },
-        _ => sub_clamp_scalar(values, s),
-    }
-}
-
-/// Clamped subtract on the host-detected ISA.
-pub fn sub_clamp(values: &mut [u64], s: u64) {
-    sub_clamp_with(active_isa(), values, s)
-}
-
-// ---------------------------------------------------------------------------
-// count_gt: how many values exceed a threshold (prune survivor count)
-// ---------------------------------------------------------------------------
-
-/// Scalar reference: number of entries strictly greater than `s`.
-pub fn count_gt_scalar(values: &[u64], s: u64) -> usize {
-    values.iter().filter(|&&v| v > s).count()
-}
-
-/// Threshold count using the given ISA.
-///
-/// Values are compared as unsigned; the AVX2 variant biases both sides by
-/// `1 << 63` so the signed `cmpgt` instruction orders them correctly.
-pub fn count_gt_with(isa: Isa, values: &[u64], s: u64) -> usize {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 | Isa::Avx512 => unsafe { x86::count_gt_avx2(values, s) },
-        _ => count_gt_scalar(values, s),
-    }
-}
-
-/// Threshold count on the host-detected ISA.
-pub fn count_gt(values: &[u64], s: u64) -> usize {
-    count_gt_with(active_isa(), values, s)
-}
-
-// ---------------------------------------------------------------------------
 // merge_keep_parity: the §4.1 same-weight merge of two sorted buffers
 // ---------------------------------------------------------------------------
 
@@ -357,66 +306,6 @@ mod x86 {
             }
             dst[j] = acc;
         }
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sub_clamp_avx2(values: &mut [u64], s: u64) {
-        let n = values.len();
-        let lanes = n / 4 * 4;
-        let vp = values.as_mut_ptr();
-        let sv = _mm256_set1_epi64x(s as i64);
-        // Unsigned max(v, s) via sign-bias + signed compare, then v - s
-        // saturates exactly like `saturating_sub`.
-        let bias = _mm256_set1_epi64x(i64::MIN);
-        let sb = _mm256_xor_si256(sv, bias);
-        let mut i = 0;
-        while i < lanes {
-            let v = _mm256_loadu_si256(vp.add(i) as *const __m256i);
-            let vb = _mm256_xor_si256(v, bias);
-            // mask lane = all-ones where v > s (unsigned)
-            let gt = _mm256_cmpgt_epi64(vb, sb);
-            let diff = _mm256_sub_epi64(v, sv);
-            _mm256_storeu_si256(vp.add(i) as *mut __m256i, _mm256_and_si256(diff, gt));
-            i += 4;
-        }
-        for v in &mut values[lanes..] {
-            *v = v.saturating_sub(s);
-        }
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_gt_avx2(values: &[u64], s: u64) -> usize {
-        let n = values.len();
-        let lanes = n / 4 * 4;
-        let vp = values.as_ptr();
-        let bias = _mm256_set1_epi64x(i64::MIN);
-        let sb = _mm256_xor_si256(_mm256_set1_epi64x(s as i64), bias);
-        // Each matching lane contributes an all-ones word, i.e. -1; sum the
-        // lanes and negate at the end.
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i < lanes {
-            let v = _mm256_loadu_si256(vp.add(i) as *const __m256i);
-            let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(v, bias), sb);
-            acc = _mm256_add_epi64(acc, gt);
-            i += 4;
-        }
-        let mut lanes_out = [0u64; 4];
-        _mm256_storeu_si256(lanes_out.as_mut_ptr() as *mut __m256i, acc);
-        let mut count = lanes_out
-            .iter()
-            .fold(0u64, |a, &b| a.wrapping_add(b))
-            .wrapping_neg() as usize;
-        for &v in &values[lanes..] {
-            if v > s {
-                count += 1;
-            }
-        }
-        count
     }
 
     /// Sorts a bitonic 8-lane vector ascending: half-cleaners at lane
@@ -572,22 +461,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sub_clamp_vector_matches_scalar() {
-        for &seed in &SEEDS {
-            let base = vectors(seed, 101);
-            for s in [0, 1, u64::MAX / 2, u64::MAX] {
-                let mut a = base.clone();
-                sub_clamp_scalar(&mut a, s);
-                for isa in supported_isas() {
-                    let mut b = base.clone();
-                    sub_clamp_with(isa, &mut b, s);
-                    assert_eq!(a, b, "seed {seed:#x} s {s} isa {isa:?}");
-                }
-            }
-        }
-    }
-
     /// Sort-then-step: the keep-parity merge by its definition, with no
     /// merge loop in it.
     fn keep_parity_reference(a: &[u64], b: &[u64], offset: usize) -> Vec<u64> {
@@ -682,25 +555,6 @@ mod tests {
             let high: Vec<u64> = (0..lb as u64).map(|v| u64::MAX - lb as u64 + v).collect();
             check_keep_parity(&low, &high, &format!("low then high, {la}+{lb}"));
             check_keep_parity(&high, &low, &format!("high then low, {lb}+{la}"));
-        }
-    }
-
-    #[test]
-    fn count_gt_vector_matches_scalar() {
-        for &seed in &SEEDS {
-            // Small values exercise both compare outcomes; raw u64s exercise
-            // the sign-bias trick near the top of the range.
-            let mut vals = vectors(seed, 97);
-            vals.extend(vectors(seed ^ 7, 97).iter().map(|v| v % 16));
-            for s in [0, 3, 15, u64::MAX - 1, u64::MAX] {
-                for isa in supported_isas() {
-                    assert_eq!(
-                        count_gt_scalar(&vals, s),
-                        count_gt_with(isa, &vals, s),
-                        "seed {seed:#x} s {s} isa {isa:?}"
-                    );
-                }
-            }
         }
     }
 }

@@ -1,108 +1,71 @@
-//! A generation-stamped, read-lock-free publication cell.
+//! A generation-stamped publication cell.
 //!
-//! [`SwapCell`] holds one immutable value and lets any number of readers
-//! borrow it with a single `Acquire` load — no reference counting, no
-//! lock, no contended cache line. Writers replace the value wholesale
-//! with [`SwapCell::swap`], which is serialized by a mutex; the cell is
-//! built for data that changes rarely but is read on every operation
-//! (the service's shard table: read per ingest batch, written only when a
-//! shard dies, respawns, or drains).
+//! [`SwapCell`] holds one immutable value behind an `Arc`. Readers
+//! [`load`](SwapCell::load) a clone of that `Arc` under a briefly held
+//! mutex and then work on the value with no lock at all; a writer replaces
+//! it wholesale with [`SwapCell::swap`]. A value a reader still holds
+//! stays alive through its `Arc` and is freed when the last holder drops
+//! it, so nothing needs to be kept for the cell's lifetime.
 //!
-//! # Why `load` can hand out a plain `&T`
-//!
-//! The classic hazard with `AtomicPtr` publication is reclamation: a
-//! reader loads the pointer, a writer swaps and frees the old value, the
-//! reader dereferences freed memory. `SwapCell` sidesteps the problem by
-//! **never freeing a published value before the cell itself drops**:
-//! `swap` moves the previous boxed value onto a retired list that lives
-//! as long as the cell. Readers can therefore hold the borrowed `&T` for
-//! as long as they hold `&SwapCell` — no epochs, no hazard pointers, no
-//! `Arc` ping-pong on the read path.
-//!
-//! The cost is that retired values accumulate. That is the deliberate
-//! trade: swaps are tied to rare topology events (a dead shard respawning
-//! caps out at `shards_lost` swaps over the process lifetime), so the
-//! retired list stays tiny while the read path stays one load.
+//! The engine reads its shard table once per ingest batch and its
+//! published snapshot once per query, so each read is one uncontended
+//! lock per batch or per query, not per item.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// One immutable published value; lock-free to read, mutex-serialized
-/// (and deliberately rare) to replace. See the module docs for the
-/// reclamation contract.
+use crate::lock;
+
+/// One immutable published value and the number of swaps that replaced
+/// it.
 pub struct SwapCell<T> {
-    current: AtomicPtr<T>,
-    generation: AtomicU64,
-    /// Every previously published value, kept alive until the cell drops
-    /// so outstanding `load` borrows can never dangle.
-    retired: Mutex<Vec<Box<T>>>,
+    current: Mutex<(Arc<T>, u64)>,
 }
 
 impl<T> SwapCell<T> {
     /// A cell publishing `value` at generation 0.
     pub fn new(value: T) -> Self {
         SwapCell {
-            current: AtomicPtr::new(Box::into_raw(Box::new(value))),
-            generation: AtomicU64::new(0),
-            retired: Mutex::new(Vec::new()),
+            current: Mutex::new((Arc::new(value), 0)),
         }
     }
 
-    /// Borrow the currently published value: one `Acquire` load.
-    pub fn load(&self) -> &T {
-        // SAFETY: `current` always points at a live boxed T — values are
-        // only retired (kept alive), never freed, until Drop, and Drop
-        // requires exclusive access, which outstanding borrows of `self`
-        // prevent.
-        unsafe { &*self.current.load(Ordering::Acquire) }
+    /// The currently published value.
+    pub fn load(&self) -> Arc<T> {
+        Arc::clone(&lock(&self.current).0)
     }
 
     /// The number of swaps performed so far.
     pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
+        lock(&self.current).1
     }
 
-    /// Publish a new value, retiring (not freeing) the previous one.
-    /// Returns the new generation.
+    /// Publish a new value. Returns the new generation. The previous value
+    /// is dropped here unless a reader still holds it.
     pub fn swap(&self, value: T) -> u64 {
-        let fresh = Box::into_raw(Box::new(value));
-        let mut retired = self.retired.lock().unwrap_or_else(|e| e.into_inner());
-        let old = self.current.swap(fresh, Ordering::AcqRel);
-        // SAFETY: `old` came out of `Box::into_raw` (in `new` or a prior
-        // swap) and is no longer reachable through `current`; we own it.
-        retired.push(unsafe { Box::from_raw(old) });
-        self.generation.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Number of retired (still-alive) previous values — exposed so tests
-    /// and telemetry can verify swaps stay rare.
-    pub fn retired_len(&self) -> usize {
-        self.retired.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-}
-
-impl<T> Drop for SwapCell<T> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive access; no borrows from `load` can outlive
-        // `&self`. The retired list drops itself.
-        drop(unsafe { Box::from_raw(*self.current.get_mut()) });
+        let fresh = Arc::new(value);
+        let mut current = lock(&self.current);
+        let old = std::mem::replace(&mut current.0, fresh);
+        current.1 += 1;
+        let generation = current.1;
+        // Free the old value, if this was its last holder, outside the lock.
+        drop(current);
+        drop(old);
+        generation
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn load_sees_latest_swap() {
         let cell = SwapCell::new(vec![1u64]);
-        assert_eq!(cell.load(), &vec![1]);
+        assert_eq!(*cell.load(), vec![1]);
         assert_eq!(cell.swap(vec![2, 3]), 1);
-        assert_eq!(cell.load(), &vec![2, 3]);
+        assert_eq!(*cell.load(), vec![2, 3]);
         assert_eq!(cell.generation(), 1);
-        assert_eq!(cell.retired_len(), 1);
     }
 
     #[test]
@@ -110,9 +73,20 @@ mod tests {
         let cell = SwapCell::new(String::from("alpha"));
         let before = cell.load();
         cell.swap(String::from("beta"));
-        // `before` still points at the retired value — alive until drop.
-        assert_eq!(before, "alpha");
-        assert_eq!(cell.load(), "beta");
+        // `before` still owns the replaced value.
+        assert_eq!(*before, "alpha");
+        assert_eq!(*cell.load(), "beta");
+    }
+
+    #[test]
+    fn a_replaced_value_is_freed_once_no_reader_holds_it() {
+        let tracked = Arc::new(());
+        let cell = SwapCell::new(Arc::clone(&tracked));
+        let held = cell.load();
+        cell.swap(Arc::new(()));
+        assert_eq!(Arc::strong_count(&tracked), 2, "the reader keeps it alive");
+        drop(held);
+        assert_eq!(Arc::strong_count(&tracked), 1, "nothing else does");
     }
 
     #[test]
@@ -141,6 +115,5 @@ mod tests {
             r.join().unwrap();
         }
         assert_eq!(cell.generation(), 199);
-        assert_eq!(cell.retired_len(), 199);
     }
 }

@@ -13,9 +13,9 @@
 //! header.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
-use ms_core::{Json, ToJson, Wire, WireError, WireReader};
+use ms_core::{lock, Json, ToJson, Wire, WireError, WireReader};
 
 use crate::hist::{Histogram, HistogramSnapshot};
 
@@ -75,10 +75,6 @@ impl Gauge {
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Named instruments. Registration is idempotent: asking for an existing

@@ -15,10 +15,10 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ms_core::{Json, ToJson};
+use ms_core::{lock, Json, ToJson};
 
 /// One recorded span or instantaneous event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,10 +85,6 @@ impl Ring {
 struct ThreadRing {
     label: String,
     ring: Mutex<Ring>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One ring's surviving events plus how much history the ring lost, as

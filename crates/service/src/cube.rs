@@ -89,7 +89,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ms_core::{Wire, WireError};
+use ms_core::{lock, Wire, WireError};
 use ms_frequency::SpaceSavingSummary;
 use ms_quantiles::HybridQuantile;
 use ms_store::SegmentRecord;
@@ -97,12 +97,6 @@ use ms_store::SegmentRecord;
 use crate::config::{SegmentConfig, ServiceConfig, SummaryKind};
 use crate::protocol::{RangeMeta, SegmentMeta, SegmentReport};
 use crate::summary::ShardSummary;
-
-/// Lock that survives a poisoned mutex (a panicking summary must not
-/// wedge every later query).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Lemma 1: the SpaceSaving summary over the stream `mg` summarises.
 fn derive_space_saving(mg: ShardSummary) -> ShardSummary {

@@ -18,14 +18,14 @@
 //!                             compactor ── merge ──▶ global summary
 //!                                │ publish (epoch += 1)
 //!                                ▼
-//!                        Arc<Snapshot>  ◀── snapshot()/queries (lock-free
-//!                                           reads of an immutable value)
+//!                    SwapCell<Snapshot>  ◀── snapshot()/queries (reads of
+//!                                            an immutable value)
 //! ```
 //!
 //! Readers never block writers: a query clones the current `Arc<Snapshot>`
-//! under a briefly-held lock and then works on the immutable snapshot;
-//! the compactor builds the next snapshot off to the side and swaps the
-//! `Arc` in.
+//! out of a [`ms_core::SwapCell`] under a briefly held lock and then works
+//! on the immutable snapshot; the compactor builds the next snapshot off
+//! to the side and swaps it in.
 //!
 //! ## Failure model
 //!
@@ -54,25 +54,25 @@
 //! An in-process [`Engine::ingest`] encodes once into a pooled frame and
 //! joins the same path.
 //!
-//! In steady state one ingest performs **zero heap allocations and zero
-//! shared-lock acquisitions**: the shard table is an atomically swapped
-//! snapshot ([`ms_core::SwapCell`], one `Acquire` load to read), each
-//! shard queue is a bounded lock-free ring ([`ms_core::Ring`]), frame
-//! buffers and WAL record buffers recycle through
-//! [`ms_core::BufferPool`]s, and durable appends go through
-//! leader–follower group commit ([`ms_store::GroupCommit`]) so the store
-//! mutex is amortized across concurrent callers. See DESIGN.md §Hot path
-//! for the per-operation budget.
+//! In steady state one ingest performs **zero heap allocations** and a
+//! fixed handful of short, uncontended mutex sections, each paid once per
+//! *batch*, never per item: one to load the shard table
+//! ([`ms_core::SwapCell`]), one to push onto the shard's bounded queue
+//! ([`ms_core::Ring`]) and one per frame-buffer get or put
+//! ([`ms_core::BufferPool`]). Durable appends go through leader–follower
+//! group commit ([`ms_store::GroupCommit`]) so the store mutex is
+//! amortized across concurrent callers. See DESIGN.md §Hot path for the
+//! per-batch budget.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ms_core::rng::splitmix64;
 use ms_core::{
-    BufferPool, FxHashMap, Mergeable, PushError, Ring, ServiceError, Summary, SwapCell, Wire,
+    lock, BufferPool, FxHashMap, Mergeable, PushError, Ring, ServiceError, Summary, SwapCell, Wire,
 };
 use ms_obs::{RegistrySnapshot, Reservoir};
 use ms_store::{GroupCommit, SegmentRecord, Store};
@@ -320,7 +320,7 @@ enum CompactMsg {
 /// Idle `Vec<u64>` buffers [`Engine::ingest_buffer`] keeps at most.
 const ITEM_POOL_SLOTS: usize = 8;
 
-/// One ingest shard in the lock-free table: its bounded ring, a generation
+/// One ingest shard in the table: its bounded ring, a generation
 /// counter so concurrent senders agree on *which* incarnation died (only
 /// the first failure against a generation is a death event), and whether a
 /// worker is currently consuming the ring.
@@ -331,8 +331,8 @@ struct TableSlot {
     alive: bool,
 }
 
-/// The shard table. Readers get it from a [`SwapCell`] with one atomic
-/// load; topology changes (death, respawn, drain) clone-and-swap a new
+/// The shard table. Readers load it from a [`SwapCell`] once per batch;
+/// topology changes (death, respawn, drain) clone-and-swap a new
 /// table under the engine's `table_write` mutex.
 struct ShardTable {
     slots: Vec<TableSlot>,
@@ -347,13 +347,8 @@ impl ShardTable {
     }
 }
 
-/// Lock helpers: a poisoned lock means some thread panicked while holding
-/// it. Every critical section here leaves the data structurally valid at
-/// all times, so we keep serving instead of propagating the panic.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
+/// Poison-tolerant `RwLock` guards, for the same reason as
+/// [`ms_core::lock`].
 fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(|e| e.into_inner())
 }
@@ -366,8 +361,7 @@ fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// `Arc<Engine>`; all public methods take `&self`.
 pub struct Engine {
     cfg: ServiceConfig,
-    /// Lock-free shard-table snapshot: the ingest hot path reads it with
-    /// one `Acquire` load and never takes a lock.
+    /// The shard table: the ingest hot path loads it once per batch.
     table: SwapCell<ShardTable>,
     /// Serializes table swaps (deaths, respawns, shutdown — all rare).
     table_write: Mutex<()>,
@@ -391,7 +385,8 @@ pub struct Engine {
     /// Recycled WAL record buffers (`Vec<u8>`), refilled by the
     /// group-commit leader once a group is appended.
     wal_pool: Arc<BufferPool<u8>>,
-    snapshot: RwLock<Arc<Snapshot>>,
+    /// The published snapshot. Only the compactor swaps it.
+    snapshot: SwapCell<Snapshot>,
     counters: Arc<Counters>,
     next_shard: AtomicUsize,
     stopped: AtomicBool,
@@ -523,12 +518,12 @@ impl Engine {
         });
 
         let engine = Arc::new(Engine {
-            snapshot: RwLock::new(Arc::new(Snapshot {
+            snapshot: SwapCell::new(Snapshot {
                 epoch: 0,
                 summary: ShardSummary::new(&cfg, usize::MAX),
                 lineage: MergeLineage::default(),
                 published_at: Instant::now(),
-            })),
+            }),
             cfg: cfg.clone(),
             table: SwapCell::new(ShardTable { slots }),
             table_write: Mutex::new(()),
@@ -1191,7 +1186,7 @@ impl Engine {
     /// The current snapshot. The lock is held only to clone the `Arc`.
     /// Always answers, even after shutdown or a worker panic.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&read(&self.snapshot))
+        self.snapshot.load()
     }
 
     /// Answer a time-range query from the segment cube: merge the minimal
@@ -1227,17 +1222,19 @@ impl Engine {
         self.cube.as_ref()
     }
 
+    /// Publish the next epoch. Only the compactor thread calls this, so
+    /// the snapshot read here is still current when `swap` replaces it.
     fn publish(&self, summary: ShardSummary, lineage: MergeLineage) {
-        let mut guard = write(&self.snapshot);
-        let epoch = guard.epoch + 1;
-        let since_last = guard.published_at.elapsed().as_micros() as u64;
-        *guard = Arc::new(Snapshot {
+        let last = self.snapshot.load();
+        let epoch = last.epoch + 1;
+        let since_last = last.published_at.elapsed().as_micros() as u64;
+        drop(last);
+        self.snapshot.swap(Snapshot {
             epoch,
             summary,
             lineage,
             published_at: Instant::now(),
         });
-        drop(guard);
         self.telemetry.record_publish(epoch, since_last);
     }
 

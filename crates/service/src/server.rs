@@ -20,7 +20,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ms_core::wire::{encode_u64_slice_into, FRAME_HEADER_LEN};
-use ms_core::{ServiceError, Wire, WireFrame};
+use ms_core::{lock, ServiceError, Wire, WireFrame};
 use ms_obs::RegistrySnapshot;
 
 use crate::config::SummaryKind;
@@ -216,10 +216,6 @@ impl Server {
             let _ = handle.join();
         }
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn serve_connection(mut stream: TcpStream, service: Arc<dyn Service>) {

@@ -12,13 +12,13 @@
 //! Definition 1) guarantees the older summary merges back with the same
 //! error bound, so falling back costs replay time, not accuracy.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 use ms_core::{Wire, WireError, WireFrame, WireReader};
 
-use crate::wal::sync_dir;
+use crate::durable;
 
 /// Frame tag of checkpoint records.
 pub const CHECKPOINT_TAG: u8 = 0x21;
@@ -92,13 +92,7 @@ impl CheckpointStore {
     /// Open (or create) the checkpoint directory, clearing tmp leftovers
     /// from interrupted writes.
     pub fn open(dir: PathBuf, sync: bool) -> io::Result<CheckpointStore> {
-        fs::create_dir_all(&dir)?;
-        for entry in fs::read_dir(&dir)? {
-            let path = entry?.path();
-            if path.extension().is_some_and(|x| x == "tmp") {
-                fs::remove_file(&path)?;
-            }
-        }
+        durable::open_dir(&dir)?;
         Ok(CheckpointStore { dir, sync })
     }
 
@@ -112,8 +106,7 @@ impl CheckpointStore {
     /// directory is fsync'd last. Returns total bytes written.
     pub fn write_set(&self, wal_seq: u64, epoch: u64, parts: &[Vec<u8>]) -> io::Result<u64> {
         let shards_total = parts.len() as u32;
-        let mut bytes_written = 0u64;
-        for (shard, summary) in parts.iter().enumerate() {
+        let files = parts.iter().enumerate().map(|(shard, summary)| {
             let record = CheckpointRecord {
                 shard: shard as u32,
                 shards_total,
@@ -125,26 +118,9 @@ impl CheckpointStore {
                 tag: CHECKPOINT_TAG,
                 payload: record.encode(),
             };
-            let bytes = frame.to_durable_bytes();
-            let finals = self.part_path(wal_seq, shard as u32);
-            let tmp = finals.with_extension("tmp");
-            let mut file = OpenOptions::new()
-                .create(true)
-                .truncate(true)
-                .write(true)
-                .open(&tmp)?;
-            file.write_all(&bytes)?;
-            if self.sync {
-                file.sync_data()?;
-            }
-            drop(file);
-            fs::rename(&tmp, &finals)?;
-            bytes_written += bytes.len() as u64;
-        }
-        if self.sync {
-            sync_dir(&self.dir)?;
-        }
-        Ok(bytes_written)
+            (self.part_path(wal_seq, shard as u32), frame)
+        });
+        durable::write_files(&self.dir, self.sync, files)
     }
 
     /// Load the newest set in which every shard's part is present and
@@ -252,7 +228,7 @@ impl CheckpointStore {
             }
         }
         if self.sync {
-            sync_dir(&self.dir)?;
+            durable::sync_dir(&self.dir)?;
         }
         Ok(keep_seqs.first().copied())
     }
@@ -286,21 +262,11 @@ pub(crate) fn parse_part_seq(path: &Path) -> Option<u64> {
 
 /// Read and fully verify one part file.
 pub(crate) fn read_part(path: &Path) -> Result<CheckpointRecord, WireError> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|_| WireError::Truncated)?;
-    let mut r = WireReader::new(&bytes);
-    let frame = WireFrame::read_durable(&mut r)?;
-    if frame.tag != CHECKPOINT_TAG {
-        return Err(WireError::BadTag(frame.tag));
-    }
-    if r.pos() != bytes.len() {
-        return Err(WireError::Malformed(
-            "trailing bytes after checkpoint record",
-        ));
-    }
-    frame.value::<CheckpointRecord>()
+    durable::read_file(
+        path,
+        CHECKPOINT_TAG,
+        "trailing bytes after checkpoint record",
+    )
 }
 
 #[cfg(test)]

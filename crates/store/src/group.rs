@@ -19,7 +19,9 @@
 //! [`Wal::append_group`]: crate::wal::Wal::append_group
 
 use std::io;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
+
+use ms_core::lock;
 
 use crate::Store;
 
@@ -73,10 +75,6 @@ pub struct GroupCommit {
     state: Mutex<GroupState>,
     done: Condvar,
     recycle: Option<Recycler>,
-}
-
-fn lock(state: &Mutex<GroupState>) -> MutexGuard<'_, GroupState> {
-    state.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn sticky(failed: &(io::ErrorKind, String)) -> io::Error {
@@ -149,7 +147,7 @@ impl GroupCommit {
             let mut group = std::mem::replace(&mut st.queue, spare);
             drop(st);
             let appended = {
-                let mut store = store.lock().unwrap_or_else(|e| e.into_inner());
+                let mut store = lock(store);
                 store.wal.append_group(&group)
             };
             st = lock(&self.state);

@@ -33,6 +33,7 @@ use std::io;
 use std::path::PathBuf;
 
 pub mod checkpoint;
+mod durable;
 pub mod group;
 pub mod inspect;
 pub mod segment;

@@ -13,13 +13,13 @@
 //! and rebuilt from the WAL tail, which the engine never prunes past the
 //! last *persisted* segment's end seq.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 use ms_core::{Wire, WireError, WireFrame, WireReader};
 
-use crate::wal::sync_dir;
+use crate::durable;
 
 /// Frame tag of sealed-segment records.
 pub const SEGMENT_TAG: u8 = 0x23;
@@ -102,13 +102,7 @@ impl SegmentStore {
     /// Open (or create) the segment directory, clearing tmp leftovers
     /// from interrupted writes.
     pub fn open(dir: PathBuf, sync: bool) -> io::Result<SegmentStore> {
-        fs::create_dir_all(&dir)?;
-        for entry in fs::read_dir(&dir)? {
-            let path = entry?.path();
-            if path.extension().is_some_and(|x| x == "tmp") {
-                fs::remove_file(&path)?;
-            }
-        }
+        durable::open_dir(&dir)?;
         Ok(SegmentStore { dir, sync })
     }
 
@@ -126,24 +120,11 @@ impl SegmentStore {
             tag: SEGMENT_TAG,
             payload: record.encode(),
         };
-        let bytes = frame.to_durable_bytes();
-        let finals = self.segment_path(record.id);
-        let tmp = finals.with_extension("tmp");
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(&tmp)?;
-        file.write_all(&bytes)?;
-        if self.sync {
-            file.sync_data()?;
-        }
-        drop(file);
-        fs::rename(&tmp, &finals)?;
-        if self.sync {
-            sync_dir(&self.dir)?;
-        }
-        Ok(bytes.len() as u64)
+        durable::write_files(
+            &self.dir,
+            self.sync,
+            [(self.segment_path(record.id), frame)],
+        )
     }
 
     /// Delete one sealed segment's file (cube eviction past `max_sealed`).
@@ -256,19 +237,7 @@ fn parse_segment_id(path: &Path) -> Option<u64> {
 
 /// Read and fully verify one segment file.
 fn read_segment(path: &Path) -> Result<SegmentRecord, WireError> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|_| WireError::Truncated)?;
-    let mut r = WireReader::new(&bytes);
-    let frame = WireFrame::read_durable(&mut r)?;
-    if frame.tag != SEGMENT_TAG {
-        return Err(WireError::BadTag(frame.tag));
-    }
-    if r.pos() != bytes.len() {
-        return Err(WireError::Malformed("trailing bytes after segment record"));
-    }
-    frame.value::<SegmentRecord>()
+    durable::read_file(path, SEGMENT_TAG, "trailing bytes after segment record")
 }
 
 #[cfg(test)]

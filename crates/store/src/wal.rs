@@ -16,6 +16,7 @@ use std::path::{Path, PathBuf};
 use ms_core::wire::{put_varint, WIRE_MAGIC, WIRE_VERSION};
 use ms_core::{crc32, Wire, WireError, WireFrame, WireReader};
 
+use crate::durable::sync_dir;
 use crate::StoreConfig;
 
 /// Frame tag of WAL batch records.
@@ -406,11 +407,6 @@ pub(crate) fn parse_segment_start(path: &Path) -> Option<u64> {
 fn create_segment(dir: &Path, first_seq: u64) -> io::Result<File> {
     let path = dir.join(format!("wal-{first_seq:016x}.seg"));
     OpenOptions::new().create(true).append(true).open(path)
-}
-
-/// fsync a directory so renames and new files within it are durable.
-pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]

@@ -296,19 +296,6 @@ fn slice_kernels_scalar_vs_dispatched_bit_identical() {
             simd::add_slices_multi_scalar(&mut a, &srcs);
             simd::add_slices_multi_with(isa, &mut b, &srcs);
             assert_eq!(a, b, "seed {seed:#x} add_slices_multi {isa:?}");
-
-            for s in [0u64, 3, u64::MAX / 2, u64::MAX] {
-                let mut a = vals.clone();
-                let mut b = vals.clone();
-                simd::sub_clamp_scalar(&mut a, s);
-                simd::sub_clamp_with(isa, &mut b, s);
-                assert_eq!(a, b, "seed {seed:#x} sub_clamp s={s} {isa:?}");
-                assert_eq!(
-                    simd::count_gt_scalar(&vals, s),
-                    simd::count_gt_with(isa, &vals, s),
-                    "seed {seed:#x} count_gt s={s} {isa:?}"
-                );
-            }
         }
     }
 }
