@@ -1149,7 +1149,6 @@ fn e13_segment_merge_error() {
             "segments",
             "mg max err",
             "ss max err",
-            "cm max err",
             "rank max err",
             "eps*n",
             "within eps*n",
@@ -1172,11 +1171,10 @@ fn e13_segment_merge_error() {
             cube.record_with(chunk, || Ok::<(), ()>(())).unwrap();
         }
 
-        let mut errs = [0u64; 4];
+        let mut errs = [0u64; 3];
         let kinds = [
             SummaryKind::Mg,
             SummaryKind::SpaceSaving,
-            SummaryKind::CountMin,
             SummaryKind::HybridQuantile,
         ];
         for (slot, kind) in kinds.into_iter().enumerate() {
@@ -1205,7 +1203,6 @@ fn e13_segment_merge_error() {
             errs[0].to_string(),
             errs[1].to_string(),
             errs[2].to_string(),
-            errs[3].to_string(),
             bound.to_string(),
             errs.iter().all(|&e| e <= bound).to_string(),
         ]);

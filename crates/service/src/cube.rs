@@ -5,24 +5,29 @@
 //! bound. The cube exploits that in the time dimension: ingest is
 //! partitioned into *segments* (sealed on a batch-count or wall-clock
 //! boundary), each sealed segment carries one precomputed summary per
-//! family, and an arbitrary time window is answered by one-shot merging
-//! the covering segments — error stays eps·(window weight), not
-//! eps·(total stream).
+//! streamed family, and an arbitrary time window is answered by
+//! one-shot merging the covering segments — error stays eps·(window
+//! weight), not eps·(total stream).
 //!
-//! Summarise once: a segment *streams* three families — Misra-Gries,
-//! the hybrid quantile summary and Count-Min — and *derives* the fourth.
-//! §3 Lemma 1 of the paper: SpaceSaving with `k+1` counters over a stream
-//! is isomorphic to Misra-Gries with `k` counters over the same stream
-//! (subtract the minimum counter, drop the zeros), and `for_epsilon` sizes
-//! the two families exactly one counter apart. A `SpaceSavingSummary` in
-//! merged form *is* that MG summary, and the engine's SpaceSaving shards
-//! run it from their first item (`ShardSummary::new`). So the SpaceSaving
-//! slot of a [`SegmentRecord`] and every SpaceSaving range answer are the
-//! MG family viewed through `SpaceSavingSummary::from_mg` — the same call
-//! the engine makes — instead of being maintained beside it. The segment
-//! file keeps its four slots in [`SummaryKind::all`] order;
-//! [`SegmentCube::adopt`] still validates the SpaceSaving slot of a file
-//! it reads and then drops it.
+//! Summarise once: a segment *streams* only the two families a range
+//! request reads — Misra-Gries for `RangeHeavyHitters` and the hybrid
+//! quantile summary for `RangeQuantile` — and a sealed [`SegmentRecord`]
+//! holds those two slots, `[MG, quantile]`. SpaceSaving range answers
+//! are a view of the MG fold, taken at query time: §3 Lemma 1 of the
+//! paper says SpaceSaving with `k+1` counters over a stream is
+//! isomorphic to Misra-Gries with `k` counters over the same stream
+//! (subtract the minimum counter, drop the zeros), `for_epsilon` sizes
+//! the two families exactly one counter apart, and a
+//! `SpaceSavingSummary` in merged form *is* that MG summary — the engine's
+//! SpaceSaving shards run it from their first item (`ShardSummary::new`).
+//! No segment keeps a Count-Min family: no request reads one, and
+//! [`SegmentCube::query`] answers `None` for it.
+//!
+//! Files written before this layout hold four slots, one per family in
+//! [`SummaryKind::all`] order. [`SegmentCube::adopt`] still reads them:
+//! every slot is decoded and kind-checked, then the SpaceSaving and
+//! Count-Min slots are dropped. A data directory's WAL may already be
+//! pruned below such segments, so they cannot be rebuilt instead.
 //!
 //! Concurrency contract — each lock guards one thing:
 //!
@@ -89,7 +94,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ms_core::{lock, Wire, WireError};
+use ms_core::{lock, ServiceError, Wire, WireError};
 use ms_frequency::SpaceSavingSummary;
 use ms_quantiles::HybridQuantile;
 use ms_store::SegmentRecord;
@@ -167,42 +172,6 @@ pub struct CubeHealth {
     pub memo_misses: u64,
 }
 
-/// A segment's Count-Min family: a live sketch while the segment is
-/// open, the encoded slot of its record once it is sealed.
-///
-/// One segment's cells are small counts in 8-byte words, so the varint
-/// slot is ≈ 5× smaller than the table (2 KB against 11 KB at ε = 0.01),
-/// and no wire request reads a Count-Min range (an in-process
-/// [`SegmentCube::query`] for it decodes). Resident segments dominate
-/// the benchmark's `peak_rss_mb`, and the closed-loop `ingest-wal-cube`
-/// server now seals 1.8× the segments per window: with live tables it
-/// peaked 18 % above the parent commit (23.0 against 19.4 MiB, past the
-/// 15 % bound), with slots 12 %, with slots and the trim in
-/// [`Segment::seal`] 2 % (DESIGN.md §3f has the runs).
-#[derive(Clone)]
-enum CountMinFam {
-    Live(ShardSummary),
-    Slot(Vec<u8>),
-}
-
-impl CountMinFam {
-    fn live(&self) -> ShardSummary {
-        match self {
-            CountMinFam::Live(sketch) => sketch.clone(),
-            CountMinFam::Slot(bytes) => {
-                ShardSummary::decode(bytes).expect("encoded here or validated on adopt")
-            }
-        }
-    }
-
-    fn slot(&self) -> Vec<u8> {
-        match self {
-            CountMinFam::Live(sketch) => sketch.encode(),
-            CountMinFam::Slot(bytes) => bytes.clone(),
-        }
-    }
-}
-
 /// A segment's quantile family: the live summary while the segment is
 /// open, and once it is sealed the same summary over `u32` points when
 /// every stored value fits — a copy that answers for it is widened back,
@@ -252,6 +221,10 @@ impl QuantileFam {
     }
 }
 
+/// The families a segment streams, in the slot order of the records
+/// [`Segment::seal`] writes.
+const STREAMED: [SummaryKind; 2] = [SummaryKind::Mg, SummaryKind::HybridQuantile];
+
 /// One segment — the open one under the fold lock, or a sealed one
 /// behind an `Arc` in the index (immutable there: coarsening builds a
 /// new segment and swaps it in): its coordinates plus a summary per
@@ -261,39 +234,31 @@ struct Segment {
     meta: SegmentMeta,
     mg: ShardSummary,
     quantile: QuantileFam,
-    count_min: CountMinFam,
 }
 
 impl Segment {
     /// A copy of the streamed family that answers for `kind`
-    /// (SpaceSaving is derived from the MG one — see the module doc).
+    /// (SpaceSaving is read off the MG one — see the module doc).
     fn family(&self, kind: SummaryKind) -> ShardSummary {
         match kind {
             SummaryKind::Mg | SummaryKind::SpaceSaving => self.mg.clone(),
             SummaryKind::HybridQuantile => self.quantile.live(),
-            SummaryKind::CountMin => self.count_min.live(),
+            SummaryKind::CountMin => unreachable!("no segment keeps a Count-Min family"),
         }
     }
 
-    /// Seal: the record the store writes — four slots in
-    /// [`SummaryKind::all`] order, the SpaceSaving one derived from the
-    /// MG family — with the segment itself trimmed for residency, now
-    /// that it will not be updated again: the Count-Min family becomes
-    /// the slot just encoded, the MG family is re-read from its slot,
-    /// which sheds the spare capacity streaming grew, and the quantile
-    /// family goes to its resident form ([`QuantileFam::at_rest`]).
+    /// Seal: the record the store writes — one slot per [`STREAMED`]
+    /// family — with the segment itself trimmed for residency, now that
+    /// it will not be updated again: the MG family is re-read from its
+    /// slot, which sheds the spare capacity streaming grew, and the
+    /// quantile family goes to its resident form ([`QuantileFam::at_rest`]).
     fn seal(&mut self) -> SegmentRecord {
         self.meta.sealed = true;
-        let (mg, quantile, count_min) = (
-            self.mg.encode(),
-            self.quantile.slot(),
-            self.count_min.slot(),
-        );
+        let (mg, quantile) = (self.mg.encode(), self.quantile.slot());
         self.mg = ShardSummary::decode(&mg).expect("a slot just encoded decodes");
         if let QuantileFam::Live(live) = &self.quantile {
             self.quantile = QuantileFam::at_rest(live, &quantile);
         }
-        self.count_min = CountMinFam::Slot(count_min.clone());
         SegmentRecord {
             id: self.meta.id,
             start_seq: self.meta.start_seq,
@@ -303,33 +268,34 @@ impl Segment {
             weight: self.meta.weight,
             batches: self.meta.batches,
             tier: self.meta.tier,
-            summaries: vec![
-                mg,
-                derive_space_saving(self.mg.clone()).encode(),
-                quantile,
-                count_min,
-            ],
+            summaries: vec![mg, quantile],
         }
     }
 
-    /// Rebuild a sealed segment from its record. All four slots must
-    /// decode in family order — the SpaceSaving slot of an existing file
-    /// is validated like the rest, then dropped (it is derived).
+    /// Rebuild a sealed segment from its record: the two slots
+    /// [`Segment::seal`] writes, or the four of a file written before
+    /// (every family in [`SummaryKind::all`] order). Every slot must
+    /// decode as the family its position names; a four-slot record's
+    /// SpaceSaving and Count-Min slots are then dropped.
     fn from_record(rec: &SegmentRecord) -> Result<Segment, WireError> {
-        if rec.summaries.len() != SummaryKind::all().len() {
-            return Err(WireError::Malformed("segment record family count"));
-        }
-        let mut fams = Vec::with_capacity(rec.summaries.len());
-        for (bytes, kind) in rec.summaries.iter().zip(SummaryKind::all()) {
+        let all = SummaryKind::all();
+        let kinds: &[SummaryKind] = match rec.summaries.len() {
+            2 => &STREAMED,
+            4 => &all,
+            _ => return Err(WireError::Malformed("segment record family count")),
+        };
+        let (mut mg, mut quantile) = (None, None);
+        for (bytes, &kind) in rec.summaries.iter().zip(kinds) {
             let fam = ShardSummary::decode(bytes)?;
             if fam.kind() != kind {
                 return Err(WireError::Malformed("segment family out of order"));
             }
-            fams.push(fam);
+            match kind {
+                SummaryKind::Mg => mg = Some(fam),
+                SummaryKind::HybridQuantile => quantile = Some(QuantileFam::at_rest(&fam, bytes)),
+                _ => {}
+            }
         }
-        let [mg, _space_saving, quantile, _count_min]: [ShardSummary; 4] = fams
-            .try_into()
-            .map_err(|_| WireError::Malformed("segment record family count"))?;
         Ok(Segment {
             meta: SegmentMeta {
                 id: rec.id,
@@ -342,9 +308,8 @@ impl Segment {
                 sealed: true,
                 tier: rec.tier,
             },
-            mg,
-            quantile: QuantileFam::at_rest(&quantile, &rec.summaries[2]),
-            count_min: CountMinFam::Slot(rec.summaries[3].clone()),
+            mg: mg.expect("both layouts hold an MG slot"),
+            quantile: quantile.expect("both layouts hold a quantile slot"),
         })
     }
 
@@ -363,14 +328,12 @@ impl Segment {
         self.meta.weight += next.meta.weight;
         self.meta.batches += next.meta.batches;
         self.meta.tier = self.meta.tier.max(next.meta.tier) + 1;
-        let (mut quantile, mut count_min) = (self.quantile.live(), self.count_min.live());
+        let mut quantile = self.quantile.live();
         let merges = [
             self.mg.merge_in_place(next.mg),
             quantile.merge_in_place(next.quantile.live()),
-            count_min.merge_in_place(next.count_min.live()),
         ];
         self.quantile = QuantileFam::Live(quantile);
-        self.count_min = CountMinFam::Live(count_min);
         for merge in merges {
             merge.expect("same-family segment summaries always merge");
         }
@@ -641,7 +604,6 @@ impl SegmentCube {
                 },
                 mg: self.fresh(SummaryKind::Mg),
                 quantile: QuantileFam::Live(self.fresh(SummaryKind::HybridQuantile)),
-                count_min: CountMinFam::Live(self.fresh(SummaryKind::CountMin)),
             });
             fold.next_id += 1;
         }
@@ -650,16 +612,12 @@ impl SegmentCube {
         open.meta.end_micros = now;
         open.meta.batches += 1;
         open.meta.weight += batch.len() as u64;
-        // Family-major: each family sees the whole batch at once, so
-        // Count-Min runs its dispatched hash-then-update kernel and the
-        // counter-map and quantile families keep their tables hot.
+        // Family-major: each family sees the whole batch at once, so the
+        // counter map and the quantile buffers stay hot.
         open.mg.update_batch(batch);
-        match (&mut open.quantile, &mut open.count_min) {
-            (QuantileFam::Live(quantile), CountMinFam::Live(sketch)) => {
-                quantile.update_batch(batch);
-                sketch.update_batch(batch);
-            }
-            _ => unreachable!("an open segment's families are live"),
+        match &mut open.quantile {
+            QuantileFam::Live(quantile) => quantile.update_batch(batch),
+            QuantileFam::Narrow(_) => unreachable!("an open segment's families are live"),
         }
         if open.meta.batches >= self.cfg.seal_batches {
             self.seal(&mut fold, &mut out);
@@ -723,14 +681,22 @@ impl SegmentCube {
     /// Adopt sealed segments recovered from disk (called once at
     /// startup, before any replay). Stops at the first record whose
     /// summaries do not decode, preserving contiguity; the rest is
-    /// rebuilt from the WAL.
-    pub fn adopt(&self, records: &[SegmentRecord]) -> AdoptOutcome {
+    /// rebuilt from the WAL. A record whose families do not merge with
+    /// this cube's — written under another ε — is a configuration error,
+    /// as it is for a checkpoint part (`Engine::preload`): the WAL may
+    /// already be pruned below it, so it cannot be rebuilt.
+    pub fn adopt(&self, records: &[SegmentRecord]) -> Result<AdoptOutcome, ServiceError> {
         let mut order = lock(&self.order);
         let mut fold = lock(&self.fold);
         let mut ix = lock(&self.index);
         let mut out = AdoptOutcome::default();
         for rec in records {
             match Segment::from_record(rec) {
+                Ok(seg) if !self.fits(&seg) => {
+                    return Err(ServiceError::Config(
+                        "segment file incompatible with configured epsilon/seed",
+                    ));
+                }
                 Ok(seg) => {
                     *order = seg.meta.end_seq;
                     self.last_micros
@@ -756,7 +722,14 @@ impl SegmentCube {
             out.evicted.push(old.meta.id);
         }
         self.persisted_floor.store(*order, Ordering::Release);
-        out
+        Ok(out)
+    }
+
+    /// Does every family of `seg` merge into a fresh one of this cube's?
+    fn fits(&self, seg: &Segment) -> bool {
+        STREAMED
+            .into_iter()
+            .all(|kind| self.fresh(kind).merge_in_place(seg.family(kind)).is_ok())
     }
 
     /// Mark a sealed segment durable through `end_seq` (called after a
@@ -779,10 +752,11 @@ impl SegmentCube {
     /// Answer a time-window query from `kind`'s family: merge the
     /// summaries of every segment intersecting `[start, end]` micros
     /// (inclusive; the open segment included live). Returns `None` when
-    /// no segment intersects. Segment times are monotone, so the
-    /// covering set is the minimal contiguous run of segments whose
-    /// spans intersect the window — exactly the segments whose batches
-    /// a per-range oracle must replay.
+    /// no segment intersects, and for Count-Min, which no segment keeps
+    /// (module doc), with a zero-coverage `RangeMeta`. Segment times are
+    /// monotone, so the covering set is the minimal contiguous run of
+    /// segments whose spans intersect the window — exactly the segments
+    /// whose batches a per-range oracle must replay.
     ///
     /// Under the locks this only clones handles (and the open segment's
     /// one requested family); the merge runs after both are released,
@@ -794,16 +768,20 @@ impl SegmentCube {
         end_micros: u64,
         kind: SummaryKind,
     ) -> (RangeMeta, Option<ShardSummary>) {
-        let (covering, open) = self.cut(start_micros, end_micros, kind);
         let mut meta = RangeMeta {
             start_micros,
             end_micros,
             segments_merged: 0,
-            open_included: open.is_some(),
+            open_included: false,
             covered_weight: 0,
             start_seq: 0,
             end_seq: 0,
         };
+        if kind == SummaryKind::CountMin {
+            return (meta, None);
+        }
+        let (covering, open) = self.cut(start_micros, end_micros, kind);
+        meta.open_included = open.is_some();
         let segs = covering.iter().map(|seg| &seg.meta);
         for seg in segs.chain(open.as_ref().map(|(seg, _)| seg)) {
             meta.segments_merged += 1;
@@ -927,6 +905,35 @@ impl SegmentCube {
     }
 }
 
+/// `rec` in the four-slot layout segment files had before the two-slot
+/// record: every family in [`SummaryKind::all`] order, the SpaceSaving
+/// slot derived from the MG one, and the Count-Min slot a sketch of
+/// `items` (the segment's items) under `epsilon` and `seed`. Count-Min is linear, so
+/// one sketch of the items is the sketch the segment streamed or merged.
+#[cfg(test)]
+pub(crate) fn four_slot_record(
+    rec: &SegmentRecord,
+    items: &[u64],
+    epsilon: f64,
+    seed: u64,
+) -> SegmentRecord {
+    let mg = ShardSummary::decode(&rec.summaries[0]).expect("an MG slot decodes");
+    let mut count_min = ShardSummary::new(
+        &ServiceConfig::new(SummaryKind::CountMin, epsilon).seed(seed),
+        0,
+    );
+    count_min.update_batch(items);
+    SegmentRecord {
+        summaries: vec![
+            rec.summaries[0].clone(),
+            derive_space_saving(mg).encode(),
+            rec.summaries[1].clone(),
+            count_min.encode(),
+        ],
+        ..rec.clone()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -934,6 +941,13 @@ mod tests {
     use std::sync::Arc;
 
     const EPS: f64 = 0.02;
+
+    /// The kinds a range query can be answered in.
+    const RANGE_KINDS: [SummaryKind; 3] = [
+        SummaryKind::Mg,
+        SummaryKind::SpaceSaving,
+        SummaryKind::HybridQuantile,
+    ];
 
     fn cube(cfg: SegmentConfig) -> SegmentCube {
         SegmentCube::new(EPS, 42, cfg)
@@ -1108,11 +1122,11 @@ mod tests {
             [true, true, false]
         );
         for ((_, read), rec) in slots.iter().zip(&records) {
-            assert_eq!(read, &rec.summaries[2]);
+            assert_eq!(read, &rec.summaries[1]);
         }
 
         let adopted = cube(SegmentConfig::new().seal_batches(2));
-        assert_eq!(adopted.adopt(&records).adopted, 3);
+        assert_eq!(adopted.adopt(&records).unwrap().adopted, 3);
         assert_eq!(quantile_slots(&adopted), slots);
 
         // Coarsening merges widened copies and the survivor rests again.
@@ -1125,7 +1139,7 @@ mod tests {
         let slots = quantile_slots(&coarse);
         assert_eq!(slots.len(), 1);
         assert!(slots[0].0);
-        assert_eq!(slots[0].1, last.last().unwrap().summaries[2]);
+        assert_eq!(slots[0].1, last.last().unwrap().summaries[1]);
     }
 
     #[test]
@@ -1139,8 +1153,12 @@ mod tests {
         }
         assert_eq!(sealed.len(), 3);
 
+        assert!(sealed
+            .iter()
+            .all(|rec| rec.summaries.len() == STREAMED.len()));
+
         let fresh = cube(SegmentConfig::new().seal_batches(2).clock(clock.clone()));
-        let out = fresh.adopt(&sealed);
+        let out = fresh.adopt(&sealed).unwrap();
         assert_eq!(out.adopted, 3);
         assert_eq!(out.dropped, 0);
         assert_eq!(fresh.last_seq(), 6);
@@ -1150,8 +1168,12 @@ mod tests {
         assert_eq!(out.seq, 7);
         assert_eq!(fresh.report().segments.last().unwrap().id, 3);
         // And a full-range query sees everything.
-        let (meta, _) = fresh.query(0, u64::MAX, SummaryKind::CountMin);
+        let (meta, _) = fresh.query(0, u64::MAX, SummaryKind::Mg);
         assert_eq!(meta.covered_weight, 25);
+        // No segment keeps Count-Min: nothing is covered.
+        let (meta, answer) = fresh.query(0, u64::MAX, SummaryKind::CountMin);
+        assert!(answer.is_none());
+        assert_eq!((meta.segments_merged, meta.covered_weight), (0, 0));
     }
 
     #[test]
@@ -1165,17 +1187,125 @@ mod tests {
         for i in 0..3u64 {
             sealed.extend(ok(&c, &[i]).sealed);
         }
-        sealed[1].summaries[2] = vec![0xFF; 3];
-        let fresh = cube(
+        let four: Vec<SegmentRecord> = sealed
+            .iter()
+            .zip(0u64..)
+            .map(|(rec, i)| four_slot_record(rec, &[i], EPS, 42))
+            .collect();
+        let adopt = |records: &[SegmentRecord]| {
+            let fresh = cube(
+                SegmentConfig::new()
+                    .seal_batches(1)
+                    .clock(Arc::new(ManualClock::new(0))),
+            );
+            let out = fresh.adopt(records).unwrap();
+            assert_eq!((out.adopted, out.dropped), (1, 2), "{:?}", out.notes);
+            assert_eq!(fresh.last_seq(), 1, "floor stops at the last good record");
+            assert!(out.notes[0].contains("rebuilt from the WAL"));
+            out.notes[0].clone()
+        };
+        // Either layout: an undecodable slot, the dropped slots of a
+        // four-slot record included; slots out of family order; a slot
+        // count neither layout has.
+        let mut bad = sealed.clone();
+        bad[1].summaries[1] = vec![0xFF; 3];
+        adopt(&bad);
+        for slot in [1, 2, 3] {
+            let mut bad = four.clone();
+            bad[1].summaries[slot] = vec![0xFF; 3];
+            adopt(&bad);
+        }
+        let mut bad = four.clone();
+        bad[1].summaries.swap(1, 3);
+        assert!(adopt(&bad).contains("out of order"));
+        let mut bad = sealed.clone();
+        bad[1].summaries.swap(0, 1);
+        assert!(adopt(&bad).contains("out of order"));
+        let mut bad = four;
+        bad[1].summaries.pop();
+        assert!(adopt(&bad).contains("family count"));
+    }
+
+    /// Records in the four-slot layout adopt into segments that answer
+    /// every range kind byte for byte as the cube that sealed them does,
+    /// and as one that adopted the same segments' two-slot records.
+    #[test]
+    fn four_slot_records_adopt_and_answer_like_two_slot_ones() {
+        let cfg = |clock: Arc<ManualClock>| {
             SegmentConfig::new()
-                .seal_batches(1)
-                .clock(Arc::new(ManualClock::new(0))),
-        );
-        let out = fresh.adopt(&sealed);
-        assert_eq!(out.adopted, 1);
-        assert_eq!(out.dropped, 2);
-        assert_eq!(fresh.last_seq(), 1, "floor stops at the last good record");
-        assert!(out.notes[0].contains("rebuilt from the WAL"));
+                .seal_batches(3)
+                .coarsen_watermark(4)
+                .clock(clock)
+        };
+        for seed in SEEDS {
+            let clock = Arc::new(ManualClock::new(0));
+            let live = cube(cfg(clock.clone()));
+            let mut rng = ms_core::Rng64::new(seed);
+            // 13 segments, none left open, coarsened down to the watermark.
+            let batches: Vec<Vec<u64>> = (0..39)
+                .map(|_| {
+                    let universe = 1 << (4 + rng.below(28));
+                    (0..1 + rng.below(300))
+                        .map(|_| rng.below(universe))
+                        .collect()
+                })
+                .collect();
+            let mut disk = std::collections::BTreeMap::new();
+            for batch in &batches {
+                clock.advance(1 + rng.below(3));
+                let out = ok(&live, batch);
+                disk.extend(out.sealed.into_iter().map(|rec| (rec.id, rec)));
+                for id in out.evicted {
+                    disk.remove(&id);
+                }
+            }
+            let two: Vec<SegmentRecord> = disk.into_values().collect();
+            let four: Vec<SegmentRecord> = two
+                .iter()
+                .map(|rec| {
+                    let items = batches[rec.start_seq as usize - 1..rec.end_seq as usize].concat();
+                    four_slot_record(rec, &items, EPS, 42)
+                })
+                .collect();
+            let adopted = |records: &[SegmentRecord]| {
+                let c = cube(cfg(Arc::new(ManualClock::new(0))));
+                let out = c.adopt(records).unwrap();
+                assert_eq!(
+                    (out.adopted, out.dropped),
+                    (records.len(), 0),
+                    "{:?}",
+                    out.notes
+                );
+                c
+            };
+            let (from_two, from_four) = (adopted(&two), adopted(&four));
+            assert!(
+                live.health().max_tier >= 1,
+                "seed {seed:#x}: nothing coarsened"
+            );
+            let segs = live.report().segments;
+            let mut windows = vec![(0, u64::MAX)];
+            for (i, a) in segs.iter().enumerate() {
+                for b in &segs[i..] {
+                    windows.push((a.start_micros, b.end_micros));
+                }
+            }
+            for (start, end) in windows {
+                for kind in RANGE_KINDS {
+                    let (want_meta, want) = live.query(start, end, kind);
+                    let want = want.map(|s| s.encode());
+                    for c in [&from_two, &from_four] {
+                        let (meta, answer) = c.query(start, end, kind);
+                        let what = format!("seed {seed:#x} [{start}, {end}] {kind:?}");
+                        assert_eq!(meta, want_meta, "{what}");
+                        assert!(
+                            answer.map(|s| s.encode()) == want,
+                            "{what}: reply bytes differ"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1270,7 +1400,7 @@ mod tests {
                 .coarsen_watermark(2)
                 .clock(clock),
         );
-        let adopted = fresh.adopt(&records);
+        let adopted = fresh.adopt(&records).unwrap();
         assert_eq!(adopted.adopted, records.len());
         assert_eq!(adopted.dropped, 0);
         let (a, b) = (c.report(), fresh.report());
@@ -1401,7 +1531,7 @@ mod tests {
                         windows.push((0, u64::MAX));
                     }
                     for &(start, end) in &windows {
-                        let kind = SummaryKind::all()[rng.below_usize(4)];
+                        let kind = RANGE_KINDS[rng.below_usize(RANGE_KINDS.len())];
                         let (meta, answer) = c.query(start, end, kind);
                         let (want_meta, want) = query_unmemoized(&c, start, end, kind);
                         let what = format!("seed {seed:#x} step {step} [{start}, {end}] {kind:?}");
@@ -1465,10 +1595,11 @@ mod tests {
 
     const SEEDS: [u64; 3] = [0xF417_5EED, 0xB0B5_CAFE, 0x2026_0806];
 
-    fn space_saving(bytes: &[u8]) -> SpaceSavingSummary<u64> {
-        match ShardSummary::decode(bytes).expect("slot decodes") {
+    /// The SpaceSaving view of a record's MG slot.
+    fn space_saving(mg_slot: &[u8]) -> SpaceSavingSummary<u64> {
+        match derive_space_saving(ShardSummary::decode(mg_slot).expect("slot decodes")) {
             ShardSummary::SpaceSaving(ss) => ss,
-            other => panic!("slot 1 holds {:?}", other.kind()),
+            other => unreachable!("derived {:?}", other.kind()),
         }
     }
 
@@ -1537,7 +1668,7 @@ mod tests {
                     for batch in items.chunks(48) {
                         current.extend_from(batch.iter().copied());
                         for rec in ok(&c, batch).sealed {
-                            assert_same_answers(&space_saving(&rec.summaries[1]), &current, &what);
+                            assert_same_answers(&space_saving(&rec.summaries[0]), &current, &what);
                             refs.push(std::mem::replace(
                                 &mut current,
                                 SpaceSavingSummary::for_epsilon(EPS),
@@ -1599,7 +1730,7 @@ mod tests {
                 }
                 for rec in &out.sealed {
                     assert_same_answers(
-                        &space_saving(&rec.summaries[1]),
+                        &space_saving(&rec.summaries[0]),
                         &refs[&rec.id],
                         &format!("seed {seed:#x} segment {} tier {}", rec.id, rec.tier),
                     );
@@ -1611,8 +1742,9 @@ mod tests {
 
     #[test]
     fn a_record_with_a_streamed_space_saving_slot_still_adopts() {
-        // What the code before this change wrote: slot 1 holds a
-        // SpaceSaving summary in its streaming representation.
+        // What code before the derived slot wrote: a four-slot record
+        // whose slot 1 holds a SpaceSaving summary in its streaming
+        // representation.
         let items = StreamKind::Zipf {
             s: 1.3,
             universe: 2_000,
@@ -1624,28 +1756,23 @@ mod tests {
                 .clock(Arc::new(ManualClock::new(0))),
         );
         let mut records = Vec::new();
-        for (pair, batches) in items
-            .chunks(1_000)
-            .collect::<Vec<_>>()
-            .chunks(2)
-            .enumerate()
-        {
+        for segment in items.chunks(2_000) {
             let mut streamed = SpaceSavingSummary::for_epsilon(EPS);
-            for batch in batches {
+            for batch in segment.chunks(1_000) {
                 streamed.extend_from(batch.iter().copied());
-                records.extend(ok(&writer, batch).sealed);
+                for rec in ok(&writer, batch).sealed {
+                    records.push(four_slot_record(&rec, segment, EPS, 42));
+                }
             }
+            let rec = records.last_mut().expect("two batches seal a segment");
             let slot = ShardSummary::SpaceSaving(streamed).encode();
-            assert_ne!(
-                slot, records[pair].summaries[1],
-                "streaming form differs on disk"
-            );
-            records[pair].summaries[1] = slot;
+            assert_ne!(slot, rec.summaries[1], "streaming form differs on disk");
+            rec.summaries[1] = slot;
         }
         assert_eq!(records.len(), 3);
 
         let reader = cube(SegmentConfig::new().clock(Arc::new(ManualClock::new(0))));
-        let out = reader.adopt(&records);
+        let out = reader.adopt(&records).unwrap();
         assert_eq!((out.adopted, out.dropped), (3, 0), "{:?}", out.notes);
         let (meta, answer) = reader.query(0, u64::MAX, SummaryKind::SpaceSaving);
         assert_eq!(meta.covered_weight, 6_000);
@@ -1662,12 +1789,6 @@ mod tests {
                 "item {item}: {est} vs {count}"
             );
         }
-
-        // The slot is still validated before it is dropped.
-        records[1].summaries[1] = vec![0xFF; 3];
-        let strict = cube(SegmentConfig::new().clock(Arc::new(ManualClock::new(0))));
-        let out = strict.adopt(&records);
-        assert_eq!((out.adopted, out.dropped), (1, 2));
     }
 
     // ---- the lock split ----
@@ -1772,14 +1893,15 @@ mod tests {
                         scope.spawn(move || {
                             start.wait();
                             let mut seen = Vec::new();
-                            let kinds = SummaryKind::all();
+                            let kinds = RANGE_KINDS;
                             let mut turn = r as usize;
                             while writing.load(Ordering::SeqCst) {
                                 let now = c.report().now_micros;
                                 let from = now.saturating_sub(1 + (turn as u64 * 37) % 300);
-                                let (meta, merged) = c.query(from, u64::MAX, kinds[turn % 4]);
+                                let (meta, merged) =
+                                    c.query(from, u64::MAX, kinds[turn % kinds.len()]);
                                 if let Some(merged) = merged {
-                                    assert_eq!(merged.kind(), kinds[turn % 4]);
+                                    assert_eq!(merged.kind(), kinds[turn % kinds.len()]);
                                     assert_eq!(merged.total_weight(), meta.covered_weight);
                                 }
                                 seen.push(meta);

@@ -573,7 +573,8 @@ impl Engine {
     /// Merge the recovered checkpoint back into the engine and replay the
     /// WAL tail, validating everything *before* applying it: each part
     /// must merge cleanly with a fresh summary under this config (which
-    /// catches kind, ε, and hash-seed mismatches), and each WAL payload
+    /// catches kind, ε, and hash-seed mismatches), so must each adopted
+    /// segment's families ([`SegmentCube::adopt`]), and each WAL payload
     /// must decode as a batch. Fails with a typed error rather than
     /// half-restoring.
     fn preload(&self, recovery: ms_store::Recovery) -> Result<RecoveryReport, ServiceError> {
@@ -589,7 +590,7 @@ impl Engine {
             ..RecoveryReport::default()
         };
         if let Some(cube) = &self.cube {
-            let adopt = cube.adopt(&recovery.cube);
+            let adopt = cube.adopt(&recovery.cube)?;
             report.cube_segments_adopted = adopt.adopted as u64;
             report.corrupt_cube_segments += adopt.dropped as u64;
             report.notes.extend(adopt.notes);
@@ -1193,7 +1194,7 @@ impl Engine {
     /// covering segment set (open segment included when it overlaps) into
     /// one summary of family `kind`, per Definition 1. Returns the range
     /// metadata plus the merged summary, or `None` when no segment
-    /// overlaps the window.
+    /// overlaps the window. Count-Min is refused: no segment keeps it.
     pub fn range_query(
         &self,
         start_micros: u64,
@@ -1203,6 +1204,9 @@ impl Engine {
         let Some(cube) = &self.cube else {
             return Err(ServiceError::Config("segment cube is not enabled"));
         };
+        if kind == SummaryKind::CountMin {
+            return Err(ServiceError::Config("no segment keeps a Count-Min family"));
+        }
         let (meta, summary) = cube.query(start_micros, end_micros, kind);
         self.telemetry
             .record_range_covering(meta.segments_merged as u64);
@@ -2666,6 +2670,112 @@ mod tests {
             .shards(2)
             .durability(crate::config::DurabilityConfig::new(&dir));
         assert!(matches!(Engine::start(wrong), Err(ServiceError::Config(_))));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Segments sealed under one ε, before any checkpoint could catch
+    /// the change, do not adopt under another: their families would not
+    /// merge with the ones the restarted cube seals.
+    #[test]
+    fn restart_with_segments_of_another_epsilon_is_a_typed_config_error() {
+        let dir = temp_data_dir("segeps");
+        let at = |epsilon| {
+            ServiceConfig::new(SummaryKind::Mg, epsilon)
+                .shards(2)
+                .durability(crate::config::DurabilityConfig::new(&dir))
+                .segments(crate::config::SegmentConfig::new().seal_batches(2))
+        };
+        let engine = Engine::start(at(0.01)).unwrap();
+        for i in 0..11u64 {
+            engine.ingest(vec![i % 3; 10]).unwrap();
+        }
+        assert_eq!(engine.cube().unwrap().persisted_floor(), 10, "five seals");
+        engine.abort();
+        assert!(matches!(
+            Engine::start(at(0.05)),
+            Err(ServiceError::Config(_))
+        ));
+        let engine = Engine::start(at(0.01)).unwrap();
+        assert_eq!(engine.recovery().unwrap().cube_segments_adopted, 5);
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A data directory holding segment files in the four-slot layout
+    /// and then in the two-slot one, the WAL pruned below both: a restart
+    /// adopts every file, and a range across the two layouts holds
+    /// ε·covered + 1 against the exact counts of the batches it covers.
+    #[test]
+    fn four_slot_and_two_slot_segment_files_adopt_together() {
+        use ms_core::{FrequencyOracle, RankOracle};
+        let dir = temp_data_dir("segmixed");
+        let cfg = cube_cfg(&dir, 4);
+        let batches: Vec<Vec<u64>> = (0..24u64)
+            .map(|i| (0..40).map(|j| (i * 7 + j * j) % 97).collect())
+            .collect();
+        let store = ms_store::SegmentStore::open(dir.join("seg"), false).unwrap();
+        let slots = || -> Vec<usize> {
+            let loaded = store.load_all().unwrap();
+            loaded.records.iter().map(|r| r.summaries.len()).collect()
+        };
+
+        // Three segments, checkpointed (which prunes the WAL below them),
+        // rewritten the way files were laid out before the two-slot record.
+        let engine = Engine::start(cfg.clone()).unwrap();
+        for batch in &batches[..12] {
+            engine.ingest(batch.clone()).unwrap();
+        }
+        engine.checkpoint_now().unwrap();
+        engine.abort();
+        for rec in store.load_all().unwrap().records {
+            let items = batches[rec.start_seq as usize - 1..rec.end_seq as usize].concat();
+            let four = crate::cube::four_slot_record(&rec, &items, cfg.epsilon, cfg.seed);
+            store.write(&four).unwrap();
+        }
+        assert_eq!(slots(), [4, 4, 4]);
+
+        // A restart adopts them and seals three more, in two slots.
+        let engine = Engine::start(cfg.clone()).unwrap();
+        assert_eq!(engine.recovery().unwrap().cube_segments_adopted, 3);
+        for batch in &batches[12..] {
+            engine.ingest(batch.clone()).unwrap();
+        }
+        engine.checkpoint_now().unwrap();
+        engine.abort();
+        assert_eq!(slots(), [4, 4, 4, 2, 2, 2]);
+
+        let engine = Engine::start(cfg.clone()).unwrap();
+        let recovery = engine.recovery().unwrap();
+        assert_eq!(recovery.cube_segments_adopted, 6);
+        assert_eq!(recovery.corrupt_cube_segments, 0);
+        let stream = batches.concat();
+        let bound = cfg.epsilon * stream.len() as f64 + 1.0;
+        let frequency = FrequencyOracle::from_stream(stream.iter().copied());
+        let rank = RankOracle::from_stream(stream.iter().copied());
+        for kind in [SummaryKind::Mg, SummaryKind::HybridQuantile] {
+            let (meta, merged) = engine.range_query(0, u64::MAX, kind).unwrap();
+            assert_eq!((meta.start_seq, meta.end_seq), (1, 24), "{kind:?}");
+            assert_eq!(meta.covered_weight, stream.len() as u64, "{kind:?}");
+            let merged = merged.unwrap();
+            let worst = match kind {
+                SummaryKind::Mg => frequency
+                    .iter()
+                    .map(|(item, truth)| merged.point(*item).unwrap().abs_diff(truth))
+                    .max(),
+                _ => (0..=97u64)
+                    .map(|x| rank.rank_error(&x, merged.rank(x).unwrap()))
+                    .max(),
+            };
+            assert!(
+                worst.unwrap() as f64 <= bound,
+                "{kind:?}: {worst:?} > {bound}"
+            );
+        }
+        assert!(matches!(
+            engine.range_query(0, u64::MAX, SummaryKind::CountMin),
+            Err(ServiceError::Config(_))
+        ));
+        engine.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -24,9 +24,9 @@ use crate::durable;
 /// Frame tag of sealed-segment records.
 pub const SEGMENT_TAG: u8 = 0x23;
 
-/// One sealed segment: its coordinates in the stream plus a wire-encoded
-/// summary per family (the store treats the summaries as opaque bytes;
-/// the service layer knows the family order).
+/// One sealed segment: its coordinates in the stream plus wire-encoded
+/// summaries (the store treats them as opaque bytes; the service layer
+/// knows which family each slot holds).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentRecord {
     /// Monotone segment id (0-based, contiguous per data dir).
@@ -47,7 +47,9 @@ pub struct SegmentRecord {
     /// of two adjacent segments records `max(a,b)+1` (the service layer
     /// drives this — the store just persists it).
     pub tier: u64,
-    /// One wire-encoded summary per family, in `SummaryKind::all()` order.
+    /// Wire-encoded summaries, one per slot. The service's cube writes
+    /// two, `[MG, quantile]`, and still reads files that hold four, one
+    /// per family in `SummaryKind::all()` order.
     pub summaries: Vec<Vec<u8>>,
 }
 

@@ -148,18 +148,12 @@ fn hybrid_batch_update_matches_sequential_updates_past_a_weight_doubling() {
 
 /// The segment cube folds each batch family-major through
 /// `update_batch`; a per-item fold of the same batches must leave
-/// byte-identical MG, quantile and Count-Min slots in every sealed
-/// record, and the Count-Min slot must not depend on which kernel tier
-/// the host dispatched to.
+/// byte-identical MG and quantile slots in every sealed record.
 #[test]
 fn cube_batched_fold_matches_per_item_reference_in_every_record() {
     const EPS: f64 = 0.02;
     // (slot in the record, family streamed into it)
-    let streamed = [
-        (0, SummaryKind::Mg),
-        (2, SummaryKind::HybridQuantile),
-        (3, SummaryKind::CountMin),
-    ];
+    let streamed = [(0, SummaryKind::Mg), (1, SummaryKind::HybridQuantile)];
     for &seed in &SEEDS {
         let items = stream(seed, 20 * 257);
         let cube = SegmentCube::new(
@@ -173,14 +167,7 @@ fn cube_batched_fold_matches_per_item_reference_in_every_record() {
             streamed
                 .map(|(_, kind)| ShardSummary::new(&ServiceConfig::new(kind, EPS).seed(seed), 0))
         };
-        let fresh_tiers = || -> Vec<(Isa, CountMinSketch<u64>)> {
-            simd::supported_isas()
-                .into_iter()
-                .map(|isa| (isa, CountMinSketch::for_epsilon_delta(EPS, 0.01, seed)))
-                .collect()
-        };
         let mut per_item = fresh();
-        let mut tiers = fresh_tiers();
         let mut records = 0;
         for batch in items.chunks(257) {
             for &item in batch {
@@ -188,13 +175,11 @@ fn cube_batched_fold_matches_per_item_reference_in_every_record() {
                     fam.update(item);
                 }
             }
-            for (isa, cm) in tiers.iter_mut() {
-                cm.update_batch_with(*isa, batch);
-            }
             let out = cube
                 .record_with(batch, || Ok::<(), ()>(()))
                 .expect("in-memory append cannot fail");
             for rec in out.sealed {
+                assert_eq!(rec.summaries.len(), streamed.len());
                 for ((slot, kind), reference) in streamed.iter().zip(&per_item) {
                     assert_eq!(
                         rec.summaries[*slot],
@@ -203,16 +188,7 @@ fn cube_batched_fold_matches_per_item_reference_in_every_record() {
                         rec.id
                     );
                 }
-                for (isa, cm) in &tiers {
-                    assert_eq!(
-                        rec.summaries[3],
-                        encoded(&ShardSummary::CountMin(cm.clone())),
-                        "seed {seed:#x} segment {} tier {isa:?}",
-                        rec.id
-                    );
-                }
                 per_item = fresh();
-                tiers = fresh_tiers();
                 records += 1;
             }
         }
