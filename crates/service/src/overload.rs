@@ -139,9 +139,8 @@ pub struct Admission {
     cfg: OverloadConfig,
     /// Requests currently dispatching, across all connections.
     inflight: AtomicU64,
-    /// The engine's per-shard queue-depth gauges (the pressure signal).
-    /// Empty when telemetry is disabled — pressure then reads 0 and only
-    /// the in-flight caps shed.
+    /// The engine's per-shard queue-depth gauges (the pressure signal),
+    /// live whether or not telemetry is enabled.
     queues: Vec<Arc<Gauge>>,
     /// Total queue slots across shards (`shards * queue_depth`).
     queue_slots: u64,

@@ -4,9 +4,12 @@
 //!
 //! Instruments are created once at engine start and stored as `Arc`s in
 //! fixed per-shard / per-opcode vectors, so the hot paths never touch the
-//! registry lock — recording is a few relaxed atomic adds. When the
-//! engine is started with `telemetry(false)` every record method is a
-//! single branch and the flight recorder is disabled.
+//! registry lock — recording is a few atomic adds. When the engine is
+//! started with `telemetry(false)` every record method is a single branch
+//! and the flight recorder is disabled. Two sets of instruments record
+//! either way, because they are inputs, not observations: the engine's
+//! work counters ([`crate::MetricsReport`] reads them) and the per-shard
+//! queue-depth gauges (admission control reads them).
 //!
 //! All durations are recorded in microseconds.
 
@@ -49,16 +52,30 @@ pub const OPCODE_LABELS: [&str; 17] = [
     "accuracy_report",
 ];
 
+/// The engine's work counters, one per [`crate::MetricsReport`] counter
+/// field, registered under the field's name plus `_total`.
+pub(crate) struct EngineCounters {
+    pub updates: Arc<Counter>,
+    pub batches: Arc<Counter>,
+    pub dropped: Arc<Counter>,
+    pub merges: Arc<Counter>,
+    pub shards_lost: Arc<Counter>,
+    pub frames_rejected: Arc<Counter>,
+    pub retries: Arc<Counter>,
+}
+
 /// Pre-registered instruments for one engine (and the server wrapping it).
 pub struct EngineTelemetry {
     enabled: bool,
+    /// Recorded whether or not `enabled`.
+    pub(crate) counters: EngineCounters,
     registry: Arc<MetricsRegistry>,
     recorder: Arc<FlightRecorder>,
     /// Absorb time per ingested batch, per shard.
     ingest_batch: Vec<Arc<Histogram>>,
     /// Time a batch sat on the shard queue before the worker picked it up.
     queue_wait: Vec<Arc<Histogram>>,
-    /// Batches currently sitting on each shard queue.
+    /// Batches currently sitting on each shard queue (always recorded).
     queue_depth: Vec<Arc<Gauge>>,
     /// Compactor merge duration.
     compact_merge: Arc<Histogram>,
@@ -109,7 +126,8 @@ pub struct EngineTelemetry {
 impl EngineTelemetry {
     /// Build the instrument set for `shards` ingest shards. When
     /// `enabled` is false every instrument still exists (snapshots stay
-    /// well-formed) but nothing records. `seed` feeds deterministic trace
+    /// well-formed) but only the work counters and the queue-depth gauges
+    /// record. `seed` feeds deterministic trace
     /// ids ([`EngineTelemetry::root_context`]), so a replayed run mints
     /// the same trace tree.
     pub fn new(shards: usize, enabled: bool, seed: u64) -> EngineTelemetry {
@@ -124,6 +142,15 @@ impl EngineTelemetry {
         let engine_events = recorder.register("engine");
         EngineTelemetry {
             enabled,
+            counters: EngineCounters {
+                updates: registry.counter("updates_total"),
+                batches: registry.counter("batches_total"),
+                dropped: registry.counter("dropped_total"),
+                merges: registry.counter("merges_total"),
+                shards_lost: registry.counter("shards_lost_total"),
+                frames_rejected: registry.counter("frames_rejected_total"),
+                retries: registry.counter("retries_total"),
+            },
             ingest_batch: per_shard_hist("ingest_batch_micros"),
             queue_wait: per_shard_hist("queue_wait_micros"),
             queue_depth: (0..shards)
@@ -176,9 +203,9 @@ impl EngineTelemetry {
     }
 
     /// The per-shard queue-depth gauges — the admission controller's
-    /// pressure signal ([`crate::overload::Admission`]). When telemetry
-    /// is disabled the gauges never move, so watermark shedding is inert
-    /// and only the in-flight caps act.
+    /// pressure signal ([`crate::overload::Admission`]). They move whether
+    /// or not telemetry is enabled, so watermark shedding never depends
+    /// on it.
     pub fn queue_depth_gauges(&self) -> Vec<Arc<Gauge>> {
         self.queue_depth.clone()
     }
@@ -263,24 +290,18 @@ impl EngineTelemetry {
 
     /// A batch was enqueued on `shard`.
     pub fn queue_pushed(&self, shard: usize) {
-        if self.enabled {
-            self.queue_depth[shard].inc();
-        }
+        self.queue_depth[shard].inc();
     }
 
     /// A batch was taken off `shard`'s queue.
     pub fn queue_popped(&self, shard: usize) {
-        if self.enabled {
-            self.queue_depth[shard].dec();
-        }
+        self.queue_depth[shard].dec();
     }
 
     /// Zero `shard`'s queue-depth gauge (a dead worker takes its queued
     /// batches with it).
     pub fn queue_reset(&self, shard: usize) {
-        if self.enabled {
-            self.queue_depth[shard].set(0);
-        }
+        self.queue_depth[shard].set(0);
     }
 
     /// Record one compactor merge and the resulting merge-tree depth.

@@ -14,14 +14,11 @@ use mergeable_summaries::service::{
 };
 use mergeable_summaries::{ItemSummary, MgSummary};
 
+mod support;
+use support::scratch_dir;
+
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mergeable"))
-}
-
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mergeable-cli-{tag}-{}", std::process::id()));
-    fs::create_dir_all(&dir).expect("mkdir");
-    dir
 }
 
 fn write_data(path: &PathBuf, items: &[u64]) {
@@ -70,7 +67,7 @@ fn run_ok(cmd: &mut Command) -> Output {
 
 #[test]
 fn build_merge_query_heavy_hitters() {
-    let dir = tempdir("hh");
+    let dir = scratch_dir("hh");
     let data1 = dir.join("d1.txt");
     let data2 = dir.join("d2.txt");
     // Item 7 is heavy at both sites; the long tails differ.
@@ -127,7 +124,7 @@ fn build_merge_query_heavy_hitters() {
 
 #[test]
 fn quantile_workflow() {
-    let dir = tempdir("quant");
+    let dir = scratch_dir("quant");
     let data1 = dir.join("d1.txt");
     let data2 = dir.join("d2.txt");
     write_data(&data1, &(0..5000u64).collect::<Vec<_>>());
@@ -178,7 +175,7 @@ fn quantile_workflow() {
 
 #[test]
 fn mixed_kind_merge_is_rejected() {
-    let dir = tempdir("mixed");
+    let dir = scratch_dir("mixed");
     let data = dir.join("d.txt");
     write_data(&data, &(0..100u64).collect::<Vec<_>>());
     let mg = dir.join("mg.json");
@@ -214,7 +211,7 @@ fn mixed_kind_merge_is_rejected() {
 
 #[test]
 fn bad_inputs_produce_clear_errors() {
-    let dir = tempdir("bad");
+    let dir = scratch_dir("bad");
 
     // Unknown kind.
     let out = bin()
@@ -283,7 +280,7 @@ fn bad_inputs_produce_clear_errors() {
 
 #[test]
 fn space_saving_and_bottom_k_kinds() {
-    let dir = tempdir("kinds");
+    let dir = scratch_dir("kinds");
     let data = dir.join("d.txt");
     let mut items: Vec<u64> = vec![42; 400];
     items.extend(0..400u64);
@@ -340,7 +337,7 @@ fn help_prints_usage() {
 
 #[test]
 fn a_server_summary_is_a_summary_file() {
-    let dir = tempdir("served");
+    let dir = scratch_dir("served");
     // The server saw item 7 heavy; a site file adds more of it.
     let mut served: Vec<u64> = vec![7; 600];
     served.extend(3000..3400u64);
@@ -403,7 +400,7 @@ fn a_server_summary_is_a_summary_file() {
 
 #[test]
 fn query_rejects_phi_outside_the_unit_interval() {
-    let dir = tempdir("phi");
+    let dir = scratch_dir("phi");
     let data = dir.join("d.txt");
     write_data(&data, &(0..1000u64).collect::<Vec<_>>());
     let mut files = Vec::new();
@@ -439,7 +436,7 @@ fn an_old_format_summary_file_is_refused() {
     // The layout `build` wrote before summary files held `ShardSummary`
     // bytes: frame tag 0x01, kind byte 1 = MG (which `ShardSummary`
     // would read as SpaceSaving).
-    let dir = tempdir("oldfmt");
+    let dir = scratch_dir("oldfmt");
     let mut mg = MgSummary::<u64>::for_epsilon(0.05);
     mg.extend_from(vec![7u64; 50]);
     let mut payload = vec![1u8];

@@ -14,13 +14,15 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mergeable_summaries::cluster::{ClusterConfig, Coordinator};
+use mergeable_summaries::cluster::Coordinator;
 use mergeable_summaries::core::{FrequencyOracle, RankOracle, Summary, Wire};
 use mergeable_summaries::service::{
-    Client, ClientOptions, DurabilityConfig, Engine, FsyncPolicy, NodeState, Request, Response,
-    Server, ServiceConfig, ShardSummary, SummaryKind,
+    Client, DurabilityConfig, FsyncPolicy, NodeState, Request, Response, Server, ServiceConfig,
+    ShardSummary, SummaryKind,
 };
-use mergeable_summaries::workloads::StreamKind;
+
+mod support;
+use support::{cluster_config, scratch_dir, zipf, Node};
 
 const N: usize = 1_000_000;
 const EPS: f64 = 0.01;
@@ -31,37 +33,6 @@ const CHUNK: usize = 2_000;
 const KILL_AT: usize = 400_000;
 /// Stream index where the revived victim rejoins the ring.
 const REJOIN_AT: usize = 700_000;
-
-fn zipf_stream() -> Vec<u64> {
-    StreamKind::Zipf {
-        s: 1.2,
-        universe: 1 << 18,
-    }
-    .generate(N, SEED)
-}
-
-struct Node {
-    engine: Arc<Engine>,
-    server: Server,
-}
-
-impl Node {
-    fn start(cfg: ServiceConfig) -> Node {
-        let engine = Engine::start(cfg).expect("backend engine");
-        let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("backend server");
-        Node { engine, server }
-    }
-
-    fn addr(&self) -> String {
-        self.server.local_addr().to_string()
-    }
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ms-cluster-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// The victim's config: fsync-always WAL so a `kill -9` loses nothing
 /// that was acked.
@@ -80,21 +51,6 @@ fn plain_config(kind: SummaryKind) -> ServiceConfig {
     ServiceConfig::new(kind, EPS).shards(2).seed(SEED)
 }
 
-/// Fast-failing coordinator transport so the kill is discovered on the
-/// first post-kill request and every health transition is deterministic.
-fn cluster_config(addrs: impl IntoIterator<Item = String>) -> ClusterConfig {
-    ClusterConfig::new(addrs)
-        .client_options(ClientOptions {
-            connect_timeout: std::time::Duration::from_secs(2),
-            read_timeout: std::time::Duration::from_secs(10),
-            retries: 1,
-            backoff: std::time::Duration::from_millis(5),
-            ..ClientOptions::default()
-        })
-        .ping_interval(None)
-        .thresholds(1, 1)
-}
-
 fn cluster_info(client: &mut Client) -> mergeable_summaries::service::ClusterInfo {
     match client
         .call(&Request::ClusterInfo)
@@ -110,7 +66,7 @@ fn cluster_info(client: &mut Client) -> mergeable_summaries::service::ClusterInf
 /// merged summary (decoded from a `Summary` response) plus a client
 /// still connected to the front server for follow-up query opcodes.
 fn run_scenario(kind: SummaryKind, tag: &str) -> (ShardSummary, Client, Server, Vec<Node>) {
-    let items = zipf_stream();
+    let items = zipf(N, SEED);
     let dir = scratch_dir(tag);
 
     // Node 0 is the victim and the only durable node.
@@ -225,7 +181,7 @@ fn run_scenario(kind: SummaryKind, tag: &str) -> (ShardSummary, Client, Server, 
 
 #[test]
 fn federated_heavy_hitters_survive_kill_and_rejoin() {
-    let items = zipf_stream();
+    let items = zipf(N, SEED);
     let oracle = FrequencyOracle::from_stream(items.iter().copied());
     let bound = (EPS * N as f64).ceil() as u64;
 
@@ -267,7 +223,7 @@ fn federated_heavy_hitters_survive_kill_and_rejoin() {
 
 #[test]
 fn federated_quantiles_survive_kill_and_rejoin() {
-    let items = zipf_stream();
+    let items = zipf(N, SEED);
     let oracle = RankOracle::from_stream(items.iter().copied());
     let bound = (EPS * N as f64).ceil() as u64;
 

@@ -15,14 +15,11 @@ use mergeable_summaries::service::{
 use mergeable_summaries::store::CheckpointStore;
 use mergeable_summaries::SpaceSavingSummary;
 
+mod support;
+use support::scratch_dir;
+
 const EPS: f64 = 0.05;
 const BATCH: usize = 50;
-
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ms-durability-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn durable_cfg(kind: SummaryKind, dir: &PathBuf) -> ServiceConfig {
     ServiceConfig::new(kind, EPS)
@@ -67,7 +64,7 @@ fn assert_within_bound(engine: &Engine, stream: &[Vec<u64>]) {
 
 #[test]
 fn empty_data_dir_starts_fresh() {
-    let dir = tempdir("fresh");
+    let dir = scratch_dir("fresh");
     let engine = Engine::start(durable_cfg(SummaryKind::Mg, &dir)).unwrap();
     let report = engine.recovery().expect("durable engine reports recovery");
     assert_eq!(report.checkpoint_seq, 0);
@@ -88,7 +85,7 @@ fn empty_data_dir_starts_fresh() {
 #[test]
 fn clean_shutdown_restart_recovers_from_checkpoint_alone() {
     for kind in COUNTER_KINDS {
-        let dir = tempdir(&format!("clean-{}", kind.label()));
+        let dir = scratch_dir(&format!("clean-{}", kind.label()));
         let stream = batches(40);
         let engine = Engine::start(durable_cfg(kind, &dir)).unwrap();
         for batch in &stream {
@@ -119,7 +116,7 @@ fn clean_shutdown_restart_recovers_from_checkpoint_alone() {
 
 #[test]
 fn checkpoint_with_no_wal_tail_restores_exactly() {
-    let dir = tempdir("ckpt-no-tail");
+    let dir = scratch_dir("ckpt-no-tail");
     let stream = batches(25);
     let engine = Engine::start(durable_cfg(SummaryKind::Mg, &dir)).unwrap();
     for batch in &stream {
@@ -145,7 +142,7 @@ fn checkpoint_with_no_wal_tail_restores_exactly() {
 
 #[test]
 fn wal_with_no_checkpoint_replays_everything() {
-    let dir = tempdir("wal-only");
+    let dir = scratch_dir("wal-only");
     let stream = batches(30);
     let engine = Engine::start(durable_cfg(SummaryKind::Mg, &dir)).unwrap();
     for batch in &stream {
@@ -174,7 +171,7 @@ fn wal_with_no_checkpoint_replays_everything() {
 #[test]
 fn recovery_is_idempotent_across_repeated_restarts() {
     for kind in COUNTER_KINDS {
-        let dir = tempdir(&format!("idempotent-{}", kind.label()));
+        let dir = scratch_dir(&format!("idempotent-{}", kind.label()));
         let stream = batches(20);
         let engine = Engine::start(durable_cfg(kind, &dir)).unwrap();
         for (i, batch) in stream.iter().enumerate() {
@@ -211,7 +208,7 @@ fn a_streamed_space_saving_checkpoint_part_still_adopts() {
     // SpaceSaving summary that had never merged, in its streaming
     // representation. Plant one such part at cut 20 beside a WAL of 30
     // batches: recovery adopts it through Lemma 1 and replays the tail.
-    let dir = tempdir("streamed-ss");
+    let dir = scratch_dir("streamed-ss");
     let stream = batches(30);
     let cfg = || durable_cfg(SummaryKind::SpaceSaving, &dir);
     let engine = Engine::start(cfg()).unwrap();
@@ -252,7 +249,7 @@ fn multi_part_checkpoint_set_recovers_and_the_next_set_is_one_part() {
     // wrote one checkpoint part per shard. Plant exactly that — three
     // shard summaries at cut 20, same file format — beside a WAL holding
     // 30 batches, and recover from it.
-    let dir = tempdir("multi-part");
+    let dir = scratch_dir("multi-part");
     let stream = batches(30);
     let engine = Engine::start(durable_cfg(SummaryKind::Mg, &dir)).unwrap();
     for batch in &stream {

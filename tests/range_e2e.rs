@@ -26,17 +26,14 @@ use mergeable_summaries::service::{
     ServiceConfig, ShardSummary, SummaryKind,
 };
 
+mod support;
+use support::scratch_dir;
+
 const EPS: f64 = 0.05;
 const BATCH: usize = 100;
 const UNIVERSE: u64 = 64;
 /// Randomized windows replayed per pinned seed (the ISSUE floor is 100).
 const WINDOWS: usize = 120;
-
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ms-range-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Small universe keeps collisions (the hard case for the frequency
 /// families) likely and gives the rank probes meaningful mass.
@@ -219,7 +216,7 @@ fn draw_window(rng: &mut Rng64, batch_time: &[u64], now: u64) -> (u64, u64) {
 /// windows → crash (`Server::kill`) → recover → fresh ingest → re-query
 /// windows spanning the crash point.
 fn run_seed(seed: u64, tag: &str) {
-    let dir = tempdir(tag);
+    let dir = scratch_dir(tag);
     let clock = Arc::new(ManualClock::new(1));
     let mut rng = Rng64::new(seed);
 

@@ -12,18 +12,13 @@ use mergeable_summaries::core::{FrequencyOracle, RankOracle, Summary, Wire};
 use mergeable_summaries::service::{Engine, ServiceConfig, ShardSummary, SummaryKind};
 use mergeable_summaries::workloads::StreamKind;
 
+mod support;
+use support::zipf;
+
 const N: usize = 1_000_000;
 const EPS: f64 = 0.01;
 const SHARDS: usize = 4;
 const SEED: u64 = 0xE2E;
-
-fn zipf_stream() -> Vec<u64> {
-    StreamKind::Zipf {
-        s: 1.2,
-        universe: 1 << 18,
-    }
-    .generate(N, SEED)
-}
 
 /// Run `items` through a fresh engine with four concurrent producer
 /// threads and return the final published snapshot's summary.
@@ -50,7 +45,7 @@ fn ingest_concurrently(kind: SummaryKind, items: &[u64]) -> ShardSummary {
 
 #[test]
 fn concurrent_heavy_hitters_meet_the_paper_bound() {
-    let items = zipf_stream();
+    let items = zipf(N, SEED);
     let oracle = FrequencyOracle::from_stream(items.iter().copied());
     let bound = (EPS * N as f64).ceil() as u64;
 
@@ -83,7 +78,7 @@ fn concurrent_heavy_hitters_meet_the_paper_bound() {
 
 #[test]
 fn concurrent_quantiles_meet_the_paper_bound() {
-    let items = zipf_stream();
+    let items = zipf(N, SEED);
     let oracle = RankOracle::from_stream(items.iter().copied());
     let summary = ingest_concurrently(SummaryKind::HybridQuantile, &items);
     let bound = (EPS * N as f64).ceil() as u64;
@@ -99,7 +94,7 @@ fn concurrent_quantiles_meet_the_paper_bound() {
 
 #[test]
 fn concurrent_count_min_never_underestimates() {
-    let items = zipf_stream();
+    let items = zipf(N, SEED);
     let oracle = FrequencyOracle::from_stream(items.iter().copied());
     let summary = ingest_concurrently(SummaryKind::CountMin, &items);
     let bound = (EPS * N as f64).ceil() as u64;

@@ -13,60 +13,25 @@
 
 use std::sync::Arc;
 
-use mergeable_summaries::cluster::{ClusterConfig, Coordinator};
+use mergeable_summaries::cluster::Coordinator;
 use mergeable_summaries::service::{
-    stitch, Client, ClientOptions, Engine, RequestEnvelope, Server, ServiceConfig, SummaryKind,
-    TraceContext,
+    stitch, Client, Engine, RequestEnvelope, Server, ServiceConfig, SummaryKind, TraceContext,
 };
-use mergeable_summaries::workloads::StreamKind;
+
+mod support;
+use support::{cluster_config, zipf, Node};
 
 /// The three pinned node seeds CI sweeps (see `trace-smoke`).
 const NODE_SEEDS: [u64; 3] = [0xF417_5EED, 0xB0B5_CAFE, 0x2026_0806];
 const COORD_SEED: u64 = 0x5717_C4ED;
 const EPS: f64 = 0.01;
 
-fn zipf(n: usize, seed: u64) -> Vec<u64> {
-    StreamKind::Zipf {
-        s: 1.2,
-        universe: 1 << 18,
-    }
-    .generate(n, seed)
-}
-
-struct Node {
-    _engine: Arc<Engine>,
-    server: Server,
-}
-
-fn start_node(cfg: ServiceConfig) -> Node {
-    let engine = Engine::start(cfg).expect("backend engine");
-    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("backend server");
-    Node {
-        _engine: engine,
-        server,
-    }
-}
-
-fn cluster_config(addrs: impl IntoIterator<Item = String>) -> ClusterConfig {
-    ClusterConfig::new(addrs)
-        .client_options(ClientOptions {
-            connect_timeout: std::time::Duration::from_secs(2),
-            read_timeout: std::time::Duration::from_secs(10),
-            retries: 1,
-            backoff: std::time::Duration::from_millis(5),
-            ..ClientOptions::default()
-        })
-        .ping_interval(None)
-        .thresholds(1, 1)
-        .seed(COORD_SEED)
-}
-
 #[test]
 fn one_query_stitches_into_a_single_cross_process_trace_tree() {
     let nodes: Vec<Node> = NODE_SEEDS
         .iter()
         .map(|&seed| {
-            start_node(
+            Node::start(
                 ServiceConfig::new(SummaryKind::Mg, EPS)
                     .shards(2)
                     .seed(seed)
@@ -79,7 +44,8 @@ fn one_query_stitches_into_a_single_cross_process_trace_tree() {
         .map(|n| n.server.local_addr().to_string())
         .collect();
 
-    let coordinator = Coordinator::start(cluster_config(addrs.clone())).expect("coordinator");
+    let coordinator =
+        Coordinator::start(cluster_config(addrs.clone()).seed(COORD_SEED)).expect("coordinator");
     let front = Server::bind_service(
         Arc::clone(&coordinator) as Arc<dyn mergeable_summaries::service::Service>,
         "127.0.0.1:0",
@@ -325,7 +291,7 @@ fn cluster_accuracy_report_merges_every_nodes_audit() {
     let nodes: Vec<Node> = NODE_SEEDS
         .iter()
         .map(|&seed| {
-            start_node(
+            Node::start(
                 ServiceConfig::new(SummaryKind::Mg, EPS)
                     .shards(2)
                     .seed(seed)
@@ -338,7 +304,8 @@ fn cluster_accuracy_report_merges_every_nodes_audit() {
         .map(|n| n.server.local_addr().to_string())
         .collect();
 
-    let coordinator = Coordinator::start(cluster_config(addrs)).expect("coordinator");
+    let coordinator =
+        Coordinator::start(cluster_config(addrs).seed(COORD_SEED)).expect("coordinator");
     let front = Server::bind_service(
         Arc::clone(&coordinator) as Arc<dyn mergeable_summaries::service::Service>,
         "127.0.0.1:0",
