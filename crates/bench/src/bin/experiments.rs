@@ -1168,7 +1168,7 @@ fn e13_segment_merge_error() {
                 .clock(clock as Arc<dyn ms_service::CubeClock>),
         );
         for chunk in items.chunks(batch) {
-            cube.record_with(chunk, || Ok::<(), ()>(())).unwrap();
+            cube.record(chunk);
         }
 
         let mut errs = [0u64; 3];

@@ -209,9 +209,11 @@ pub struct SegmentConfig {
     /// evicted past this.
     pub max_sealed: usize,
     /// Pressure-driven coarsening: once more than this many sealed
-    /// segments are resident, the cube merges the two oldest adjacent
-    /// segments pairwise into a coarser tier until back under the
-    /// watermark (DESIGN.md §Overload model). Memory per segment is
+    /// segments are resident, the cube merges adjacent pairs into a
+    /// coarser tier until back under the watermark, each time the pair
+    /// whose coarser member has the lowest tier (the oldest such pair on
+    /// ties) — the binary-counter shape that keeps the deepest tier
+    /// logarithmic in the seals (DESIGN.md §Overload model). Memory per segment is
     /// bounded by the O(1/ε) summary sizes, so a segment-count watermark
     /// is a resident-memory watermark. `0` disables coarsening (the cube
     /// falls back to evicting past `max_sealed`, losing old history

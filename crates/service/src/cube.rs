@@ -29,32 +29,18 @@
 //! Count-Min slots are dropped. A data directory's WAL may already be
 //! pruned below such segments, so they cannot be rebuilt instead.
 //!
+//! Seqs: all the cube needs from ingest is a dense batch seq in WAL
+//! order. A durable engine's group-commit leader hands the cube each
+//! record of its group, in WAL order, under the seq the log gave it
+//! ([`SegmentCube::record_at`]), so cube seq ≡ WAL seq by construction and
+//! recovery aligns sealed segments against WAL records by seq alone. An
+//! engine without a WAL calls [`SegmentCube::record`], which numbers the
+//! batch under the fold lock.
+//!
 //! Concurrency contract — each lock guards one thing:
 //!
-//! * **order** (`last_seq`): held across the WAL append and the seq
-//!   assignment of one batch, and nothing else. The engine routes every
-//!   ingest through [`SegmentCube::record_persisting`], which runs the
-//!   append as a closure under this lock, so the cube's own dense counter
-//!   equals the WAL seq without the WAL reporting seqs back — recovery
-//!   aligns sealed segments against WAL records by seq alone. Appends
-//!   therefore still enter the log one at a time while the cube is on: a
-//!   commit group holds exactly one record, as it did under the single
-//!   lock. What the split buys is that no fold and no reader ever waits
-//!   on an append or its `fsync`.
-//! * **fold** (the open segment): taken *before* the order lock is
-//!   released and held for the fold and any seal it triggers. The
-//!   hand-over-hand step is what keeps folds in seq order; releasing the
-//!   order lock before the fold starts is what lets the next caller's WAL
-//!   append (and its `fsync`) overlap this caller's fold. No lock is ever
-//!   held across both an append and a fold.
-//! * **persist** (the caller's segment store): when a fold sealed or
-//!   evicted something, taken before the fold lock is released — the same
-//!   hand-over-hand step — and held while the caller's `persist` closure
-//!   writes and removes segment files. Sealed records therefore reach the
-//!   store in seal order, off the fold lock — folds run on while a
-//!   segment is written, and only the *next* seal waits (fold lock in
-//!   hand) for that write to finish: the store paces sealing, one
-//!   segment deep.
+//! * **fold** (the open segment and the highest seq recorded): held for
+//!   one batch's fold and any seal it triggers, so folds run in seq order.
 //! * **index** (`Arc<Segment>` handles to the sealed segments plus a copy
 //!   of the open segment's coordinates): held only to clone handles out
 //!   or swap one in. [`SegmentCube::report`] and [`SegmentCube::health`]
@@ -67,9 +53,13 @@
 //!   cube lock is held and never across a merge — to look up and bump
 //!   one entry, or to store one.
 //!
-//! Lock order is order → fold → persist, with index innermost and never
-//! held across any of the others being taken; the memo lock is held
-//! with none of them.
+//! Segment files: a durable cube owns its data directory's
+//! [`SegmentStore`] (`SegmentCube::with_store`) and, once the fold lock
+//! is released, writes what a fold sealed and removes what it evicted or
+//! absorbed, on the thread that folded. Only one thread folds a durable
+//! cube — the group-commit leader, whose turns follow one another, or
+//! recovery before ingest opens — so files reach disk in seal order with
+//! no lock of their own, and no reader waits on a file.
 //!
 //! Range memo: a handful of left-deep folds over sealed runs, least
 //! recently used first out (`MEMO_ENTRIES`). An entry is keyed by the
@@ -84,24 +74,29 @@
 //! and a clone carries that whole state, so a clone of `fold(s₁..sₖ)`
 //! merged with `x` is `fold(s₁..sₖ, x)` to the byte.
 //!
-//! Crash safety: sealed segments are persisted by the engine via
-//! [`ms_store::SegmentStore`], in seal order; the WAL is never pruned
-//! past the last *persisted* segment ([`SegmentCube::persisted_floor`]),
-//! so any segment lost between seal and fsync is rebuilt by replaying the
-//! WAL tail through [`SegmentCube::record_at`].
+//! Crash safety: the WAL is never pruned past the last *persisted*
+//! segment ([`SegmentCube::persisted_floor`]), so a segment lost between
+//! seal and fsync is rebuilt by replaying the WAL tail through
+//! [`SegmentCube::record_at`]. A file error never fails the batch that
+//! sealed the segment (it is in the WAL and must still reach a shard): it
+//! is traced and counted, and from then on the directory is left as it
+//! is. Files only go once everything written before them is on disk, so
+//! what is there stays a gapless prefix up to the floor, which stops with
+//! it — the WAL keeps the tail and the next recovery rebuilds the rest.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use ms_core::{lock, ServiceError, Wire, WireError};
 use ms_frequency::SpaceSavingSummary;
 use ms_quantiles::HybridQuantile;
-use ms_store::SegmentRecord;
+use ms_store::{SegmentRecord, SegmentStore};
 
 use crate::config::{SegmentConfig, ServiceConfig, SummaryKind};
 use crate::protocol::{RangeMeta, SegmentMeta, SegmentReport};
 use crate::summary::ShardSummary;
+use crate::telemetry::EngineTelemetry;
 
 /// Lemma 1: the SpaceSaving summary over the stream `mg` summarises.
 fn derive_space_saving(mg: ShardSummary) -> ShardSummary {
@@ -114,11 +109,12 @@ fn derive_space_saving(mg: ShardSummary) -> ShardSummary {
 /// What recording one batch did to the cube.
 #[derive(Debug, Default)]
 pub struct CubeOutcome {
-    /// Seq assigned to the batch (equals the WAL seq; see module doc).
+    /// Seq the batch was folded under (equals the WAL seq; see module doc).
     pub seq: u64,
-    /// Segments sealed or re-coarsened by this batch. The caller
-    /// persists these (a coarsened segment re-persists under its
-    /// surviving id, atomically replacing the finer record).
+    /// Segments sealed or re-coarsened by this batch. A cube with segment
+    /// files has written these (a coarsened segment re-persists under its
+    /// surviving id, atomically replacing the finer record) and removed
+    /// `evicted`; without files, that is the caller's to do.
     pub sealed: Vec<SegmentRecord>,
     /// Segment ids whose files can go: evicted past `max_sealed`, or
     /// absorbed into a coarser neighbor.
@@ -136,8 +132,6 @@ pub struct AdoptOutcome {
     /// Records dropped (undecodable summary — version skew; everything
     /// after the first bad one goes too, preserving contiguity).
     pub dropped: usize,
-    /// Segment ids evicted past `max_sealed` during adoption.
-    pub evicted: Vec<u64>,
     /// Human-readable notes about drops.
     pub notes: Vec<String>,
 }
@@ -161,6 +155,8 @@ pub struct CubeHealth {
     /// Deepest coarsening tier among resident sealed segments (0 when
     /// pressure never forced a merge).
     pub max_tier: u64,
+    /// Pairwise coarsening merges since the cube was built.
+    pub coarsened: u64,
     /// Range reads over two or more sealed segments whose whole sealed
     /// run was memoized.
     pub memo_hits: u64,
@@ -342,9 +338,19 @@ impl Segment {
 
 /// Guarded by the fold lock: the segment being folded into.
 struct Fold {
+    /// Highest batch seq recorded (== WAL last seq while running).
+    last_seq: u64,
     /// Id the next opened segment gets.
     next_id: u64,
     open: Option<Segment>,
+}
+
+/// A durable cube's segment files (module doc).
+struct SegmentFiles {
+    store: SegmentStore,
+    telemetry: Arc<EngineTelemetry>,
+    /// Latched by the first failed write or remove (module doc).
+    broken: AtomicBool,
 }
 
 /// Guarded by the index lock: what readers clone out of.
@@ -353,6 +359,8 @@ struct Index {
     sealed: VecDeque<Arc<Segment>>,
     /// Coordinates of the open segment as of its last fold.
     open: Option<SegmentMeta>,
+    /// Pairwise coarsening merges since the cube was built.
+    coarsened: u64,
 }
 
 /// Does a segment with these coordinates intersect `[start, end]` micros?
@@ -441,10 +449,9 @@ pub struct SegmentCube {
     epsilon: f64,
     seed: u64,
     cfg: SegmentConfig,
-    /// Highest batch seq recorded (== WAL last seq while running).
-    order: Mutex<u64>,
     fold: Mutex<Fold>,
     index: Mutex<Index>,
+    memo: Mutex<Memo>,
     /// Monotone clamp over the injected clock: segment times never
     /// regress even if the clock does.
     last_micros: AtomicU64,
@@ -452,9 +459,8 @@ pub struct SegmentCube {
     /// must never be pruned past it (0 = no segment persisted, keep
     /// everything).
     persisted_floor: AtomicU64,
-    /// Serialises the callers' segment-store work in seal order.
-    persist: Mutex<()>,
-    memo: Mutex<Memo>,
+    /// `None` for a cube that lives purely in memory.
+    files: Option<SegmentFiles>,
 }
 
 impl SegmentCube {
@@ -466,17 +472,32 @@ impl SegmentCube {
             epsilon,
             seed,
             cfg,
-            order: Mutex::new(0),
             fold: Mutex::new(Fold {
+                last_seq: 0,
                 next_id: 0,
                 open: None,
             }),
             index: Mutex::new(Index::default()),
+            memo: Mutex::new(Memo::default()),
             last_micros: AtomicU64::new(0),
             persisted_floor: AtomicU64::new(0),
-            persist: Mutex::new(()),
-            memo: Mutex::new(Memo::default()),
+            files: None,
         }
+    }
+
+    /// This cube, writing its segment files to `store` and tracing them on
+    /// `telemetry`. One thread at a time may fold into it (module doc).
+    pub(crate) fn with_store(
+        mut self,
+        store: SegmentStore,
+        telemetry: Arc<EngineTelemetry>,
+    ) -> Self {
+        self.files = Some(SegmentFiles {
+            store,
+            telemetry,
+            broken: AtomicBool::new(false),
+        });
+        self
     }
 
     fn fresh(&self, kind: SummaryKind) -> ShardSummary {
@@ -545,6 +566,7 @@ impl SegmentCube {
             let mut ix = lock(&self.index);
             ix.sealed[i] = Arc::new(merged);
             ix.sealed.remove(i + 1);
+            ix.coarsened += 1;
         }
         // A record both written and absorbed this call need not be
         // written at all, and only the last version per id matters.
@@ -560,21 +582,9 @@ impl SegmentCube {
         }
     }
 
-    /// Fold batch `seq` into the open segment. Takes the fold lock before
-    /// giving up `order` (so folds happen in seq order) and gives `order`
-    /// up before folding (so the next append overlaps this fold). When the
-    /// fold left store work, `persist` runs on it under the persist lock,
-    /// taken the same hand-over-hand way (so store work happens in seal
-    /// order, off the fold lock).
-    fn fold_in_turn(
-        &self,
-        order: MutexGuard<'_, u64>,
-        seq: u64,
-        batch: &[u64],
-        persist: impl FnOnce(&CubeOutcome),
-    ) -> CubeOutcome {
-        let mut fold = lock(&self.fold);
-        drop(order);
+    /// Fold batch `seq` into the open segment, under the fold lock.
+    fn fold_batch(&self, fold: &mut Fold, seq: u64, batch: &[u64]) -> CubeOutcome {
+        fold.last_seq = seq;
         let now = self.now();
         let mut out = CubeOutcome {
             seq,
@@ -587,7 +597,7 @@ impl SegmentCube {
             .as_ref()
             .is_some_and(|o| now.saturating_sub(o.meta.start_micros) >= self.cfg.seal_micros)
         {
-            self.seal(&mut fold, &mut out);
+            self.seal(fold, &mut out);
         }
         if fold.open.is_none() {
             fold.open = Some(Segment {
@@ -620,62 +630,68 @@ impl SegmentCube {
             QuantileFam::Narrow(_) => unreachable!("an open segment's families are live"),
         }
         if open.meta.batches >= self.cfg.seal_batches {
-            self.seal(&mut fold, &mut out);
+            self.seal(fold, &mut out);
         } else {
             lock(&self.index).open = Some(open.meta.clone());
-        }
-        if !out.sealed.is_empty() || !out.evicted.is_empty() {
-            let turn = lock(&self.persist);
-            drop(fold);
-            persist(&out);
-            drop(turn);
         }
         out
     }
 
-    /// Record one live batch, running `append` (the WAL append) under
-    /// the order lock so the seq this assigns equals the WAL's. On append
-    /// error nothing is recorded. The caller does the outcome's store
-    /// work, if it has a store; callers that race each other to one use
-    /// [`SegmentCube::record_persisting`].
-    pub fn record_with<E>(
-        &self,
-        batch: &[u64],
-        append: impl FnOnce() -> Result<(), E>,
-    ) -> Result<CubeOutcome, E> {
-        self.record_persisting(batch, append, |_| {})
+    /// Record one batch of an engine without a WAL, numbered next under
+    /// the fold lock.
+    pub fn record(&self, batch: &[u64]) -> CubeOutcome {
+        self.record_seq(None, batch)
     }
 
-    /// [`SegmentCube::record_with`], plus `persist` — the caller's
-    /// segment-store writes and removes — run on every outcome that
-    /// sealed or evicted something, one caller at a time and in seal
-    /// order. Left to race to the store after `record_with` returns, a
-    /// later segment could reach disk (and lift the persisted floor)
-    /// before an earlier one.
-    pub fn record_persisting<E>(
-        &self,
-        batch: &[u64],
-        append: impl FnOnce() -> Result<(), E>,
-        persist: impl FnOnce(&CubeOutcome),
-    ) -> Result<CubeOutcome, E> {
-        let mut order = lock(&self.order);
-        append()?;
-        *order += 1;
-        let seq = *order;
-        Ok(self.fold_in_turn(order, seq, batch, persist))
-    }
-
-    /// Replay one recovered WAL batch at its original seq (recovery
-    /// path, one thread — rebuilds segments lost between seal and fsync,
-    /// and the open segment; the caller persists the outcome). Seqs at or
-    /// below the cube's floor are ignored.
+    /// Record the batch the WAL holds at `seq`: live from the group-commit
+    /// leader, or replayed by recovery to rebuild segments lost between
+    /// seal and fsync, and the open segment. Seqs at or below the highest
+    /// recorded are ignored.
     pub fn record_at(&self, seq: u64, batch: &[u64]) -> CubeOutcome {
-        let mut order = lock(&self.order);
-        if seq <= *order {
+        self.record_seq(Some(seq), batch)
+    }
+
+    fn record_seq(&self, seq: Option<u64>, batch: &[u64]) -> CubeOutcome {
+        let mut fold = lock(&self.fold);
+        let seq = seq.unwrap_or(fold.last_seq + 1);
+        if seq <= fold.last_seq {
             return CubeOutcome::default();
         }
-        *order = seq;
-        self.fold_in_turn(order, seq, batch, |_| {})
+        let out = self.fold_batch(&mut fold, seq, batch);
+        drop(fold);
+        self.persist(&out.sealed, &out.evicted);
+        out
+    }
+
+    /// Write `sealed`, then remove `evicted`, unless the cube has no
+    /// files or they broke (module doc).
+    fn persist(&self, sealed: &[SegmentRecord], evicted: &[u64]) {
+        let Some(files) = &self.files else {
+            return;
+        };
+        if files.broken.load(Ordering::Acquire) {
+            return;
+        }
+        let failed = |id: u64| {
+            files.broken.store(true, Ordering::Release);
+            files.telemetry.record_segment_persist_failed(id);
+        };
+        for rec in sealed {
+            if files.store.write(rec).is_err() {
+                return failed(rec.id);
+            }
+            self.persisted_floor
+                .fetch_max(rec.end_seq, Ordering::AcqRel);
+            (files.telemetry).event(
+                "segment_sealed",
+                &[("id", rec.id), ("end_seq", rec.end_seq)],
+            );
+        }
+        for &id in evicted {
+            if files.store.remove(id).is_err() {
+                return failed(id);
+            }
+        }
     }
 
     /// Adopt sealed segments recovered from disk (called once at
@@ -686,10 +702,9 @@ impl SegmentCube {
     /// as it is for a checkpoint part (`Engine::preload`): the WAL may
     /// already be pruned below it, so it cannot be rebuilt.
     pub fn adopt(&self, records: &[SegmentRecord]) -> Result<AdoptOutcome, ServiceError> {
-        let mut order = lock(&self.order);
         let mut fold = lock(&self.fold);
         let mut ix = lock(&self.index);
-        let mut out = AdoptOutcome::default();
+        let (mut out, mut evicted) = (AdoptOutcome::default(), Vec::new());
         for rec in records {
             match Segment::from_record(rec) {
                 Ok(seg) if !self.fits(&seg) => {
@@ -698,7 +713,7 @@ impl SegmentCube {
                     ));
                 }
                 Ok(seg) => {
-                    *order = seg.meta.end_seq;
+                    fold.last_seq = seg.meta.end_seq;
                     self.last_micros
                         .fetch_max(seg.meta.end_micros, Ordering::AcqRel);
                     fold.next_id = seg.meta.id + 1;
@@ -718,10 +733,11 @@ impl SegmentCube {
             }
         }
         while ix.sealed.len() > self.cfg.max_sealed {
-            let old = ix.sealed.pop_front().expect("non-empty past cap");
-            out.evicted.push(old.meta.id);
+            evicted.push(ix.sealed.pop_front().expect("non-empty past cap").meta.id);
         }
-        self.persisted_floor.store(*order, Ordering::Release);
+        self.persisted_floor.store(fold.last_seq, Ordering::Release);
+        drop((fold, ix));
+        self.persist(&[], &evicted);
         Ok(out)
     }
 
@@ -732,12 +748,6 @@ impl SegmentCube {
             .all(|kind| self.fresh(kind).merge_in_place(seg.family(kind)).is_ok())
     }
 
-    /// Mark a sealed segment durable through `end_seq` (called after a
-    /// successful [`ms_store::SegmentStore::write`]).
-    pub fn note_persisted(&self, end_seq: u64) {
-        self.persisted_floor.fetch_max(end_seq, Ordering::AcqRel);
-    }
-
     /// Highest batch seq covered by a segment known durable on disk.
     /// WAL pruning must stay at or below this.
     pub fn persisted_floor(&self) -> u64 {
@@ -746,7 +756,7 @@ impl SegmentCube {
 
     /// Highest batch seq the cube has recorded.
     pub fn last_seq(&self) -> u64 {
-        *lock(&self.order)
+        lock(&self.fold).last_seq
     }
 
     /// Answer a time-window query from `kind`'s family: merge the
@@ -878,6 +888,7 @@ impl SegmentCube {
                 open_age_micros,
                 open_weight,
                 max_tier: ix.sealed.iter().map(|seg| seg.meta.tier).max().unwrap_or(0),
+                coarsened: ix.coarsened,
                 ..CubeHealth::default()
             }
         };
@@ -954,7 +965,7 @@ mod tests {
     }
 
     fn ok(cube: &SegmentCube, batch: &[u64]) -> CubeOutcome {
-        cube.record_with::<()>(batch, || Ok(())).unwrap()
+        cube.record(batch)
     }
 
     #[test]
@@ -1813,9 +1824,25 @@ mod tests {
         }
     }
 
+    /// A group commit whose hook folds every record into `cube` under the
+    /// seq the WAL gave it, as a durable engine's does, then shows `seen`
+    /// the seq, the batch and what the fold did.
+    fn folding_group(
+        cube: &Arc<SegmentCube>,
+        seen: impl Fn(u64, &[u64], &CubeOutcome) + Send + Sync + 'static,
+    ) -> ms_store::GroupCommit {
+        let cube = Arc::clone(cube);
+        ms_store::GroupCommit::new().with_record_hook(move |seq, record| {
+            let batch = Vec::<u64>::decode(&record).unwrap();
+            let out = cube.record_at(seq, &batch);
+            assert_eq!(out.seq, seq, "cube seq ≡ WAL seq");
+            seen(seq, &batch, &out);
+        })
+    }
+
     #[test]
     fn concurrent_ingest_and_reads_keep_seqs_dense_and_ranges_exact() {
-        use ms_store::{FsyncPolicy, GroupCommit, Store, StoreConfig};
+        use ms_store::{FsyncPolicy, Store, StoreConfig};
         use std::sync::atomic::AtomicBool;
 
         const WRITERS: u64 = 4;
@@ -1828,18 +1855,27 @@ mod tests {
             let store_cfg = StoreConfig::new(&dir).fsync(FsyncPolicy::Never);
             let (store, _) = Store::open(&store_cfg).unwrap();
             let store = Mutex::new(store);
-            let group = GroupCommit::new();
             let clock = Arc::new(ManualClock::new(0));
-            let c = cube(
+            let c = Arc::new(cube(
                 SegmentConfig::new()
                     .seal_batches(3)
                     .coarsen_watermark(5)
                     .clock(clock.clone()),
+            ));
+            // seq -> batch length, filled in by the hook that folded seq.
+            let lens: Arc<Vec<AtomicU64>> = Arc::new(
+                (0..=WRITERS * PER_WRITER)
+                    .map(|_| AtomicU64::new(0))
+                    .collect(),
             );
-            // seq -> batch length, filled in by whoever was assigned seq.
-            let lens: Vec<AtomicU64> = (0..=WRITERS * PER_WRITER)
-                .map(|_| AtomicU64::new(0))
-                .collect();
+            let fold_lens = |lens: &Arc<Vec<AtomicU64>>| {
+                let lens = Arc::clone(lens);
+                move |seq: u64, batch: &[u64], _: &CubeOutcome| {
+                    let was = lens[seq as usize].swap(batch.len() as u64, Ordering::SeqCst);
+                    assert_eq!(was, 0, "seq {seq} assigned twice");
+                }
+            };
+            let group = folding_group(&c, fold_lens(&lens));
             let writing = AtomicBool::new(true);
             // Readers and poller that have run once; the writers hold
             // their last batch until all three have, so each overlaps
@@ -1851,11 +1887,10 @@ mod tests {
             std::thread::scope(|scope| {
                 let writers: Vec<_> = (0..WRITERS)
                     .map(|w| {
-                        let (c, store, group, clock, lens, observed, start) =
-                            (&c, &store, &group, &clock, &lens, &observed, &start);
+                        let (store, group, clock, observed, start) =
+                            (&store, &group, &clock, &observed, &start);
                         scope.spawn(move || {
                             start.wait();
-                            let mut refused = 0u64;
                             for i in 0..PER_WRITER {
                                 if i == PER_WRITER - 1 {
                                     while observed.load(Ordering::SeqCst) < 3 {
@@ -1866,24 +1901,8 @@ mod tests {
                                 // mismatched seq shows in the weights.
                                 let batch = vec![w; 1 + ((w * 31 + i * 7) % 23) as usize];
                                 clock.advance(1);
-                                if i % 11 == 5 {
-                                    // A refused append must leave no trace.
-                                    assert!(c.record_with(&batch, || Err::<(), ()>(())).is_err());
-                                    refused += 1;
-                                }
-                                let out = c
-                                    .record_with(&batch, || {
-                                        group
-                                            .append(store, batch.encode())
-                                            .map(|_| ())
-                                            .map_err(|e| e.to_string())
-                                    })
-                                    .unwrap();
-                                let was = lens[out.seq as usize]
-                                    .swap(batch.len() as u64, Ordering::SeqCst);
-                                assert_eq!(was, 0, "seq {} assigned twice", out.seq);
+                                group.append(store, batch.encode()).unwrap();
                             }
-                            assert!(refused > 0);
                         })
                     })
                     .collect();
@@ -1949,7 +1968,7 @@ mod tests {
                 assert!(poller.join().unwrap() > 0);
             });
 
-            // Dense: every seq in 1..=N was assigned exactly once.
+            // Dense: every seq in 1..=N was folded exactly once.
             let total = WRITERS * PER_WRITER;
             assert_eq!(c.last_seq(), total);
             let lens: Vec<u64> = lens.iter().map(|l| l.load(Ordering::SeqCst)).collect();
@@ -1982,44 +2001,85 @@ mod tests {
                     .sum();
                 assert_eq!(meta.covered_weight, want, "{meta:?}");
             }
+
+            // A failed group append runs no hook: the cube is untouched.
+            // (The log opens its first file lazily, so a log whose
+            // directory is gone fails its first append.)
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = Mutex::new(Store::open(&store_cfg).unwrap().0);
+            std::fs::remove_dir_all(dir.join("wal")).unwrap();
+            let refused = folding_group(&c, |seq, _, _| panic!("hook ran for seq {seq}"));
+            let before = c.report().segments;
+            for batch in [vec![1u64; 5], vec![2; 7]] {
+                assert!(refused.append(&store, batch.encode()).is_err());
+            }
+            assert_eq!(c.last_seq(), total);
+            assert_eq!(c.report().segments, before);
             let _ = std::fs::remove_dir_all(&dir);
         });
     }
 
     #[test]
     fn store_work_runs_in_seal_order() {
+        use ms_store::{FsyncPolicy, Store, StoreConfig};
+
         const WRITERS: u64 = 4;
         const PER_WRITER: u64 = 200;
         under_watchdog(60, || {
-            let c = cube(
-                SegmentConfig::new()
-                    .seal_batches(1)
-                    .clock(Arc::new(ManualClock::new(0))),
+            let dir = std::env::temp_dir().join(format!("ms-cube-order-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store_cfg = StoreConfig::new(&dir)
+                .fsync(FsyncPolicy::Never)
+                .cube_segments(true);
+            let (mut store, _) = Store::open(&store_cfg).unwrap();
+            let files = store.segments.take().unwrap();
+            let telemetry = Arc::new(EngineTelemetry::new(1, true, 0));
+            let c = Arc::new(
+                cube(
+                    SegmentConfig::new()
+                        .seal_batches(1)
+                        .clock(Arc::new(ManualClock::new(0))),
+                )
+                .with_store(files, telemetry),
             );
-            // end_seq of every record, in the order `persist` saw it.
-            let stored = Mutex::new(Vec::new());
+            // end_seq of every record, in the order the cube wrote them.
+            let stored = Arc::new(Mutex::new(Vec::new()));
+            let group = {
+                let (cube, stored, seg_dir) =
+                    (Arc::clone(&c), Arc::clone(&stored), dir.join("seg"));
+                folding_group(&c, move |_, _, out| {
+                    for rec in &out.sealed {
+                        let file = seg_dir.join(format!("seg-{:016x}.seg", rec.id));
+                        assert!(file.exists(), "segment {} is on disk", rec.id);
+                    }
+                    let mut stored = lock(&stored);
+                    stored.extend(out.sealed.iter().map(|r| r.end_seq));
+                    assert_eq!(cube.persisted_floor(), *stored.last().unwrap());
+                    drop(stored);
+                    // Dawdle, so a racing later seal would overtake if it
+                    // could.
+                    std::thread::yield_now();
+                })
+            };
+            let store = Mutex::new(store);
             std::thread::scope(|scope| {
                 for w in 0..WRITERS {
-                    let (c, stored) = (&c, &stored);
+                    let (group, store) = (&group, &store);
                     scope.spawn(move || {
                         for _ in 0..PER_WRITER {
-                            c.record_persisting::<()>(
-                                &[w],
-                                || Ok(()),
-                                |out| {
-                                    // Dawdle, so a racing later seal
-                                    // would overtake if it could.
-                                    std::thread::yield_now();
-                                    lock(stored).extend(out.sealed.iter().map(|r| r.end_seq));
-                                },
-                            )
-                            .unwrap();
+                            group.append(store, vec![w].encode()).unwrap();
                         }
                     });
                 }
             });
-            let stored = stored.into_inner().unwrap();
+            let stored = std::mem::take(&mut *lock(&stored));
             assert_eq!(stored, (1..=WRITERS * PER_WRITER).collect::<Vec<_>>());
+            let on_disk = ms_store::SegmentStore::open(dir.join("seg"), false)
+                .unwrap()
+                .load_all()
+                .unwrap();
+            assert_eq!(on_disk.records.len() as u64, WRITERS * PER_WRITER);
+            let _ = std::fs::remove_dir_all(&dir);
         });
     }
 }

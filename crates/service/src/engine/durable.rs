@@ -1,23 +1,28 @@
 //! The durability plane, present when the config names a data directory:
-//! the group-commit WAL append on the ingest path, the checkpointer
-//! thread and the checkpoint sets it writes, the segment files the cube
-//! seals, and the recovery that reads all three back at start. Ledger rows
-//! `wal.append`, `checkpoint.write` and `segment.write`.
+//! the group-commit WAL append on the ingest path, whose leader folds each
+//! logged batch into the cube under the seq the log gave it (the cube then
+//! writes the segment files it seals); the checkpointer thread and the
+//! checkpoint sets it writes; and the recovery that reads WAL, checkpoints
+//! and segment files back at start. Ledger rows `wal.append`,
+//! `checkpoint.write` and `segment.write`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use ms_core::{lock, BufferPool, Mergeable, ServiceError, Summary, Wire};
-use ms_store::{GroupCommit, SegmentRecord, Store};
+use ms_core::wire::decode_u64_slice_into;
+use ms_core::{lock, BufferPool, Mergeable, ServiceError, Summary, Wire, WireReader};
+use ms_store::{GroupCommit, Store};
 
 use super::compactor::CompactMsg;
 use super::{Engine, Snapshot};
 use crate::config::{DurabilityConfig, ServiceConfig};
+use crate::cube::SegmentCube;
 use crate::protocol::IngestFrame;
 use crate::summary::ShardSummary;
+use crate::telemetry::EngineTelemetry;
 
 /// What recovery found and rebuilt when a durable engine started. All
 /// damage counters come from CRC verification in `ms-store`: corrupted
@@ -66,17 +71,11 @@ pub(super) struct Durable {
     pub(super) pause: RwLock<()>,
     pub(super) store: Mutex<Store>,
     /// Leader–follower group commit over `store`: concurrent appends
-    /// share one store-lock round and at most one fsync per group.
+    /// share one store-lock round and at most one fsync per group, and the
+    /// leader runs [`fold_logged`] on every record it appends.
     group: GroupCommit,
-    /// Recycled WAL record buffers, refilled by the group-commit leader
-    /// once a group is appended.
+    /// Recycled WAL record buffers, refilled by [`fold_logged`].
     wal_pool: Arc<BufferPool<u8>>,
-    /// Latched by the first failed segment-store write or remove: from
-    /// then on the segment directory is left alone and the cube's
-    /// persisted floor stands still, so the WAL keeps every record a
-    /// restart needs to rebuild what is missing on disk. Written and read
-    /// only by [`Engine::persist_sealed`].
-    segments_broken: AtomicBool,
     batches_since_ckpt: AtomicU64,
     /// `None` once the checkpointer stopped. A trigger may carry an ack
     /// sender ([`Engine::checkpoint_now`] waits on it).
@@ -87,34 +86,68 @@ pub(super) struct Durable {
     pub(super) recovery: Mutex<RecoveryReport>,
 }
 
+/// The engine's cube, and its durability plane with what recovery found.
+type Opened = (
+    Option<Arc<SegmentCube>>,
+    Option<(Durable, ms_store::Recovery)>,
+);
+
 impl Durable {
-    /// Open and scan the data directory `cfg` names, if any. What the
-    /// scan found is applied by [`Engine::recover`] once workers run.
+    /// Open and scan the data directory `cfg` names, if any, handing
+    /// `cube` the store's segment files. What the scan found is applied by
+    /// [`Engine::recover`] once workers run.
     pub(super) fn open(
         cfg: &ServiceConfig,
-    ) -> Result<Option<(Durable, ms_store::Recovery)>, ServiceError> {
+        cube: Option<SegmentCube>,
+        telemetry: &Arc<EngineTelemetry>,
+    ) -> Result<Opened, ServiceError> {
         let Some(dcfg) = &cfg.durability else {
-            return Ok(None);
+            return Ok((cube.map(Arc::new), None));
         };
-        let store_cfg = dcfg.store_config().cube_segments(cfg.segments.is_some());
-        let (store, recovery) = Store::open(&store_cfg)?;
+        let store_cfg = dcfg.store_config().cube_segments(cube.is_some());
+        let (mut store, recovery) = Store::open(&store_cfg)?;
+        let cube = cube.map(|cube| {
+            let files = store.segments.take().expect("opened with cube segments");
+            Arc::new(cube.with_store(files, Arc::clone(telemetry)))
+        });
         let ckpt_seq = recovery.checkpoint.as_ref().map_or(0, |c| c.wal_seq);
         let wal_pool = Arc::new(BufferPool::new(cfg.pool_buffers));
-        let recycler = Arc::clone(&wal_pool);
         let durable = Durable {
             cfg: dcfg.clone(),
             pause: RwLock::new(()),
             store: Mutex::new(store),
-            group: GroupCommit::new().with_recycler(move |buf| recycler.put(buf)),
+            group: GroupCommit::new().with_record_hook(fold_logged(&cube, &wal_pool)),
             wal_pool,
-            segments_broken: AtomicBool::new(false),
             batches_since_ckpt: AtomicU64::new(0),
             trigger_tx: Mutex::new(None),
             checkpointer: Mutex::new(None),
             last_ckpt: Mutex::new((ckpt_seq, Instant::now())),
             recovery: Mutex::new(RecoveryReport::default()),
         };
-        Ok(Some((durable, recovery)))
+        Ok((cube, Some((durable, recovery))))
+    }
+}
+
+/// The group-commit leader's hook: fold each appended record into the
+/// cube, when there is one, under the seq the WAL gave it — so a batch is
+/// in the cube before its append returns — then hand the record buffer
+/// back to the pool.
+fn fold_logged(
+    cube: &Option<Arc<SegmentCube>>,
+    wal_pool: &Arc<BufferPool<u8>>,
+) -> impl Fn(u64, Vec<u8>) + Send + Sync + 'static {
+    let (cube, wal_pool) = (cube.clone(), Arc::clone(wal_pool));
+    // One leader at a time runs the hook, so this lock is uncontended.
+    let items = Mutex::new(Vec::new());
+    move |seq, record| {
+        if let Some(cube) = &cube {
+            let mut items = lock(&items);
+            items.clear();
+            decode_u64_slice_into(&mut WireReader::new(&record), &mut items)
+                .expect("the WAL logs payloads validated on the way in");
+            cube.record_at(seq, &items);
+        }
+        wal_pool.put(record);
     }
 }
 
@@ -143,7 +176,6 @@ impl Engine {
             report.cube_segments_adopted = adopt.adopted as u64;
             report.corrupt_cube_segments += adopt.dropped as u64;
             report.notes.extend(adopt.notes);
-            self.persist_sealed(&[], &adopt.evicted);
         }
         if let Some(set) = recovery.checkpoint {
             report.checkpoint_seq = set.wal_seq;
@@ -181,8 +213,7 @@ impl Engine {
             if let Some(cube) = &self.cube {
                 items.clear();
                 frame.decode_into(&mut items);
-                let out = cube.record_at(entry.seq, &items);
-                self.persist_sealed(&out.sealed, &out.evicted);
+                cube.record_at(entry.seq, &items);
             }
             if entry.seq > report.checkpoint_seq {
                 report.replayed_records += 1;
@@ -228,62 +259,12 @@ impl Engine {
         Ok(())
     }
 
-    /// Persist freshly sealed segments and delete evicted ones. No-op on
-    /// engines without durability (the cube then lives purely in memory).
-    /// Calls are serialised in seal order by the cube's persist lock (or
-    /// by recovery being one thread).
-    ///
-    /// A segment-store error never fails the batch that sealed the
-    /// segment: the batch is already in the WAL and the cube, so it must
-    /// still reach a shard. The failure is traced and counted, and from
-    /// then on the segment directory is left exactly as it is: files only
-    /// go once everything written before them is on disk, so what is there
-    /// stays a gapless prefix up to the persisted floor — a coarsened
-    /// survivor that failed to write must still find the finer files it
-    /// was to replace. The floor stops with it, so the WAL keeps the tail
-    /// and the next recovery rebuilds whatever is missing (the
-    /// crash-safety contract of [`crate::cube`]).
-    pub(super) fn persist_sealed(&self, sealed: &[SegmentRecord], evicted: &[u64]) {
-        if sealed.is_empty() && evicted.is_empty() {
-            return;
-        }
-        let Some(d) = &self.durable else {
-            return;
-        };
-        if d.segments_broken.load(Ordering::Acquire) {
-            return;
-        }
-        let cube = self.cube.as_ref().expect("sealed segments imply a cube");
-        let store = lock(&d.store);
-        let Some(segs) = &store.segments else {
-            return;
-        };
-        let failed = |id: u64| {
-            d.segments_broken.store(true, Ordering::Release);
-            self.telemetry.record_segment_persist_failed(id);
-        };
-        for rec in sealed {
-            if segs.write(rec).is_err() {
-                return failed(rec.id);
-            }
-            cube.note_persisted(rec.end_seq);
-            self.telemetry.event(
-                "segment_sealed",
-                &[("id", rec.id), ("end_seq", rec.end_seq)],
-            );
-        }
-        for &id in evicted {
-            if segs.remove(id).is_err() {
-                return failed(id);
-            }
-        }
-    }
-
-    /// Append one batch to the WAL via group commit and trigger a
-    /// background checkpoint at the configured cadence. No-op for
-    /// in-memory engines. The caller holds the checkpoint pause lock for
-    /// read, so the append and the subsequent enqueue land on the same
-    /// side of any checkpoint cut.
+    /// Append one batch to the WAL via group commit — folding it into the
+    /// cube on the way ([`fold_logged`]) — and trigger a background
+    /// checkpoint at the configured cadence. No-op for in-memory engines.
+    /// The caller holds the checkpoint pause lock for read, so the append
+    /// and the subsequent enqueue land on the same side of any checkpoint
+    /// cut.
     ///
     /// `payload` is the batch as received ([`IngestFrame::payload`]) and
     /// is logged verbatim: one copy into a record buffer that comes from
@@ -386,6 +367,7 @@ mod tests {
     use super::*;
     use crate::config::{ServiceConfig, SummaryKind};
     use crate::engine::tests::{durable_cfg, temp_data_dir};
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn durable_shutdown_then_restart_restores_everything() {
@@ -554,6 +536,81 @@ mod tests {
         let (meta, _) = engine.range_query(0, u64::MAX, SummaryKind::Mg).unwrap();
         assert_eq!(meta.covered_weight, 140, "no history lost");
         assert_eq!(engine.snapshot().summary.total_weight(), 140);
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A kill between a coarsened survivor's rename and the unlink of the
+    /// file it absorbed leaves that finer file behind. A restart treats it
+    /// as stale, not as a gap: it removes the file, adopts the rest,
+    /// recovers gaplessly, and the full range holds ε·covered + 1 against
+    /// the exact counts and ranks of the stream.
+    #[test]
+    fn coarsened_rewrite_killed_before_its_unlink_recovers_gaplessly() {
+        use ms_core::{FrequencyOracle, RankOracle};
+        let dir = temp_data_dir("segkill");
+        let cfg = durable_cfg(&dir).segments(
+            crate::config::SegmentConfig::new()
+                .seal_batches(2)
+                .coarsen_watermark(2),
+        );
+        let batches: Vec<Vec<u64>> = (0..7u64)
+            .map(|i| (0..30).map(|j| (i * 13 + j * j) % 61).collect())
+            .collect();
+        let file = |id: u64| dir.join("seg").join(format!("seg-{id:016x}.seg"));
+        let engine = Engine::start(cfg.clone()).unwrap();
+        for batch in &batches[..4] {
+            engine.ingest(batch.clone()).unwrap();
+        }
+        // Segments 0 (seqs 1..2) and 1 (3..4) are on disk. The third seal
+        // merges them under id 0 and unlinks file 1 before the ack.
+        let absorbed = std::fs::read(file(1)).unwrap();
+        engine.ingest(batches[4].clone()).unwrap();
+        engine.ingest(batches[5].clone()).unwrap();
+        assert!(!file(1).exists(), "the coarsened rewrite unlinked it");
+        assert_eq!(engine.cube().unwrap().persisted_floor(), 6);
+        std::fs::write(file(1), absorbed).unwrap();
+        engine.ingest(batches[6].clone()).unwrap();
+        engine.abort();
+
+        let engine = Engine::start(cfg.clone()).unwrap();
+        let recovery = engine.recovery().unwrap();
+        assert_eq!(recovery.cube_segments_adopted, 2, "{:?}", recovery.notes);
+        assert_eq!(recovery.corrupt_cube_segments, 1, "the stale file");
+        assert!(!file(1).exists(), "recovery finishes the unlink");
+        let report = engine.segment_report().unwrap();
+        assert_eq!(report.segments[0].start_seq, 1, "{report:?}");
+        for pair in report.segments.windows(2) {
+            assert_eq!(pair[1].start_seq, pair[0].end_seq + 1, "{report:?}");
+        }
+        assert_eq!(report.segments.last().unwrap().end_seq, 7);
+        let stream = batches.concat();
+        let bound = cfg.epsilon * stream.len() as f64 + 1.0;
+        let frequency = FrequencyOracle::from_stream(stream.iter().copied());
+        let rank = RankOracle::from_stream(stream.iter().copied());
+        for kind in [SummaryKind::Mg, SummaryKind::HybridQuantile] {
+            let (meta, merged) = engine.range_query(0, u64::MAX, kind).unwrap();
+            assert_eq!((meta.start_seq, meta.end_seq), (1, 7), "{kind:?}");
+            assert_eq!(meta.covered_weight, stream.len() as u64, "{kind:?}");
+            let merged = merged.unwrap();
+            let worst = match kind {
+                SummaryKind::Mg => frequency
+                    .iter()
+                    .map(|(item, truth)| merged.point(*item).unwrap().abs_diff(truth))
+                    .max(),
+                _ => (0..=61u64)
+                    .map(|x| rank.rank_error(&x, merged.rank(x).unwrap()))
+                    .max(),
+            };
+            assert!(
+                worst.unwrap() as f64 <= bound,
+                "{kind:?}: {worst:?} > {bound}"
+            );
+        }
+        assert_eq!(
+            engine.snapshot().summary.total_weight(),
+            stream.len() as u64
+        );
         engine.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -139,28 +139,19 @@ impl Engine {
         // Poison-tolerant, for the same reason as `ms_core::lock`.
         let pause =
             (self.durable.as_ref()).map(|d| d.pause.read().unwrap_or_else(|e| e.into_inner()));
-        match &self.cube {
-            None => self.append_durable(frame.payload())?,
-            // The fold reads items, so with the cube on this thread
-            // decodes too, into a buffer that goes straight back.
-            // The WAL append runs under the cube's order lock, so the
-            // cube's seq counter tracks the WAL seq exactly; segments this
-            // batch seals reach the segment store, in seal order, before
-            // the batch is enqueued.
-            Some(cube) => {
+        match (&self.durable, &self.cube) {
+            // No WAL to number the batch: the cube numbers it. The fold
+            // reads items, so this thread decodes too, into a buffer that
+            // goes straight back.
+            (None, Some(cube)) => {
                 let mut items = self.item_pool.get();
                 frame.decode_into(&mut items);
-                let recorded = cube.record_persisting(
-                    &items,
-                    || self.append_durable(frame.payload()),
-                    |out| self.persist_sealed(&out.sealed, &out.evicted),
-                );
+                cube.record(&items);
                 self.item_pool.put(items);
-                let out = recorded?;
-                if out.coarsened > 0 {
-                    (self.telemetry).record_coarsen(out.coarsened, cube.health().max_tier);
-                }
             }
+            // The group-commit leader folds the logged batch into the
+            // cube, if there is one, before the append returns.
+            _ => self.append_durable(frame.payload())?,
         }
         Ok(pause)
     }

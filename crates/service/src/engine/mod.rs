@@ -202,8 +202,8 @@ pub struct Engine {
     /// collapsed from 73% to 29% at 8 shards.
     pools: Vec<BufferPool<u8>>,
     /// Recycled item buffers (`Vec<u64>`) off the ring's path: what
-    /// [`Engine::ingest_buffer`] lends an in-process caller, and what the
-    /// cube's fold decodes a received frame into.
+    /// [`Engine::ingest_buffer`] lends an in-process caller, and what an
+    /// in-memory cube's fold decodes a received frame into.
     item_pool: BufferPool<u64>,
     /// The published snapshot. Only the compactor swaps it.
     snapshot: SwapCell<Snapshot>,
@@ -234,10 +234,12 @@ impl Engine {
     /// [`Engine::recovery`]) and starts the checkpointer thread.
     pub fn start(cfg: ServiceConfig) -> Result<Arc<Engine>, ServiceError> {
         cfg.check()?;
+        let telemetry = Arc::new(EngineTelemetry::new(cfg.shards, cfg.telemetry, cfg.seed));
         // Open the store and scan before any thread starts; the recovered
         // state is preloaded below once workers exist to receive it.
-        let (durable, recovered) = Durable::open(&cfg)?.unzip();
-        let telemetry = Arc::new(EngineTelemetry::new(cfg.shards, cfg.telemetry, cfg.seed));
+        let cube = (cfg.segments.clone()).map(|scfg| SegmentCube::new(cfg.epsilon, cfg.seed, scfg));
+        let (cube, opened) = Durable::open(&cfg, cube, &telemetry)?;
+        let (durable, recovered) = opened.unzip();
         // Pressure reads the live per-shard queue-depth gauges.
         let admission = Arc::new(Admission::new(
             cfg.overload.clone(),
@@ -290,10 +292,7 @@ impl Engine {
             admission,
             audit: AuditPlane::new(&cfg),
             durable,
-            cube: cfg
-                .segments
-                .clone()
-                .map(|scfg| Arc::new(SegmentCube::new(cfg.epsilon, cfg.seed, scfg))),
+            cube,
             cfg,
         });
 
@@ -507,14 +506,9 @@ impl Engine {
         }
         if let Some(cube) = &self.cube {
             let health = cube.health();
-            self.telemetry.set_cube_health(
-                health.sealed,
-                health.open_age_micros,
-                health.open_weight,
-            );
-            // Keep the tier gauge fresh even if no coarsen ran recently.
-            self.telemetry.record_coarsen(0, health.max_tier);
+            self.telemetry.set_cube_health(&health);
             counters.extend([
+                ("cube_coarsen_total", health.coarsened),
                 ("cube_range_memo_hits", health.memo_hits),
                 ("cube_range_memo_extends", health.memo_extends),
                 ("cube_range_memo_misses", health.memo_misses),

@@ -23,6 +23,7 @@ use ms_obs::{
     Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, RegistrySnapshot, TraceHandle,
 };
 
+use crate::cube::CubeHealth;
 use crate::protocol::{ThreadTrace, TraceDumpReport, TraceEventRecord};
 use crate::tracectx::{derive_span, TraceContext};
 
@@ -102,13 +103,11 @@ pub struct EngineTelemetry {
     checkpoints: Arc<Counter>,
     /// Segments merged per range query (covering-set size).
     range_covering: Arc<Histogram>,
-    /// Segment-cube health: sealed segments, open-segment age/weight.
+    /// Segment-cube health: sealed segments, open-segment age/weight and
+    /// the deepest coarsening tier resident.
     cube_sealed: Arc<Gauge>,
     cube_open_age: Arc<Gauge>,
     cube_open_weight: Arc<Gauge>,
-    /// Pressure-driven coarsening: pairwise merges performed and the
-    /// deepest tier currently resident.
-    cube_coarsens: Arc<Counter>,
     cube_max_tier: Arc<Gauge>,
     /// Segment-store writes or removes that failed (the WAL tail then
     /// carries the segment until a restart rebuilds it).
@@ -175,7 +174,6 @@ impl EngineTelemetry {
             cube_sealed: registry.gauge("cube_segments_sealed"),
             cube_open_age: registry.gauge("cube_open_age_micros"),
             cube_open_weight: registry.gauge("cube_open_weight"),
-            cube_coarsens: registry.counter("cube_coarsen_total"),
             segment_persist_failures: registry.counter("segment_persist_failed_total"),
             cube_max_tier: registry.gauge("cube_max_tier"),
             engine_events,
@@ -374,22 +372,12 @@ impl EngineTelemetry {
 
     /// Refresh the segment-cube health gauges (called at snapshot time,
     /// not on the ingest path).
-    pub fn set_cube_health(&self, sealed: u64, open_age_micros: u64, open_weight: u64) {
+    pub fn set_cube_health(&self, health: &CubeHealth) {
         if self.enabled {
-            self.cube_sealed.set(sealed as i64);
-            self.cube_open_age.set(open_age_micros as i64);
-            self.cube_open_weight.set(open_weight as i64);
-        }
-    }
-
-    /// Record pressure-driven segment coarsening: `pairs` pairwise merges
-    /// just performed, and the deepest tier now resident in the cube.
-    pub fn record_coarsen(&self, pairs: u64, max_tier: u64) {
-        if self.enabled && pairs > 0 {
-            self.cube_coarsens.add(pairs);
-        }
-        if self.enabled {
-            self.cube_max_tier.set(max_tier as i64);
+            self.cube_sealed.set(health.sealed as i64);
+            self.cube_open_age.set(health.open_age_micros as i64);
+            self.cube_open_weight.set(health.open_weight as i64);
+            self.cube_max_tier.set(health.max_tier as i64);
         }
     }
 

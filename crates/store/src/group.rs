@@ -9,25 +9,34 @@
 //! fsync per group. Everyone else (the **followers**) just waits on a
 //! condvar for its ticket to complete.
 //!
+//! The log numbers the records, so the leader is where a record's seq is
+//! known: it runs the hook [`GroupCommit::with_record_hook`] installs on
+//! each appended `(seq, payload)`, in WAL order, before the group's
+//! tickets complete — when `append` returns, its record has been through
+//! the hook. Leaders follow one another, so the hook never runs twice at
+//! once. A failed append runs no hook.
+//!
 //! Durability semantics are preserved exactly, not weakened: a caller
 //! does not return until its record is appended (and fsynced when the
 //! policy says so), so "acked ⇒ recoverable" holds record-for-record —
 //! the group only amortizes *cost*, never the guarantee. A write error
 //! is sticky: after the log fails once, every subsequent append fails
-//! fast instead of silently acking into a broken log.
+//! fast instead of silently acking into a broken log. A panicking hook
+//! fails the log the same way.
 //!
 //! [`Wal::append_group`]: crate::wal::Wal::append_group
 
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 
 use ms_core::lock;
 
 use crate::Store;
 
-/// Recycling hook: the leader hands each appended payload buffer back
-/// (e.g. into a buffer pool) instead of dropping it.
-type Recycler = Box<dyn Fn(Vec<u8>) + Send + Sync>;
+/// What the leader runs on each appended record: its seq and its payload
+/// buffer, which the hook owns from then on (to recycle, say).
+type RecordHook = Box<dyn Fn(u64, Vec<u8>) + Send + Sync>;
 
 /// What one group-commit append reports back.
 #[derive(Debug, Clone, Copy, Default)]
@@ -74,7 +83,7 @@ struct GroupState {
 pub struct GroupCommit {
     state: Mutex<GroupState>,
     done: Condvar,
-    recycle: Option<Recycler>,
+    hook: Option<RecordHook>,
 }
 
 fn sticky(failed: &(io::ErrorKind, String)) -> io::Error {
@@ -95,14 +104,17 @@ impl GroupCommit {
                 failed: None,
             }),
             done: Condvar::new(),
-            recycle: None,
+            hook: None,
         }
     }
 
-    /// Install a hook receiving every appended payload buffer back once
-    /// its group completes (so the hot path can recycle instead of drop).
-    pub fn with_recycler(mut self, f: impl Fn(Vec<u8>) + Send + Sync + 'static) -> GroupCommit {
-        self.recycle = Some(Box::new(f));
+    /// Install the hook the leader runs on every appended record, in WAL
+    /// order, before the record's append returns (module doc).
+    pub fn with_record_hook(
+        mut self,
+        hook: impl Fn(u64, Vec<u8>) + Send + Sync + 'static,
+    ) -> GroupCommit {
+        self.hook = Some(Box::new(hook));
         self
     }
 
@@ -146,10 +158,19 @@ impl GroupCommit {
             let spare = std::mem::take(&mut st.spare);
             let mut group = std::mem::replace(&mut st.queue, spare);
             drop(st);
-            let appended = {
-                let mut store = lock(store);
-                store.wal.append_group(&group)
-            };
+            // A panic in the store or the hook fails the log like a write
+            // error, so no follower waits on a leader that is gone.
+            let appended = panic::catch_unwind(AssertUnwindSafe(|| {
+                let g = lock(store).wal.append_group(&group)?;
+                if let Some(hook) = &self.hook {
+                    (g.first_seq..)
+                        .zip(group.drain(..))
+                        .for_each(|(seq, p)| hook(seq, p));
+                }
+                Ok(g)
+            }))
+            .unwrap_or_else(|_| Err(io::Error::other("group-commit leader panicked")));
+            group.clear();
             st = lock(&self.state);
             match appended {
                 Ok(g) => {
@@ -162,10 +183,6 @@ impl GroupCommit {
                     led.bytes += g.bytes;
                     led.fsyncs += u64::from(g.synced);
                     self.done.notify_all();
-                    match &self.recycle {
-                        Some(recycle) => group.drain(..).for_each(recycle),
-                        None => group.clear(),
-                    }
                     st.spare = group;
                 }
                 Err(e) => {
@@ -268,20 +285,141 @@ mod tests {
         let _ = std::fs::remove_dir_all(&cfg.dir);
     }
 
+    /// Run `body` on its own thread and fail if it has not finished in
+    /// `secs` — a wedged group commit must not hang the suite.
+    fn under_watchdog(secs: u64, body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            body();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+            Ok(()) => handle.join().unwrap(),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(handle.join().unwrap_err())
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("watchdog: still running after {secs}s — wedged?")
+            }
+        }
+    }
+
     #[test]
-    fn recycler_gets_every_payload_buffer_back() {
-        let (store, cfg) = temp_store("recycle", FsyncPolicy::Never);
+    fn hook_sees_every_record_once_in_wal_order_before_its_append_returns() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 60;
+        let (store, cfg) = temp_store("hook", FsyncPolicy::Never);
+        let store = Arc::new(store);
+        // seq -> payload, as the hook saw them; and the capacity handed back.
+        let hooked = Arc::new(Mutex::new(Vec::<(u64, Vec<u8>)>::new()));
         let returned = Arc::new(AtomicU64::new(0));
         let gc = {
-            let returned = Arc::clone(&returned);
-            GroupCommit::new().with_recycler(move |buf| {
-                returned.fetch_add(buf.capacity() as u64, Ordering::Relaxed);
+            let (hooked, returned) = (Arc::clone(&hooked), Arc::clone(&returned));
+            Arc::new(GroupCommit::new().with_record_hook(move |seq, payload| {
+                returned.fetch_add(payload.capacity() as u64, Ordering::Relaxed);
+                let mut hooked = lock(&hooked);
+                let last = hooked.last().map_or(0, |(seq, _)| *seq);
+                assert_eq!(seq, last + 1, "seqs reach the hook once each, in order");
+                hooked.push((seq, payload));
+            }))
+        };
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (store, gc, hooked) =
+                    (Arc::clone(&store), Arc::clone(&gc), Arc::clone(&hooked));
+                std::thread::spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let mut payload = Vec::with_capacity(64);
+                        payload.extend_from_slice(&[t as u8, i as u8]);
+                        let sent = payload.clone();
+                        gc.append(&store, payload).unwrap();
+                        assert!(
+                            lock(&hooked).iter().any(|(_, p)| *p == sent),
+                            "record {t}/{i} returned before the hook saw it"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let total = THREADS * PER_THREAD;
+        let hooked = std::mem::take(&mut *lock(&hooked));
+        assert_eq!(hooked.len() as u64, total);
+        assert!(
+            returned.load(Ordering::Relaxed) >= total * 64,
+            "every buffer comes back"
+        );
+        // The hook saw at each seq the payload the log holds there.
+        drop(store);
+        let (_, recovery) = Store::open(&cfg).unwrap();
+        assert_eq!(recovery.tail.len() as u64, total);
+        for (entry, (seq, payload)) in recovery.tail.iter().zip(&hooked) {
+            assert_eq!((entry.seq, &entry.payload), (*seq, payload));
+        }
+        let _ = std::fs::remove_dir_all(&cfg.dir);
+    }
+
+    #[test]
+    fn failed_group_append_runs_no_hook() {
+        let (store, cfg) = temp_store("failhook", FsyncPolicy::Never);
+        let ran = Arc::new(AtomicU64::new(0));
+        let gc = {
+            let ran = Arc::clone(&ran);
+            GroupCommit::new().with_record_hook(move |_, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
             })
         };
-        for _ in 0..5 {
-            gc.append(&store, Vec::with_capacity(64)).unwrap();
-        }
-        assert!(returned.load(Ordering::Relaxed) >= 5 * 64);
+        // The log opens its first file lazily: without its directory the
+        // first append fails, and so does every later one.
+        std::fs::remove_dir_all(cfg.dir.join("wal")).unwrap();
+        assert!(gc.append(&store, vec![1]).is_err());
+        assert!(gc.append(&store, vec![2]).is_err());
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
+        assert_eq!(gc.completed(), 0);
         let _ = std::fs::remove_dir_all(&cfg.dir);
+    }
+
+    #[test]
+    fn a_panicking_hook_fails_the_log_instead_of_wedging_it() {
+        const THREADS: u64 = 8;
+        under_watchdog(2, || {
+            let (store, cfg) = temp_store("panic", FsyncPolicy::Never);
+            let store = Arc::new(store);
+            let entered = Arc::new(AtomicU64::new(0));
+            let gc = {
+                let entered = Arc::clone(&entered);
+                Arc::new(GroupCommit::new().with_record_hook(move |seq, _| {
+                    if seq == 1 {
+                        // Lead until every thread has called `append`, so
+                        // the others are queued behind this leader.
+                        while entered.load(Ordering::SeqCst) < THREADS {
+                            std::thread::yield_now();
+                        }
+                        panic!("the hook refuses seq {seq}");
+                    }
+                }))
+            };
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (store, gc, entered) =
+                        (Arc::clone(&store), Arc::clone(&gc), Arc::clone(&entered));
+                    std::thread::spawn(move || {
+                        entered.fetch_add(1, Ordering::SeqCst);
+                        gc.append(&store, vec![t as u8]).map(|_| ())
+                    })
+                })
+                .collect();
+            for h in handles {
+                let refused = h
+                    .join()
+                    .unwrap()
+                    .expect_err("no append acks past the panic");
+                assert!(refused.to_string().contains("panicked"), "{refused}");
+            }
+            assert!(gc.append(&store, vec![0]).is_err(), "the failure is sticky");
+            let _ = std::fs::remove_dir_all(&cfg.dir);
+        });
     }
 }

@@ -175,9 +175,7 @@ fn cube_batched_fold_matches_per_item_reference_in_every_record() {
                     fam.update(item);
                 }
             }
-            let out = cube
-                .record_with(batch, || Ok::<(), ()>(()))
-                .expect("in-memory append cannot fail");
+            let out = cube.record(batch);
             for rec in out.sealed {
                 assert_eq!(rec.summaries.len(), streamed.len());
                 for ((slot, kind), reference) in streamed.iter().zip(&per_item) {

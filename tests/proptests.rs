@@ -353,8 +353,7 @@ fn seeded_cube(rng: &mut Rng64) -> (SegmentCube, Vec<Vec<u64>>) {
         .collect();
     for batch in &batches {
         clock.advance(rng.below(1_200));
-        cube.record_with(batch, || Ok::<(), ()>(()))
-            .expect("in-memory append cannot fail");
+        cube.record(batch);
     }
     (cube, batches)
 }
