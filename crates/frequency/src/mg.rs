@@ -148,6 +148,11 @@ impl<I> MgSummary<I> {
     pub(crate) fn parts(&self) -> (&FxHashMap<I, u64>, u64) {
         (&self.counters, self.n)
     }
+
+    /// Counter capacity `k`.
+    pub fn capacity(&self) -> usize {
+        self.k
+    }
 }
 
 impl<I: Eq + Hash + Clone> MgSummary<I> {
@@ -179,11 +184,6 @@ impl<I: Eq + Hash + Clone> MgSummary<I> {
         );
         let k = ((1.0 / epsilon).ceil() as usize).saturating_sub(1).max(1);
         Self::new(k)
-    }
-
-    /// Counter capacity `k`.
-    pub fn capacity(&self) -> usize {
-        self.k
     }
 
     /// Lower-bound estimate of the frequency of `item` (0 if unstored).

@@ -23,7 +23,10 @@
 //! stripping the minimum `m` removes exactly `k·m` of stored weight,
 //! covering the `m` of extra underestimation `k`-fold, and the prune step
 //! covers itself the same way — so merged summaries keep the `εn = n/k`
-//! guarantee under arbitrary merge trees with no error metadata.
+//! guarantee under arbitrary merge trees with no error metadata. What
+//! SpaceSaving still decides in merged form — [`estimate`],
+//! [`heavy_hitters`], [`encode_merged`] — reads a borrowed `MgSummary`, so a
+//! caller that keeps the MG table itself answers and encodes identically.
 //!
 //! The public API exposes the guarantee uniformly through
 //! [`SpaceSavingSummary::lower_bound`] / [`SpaceSavingSummary::upper_bound`]:
@@ -148,15 +151,16 @@ impl<I> SpaceSavingSummary<I> {
 
 impl<I: Wire + Eq + Hash> Wire for SpaceSavingSummary<I> {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        let (counters, n) = self.parts();
-        self.k.encode_into(out);
-        counters.encode_into(out);
-        n.encode_into(out);
-        // The eviction index is derived state and is rebuilt lazily.
-        out.push(match self.repr {
-            Repr::Stream { .. } => 0,
-            Repr::Merged(_) => 1,
-        });
+        match &self.repr {
+            Repr::Stream { counters, n, .. } => {
+                self.k.encode_into(out);
+                counters.encode_into(out);
+                n.encode_into(out);
+                // The eviction index is derived state and is rebuilt lazily.
+                out.push(0);
+            }
+            Repr::Merged(mg) => encode_merged(mg, out),
+        }
     }
 
     fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
@@ -205,6 +209,47 @@ impl<I: ToJson> ToJson for SpaceSavingSummary<I> {
             ("n", Json::U64(n)),
         ])
     }
+}
+
+/// The SpaceSaving point answer over `mg`: the upper bound
+/// `counter + ⌈(n − n̂)/(k+1)⌉` for a stored item, 0 for an unstored one
+/// (no stored counter is zero).
+pub fn estimate<I: Eq + Hash + Clone>(mg: &MgSummary<I>, item: &I) -> u64 {
+    match mg.estimate(item) {
+        0 => 0,
+        _ => mg.estimate_upper(item),
+    }
+}
+
+/// The SpaceSaving heavy hitters over `mg`: stored items whose upper
+/// bound exceeds `epsilon·n`, largest bound first.
+pub fn heavy_hitters<I: Eq + Hash + Clone>(mg: &MgSummary<I>, epsilon: f64) -> Vec<(I, u64)> {
+    let radius = mg.error_numerator().div_ceil(mg.capacity() as u64 + 1);
+    let bounds = mg.iter().map(|(item, c)| (item, c + radius));
+    above(bounds, epsilon * mg.total_weight() as f64)
+}
+
+/// The SpaceSaving bytes of `mg`: the merged form with `k + 1` counters,
+/// which [`SpaceSavingSummary::decode_from`] reads back.
+pub fn encode_merged<I: Wire + Eq + Hash>(mg: &MgSummary<I>, out: &mut Vec<u8>) {
+    let (counters, n) = mg.parts();
+    (mg.capacity() + 1).encode_into(out);
+    counters.encode_into(out);
+    n.encode_into(out);
+    out.push(1);
+}
+
+/// `(item, upper bound)` pairs above `threshold`, largest bound first.
+fn above<'a, I: Clone + 'a>(
+    bounds: impl Iterator<Item = (&'a I, u64)>,
+    threshold: f64,
+) -> Vec<(I, u64)> {
+    let mut out: Vec<(I, u64)> = bounds
+        .filter(|&(_, ub)| ub as f64 > threshold)
+        .map(|(item, ub)| (item.clone(), ub))
+        .collect();
+    out.sort_by_key(|e| std::cmp::Reverse(e.1));
+    out
 }
 
 /// Lemma 1: the MG summary with `k−1` counters isomorphic to a streaming
@@ -300,11 +345,7 @@ impl<I: Eq + Hash + Clone> SpaceSavingSummary<I> {
     pub fn estimate(&self, item: &I) -> u64 {
         match &self.repr {
             Repr::Stream { counters, .. } => counters.get(item).copied().unwrap_or(0),
-            // No stored counter is zero, so 0 means unstored.
-            Repr::Merged(mg) => match mg.estimate(item) {
-                0 => 0,
-                _ => mg.estimate_upper(item),
-            },
+            Repr::Merged(mg) => estimate(mg, item),
         }
     }
 
@@ -322,17 +363,13 @@ impl<I: Eq + Hash + Clone> SpaceSavingSummary<I> {
     /// Items whose upper bound exceeds `εn` — contains every true ε-heavy
     /// hitter.
     pub fn heavy_hitters(&self, epsilon: f64) -> Vec<(I, u64)> {
-        let (counters, n) = self.parts();
-        let threshold = epsilon * n as f64;
-        let mut out: Vec<(I, u64)> = counters
-            .keys()
-            .filter_map(|i| {
-                let ub = self.upper_bound(i);
-                (ub as f64 > threshold).then(|| (i.clone(), ub))
-            })
-            .collect();
-        out.sort_by_key(|e| std::cmp::Reverse(e.1));
-        out
+        match &self.repr {
+            // A stored counter is its item's upper bound.
+            Repr::Stream { counters, n, .. } => {
+                above(counters.iter().map(|(i, &c)| (i, c)), epsilon * *n as f64)
+            }
+            Repr::Merged(mg) => heavy_hitters(mg, epsilon),
+        }
     }
 
     /// The `k` stored items with the largest upper bounds.

@@ -92,21 +92,17 @@ pub struct DurabilityConfig {
     /// Rotate WAL segments past this size, so checkpoints can delete
     /// whole covered files.
     pub segment_bytes: u64,
-    /// Checkpoint sets retained on disk (older ones are pruned together
-    /// with the WAL segments they cover).
-    pub keep_checkpoints: usize,
 }
 
 impl DurabilityConfig {
     /// Defaults for `data_dir`: `every:64` fsyncs, a checkpoint every 512
-    /// batches, 4 MiB segments, 2 retained sets.
+    /// batches, 4 MiB segments.
     pub fn new(data_dir: impl Into<PathBuf>) -> DurabilityConfig {
         DurabilityConfig {
             data_dir: data_dir.into(),
             fsync: FsyncPolicy::EveryN(64),
             checkpoint_batches: 512,
             segment_bytes: 4 << 20,
-            keep_checkpoints: 2,
         }
     }
 
@@ -438,9 +434,6 @@ impl ServiceConfig {
             }
             if d.segment_bytes < 1024 {
                 return Err(ServiceError::Config("segment_bytes must be at least 1024"));
-            }
-            if d.keep_checkpoints == 0 {
-                return Err(ServiceError::Config("keep_checkpoints must be at least 1"));
             }
         }
         if let Some(s) = &self.segments {

@@ -332,7 +332,10 @@ impl Engine {
             store
                 .checkpoints
                 .write_set(cut, merged.epoch, &[merged.summary.encode()])?;
-            if let Some(floor) = store.checkpoints.prune_keep(d.cfg.keep_checkpoints)? {
+            // Sets kept on disk: a damaged newest set falls back to the one
+            // before it, replaying a longer tail.
+            const KEEP_CHECKPOINTS: usize = 2;
+            if let Some(floor) = store.checkpoints.prune_keep(KEEP_CHECKPOINTS)? {
                 // The cube rebuilds lost segments from the WAL, so never
                 // prune past the last *persisted* segment. A floor of 0
                 // (no segment persisted yet) retains everything.
@@ -719,15 +722,32 @@ mod tests {
 
     #[test]
     fn restart_with_wrong_kind_is_a_typed_config_error() {
-        let dir = temp_data_dir("kind");
-        let engine = Engine::start(durable_cfg(&dir)).unwrap();
-        engine.ingest(vec![1; 10]).unwrap();
-        engine.shutdown();
-        let wrong = ServiceConfig::new(SummaryKind::CountMin, 0.05)
-            .shards(2)
-            .durability(crate::config::DurabilityConfig::new(&dir));
-        assert!(matches!(Engine::start(wrong), Err(ServiceError::Config(_))));
-        let _ = std::fs::remove_dir_all(&dir);
+        // MG and SpaceSaving hold the same table type; only the kind
+        // keeps one's data directory from restarting as the other.
+        for (written, restarted) in [
+            (SummaryKind::Mg, SummaryKind::CountMin),
+            (SummaryKind::Mg, SummaryKind::SpaceSaving),
+            (SummaryKind::SpaceSaving, SummaryKind::Mg),
+        ] {
+            let dir = temp_data_dir("kind");
+            let engine = Engine::start(ServiceConfig {
+                kind: written,
+                ..durable_cfg(&dir)
+            })
+            .unwrap();
+            engine.ingest(vec![1; 10]).unwrap();
+            engine.shutdown();
+            let wrong = ServiceConfig::new(restarted, 0.05)
+                .shards(2)
+                .durability(crate::config::DurabilityConfig::new(&dir));
+            assert!(
+                matches!(Engine::start(wrong), Err(ServiceError::Config(_))),
+                "{} restarted as {}",
+                written.label(),
+                restarted.label()
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// Segments sealed under one ε, before any checkpoint could catch

@@ -2,8 +2,9 @@
 //!
 //! This crate turns the paper's mergeability guarantee into a concurrent
 //! systems design. An [`Engine`] runs `N` ingest workers, each owning a
-//! thread-local **delta** summary of one of four families
-//! ([`SummaryKind`]); a background **compactor** merges handed-off deltas
+//! thread-local **delta** summary of one of four kinds ([`SummaryKind`]),
+//! held in three counter types: a SpaceSaving summary is the Misra-Gries
+//! table it is a view of (PODS'12 §3, Lemma 1); a background **compactor** merges handed-off deltas
 //! into a global summary and publishes immutable [`Snapshot`]s behind an
 //! `Arc`, so queries never block ingest. Because summaries are mergeable
 //! under *arbitrary* merge trees (PODS'12, Definition 1), the

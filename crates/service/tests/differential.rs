@@ -88,7 +88,9 @@ fn one_shard_space_saving_engine_is_the_mg_engine_viewed() {
         engine_summary(SummaryKind::SpaceSaving, &items, 1),
         engine_summary(SummaryKind::Mg, &items, 1),
     ) {
-        (ShardSummary::SpaceSaving(ss), ShardSummary::Mg(mg)) => (ss, mg),
+        (ShardSummary::SpaceSaving(ss), ShardSummary::Mg(mg)) => {
+            (SpaceSavingSummary::from_mg(ss), mg)
+        }
         (a, b) => panic!("kinds {:?} and {:?}", a.kind(), b.kind()),
     };
     let table = |mg: MgSummary<u64>| {

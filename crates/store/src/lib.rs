@@ -187,7 +187,15 @@ impl Store {
     /// Open (or create) a data directory and run the recovery scan:
     /// load the newest valid checkpoint set, scan every WAL segment with
     /// CRC verification, truncate the torn tail of the last segment, and
-    /// position the WAL to continue appending after the highest valid seq.
+    /// position the WAL to append after the highest seq recovery holds.
+    ///
+    /// That seq is `max(WAL last seq, cube floor, checkpoint cut)`. The
+    /// WAL can end below the other two: segment files sync on every seal
+    /// while the WAL syncs every N appends, and a checkpoint covers seqs
+    /// whose records may be gone. A batch numbered at or below the cube
+    /// floor is ignored by the cube as already folded, and one at or
+    /// below the checkpoint cut is skipped by the next recovery as
+    /// already restored, so new batches start above all three.
     pub fn open(cfg: &StoreConfig) -> io::Result<(Store, Recovery)> {
         let checkpoints = CheckpointStore::open(cfg.dir.join("ckpt"), cfg.fsync.syncs())?;
         let mut recovery = Recovery::default();
@@ -214,7 +222,8 @@ impl Store {
             segments = Some(store);
         }
 
-        let (wal, scans) = Wal::open(cfg)?;
+        let (mut wal, scans) = Wal::open(cfg)?;
+        wal.resume_after(ckpt_seq.max(recovery.cube_floor));
         recovery.segments = scans.len();
         let mut last_seq = 0u64;
         for (path, scan) in &scans {
@@ -272,5 +281,49 @@ mod tests {
         assert_eq!(FsyncPolicy::parse("every:0"), None);
         assert_eq!(FsyncPolicy::parse("sometimes"), None);
         assert_eq!(FsyncPolicy::parse("every:x"), None);
+    }
+
+    #[test]
+    fn the_wal_resumes_above_everything_recovery_holds() {
+        let dir = std::env::temp_dir().join(format!("ms-store-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = StoreConfig::new(&dir);
+
+        // A checkpoint cut over an empty WAL. The next recovery replays
+        // only seqs above the cut, so a batch numbered at or below it
+        // would be lost.
+        CheckpointStore::open(dir.join("ckpt"), false)
+            .unwrap()
+            .write_set(100, 1, &[vec![7]])
+            .unwrap();
+        let (mut store, recovery) = Store::open(&cfg).unwrap();
+        assert_eq!(recovery.last_seq, 0, "the WAL itself is empty");
+        assert_eq!(store.wal.next_seq(), 101);
+        assert_eq!(store.wal.append(b"acked").unwrap().seq, 101);
+        drop(store);
+        let (store, recovery) = Store::open(&cfg).unwrap();
+        let tail: Vec<u64> = recovery.tail.iter().map(|e| e.seq).collect();
+        assert_eq!(tail, [101], "the acked batch is replayed");
+        drop(store);
+
+        // A sealed cube segment past both: its seqs are folded already.
+        SegmentStore::open(dir.join("seg"), false)
+            .unwrap()
+            .write(&SegmentRecord {
+                id: 0,
+                start_seq: 1,
+                end_seq: 150,
+                start_micros: 0,
+                end_micros: 0,
+                weight: 150,
+                batches: 150,
+                tier: 0,
+                summaries: Vec::new(),
+            })
+            .unwrap();
+        let (store, recovery) = Store::open(&cfg.cube_segments(true)).unwrap();
+        assert_eq!(recovery.cube_floor, 150);
+        assert_eq!(store.wal.next_seq(), 151);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

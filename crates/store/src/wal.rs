@@ -243,6 +243,13 @@ impl Wal {
         ))
     }
 
+    /// Number the next append after `seq` when that is past the log's own
+    /// last record: recovery can hold batches the log does not (the rule
+    /// is [`crate::Store::open`]'s).
+    pub(crate) fn resume_after(&mut self, seq: u64) {
+        self.next_seq = self.next_seq.max(seq + 1);
+    }
+
     /// The seq the next append will be assigned.
     pub fn next_seq(&self) -> u64 {
         self.next_seq

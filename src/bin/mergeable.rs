@@ -139,7 +139,8 @@ read-only and reports per-segment and per-checkpoint health.
 `serve --segment-batches N` / `--segment-secs S` turn on the **segment
 cube**: ingest is split into time/sequence segments (sealed every N
 batches or S seconds), each sealed segment carrying a precomputed
-summary of every family. `query --addr A --window 5m --quantile 0.5`
+MG and hybrid-quantile summary (SpaceSaving ranges are read off the MG
+one). `query --addr A --window 5m --quantile 0.5`
 then answers over just the last five minutes by one-shot-merging the
 minimal covering segment set (open segment included), at the same eps*n
 bound on the queried range (Definition 1). `--window` accepts `90s`,

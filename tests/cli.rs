@@ -178,9 +178,8 @@ fn mixed_kind_merge_is_rejected() {
     let dir = scratch_dir("mixed");
     let data = dir.join("d.txt");
     write_data(&data, &(0..100u64).collect::<Vec<_>>());
-    let mg = dir.join("mg.json");
-    let cm = dir.join("cm.json");
-    for (kind, out) in [("mg", &mg), ("count-min", &cm)] {
+    let file = |kind: &str| dir.join(format!("{kind}.json"));
+    for kind in ["mg", "count-min", "space-saving"] {
         run_ok(bin().args([
             "build",
             "--kind",
@@ -190,22 +189,25 @@ fn mixed_kind_merge_is_rejected() {
             "--input",
             data.to_str().unwrap(),
             "--out",
-            out.to_str().unwrap(),
+            file(kind).to_str().unwrap(),
         ]));
     }
-    let output = bin()
-        .args([
-            "merge",
-            mg.to_str().unwrap(),
-            cm.to_str().unwrap(),
-            "--out",
-            dir.join("x.json").to_str().unwrap(),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(!output.status.success());
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("cannot merge"), "{stderr}");
+    // MG and SpaceSaving share a table type; the kind keeps them apart.
+    for (a, b) in [("mg", "count-min"), ("mg", "space-saving")] {
+        let output = bin()
+            .args([
+                "merge",
+                file(a).to_str().unwrap(),
+                file(b).to_str().unwrap(),
+                "--out",
+                dir.join("x.json").to_str().unwrap(),
+            ])
+            .output()
+            .expect("spawn");
+        assert!(!output.status.success(), "{a} + {b}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("cannot merge"), "{a} + {b}: {stderr}");
+    }
     fs::remove_dir_all(dir).ok();
 }
 

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 
 use mergeable_summaries::core::{FrequencyOracle, ItemSummary, Summary, Wire};
 use mergeable_summaries::service::{
-    DurabilityConfig, Engine, ServiceConfig, ShardSummary, SummaryKind,
+    DurabilityConfig, Engine, SegmentConfig, ServiceConfig, ShardSummary, SummaryKind,
 };
 use mergeable_summaries::store::CheckpointStore;
 use mergeable_summaries::SpaceSavingSummary;
@@ -222,7 +222,8 @@ fn a_streamed_space_saving_checkpoint_part_still_adopts() {
         streamed.extend_from(batch.iter().copied());
     }
     assert!(streamed.min_counter() > 0, "the streamed part must be full");
-    let part = ShardSummary::SpaceSaving(streamed).encode();
+    let mut part = SummaryKind::SpaceSaving.encode();
+    streamed.encode_into(&mut part);
     assert_eq!(*part.last().unwrap(), 0, "streaming representation");
     CheckpointStore::open(dir.join("ckpt"), false)
         .unwrap()
@@ -304,6 +305,51 @@ fn multi_part_checkpoint_set_recovers_and_the_next_set_is_one_part() {
     engine.shutdown();
     let (engine, found, _) = restart();
     assert_eq!(found, (30, 1, 30));
+    engine.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_wal_resumes_above_the_cube_floor_when_its_files_are_lost() {
+    // Segment files are synced on every seal, the WAL only every N
+    // appends, so a power loss can keep segments past the WAL's end. The
+    // extreme case: every WAL file gone, five sealed segments kept. New
+    // batches must be numbered above the segments' last seq, or the cube
+    // ignores them as already folded and range answers miss them.
+    let dir = scratch_dir("cube-floor");
+    let cfg = || {
+        ServiceConfig::new(SummaryKind::Mg, EPS)
+            .durability(DurabilityConfig::new(&dir).checkpoint_batches(1 << 20))
+            .segments(SegmentConfig::new().seal_batches(4))
+    };
+    let items = support::zipf(2_800, 0xF1_00D5);
+    let (before, after) = items.split_at(2_000);
+    let engine = Engine::start(cfg()).unwrap();
+    for batch in before.chunks(100) {
+        engine.ingest(batch.to_vec()).unwrap();
+    }
+    assert_eq!(engine.cube().unwrap().persisted_floor(), 20, "five seals");
+    engine.abort();
+    for wal in std::fs::read_dir(dir.join("wal")).unwrap() {
+        std::fs::remove_file(wal.unwrap().path()).unwrap();
+    }
+
+    let engine = Engine::start(cfg()).unwrap();
+    let report = engine.recovery().unwrap();
+    assert_eq!(report.cube_segments_adopted, 5, "{:?}", report.notes);
+    for batch in after.chunks(100) {
+        engine.ingest(batch.to_vec()).unwrap();
+    }
+    let (meta, answer) = engine.range_query(0, u64::MAX, SummaryKind::Mg).unwrap();
+    assert_eq!(meta.covered_weight, 2_800, "every acked batch is in range");
+    assert_eq!(meta.end_seq, 28);
+    let answer = answer.unwrap();
+    let oracle = FrequencyOracle::from_stream(items.iter().copied());
+    let bound = EPS * 2_800.0 + 1.0;
+    for (item, truth) in oracle.iter() {
+        let est = answer.point(*item).unwrap();
+        assert!((est.abs_diff(truth) as f64) <= bound, "item {item}");
+    }
     engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
