@@ -1,8 +1,9 @@
 //! Batched CPU hot-path kernels: Count-Min batch update and multiway
 //! merge, scalar reference vs runtime-dispatched (AVX2/AVX-512) variants,
 //! the hybrid quantile kernels, the segment cube's range read cold and
-//! through its memo, and the batch varint codec beside the byte-at-a-time
-//! loops it replaced. Persists `results/BENCH_kernels.json`.
+//! through its memo, the batch varint codec beside the byte-at-a-time
+//! loops it replaced, and a Misra-Gries shard's update and merge.
+//! Persists `results/BENCH_kernels.json`.
 //!
 //! Deterministic and meaningful on a 1-CPU host: every row is a
 //! single-threaded kernel measured over seeded inputs, so the
@@ -23,7 +24,9 @@ use ms_core::simd::{self, Isa};
 use ms_core::wire::{check_u64_slice, decode_u64_slice_into, encode_u64_slice_into, put_varint};
 use ms_core::{ItemSummary, Json, Rng64, Summary, ToJson, WireReader};
 use ms_quantiles::{HybridQuantile, RankSummary};
-use ms_service::{ManualClock, SegmentConfig, SegmentCube, SummaryKind};
+use ms_service::{
+    ManualClock, SegmentConfig, SegmentCube, ServiceConfig, ShardSummary, SummaryKind,
+};
 use ms_sketches::batch;
 use ms_sketches::hashing::PairwiseHash;
 use ms_sketches::CountMinSketch;
@@ -395,6 +398,36 @@ fn main() {
     let varint_zipf_rows = varint_rows("varint (zipf 1.1 over 2^20, 1024-item batches)", &items);
     let varint_uniform_rows = varint_rows("varint (uniform u64, 1024-item batches)", &fps);
 
+    // -- Misra-Gries, the family every ledger workload serves: a shard's
+    // `update_batch` over the stream in ingest-sized batches, at the
+    // ledger's ε and at ε = 0.001, and the compactor's `merge_in_place`
+    // of two full tables (each half the stream). Ungated: the rows exist
+    // so the counter table's cost is a committed number.
+    let mut mg_update = Suite::new("mg_update (zipf 1.1 over 2^20, 1024-item batches)");
+    for eps in [0.01, 0.001] {
+        let cfg = ServiceConfig::new(SummaryKind::Mg, eps);
+        let shard = |items: &[u64]| {
+            let mut s = ShardSummary::new(&cfg, 0);
+            for batch in items.chunks(INSERT_BATCH) {
+                s.update_batch(std::hint::black_box(batch));
+            }
+            s
+        };
+        mg_update.bench_elems(&format!("update_batch_eps{eps}"), n as u64, || {
+            shard(&items).total_weight()
+        });
+        let (a, b) = (shard(&items[..n / 2]), shard(&items[n / 2..]));
+        mg_update.bench_with_setup(
+            &format!("merge_in_place_eps{eps}"),
+            || (a.clone(), b.clone()),
+            |(mut a, b)| {
+                a.merge_in_place(b).expect("same geometry");
+                a
+            },
+        );
+    }
+    let mg_update_rows = mg_update.finish();
+
     let update_scalar = rate(&update_rows, "batch_scalar");
     let update_dispatched = rate(&update_rows, "batch_dispatched");
     let update_ratio = update_dispatched / update_scalar.max(1.0);
@@ -469,6 +502,7 @@ fn main() {
         ("cube_range", suite_json(&cube_range_rows)),
         ("varint_zipf", suite_json(&varint_zipf_rows)),
         ("varint_uniform", suite_json(&varint_uniform_rows)),
+        ("mg_update", suite_json(&mg_update_rows)),
         (
             "ratios",
             Json::obj([

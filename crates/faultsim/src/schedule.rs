@@ -302,14 +302,16 @@ impl Harness {
         let bound = EPS * surviving_weight as f64 + slack as f64 + 1.0;
 
         // Lossless codec round-trip on the surviving state: the decoded
-        // summary must answer every query identically. (Byte-identity is
-        // deliberately not required — counter maps serialize in arbitrary
-        // iteration order.)
+        // summary must re-encode to the same bytes and answer every query
+        // identically.
         let bytes = summary.encode();
         let decoded = ShardSummary::decode(&bytes)
             .map_err(|e| self.fail(format!("surviving summary failed to decode: {e}")))?;
         if decoded.total_weight() != surviving_weight {
             return Err(self.fail("decoded summary lost weight"));
+        }
+        if decoded.encode() != bytes {
+            return Err(self.fail("decoded summary re-encodes to other bytes"));
         }
 
         let mut point_check = None;

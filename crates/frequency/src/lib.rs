@@ -28,6 +28,7 @@ pub mod exact;
 pub mod isomorphism;
 pub mod mg;
 pub mod space_saving;
+mod table;
 
 pub use exact::ExactCounts;
 pub use mg::MgSummary;

@@ -24,12 +24,25 @@
 //! `s`), so the invariant above survives *any* number of merges in *any*
 //! order. No error metadata needs to be carried: the bound is a function of
 //! the summary's own `(n, n̂, k)`.
+//!
+//! # Counter order
+//!
+//! The counters live in a dense table in first-insertion order: a counter
+//! created by an update or a merge goes after every counter already
+//! stored, and the weighted decrement and the merge prune drop counters
+//! without reordering the rest. [`MgSummary::iter`], the encoding,
+//! [`MgSummary::top_k`] and [`MgSummary::heavy_hitters`] (among equal
+//! counts) follow that order, which depends only on the update and merge
+//! history — never on hashing or table capacity — so decoding and
+//! re-encoding a summary reproduces its bytes.
 
 use std::hash::Hash;
 
 use ms_core::error::ensure_same_capacity;
 use ms_core::wire::{Wire, WireError, WireReader};
-use ms_core::{FxHashMap, ItemSummary, Json, Mergeable, Result, Summary, ToJson};
+use ms_core::{ItemSummary, Json, MergeError, Mergeable, Result, Summary, ToJson};
+
+use crate::table::Counters;
 
 /// Misra-Gries summary with at most `k` counters.
 ///
@@ -51,11 +64,11 @@ use ms_core::{FxHashMap, ItemSummary, Json, Mergeable, Result, Summary, ToJson};
 #[derive(Debug, Clone)]
 pub struct MgSummary<I> {
     k: usize,
-    counters: FxHashMap<I, u64>,
+    counters: Counters<I>,
     n: u64,
-    /// Reused sort buffer for [`MgSummary::prune`]; kept empty between
-    /// calls so steady-state merges stop allocating. Never part of the
-    /// logical state (not encoded, not compared).
+    /// Reused selection buffer for [`MgSummary::prune`]; kept empty
+    /// between calls so steady-state merges stop allocating. Never part
+    /// of the logical state (not encoded, not compared).
     scratch: Vec<u64>,
 }
 
@@ -70,20 +83,20 @@ impl<I: Wire + Eq + Hash> Wire for MgSummary<I> {
         if k == 0 {
             return Err(WireError::Malformed("MG capacity must be >= 1"));
         }
-        let counters = Wire::decode_from(r)?;
+        let counters = Counters::decode_from(r)?;
         let n = u64::decode_from(r)?;
         MgSummary::from_decoded(k, counters, n)
     }
 }
 
-/// (internal) The stored weight `n̂` of a decoded counter table, refusing
-/// what no encoder writes: a zero counter, or counters whose sum
-/// overflows. Shared with the SpaceSaving codec.
-pub(crate) fn checked_stored_weight<I>(
-    counters: &FxHashMap<I, u64>,
+/// (internal) The stored weight `n̂` of decoded counters, refusing what
+/// no encoder writes: a zero counter, or counters whose sum overflows.
+/// Shared with the SpaceSaving codec.
+pub(crate) fn checked_stored_weight(
+    counts: impl IntoIterator<Item = u64>,
 ) -> std::result::Result<u64, WireError> {
     let mut sum = 0u64;
-    for &c in counters.values() {
+    for c in counts {
         if c == 0 {
             return Err(WireError::Malformed("zero counter"));
         }
@@ -92,6 +105,15 @@ pub(crate) fn checked_stored_weight<I>(
             .ok_or(WireError::Malformed("counter sum overflows u64"))?;
     }
     Ok(sum)
+}
+
+/// (internal) The total weight `a + b` of two summaries being merged,
+/// refused before either is touched if it overflows. Each side's stored
+/// weight is at most its own total, so no combined counter can overflow
+/// once this sum does not.
+pub(crate) fn combined_weight(a: u64, b: u64) -> Result<u64> {
+    a.checked_add(b)
+        .ok_or(MergeError::Incompatible("total weight overflows u64"))
 }
 
 impl<I: ToJson> ToJson for MgSummary<I> {
@@ -103,7 +125,7 @@ impl<I: ToJson> ToJson for MgSummary<I> {
                 Json::Arr(
                     self.counters
                         .iter()
-                        .map(|(item, count)| Json::Arr(vec![item.to_json(), Json::U64(*count)]))
+                        .map(|(item, count)| Json::Arr(vec![item.to_json(), Json::U64(count)]))
                         .collect(),
                 ),
             ),
@@ -115,9 +137,9 @@ impl<I: ToJson> ToJson for MgSummary<I> {
 impl<I> MgSummary<I> {
     /// (internal) Build directly from parts — used by the SpaceSaving
     /// conversion, which must preserve `n` while supplying pruned counters.
-    pub(crate) fn from_parts(k: usize, counters: FxHashMap<I, u64>, n: u64) -> Self {
+    pub(crate) fn from_parts(k: usize, counters: Counters<I>, n: u64) -> Self {
         debug_assert!(counters.len() <= k);
-        debug_assert!(counters.values().all(|&c| c > 0));
+        debug_assert!(counters.counts().all(|c| c > 0));
         MgSummary {
             k,
             counters,
@@ -131,13 +153,13 @@ impl<I> MgSummary<I> {
     /// above `n`. A merged-form SpaceSaving summary decodes through here.
     pub(crate) fn from_decoded(
         k: usize,
-        counters: FxHashMap<I, u64>,
+        counters: Counters<I>,
         n: u64,
     ) -> std::result::Result<Self, WireError> {
         if counters.len() > k {
             return Err(WireError::Malformed("MG stores more than k counters"));
         }
-        if checked_stored_weight(&counters)? > n {
+        if checked_stored_weight(counters.counts())? > n {
             return Err(WireError::Malformed("MG stored weight exceeds n"));
         }
         Ok(MgSummary::from_parts(k, counters, n))
@@ -145,7 +167,7 @@ impl<I> MgSummary<I> {
 
     /// (internal) The counter table and `n` — what the SpaceSaving view
     /// over this summary encodes and iterates.
-    pub(crate) fn parts(&self) -> (&FxHashMap<I, u64>, u64) {
+    pub(crate) fn parts(&self) -> (&Counters<I>, u64) {
         (&self.counters, self.n)
     }
 
@@ -165,7 +187,7 @@ impl<I: Eq + Hash + Clone> MgSummary<I> {
         assert!(k >= 1, "MgSummary needs at least one counter");
         MgSummary {
             k,
-            counters: FxHashMap::default(),
+            counters: Counters::default(),
             n: 0,
             scratch: Vec::new(),
         }
@@ -188,7 +210,7 @@ impl<I: Eq + Hash + Clone> MgSummary<I> {
 
     /// Lower-bound estimate of the frequency of `item` (0 if unstored).
     pub fn estimate(&self, item: &I) -> u64 {
-        self.counters.get(item).copied().unwrap_or(0)
+        self.counters.get(item).unwrap_or(0)
     }
 
     /// Upper-bound estimate: `estimate + error numerator / (k+1)` rounded up.
@@ -198,7 +220,7 @@ impl<I: Eq + Hash + Clone> MgSummary<I> {
 
     /// Total stored weight `n̂ = Σ counters`.
     pub fn stored_weight(&self) -> u64 {
-        self.counters.values().sum()
+        self.counters.counts().sum()
     }
 
     /// The exact numerator `n − n̂` of the error bound `(n − n̂)/(k+1)`.
@@ -216,42 +238,48 @@ impl<I: Eq + Hash + Clone> MgSummary<I> {
     }
 
     /// Items whose estimate exceeds `(ε − 1/(k+1))·n` — the candidate set
-    /// guaranteed to contain every true ε-heavy hitter.
+    /// guaranteed to contain every true ε-heavy hitter — largest estimate
+    /// first; equal estimates keep the counters' first-insertion order.
     pub fn heavy_hitters(&self, epsilon: f64) -> Vec<(I, u64)> {
         let threshold = (epsilon * self.n as f64 - self.error_bound()).max(0.0);
         let mut out: Vec<(I, u64)> = self
             .counters
             .iter()
-            .filter(|&(_, &c)| c as f64 > threshold)
-            .map(|(i, &c)| (i.clone(), c))
+            .filter(|&(_, c)| c as f64 > threshold)
+            .map(|(i, c)| (i.clone(), c))
             .collect();
         out.sort_by_key(|e| std::cmp::Reverse(e.1));
         out
     }
 
-    /// The `k` stored items with the largest estimates (ties broken by
-    /// count only, deterministically within one run).
+    /// The `k` stored items with the largest estimates; equal estimates
+    /// keep the counters' first-insertion order.
     pub fn top_k(&self, k: usize) -> Vec<(I, u64)> {
-        let mut all: Vec<(I, u64)> = self.counters.iter().map(|(i, &c)| (i.clone(), c)).collect();
+        let mut all: Vec<(I, u64)> = self.counters.iter().map(|(i, c)| (i.clone(), c)).collect();
         all.sort_by_key(|e| std::cmp::Reverse(e.1));
         all.truncate(k);
         all
     }
 
-    /// Iterate over stored `(item, count)` pairs in unspecified order.
+    /// Iterate over stored `(item, count)` pairs in first-insertion order:
+    /// the order in which their counters were created by updates and
+    /// merges (a counter dropped to zero and created again moves to the
+    /// end). The encoding writes them in the same order.
     pub fn iter(&self) -> impl Iterator<Item = (&I, u64)> {
-        self.counters.iter().map(|(i, &c)| (i, c))
+        self.counters.iter()
     }
 
     /// In-place Theorem 1 merge: the same counter-wise combine + prune as
     /// [`Mergeable::merge`], but mutating `self` instead of consuming and
-    /// reallocating it — the compactor's steady-state path. On error
-    /// (capacity mismatch) `self` is left untouched.
+    /// reallocating it — the compactor's steady-state path. `other`'s
+    /// counters are added in their order, new items appended to `self`'s.
+    /// On error (capacity mismatch, or a total weight that overflows
+    /// `u64`) `self` is left untouched.
     pub fn merge_from(&mut self, other: Self) -> Result<()> {
         ensure_same_capacity("counters (k)", self.k, other.k)?;
-        self.n += other.n;
-        for (item, c) in other.counters {
-            *self.counters.entry(item).or_insert(0) += c;
+        self.n = combined_weight(self.n, other.n)?;
+        for (item, c) in other.counters.into_entries() {
+            self.counters.add(item, c);
         }
         self.prune();
         Ok(())
@@ -266,21 +294,13 @@ impl<I: Eq + Hash + Clone> MgSummary<I> {
             return;
         }
         let mut values = std::mem::take(&mut self.scratch);
-        values.extend(self.counters.values().copied());
+        values.extend(self.counters.counts());
         // (k+1)-th largest = index k of the descending order. Only the
-        // selected value matters, so an O(n) quickselect replaces the old
-        // O(n log n) full sort — the subtrahend `s` is identical.
+        // selected value matters, so an O(n) quickselect does.
         let (_, &mut s, _) = values.select_nth_unstable_by(self.k, |a, b| b.cmp(a));
         values.clear();
         self.scratch = values;
-        self.counters.retain(|_, c| {
-            if *c > s {
-                *c -= s;
-                true
-            } else {
-                false
-            }
-        });
+        self.counters.subtract_and_prune(s);
         debug_assert!(self.counters.len() <= self.k);
     }
 }
@@ -304,24 +324,21 @@ impl<I: Eq + Hash + Clone> ItemSummary<I> for MgSummary<I> {
             .n
             .checked_add(weight)
             .expect("total weight overflows u64");
-        if let Some(c) = self.counters.get_mut(&item) {
-            *c += weight;
+        let Err(vacant) = self.counters.add_existing(&item, weight) else {
+            return;
+        };
+        if self.counters.len() < self.k {
+            self.counters.insert(vacant, item, weight);
             return;
         }
-        self.counters.insert(item, weight);
-        if self.counters.len() > self.k {
-            // Weighted decrement: subtract the minimum of the k+1 live
-            // counters from all of them; at least the minimum hits zero and
-            // is discarded. Exactly (k+1)·d weight is discarded, keeping
-            // (n − n̂) divisible by k+1 on pure streams (the isomorphism
-            // tests rely on this).
-            let d = *self.counters.values().min().expect("non-empty");
-            self.counters.retain(|_, c| {
-                *c -= d;
-                *c > 0
-            });
-            debug_assert!(self.counters.len() <= self.k);
-        }
+        // Weighted decrement: subtract the minimum d of the k+1 live
+        // counters (the k stored and the newcomer's) from all of them; at
+        // least the minimum hits zero and is discarded. Exactly (k+1)·d
+        // weight is discarded, keeping (n − n̂) divisible by k+1 on pure
+        // streams (the isomorphism tests rely on this).
+        let d = self.counters.counts().fold(weight, u64::min);
+        self.counters.decrement_then_push(d, item, weight);
+        debug_assert!(self.counters.len() <= self.k);
     }
 }
 
@@ -338,7 +355,7 @@ impl<I: Eq + Hash + Clone> Mergeable for MgSummary<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ms_core::{merge_all, FrequencyOracle, MergeError, MergeTree};
+    use ms_core::{merge_all, FrequencyOracle, FxHashMap, MergeTree};
 
     /// Integer-exact check of the MG invariant for every universe item.
     fn assert_invariant(mg: &MgSummary<u64>, oracle: &FrequencyOracle<u64>) {

@@ -622,7 +622,7 @@ impl SegmentCube {
         open.meta.batches += 1;
         open.meta.weight += batch.len() as u64;
         // Family-major: each family sees the whole batch at once, so the
-        // counter map and the quantile buffers stay hot.
+        // counter table and the quantile buffers stay hot.
         open.mg.update_batch(batch);
         match &mut open.quantile {
             QuantileFam::Live(quantile) => quantile.update_batch(batch),

@@ -134,9 +134,10 @@ impl ShardSummary {
     /// Count-Min routes through its hash-then-update batch kernel (see
     /// `ms_sketches::batch`); the hybrid quantile summary copies slices
     /// into its base buffer for as long as its block sampler draws no
-    /// randomness (`HybridQuantile::insert_batch`); the Misra-Gries table
-    /// keeps the per-item loop because its updates are data-dependent map
-    /// probes that must apply in order.
+    /// randomness (`HybridQuantile::insert_batch`); Misra-Gries keeps the
+    /// per-item loop: each update is one probe of its dense counter table,
+    /// and a miss on a full table runs the weighted decrement, so the
+    /// updates must apply in order.
     pub fn update_batch(&mut self, items: &[u64]) {
         match self {
             ShardSummary::CountMin(s) => s.update_batch(items),

@@ -1,7 +1,7 @@
 //! Failure injection: incompatible summaries must merge into typed errors,
 //! never into a silently wrong summary.
 
-use mergeable_summaries::core::{ItemSummary, MergeError, Mergeable};
+use mergeable_summaries::core::{ItemSummary, MergeError, Mergeable, Summary, Wire};
 use mergeable_summaries::range::{EpsApprox2d, Halving};
 use mergeable_summaries::{
     AmsF2Sketch, BottomKSample, CountMinSketch, CountSketch, EpsKernel, Frame, GkSummary,
@@ -34,6 +34,42 @@ fn ss_capacity_mismatch() {
         a.merge(b),
         Err(MergeError::CapacityMismatch { .. })
     ));
+}
+
+/// Bytes of an MG summary with `k` counters, one counter `{1: 5}` and
+/// total weight `n`, followed by `tail`.
+fn mg_bytes(k: usize, n: u64, tail: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    k.encode_into(&mut out);
+    1u64.encode_into(&mut out); // one counter
+    1u64.encode_into(&mut out);
+    5u64.encode_into(&mut out);
+    n.encode_into(&mut out);
+    out.extend_from_slice(tail);
+    out
+}
+
+#[test]
+fn a_merge_whose_total_weight_overflows_is_refused_and_leaves_self_untouched() {
+    // Each side decodes legally (stored weight 5 ≤ n), but the merged
+    // n = 2·(2⁶³ + 7) does not fit in a u64.
+    let n = (1u64 << 63) + 7;
+    let bytes = mg_bytes(3, n, &[]);
+    let mut a = MgSummary::<u64>::decode(&bytes).unwrap();
+    let b = MgSummary::<u64>::decode(&bytes).unwrap();
+    match a.merge_from(b) {
+        Err(MergeError::Incompatible(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+        other => panic!("expected Incompatible, got {other:?}"),
+    }
+    assert_eq!(a.encode(), bytes);
+    assert_eq!((a.total_weight(), a.estimate(&1)), (n, 5));
+
+    // SpaceSaving merges run the same code: merged form, k = 4.
+    let bytes = mg_bytes(4, n, &[1]);
+    let mut a = SpaceSavingSummary::<u64>::decode(&bytes).unwrap();
+    let b = SpaceSavingSummary::<u64>::decode(&bytes).unwrap();
+    assert!(matches!(a.merge_from(b), Err(MergeError::Incompatible(_))));
+    assert_eq!(a.encode(), bytes);
 }
 
 #[test]

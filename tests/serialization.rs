@@ -195,6 +195,8 @@ fn service_summaries_roundtrip_for_every_family() {
             assert_eq!(back.rank(probe), s.rank(probe), "{}", kind.label());
         }
         assert_eq!(back.quantile(0.5), s.quantile(0.5), "{}", kind.label());
+        // Decoding keeps every byte: re-encoding gives the same bytes.
+        assert_eq!(back.encode(), s.encode(), "{}", kind.label());
         // Decoded summaries must still merge with live ones.
         assert!(back.merge(s).is_ok());
     }
