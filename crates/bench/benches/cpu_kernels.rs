@@ -1,7 +1,8 @@
 //! Batched CPU hot-path kernels: Count-Min batch update and multiway
 //! merge, scalar reference vs runtime-dispatched (AVX2/AVX-512) variants,
 //! the hybrid quantile kernels, the segment cube's range read cold and
-//! through its memo, the batch varint codec beside the byte-at-a-time
+//! through its memo, a sealed segment's packed resting form, the batch
+//! varint codec beside the byte-at-a-time
 //! loops it replaced, and a Misra-Gries shard's update and merge.
 //! Persists `results/BENCH_kernels.json`.
 //!
@@ -22,7 +23,7 @@
 use ms_bench::{Measurement, Suite};
 use ms_core::simd::{self, Isa};
 use ms_core::wire::{check_u64_slice, decode_u64_slice_into, encode_u64_slice_into, put_varint};
-use ms_core::{ItemSummary, Json, Rng64, Summary, ToJson, WireReader};
+use ms_core::{ItemSummary, Json, Rng64, Summary, ToJson, Wire, WireReader};
 use ms_quantiles::{HybridQuantile, RankSummary};
 use ms_service::{
     ManualClock, SegmentConfig, SegmentCube, ServiceConfig, ShardSummary, SummaryKind,
@@ -392,6 +393,26 @@ fn main() {
     assert!(hits == 0 && extends == misses, "fold8_extend must extend");
     let cube_range_rows = cube_range.finish();
 
+    // -- A sealed segment's resting form: packing the quantile family of
+    // a ledger-shaped segment (64 batches of 1,024 Zipf items, the cube's
+    // ε = 0.01) when it seals, and unpacking the copy a range read
+    // merges. Ungated: the rows keep the read-side cost of the packed
+    // form a committed number.
+    let mut segment = HybridQuantile::new(HYBRID_EPS, 7);
+    for batch in items.chunks(INSERT_BATCH) {
+        segment.insert_batch(batch);
+    }
+    let packed = segment.pack();
+    assert_eq!(packed.unpack().encode(), segment.encode());
+    let mut cube_rest = Suite::new(&format!(
+        "cube_rest (ledger segment: 64x1024 items, eps=0.01, {} points in {} bytes)",
+        segment.size(),
+        packed.heap_bytes()
+    ));
+    cube_rest.bench("pack", || std::hint::black_box(&segment).pack());
+    cube_rest.bench("unpack", || std::hint::black_box(&packed).unpack());
+    let cube_rest_rows = cube_rest.finish();
+
     // -- Batch varint codec: what every ingest frame, WAL record and
     // coordinator leg goes through. The ledger's stream, and a uniform
     // one that lives on the 9- and 10-byte slow path.
@@ -500,6 +521,7 @@ fn main() {
         ("hybrid_merge", suite_json(&hybrid_merge_rows)),
         ("hybrid_quantile", suite_json(&hybrid_quantile_rows)),
         ("cube_range", suite_json(&cube_range_rows)),
+        ("cube_rest", suite_json(&cube_rest_rows)),
         ("varint_zipf", suite_json(&varint_zipf_rows)),
         ("varint_uniform", suite_json(&varint_uniform_rows)),
         ("mg_update", suite_json(&mg_update_rows)),

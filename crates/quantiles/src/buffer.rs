@@ -105,13 +105,6 @@ impl<T: Ord + Clone> SortedBuffer<T> {
     pub fn count_below(&self, x: &T) -> usize {
         self.points.partition_point(|v| v < x)
     }
-
-    /// The buffer with every point sent through `f`, which must be
-    /// monotone: the images are trusted to be in order, as
-    /// [`SortedBuffer::from_sorted`] trusts its input.
-    pub fn map<U: Ord + Clone>(&self, f: impl Fn(&T) -> U) -> SortedBuffer<U> {
-        SortedBuffer::from_sorted(self.points.iter().map(f).collect())
-    }
 }
 
 impl<T: MergePoint> SortedBuffer<T> {

@@ -127,16 +127,14 @@ impl<T: MergePoint> BufferHierarchy<T> {
         }
     }
 
-    /// The same hierarchy over the images of its points under the monotone
-    /// `f` ([`SortedBuffer::map`]).
-    pub fn map<U: Ord + Clone>(&self, f: impl Fn(&T) -> U) -> BufferHierarchy<U> {
-        BufferHierarchy {
-            levels: self
-                .levels
-                .iter()
-                .map(|slot| slot.as_ref().map(|buffer| buffer.map(&f)))
-                .collect(),
-        }
+    /// Every level slot, empty and trailing ones included.
+    pub(crate) fn levels(&self) -> &[Option<SortedBuffer<T>>] {
+        &self.levels
+    }
+
+    /// The hierarchy whose level slots are `levels`.
+    pub(crate) fn from_levels(levels: Vec<Option<SortedBuffer<T>>>) -> Self {
+        BufferHierarchy { levels }
     }
 
     /// Drop level 0 and shift every other level down by one, returning the

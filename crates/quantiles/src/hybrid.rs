@@ -53,20 +53,20 @@ const DELTA: f64 = 0.01;
 /// ```
 #[derive(Debug, Clone)]
 pub struct HybridQuantile<T> {
-    epsilon: f64,
-    m: usize,
-    max_levels: usize,
+    pub(crate) epsilon: f64,
+    pub(crate) m: usize,
+    pub(crate) max_levels: usize,
     /// Base weight: every level-0 point represents `w` raw values.
-    w: u64,
+    pub(crate) w: u64,
     /// Raw values accumulated toward the current block (`0 ≤ count < w`).
-    block_count: u64,
+    pub(crate) block_count: u64,
     /// Uniform candidate for the current partial block.
-    block_candidate: Option<T>,
+    pub(crate) block_candidate: Option<T>,
     /// Completed weight-`w` representatives, flushed to level 0 at `m`.
-    base: Vec<T>,
-    hierarchy: BufferHierarchy<T>,
-    n: u64,
-    rng: Rng64,
+    pub(crate) base: Vec<T>,
+    pub(crate) hierarchy: BufferHierarchy<T>,
+    pub(crate) n: u64,
+    pub(crate) rng: Rng64,
 }
 
 impl<T: Wire + Ord> Wire for HybridQuantile<T> {
@@ -284,7 +284,7 @@ impl<T: MergePoint> HybridQuantile<T> {
     /// and partial-block combine as [`Mergeable::merge`], but mutating
     /// `self` instead of consuming and reallocating it — the compactor's
     /// steady-state path. On error (mismatched ε or m) `self` is left
-    /// untouched.
+    /// untouched, as it is when the combined `n` would overflow `u64`.
     pub fn merge_from(&mut self, mut other: Self) -> Result<()> {
         if (self.epsilon - other.epsilon).abs() > f64::EPSILON {
             return Err(MergeError::EpsilonMismatch {
@@ -293,13 +293,17 @@ impl<T: MergePoint> HybridQuantile<T> {
             });
         }
         ensure_same_capacity("buffer size (m)", self.m, other.m)?;
+        let n = self
+            .n
+            .checked_add(other.n)
+            .ok_or(MergeError::Incompatible("total weight overflows u64"))?;
         self.rng.absorb(&other.rng);
         // Align base weights by coarsening the finer summary.
         let target = self.w.max(other.w);
         self.coarsen_to(target);
         other.coarsen_to(target);
 
-        self.n += other.n;
+        self.n = n;
         self.hierarchy.absorb(other.hierarchy, &mut self.rng);
         self.enforce_level_cap();
         for rep in std::mem::take(&mut other.base) {
@@ -317,37 +321,6 @@ impl<T: MergePoint> HybridQuantile<T> {
         }
         self.enforce_level_cap();
         Ok(())
-    }
-
-    /// Every stored point: the base buffer's, the partial block's
-    /// candidate and the hierarchy's, in no particular order.
-    pub fn points(&self) -> impl Iterator<Item = &T> {
-        let levels = self
-            .hierarchy
-            .weighted_runs(self.w)
-            .flat_map(|(run, _)| run);
-        self.base.iter().chain(&self.block_candidate).chain(levels)
-    }
-
-    /// The same summary — every weight, counter and the generator state —
-    /// over the images of its stored points under `f`, which must be
-    /// monotone so that sorted buffers stay sorted. A summary at rest can
-    /// sit in a narrower point type this way (`u64` values that fit `u32`
-    /// take half the room) and widen back, with the inverse map, into the
-    /// summary it was.
-    pub fn map<U: Ord + Clone>(&self, f: impl Fn(&T) -> U) -> HybridQuantile<U> {
-        HybridQuantile {
-            epsilon: self.epsilon,
-            m: self.m,
-            max_levels: self.max_levels,
-            w: self.w,
-            block_count: self.block_count,
-            block_candidate: self.block_candidate.as_ref().map(&f),
-            base: self.base.iter().map(&f).collect(),
-            hierarchy: self.hierarchy.map(&f),
-            n: self.n,
-            rng: self.rng.clone(),
-        }
     }
 
     /// All stored points with their weights (the partial block contributes
@@ -451,6 +424,7 @@ impl<T: MergePoint> Mergeable for HybridQuantile<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::BLOCK;
     use ms_core::{merge_all, MergeTree, RankOracle};
     use ms_workloads::ValueDist;
 
@@ -680,25 +654,40 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// Narrowed to `u32` points and widened back, a summary is the one it
-    /// was — same bytes, and the same coins from there on.
+    /// Packed and unpacked, a summary is the one it was — same bytes, and
+    /// the same coins from there on.
     #[test]
-    fn map_round_trips_every_field() {
+    fn pack_round_trips_every_field() {
         // Odd length: leaves a partial block once the base weight is 2.
         let values: Vec<u64> = (0..40_001u64)
             .map(|v| (v * 2_654_435_761) % 1_000_003)
             .collect();
-        for n in [0, 3, 700, 40_001] {
-            let q = build(&values[..n], 0.05, 9);
-            assert_eq!(q.points().count(), q.size(), "n = {n}");
-            assert!(q.points().all(|&v| u32::try_from(v).is_ok()));
-            let narrow: HybridQuantile<u32> = q.map(|&v| v as u32);
-            let mut wide = narrow.map(|&v| u64::from(v));
-            assert_eq!(wide.encode(), q.encode(), "n = {n}");
+        let mut cases: Vec<(String, HybridQuantile<u64>)> = [0, 3, 700, 40_001]
+            .into_iter()
+            .map(|n| (format!("n = {n}"), build(&values[..n], 0.05, 9)))
+            .collect();
+        let doubled = &cases[3].1;
+        assert!(doubled.base_weight() > 1 && doubled.block_candidate.is_some());
+        // Buffers of `m` = 185 points end in a partial block of 57.
+        assert_ne!(doubled.buffer_capacity() % BLOCK, 0);
+        let extremes = [0, u64::from(u32::MAX) + 1, u64::MAX];
+        let wide: Vec<u64> = extremes.iter().cycle().take(1_000).copied().collect();
+        cases.push(("extremes".into(), build(&wide, 0.05, 11)));
+        cases.push(("all equal".into(), build(&[u64::MAX - 1; 500], 0.05, 12)));
+        // Decoded bytes may hold an empty buffer and trailing empty slots.
+        let mut odd = build(&values[..700], 0.05, 13);
+        let mut levels = odd.hierarchy.levels().to_vec();
+        levels.insert(1, Some(SortedBuffer::from_sorted(Vec::new())));
+        levels.extend([None, None]);
+        odd.hierarchy = BufferHierarchy::from_levels(levels);
+        cases.push(("empty and trailing levels".into(), odd));
+        for (case, q) in cases {
+            let mut back = q.pack().unpack();
+            assert_eq!(back.encode(), q.encode(), "{case}");
             let (mut q, other) = (q, build(&values[..5_000], 0.05, 10));
             q.merge_from(other.clone()).unwrap();
-            wide.merge_from(other).unwrap();
-            assert_eq!(wide.encode(), q.encode(), "merged, n = {n}");
+            back.merge_from(other).unwrap();
+            assert_eq!(back.encode(), q.encode(), "merged, {case}");
         }
     }
 }

@@ -27,19 +27,23 @@
 //!   needs `Θ(1/ε²)` samples for the same guarantee).
 //!
 //! All summaries answer [`RankSummary::rank`] and [`RankSummary::quantile`]
-//! queries and are deterministic given their construction seeds.
+//! queries and are deterministic given their construction seeds. A hybrid
+//! summary kept only to be merged later can rest as a [`PackedQuantile`]
+//! ([`packed`]), which unpacks into the same summary to the byte.
 
 pub mod buffer;
 pub mod gk;
 pub mod hierarchy;
 pub mod hybrid;
 pub mod known_n;
+pub mod packed;
 pub mod sampling;
 
 pub use buffer::{MergePoint, SortedBuffer};
 pub use gk::GkSummary;
 pub use hybrid::HybridQuantile;
 pub use known_n::KnownNQuantile;
+pub use packed::PackedQuantile;
 pub use sampling::BottomKSample;
 
 /// Query interface shared by every quantile summary in this crate.

@@ -29,6 +29,12 @@
 //! Count-Min slots are dropped. A data directory's WAL may already be
 //! pruned below such segments, so they cannot be rebuilt instead.
 //!
+//! Residency: the open segment's families are live. A sealed one keeps
+//! its MG family re-read from its slot and its quantile family packed
+//! ([`PackedQuantile`]) — when it seals, when it is adopted from a file
+//! and when coarsening builds it — and a read unpacks a copy. The slots
+//! on disk are the plain encodings either way.
+//!
 //! Seqs: all the cube needs from ingest is a dense batch seq in WAL
 //! order. A durable engine's group-commit leader hands the cube each
 //! record of its group, in WAL order, under the seq the log gave it
@@ -88,8 +94,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ms_core::{lock, ServiceError, Wire, WireError};
-use ms_quantiles::HybridQuantile;
+use ms_core::{lock, ServiceError, Summary, Wire, WireError};
+use ms_quantiles::{HybridQuantile, PackedQuantile};
 use ms_store::{SegmentRecord, SegmentStore};
 
 use crate::config::{SegmentConfig, ServiceConfig, SummaryKind};
@@ -154,6 +160,9 @@ pub struct CubeHealth {
     /// Deepest coarsening tier among resident sealed segments (0 when
     /// pressure never forced a merge).
     pub max_tier: u64,
+    /// Heap bytes the sealed segments' families hold at rest: the packed
+    /// quantile forms plus the MG counters.
+    pub resident_bytes: u64,
     /// Pairwise coarsening merges since the cube was built.
     pub coarsened: u64,
     /// Range reads over two or more sealed segments whose whole sealed
@@ -167,68 +176,48 @@ pub struct CubeHealth {
     pub memo_misses: u64,
 }
 
-/// A segment's quantile family: the live summary while the segment is
-/// open, and once it is sealed the same summary over `u32` points when
-/// every stored value fits — a copy that answers for it is widened back,
-/// at about the cost of the clone a live one needs.
-///
-/// The quantile family is most of a sealed segment (≈ 30 of ≈ 34 KB at
-/// ε = 0.01: four buffers of 921 eight-byte points), and the resident
-/// segments are what `peak_rss_mb` of a cube server grows by, so a
-/// closed-loop server's peak follows its throughput — and the
-/// throughput's spread from one run to the next. Half-width points take
-/// ≈ 15 KB off each segment and that much off the spread. A summary
-/// holding a value past `u32::MAX` stays live, re-read from its slot to
-/// shed the capacity streaming grew.
-#[derive(Clone)]
-enum QuantileFam {
-    Live(ShardSummary),
-    Narrow(HybridQuantile<u32>),
-}
-
-impl QuantileFam {
-    fn live(&self) -> ShardSummary {
-        match self {
-            QuantileFam::Live(summary) => summary.clone(),
-            QuantileFam::Narrow(narrow) => {
-                ShardSummary::HybridQuantile(narrow.map(|&v| u64::from(v)))
-            }
-        }
-    }
-
-    fn slot(&self) -> Vec<u8> {
-        match self {
-            QuantileFam::Live(summary) => summary.encode(),
-            QuantileFam::Narrow(_) => self.live().encode(),
-        }
-    }
-
-    /// The resident form of `summary`, whose encoding is `slot`.
-    fn at_rest(summary: &ShardSummary, slot: &[u8]) -> QuantileFam {
-        match summary {
-            ShardSummary::HybridQuantile(wide)
-                if wide.points().all(|&v| u32::try_from(v).is_ok()) =>
-            {
-                QuantileFam::Narrow(wide.map(|&v| v as u32))
-            }
-            _ => QuantileFam::Live(ShardSummary::decode(slot).expect("a quantile slot decodes")),
-        }
-    }
-}
-
 /// The families a segment streams, in the slot order of the records
 /// [`Segment::seal`] writes.
 const STREAMED: [SummaryKind; 2] = [SummaryKind::Mg, SummaryKind::HybridQuantile];
 
-/// One segment — the open one under the fold lock, or a sealed one
-/// behind an `Arc` in the index (immutable there: coarsening builds a
-/// new segment and swaps it in): its coordinates plus a summary per
-/// streamed family.
-#[derive(Clone)]
+/// The segment being folded into, under the fold lock: its coordinates
+/// plus a live summary per streamed family.
+struct Open {
+    meta: SegmentMeta,
+    mg: ShardSummary,
+    quantile: HybridQuantile<u64>,
+}
+
+impl Open {
+    /// A copy of the streamed family that answers for `kind`
+    /// (SpaceSaving is read off the MG one — see the module doc).
+    fn family(&self, kind: SummaryKind) -> ShardSummary {
+        match kind {
+            SummaryKind::Mg | SummaryKind::SpaceSaving => self.mg.clone(),
+            SummaryKind::HybridQuantile => ShardSummary::HybridQuantile(self.quantile.clone()),
+            SummaryKind::CountMin => unreachable!("no segment keeps a Count-Min family"),
+        }
+    }
+}
+
+/// A sealed segment, behind an `Arc` in the index (immutable there:
+/// coarsening builds a new segment and swaps it in): its coordinates plus
+/// each streamed family at rest. The MG family is the summary re-read
+/// from its slot, which sheds the spare capacity streaming grew; the
+/// quantile family is packed ([`PackedQuantile`]), and a copy that
+/// answers for it is unpacked.
+///
+/// The quantile family is most of a sealed segment (≈ 3,800 points at
+/// ε = 0.01, 30 KB as live `u64`s), and the resident segments are what
+/// `peak_rss_mb` of a cube server grows by, so a closed-loop server's
+/// peak follows its throughput — and the throughput's spread from one
+/// run to the next. Packed, the family takes ≈ 7 KB whatever its
+/// values; [`SegmentCube::health`] reports what the resident families
+/// hold (`resident_bytes`).
 struct Segment {
     meta: SegmentMeta,
     mg: ShardSummary,
-    quantile: QuantileFam,
+    quantile: PackedQuantile,
 }
 
 impl Segment {
@@ -237,34 +226,40 @@ impl Segment {
     fn family(&self, kind: SummaryKind) -> ShardSummary {
         match kind {
             SummaryKind::Mg | SummaryKind::SpaceSaving => self.mg.clone(),
-            SummaryKind::HybridQuantile => self.quantile.live(),
+            SummaryKind::HybridQuantile => ShardSummary::HybridQuantile(self.quantile.unpack()),
             SummaryKind::CountMin => unreachable!("no segment keeps a Count-Min family"),
         }
     }
 
-    /// Seal: the record the store writes — one slot per [`STREAMED`]
-    /// family — with the segment itself trimmed for residency, now that
-    /// it will not be updated again: the MG family is re-read from its
-    /// slot, which sheds the spare capacity streaming grew, and the
-    /// quantile family goes to its resident form ([`QuantileFam::at_rest`]).
-    fn seal(&mut self) -> SegmentRecord {
-        self.meta.sealed = true;
-        let (mg, quantile) = (self.mg.encode(), self.quantile.slot());
-        self.mg = ShardSummary::decode(&mg).expect("a slot just encoded decodes");
-        if let QuantileFam::Live(live) = &self.quantile {
-            self.quantile = QuantileFam::at_rest(live, &quantile);
-        }
-        SegmentRecord {
-            id: self.meta.id,
-            start_seq: self.meta.start_seq,
-            end_seq: self.meta.end_seq,
-            start_micros: self.meta.start_micros,
-            end_micros: self.meta.end_micros,
-            weight: self.meta.weight,
-            batches: self.meta.batches,
-            tier: self.meta.tier,
-            summaries: vec![mg, quantile],
-        }
+    /// Seal `open`: the segment at rest, and the record the store writes
+    /// — one slot per [`STREAMED`] family.
+    fn seal(open: Open) -> (Segment, SegmentRecord) {
+        let Open {
+            mut meta,
+            mg,
+            quantile,
+        } = open;
+        meta.sealed = true;
+        let packed = quantile.pack();
+        let summaries = vec![mg.encode(), ShardSummary::HybridQuantile(quantile).encode()];
+        let record = SegmentRecord {
+            id: meta.id,
+            start_seq: meta.start_seq,
+            end_seq: meta.end_seq,
+            start_micros: meta.start_micros,
+            end_micros: meta.end_micros,
+            weight: meta.weight,
+            batches: meta.batches,
+            tier: meta.tier,
+            summaries,
+        };
+        let mg = ShardSummary::decode(&record.summaries[0]).expect("a slot just encoded decodes");
+        let segment = Segment {
+            meta,
+            mg,
+            quantile: packed,
+        };
+        (segment, record)
     }
 
     /// Rebuild a sealed segment from its record: the two slots
@@ -285,9 +280,9 @@ impl Segment {
             if fam.kind() != kind {
                 return Err(WireError::Malformed("segment family out of order"));
             }
-            match kind {
-                SummaryKind::Mg => mg = Some(fam),
-                SummaryKind::HybridQuantile => quantile = Some(QuantileFam::at_rest(&fam, bytes)),
+            match fam {
+                ShardSummary::Mg(_) => mg = Some(fam),
+                ShardSummary::HybridQuantile(q) => quantile = Some(q.pack()),
                 _ => {}
             }
         }
@@ -308,30 +303,37 @@ impl Segment {
         })
     }
 
-    /// Absorb the adjacent *later* segment `next` into this one: spans
-    /// and weights union, families one-shot merge (Definition 1 — the
-    /// merged summary covers the union at the same eps·n bound), tier
-    /// deepens.
-    fn absorb(&mut self, next: Segment) {
+    /// This segment and the adjacent *later* segment `next` as one
+    /// segment, sealed: spans and weights union, families one-shot merge
+    /// (Definition 1 — the merged summary covers the union at the same
+    /// eps·n bound), tier deepens.
+    fn absorb(&self, next: &Segment) -> (Segment, SegmentRecord) {
         debug_assert_eq!(
             next.meta.start_seq,
             self.meta.end_seq + 1,
             "coarsen only adjacent"
         );
-        self.meta.end_seq = next.meta.end_seq;
-        self.meta.end_micros = next.meta.end_micros;
-        self.meta.weight += next.meta.weight;
-        self.meta.batches += next.meta.batches;
-        self.meta.tier = self.meta.tier.max(next.meta.tier) + 1;
-        let mut quantile = self.quantile.live();
+        let mut meta = self.meta.clone();
+        meta.end_seq = next.meta.end_seq;
+        meta.end_micros = next.meta.end_micros;
+        meta.weight += next.meta.weight;
+        meta.batches += next.meta.batches;
+        meta.tier = meta.tier.max(next.meta.tier) + 1;
+        let (mut mg, mut quantile) = (self.mg.clone(), self.quantile.unpack());
         let merges = [
-            self.mg.merge_in_place(next.mg),
-            quantile.merge_in_place(next.quantile.live()),
+            mg.merge_in_place(next.mg.clone()),
+            quantile.merge_from(next.quantile.unpack()),
         ];
-        self.quantile = QuantileFam::Live(quantile);
         for merge in merges {
             merge.expect("same-family segment summaries always merge");
         }
+        Segment::seal(Open { meta, mg, quantile })
+    }
+
+    /// Heap bytes the resting families hold: the packed quantile form
+    /// and the MG counters.
+    fn resident_bytes(&self) -> usize {
+        self.quantile.heap_bytes() + self.mg.size() * std::mem::size_of::<(u64, u64)>()
     }
 }
 
@@ -341,7 +343,7 @@ struct Fold {
     last_seq: u64,
     /// Id the next opened segment gets.
     next_id: u64,
-    open: Option<Segment>,
+    open: Option<Open>,
 }
 
 /// A durable cube's segment files (module doc).
@@ -511,10 +513,11 @@ impl SegmentCube {
 
     /// Seal the open segment into the index, then coarsen and evict.
     fn seal(&self, fold: &mut Fold, out: &mut CubeOutcome) {
-        let Some(mut seg) = fold.open.take() else {
+        let Some(open) = fold.open.take() else {
             return;
         };
-        out.sealed.push(seg.seal());
+        let (seg, record) = Segment::seal(open);
+        out.sealed.push(record);
         {
             let mut ix = lock(&self.index);
             ix.open = None;
@@ -556,11 +559,10 @@ impl SegmentCube {
                     .expect("at least one adjacent pair");
                 (i, Arc::clone(&ix.sealed[i]), Arc::clone(&ix.sealed[i + 1]))
             };
-            // Readers may hold either handle: merge into a copy.
-            let mut merged = Segment::clone(&survivor);
-            merged.absorb(Segment::clone(&next));
+            // Readers may hold either handle: merge into a new segment.
+            let (merged, record) = survivor.absorb(&next);
             out.evicted.push(next.meta.id);
-            out.sealed.push(merged.seal());
+            out.sealed.push(record);
             out.coarsened += 1;
             let mut ix = lock(&self.index);
             ix.sealed[i] = Arc::new(merged);
@@ -599,7 +601,7 @@ impl SegmentCube {
             self.seal(fold, &mut out);
         }
         if fold.open.is_none() {
-            fold.open = Some(Segment {
+            fold.open = Some(Open {
                 meta: SegmentMeta {
                     id: fold.next_id,
                     start_seq: seq,
@@ -612,7 +614,8 @@ impl SegmentCube {
                     tier: 0,
                 },
                 mg: self.fresh(SummaryKind::Mg),
-                quantile: QuantileFam::Live(self.fresh(SummaryKind::HybridQuantile)),
+                // `self.fresh`'s quantile summary: shard 0's seed is `seed`.
+                quantile: HybridQuantile::new(self.epsilon, self.seed),
             });
             fold.next_id += 1;
         }
@@ -624,10 +627,7 @@ impl SegmentCube {
         // Family-major: each family sees the whole batch at once, so the
         // counter table and the quantile buffers stay hot.
         open.mg.update_batch(batch);
-        match &mut open.quantile {
-            QuantileFam::Live(quantile) => quantile.update_batch(batch),
-            QuantileFam::Narrow(_) => unreachable!("an open segment's families are live"),
-        }
+        open.quantile.insert_batch(batch);
         if open.meta.batches >= self.cfg.seal_batches {
             self.seal(fold, &mut out);
         } else {
@@ -871,9 +871,9 @@ impl SegmentCube {
         Some(acc)
     }
 
-    /// Current health gauges (sealed count, open-segment age/weight),
-    /// read against the same monotone-clamped clock that stamps
-    /// segments, and the range memo's counts.
+    /// Current health gauges (sealed count and resident bytes,
+    /// open-segment age/weight), read against the same monotone-clamped
+    /// clock that stamps segments, and the range memo's counts.
     pub fn health(&self) -> CubeHealth {
         let mut health = {
             let ix = lock(&self.index);
@@ -887,6 +887,11 @@ impl SegmentCube {
                 open_age_micros,
                 open_weight,
                 max_tier: ix.sealed.iter().map(|seg| seg.meta.tier).max().unwrap_or(0),
+                resident_bytes: ix
+                    .sealed
+                    .iter()
+                    .map(|seg| seg.resident_bytes() as u64)
+                    .sum(),
                 coarsened: ix.coarsened,
                 ..CubeHealth::default()
             }
@@ -1099,20 +1104,21 @@ mod tests {
         assert_eq!(live.last_seq(), replayed.last_seq());
     }
 
-    /// A sealed segment keeps its quantile family over `u32` points when
-    /// the values fit and live when one does not; sealed, adopted or
-    /// coarsened, the copy a reader gets encodes to the record's slot.
+    /// Every sealed segment rests packed, whatever its values — one
+    /// holding `u32::MAX + 1` too; sealed, adopted or coarsened, the copy
+    /// a reader gets encodes to the record's slot.
     #[test]
-    fn sealed_quantile_family_rests_narrow_and_reads_back_the_same() {
-        let quantile_slots = |c: &SegmentCube| -> Vec<(bool, Vec<u8>)> {
+    fn sealed_quantile_family_rests_packed_and_reads_back_the_same() {
+        // Each sealed segment's packed form, as the bytes it unpacks to
+        // and its heap size.
+        let quantile_slots = |c: &SegmentCube| -> Vec<(Vec<u8>, usize)> {
             let sealed = lock(&c.index).sealed.clone();
             sealed
                 .iter()
                 .map(|seg| {
-                    (
-                        matches!(seg.quantile, QuantileFam::Narrow(_)),
-                        seg.family(SummaryKind::HybridQuantile).encode(),
-                    )
+                    let packed: &PackedQuantile = &seg.quantile;
+                    let read = seg.family(SummaryKind::HybridQuantile).encode();
+                    (read, packed.heap_bytes())
                 })
                 .collect()
         };
@@ -1127,19 +1133,19 @@ mod tests {
         records.extend(ok(&c, &[2]).sealed);
         assert_eq!(records.len(), 3);
         let slots = quantile_slots(&c);
-        assert_eq!(
-            slots.iter().map(|(narrow, _)| *narrow).collect::<Vec<_>>(),
-            [true, true, false]
-        );
-        for ((_, read), rec) in slots.iter().zip(&records) {
+        assert_eq!(slots.len(), 3);
+        for ((read, packed), rec) in slots.iter().zip(&records) {
             assert_eq!(read, &rec.summaries[1]);
+            assert!(*packed > 0, "every sealed segment rests packed");
         }
+        // 1,200 values below 2¹⁷ pack under four bytes a point.
+        assert!(slots[0].1 < 4 * 1_200, "{} bytes", slots[0].1);
 
         let adopted = cube(SegmentConfig::new().seal_batches(2));
         assert_eq!(adopted.adopt(&records).unwrap().adopted, 3);
         assert_eq!(quantile_slots(&adopted), slots);
 
-        // Coarsening merges widened copies and the survivor rests again.
+        // Coarsening merges unpacked copies and the survivor rests packed.
         let coarse = cube(SegmentConfig::new().seal_batches(1).coarsen_watermark(1));
         let mut last = Vec::new();
         for i in 0..3u64 {
@@ -1148,8 +1154,36 @@ mod tests {
         }
         let slots = quantile_slots(&coarse);
         assert_eq!(slots.len(), 1);
-        assert!(slots[0].0);
-        assert_eq!(slots[0].1, last.last().unwrap().summaries[1]);
+        assert_eq!(slots[0].0, last.last().unwrap().summaries[1]);
+    }
+
+    /// A ledger-shaped segment — 64 batches of 1,024 Zipf items at
+    /// ε = 0.01 — rests in under half of four bytes a stored point: the
+    /// packed form is less than half the `u32` points it replaced.
+    #[test]
+    fn a_ledger_shaped_segment_packs_under_two_bytes_a_point() {
+        let items = ms_workloads::StreamKind::Zipf {
+            s: 1.1,
+            universe: 1 << 20,
+        }
+        .generate(64 * 1_024, 7);
+        let c = SegmentCube::new(0.01, 42, SegmentConfig::new().seal_batches(64));
+        for batch in items.chunks(1_024) {
+            ok(&c, batch);
+        }
+        let sealed = lock(&c.index).sealed.clone();
+        let [seg] = &sealed.iter().collect::<Vec<_>>()[..] else {
+            panic!("one sealed segment, got {}", sealed.len());
+        };
+        let points = seg.family(SummaryKind::HybridQuantile).size();
+        let packed = seg.quantile.heap_bytes();
+        assert!(points > 3_000, "{points} points");
+        assert!(
+            2 * packed < 4 * points,
+            "{packed} bytes for {points} points"
+        );
+        let counters = seg.mg.size() * std::mem::size_of::<(u64, u64)>();
+        assert_eq!(c.health().resident_bytes, (packed + counters) as u64);
     }
 
     #[test]

@@ -824,6 +824,27 @@ pub(super) mod tests {
         assert_eq!(snap.counter("cube_range_memo_misses"), Some(1));
         engine.shutdown();
     }
+    #[test]
+    fn telemetry_snapshot_exports_the_cube_resident_bytes() {
+        let engine = Engine::start(
+            ServiceConfig::new(SummaryKind::Mg, 0.05)
+                .segments(crate::config::SegmentConfig::new().seal_batches(1)),
+        )
+        .unwrap();
+        let gauge = |engine: &Engine| engine.telemetry_snapshot().gauge("cube_resident_bytes");
+        assert_eq!(gauge(&engine), Some(0), "nothing sealed yet");
+        for i in 0..3 {
+            engine
+                .ingest((0..500).map(|v| v * 7 + i).collect())
+                .unwrap();
+        }
+        let resident = gauge(&engine).expect("the gauge is exported");
+        assert!(resident > 0);
+        let health = engine.cube().expect("a cube").health();
+        assert_eq!((health.sealed, health.resident_bytes as i64), (3, resident));
+        engine.shutdown();
+    }
+
     pub(super) fn temp_data_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("ms-engine-dur-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

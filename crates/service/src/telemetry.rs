@@ -103,9 +103,11 @@ pub struct EngineTelemetry {
     checkpoints: Arc<Counter>,
     /// Segments merged per range query (covering-set size).
     range_covering: Arc<Histogram>,
-    /// Segment-cube health: sealed segments, open-segment age/weight and
-    /// the deepest coarsening tier resident.
+    /// Segment-cube health: sealed segments and the heap bytes their
+    /// families hold, open-segment age/weight and the deepest coarsening
+    /// tier resident.
     cube_sealed: Arc<Gauge>,
+    cube_resident_bytes: Arc<Gauge>,
     cube_open_age: Arc<Gauge>,
     cube_open_weight: Arc<Gauge>,
     cube_max_tier: Arc<Gauge>,
@@ -172,6 +174,7 @@ impl EngineTelemetry {
             checkpoints: registry.counter("checkpoints_total"),
             range_covering: registry.histogram("range_covering_segments"),
             cube_sealed: registry.gauge("cube_segments_sealed"),
+            cube_resident_bytes: registry.gauge("cube_resident_bytes"),
             cube_open_age: registry.gauge("cube_open_age_micros"),
             cube_open_weight: registry.gauge("cube_open_weight"),
             segment_persist_failures: registry.counter("segment_persist_failed_total"),
@@ -375,6 +378,7 @@ impl EngineTelemetry {
     pub fn set_cube_health(&self, health: &CubeHealth) {
         if self.enabled {
             self.cube_sealed.set(health.sealed as i64);
+            self.cube_resident_bytes.set(health.resident_bytes as i64);
             self.cube_open_age.set(health.open_age_micros as i64);
             self.cube_open_weight.set(health.open_weight as i64);
             self.cube_max_tier.set(health.max_tier as i64);

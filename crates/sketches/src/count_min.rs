@@ -64,7 +64,7 @@ impl<I: Hash> Wire for CountMinSketch<I> {
         }
         let seed = u64::decode_from(r)?;
         let table = Vec::<u64>::decode_from(r)?;
-        if table.len() != width * depth {
+        if width.checked_mul(depth) != Some(table.len()) {
             return Err(WireError::Malformed("sketch table has the wrong shape"));
         }
         let mut sketch = CountMinSketch::<I>::new(width, depth, seed);

@@ -1,7 +1,9 @@
 //! Failure injection: incompatible summaries must merge into typed errors,
 //! never into a silently wrong summary.
 
-use mergeable_summaries::core::{ItemSummary, MergeError, Mergeable, Summary, Wire};
+use mergeable_summaries::core::{
+    ItemSummary, MergeError, Mergeable, Rng64, Summary, Wire, WireError,
+};
 use mergeable_summaries::range::{EpsApprox2d, Halving};
 use mergeable_summaries::{
     AmsF2Sketch, BottomKSample, CountMinSketch, CountSketch, EpsKernel, Frame, GkSummary,
@@ -90,6 +92,21 @@ fn count_min_shape_and_seed_mismatches() {
 }
 
 #[test]
+fn count_min_bytes_whose_shape_overflows_are_malformed() {
+    // width · depth = 2⁶⁴ wraps to 0 = the empty table's length.
+    let mut bytes = Vec::new();
+    (1usize << 62).encode_into(&mut bytes);
+    4usize.encode_into(&mut bytes);
+    7u64.encode_into(&mut bytes);
+    Vec::<u64>::new().encode_into(&mut bytes);
+    0u64.encode_into(&mut bytes);
+    assert!(matches!(
+        CountMinSketch::<u64>::decode(&bytes),
+        Err(WireError::Malformed(_))
+    ));
+}
+
+#[test]
 fn count_sketch_and_ams_family_mismatches() {
     let cs = CountSketch::<u64>::new(16, 3, 1);
     assert!(matches!(
@@ -123,6 +140,38 @@ fn quantile_epsilon_mismatches() {
         a.merge(b),
         Err(MergeError::EpsilonMismatch { .. })
     ));
+}
+
+/// Bytes of a hybrid quantile summary at ε = 0.05 holding the one point
+/// 5 in its base buffer, with total weight `n`.
+fn hybrid_bytes(n: u64) -> Vec<u8> {
+    let fresh = HybridQuantile::<u64>::new(0.05, 1);
+    let mut out = Vec::new();
+    fresh.epsilon().encode_into(&mut out);
+    fresh.buffer_capacity().encode_into(&mut out);
+    fresh.max_levels().encode_into(&mut out);
+    1u64.encode_into(&mut out); // base weight
+    0u64.encode_into(&mut out); // no partial block
+    None::<u64>.encode_into(&mut out);
+    vec![5u64].encode_into(&mut out); // the base buffer
+    Vec::<Option<Vec<u64>>>::new().encode_into(&mut out); // no levels
+    n.encode_into(&mut out);
+    Rng64::new(1).encode_into(&mut out);
+    out
+}
+
+#[test]
+fn a_quantile_merge_whose_total_weight_overflows_is_refused_and_leaves_self_untouched() {
+    let n = (1u64 << 63) + 7;
+    let bytes = hybrid_bytes(n);
+    let mut a = HybridQuantile::<u64>::decode(&bytes).unwrap();
+    let b = HybridQuantile::<u64>::decode(&bytes).unwrap();
+    match a.merge_from(b) {
+        Err(MergeError::Incompatible(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+        other => panic!("expected Incompatible, got {other:?}"),
+    }
+    assert_eq!(a.encode(), bytes);
+    assert_eq!(a.total_weight(), n);
 }
 
 #[test]

@@ -414,8 +414,9 @@ fn digest(bytes: &[u8]) -> u64 {
 /// `segments` hybrid summaries of 32 Ki items each (the ledger's Zipf
 /// stream, the cube's ε = 0.01 geometry, the `read-write` segment size)
 /// folded the way `SegmentCube::query` folds a covering run: the first
-/// one, then `merge_from` each of the rest in order.
-fn segment_fold(segments: usize) -> HybridQuantile<u64> {
+/// one, then `merge_from` each of the rest in order. With `rest`, each
+/// part is first packed and unpacked, as a sealed segment rests.
+fn segment_fold(segments: usize, rest: bool) -> HybridQuantile<u64> {
     const SEGMENT_ITEMS: usize = 32_768;
     let items = StreamKind::Zipf {
         s: 1.1,
@@ -425,7 +426,11 @@ fn segment_fold(segments: usize) -> HybridQuantile<u64> {
     let mut parts = items.chunks(SEGMENT_ITEMS).enumerate().map(|(i, chunk)| {
         let mut q = HybridQuantile::new(0.01, 100 + i as u64);
         q.insert_batch(chunk);
-        q
+        if rest {
+            q.pack().unpack()
+        } else {
+            q
+        }
     });
     let mut acc = parts.next().expect("at least one segment");
     for part in parts {
@@ -439,19 +444,23 @@ fn segment_fold(segments: usize) -> HybridQuantile<u64> {
 /// `MS_FORCE_SCALAR=1`). The 8-segment digest predates the vector merge
 /// kernel and stays at base weight 1; the 64-segment fold doubles the
 /// base weight three times and is pinned with every representative
-/// stored at its own weight — its stored weight is exactly `n`.
+/// stored at its own weight — its stored weight is exactly `n`. Folding
+/// parts that went through the packed resting form gives the same bytes.
 #[test]
 fn segment_folds_reproduce_their_pinned_bytes() {
-    for (segments, len, want, w) in [
+    for ((segments, len, want, w), rest) in [
         (8usize, 6_961usize, 0x2A9F_6A32_F580_E23Cu64, 1u64),
         (64, 6_991, 0x00D2_36A0_9A22_4D8E, 8),
-    ] {
-        let folded = segment_fold(segments);
+    ]
+    .into_iter()
+    .flat_map(|pin| [(pin, false), (pin, true)])
+    {
+        let folded = segment_fold(segments, rest);
         let bytes = folded.encode();
         assert_eq!(
             (bytes.len(), digest(&bytes)),
             (len, want),
-            "{segments} segments on {:?}",
+            "{segments} segments on {:?}, packed at rest: {rest}",
             simd::active_isa()
         );
         assert_eq!(folded.base_weight(), w, "{segments} segments");
