@@ -8,8 +8,9 @@
 //! each key's — and queries scatter to every live node, gather per-node
 //! summaries, and merge them **one-shot**: federation costs no accuracy
 //! and one downstream round trip per batch. Membership ([`NodeHealth`])
-//! turns request outcomes and periodic pings into alive/suspect/dead
-//! states; a dead slot's share of the batches drains to the survivors
+//! turns request outcomes and periodic pings into one alive/suspect/dead
+//! state per node, and that state alone decides routing, gathers and
+//! retries; a dead slot's share of the batches drains to the survivors
 //! through the ring's liveness-aware routing and returns the moment the
 //! node rejoins.
 //!
@@ -30,13 +31,13 @@ use ms_service::telemetry::timed;
 use ms_service::tracectx::{self, FIELD_PARENT, FIELD_SPAN, FIELD_TRACE};
 use ms_service::{
     answer_query, answer_range, AccuracyAudit, Client, ClientOptions, ClusterInfo, EngineTelemetry,
-    IngestFrame, MetricsReport, NodeInfo, OpClass, RangeMeta, Request, RequestEnvelope, Response,
+    IngestFrame, MetricsReport, NodeInfo, RangeMeta, Request, RequestEnvelope, Response,
     SegmentReport, Service, ShardSummary, TraceContext,
 };
 
-use crate::breaker::{BreakerState, CircuitBreaker, RetryBudget};
 use crate::config::ClusterConfig;
 use crate::membership::NodeHealth;
+use crate::retry::RetryBudget;
 use crate::ring::HashRing;
 
 /// One backend node as the coordinator sees it.
@@ -46,10 +47,6 @@ struct Node {
     /// poisoned connection is never reused.
     client: Mutex<Option<Client>>,
     health: NodeHealth,
-    /// Circuit breaker on the path to this node: failures and shed
-    /// responses trip it; while open, requests fail fast instead of
-    /// burning a timeout per scatter leg.
-    breaker: CircuitBreaker,
     requests: AtomicU64,
     failures: AtomicU64,
     /// Total weight of this node's summary at the last gather.
@@ -83,9 +80,6 @@ struct Instruments {
     /// Response bytes shipped back from backends.
     gather_bytes: Arc<Counter>,
     rebalances: Arc<Counter>,
-    /// Per-node breaker state (0 closed, 1 open, 2 half-open).
-    breaker_state: Vec<Arc<Gauge>>,
-    breaker_trips: Vec<Arc<Counter>>,
     /// Coordinator-level retries granted / denied by the token budget.
     retries_granted: Arc<Counter>,
     retries_denied: Arc<Counter>,
@@ -105,7 +99,7 @@ pub struct GatherReport<R = ShardSummary> {
     /// Backend requests issued.
     pub fanout: usize,
     /// Fraction of slots that contributed to the merge, in [0, 1]. A
-    /// partial gather (slow node tripped its breaker, a leg shed) is a
+    /// partial gather (a slow node went dead, a leg shed) is a
     /// valid summary of the answering slots' updates — Definition 1 —
     /// with its reduced reach made explicit here rather than failing
     /// the whole gather.
@@ -167,7 +161,7 @@ impl Coordinator {
             (0..cfg.nodes.len()).map(|n| vec![n]).collect()
         };
         let ring = HashRing::new(slots.len(), cfg.vnodes.max(1));
-        let telemetry = Arc::new(EngineTelemetry::new(0, cfg.telemetry, cfg.seed));
+        let telemetry = Arc::new(EngineTelemetry::new(0, true, cfg.seed));
         let scatter_ring = telemetry.recorder().register("scatter");
         let registry = telemetry.registry();
         let per_node = |name: &str| -> Vec<String> {
@@ -175,21 +169,23 @@ impl Coordinator {
                 .map(|n| format!("{name}{{node=\"{n}\"}}"))
                 .collect()
         };
-        let gauges = |name| per_node(name).iter().map(|n| registry.gauge(n)).collect();
-        let counters = |name| per_node(name).iter().map(|n| registry.counter(n)).collect();
         let instruments = Instruments {
             node_latency: per_node("node_request_micros")
                 .iter()
                 .map(|n| registry.histogram(n))
                 .collect(),
-            node_state: gauges("node_state"),
-            node_failures: counters("node_failures_total"),
+            node_state: per_node("node_state")
+                .iter()
+                .map(|n| registry.gauge(n))
+                .collect(),
+            node_failures: per_node("node_failures_total")
+                .iter()
+                .map(|n| registry.counter(n))
+                .collect(),
             gather_fanout: registry.histogram("gather_fanout"),
             scatter_bytes: registry.counter("scatter_bytes_total"),
             gather_bytes: registry.counter("gather_bytes_total"),
             rebalances: registry.counter("ring_rebalances_total"),
-            breaker_state: gauges("breaker_state"),
-            breaker_trips: counters("breaker_trips_total"),
             retries_granted: registry.counter("coordinator_retries_granted_total"),
             retries_denied: registry.counter("coordinator_retries_denied_total"),
             retry_tokens: registry.gauge("retry_budget_tokens"),
@@ -203,8 +199,7 @@ impl Coordinator {
             .map(|addr| Node {
                 addr: Mutex::new(addr.clone()),
                 client: Mutex::new(None),
-                health: NodeHealth::new(cfg.suspect_after, cfg.dead_after),
-                breaker: CircuitBreaker::new(cfg.breaker.clone(), Arc::clone(&cfg.clock)),
+                health: NodeHealth::new(cfg.dead_after),
                 requests: AtomicU64::new(0),
                 failures: AtomicU64::new(0),
                 last_weight: AtomicU64::new(0),
@@ -429,6 +424,9 @@ impl Coordinator {
                 self.nodes.len()
             )));
         }
+        if self.nodes[idx].health.is_dead() {
+            return Err(no_live_backend());
+        }
         match self.scatter_call(idx, &Request::Summary)? {
             Response::Summary(raw) => Ok(raw),
             other => Err(ServiceError::Protocol(format!(
@@ -441,7 +439,8 @@ impl Coordinator {
     /// process rarely keeps its port), drop any stale connection, and
     /// ping it. On success the node is alive and the ring routes to it
     /// again — its WAL/checkpoint recovery already happened inside the
-    /// node before it started listening.
+    /// node before it started listening. On failure the node is booked
+    /// like any other failed request, so a dead node stays dead.
     pub fn rejoin(&self, idx: usize, addr: Option<&str>) -> Result<(), ServiceError> {
         let node = self
             .nodes
@@ -452,19 +451,8 @@ impl Coordinator {
         }
         let mut client = lock(&node.client);
         *client = None;
-        // The rejoin ping bypasses the breaker's fail-fast (a bare
-        // `attempt`, not behind `leg`'s gate): rejoin *is* the recovery
-        // probe, and it is the operator asserting the node is back — so
-        // a successful ping also resets the breaker outright instead of
-        // waiting out the open window.
-        let pong = self.attempt(idx, &mut client, &|c| c.call(&Request::Ping))?;
-        drop(client);
-        match pong {
-            Response::Ok => {
-                node.breaker.reset();
-                self.sync_breaker_instruments(idx);
-                Ok(())
-            }
+        match self.attempt(idx, &mut client, &|c| c.call(&Request::Ping))? {
+            Response::Ok => Ok(()),
             other => Err(ServiceError::Protocol(format!(
                 "unexpected ping response {other:?}"
             ))),
@@ -691,10 +679,10 @@ impl Coordinator {
 
     /// The gate in front of every backend leg, the envelope the leg
     /// travels in, and the scatter span that times it. A spent deadline
-    /// fails the leg locally (the caller has already given up) and an
-    /// open breaker fails it fast — typed [`ServiceError::Overloaded`], no
-    /// connection touched, health untouched: backing off says nothing new
-    /// about the node. Every leg that passes funds the retry budget.
+    /// fails the leg locally — typed [`ServiceError::Overloaded`], no
+    /// connection touched, health untouched: the caller has already given
+    /// up, which says nothing about the node. Every leg that passes funds
+    /// the retry budget.
     /// Under a live trace (the server put one up before calling `handle`)
     /// the leg gets its own span and ships the context, so the backend's
     /// request span parents under it; the *decremented* deadline rides
@@ -707,15 +695,10 @@ impl Coordinator {
         opcode: u8,
     ) -> Result<(RequestEnvelope, Option<SpanGuard<'_>>), ServiceError> {
         let deadline_micros = deadline::remaining_micros();
-        let breaker = &self.nodes[node].breaker;
-        let refused = match deadline_micros {
-            Some(0) => Some(0),
-            _ if !breaker.allow() => Some(breaker.retry_after_micros()),
-            _ => None,
-        };
-        if let Some(retry_after_micros) = refused {
-            self.sync_breaker_instruments(node);
-            return Err(ServiceError::Overloaded { retry_after_micros });
+        if deadline_micros == Some(0) {
+            return Err(ServiceError::Overloaded {
+                retry_after_micros: 0,
+            });
         }
         self.retry_budget.note_request();
         let (ctx, span) = tracectx::current()
@@ -744,9 +727,9 @@ impl Coordinator {
     }
 
     /// One budget-gated coordinator retry replays a transient
-    /// *transport* failure. A shed is never retried here: the node
-    /// answered and asked for air — an immediate replay would feed the
-    /// storm it is shedding.
+    /// *transport* failure, unless that failure left the node dead. A
+    /// shed is never retried here: the node answered and asked for air —
+    /// an immediate replay would feed the storm it is shedding.
     fn retry<T>(
         &self,
         idx: usize,
@@ -754,7 +737,7 @@ impl Coordinator {
         mut result: Result<T, ServiceError>,
         f: &impl Fn(&mut Client) -> Result<T, ServiceError>,
     ) -> Result<T, ServiceError> {
-        if transport_failure(&result) && self.nodes[idx].breaker.allow() {
+        if transport_failure(&result) && !self.nodes[idx].health.is_dead() {
             if self.retry_budget.try_withdraw() {
                 self.instruments.retries_granted.add(1);
                 result = self.attempt(idx, client, f);
@@ -799,9 +782,7 @@ impl Coordinator {
                     if node.health.mark_dead() {
                         self.telemetry.event("node-dead", &[("node", idx as u64)]);
                     }
-                    node.breaker.record(false);
                     self.sync_state_gauge(idx);
-                    self.sync_breaker_instruments(idx);
                     return Err(e);
                 }
             }
@@ -810,12 +791,11 @@ impl Coordinator {
     }
 
     /// Book one finished exchange with node `idx`: its latency, and its
-    /// outcome into health and breaker state. Transport failures drop
-    /// the connection (a poisoned one is never reused) and count toward
-    /// death. Protocol-level errors mean the node answered, which is a
-    /// liveness *success* — but a shed ([`ServiceError::Overloaded`])
-    /// still counts against the breaker: the path is alive yet not
-    /// delivering work.
+    /// outcome into the node's health. Transport failures drop the
+    /// connection (a poisoned one is never reused) and count toward
+    /// death. Any reply means the node answered, which is a liveness
+    /// *success* — a shed ([`ServiceError::Overloaded`]) included, which
+    /// reaches the caller typed with the node's own retry hint.
     fn settle<T>(
         &self,
         idx: usize,
@@ -824,10 +804,8 @@ impl Coordinator {
         micros: u64,
     ) -> Result<T, ServiceError> {
         let node = &self.nodes[idx];
-        let failed = transport_failure(&result);
-        let shed = matches!(&result, Err(ServiceError::Overloaded { .. }));
         self.instruments.node_latency[idx].record(micros);
-        if failed {
+        if transport_failure(&result) {
             *client = None;
             node.failures.fetch_add(1, Ordering::Relaxed);
             self.instruments.node_failures[idx].add(1);
@@ -840,9 +818,7 @@ impl Coordinator {
                 self.telemetry.event("node-rejoin", &[("node", idx as u64)]);
             }
         }
-        node.breaker.record(!(failed || shed));
         self.sync_state_gauge(idx);
-        self.sync_breaker_instruments(idx);
         result
     }
 
@@ -850,56 +826,14 @@ impl Coordinator {
         self.instruments.node_state[idx].set(self.nodes[idx].health.state() as i64);
     }
 
-    fn sync_breaker_instruments(&self, idx: usize) {
-        let breaker = &self.nodes[idx].breaker;
-        self.instruments.breaker_state[idx].set(breaker.state() as i64);
-        let counter = &self.instruments.breaker_trips[idx];
-        counter.add(breaker.trips().saturating_sub(counter.get()));
-    }
-
-    /// Node `idx`'s breaker state (tests and tooling).
-    pub fn breaker_state(&self, idx: usize) -> BreakerState {
-        self.nodes[idx].breaker.state()
-    }
-
-    /// How many times node `idx`'s breaker has tripped open.
-    pub fn breaker_trips(&self, idx: usize) -> u64 {
-        self.nodes[idx].breaker.trips()
-    }
-
     /// The coordinator's retry token budget.
     pub fn retry_budget(&self) -> &RetryBudget {
         &self.retry_budget
-    }
-
-    /// `Some(shed)` when every node's breaker is open: the cluster-wide
-    /// fail-fast, hinting the soonest instant any path lets a probe
-    /// through.
-    fn all_breakers_open(&self) -> Option<Response> {
-        let mut min_retry = u64::MAX;
-        for node in &self.nodes {
-            if node.breaker.state() != BreakerState::Open {
-                return None;
-            }
-            min_retry = min_retry.min(node.breaker.retry_after_micros());
-        }
-        Some(Response::Overloaded {
-            retry_after_micros: min_retry,
-        })
     }
 }
 
 impl Service for Coordinator {
     fn handle(&self, request: Request) -> Response {
-        // When every path is failing fast there is no point scattering:
-        // answer the typed shed with the soonest half-open instant.
-        // Control opcodes still flow — observability must keep working
-        // in the middle of the storm it exists to explain.
-        if OpClass::of(request.opcode()) != OpClass::Control {
-            if let Some(shed) = self.all_breakers_open() {
-                return shed;
-            }
-        }
         match request {
             Request::Ping => Response::Ok,
             Request::Ingest(items) => self
@@ -936,10 +870,9 @@ impl Service for Coordinator {
     }
 
     fn ingest_frame(&self, frame: IngestFrame) -> (Response, Vec<u8>) {
-        let response = self.all_breakers_open().unwrap_or_else(|| {
-            self.forward(&frame)
-                .map_or_else(Into::into, |()| Response::Ok)
-        });
+        let response = self
+            .forward(&frame)
+            .map_or_else(Into::into, |()| Response::Ok);
         (response, frame.into_bytes())
     }
 
@@ -1004,8 +937,8 @@ fn transport_failure<T>(result: &Result<T, ServiceError>) -> bool {
     )
 }
 
-/// A typed shed becomes the typed error, so the breaker and every caller
-/// see one shape for "this leg delivered nothing".
+/// A typed shed becomes the typed error, so every caller sees one shape
+/// for "this leg delivered nothing".
 fn typed_shed(response: Response) -> Result<Response, ServiceError> {
     match response {
         Response::Overloaded { retry_after_micros } => {
@@ -1255,7 +1188,7 @@ mod tests {
                 ..ClientOptions::default()
             })
             .ping_interval(None)
-            .thresholds(1, 1);
+            .dead_after(1);
         (servers, Coordinator::start(cfg).unwrap())
     }
 
@@ -1329,6 +1262,24 @@ mod tests {
             route_frame(&ring, 5, |_| false, |_| Err(shed.clone())),
             Err(shed)
         );
+    }
+
+    #[test]
+    fn every_node_dead_answers_no_live_backend() {
+        // Nothing listens at the address: the first connect kills the node.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let cfg = ClusterConfig::new([addr.to_string()]).ping_interval(None);
+        let coordinator = Coordinator::start(cfg).unwrap();
+        assert_eq!(coordinator.ingest(&[1]), Err(no_live_backend()));
+        assert!(coordinator.nodes[0].health.is_dead());
+        let no_live = Response::from(no_live_backend());
+        for request in [Request::Ingest(vec![2]), Request::Quantile(0.5)] {
+            assert_eq!(coordinator.handle(request), no_live);
+        }
+        assert_eq!(coordinator.node_summary(0), Err(no_live_backend()));
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Per-node health, driven by request outcomes and periodic pings.
 //!
-//! The state machine is deliberately small: `Alive --failure-->
-//! Suspect --more failures--> Dead --success--> Alive`. A node is
-//! *suspect* after `suspect_after` consecutive failures (still routed
-//! to, so one dropped packet does not trigger a rebalance) and *dead*
-//! after `dead_after`, at which point the router walks past its ring
-//! slots. Any success resets the counter and revives the node — rejoin
-//! is just the first successful ping after a restart.
+//! One state per node decides everything the coordinator does with it:
+//! `Alive --failure--> Suspect --more failures--> Dead --success-->
+//! Alive`. *Suspect* only means the node has failed since its last
+//! success; it is still routed to, so one dropped packet does not
+//! trigger a rebalance. After `dead_after` consecutive failures the node
+//! is *dead*: routing walks past its ring slots, gathers skip it and no
+//! retry is spent on it. Only the pinger and an operator rejoin touch a
+//! dead node, and their first success revives it. Any reply at all,
+//! sheds included, is a success: the node answered.
 
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
@@ -17,22 +19,16 @@ use ms_service::NodeState;
 pub struct NodeHealth {
     state: AtomicU8,
     consecutive_failures: AtomicU32,
-    suspect_after: u32,
     dead_after: u32,
 }
 
 impl NodeHealth {
     /// A node starts alive: the coordinator assumes the operator listed
     /// reachable backends and lets the first requests prove otherwise.
-    pub fn new(suspect_after: u32, dead_after: u32) -> NodeHealth {
-        assert!(
-            suspect_after <= dead_after,
-            "suspect threshold above dead threshold"
-        );
+    pub fn new(dead_after: u32) -> NodeHealth {
         NodeHealth {
             state: AtomicU8::new(NodeState::Alive as u8),
             consecutive_failures: AtomicU32::new(0),
-            suspect_after,
             dead_after,
         }
     }
@@ -71,10 +67,8 @@ impl NodeHealth {
         let failures = self.consecutive_failures.fetch_add(1, Ordering::AcqRel) + 1;
         let next = if failures >= self.dead_after {
             NodeState::Dead
-        } else if failures >= self.suspect_after {
-            NodeState::Suspect
         } else {
-            NodeState::Alive
+            NodeState::Suspect
         };
         let prev = self.state.swap(next as u8, Ordering::AcqRel);
         matches!(next, NodeState::Dead) && prev != NodeState::Dead as u8
@@ -96,9 +90,9 @@ mod tests {
 
     #[test]
     fn walks_alive_suspect_dead_and_revives() {
-        let h = NodeHealth::new(1, 3);
+        let h = NodeHealth::new(3);
         assert!(matches!(h.state(), NodeState::Alive));
-        assert!(!h.failure());
+        assert!(!h.failure()); // failed since its last success: suspect
         assert!(matches!(h.state(), NodeState::Suspect));
         assert!(!h.failure());
         assert!(h.failure()); // third failure crosses the death threshold
@@ -111,7 +105,7 @@ mod tests {
 
     #[test]
     fn mark_dead_is_immediate_and_idempotent() {
-        let h = NodeHealth::new(1, 3);
+        let h = NodeHealth::new(3);
         assert!(h.mark_dead());
         assert!(!h.mark_dead());
         assert!(h.is_dead());

@@ -75,7 +75,7 @@ fn cluster_config(addrs: impl IntoIterator<Item = String>) -> ClusterConfig {
             ..ClientOptions::default()
         })
         .ping_interval(None)
-        .thresholds(1, 1)
+        .dead_after(1)
 }
 
 /// Drive `items` through the coordinator in batches of 100. A batch the

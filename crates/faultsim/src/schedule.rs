@@ -1370,7 +1370,6 @@ fn overload_storm(kind: SummaryKind, seed: u64) -> Result<ScheduleReport, String
                         retries: 2,
                         backoff: Duration::from_millis(10),
                         deadline: Some(Duration::from_secs(2)),
-                        ..ClientOptions::default()
                     },
                 )?;
                 let mut acked = Vec::new();

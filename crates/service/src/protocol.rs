@@ -448,9 +448,9 @@ pub enum Response {
     Trace(TraceDumpReport),
     /// The accuracy self-audit ([`Request::AccuracyReport`]).
     Accuracy(AccuracyAudit),
-    /// The request was shed under overload (admission control, an
-    /// expired deadline, or a coordinator whose backends are all
-    /// breaker-open). Distinct from [`Response::Error`] so clients can
+    /// The request was shed under overload (admission control, or an
+    /// expired deadline; a coordinator passes a backend's shed on as it
+    /// came). Distinct from [`Response::Error`] so clients can
     /// back off politely instead of treating the shed as fatal.
     Overloaded {
         /// Suggested client wait before retrying, in microseconds.

@@ -9,7 +9,9 @@
 //! connection. The [`Client`] enforces per-request timeouts and retries
 //! transient failures of idempotent requests with exponential backoff
 //! ([`ClientOptions`]), so a hung server surfaces as a typed
-//! [`ServiceError::Timeout`] rather than a wedged caller.
+//! [`ServiceError::Timeout`] rather than a wedged caller. A client never
+//! replays an ingest: a retried ingest whose first attempt *was* applied
+//! would double-count its batch.
 
 use std::borrow::Borrow;
 use std::io::{self, Write};
@@ -507,26 +509,23 @@ pub struct ClientOptions {
     /// window, the call fails with [`ServiceError::Timeout`].
     pub read_timeout: Duration,
     /// Extra attempts after the first failure (transient failures of
-    /// idempotent requests only, unless `retry_non_idempotent`).
+    /// idempotent requests only: an ingest is never replayed).
     pub retries: u32,
-    /// Backoff before the first retry; doubles on each subsequent one.
+    /// Backoff ceiling before the first retry; doubles on each subsequent
+    /// one. Each retry sleeps a uniform draw from `[0, backoff·2^attempt]`
+    /// (full jitter from a fixed seed).
     pub backoff: Duration,
-    /// Also retry non-idempotent requests ([`Request::Ingest`]). Off by
-    /// default: a retried ingest whose first attempt *was* applied
-    /// double-counts its batch.
-    pub retry_non_idempotent: bool,
     /// End-to-end budget for one logical call. When set, every request
     /// travels in a deadline-bearing envelope (the server sheds it once
     /// the budget is spent) and the retry loop stops sleeping when the
     /// budget runs out — a deadline caps retry wall-time, not just the
     /// individual socket reads.
     pub deadline: Option<Duration>,
-    /// Seed for the full-jitter backoff RNG: each retry sleeps a uniform
-    /// draw from `[0, backoff·2^attempt]` so a fleet of shedding clients
-    /// decorrelates instead of thundering back in lockstep. Same seed,
-    /// same sleep schedule — tests replay deterministically.
-    pub jitter_seed: u64,
 }
+
+/// Seed of every client's full-jitter backoff RNG: one seed, one sleep
+/// schedule, so retries replay deterministically in tests.
+const JITTER_SEED: u64 = 0x5EED_BACC_0FF5;
 
 impl Default for ClientOptions {
     fn default() -> Self {
@@ -535,9 +534,7 @@ impl Default for ClientOptions {
             read_timeout: Duration::from_secs(30),
             retries: 3,
             backoff: Duration::from_millis(25),
-            retry_non_idempotent: false,
             deadline: None,
-            jitter_seed: 0x5EED_BACC_0FF5,
         }
     }
 }
@@ -579,7 +576,7 @@ impl Client {
         }
         let mut client = Client {
             addrs,
-            rng: opts.jitter_seed | 1, // xorshift must not start at 0
+            rng: JITTER_SEED,
             opts,
             stream: None,
             retries_performed: 0,
@@ -719,9 +716,7 @@ impl Client {
                 Ok(response) => return Ok(response),
                 Err(e) => {
                     self.stream = None; // never reuse a connection that failed
-                    let retryable =
-                        e.is_transient() && (idempotent || self.opts.retry_non_idempotent);
-                    if !retryable || attempt >= self.opts.retries {
+                    if !(idempotent && e.is_transient()) || attempt >= self.opts.retries {
                         return Err(e);
                     }
                     // Full jitter: uniform in [0, backoff·2^attempt]. A
@@ -750,7 +745,7 @@ impl Client {
     }
 
     /// One full-jitter draw: uniform in `[0, ceiling]`, from the seeded
-    /// xorshift64 stream (`ClientOptions::jitter_seed`).
+    /// xorshift64 stream seeded from `JITTER_SEED`.
     fn jitter(&mut self, ceiling: Duration) -> Duration {
         self.rng ^= self.rng << 13;
         self.rng ^= self.rng >> 7;

@@ -8,24 +8,30 @@
 //!    the telemetry registry.
 //! 2. A request arriving with its deadline budget already spent is shed
 //!    before dispatch.
-//! 3. A coordinator facing a dead node trips that node's circuit
-//!    breaker within the retry budget, keeps answering partial gathers
-//!    with an explicit `coverage` fraction, and closes the breaker via
-//!    a half-open probe once the node rejoins — breaker windows driven
-//!    by a manual clock, not wall time.
-//! 4. Pressure-driven coarsening holds the sealed-segment count at the
+//! 3. A coordinator facing a silent node marks it dead within the retry
+//!    budget, keeps answering partial gathers with an explicit
+//!    `coverage` fraction without touching it again, and routes to it
+//!    only once an operator rejoin proves it back.
+//! 4. A shed is an answer: it reaches the coordinator's caller typed,
+//!    with the backend's own retry hint, and keeps the node alive.
+//! 5. Pressure-driven coarsening holds the sealed-segment count at the
 //!    watermark while range queries stay within `ε·n` of exact ranks on
 //!    the admitted stream (PODS'12 Definition 1: merging summaries —
 //!    here adjacent segments — does not degrade the bound).
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mergeable_summaries::cluster::{BreakerConfig, BreakerState, ClusterConfig, Coordinator};
-use mergeable_summaries::core::{RankOracle, ServiceError, Summary};
+use mergeable_summaries::cluster::{ClusterConfig, Coordinator};
+use mergeable_summaries::core::wire::FRAME_HEADER_LEN;
+use mergeable_summaries::core::{RankOracle, ServiceError, Summary, WireFrame};
 use mergeable_summaries::service::{
-    plan_fn, Client, ClientOptions, Engine, FaultAction, ManualClock, OverloadConfig, Request,
-    RequestEnvelope, Response, SegmentConfig, Server, ServiceConfig, SummaryKind, TraceContext,
+    plan_fn, Client, ClientOptions, Engine, FaultAction, ManualClock, NodeState, OverloadConfig,
+    Request, RequestEnvelope, Response, SegmentConfig, Server, ServiceConfig, SummaryKind,
+    TraceContext, RESPONSE_TAG,
 };
 use mergeable_summaries::workloads::StreamKind;
 
@@ -192,20 +198,20 @@ fn backend(kind: SummaryKind) -> (Arc<Engine>, Server) {
     (engine, server)
 }
 
-/// Breaker lifecycle against a *slow* node — a listener that accepts
-/// (via the kernel backlog) but never answers, so every request times
-/// out. Closed → open on consecutive timeouts (the retry drawn from the
-/// budget), partial gathers with explicit coverage while open, a failed
-/// half-open probe re-trips, and an operator rejoin resets. The open
-/// window runs on a manual clock; the only real time spent is the
-/// client's read timeout on the dark socket — there is no sleep
-/// anywhere.
+/// Health lifecycle against a *slow* node — a listener that accepts (via
+/// the kernel backlog) but never answers, so every request times out. A
+/// timeout makes the node suspect, the retry drawn from the budget times
+/// out too and makes it dead; gathers then report partial coverage
+/// without touching it, a rejoin against the still-dark listener fails,
+/// and a rejoin against a real node restores it. The only real time spent
+/// is the client's read timeout on the dark socket — there is no sleep
+/// anywhere. The name keeps "breaker": the node's health state is what
+/// opens (goes dead) and closes (rejoins) here.
 #[test]
 fn breaker_opens_on_slow_node_and_partial_gathers_report_coverage() {
-    let clock = Arc::new(ManualClock::new(0));
     let nodes: Vec<_> = (0..2).map(|_| backend(SummaryKind::Mg)).collect();
     // Node 2 is dark: connects land in the accept backlog, reads hang.
-    let dark = std::net::TcpListener::bind("127.0.0.1:0").expect("dark listener");
+    let dark = TcpListener::bind("127.0.0.1:0").expect("dark listener");
     let mut addrs: Vec<String> = nodes
         .iter()
         .map(|(_, s)| s.local_addr().to_string())
@@ -221,24 +227,15 @@ fn breaker_opens_on_slow_node_and_partial_gathers_report_coverage() {
                 ..ClientOptions::default()
             })
             .ping_interval(None)
-            // Keep membership out of the picture: timeouts only count
-            // toward suspect/dead via these thresholds, set far above
-            // anything this test generates, so every fail-fast below is
-            // the breaker's decision, not the ring's.
-            .thresholds(100, 200)
-            .breaker(BreakerConfig {
-                failure_threshold: 2,
-                open_micros: 1_000_000,
-                half_open_successes: 1,
-            })
-            .retry_budget(10, 1_000)
-            .clock(Arc::clone(&clock) as Arc<dyn mergeable_summaries::service::CubeClock>),
+            .dead_after(2)
+            .retry_budget(10, 1_000),
     )
     .expect("coordinator");
+    let node2 = || coordinator.cluster_info().nodes[2].clone();
 
-    // First gather: the dark leg times out, the budget grants one retry,
-    // it times out too — `failure_threshold` consecutive failures, the
-    // breaker trips. The survivors still answer: partial gather with an
+    // First gather: the dark leg times out (suspect), the budget grants
+    // one retry, it times out too — two consecutive failures, the node
+    // is dead. The survivors still answer: partial gather with an
     // explicit coverage fraction, not an error.
     let report = coordinator.gather().expect("partial gather");
     assert_eq!(report.answered, 2, "two live nodes answer");
@@ -247,42 +244,31 @@ fn breaker_opens_on_slow_node_and_partial_gathers_report_coverage() {
         "coverage must report the dark third, got {}",
         report.coverage
     );
-    assert_eq!(coordinator.breaker_state(2), BreakerState::Open);
-    assert_eq!(coordinator.breaker_trips(2), 1);
-    assert!(
-        coordinator.retry_budget().withdrawn() >= 1,
-        "the timeout retry must draw from the budget"
-    );
+    assert_eq!(node2().state, NodeState::Dead);
+    assert_eq!(node2().failures, 2, "the first attempt and its retry");
+    assert_eq!(coordinator.retry_budget().withdrawn(), 1);
     assert!(
         coordinator.retry_budget().tokens() > 0,
-        "the breaker must open long before the budget drains"
+        "the node must die long before the budget drains"
     );
 
-    // While open, the leg fails fast: same partial coverage, no socket
-    // touched, no new trip.
-    let fast = coordinator.gather().expect("gather while open");
-    assert_eq!(fast.answered, 2);
-    assert_eq!(coordinator.breaker_trips(2), 1, "fail-fast is not a trip");
+    // A dead node is left out: same partial coverage, no socket touched.
+    let skipped = coordinator.gather().expect("gather around the dead node");
+    assert_eq!((skipped.answered, skipped.fanout), (2, 2));
+    assert_eq!(node2().failures, 2, "a gather never touches a dead node");
 
-    // Advance past the open window while the node is still dark: the
-    // next leg is the half-open probe, it times out, and the breaker
-    // reopens with a fresh window — the automatic path never trusts a
-    // node that has not proven itself.
-    clock.advance(1_000_001);
-    let probed = coordinator.gather().expect("gather around failed probe");
-    assert_eq!(probed.answered, 2, "failed probe keeps the leg dark");
-    assert_eq!(coordinator.breaker_state(2), BreakerState::Open);
-    assert_eq!(coordinator.breaker_trips(2), 2, "probe failure re-trips");
+    // Only the pinger or a rejoin touches a dead node. A rejoin against
+    // the still-dark listener times out, and the node stays dead.
+    assert!(coordinator.rejoin(2, None).is_err(), "dark node rejoined");
+    assert_eq!(node2().state, NodeState::Dead);
 
-    // Replace the dark node with a real one and rejoin it. Rejoin is
-    // the operator asserting recovery: its ping bypasses the fail-fast
-    // and a success resets the breaker outright — no window to wait
-    // out.
+    // Replace the dark node with a real one and rejoin it: the ping
+    // succeeds and the node is alive at once.
     drop(dark);
     let (replacement_engine, replacement) = backend(SummaryKind::Mg);
     let new_addr = replacement.local_addr().to_string();
     coordinator.rejoin(2, Some(&new_addr)).expect("rejoin");
-    assert_eq!(coordinator.breaker_state(2), BreakerState::Closed);
+    assert_eq!(node2().state, NodeState::Alive);
 
     // Full service restored: ingest spreads over all three nodes and a
     // gather covers every slot again.
@@ -295,9 +281,59 @@ fn breaker_opens_on_slow_node_and_partial_gathers_report_coverage() {
     assert!((healed.coverage - 1.0).abs() < 1e-9);
     let merged = healed.summary.expect("merged summary");
     assert_eq!(merged.total_weight(), 3_000);
-    assert_eq!(coordinator.breaker_state(2), BreakerState::Closed);
+    assert_eq!(node2().state, NodeState::Alive);
     drop(replacement_engine);
     coordinator.shutdown();
+}
+
+/// A scripted backend: it takes one connection and answers every frame
+/// on it with the same typed shed, whatever the frame asked, until the
+/// peer hangs up.
+fn shedding_backend(retry_after_micros: u64) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("scripted backend");
+    let addr = listener.local_addr().expect("scripted addr");
+    let shed = WireFrame::from_value(RESPONSE_TAG, &Response::Overloaded { retry_after_micros })
+        .to_bytes();
+    let server = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("coordinator connects");
+        let mut header = [0u8; FRAME_HEADER_LEN];
+        while conn.read_exact(&mut header).is_ok() {
+            let len = u32::from_le_bytes(header[5..].try_into().expect("4 bytes"));
+            let mut payload = vec![0u8; len as usize];
+            if conn.read_exact(&mut payload).is_err() || conn.write_all(&shed).is_err() {
+                return;
+            }
+        }
+    });
+    (addr, server)
+}
+
+/// A shed proves the node alive: every ingest against a backend that
+/// sheds everything reaches the caller as that backend's own typed shed,
+/// and the node never leaves `Alive` — however many sheds in a row.
+#[test]
+fn backend_sheds_reach_the_caller_typed_and_keep_the_node_alive() {
+    let (addr, backend) = shedding_backend(777);
+    let coordinator = Coordinator::start(
+        ClusterConfig::new([addr.to_string()])
+            .client_options(fast_options())
+            .ping_interval(None),
+    )
+    .expect("coordinator");
+    for call in 0..5 {
+        assert_eq!(
+            coordinator.ingest(&[1, 2, 3]),
+            Err(ServiceError::Overloaded {
+                retry_after_micros: 777
+            }),
+            "ingest {call}"
+        );
+        let node = &coordinator.cluster_info().nodes[0];
+        assert_eq!(node.state, NodeState::Alive, "ingest {call}");
+    }
+    // Dropping the coordinator hangs up on the backend, which then ends.
+    drop(coordinator);
+    backend.join().expect("scripted backend");
 }
 
 /// Coarsening under segment pressure: with `seal_batches(1)` every batch

@@ -63,5 +63,5 @@ pub fn cluster_config(addrs: impl IntoIterator<Item = String>) -> ClusterConfig 
             ..ClientOptions::default()
         })
         .ping_interval(None)
-        .thresholds(1, 1)
+        .dead_after(1)
 }
