@@ -869,11 +869,9 @@ impl Service for Coordinator {
         }
     }
 
-    fn ingest_frame(&self, frame: IngestFrame) -> (Response, Vec<u8>) {
-        let response = self
-            .forward(&frame)
-            .map_or_else(Into::into, |()| Response::Ok);
-        (response, frame.into_bytes())
+    fn ingest_frame(&self, frame: &IngestFrame) -> Response {
+        self.forward(frame)
+            .map_or_else(Into::into, |()| Response::Ok)
     }
 
     fn telemetry(&self) -> &Arc<EngineTelemetry> {

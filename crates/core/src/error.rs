@@ -95,10 +95,6 @@ impl std::error::Error for MergeError {}
 pub enum ServiceError {
     /// The engine has been shut down; no further ingest or flush possible.
     Shutdown,
-    /// Every ingest shard is dead and respawn is disabled or failing.
-    AllShardsLost,
-    /// A non-blocking ingest found the target queue full (backpressure).
-    Backpressure,
     /// The configuration failed validation.
     Config(&'static str),
     /// An OS-level failure (spawn, bind, socket I/O). The kind is preserved
@@ -136,7 +132,6 @@ impl ServiceError {
             self,
             ServiceError::Io { .. }
                 | ServiceError::Timeout { .. }
-                | ServiceError::Backpressure
                 | ServiceError::Overloaded { .. }
         )
     }
@@ -146,8 +141,6 @@ impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServiceError::Shutdown => write!(f, "engine is shut down"),
-            ServiceError::AllShardsLost => write!(f, "all ingest shards are dead"),
-            ServiceError::Backpressure => write!(f, "shard queue full (backpressure)"),
             ServiceError::Config(why) => write!(f, "invalid configuration: {why}"),
             ServiceError::Io { kind, detail } => write!(f, "i/o failure ({kind:?}): {detail}"),
             ServiceError::Wire(e) => write!(f, "wire failure: {e}"),
@@ -252,13 +245,15 @@ mod tests {
     #[test]
     fn service_error_transience() {
         assert!(ServiceError::Timeout { millis: 10 }.is_transient());
-        assert!(ServiceError::Backpressure.is_transient());
+        assert!(ServiceError::Overloaded {
+            retry_after_micros: 1
+        }
+        .is_transient());
         assert!(
             ServiceError::from(io::Error::new(io::ErrorKind::ConnectionReset, "rst"))
                 .is_transient()
         );
         assert!(!ServiceError::Shutdown.is_transient());
-        assert!(!ServiceError::AllShardsLost.is_transient());
         assert!(!ServiceError::Wire(WireError::Truncated).is_transient());
         assert!(!ServiceError::Protocol("nope".into()).is_transient());
     }
@@ -279,7 +274,7 @@ mod tests {
         assert!(ServiceError::Timeout { millis: 250 }
             .to_string()
             .contains("250ms"));
-        let boxed: Box<dyn std::error::Error> = Box::new(ServiceError::AllShardsLost);
-        assert!(boxed.to_string().contains("shards"));
+        let boxed: Box<dyn std::error::Error> = Box::new(ServiceError::Shutdown);
+        assert!(boxed.to_string().contains("shut down"));
     }
 }

@@ -1,11 +1,11 @@
 //! Recycling pool for reusable `Vec` buffers.
 //!
-//! The aggregation service moves one `Vec<u8>` frame per ingest batch from
-//! the socket through a shard queue to a worker thread, which is done with
-//! it once the items are decoded. At steady state that is one heap
-//! allocation and one deallocation per batch for a buffer whose capacity
-//! hardly changes. [`BufferPool`] removes both: workers return spent buffers
-//! with [`BufferPool::put`] and callers fetch them back with
+//! The aggregation service decodes every ingest batch into a `Vec<u64>`
+//! and copies every durable one into a WAL record `Vec<u8>`, each done
+//! with once the batch is absorbed or logged. At steady state that is one
+//! heap allocation and one deallocation per batch for a buffer whose
+//! capacity hardly changes. [`BufferPool`] removes both: spent buffers go
+//! back with [`BufferPool::put`] and callers fetch them again with
 //! [`BufferPool::get`], so the same handful of allocations circulate for
 //! the life of the engine.
 //!

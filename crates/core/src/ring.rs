@@ -1,8 +1,9 @@
-//! Bounded queue for the shard ingest path.
+//! A bounded, lossless, ordered queue with an explicit lifecycle.
 //!
-//! [`Ring`] replaces `std::sync::mpsc::sync_channel` on the engine's
-//! per-shard queues. It is one mutex around a `VecDeque` plus two
-//! condvars. Every operation moves a whole batch, so one uncontended lock
+//! The engine no longer queues batches: the thread that receives a batch
+//! absorbs it. [`Ring`]'s only user is the stage ledger's `ring.push_pop`
+//! probe, whose pinned signature keeps it until that row goes too. It is
+//! one mutex around a `VecDeque` plus two condvars. Every operation moves a whole batch, so one uncontended lock
 //! per push and per pop is a small, amortized cost, and because push, pop
 //! and the lifecycle changes all serialize on that one lock, none of them
 //! can observe another half-done. The queue only has to be lossless and
@@ -13,8 +14,7 @@
 //! count says someone sleeps (std's `notify_one` always makes a syscall),
 //! after releasing the guard so the woken thread does not block on it.
 //!
-//! Unlike a channel, a ring has an explicit lifecycle, which is what the
-//! engine's failure model needs:
+//! Unlike a channel, a ring has an explicit lifecycle:
 //!
 //! * **Open** — normal operation.
 //! * **Draining** ([`Ring::close`]) — shutdown: producers are refused,
@@ -22,10 +22,8 @@
 //!   push that returned `Ok` landed before the close, so clean shutdown is
 //!   lossless.
 //! * **Dead** ([`Ring::mark_dead`]) — the consumer died. Producers are
-//!   refused so they can reroute, but queued items are *retained*: a
-//!   respawned worker calls [`Ring::revive`] and picks up exactly where
-//!   its predecessor stopped, so batches that were acked into the queue
-//!   survive a worker death instead of being dropped with the channel.
+//!   refused, but queued items are *retained*: a successor consumer calls
+//!   [`Ring::revive`] and picks up exactly where its predecessor stopped.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};

@@ -268,8 +268,8 @@ pub fn encode_u64_slice_into(out: &mut Vec<u8>, items: &[u64]) {
 }
 
 /// Decode what [`encode_u64_slice_into`] wrote, appending the items to a
-/// caller-owned buffer — a shard worker fills its own scratch with this
-/// instead of allocating a `Vec` per frame. The length prefix is checked
+/// caller-owned buffer — the thread that received a frame fills a pooled
+/// buffer with this instead of allocating a `Vec` per frame. The length prefix is checked
 /// against what is physically left before anything is reserved.
 ///
 /// A word at a time: every clear stop bit in the eight bytes at the

@@ -25,7 +25,7 @@
 //!
 //! Everything is reproducible from a printed u64 seed:
 //!
-//! * [`SeededPlan`] decides worker death / stall / compactor delay as a
+//! * [`SeededPlan`] decides absorb failure / stall / compactor delay as a
 //!   pure function of `(seed, shard, batch index)`;
 //! * [`Corruption`] damages wire frames with a seeded [`ms_core::Rng64`];
 //! * seeded indices place checkpoints, crash points, truncation cuts and

@@ -22,11 +22,11 @@ fn mix(seed: u64, shard: u64, index: u64) -> u64 {
 
 /// A deterministic injection schedule derived from a u64 seed.
 ///
-/// Faults are decided per `(shard, cumulative batch index)`:
+/// Faults are decided per `(shard, batch index)`:
 ///
-/// * **death**: with `death_period = p > 0`, each shard dies at batch
-///   indices congruent to a seed-derived offset mod `p` — guaranteed to
-///   fire once a shard has processed `p` batches, across respawns.
+/// * **death**: with `death_period = p > 0`, each shard's absorb fails at
+///   batch indices congruent to a seed-derived offset mod `p` — guaranteed
+///   to fire once a shard has been given `p` batches.
 /// * **stall**: with probability `stall_per_10k / 10_000`, a batch is
 ///   delayed by `stall_ms` before being absorbed.
 /// * **compactor stall**: every `compactor_period`-th delta merge sleeps
@@ -41,9 +41,9 @@ pub struct SeededPlan {
     stall_ms: u64,
     compactor_period: u64,
     compactor_stall_ms: u64,
-    /// Worker deaths injected so far.
+    /// Absorb failures injected so far.
     pub deaths: AtomicU64,
-    /// Worker stalls injected so far.
+    /// Absorb stalls injected so far.
     pub stalls: AtomicU64,
     /// Compactor stalls injected so far.
     pub compactor_stalls: AtomicU64,
@@ -99,7 +99,7 @@ impl SeededPlan {
 }
 
 impl FaultPlan for SeededPlan {
-    fn worker_batch(&self, shard: usize, batch_index: u64) -> FaultAction {
+    fn absorb_batch(&self, shard: usize, batch_index: u64) -> FaultAction {
         let action = self.decide(shard, batch_index);
         match action {
             FaultAction::Die => {
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn counters_track_injections() {
         let plan = SeededPlan::new(9).stall(10_000, 3);
-        assert_eq!(plan.worker_batch(0, 0), FaultAction::StallMs(3));
+        assert_eq!(plan.absorb_batch(0, 0), FaultAction::StallMs(3));
         assert_eq!(plan.stalls.load(Ordering::Relaxed), 1);
         assert_eq!(plan.compactor_merge(5), 0);
         let stalling = SeededPlan::new(9).compactor_stall_every(2, 4);

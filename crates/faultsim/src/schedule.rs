@@ -7,8 +7,8 @@
 //!
 //! A schedule tracks `accepted`: the total weight of batches the engine
 //! (or server) *acknowledged*. Faults may destroy some of that weight —
-//! a dying worker takes its un-handed-off delta and queued batches with
-//! it — leaving `surviving = snapshot.total_weight() ≤ accepted`. The
+//! a failed absorb takes its shard's un-handed-off delta with it —
+//! leaving `surviving = snapshot.total_weight() ≤ accepted`. The
 //! surviving multiset `S` is a sub-multiset of the accepted stream `O`
 //! with `|O| − |S| = lost`, so for every item/rank query
 //!
@@ -18,15 +18,14 @@
 //! ```
 //!
 //! The first term is the mergeability theorem applied to the surviving
-//! data (worker deltas merge in an arbitrary tree; a crashed shard only
-//! prunes branches, which Definition 1 explicitly allows); the second is
+//! data (shard deltas merge in an arbitrary tree; a lost delta only
+//! prunes a branch, which Definition 1 explicitly allows); the second is
 //! the worst case of the missing weight all hitting one query. Requests
 //! that were sent but never acknowledged (a client that vanished before
 //! reading its response) may or may not have been applied, so their
 //! weight `unacked` widens the slack the same way. Fault classes that
-//! lose nothing (`backpressure` drops are *rejected*, not accepted;
-//! corrupt frames are never acked) run with `slack = 0` — the strict
-//! paper bound.
+//! lose nothing (sheds are *rejected*, not accepted; corrupt frames are
+//! never acked) run with `slack = 0` — the strict paper bound.
 //!
 //! ## The durability classes
 //!
@@ -65,22 +64,20 @@ use crate::transport::{partial_prefix, Corruption};
 /// Summary error parameter every schedule runs at.
 pub const EPS: f64 = 0.02;
 
-/// The sixteen injected failure modes: twelve in-process/wire classes and
+/// The fifteen injected failure modes: eleven in-process/wire classes and
 /// four whole-node cluster classes (see [`crate::cluster`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
-    /// Worker threads die mid-stream and are respawned.
+    /// Shard absorbs fail mid-stream, each losing its shard's delta.
     ShardDeath,
-    /// Shard deaths force reroutes while the recycling buffer pool is
-    /// starved, so every batch takes the allocation fallback path.
+    /// Shard absorbs fail while the recycling buffer pool is starved, so
+    /// every batch takes the allocation fallback path.
     PoolStarve,
-    /// Bounded queues saturate; `try_ingest` sheds load.
-    Backpressure,
     /// Truncated and bit-flipped frames arrive over TCP.
     CorruptFrames,
     /// Clients push partial frames and vanish mid-write.
     PartialWrites,
-    /// The compactor lags behind the workers.
+    /// The compactor lags behind the shards' hand-offs.
     CompactorDelay,
     /// Clients disconnect mid-epoch without flushing.
     ClientDisconnect,
@@ -112,7 +109,7 @@ pub enum FaultClass {
     /// crash point must stay within ε·(covered weight).
     SegmentCrash,
     /// A seeded ingest flood storms a deliberately small server (slow
-    /// workers, shallow queues, tight watermarks). The server must shed
+    /// absorbs, a shallow pressure depth, tight watermarks). The server must shed
     /// with typed `Overloaded` answers, never wedge, and never lose a
     /// byte of acked weight — the strict zero-slack bound applies to
     /// the admitted stream.
@@ -121,11 +118,10 @@ pub enum FaultClass {
 
 impl FaultClass {
     /// All classes, in a stable order.
-    pub fn all() -> [FaultClass; 16] {
+    pub fn all() -> [FaultClass; 15] {
         [
             FaultClass::ShardDeath,
             FaultClass::PoolStarve,
-            FaultClass::Backpressure,
             FaultClass::CorruptFrames,
             FaultClass::PartialWrites,
             FaultClass::CompactorDelay,
@@ -147,7 +143,6 @@ impl FaultClass {
         match self {
             FaultClass::ShardDeath => "shard-death",
             FaultClass::PoolStarve => "pool-starve",
-            FaultClass::Backpressure => "backpressure",
             FaultClass::CorruptFrames => "corrupt-frames",
             FaultClass::PartialWrites => "partial-writes",
             FaultClass::CompactorDelay => "compactor-delay",
@@ -205,7 +200,7 @@ impl fmt::Display for ScheduleReport {
         write!(
             f,
             "{:<17} {:<15} seed=0x{:X} accepted={} surviving={} slack={} \
-             lost_shards={} rejected_frames={} retries={} dropped={}",
+             lost_shards={} rejected_frames={}",
             self.class.label(),
             self.kind.label(),
             self.seed,
@@ -214,8 +209,6 @@ impl fmt::Display for ScheduleReport {
             self.slack,
             self.metrics.shards_lost,
             self.metrics.frames_rejected,
-            self.metrics.retries,
-            self.metrics.dropped,
         )?;
         if let Some(c) = &self.point_check {
             write!(f, " point_err={:.1}/{:.1}", c.stats.max, c.bound)?;
@@ -440,7 +433,6 @@ pub fn run_schedule(
     match class {
         FaultClass::ShardDeath => shard_death(kind, seed),
         FaultClass::PoolStarve => pool_starve(kind, seed),
-        FaultClass::Backpressure => backpressure(kind, seed),
         FaultClass::CorruptFrames => corrupt_frames(kind, seed),
         FaultClass::PartialWrites => partial_writes(kind, seed),
         FaultClass::CompactorDelay => compactor_delay(kind, seed),
@@ -457,15 +449,14 @@ pub fn run_schedule(
     }
 }
 
-/// Class 1: worker threads die and respawn. Every batch is still
-/// acknowledged (rerouted to a surviving shard); the loss is whatever the
-/// dead incarnations held, and the bound absorbs it as slack.
+/// Class 1: shard absorbs fail. Every batch is still acknowledged; the
+/// loss is whatever each failed shard's delta held plus the batch in hand,
+/// and the bound absorbs it as slack.
 fn shard_death(kind: SummaryKind, seed: u64) -> Result<ScheduleReport, String> {
     let mut h = Harness::new(FaultClass::ShardDeath, kind, seed);
     let plan = Arc::new(SeededPlan::new(seed).death_every(40));
     let cfg = base_config(kind, seed)
         .shards(4)
-        .queue_depth(4)
         .delta_updates(256)
         .fault_plan(Arc::clone(&plan) as Arc<dyn ms_service::FaultPlan>);
     let engine = Engine::start(cfg).map_err(|e| h.fail(e))?;
@@ -479,23 +470,19 @@ fn shard_death(kind: SummaryKind, seed: u64) -> Result<ScheduleReport, String> {
     if metrics.shards_lost == 0 || plan.deaths.load(Ordering::Relaxed) == 0 {
         return Err(h.fail("no shard death was ever triggered"));
     }
-    if metrics.retries == 0 {
-        return Err(h.fail("no batch was ever rerouted off a dead shard"));
-    }
     h.finish(&snap.summary, metrics)
 }
 
-/// Class 1b: reroute while the pool is starved. A zero-slot buffer pool
-/// forces every ingest onto the allocation-fallback path (each get a
-/// counted miss, never an error) at the same time as seeded shard deaths
-/// force reroutes — the two degraded paths compose without violating the
+/// Class 1b: shard losses while the pool is starved. A zero-slot buffer
+/// pool forces every ingest onto the allocation-fallback path (each get a
+/// counted miss, never an error) at the same time as seeded failed absorbs
+/// lose deltas — the two degraded paths compose without violating the
 /// loss-slack bound.
 fn pool_starve(kind: SummaryKind, seed: u64) -> Result<ScheduleReport, String> {
     let mut h = Harness::new(FaultClass::PoolStarve, kind, seed);
     let plan = Arc::new(SeededPlan::new(seed).death_every(40));
     let cfg = base_config(kind, seed)
         .shards(4)
-        .queue_depth(4)
         .delta_updates(256)
         .pool_buffers(0)
         .fault_plan(Arc::clone(&plan) as Arc<dyn ms_service::FaultPlan>);
@@ -518,51 +505,6 @@ fn pool_starve(kind: SummaryKind, seed: u64) -> Result<ScheduleReport, String> {
     }
     if metrics.shards_lost == 0 || plan.deaths.load(Ordering::Relaxed) == 0 {
         return Err(h.fail("no shard death was ever triggered"));
-    }
-    if metrics.retries == 0 {
-        return Err(h.fail("no batch was ever rerouted off a dead shard"));
-    }
-    h.finish(&snap.summary, metrics)
-}
-
-/// Class 2: queues saturate. `try_ingest` sheds batches under a stalling
-/// worker; shed batches were never accepted, so the strict `ε·n` bound
-/// applies to what was.
-fn backpressure(kind: SummaryKind, seed: u64) -> Result<ScheduleReport, String> {
-    let mut h = Harness::new(FaultClass::Backpressure, kind, seed);
-    let plan = Arc::new(SeededPlan::new(seed).stall(10_000, 1));
-    let cfg = base_config(kind, seed)
-        .shards(1)
-        .queue_depth(1)
-        .delta_updates(256)
-        .fault_plan(Arc::clone(&plan) as Arc<dyn ms_service::FaultPlan>);
-    let engine = Engine::start(cfg).map_err(|e| h.fail(e))?;
-    h.attach(&engine);
-    for batch in stream(20_000, seed).chunks(100) {
-        match engine.try_ingest(batch.to_vec()) {
-            Ok(()) => h.accepted.extend_from_slice(batch),
-            Err(ServiceError::Backpressure) => {
-                // Shed. Brief pause so the stalled worker makes progress
-                // and later batches have a chance.
-                std::thread::sleep(Duration::from_micros(300));
-            }
-            Err(other) => return Err(h.fail(other)),
-        }
-    }
-    let snap = engine.shutdown();
-    let metrics = engine.metrics();
-    if metrics.dropped == 0 {
-        return Err(h.fail("queues never saturated"));
-    }
-    if h.accepted.is_empty() {
-        return Err(h.fail("backpressure rejected everything"));
-    }
-    if snap.summary.total_weight() != h.accepted.len() as u64 {
-        return Err(h.fail(format!(
-            "accepted {} but snapshot holds {} — shedding must not lose accepted data",
-            h.accepted.len(),
-            snap.summary.total_weight()
-        )));
     }
     h.finish(&snap.summary, metrics)
 }
@@ -1333,8 +1275,9 @@ fn segment_crash(kind: SummaryKind, seed: u64) -> Result<ScheduleReport, String>
 /// the strict zero-slack `ε·n` bound.
 fn overload_storm(kind: SummaryKind, seed: u64) -> Result<ScheduleReport, String> {
     let mut h = Harness::new(FaultClass::OverloadStorm, kind, seed);
-    // The slow node: a quarter of all batches stall 1ms, so the shallow
-    // queue backs up and the pressure signal crosses the watermarks —
+    // The slow node: a quarter of all batches stall 1ms inside the one
+    // shard's absorb, so the ingests waiting behind it push the pressure
+    // signal across the watermarks —
     // but drains often enough that a real admitted stream accumulates.
     let plan = Arc::new(SeededPlan::new(seed).stall(2_500, 1));
     let overload = OverloadConfig::default()
@@ -1479,8 +1422,8 @@ mod tests {
     /// failed) still formats a plain failure message.
     #[test]
     fn unattached_harness_fails_without_dump() {
-        let h = Harness::new(FaultClass::Backpressure, SummaryKind::CountMin, 7);
+        let h = Harness::new(FaultClass::CompactorDelay, SummaryKind::CountMin, 7);
         let msg = h.fail("boom");
-        assert_eq!(msg, "[backpressure count-min seed=0x7] boom");
+        assert_eq!(msg, "[compactor-delay count-min seed=0x7] boom");
     }
 }

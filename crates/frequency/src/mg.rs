@@ -61,6 +61,10 @@ use crate::table::Counters;
 /// assert!(merged.estimate(&"x") <= 4);
 /// assert!(merged.error_bound() <= 6.0 * 0.1);
 /// ```
+/// The most counters [`MgSummary::new`] reserves room for up front; a
+/// larger table (ε below about 1/65536) grows as counters arrive.
+const PRESIZED_COUNTERS: usize = 1 << 16;
+
 #[derive(Debug, Clone)]
 pub struct MgSummary<I> {
     k: usize,
@@ -178,7 +182,9 @@ impl<I> MgSummary<I> {
 }
 
 impl<I: Eq + Hash + Clone> MgSummary<I> {
-    /// Create a summary with capacity `k ≥ 1` counters.
+    /// Create a summary with capacity `k ≥ 1` counters. Its counter table
+    /// is sized for `k` entries (up to 65,536) up front, so updates into a
+    /// fresh summary do not allocate.
     ///
     /// # Panics
     ///
@@ -187,7 +193,7 @@ impl<I: Eq + Hash + Clone> MgSummary<I> {
         assert!(k >= 1, "MgSummary needs at least one counter");
         MgSummary {
             k,
-            counters: Counters::default(),
+            counters: Counters::with_capacity(k.min(PRESIZED_COUNTERS)),
             n: 0,
             scratch: Vec::new(),
         }

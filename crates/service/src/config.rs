@@ -267,20 +267,21 @@ impl SegmentConfig {
 /// Sizing and summary parameters for an [`crate::Engine`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Ingest worker threads, each owning a thread-local delta summary.
+    /// Ingest shards: delta summaries that ingesting threads absorb into
+    /// round-robin, each under its own lock.
     pub shards: usize,
-    /// Bounded depth of each worker's batch queue; a full queue blocks
-    /// [`crate::Engine::ingest`] (backpressure) and fails
-    /// [`crate::Engine::try_ingest`] (drop accounting).
+    /// Batches waiting for or inside one shard's absorb that count as
+    /// full queue pressure for the overload plane's watermarks (see
+    /// [`crate::Admission::pressure`]). Nothing blocks or drops at it.
     pub queue_depth: usize,
-    /// Updates a worker absorbs into its delta before handing it to the
-    /// compactor and starting a fresh one.
+    /// Updates a shard absorbs into its delta before handing it to the
+    /// compactor and starting on a spare.
     pub delta_updates: usize,
-    /// Slots in the engine's recycling buffer pools, split across the
-    /// shards. Workers return each decoded frame's `Vec<u8>` here and the
-    /// next ingest draws it back out, so a steady-state ingest loop
-    /// allocates nothing. `0` disables recycling (every batch allocates
-    /// fresh).
+    /// Slots in the engine's recycling buffer pools: the item buffers
+    /// ingests decode into (at most 8 of them) and the WAL's record
+    /// buffers. A steady-state ingest loop draws every buffer back out of
+    /// them and allocates nothing. `0` disables recycling (every batch
+    /// allocates fresh).
     pub pool_buffers: usize,
     /// Which summary family to maintain.
     pub kind: SummaryKind,
@@ -289,12 +290,8 @@ pub struct ServiceConfig {
     /// Base RNG / hash seed. Linear sketches must share it across shards;
     /// randomized quantile summaries fork it per shard.
     pub seed: u64,
-    /// Respawn a worker whose thread died (fault injection or a panic in a
-    /// summary). The respawned worker starts with a fresh, empty delta; the
-    /// dead worker's un-handed-off delta is lost, which mergeability makes
-    /// safe — see DESIGN.md §Failure model.
-    pub respawn_lost_shards: bool,
-    /// Fault-injection schedule consulted by workers and the compactor.
+    /// Fault-injection schedule consulted by shard absorbs and the
+    /// compactor.
     /// [`NoFaults`] in production.
     pub fault_plan: Arc<dyn FaultPlan>,
     /// Record latency histograms, gauges and flight-recorder traces
@@ -330,7 +327,6 @@ impl ServiceConfig {
             kind,
             epsilon,
             seed: 0x5E1F,
-            respawn_lost_shards: true,
             fault_plan: Arc::new(NoFaults),
             telemetry: true,
             audit: false,
@@ -346,13 +342,13 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the per-worker queue depth.
+    /// Set the per-shard pressure depth.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self
     }
 
-    /// Set the per-worker delta hand-off threshold.
+    /// Set the per-shard delta hand-off threshold.
     pub fn delta_updates(mut self, updates: usize) -> Self {
         self.delta_updates = updates;
         self
@@ -367,12 +363,6 @@ impl ServiceConfig {
     /// Set the base seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enable or disable respawning of dead worker shards.
-    pub fn respawn_lost_shards(mut self, respawn: bool) -> Self {
-        self.respawn_lost_shards = respawn;
         self
     }
 
@@ -520,12 +510,9 @@ mod tests {
     #[test]
     fn fault_plan_defaults_to_no_faults() {
         let cfg = ServiceConfig::new(SummaryKind::Mg, 0.01);
-        assert!(cfg.respawn_lost_shards);
         assert_eq!(
-            cfg.fault_plan.worker_batch(0, 0),
+            cfg.fault_plan.absorb_batch(0, 0),
             crate::fault::FaultAction::Continue
         );
-        let off = cfg.respawn_lost_shards(false);
-        assert!(!off.respawn_lost_shards);
     }
 }

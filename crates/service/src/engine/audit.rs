@@ -1,5 +1,5 @@
-//! The accuracy self-audit: ground truth the workers fill as they absorb
-//! batches, and the comparison of the published summary against it. No
+//! The accuracy self-audit: ground truth the shard absorbs fill as they
+//! absorb batches, and the comparison of the published summary against it. No
 //! ledger row times this stage; it is off unless [`ServiceConfig::audit`]
 //! is set, and then costs one lock round per absorbed batch.
 
@@ -20,8 +20,8 @@ const AUDIT_RESERVOIR: usize = 4096;
 /// audited set is adversary- and distribution-independent.
 const AUDIT_SAMPLE_MASK: u64 = 0xF;
 
-/// Ground truth for the accuracy self-audit, filled by workers as they
-/// absorb batches.
+/// Ground truth for the accuracy self-audit, filled as shards absorb
+/// batches.
 struct AuditState {
     /// Seeded uniform sample of raw items (quantile audits).
     reservoir: Reservoir,
@@ -33,10 +33,10 @@ struct AuditState {
 
 /// The engine's audit plane: `None` inside unless [`ServiceConfig::audit`]
 /// is set, so the default ingest path pays one branch per *batch* and
-/// nothing per item. Workers call [`AuditPlane::observe`] on every batch
-/// they absorb — observing at absorption (not admission) keeps the
-/// ground truth aligned with what the summary actually saw: dropped and
-/// rerouted batches never reach either.
+/// nothing per item. Every absorb that succeeds calls
+/// [`AuditPlane::observe`] — observing at absorption (not admission)
+/// keeps the ground truth aligned with what the summary actually saw: a
+/// failed absorb's batch reaches neither.
 pub(super) struct AuditPlane {
     seed: u64,
     /// Quantile kinds sample ranks; frequency kinds count exactly.

@@ -1,8 +1,8 @@
-//! The compactor: one thread folds the deltas workers hand off into the
-//! global summary, in whatever order they arrive (Definition 1), and
-//! publishes each fold as the next immutable [`Snapshot`]. Also the one
-//! barrier flush, checkpoint and shutdown share. Ledger rows
-//! `compactor.merge_many` and `swap.publish`.
+//! The compactor: one thread folds the deltas shards hand off into the
+//! global summary, in whatever order they arrive (Definition 1), publishes
+//! each fold as the next immutable [`Snapshot`] and builds each shard's
+//! next spare delta. Also the one barrier flush, checkpoint and shutdown
+//! share. Ledger rows `compactor.merge_many` and `swap.publish`.
 
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
@@ -21,9 +21,13 @@ use crate::telemetry::timed;
 /// single pass over the global table.
 const MAX_COMPACT_FUSE: usize = 16;
 
+/// Bound of the hand-off channel: full deltas (and barrier messages) in
+/// flight to the compactor before a hand-off waits for it.
+pub(super) const HANDOFF_SLOTS: usize = 16;
+
 pub(super) enum CompactMsg {
-    /// A delta handed off by a worker.
-    Delta(ShardSummary),
+    /// A delta handed off by shard `.0`, whose spare it took.
+    Delta(usize, ShardSummary),
     /// Publish the global summary and hand that snapshot back: it holds
     /// every delta queued before this message. By Definition 1 the merged
     /// summary is also the checkpoint.
@@ -35,16 +39,15 @@ pub(super) enum CompactMsg {
 }
 
 impl Engine {
-    /// The barrier flush, checkpoint and shutdown share: every live
-    /// worker hands its delta to the compactor (after a shutdown drain
-    /// none is live and the deltas are already queued), then a publish is
-    /// queued behind them. The receiver yields that snapshot.
+    /// The barrier flush, checkpoint and shutdown share: every shard
+    /// hands its delta to the compactor, then a publish is queued behind
+    /// them. The receiver yields that snapshot.
     ///
-    /// Ordering argument: each worker pushes its delta onto the compactor
-    /// queue *before* acking, and the publish is enqueued after all acks,
-    /// so it drains behind every delta.
+    /// Ordering argument: a delta enters the channel under its shard's
+    /// lock, so an absorb that finished before this call has its delta
+    /// queued (or handed off earlier) before the publish is.
     pub(super) fn barrier(&self) -> Result<Receiver<Arc<Snapshot>>, ServiceError> {
-        self.flush_workers();
+        self.hand_off_all();
         let (tx, rx) = mpsc::channel();
         self.compact_tx
             .send(CompactMsg::Publish(tx))
@@ -80,14 +83,18 @@ impl Engine {
                 },
             };
             match msg {
-                CompactMsg::Delta(delta) => {
+                CompactMsg::Delta(shard, delta) => {
                     // Drain whatever backlog is already queued, stopping
                     // at the first non-delta message so barriers keep
                     // their channel ordering.
+                    let mut shards = vec![shard];
                     let mut batch = vec![delta];
                     while batch.len() < MAX_COMPACT_FUSE {
                         match rx.try_recv() {
-                            Ok(CompactMsg::Delta(delta)) => batch.push(delta),
+                            Ok(CompactMsg::Delta(shard, delta)) => {
+                                shards.push(shard);
+                                batch.push(delta);
+                            }
                             Ok(other) => {
                                 carried = Some(other);
                                 break;
@@ -132,6 +139,9 @@ impl Engine {
                         self.telemetry.record_compact_merge(micros, merge_index);
                         self.publish(global.clone(), lineage);
                         span.field("epoch", self.snapshot().epoch);
+                    }
+                    for shard in shards {
+                        self.shards[shard].ready_spare(cfg, shard);
                     }
                 }
                 CompactMsg::Publish(ack) => {

@@ -8,7 +8,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -65,10 +65,6 @@ pub struct RecoveryReport {
 /// checkpointer thread.
 pub(super) struct Durable {
     cfg: DurabilityConfig,
-    /// Ingest holds this for read while appending + enqueueing one batch;
-    /// the checkpointer holds it for write while establishing the WAL cut,
-    /// so "appended" and "visible to the flush barrier" stay in lockstep.
-    pub(super) pause: RwLock<()>,
     pub(super) store: Mutex<Store>,
     /// Leader–follower group commit over `store`: concurrent appends
     /// share one store-lock round and at most one fsync per group, and the
@@ -95,7 +91,7 @@ type Opened = (
 impl Durable {
     /// Open and scan the data directory `cfg` names, if any, handing
     /// `cube` the store's segment files. What the scan found is applied by
-    /// [`Engine::recover`] once workers run.
+    /// [`Engine::recover`] once the compactor runs.
     pub(super) fn open(
         cfg: &ServiceConfig,
         cube: Option<SegmentCube>,
@@ -114,7 +110,6 @@ impl Durable {
         let wal_pool = Arc::new(BufferPool::new(cfg.pool_buffers));
         let durable = Durable {
             cfg: dcfg.clone(),
-            pause: RwLock::new(()),
             store: Mutex::new(store),
             group: GroupCommit::new().with_record_hook(fold_logged(&cube, &wal_pool)),
             wal_pool,
@@ -194,10 +189,10 @@ impl Engine {
                     })?;
                 parts.push(merged);
             }
-            for part in parts {
+            for (i, part) in parts.into_iter().enumerate() {
                 report.preloaded_weight += part.total_weight();
                 self.compact_tx
-                    .send(CompactMsg::Delta(part))
+                    .send(CompactMsg::Delta(i % self.cfg.shards, part))
                     .map_err(|_| ServiceError::Shutdown)?;
             }
         }
@@ -210,15 +205,15 @@ impl Engine {
             let frame = IngestFrame::parse(&mut entry.payload, 0).map_err(|_| {
                 ServiceError::Config("WAL record does not decode as an ingest batch")
             })?;
+            items.clear();
+            frame.decode_into(&mut items);
             if let Some(cube) = &self.cube {
-                items.clear();
-                frame.decode_into(&mut items);
                 cube.record_at(entry.seq, &items);
             }
             if entry.seq > report.checkpoint_seq {
                 report.replayed_records += 1;
-                report.replayed_weight += frame.len() as u64;
-                self.enqueue(frame, true)?;
+                report.replayed_weight += items.len() as u64;
+                self.absorb(&items);
             }
         }
         self.flush()?;
@@ -262,20 +257,22 @@ impl Engine {
     /// Append one batch to the WAL via group commit — folding it into the
     /// cube on the way ([`fold_logged`]) — and trigger a background
     /// checkpoint at the configured cadence. No-op for in-memory engines.
-    /// The caller holds the checkpoint pause lock for read, so the append
-    /// and the subsequent enqueue land on the same side of any checkpoint
-    /// cut.
+    /// The caller holds the pause lock for read, so the append and the
+    /// absorb that follows land on the same side of any checkpoint cut.
     ///
-    /// `payload` is the batch as received ([`IngestFrame::payload`]) and
-    /// is logged verbatim: one copy into a record buffer that comes from
-    /// (and returns to) the WAL buffer pool, so the durable hot path neither
-    /// re-encodes nor allocates in steady state.
-    pub(super) fn append_durable(&self, payload: &[u8]) -> Result<(), ServiceError> {
+    /// `fill` writes the record's payload — a received batch verbatim
+    /// ([`IngestFrame::payload`]) — into a buffer that comes from (and
+    /// returns to) the WAL buffer pool, so the durable hot path does not
+    /// allocate in steady state.
+    pub(super) fn append_durable(
+        &self,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), ServiceError> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
         let mut record = d.wal_pool.get();
-        record.extend_from_slice(payload);
+        fill(&mut record);
         let outcome = d.group.append(&d.store, record)?;
         self.telemetry.record_wal_group(
             outcome.led.groups,
@@ -295,13 +292,13 @@ impl Engine {
     /// One checkpoint cycle, run on the checkpointer thread.
     ///
     /// Consistency argument: with the pause lock held for write, no ingest
-    /// is between "appended to WAL" and "enqueued", so the cut `W =
-    /// last_seq` covers exactly the enqueued batches; the barrier then
-    /// pushes all of them through the workers into the compactor queue,
-    /// and its publish drains behind them — the snapshot it hands back
-    /// holds precisely the surviving data of seqs ≤ W. The lock is
-    /// released before waiting, so ingest resumes while the compactor
-    /// catches up and files are written.
+    /// is between "appended to WAL" and "absorbed", so the cut `W =
+    /// last_seq` covers exactly the absorbed batches; the barrier then
+    /// hands every shard's delta to the compactor queue, and its publish
+    /// drains behind them — the snapshot it hands back holds precisely the
+    /// surviving data of seqs ≤ W. The lock is released before waiting, so
+    /// ingest resumes while the compactor catches up and files are
+    /// written.
     fn perform_checkpoint(&self) -> Result<(), ServiceError> {
         let Some(d) = &self.durable else {
             return Ok(());
@@ -310,7 +307,7 @@ impl Engine {
             return Ok(());
         }
         let (cut, published) = {
-            let _pause = d.pause.write().unwrap_or_else(|e| e.into_inner());
+            let _pause = self.pause.write().unwrap_or_else(|e| e.into_inner());
             let cut = lock(&d.store).wal.last_seq();
             (cut, self.barrier()?)
         };
@@ -352,8 +349,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Stop the checkpointer thread (idempotent). Must run before worker
-    /// drain: the checkpointer's flush barrier needs live workers.
+    /// Stop the checkpointer thread (idempotent). Runs first in the stop
+    /// path, so no checkpoint races the final one.
     pub(super) fn stop_checkpointer(&self) {
         let Some(d) = &self.durable else {
             return;

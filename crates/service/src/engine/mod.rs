@@ -1,22 +1,24 @@
 //! The sharded concurrent aggregation engine.
 //!
 //! Mergeability (PODS'12, Definition 1) is exactly what makes this design
-//! correct: each of `N` worker threads absorbs its slice of the stream into
-//! a thread-local *delta* summary, and a background compactor merges the
-//! deltas — in whatever order the scheduler produces them — into one global
-//! summary. Because the error guarantee survives arbitrary merge trees, the
-//! concurrent engine answers queries with the same `εn` bound as a
-//! single-threaded summary of the whole stream.
+//! correct: the thread that receives a batch absorbs it into one of `N`
+//! shard *delta* summaries, and a background compactor merges the deltas —
+//! in whatever order they are handed off — into one global summary. Any
+//! split of the stream into deltas is one more merge tree, and the error
+//! guarantee survives arbitrary merge trees, so the concurrent engine
+//! answers queries with the same `εn` bound as a single-threaded summary
+//! of the whole stream.
 //!
 //! Data flow:
 //!
 //! ```text
-//! ingest(batch) ──round-robin──▶ worker 0..N   (bounded queue, backpressure)
-//!                                │ local delta, handed off every
-//!                                │ `delta_updates` updates
+//! ingest(batch) ──round-robin──▶ shard 0..N delta   (absorbed by the calling
+//!                                │                   thread, under the shard lock)
+//!                                │ full delta swapped for a spare every
+//!                                │ `delta_updates` updates (bounded channel)
 //!                                ▼
 //!                             compactor ── merge ──▶ global summary
-//!                                │ publish (epoch += 1)
+//!                                │ publish (epoch += 1), build the next spare
 //!                                ▼
 //!                    SwapCell<Snapshot>  ◀── snapshot()/queries (reads of
 //!                                            an immutable value)
@@ -34,10 +36,9 @@
 //!
 //! | File | Stage | Ledger rows |
 //! |------|-------|-------------|
-//! | `ingest.rs` | shed, log, route onto a shard ring; dead-shard reroute | `engine.ingest`, `ring.push_pop` |
+//! | `ingest.rs` | shed, log, absorb into a shard delta, hand off full deltas | `engine.ingest`, `summary.update_batch` |
 //! | `durable.rs` | WAL group commit, checkpoints, segment files, recovery | `wal.append`, `checkpoint.write`, `segment.write` |
-//! | `worker.rs` | decode and absorb into the shard delta | `summary.update_batch` |
-//! | `compactor.rs` | fold deltas, publish snapshots; the shared barrier | `compactor.merge_many`, `swap.publish` |
+//! | `compactor.rs` | fold deltas, publish snapshots, ready spares; the shared barrier | `compactor.merge_many`, `swap.publish` |
 //! | `audit.rs` | accuracy self-audit against ground truth | — |
 //!
 //! This file holds the engine itself: start, the public methods, the
@@ -47,48 +48,41 @@
 //!
 //! ## Failure model
 //!
-//! The engine is built to *degrade*, not die. A worker thread that exits
-//! without warning (injected via [`crate::FaultPlan`], or a panic inside a
-//! summary) loses only its un-handed-off delta and the batch it was
-//! holding; every delta already merged by the compactor stays in the
-//! published snapshot, which remains a valid `ε·n'` summary of the `n'`
-//! updates that survived — that is the mergeability theorem doing systems
-//! work. Ingest detects the dead shard on the next send, counts it in
-//! [`MetricsReport::shards_lost`], reroutes the batch (counted in
-//! [`MetricsReport::retries`]) and, when `respawn_lost_shards` is set,
-//! restarts the worker with a fresh delta. Batches still queued on the
-//! shard's ring at the moment of death stay there and are absorbed by the
-//! respawned worker (they are dropped only when the shard is tombstoned).
-//! Fallible operations return [`ServiceError`] instead of panicking, and
-//! internal locks tolerate poisoning (a panicking worker cannot take
-//! queries down with it).
+//! The engine is built to *degrade*, not die. An absorb that panics inside
+//! a summary (or is told to fail by [`crate::FaultPlan`]) loses only that
+//! shard's un-handed-off delta and the batch in hand; a fresh delta takes
+//! their place and the calling connection keeps serving. Every delta
+//! already merged by the compactor stays in the published snapshot, which
+//! remains a valid `ε·n'` summary of the `n'` updates that survived — that
+//! is the mergeability theorem doing systems work. Each such loss counts
+//! once in [`MetricsReport::shards_lost`]. Fallible operations return
+//! [`ServiceError`] instead of panicking, and internal locks tolerate
+//! poisoning.
 //!
 //! ## Hot path
 //!
-//! A batch is bytes from the socket to the shard: the connection thread
-//! validates the payload once ([`IngestFrame`]), the WAL logs those bytes
-//! verbatim, the shard ring carries the buffer they arrived in, and the
-//! worker decodes it into its own scratch right before `update_batch`.
-//! An in-process [`Engine::ingest`] encodes once into a pooled frame and
-//! joins the same path.
+//! A received batch stays the bytes it arrived as until the thread that
+//! received it decodes it, once, into a pooled item buffer: the WAL logs
+//! the received bytes verbatim ([`IngestFrame`]) and the frame's buffer
+//! stays with the connection that read it. An in-process
+//! [`Engine::ingest`] joins the same path with its items in hand.
 //!
 //! In steady state one ingest performs **zero heap allocations** and a
-//! fixed handful of short, uncontended mutex sections, each paid once per
-//! *batch*, never per item: one to load the shard table
-//! ([`ms_core::SwapCell`]), one to push onto the shard's bounded queue
-//! ([`ms_core::Ring`]) and one per frame-buffer get or put
-//! ([`ms_core::BufferPool`]). Durable appends go through leader–follower
-//! group commit ([`ms_store::GroupCommit`]) so the store mutex is
-//! amortized across concurrent callers. See DESIGN.md §Hot path for the
-//! per-batch budget.
+//! fixed handful of short mutex sections, each paid once per *batch*,
+//! never per item: the pause lock (read), the item-buffer pool
+//! ([`ms_core::BufferPool`]) and the shard lock — plus, once per
+//! `delta_updates` updates, the spare slot and one bounded-channel send.
+//! Durable appends go through leader–follower group commit
+//! ([`ms_store::GroupCommit`]) so the store mutex is amortized across
+//! concurrent callers. See DESIGN.md §Hot path for the per-batch budget.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use ms_core::{lock, BufferPool, Ring, ServiceError, Summary, SwapCell};
+use ms_core::{lock, BufferPool, ServiceError, Summary, SwapCell};
 use ms_obs::RegistrySnapshot;
 
 use crate::config::{ServiceConfig, SummaryKind};
@@ -102,14 +96,13 @@ mod audit;
 mod compactor;
 mod durable;
 mod ingest;
-mod worker;
 
 pub use durable::RecoveryReport;
 
 use audit::AuditPlane;
-use compactor::CompactMsg;
+use compactor::{CompactMsg, HANDOFF_SLOTS};
 use durable::Durable;
-use ingest::TableSlot;
+use ingest::Shard;
 
 /// An immutable published view of the global summary.
 #[derive(Debug, Clone)]
@@ -128,11 +121,12 @@ pub struct Snapshot {
 /// Point-in-time engine counters, cheap to copy over the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsReport {
-    /// Updates ingested by the workers.
+    /// Updates absorbed into shard deltas.
     pub updates: u64,
-    /// Batches accepted onto worker queues.
+    /// Batches absorbed into shard deltas.
     pub batches: u64,
-    /// Batches rejected by [`Engine::try_ingest`] because a queue was full.
+    /// Always 0: nothing drops an accepted batch. The field keeps its
+    /// wire slot.
     pub dropped: u64,
     /// Delta merges the compactor performed.
     pub merges: u64,
@@ -142,11 +136,12 @@ pub struct MetricsReport {
     pub snapshot_age_micros: u64,
     /// Total weight visible in the current snapshot.
     pub snapshot_weight: u64,
-    /// Worker-death events detected (each respawn-or-tombstone counts once).
+    /// Absorbs that failed (a panic inside a summary or an injected
+    /// fault), each losing its shard's un-handed-off delta.
     pub shards_lost: u64,
     /// Wire frames the server rejected as malformed.
     pub frames_rejected: u64,
-    /// Batches rerouted to another shard after a send to a dead one.
+    /// Always 0: nothing reroutes a batch. The field keeps its wire slot.
     pub retries: u64,
 }
 
@@ -174,45 +169,38 @@ impl MetricsReport {
     }
 }
 
-/// Idle `Vec<u64>` buffers [`Engine::ingest_buffer`] keeps at most.
+/// Idle `Vec<u64>` buffers the item pool keeps at most.
 const ITEM_POOL_SLOTS: usize = 8;
 
-/// The engine: owns the worker and compactor threads. Cheap to share as
-/// `Arc<Engine>`; all public methods take `&self`.
+/// The engine: owns the shard deltas and the compactor thread. Cheap to
+/// share as `Arc<Engine>`; all public methods take `&self`.
 pub struct Engine {
     /// The engine's own `Arc`, which every thread it spawns holds.
     me: Weak<Engine>,
     cfg: ServiceConfig,
-    /// The shard table, one slot per shard: the ingest hot path loads it
-    /// once per batch.
-    table: SwapCell<Vec<TableSlot>>,
-    /// Serializes table swaps (deaths, respawns, shutdown — all rare).
-    table_write: Mutex<()>,
-    /// Cumulative per-shard batch indices, so a respawned worker
-    /// continues the count (fault plans key off it).
-    batch_indices: Vec<AtomicU64>,
-    /// Cached plain sender, never locked. The compactor exits on
-    /// [`CompactMsg::Stop`], after which sends fail with a disconnect the
-    /// callers map to [`ServiceError::Shutdown`].
-    compact_tx: Sender<CompactMsg>,
-    /// Recycled frame buffers (`Vec<u8>`), one pool per shard. The front
-    /// half draws the next shard's buffer and each worker returns decoded
-    /// frames to its own pool, so shards stop contending for (and
-    /// stealing) each other's slots — the global pool's reuse rate
-    /// collapsed from 73% to 29% at 8 shards.
-    pools: Vec<BufferPool<u8>>,
-    /// Recycled item buffers (`Vec<u64>`) off the ring's path: what
-    /// [`Engine::ingest_buffer`] lends an in-process caller, and what an
-    /// in-memory cube's fold decodes a received frame into.
+    /// One per shard: the delta ingesting threads absorb into, and the
+    /// spare the compactor readies for its next hand-off.
+    shards: Vec<Shard>,
+    /// Cached plain sender, never locked; a bounded channel, so a send
+    /// does not allocate. The compactor exits on [`CompactMsg::Stop`],
+    /// after which sends fail with a disconnect the callers map to
+    /// [`ServiceError::Shutdown`].
+    compact_tx: SyncSender<CompactMsg>,
+    /// Recycled item buffers (`Vec<u64>`): what [`Engine::ingest_buffer`]
+    /// lends an in-process caller, and what a received frame decodes into.
     item_pool: BufferPool<u64>,
     /// The published snapshot. Only the compactor swaps it.
     snapshot: SwapCell<Snapshot>,
     next_shard: AtomicUsize,
     stopped: AtomicBool,
+    /// Every ingest holds this for read from its `stopped` check to the
+    /// end of its absorb. Stop takes it for write to wait out the ingests
+    /// already past that check, and the checkpointer to establish a WAL
+    /// cut: "logged" and "absorbed" stay in lockstep.
+    pause: RwLock<()>,
     /// Held for the whole drain: a concurrent second `shutdown` blocks on
     /// it and then observes the fully drained snapshot, never a partial one.
     shutdown_lock: Mutex<()>,
-    worker_handles: Mutex<Vec<JoinHandle<()>>>,
     compactor_handle: Mutex<Option<JoinHandle<()>>>,
     telemetry: Arc<EngineTelemetry>,
     /// Admission control / load shedding (permissive unless
@@ -228,15 +216,15 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Start the worker and compactor threads for `cfg`. With durability
-    /// configured this also opens the data directory, recovers its state
-    /// (newest valid checkpoint merged back, WAL tail replayed — see
+    /// Start the compactor thread for `cfg`. With durability configured
+    /// this also opens the data directory, recovers its state (newest
+    /// valid checkpoint merged back, WAL tail replayed — see
     /// [`Engine::recovery`]) and starts the checkpointer thread.
     pub fn start(cfg: ServiceConfig) -> Result<Arc<Engine>, ServiceError> {
         cfg.check()?;
         let telemetry = Arc::new(EngineTelemetry::new(cfg.shards, cfg.telemetry, cfg.seed));
         // Open the store and scan before any thread starts; the recovered
-        // state is preloaded below once workers exist to receive it.
+        // state is applied below once the compactor runs to receive it.
         let cube = (cfg.segments.clone()).map(|scfg| SegmentCube::new(cfg.epsilon, cfg.seed, scfg));
         let (cube, opened) = Durable::open(&cfg, cube, &telemetry)?;
         let (durable, recovered) = opened.unzip();
@@ -247,15 +235,7 @@ impl Engine {
             telemetry.queue_depth_gauges(),
             (cfg.shards * cfg.queue_depth) as u64,
         ));
-        let (compact_tx, compact_rx) = mpsc::channel::<CompactMsg>();
-        // One pool per shard: capacity pool_buffers/shards (min 2 so a
-        // small total still double-buffers), zero stays zero so disabling
-        // recycling disables it everywhere.
-        let per_shard_buffers = if cfg.pool_buffers == 0 {
-            0
-        } else {
-            (cfg.pool_buffers / cfg.shards).max(2)
-        };
+        let (compact_tx, compact_rx) = mpsc::sync_channel::<CompactMsg>(HANDOFF_SLOTS);
 
         let engine = Arc::new_cyclic(|me| Engine {
             me: me.clone(),
@@ -265,28 +245,17 @@ impl Engine {
                 lineage: MergeLineage::default(),
                 published_at: Instant::now(),
             }),
-            table: SwapCell::new(
-                (0..cfg.shards)
-                    .map(|_| TableSlot {
-                        gen: 0,
-                        ring: Arc::new(Ring::with_capacity(cfg.queue_depth)),
-                        alive: true,
-                    })
-                    .collect(),
-            ),
-            table_write: Mutex::new(()),
-            batch_indices: (0..cfg.shards).map(|_| AtomicU64::new(0)).collect(),
-            compact_tx,
-            pools: (0..cfg.shards)
-                .map(|_| BufferPool::new(per_shard_buffers))
+            shards: (0..cfg.shards)
+                .map(|shard| Shard::new(&cfg, shard))
                 .collect(),
+            compact_tx,
             // A caller holds an item buffer only for the length of one
             // call, so a few slots cover every thread that ingests at once.
             item_pool: BufferPool::new(cfg.pool_buffers.min(ITEM_POOL_SLOTS)),
             next_shard: AtomicUsize::new(0),
             stopped: AtomicBool::new(false),
+            pause: RwLock::new(()),
             shutdown_lock: Mutex::new(()),
-            worker_handles: Mutex::new(Vec::with_capacity(cfg.shards)),
             compactor_handle: Mutex::new(None),
             telemetry,
             admission,
@@ -296,10 +265,6 @@ impl Engine {
             cfg,
         });
 
-        for (shard, slot) in engine.table.load().iter().enumerate() {
-            let handle = engine.spawn_worker(shard, Arc::clone(&slot.ring))?;
-            lock(&engine.worker_handles).push(handle);
-        }
         *lock(&engine.compactor_handle) = Some(engine.spawn_compactor(compact_rx)?);
         if let Some(recovery) = recovered {
             engine.recover(recovery)?;
@@ -327,67 +292,42 @@ impl Engine {
     /// A recycled buffer for building the next [`Engine::ingest`] batch:
     /// cleared, with its previous capacity intact, when one is idle;
     /// freshly allocated otherwise. [`Engine::ingest`] puts it back once
-    /// the batch is encoded, so an ingest loop that takes its buffers from
-    /// here allocates nothing at all.
+    /// the batch is absorbed, so an ingest loop that takes its buffers
+    /// from here allocates nothing at all.
     pub fn ingest_buffer(&self) -> Vec<u64> {
         self.item_pool.get()
     }
 
-    /// Aggregate frame-buffer traffic across all shard pools:
-    /// `(reuses, misses, discards)` so far.
+    /// Item-buffer traffic: `(reuses, misses, discards)` so far.
     pub fn pool_stats(&self) -> (u64, u64, u64) {
-        let sum = |(r, m, d), (a, b, c)| (r + a, m + b, d + c);
-        self.shard_pool_stats().into_iter().fold((0, 0, 0), sum)
+        let p = &self.item_pool;
+        (p.reuses(), p.misses(), p.discards())
     }
 
-    /// Per-shard frame-buffer traffic: `(reuses, misses, discards)` for
-    /// each shard's pool, in shard order.
-    pub fn shard_pool_stats(&self) -> Vec<(u64, u64, u64)> {
-        self.pools
-            .iter()
-            .map(|p| (p.reuses(), p.misses(), p.discards()))
-            .collect()
-    }
-
-    /// Enqueue a batch on the next live shard, blocking while its queue is
-    /// full (backpressure). A dead shard is counted, respawned if
-    /// configured, and the batch rerouted. With durability enabled the
-    /// batch is appended to the WAL (fsync'd per policy) *before* it is
-    /// enqueued, so an acked batch is exactly as durable as the policy
-    /// promises. The batch is encoded once, into a pooled frame, and from
-    /// there shares [`Engine::ingest_frame`]'s path; the `Vec` goes back
-    /// to [`Engine::ingest_buffer`]'s pool.
+    /// Absorb a batch into the next shard's delta, on this thread. With
+    /// durability enabled the batch is appended to the WAL (fsync'd per
+    /// policy) *before* it is absorbed, so an acked batch is exactly as
+    /// durable as the policy promises. The `Vec` goes back to
+    /// [`Engine::ingest_buffer`]'s pool.
     pub fn ingest(&self, batch: Vec<u64>) -> Result<(), ServiceError> {
-        self.ingest_items(batch, true)
+        let outcome = self.ingest_items(&batch, None);
+        self.item_pool.put(batch);
+        outcome
     }
 
     /// [`Engine::ingest`] for a batch that is still the bytes a client
-    /// sent. Returns the outcome and a buffer for the caller's next frame:
-    /// a recycled one when this frame went onto a ring, the frame's own
-    /// when it did not.
-    pub fn ingest_frame(&self, frame: IngestFrame) -> (Result<(), ServiceError>, Vec<u8>) {
-        if frame.is_empty() {
-            return (Ok(()), frame.into_bytes());
-        }
-        match self.log_batch(&frame) {
-            Err(e) => (Err(e), frame.into_bytes()),
-            Ok(_pause) => (self.enqueue(frame, true), self.frame_buffer()),
-        }
+    /// sent: decoded once into a pooled item buffer, logged verbatim. The
+    /// frame's buffer stays with the caller.
+    pub fn ingest_frame(&self, frame: &IngestFrame) -> Result<(), ServiceError> {
+        let mut items = self.item_pool.get();
+        frame.decode_into(&mut items);
+        let outcome = self.ingest_items(&items, Some(frame.payload()));
+        self.item_pool.put(items);
+        outcome
     }
 
-    /// Enqueue a batch without blocking. A full queue counts the batch as
-    /// dropped and returns [`ServiceError::Backpressure`]; a dead shard is
-    /// rerouted like [`Engine::ingest`]. With durability enabled the WAL
-    /// append happens first (write-ahead discipline), so a batch dropped
-    /// for backpressure is still on disk and will be restored by the next
-    /// recovery — the WAL acks writes, not queue admission.
-    pub fn try_ingest(&self, batch: Vec<u64>) -> Result<(), ServiceError> {
-        self.ingest_items(batch, false)
-    }
-
-    /// Force every live worker to hand its delta to the compactor and
-    /// publish a fresh snapshot containing all data ingested before this
-    /// call. Dead shards are skipped (their loss is already accounted).
+    /// Hand every shard's delta to the compactor and publish a fresh
+    /// snapshot containing all data ingested before this call.
     pub fn flush(&self) -> Result<(), ServiceError> {
         if self.stopped.load(Ordering::Acquire) {
             return Err(ServiceError::Shutdown);
@@ -414,7 +354,7 @@ impl Engine {
     }
 
     /// The current snapshot. The lock is held only to clone the `Arc`.
-    /// Always answers, even after shutdown or a worker panic.
+    /// Always answers, even after shutdown or a panicking absorb.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.snapshot.load()
     }
@@ -514,7 +454,7 @@ impl Engine {
                 ("cube_range_memo_misses", health.memo_misses),
             ]);
         }
-        let mut engine = RegistrySnapshot {
+        let engine = RegistrySnapshot {
             counters: counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
             gauges: gauges
                 .iter()
@@ -522,14 +462,6 @@ impl Engine {
                 .collect(),
             histograms: Vec::new(),
         };
-        // Per-shard pool reuse: integer percent of gets served from the
-        // shard's own pool, plus the raw reuse counter per shard.
-        for (shard, (reuses, misses, _)) in self.shard_pool_stats().into_iter().enumerate() {
-            let pct = (reuses * 100).checked_div(reuses + misses).unwrap_or(0);
-            let label = format!("{{shard=\"{shard}\"}}");
-            (engine.counters).push((format!("pool_reuses_total{label}"), reuses));
-            (engine.gauges).push((format!("pool_reuse_pct{label}"), pct as i64));
-        }
         self.telemetry.snapshot().merge(&engine)
     }
 
@@ -543,9 +475,8 @@ impl Engine {
     ///
     /// Consistency: each counter is individually monotone, and a
     /// [`ms_obs::Counter`] adds with `Release` and reads with `Acquire`,
-    /// so a report observes every `shards_lost`, `frames_rejected` or
-    /// `retries` event that happened-before anything else it observes
-    /// (a retried batch, say, implies the death it was retried after).
+    /// so a report observes every `shards_lost` or `frames_rejected`
+    /// event that happened-before anything else it observes.
     /// The report is still not a consistent cut across *all* fields —
     /// `updates` keeps advancing while the snapshot fields are read —
     /// which is inherent to lock-free counters and fine for monitoring;
@@ -556,25 +487,24 @@ impl Engine {
         MetricsReport {
             updates: c.updates.get(),
             batches: c.batches.get(),
-            dropped: c.dropped.get(),
+            dropped: 0,
             merges: c.merges.get(),
             epoch: snap.epoch,
             snapshot_age_micros: snap.published_at.elapsed().as_micros() as u64,
             snapshot_weight: snap.summary.total_weight(),
             shards_lost: c.shards_lost.get(),
             frames_rejected: c.frames_rejected.get(),
-            retries: c.retries.get(),
+            retries: 0,
         }
     }
 
     /// Drain everything, stop all threads, and return the final snapshot.
     /// Idempotent; later calls just return the current snapshot.
     ///
-    /// Clean shutdown is lossless: closing the worker queues (rather than
-    /// sending a sentinel message) lets each worker drain *every* queued
-    /// batch — including ones enqueued by racing ingest calls that were
-    /// acked while shutdown was starting — and hand off its delta when the
-    /// queue disconnects. A durable engine then writes a final checkpoint
+    /// Clean shutdown is lossless: stop waits out every ingest already
+    /// past its `stopped` check — including ones that will be acked while
+    /// shutdown is starting — before the final barrier hands off every
+    /// shard's delta. A durable engine then writes a final checkpoint
     /// and fsyncs the WAL regardless of policy, so a restart restores
     /// exactly what this snapshot holds.
     pub fn shutdown(&self) -> Arc<Snapshot> {
@@ -592,10 +522,10 @@ impl Engine {
         self.stop(false);
     }
 
-    /// The stop path `shutdown` and `abort` share: stop the checkpointer
-    /// (its barrier needs live workers), drain the workers, then stop and
-    /// join the compactor. A `clean` stop first publishes everything the
-    /// workers handed off and checkpoints that snapshot; otherwise queries
+    /// The stop path `shutdown` and `abort` share: stop the checkpointer,
+    /// wait out the ingests in flight (the pause lock for write), then
+    /// stop and join the compactor. A `clean` stop first publishes every
+    /// shard's delta and checkpoints that snapshot; otherwise queries
     /// keep answering from the last published snapshot, like a real crash
     /// survivor's client would have seen. Only the first call stops
     /// anything; a racing second one waits until the first is done.
@@ -605,7 +535,9 @@ impl Engine {
             return;
         }
         self.stop_checkpointer();
-        self.drain_workers();
+        // Every ingest checks `stopped` under the pause lock, so once the
+        // write lock is ours none is absorbing and none will again.
+        drop(self.pause.write().unwrap_or_else(|e| e.into_inner()));
         let published = clean.then(|| self.barrier().map(|rx| rx.recv()));
         if let (Some(Ok(Ok(merged))), Some(d)) = (published, &self.durable) {
             // The final checkpoint fsyncs the WAL whatever the policy.
@@ -663,31 +595,6 @@ pub(super) mod tests {
         assert_eq!(engine.shutdown().summary.total_weight(), 1500);
         assert_eq!(engine.ingest(vec![1]), Err(ServiceError::Shutdown));
         assert_eq!(engine.flush(), Err(ServiceError::Shutdown));
-        assert_eq!(engine.try_ingest(vec![1]), Err(ServiceError::Shutdown));
-    }
-    #[test]
-    fn telemetry_snapshot_reports_per_shard_pool_reuse() {
-        let cfg = ServiceConfig::new(SummaryKind::Mg, 0.05).shards(2);
-        let engine = Engine::start(cfg).unwrap();
-        for _ in 0..100 {
-            let mut batch = engine.ingest_buffer();
-            batch.extend_from_slice(&[9; 32]);
-            engine.ingest(batch).unwrap();
-        }
-        engine.flush().unwrap();
-        let snap = engine.telemetry_snapshot();
-        for shard in 0..2 {
-            let reuse_key = format!("pool_reuses_total{{shard=\"{shard}\"}}");
-            let pct_key = format!("pool_reuse_pct{{shard=\"{shard}\"}}");
-            assert!(snap.counters.iter().any(|(k, _)| *k == reuse_key));
-            let (_, pct) = snap
-                .gauges
-                .iter()
-                .find(|(k, _)| *k == pct_key)
-                .expect("per-shard reuse pct gauge");
-            assert!((0..=100).contains(pct), "{pct_key} = {pct}");
-        }
-        engine.shutdown();
     }
     #[test]
     fn rejects_bad_config() {
@@ -700,9 +607,7 @@ pub(super) mod tests {
     fn metrics_reads_are_monotone_under_concurrent_ingest() {
         // Hammer `metrics()` while four threads ingest: every counter in
         // successive reports must be monotone (each counter is a relaxed
-        // atomic, but loads of the same counter never go backwards), and
-        // the derived report must never observe impossible states like
-        // more retries than batches+retries attempts.
+        // atomic, but loads of the same counter never go backwards).
         let engine = Engine::start(
             ServiceConfig::new(SummaryKind::Mg, 0.05)
                 .shards(2)
@@ -729,7 +634,6 @@ pub(super) mod tests {
                         assert!(m.epoch >= prev.epoch, "epoch went backwards");
                         assert!(m.shards_lost >= prev.shards_lost);
                         assert!(m.frames_rejected >= prev.frames_rejected);
-                        assert!(m.retries >= prev.retries);
                         prev = m;
                         reads += 1;
                         if reads == 1 {
@@ -793,7 +697,7 @@ pub(super) mod tests {
         assert!(merges.count >= 1);
         assert_eq!(snap.gauge("epoch"), Some(engine.snapshot().epoch as i64));
         assert_eq!(snap.counter("updates_total"), Some(1000));
-        // After flush + idle workers every queue is empty.
+        // Once every absorb has returned, no batch waits on a shard.
         for s in 0..2 {
             assert_eq!(
                 snap.gauge(&format!("queue_depth{{shard=\"{s}\"}}")),
@@ -859,62 +763,37 @@ pub(super) mod tests {
     }
     /// Each engine counter has one source: every `MetricsReport` counter
     /// equals its `*_total` in the telemetry snapshot, with telemetry on
-    /// and off, after a shard death, a reroute, a rejected frame and a
-    /// `try_ingest` drop.
+    /// and off, after a failed absorb and a rejected frame.
     #[test]
     fn metrics_report_and_telemetry_snapshot_share_counters() {
         use crate::fault::{plan_fn, FaultAction};
         for telemetry in [true, false] {
-            let (entered_tx, entered_rx) = mpsc::channel();
-            let (release_tx, release_rx) = mpsc::channel::<()>();
-            let gate = Mutex::new((entered_tx, release_rx));
-            // Shard 0 dies on its first batch; shard 1 holds its first
-            // until released, so its ring fills and `try_ingest` drops.
             let cfg = ServiceConfig::new(SummaryKind::Mg, 0.05)
                 .shards(2)
-                .queue_depth(1)
                 .delta_updates(16)
                 .telemetry(telemetry)
-                .fault_plan(plan_fn(move |shard, idx| match (shard, idx) {
-                    (0, 0) => FaultAction::Die,
-                    (1, 0) => {
-                        let (entered, release) = &*lock(&gate);
-                        let _ = entered.send(());
-                        let _ = release.recv();
-                        FaultAction::Continue
-                    }
+                .fault_plan(plan_fn(|shard, idx| match (shard, idx) {
+                    (0, 1) => FaultAction::Die,
                     _ => FaultAction::Continue,
                 }));
             let engine = Engine::start(cfg).unwrap();
-            engine.ingest(vec![1; 8]).unwrap();
-            engine.ingest(vec![2; 8]).unwrap();
-            entered_rx.recv().unwrap();
-            let mut tries = 0u64;
-            while engine.metrics().retries == 0 || engine.metrics().dropped == 0 {
-                match engine.try_ingest(vec![3; 8]) {
-                    Ok(()) | Err(ServiceError::Backpressure) => {}
-                    Err(other) => panic!("unexpected {other:?}"),
-                }
-                tries += 1;
-                assert!(tries < 1_000_000, "{:?}", engine.metrics());
-                std::thread::yield_now();
+            for i in 0..8 {
+                engine.ingest(vec![i; 8]).unwrap();
             }
             engine.record_rejected_frame();
-            release_tx.send(()).unwrap();
             engine.flush().unwrap();
 
             let m = engine.metrics();
             assert_eq!((m.shards_lost, m.frames_rejected), (1, 1), "{m:?}");
-            assert!(m.updates > 0 && m.batches > 0 && m.merges > 0, "{m:?}");
+            assert_eq!((m.updates, m.batches, m.dropped, m.retries), (56, 7, 0, 0));
+            assert!(m.merges > 0, "{m:?}");
             let snap = engine.telemetry_snapshot();
             for (name, value) in [
                 ("updates_total", m.updates),
                 ("batches_total", m.batches),
-                ("dropped_total", m.dropped),
                 ("merges_total", m.merges),
                 ("shards_lost_total", m.shards_lost),
                 ("frames_rejected_total", m.frames_rejected),
-                ("retries_total", m.retries),
             ] {
                 assert_eq!(
                     snap.counter(name),

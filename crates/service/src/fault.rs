@@ -1,13 +1,14 @@
 //! Fault-injection seams.
 //!
 //! The engine consults a [`FaultPlan`] at every decision point where a real
-//! deployment can fail: before a worker absorbs a batch (thread death,
-//! scheduling stalls) and before the compactor merges a delta (compaction
-//! lag). The default plan, [`NoFaults`], says "continue" everywhere and
-//! costs two virtual calls per batch — the production path is unchanged.
+//! deployment can fail: inside a shard's absorb of a batch (a failing
+//! absorb, a stall under the shard lock) and before the compactor merges a
+//! delta (compaction lag). The default plan, [`NoFaults`], says "continue"
+//! everywhere and costs two virtual calls per batch — the production path
+//! is unchanged.
 //!
 //! Plans must be deterministic functions of their inputs (shard id and a
-//! cumulative per-shard batch index maintained by the engine) so that a
+//! per-shard batch index maintained by the engine) so that a
 //! schedule is reproducible from a printed seed. `ms-faultsim` builds
 //! seeded plans on top of this trait; unit tests can use closures via
 //! [`plan_fn`].
@@ -15,30 +16,32 @@
 use std::fmt;
 use std::sync::Arc;
 
-/// What a worker should do with the batch it is about to absorb.
+/// What a shard's absorb should do with the batch in hand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Absorb the batch normally.
     Continue,
-    /// Sleep this many milliseconds first (scheduling stall — saturates the
-    /// bounded queue behind the worker and exercises backpressure).
+    /// Sleep this many milliseconds first, holding the shard lock (a stall
+    /// — the shard's other ingests wait behind it and its queue-depth
+    /// gauge rises).
     StallMs(u64),
-    /// Die *now*, before absorbing the batch: the thread exits without
-    /// handing off its pending delta, and everything still queued behind it
-    /// is dropped — exactly what a crashed shard loses.
+    /// Fail the absorb as a panic inside the summary would: the shard's
+    /// un-handed-off delta and this batch are lost — exactly what a
+    /// crashed shard loses.
     Die,
 }
 
 /// A deterministic schedule of injected faults.
 ///
 /// Implementations must be `Send + Sync` (consulted concurrently from every
-/// worker and the compactor) and should derive their answers only from the
-/// arguments, so the same seed replays the same schedule.
+/// ingesting thread and the compactor) and should derive their answers only
+/// from the arguments, so the same seed replays the same schedule.
 pub trait FaultPlan: Send + Sync + fmt::Debug {
-    /// Consulted by worker `shard` before absorbing a batch. `batch_index`
-    /// counts batches *cumulatively across respawns* of that shard, so "die
-    /// at index k" fires exactly once even if the shard is restarted.
-    fn worker_batch(&self, shard: usize, batch_index: u64) -> FaultAction {
+    /// Consulted inside `shard`'s absorb of a batch, under its lock: a
+    /// panic here is a panicking absorb. `batch_index` counts the batches
+    /// the shard was given, lost ones included, so "die at index k" fires
+    /// exactly once.
+    fn absorb_batch(&self, shard: usize, batch_index: u64) -> FaultAction {
         let _ = (shard, batch_index);
         FaultAction::Continue
     }
@@ -73,7 +76,7 @@ where
     where
         F: Fn(usize, u64) -> FaultAction + Send + Sync,
     {
-        fn worker_batch(&self, shard: usize, batch_index: u64) -> FaultAction {
+        fn absorb_batch(&self, shard: usize, batch_index: u64) -> FaultAction {
             (self.0)(shard, batch_index)
         }
     }
@@ -89,7 +92,7 @@ mod tests {
         let plan = NoFaults;
         for shard in 0..4 {
             for idx in 0..100 {
-                assert_eq!(plan.worker_batch(shard, idx), FaultAction::Continue);
+                assert_eq!(plan.absorb_batch(shard, idx), FaultAction::Continue);
             }
         }
         assert_eq!(plan.compactor_merge(0), 0);
@@ -104,8 +107,8 @@ mod tests {
                 FaultAction::Continue
             }
         });
-        assert_eq!(plan.worker_batch(0, 2), FaultAction::Continue);
-        assert_eq!(plan.worker_batch(1, 2), FaultAction::Die);
+        assert_eq!(plan.absorb_batch(0, 2), FaultAction::Continue);
+        assert_eq!(plan.absorb_batch(1, 2), FaultAction::Die);
         assert_eq!(format!("{plan:?}"), "FnPlan");
     }
 }

@@ -1,9 +1,9 @@
 //! Sharded concurrent streaming-aggregation service.
 //!
 //! This crate turns the paper's mergeability guarantee into a concurrent
-//! systems design. An [`Engine`] runs `N` ingest workers, each owning a
-//! thread-local **delta** summary of one of four kinds ([`SummaryKind`]),
-//! held in three counter types: a SpaceSaving summary is the Misra-Gries
+//! systems design. An [`Engine`] keeps `N` ingest shards, each a **delta**
+//! summary that the thread receiving a batch absorbs it into, of one of
+//! four kinds ([`SummaryKind`]), held in three counter types: a SpaceSaving summary is the Misra-Gries
 //! table it is a view of (PODS'12 §3, Lemma 1); a background **compactor** merges handed-off deltas
 //! into a global summary and publishes immutable [`Snapshot`]s behind an
 //! `Arc`, so queries never block ingest. Because summaries are mergeable
@@ -18,12 +18,13 @@
 //! (`ms_core::wire`), served by `mergeable serve` and exercised by
 //! `mergeable bench-client`.
 //!
-//! The same mergeability argument covers *failure*: a crashed shard's
-//! published deltas are already merged, so the engine degrades to a valid
-//! summary of the surviving updates instead of dying. The [`fault`] module
-//! defines the injection seams ([`FaultPlan`]) the `ms-faultsim` harness
-//! drives to prove that under seeded schedules of shard death, queue
-//! saturation, frame corruption and client disconnects; every failure path
+//! The same mergeability argument covers *failure*: a failed absorb loses
+//! only its shard's un-handed-off delta, and the deltas already merged stay,
+//! so the engine degrades to a valid summary of the surviving updates
+//! instead of dying. The [`fault`] module defines the injection seams
+//! ([`FaultPlan`]) the `ms-faultsim` harness drives to prove that under
+//! seeded schedules of shard loss, stalls, frame corruption and client
+//! disconnects; every failure path
 //! returns a typed [`ServiceError`].
 //!
 //! [`Wire`]: ms_core::Wire

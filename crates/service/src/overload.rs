@@ -5,9 +5,9 @@
 //!
 //! 1. **In-flight caps** — a global cap across all connections and a
 //!    per-connection cap, both counted while the request is dispatching.
-//! 2. **Queue pressure** — occupancy of the engine's shard ingest queues
-//!    (read from the existing `queue_depth` telemetry gauges) against two
-//!    watermarks. Queries shed first at `shed_watermark`; ingest holds on
+//! 2. **Queue pressure** — batches waiting for or inside each shard's
+//!    absorb (read from the existing `queue_depth` telemetry gauges)
+//!    against two watermarks. Queries shed first at `shed_watermark`; ingest holds on
 //!    until `ingest_watermark`, because dropping data is worse than
 //!    degrading reads — mergeability means the summary stays valid for
 //!    everything admitted either way.
@@ -139,10 +139,12 @@ pub struct Admission {
     cfg: OverloadConfig,
     /// Requests currently dispatching, across all connections.
     inflight: AtomicU64,
-    /// The engine's per-shard queue-depth gauges (the pressure signal),
-    /// live whether or not telemetry is enabled.
+    /// The engine's per-shard queue-depth gauges — batches waiting for or
+    /// inside each shard's absorb; the pressure signal — live whether or
+    /// not telemetry is enabled.
     queues: Vec<Arc<Gauge>>,
-    /// Total queue slots across shards (`shards * queue_depth`).
+    /// Depth across shards that counts as full pressure (`shards *
+    /// queue_depth`).
     queue_slots: u64,
     admitted: Arc<Counter>,
     shed_query: Arc<Counter>,
@@ -154,7 +156,7 @@ pub struct Admission {
 
 impl Admission {
     /// Build a controller reading pressure from `queues` (each gauge one
-    /// shard's queue depth, `queue_slots` total capacity) and registering
+    /// shard's queue depth, full pressure at `queue_slots` in total) and registering
     /// its counters in `registry`.
     pub fn new(
         cfg: OverloadConfig,
@@ -186,7 +188,7 @@ impl Admission {
         self.cfg.retry_after_micros
     }
 
-    /// Current shard-queue occupancy in [0, 1].
+    /// Current shard-queue pressure in [0, 1].
     pub fn pressure(&self) -> f64 {
         let depth: i64 = self.queues.iter().map(|g| g.get().max(0)).sum();
         (depth as f64 / self.queue_slots as f64).clamp(0.0, 1.0)

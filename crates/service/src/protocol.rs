@@ -188,10 +188,10 @@ const INGEST_OPCODE: u8 = 1;
 /// `items_at` to its end the buffer holds exactly one encoded `[u64]`
 /// (varint count, then varint items) that [`decode_u64_slice_into`]
 /// accepts. Canonical encoding is not required — the decoder's accept set
-/// is the contract. The WAL logs [`IngestFrame::payload`] verbatim, a
-/// shard ring carries the frame itself, a coordinator forwards the payload
-/// under its own envelope; only the shard worker (and the segment cube)
-/// ever turns it into items.
+/// is the contract. The WAL logs [`IngestFrame::payload`] verbatim and a
+/// coordinator forwards the payload under its own envelope; the engine
+/// turns it into items once, on the thread that received it, and the
+/// buffer stays with the connection.
 #[derive(Debug)]
 pub struct IngestFrame {
     bytes: Vec<u8>,

@@ -46,11 +46,9 @@ pub trait Service: Send + Sync + 'static {
     /// Serve one decoded request.
     fn handle(&self, request: Request) -> Response;
 
-    /// Serve one ingest that is still the bytes it arrived as. Returns the
-    /// reply and the buffer the connection reads its next frame into: a
-    /// service that keeps the frame hands back a recycled buffer, one that
-    /// only looked at it hands back the frame's own.
-    fn ingest_frame(&self, frame: IngestFrame) -> (Response, Vec<u8>);
+    /// Serve one ingest that is still the bytes it arrived as. The frame's
+    /// buffer stays with the connection, which reads its next frame into it.
+    fn ingest_frame(&self, frame: &IngestFrame) -> Response;
 
     /// The telemetry plane (per-opcode latency, byte counters).
     fn telemetry(&self) -> &Arc<EngineTelemetry>;
@@ -81,10 +79,9 @@ impl Service for Engine {
         Some(Engine::admission(self))
     }
 
-    fn ingest_frame(&self, frame: IngestFrame) -> (Response, Vec<u8>) {
+    fn ingest_frame(&self, frame: &IngestFrame) -> Response {
         note_ingest_admitted(self);
-        let (outcome, next) = Engine::ingest_frame(self, frame);
-        (outcome.map_or_else(Into::into, |()| Response::Ok), next)
+        Engine::ingest_frame(self, frame).map_or_else(Into::into, |()| Response::Ok)
     }
 
     fn telemetry(&self) -> &Arc<EngineTelemetry> {
@@ -301,8 +298,8 @@ fn serve_connection(mut stream: TcpStream, service: Arc<dyn Service>) {
                         let serve = || match incoming {
                             Incoming::Request(request) => service.handle(request),
                             Incoming::Ingest(frame) => {
-                                let (response, next) = service.ingest_frame(frame);
-                                payload = next;
+                                let response = service.ingest_frame(&frame);
+                                payload = frame.into_bytes();
                                 response
                             }
                         };
@@ -416,8 +413,8 @@ pub fn dispatch(engine: &Engine, request: Request) -> Response {
 }
 
 /// The engine's own ring notes an ingest's admission under the live
-/// trace; worker/compactor spans for the same data then sit in the same
-/// dump as this event's trace id.
+/// trace; compactor spans for the same data then sit in the same dump as
+/// this event's trace id.
 fn note_ingest_admitted(engine: &Engine) {
     if let Some(ctx) = tracectx::current() {
         engine.telemetry().event(
@@ -990,25 +987,16 @@ mod tests {
     #[test]
     fn server_ingests_recycle_the_pool() {
         // The connection decodes each ingest into a buffer from the
-        // engine's shard pools, which the workers refill: past warm-up the
-        // buffers circulate and nearly every get is a reuse.
+        // engine's item pool and puts it back once absorbed: past warm-up
+        // the buffers circulate and nearly every get is a reuse.
         let server = mg_server();
         let mut client = Client::connect(server.local_addr()).unwrap();
         let batch: Vec<u64> = (0..256).collect();
-        for sent in 1..=2_000 {
+        for _ in 0..2_000 {
             client.ingest_slice(&batch).unwrap();
-            // A get misses only while every buffer made so far is still
-            // queued, so misses count the deepest backlog. Draining every
-            // 50 batches bounds that by the test, not by the scheduler.
-            if sent % 50 == 0 {
-                client.flush().unwrap();
-            }
         }
         let (reuses, misses, _) = server.engine().pool_stats();
-        assert!(
-            reuses >= 1_900 && misses <= 100,
-            "2000 ingests over TCP: {reuses} reuses, {misses} misses"
-        );
+        assert_eq!((reuses, misses), (1_999, 1), "2000 ingests over TCP");
         assert_eq!(server.engine().metrics().updates, 2_000 * 256);
         server.stop();
     }

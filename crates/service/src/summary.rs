@@ -128,7 +128,7 @@ impl ShardSummary {
         }
     }
 
-    /// Insert a batch of items — the worker ingest path.
+    /// Insert a batch of items — the shard absorb on the ingest path.
     ///
     /// Every arm leaves exactly the bytes the per-item path would.
     /// Count-Min routes through its hash-then-update batch kernel (see

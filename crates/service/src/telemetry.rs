@@ -58,11 +58,9 @@ pub const OPCODE_LABELS: [&str; 17] = [
 pub(crate) struct EngineCounters {
     pub updates: Arc<Counter>,
     pub batches: Arc<Counter>,
-    pub dropped: Arc<Counter>,
     pub merges: Arc<Counter>,
     pub shards_lost: Arc<Counter>,
     pub frames_rejected: Arc<Counter>,
-    pub retries: Arc<Counter>,
 }
 
 /// Pre-registered instruments for one engine (and the server wrapping it).
@@ -74,9 +72,10 @@ pub struct EngineTelemetry {
     recorder: Arc<FlightRecorder>,
     /// Absorb time per ingested batch, per shard.
     ingest_batch: Vec<Arc<Histogram>>,
-    /// Time a batch sat on the shard queue before the worker picked it up.
+    /// Time a batch waited for its shard's lock.
     queue_wait: Vec<Arc<Histogram>>,
-    /// Batches currently sitting on each shard queue (always recorded).
+    /// Batches waiting for or inside each shard's absorb (always
+    /// recorded).
     queue_depth: Vec<Arc<Gauge>>,
     /// Compactor merge duration.
     compact_merge: Arc<Histogram>,
@@ -146,11 +145,9 @@ impl EngineTelemetry {
             counters: EngineCounters {
                 updates: registry.counter("updates_total"),
                 batches: registry.counter("batches_total"),
-                dropped: registry.counter("dropped_total"),
                 merges: registry.counter("merges_total"),
                 shards_lost: registry.counter("shards_lost_total"),
                 frames_rejected: registry.counter("frames_rejected_total"),
-                retries: registry.counter("retries_total"),
             },
             ingest_batch: per_shard_hist("ingest_batch_micros"),
             queue_wait: per_shard_hist("queue_wait_micros"),
@@ -282,27 +279,21 @@ impl EngineTelemetry {
         }
     }
 
-    /// Record how long a batch waited on `shard`'s queue.
+    /// Record how long a batch waited for `shard`'s lock.
     pub fn record_queue_wait(&self, shard: usize, micros: u64) {
         if self.enabled {
             self.queue_wait[shard].record(micros);
         }
     }
 
-    /// A batch was enqueued on `shard`.
+    /// A batch started waiting for `shard`'s absorb.
     pub fn queue_pushed(&self, shard: usize) {
         self.queue_depth[shard].inc();
     }
 
-    /// A batch was taken off `shard`'s queue.
+    /// A batch left `shard`'s absorb.
     pub fn queue_popped(&self, shard: usize) {
         self.queue_depth[shard].dec();
-    }
-
-    /// Zero `shard`'s queue-depth gauge (a dead worker takes its queued
-    /// batches with it).
-    pub fn queue_reset(&self, shard: usize) {
-        self.queue_depth[shard].set(0);
     }
 
     /// Record one compactor merge and the resulting merge-tree depth.

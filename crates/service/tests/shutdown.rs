@@ -1,6 +1,7 @@
 //! Shutdown-ordering torture tests: drop-while-ingesting, concurrent
-//! double-shutdown, and query-after-shutdown must all produce typed
-//! errors (or valid answers), never a deadlock or a panic.
+//! double-shutdown, query-after-shutdown and a durable shutdown racing
+//! ingests must all produce typed errors (or valid answers), never a
+//! deadlock, a panic or a lost acked batch.
 //!
 //! Every test runs many seeded iterations under a watchdog: a deadlock
 //! fails the test with a message instead of hanging the suite.
@@ -10,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ms_core::{Rng64, ServiceError, Summary};
-use ms_service::{Engine, ServiceConfig, SummaryKind};
+use ms_service::{DurabilityConfig, Engine, FsyncPolicy, ServiceConfig, SummaryKind};
 
 const ITERATIONS: u64 = 120;
 
@@ -112,7 +113,6 @@ fn queries_after_shutdown_answer_and_mutations_error() {
             assert_eq!(engine.metrics().updates, 320);
             // …while every mutation is a typed error, not a hang.
             assert_eq!(engine.ingest(vec![1]), Err(ServiceError::Shutdown));
-            assert_eq!(engine.try_ingest(vec![1]), Err(ServiceError::Shutdown));
             assert_eq!(engine.flush(), Err(ServiceError::Shutdown));
         }
     });
@@ -142,10 +142,10 @@ fn clean_shutdown_preserves_every_acked_batch() {
             std::thread::sleep(Duration::from_micros(rng.below(2_000)));
             let snap = engine.shutdown();
             let acked = pusher.join().unwrap();
-            // Clean shutdown drains queues and in-flight deltas before the
-            // workers exit: the final snapshot holds *exactly* the acked
-            // batches — an Ok ingest is never lost, a rejected one never
-            // counted.
+            // Clean shutdown waits out in-flight absorbs and hands off every
+            // delta before the compactor exits: the final snapshot holds
+            // *exactly* the acked batches — an Ok ingest is never lost, a
+            // rejected one never counted.
             assert_eq!(
                 snap.summary.total_weight(),
                 acked * 8,
@@ -156,14 +156,61 @@ fn clean_shutdown_preserves_every_acked_batch() {
 }
 
 #[test]
+fn durable_shutdown_waits_out_ingests_past_their_check() {
+    // Under `fsync always` an ingest spends most of its time in the WAL
+    // append, after its `stopped` check and before its absorb. Shutdown
+    // must wait those out before its final barrier, or an acked batch is
+    // absorbed after the barrier and missing from the final snapshot.
+    with_deadline(300, "durable-shutdown-race", || {
+        let mut rng = Rng64::new(0x5D0_0003);
+        for i in 0..30 {
+            let dir = std::env::temp_dir().join(format!(
+                "ms-service-shutdown-race-{i}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let durability = DurabilityConfig::new(&dir).fsync(FsyncPolicy::Always);
+            let engine = Engine::start(
+                ServiceConfig::new(SummaryKind::Mg, 0.05)
+                    .shards(2)
+                    .delta_updates(64)
+                    .seed(i)
+                    .durability(durability),
+            )
+            .unwrap();
+            let pushers: Vec<_> = (0..3)
+                .map(|_| {
+                    let engine = Arc::clone(&engine);
+                    std::thread::spawn(move || {
+                        let mut acked = 0u64;
+                        loop {
+                            match engine.ingest(vec![1, 2, 3, 4, 5, 6, 7, 8]) {
+                                Ok(()) => acked += 1,
+                                Err(ServiceError::Shutdown) => return acked,
+                                Err(other) => panic!("unexpected {other:?}"),
+                            }
+                        }
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_micros(rng.below(5_000)));
+            let snap = engine.shutdown();
+            let acked: u64 = pushers.into_iter().map(|p| p.join().unwrap()).sum();
+            assert_eq!(snap.summary.total_weight(), acked * 8, "iteration {i}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    });
+}
+
+#[test]
 fn drop_without_shutdown_does_not_hang_the_process() {
     with_deadline(120, "drop-without-shutdown", || {
         for i in 0..ITERATIONS {
             let engine = small_engine(SummaryKind::CountMin, i);
             engine.ingest(vec![5; 100]).unwrap();
-            // Dropping the last Arc without calling shutdown leaks no lock
-            // and blocks nothing; worker threads exit when their queues
-            // close at Engine drop.
+            // Dropping the last caller's Arc without calling shutdown
+            // leaks no lock and blocks nothing: the compactor thread,
+            // parked on its channel, is all that keeps the engine.
             drop(engine);
         }
     });

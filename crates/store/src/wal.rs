@@ -153,6 +153,9 @@ pub struct Wal {
     seg_start: u64,
     next_seq: u64,
     appends_since_sync: u64,
+    /// Directory syncs issued: one per segment created under a policy
+    /// that syncs, one per pruning pass that removed files.
+    dir_syncs: u64,
     /// Reused per-record encode buffer: steady-state appends allocate
     /// nothing.
     scratch: Vec<u8>,
@@ -237,6 +240,7 @@ impl Wal {
                 seg_start,
                 next_seq,
                 appends_since_sync: 0,
+                dir_syncs: 0,
                 scratch: Vec::new(),
             },
             scans,
@@ -326,15 +330,19 @@ impl Wal {
         if self.file.is_some() && self.seg_len + bytes.len() as u64 > self.segment_bytes {
             self.rotate()?;
         }
-        let file = match self.file.as_mut() {
-            Some(f) => f,
-            None => {
-                self.seg_start = seq;
-                self.seg_len = 0;
-                self.file = Some(create_segment(&self.dir, seq)?);
-                self.file.as_mut().expect("just created")
+        if self.file.is_none() {
+            let file = create_segment(&self.dir, seq)?;
+            // Under a policy that syncs, a record's bytes are durable only
+            // once its file's directory entry is: sync it before the
+            // segment's first record can be acked.
+            if self.fsync.syncs() {
+                self.sync_entries()?;
             }
-        };
+            self.seg_start = seq;
+            self.seg_len = 0;
+            self.file = Some(file);
+        }
+        let file = self.file.as_mut().expect("opened above");
         file.write_all(bytes)?;
         self.seg_len += bytes.len() as u64;
         self.next_seq += 1;
@@ -350,15 +358,21 @@ impl Wal {
         Ok(())
     }
 
-    /// Close the current segment (fsynced unless the policy is `never`)
-    /// and start the next one on the following append.
+    /// Close the current segment (fsynced unless the policy is `never`;
+    /// its directory entry was synced when it was created) and start the
+    /// next one on the following append.
     fn rotate(&mut self) -> io::Result<()> {
         if self.fsync.syncs() {
             self.sync()?;
-            // Make the finished segment's directory entry durable too.
-            sync_dir(&self.dir)?;
         }
         self.file = None;
+        Ok(())
+    }
+
+    /// Make the log directory's creates and unlinks durable.
+    fn sync_entries(&mut self) -> io::Result<()> {
+        sync_dir(&self.dir)?;
+        self.dir_syncs += 1;
         Ok(())
     }
 
@@ -382,7 +396,7 @@ impl Wal {
             }
         }
         if removed > 0 && self.fsync.syncs() {
-            sync_dir(&self.dir)?;
+            self.sync_entries()?;
         }
         Ok(removed)
     }
@@ -609,6 +623,31 @@ mod tests {
         let (mut wal, _) = Wal::open(&cfg).unwrap();
         assert!(wal.append(b"x").unwrap().synced);
         cleanup(&cfg);
+    }
+
+    #[test]
+    fn each_new_segment_is_made_durable_in_its_directory() {
+        // A record acked in a fresh segment is lost with its file on power
+        // loss unless the directory entry is synced: one directory sync
+        // per segment created under a policy that syncs, none under
+        // `never`.
+        for (policy, per_segment) in [
+            (FsyncPolicy::Always, 1),
+            (FsyncPolicy::EveryN(4), 1),
+            (FsyncPolicy::Never, 0),
+        ] {
+            let cfg = temp_cfg("dir-sync").segment_bytes(128).fsync(policy);
+            let (mut wal, _) = Wal::open(&cfg).unwrap();
+            wal.append(b"x").unwrap();
+            assert_eq!(wal.dir_syncs, per_segment, "{policy:?}: first record");
+            for i in 0..30u64 {
+                wal.append(&i.to_le_bytes()).unwrap();
+            }
+            let segments = segment_paths(&cfg.dir.join("wal")).unwrap().len() as u64;
+            assert!(segments >= 3, "{segments} segments");
+            assert_eq!(wal.dir_syncs, per_segment * segments, "{policy:?}");
+            cleanup(&cfg);
+        }
     }
 
     #[test]

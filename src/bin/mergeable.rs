@@ -756,40 +756,14 @@ fn cmd_bench_client(args: &[String]) -> Result<(), String> {
         sent_items as f64 / secs
     );
     println!("engine updates:   {}", m.updates);
-    println!("engine batches:   {} ({} dropped)", m.batches, m.dropped);
+    println!("engine batches:   {}", m.batches);
     println!("engine merges:    {}", m.merges);
     println!("snapshot epoch:   {}", m.epoch);
     println!("snapshot weight:  {}", m.snapshot_weight);
     println!("snapshot age:     {}us", m.snapshot_age_micros);
     println!("shards lost:      {}", m.shards_lost);
     println!("frames rejected:  {}", m.frames_rejected);
-    println!("server retries:   {}", m.retries);
 
-    // Per-shard pool reuse comes from the telemetry snapshot (the engine
-    // exports it as labeled gauges).
-    let telemetry = client
-        .telemetry()
-        .map_err(|e| format!("telemetry failed: {e}"))?;
-    let mut shard_pcts = Vec::new();
-    for (key, value) in &telemetry.gauges {
-        if let Some(rest) = key.strip_prefix("pool_reuse_pct{shard=\"") {
-            if let Some(shard) = rest
-                .strip_suffix("\"}")
-                .and_then(|s| s.parse::<usize>().ok())
-            {
-                shard_pcts.push((shard, *value));
-            }
-        }
-    }
-    shard_pcts.sort_unstable();
-    if !shard_pcts.is_empty() {
-        let line = shard_pcts
-            .iter()
-            .map(|(shard, pct)| format!("s{shard}:{pct}%"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!("pool reuse:       {line}");
-    }
     Ok(())
 }
 
@@ -924,7 +898,6 @@ fn cmd_metrics_cluster(mut args: Vec<String>, prom: bool) -> Result<(), String> 
     }
     println!("{:<44} {}", "updates", report.updates);
     println!("{:<44} {}", "batches", report.batches);
-    println!("{:<44} {}", "dropped", report.dropped);
     println!("{:<44} {}", "merges", report.merges);
     println!("{:<44} {}", "snapshot_weight", report.snapshot_weight);
     println!("{:<44} {}", "epoch (max)", report.epoch);
@@ -934,7 +907,6 @@ fn cmd_metrics_cluster(mut args: Vec<String>, prom: bool) -> Result<(), String> 
     );
     println!("{:<44} {}", "shards_lost", report.shards_lost);
     println!("{:<44} {}", "frames_rejected", report.frames_rejected);
-    println!("{:<44} {}", "retries", report.retries);
     println!();
     print_registry(&snap);
     Ok(())

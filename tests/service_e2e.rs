@@ -4,12 +4,16 @@
 //! quantile queries within the paper's error bounds — the merge guarantee
 //! (PODS'12 Definition 1) is exactly what makes the nondeterministic
 //! interleaving of shard hand-offs harmless. The snapshot must also
-//! survive a trip through the binary wire codec for every family.
+//! survive a trip through the binary wire codec for every family, and a
+//! panic inside one shard's absorb must cost that shard's delta, not the
+//! connection that sent the batch.
 
 use std::sync::Arc;
 
 use mergeable_summaries::core::{FrequencyOracle, RankOracle, Summary, Wire};
-use mergeable_summaries::service::{Engine, ServiceConfig, ShardSummary, SummaryKind};
+use mergeable_summaries::service::{
+    plan_fn, Client, Engine, FaultAction, Server, ServiceConfig, ShardSummary, SummaryKind,
+};
 use mergeable_summaries::workloads::StreamKind;
 
 mod support;
@@ -135,4 +139,47 @@ fn snapshots_survive_the_wire_codec() {
         }
         assert_eq!(back.quantile(0.5), snapshot.summary.quantile(0.5));
     }
+}
+
+/// A panic inside one shard's absorb, over real TCP: the ingest that
+/// panicked and every later one on the same connection are acked, the
+/// loss is counted once, and the final weight falls short of the acked
+/// weight by at most the shard's un-handed-off delta plus the batch in
+/// hand.
+#[test]
+fn a_panicking_absorb_is_acked_and_costs_at_most_one_delta() {
+    const BATCH: usize = 500;
+    const DELTA: usize = 4_096;
+    // One connection ingests round-robin over two shards, so batch
+    // `2 * 7 + 1` is shard 1's eighth.
+    const PANICKING_BATCH: usize = 15;
+    let cfg = ServiceConfig::new(SummaryKind::Mg, EPS)
+        .shards(2)
+        .delta_updates(DELTA)
+        .seed(SEED)
+        .fault_plan(plan_fn(|shard, idx| {
+            assert!(shard != 1 || idx != 7, "injected panic inside an absorb");
+            FaultAction::Continue
+        }));
+    let engine = Engine::start(cfg).expect("engine start");
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut acked = 0u64;
+    for (i, batch) in zipf(200 * BATCH, SEED).chunks(BATCH).enumerate() {
+        client
+            .ingest_slice(batch)
+            .unwrap_or_else(|e| panic!("batch {i} was not acked: {e}"));
+        acked += batch.len() as u64;
+        let lost = engine.metrics().shards_lost;
+        assert_eq!(lost, u64::from(i >= PANICKING_BATCH), "after batch {i}");
+    }
+    client.flush().expect("flush");
+    assert_eq!(client.metrics().expect("metrics").shards_lost, 1);
+    server.stop();
+    let weight = engine.shutdown().summary.total_weight();
+    assert!(weight < acked, "the panicking batch cannot have landed");
+    assert!(
+        acked - weight <= (DELTA + BATCH) as u64,
+        "acked {acked}, final weight {weight}"
+    );
 }
