@@ -43,10 +43,27 @@
 //! engine without a WAL calls [`SegmentCube::record`], which numbers the
 //! batch under the fold lock.
 //!
+//! Feed: when a segment streams the engine's own family (MG, SpaceSaving,
+//! which reads the MG slot, or the hybrid quantile), the cube's fold is
+//! the engine's only absorb: the engine starts the feed once recovery is
+//! done ([`SegmentCube::start_feed`]). Each seal then sends the engine's
+//! family of the sealed segment to the compactor, which folds it into the
+//! global summary for good, left-deep in seq order; the open segment's
+//! family goes as a *view* every `delta_updates` items and on every
+//! barrier ([`SegmentCube::send_view`]), and each view replaces the last.
+//! Both are sent under the fold lock over the engine's bounded compact
+//! channel, so they arrive in fold order and a barrier's view holds every
+//! fold that finished before it; a compactor that falls behind holds the
+//! folds back. The segment recovery leaves open holds batches that the
+//! checkpoint and the replay already gave the engine, so it feeds only
+//! the batches folded after the feed started.
+//!
 //! Concurrency contract — each lock guards one thing:
 //!
-//! * **fold** (the open segment and the highest seq recorded): held for
-//!   one batch's fold and any seal it triggers, so folds run in seq order.
+//! * **fold** (the open segment, the highest seq recorded and the feed):
+//!   held for one batch's fold and any seal it triggers, so folds run in
+//!   seq order, and across the feed's sends to the compact channel (the
+//!   compactor takes no cube lock).
 //! * **index** (`Arc<Segment>` handles to the sealed segments plus a copy
 //!   of the open segment's coordinates): held only to clone handles out
 //!   or swap one in. [`SegmentCube::report`] and [`SegmentCube::health`]
@@ -92,6 +109,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 
 use ms_core::{lock, ServiceError, Summary, Wire, WireError};
@@ -99,6 +117,7 @@ use ms_quantiles::{HybridQuantile, PackedQuantile};
 use ms_store::{SegmentRecord, SegmentStore};
 
 use crate::config::{SegmentConfig, ServiceConfig, SummaryKind};
+use crate::engine::CompactMsg;
 use crate::protocol::{RangeMeta, SegmentMeta, SegmentReport};
 use crate::summary::ShardSummary;
 use crate::telemetry::EngineTelemetry;
@@ -186,6 +205,10 @@ struct Open {
     meta: SegmentMeta,
     mg: ShardSummary,
     quantile: HybridQuantile<u64>,
+    /// The fed family of only the batches folded since the feed started,
+    /// when this segment opened before it (recovery's last segment,
+    /// whose earlier batches the checkpoint and the shards hold).
+    partial: Option<ShardSummary>,
 }
 
 impl Open {
@@ -198,6 +221,27 @@ impl Open {
             SummaryKind::CountMin => unreachable!("no segment keeps a Count-Min family"),
         }
     }
+
+    /// What the feed sends for this segment: a copy of the engine's
+    /// family, labelled as the engine's kind.
+    fn fed(&self, kind: SummaryKind) -> ShardSummary {
+        match (&self.partial, kind) {
+            (Some(partial), _) => partial.clone(),
+            (None, SummaryKind::SpaceSaving) => derive_space_saving(self.mg.clone()),
+            (None, kind) => self.family(kind),
+        }
+    }
+}
+
+/// Where a fed cube sends the engine's family (module doc).
+struct Feed {
+    tx: SyncSender<CompactMsg>,
+    /// The engine's kind: MG, SpaceSaving or the hybrid quantile.
+    kind: SummaryKind,
+    /// Items between two views of the open segment.
+    every: u64,
+    /// Items folded since the last view or seal.
+    since_view: u64,
 }
 
 /// A sealed segment, behind an `Arc` in the index (immutable there:
@@ -238,6 +282,7 @@ impl Segment {
             mut meta,
             mg,
             quantile,
+            ..
         } = open;
         meta.sealed = true;
         let packed = quantile.pack();
@@ -327,13 +372,27 @@ impl Segment {
         for merge in merges {
             merge.expect("same-family segment summaries always merge");
         }
-        Segment::seal(Open { meta, mg, quantile })
+        Segment::seal(Open {
+            meta,
+            mg,
+            quantile,
+            partial: None,
+        })
     }
 
     /// Heap bytes the resting families hold: the packed quantile form
     /// and the MG counters.
     fn resident_bytes(&self) -> usize {
         self.quantile.heap_bytes() + self.mg.size() * std::mem::size_of::<(u64, u64)>()
+    }
+}
+
+impl Feed {
+    /// Send a view of `open`. Under the fold lock, over the bounded compact
+    /// channel: a compactor that falls behind holds folds back.
+    fn send_view(&mut self, open: &Open) {
+        let _ = self.tx.send(CompactMsg::View(open.fed(self.kind)));
+        self.since_view = 0;
     }
 }
 
@@ -344,6 +403,8 @@ struct Fold {
     /// Id the next opened segment gets.
     next_id: u64,
     open: Option<Open>,
+    /// Set once the engine's cube takes over its absorb.
+    feed: Option<Feed>,
 }
 
 /// A durable cube's segment files (module doc).
@@ -477,6 +538,7 @@ impl SegmentCube {
                 last_seq: 0,
                 next_id: 0,
                 open: None,
+                feed: None,
             }),
             index: Mutex::new(Index::default()),
             memo: Mutex::new(Memo::default()),
@@ -511,11 +573,16 @@ impl SegmentCube {
         now.max(self.last_micros.fetch_max(now, Ordering::AcqRel))
     }
 
-    /// Seal the open segment into the index, then coarsen and evict.
+    /// Seal the open segment into the index, then coarsen and evict. A
+    /// fed cube first sends the engine's family of it to be folded for good.
     fn seal(&self, fold: &mut Fold, out: &mut CubeOutcome) {
         let Some(open) = fold.open.take() else {
             return;
         };
+        if let Some(feed) = &mut fold.feed {
+            let _ = feed.tx.send(CompactMsg::Delta(None, open.fed(feed.kind)));
+            feed.since_view = 0;
+        }
         let (seg, record) = Segment::seal(open);
         out.sealed.push(record);
         {
@@ -616,6 +683,7 @@ impl SegmentCube {
                 mg: self.fresh(SummaryKind::Mg),
                 // `self.fresh`'s quantile summary: shard 0's seed is `seed`.
                 quantile: HybridQuantile::new(self.epsilon, self.seed),
+                partial: None,
             });
             fold.next_id += 1;
         }
@@ -628,12 +696,49 @@ impl SegmentCube {
         // counter table and the quantile buffers stay hot.
         open.mg.update_batch(batch);
         open.quantile.insert_batch(batch);
+        if let Some(partial) = &mut open.partial {
+            partial.update_batch(batch);
+        }
         if open.meta.batches >= self.cfg.seal_batches {
             self.seal(fold, &mut out);
         } else {
             lock(&self.index).open = Some(open.meta.clone());
+            if let Some(feed) = &mut fold.feed {
+                feed.since_view += batch.len() as u64;
+                if feed.since_view >= feed.every {
+                    feed.send_view(open);
+                }
+            }
         }
         out
+    }
+
+    /// Make the cube the engine's only absorb: from now on every seal
+    /// sends the engine's family of the segment to `tx`, and the open
+    /// segment's is sent as a view every `every` items and on
+    /// [`SegmentCube::send_view`]. A segment already open keeps what it
+    /// folded so far to itself: the engine holds those batches already.
+    pub(crate) fn start_feed(&self, tx: SyncSender<CompactMsg>, kind: SummaryKind, every: u64) {
+        let mut fold = lock(&self.fold);
+        if let Some(open) = &mut fold.open {
+            open.partial = Some(self.fresh(kind));
+        }
+        fold.feed = Some(Feed {
+            tx,
+            kind,
+            every,
+            since_view: 0,
+        });
+    }
+
+    /// Send the open segment's view now, if the cube is fed: the barrier's
+    /// cut, taken under the fold lock so it holds every finished fold.
+    pub(crate) fn send_view(&self) {
+        let mut fold = lock(&self.fold);
+        let Fold { open, feed, .. } = &mut *fold;
+        if let (Some(open), Some(feed)) = (open, feed) {
+            feed.send_view(open);
+        }
     }
 
     /// Record one batch of an engine without a WAL, numbered next under

@@ -1,11 +1,15 @@
-//! The compactor: one thread folds the deltas shards hand off into the
-//! global summary, in whatever order they arrive (Definition 1), publishes
-//! each fold as the next immutable [`Snapshot`] and builds each shard's
-//! next spare delta. Also the one barrier flush, checkpoint and shutdown
-//! share. Ledger rows `compactor.merge_many` and `swap.publish`.
+//! The compactor: one thread folds the parts it is handed into the global
+//! summary for good, in the order they arrive (Definition 1), and
+//! publishes each fold as the next immutable [`Snapshot`]. A part is a
+//! shard's full delta, after which the compactor builds that shard's
+//! next spare, or, on a fed cube server, a sealed segment's family
+//! ([`crate::cube`]). Such a server also sends the open segment's family
+//! as a view, which each publish merges into a copy of the global summary
+//! and the next view replaces. Also the one barrier flush, checkpoint and
+//! shutdown share. Ledger rows `compactor.merge_many` and `swap.publish`.
 
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -15,39 +19,61 @@ use super::{Engine, Snapshot};
 use crate::summary::{MergeLineage, ShardSummary};
 use crate::telemetry::timed;
 
-/// How many backlogged deltas one compaction pass will fuse. Under steady
-/// load the channel is empty and each delta is folded as it arrives;
+/// How many backlogged parts one compaction pass will fuse. Under steady
+/// load the channel is empty and each part is folded as it arrives;
 /// under backlog the linear families (Count-Min) fold the whole batch in a
 /// single pass over the global table.
 const MAX_COMPACT_FUSE: usize = 16;
 
-/// Bound of the hand-off channel: full deltas (and barrier messages) in
-/// flight to the compactor before a hand-off waits for it.
+/// Bound of the compact channel: parts, views and barrier messages in
+/// flight to the compactor before a sender waits for it.
 pub(super) const HANDOFF_SLOTS: usize = 16;
 
-pub(super) enum CompactMsg {
-    /// A delta handed off by shard `.0`, whose spare it took.
-    Delta(usize, ShardSummary),
+pub(crate) enum CompactMsg {
+    /// A part to fold for good: a delta handed off by shard `Some(s)`,
+    /// whose spare it took, or the family of a segment a fed cube sealed
+    /// (`None`), which also retires the open view.
+    Delta(Option<usize>, ShardSummary),
+    /// The fed cube's open segment's family as of its last fold: every
+    /// publish until the next view or seal merges it in.
+    View(ShardSummary),
     /// Publish the global summary and hand that snapshot back: it holds
-    /// every delta queued before this message. By Definition 1 the merged
-    /// summary is also the checkpoint.
+    /// every part and view queued before this message. By Definition 1
+    /// the merged summary is also the checkpoint.
     Publish(Sender<Arc<Snapshot>>),
-    /// Shut the compactor down. The engine caches a plain `Sender` (no
-    /// lock on the hand-off path), so the channel never disconnects by
+    /// Shut the compactor down. Senders are plain cached clones (no lock
+    /// on the hand-off path), so the channel need not disconnect by
     /// itself; this sentinel is the explicit stop signal.
     Stop,
 }
 
+/// What the compactor thread folds into and publishes from.
+struct Compaction {
+    global: ShardSummary,
+    /// Mirrors the left-deep fold: after k parts, merges == depth == k
+    /// and weight == global.total_weight().
+    lineage: MergeLineage,
+    /// The fed cube's open view, if one is current.
+    view: Option<ShardSummary>,
+    merge_index: u64,
+    trace: ms_obs::TraceHandle,
+}
+
 impl Engine {
     /// The barrier flush, checkpoint and shutdown share: every shard
-    /// hands its delta to the compactor, then a publish is queued behind
-    /// them. The receiver yields that snapshot.
+    /// hands its delta to the compactor, a fed cube sends its open view,
+    /// then a publish is queued behind them. The receiver yields that
+    /// snapshot.
     ///
     /// Ordering argument: a delta enters the channel under its shard's
-    /// lock, so an absorb that finished before this call has its delta
-    /// queued (or handed off earlier) before the publish is.
+    /// lock and a view under the cube's fold lock, so an absorb or fold
+    /// that finished before this call has its part or view queued before
+    /// the publish is.
     pub(super) fn barrier(&self) -> Result<Receiver<Arc<Snapshot>>, ServiceError> {
         self.hand_off_all();
+        if let Some(cube) = self.fed_cube() {
+            cube.send_view();
+        }
         let (tx, rx) = mpsc::channel();
         self.compact_tx
             .send(CompactMsg::Publish(tx))
@@ -55,109 +81,137 @@ impl Engine {
         Ok(rx)
     }
 
+    /// Start the compactor thread. It holds only `rx` and a `Weak` to the
+    /// engine, upgraded per message, so an engine whose callers drop it
+    /// without a shutdown is freed and the thread then exits.
     pub(super) fn spawn_compactor(
         &self,
         rx: Receiver<CompactMsg>,
     ) -> std::io::Result<JoinHandle<()>> {
-        let engine = self.arc();
+        let me = self.me.clone();
+        let compaction = Compaction {
+            global: ShardSummary::new(&self.cfg, usize::MAX),
+            lineage: MergeLineage::leaf(0),
+            view: None,
+            merge_index: 0,
+            trace: self.telemetry.recorder().register("compactor"),
+        };
         std::thread::Builder::new()
             .name("ms-compactor".to_string())
-            .spawn(move || engine.run_compactor(rx))
+            .spawn(move || run_compactor(&me, &rx, compaction))
     }
+}
 
-    fn run_compactor(&self, rx: Receiver<CompactMsg>) {
-        let cfg = &self.cfg;
-        let trace = self.telemetry.recorder().register("compactor");
-        let mut global = ShardSummary::new(cfg, usize::MAX);
-        let mut merge_index = 0u64;
-        // Lineage mirrors the left-deep fold below: after k deltas,
-        // merges == depth == k and weight == global.total_weight().
-        let mut lineage = MergeLineage::leaf(global.total_weight());
-        let mut carried: Option<CompactMsg> = None;
-        loop {
-            let msg = match carried.take() {
-                Some(msg) => msg,
-                None => match rx.recv() {
-                    Ok(msg) => msg,
-                    Err(_) => break,
-                },
-            };
-            match msg {
-                CompactMsg::Delta(shard, delta) => {
-                    // Drain whatever backlog is already queued, stopping
-                    // at the first non-delta message so barriers keep
-                    // their channel ordering.
-                    let mut shards = vec![shard];
-                    let mut batch = vec![delta];
-                    while batch.len() < MAX_COMPACT_FUSE {
-                        match rx.try_recv() {
-                            Ok(CompactMsg::Delta(shard, delta)) => {
-                                shards.push(shard);
-                                batch.push(delta);
-                            }
-                            Ok(other) => {
-                                carried = Some(other);
-                                break;
-                            }
-                            Err(_) => break,
+fn run_compactor(me: &Weak<Engine>, rx: &Receiver<CompactMsg>, mut c: Compaction) {
+    let mut carried: Option<CompactMsg> = None;
+    loop {
+        let msg = match carried.take() {
+            Some(msg) => msg,
+            None => match rx.recv() {
+                Ok(msg) => msg,
+                Err(_) => break,
+            },
+        };
+        // Gone once its callers dropped it without a shutdown.
+        let Some(engine) = me.upgrade() else {
+            break;
+        };
+        match msg {
+            CompactMsg::Delta(shard, part) => {
+                // Drain whatever backlog is already queued, stopping at
+                // the first other message so barriers and views keep
+                // their channel ordering.
+                let mut shards = vec![shard];
+                let mut batch = vec![part];
+                while batch.len() < MAX_COMPACT_FUSE {
+                    match rx.try_recv() {
+                        Ok(CompactMsg::Delta(shard, part)) => {
+                            shards.push(shard);
+                            batch.push(part);
                         }
-                    }
-                    let fused = batch.len() as u64;
-                    let mut weights = Vec::with_capacity(batch.len());
-                    for delta in &batch {
-                        let stall_ms = cfg.fault_plan.compactor_merge(merge_index);
-                        merge_index += 1;
-                        if stall_ms > 0 {
-                            trace.event("stall", &[("ms", stall_ms)]);
-                            std::thread::sleep(std::time::Duration::from_millis(stall_ms));
+                        Ok(other) => {
+                            carried = Some(other);
+                            break;
                         }
-                        weights.push(delta.total_weight());
-                    }
-                    let mut span = ms_obs::span!(trace, "compact", merge_index = merge_index);
-                    if fused > 1 {
-                        span.field("fused", fused);
-                    }
-                    // In-place: the global summary's storage is reused
-                    // across merges instead of being cloned per delta;
-                    // linear families fold the whole batch in one pass.
-                    let (results, micros) = timed(|| global.merge_in_place_many(batch));
-                    let mut any_merged = false;
-                    for (result, weight) in results.iter().zip(weights) {
-                        if result.is_ok() {
-                            // Deltas come from ShardSummary::new under the
-                            // same config, so kinds/ε always match; a
-                            // failure here would be an engine bug and
-                            // leaves `global` untouched for that delta.
-                            lineage.absorb(MergeLineage::leaf(weight));
-                            self.telemetry.counters.merges.inc();
-                            any_merged = true;
-                        }
-                    }
-                    if any_merged {
-                        // The compactor folds deltas left-deep, so the
-                        // snapshot's merge tree is `merge_index` deep.
-                        self.telemetry.record_compact_merge(micros, merge_index);
-                        self.publish(global.clone(), lineage);
-                        span.field("epoch", self.snapshot().epoch);
-                    }
-                    for shard in shards {
-                        self.shards[shard].ready_spare(cfg, shard);
+                        Err(_) => break,
                     }
                 }
-                CompactMsg::Publish(ack) => {
-                    self.publish(global.clone(), lineage);
-                    // Only this thread publishes, so the current snapshot
-                    // is the one just published.
-                    let _ = ack.send(self.snapshot());
+                c.fold(&engine, batch);
+                for shard in shards {
+                    match shard {
+                        Some(shard) => engine.shards[shard].ready_spare(&engine.cfg, shard),
+                        // A sealed segment holds everything its views held.
+                        None => c.view = None,
+                    }
                 }
-                CompactMsg::Stop => break,
+                engine.publish(&c);
             }
+            CompactMsg::View(view) => {
+                c.view = Some(view);
+                engine.publish(&c);
+            }
+            CompactMsg::Publish(ack) => {
+                engine.publish(&c);
+                // Only this thread publishes, so the current snapshot is
+                // the one just published.
+                let _ = ack.send(engine.snapshot());
+            }
+            CompactMsg::Stop => break,
         }
     }
+}
 
-    /// Publish the next epoch. Only the compactor thread calls this, so
-    /// the snapshot read here is still current when `swap` replaces it.
-    fn publish(&self, summary: ShardSummary, lineage: MergeLineage) {
+impl Compaction {
+    /// Fold `batch` into the global summary in place, in order.
+    fn fold(&mut self, engine: &Engine, batch: Vec<ShardSummary>) {
+        let fused = batch.len() as u64;
+        let mut weights = Vec::with_capacity(batch.len());
+        for part in &batch {
+            let stall_ms = engine.cfg.fault_plan.compactor_merge(self.merge_index);
+            self.merge_index += 1;
+            if stall_ms > 0 {
+                self.trace.event("stall", &[("ms", stall_ms)]);
+                std::thread::sleep(std::time::Duration::from_millis(stall_ms));
+            }
+            weights.push(part.total_weight());
+        }
+        let mut span = ms_obs::span!(self.trace, "compact", merge_index = self.merge_index);
+        if fused > 1 {
+            span.field("fused", fused);
+        }
+        // In-place: the global summary's storage is reused across merges
+        // instead of being cloned per part; linear families fold the
+        // whole batch in one pass.
+        let (results, micros) = timed(|| self.global.merge_in_place_many(batch));
+        for (result, weight) in results.iter().zip(weights) {
+            if result.is_ok() {
+                // Parts come from the same config, so kinds/ε always
+                // match; a failure here would be an engine bug and leaves
+                // `global` untouched for that part.
+                self.lineage.absorb(MergeLineage::leaf(weight));
+                engine.telemetry.counters.merges.inc();
+            }
+        }
+        // The compactor folds left-deep, so the snapshot's merge tree is
+        // `merge_index` deep.
+        engine
+            .telemetry
+            .record_compact_merge(micros, self.merge_index);
+    }
+}
+
+impl Engine {
+    /// Publish the next epoch: the global summary, with the open view
+    /// merged into a copy of it when there is one. Only the compactor
+    /// thread calls this, so the snapshot read here is still current when
+    /// `swap` replaces it.
+    fn publish(&self, c: &Compaction) {
+        let (mut summary, mut lineage) = (c.global.clone(), c.lineage);
+        if let Some(view) = &c.view {
+            if summary.merge_in_place(view.clone()).is_ok() {
+                lineage.absorb(MergeLineage::leaf(view.total_weight()));
+            }
+        }
         let last = self.snapshot.load();
         let epoch = last.epoch + 1;
         let since_last = last.published_at.elapsed().as_micros() as u64;

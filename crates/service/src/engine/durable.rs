@@ -76,7 +76,7 @@ pub(super) struct Durable {
     /// `None` once the checkpointer stopped. A trigger may carry an ack
     /// sender ([`Engine::checkpoint_now`] waits on it).
     pub(super) trigger_tx: Mutex<Option<Sender<Option<Sender<()>>>>>,
-    checkpointer: Mutex<Option<JoinHandle<()>>>,
+    pub(super) checkpointer: Mutex<Option<JoinHandle<()>>>,
     /// WAL cut of the last checkpoint set written, and when.
     pub(super) last_ckpt: Mutex<(u64, Instant)>,
     pub(super) recovery: Mutex<RecoveryReport>,
@@ -192,7 +192,7 @@ impl Engine {
             for (i, part) in parts.into_iter().enumerate() {
                 report.preloaded_weight += part.total_weight();
                 self.compact_tx
-                    .send(CompactMsg::Delta(i % self.cfg.shards, part))
+                    .send(CompactMsg::Delta(Some(i % self.cfg.shards), part))
                     .map_err(|_| ServiceError::Shutdown)?;
             }
         }
@@ -232,14 +232,18 @@ impl Engine {
         // The checkpointer runs one cycle per trigger: a cadence trigger
         // from ingest every `checkpoint_batches` batches, or an explicit
         // `Engine::checkpoint_now` with an ack. It exits when the
-        // trigger channel closes (shutdown/abort).
+        // trigger channel closes (shutdown, abort, or the engine dropped:
+        // it holds only a `Weak`, upgraded per cycle).
         let (trigger_tx, triggers) = mpsc::channel::<Option<Sender<()>>>();
         *lock(&d.trigger_tx) = Some(trigger_tx);
-        let engine = self.arc();
+        let me = self.me.clone();
         let checkpointer = std::thread::Builder::new()
             .name("ms-checkpointer".to_string())
             .spawn(move || {
                 for trigger in triggers {
+                    let Some(engine) = me.upgrade() else {
+                        break;
+                    };
                     if engine.perform_checkpoint().is_err() {
                         // A failed checkpoint is not fatal: the WAL still
                         // has everything. Record it and keep serving.
@@ -293,12 +297,13 @@ impl Engine {
     ///
     /// Consistency argument: with the pause lock held for write, no ingest
     /// is between "appended to WAL" and "absorbed", so the cut `W =
-    /// last_seq` covers exactly the absorbed batches; the barrier then
-    /// hands every shard's delta to the compactor queue, and its publish
-    /// drains behind them — the snapshot it hands back holds precisely the
-    /// surviving data of seqs ≤ W. The lock is released before waiting, so
-    /// ingest resumes while the compactor catches up and files are
-    /// written.
+    /// last_seq` covers exactly the absorbed batches (on a fed cube
+    /// server, the folded ones: the cube's last seq is `W`); the barrier
+    /// then hands every shard's delta and the cube's open view to the
+    /// compactor queue, and its publish drains behind them — the snapshot
+    /// it hands back holds precisely the surviving data of seqs ≤ W. The
+    /// lock is released before waiting, so ingest resumes while the
+    /// compactor catches up and files are written.
     fn perform_checkpoint(&self) -> Result<(), ServiceError> {
         let Some(d) = &self.durable else {
             return Ok(());

@@ -1,8 +1,10 @@
 //! The whole ingest path, on the thread that received the batch: shed
 //! doomed work, log the batch (WAL, cube), then absorb it into the next
 //! shard's delta under that shard's lock, handing a full delta to the
-//! compactor in exchange for a spare. Ledger rows `engine.ingest` (the
-//! path as the caller sees it) and `summary.update_batch` (the absorb).
+//! compactor in exchange for a spare. On a cube server that streams the
+//! engine's family the cube's fold is the absorb, and the shards stay
+//! empty. Ledger rows `engine.ingest` (the path as the caller sees it)
+//! and `summary.update_batch` (the shard absorb).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -62,9 +64,9 @@ impl Shard {
 
 impl Engine {
     /// What [`Engine::ingest`] and [`Engine::ingest_frame`] share once the
-    /// batch is items: shed, log, absorb. `received` is the batch as a
-    /// client sent it, logged verbatim; an in-process batch is encoded for
-    /// the WAL here.
+    /// batch is items: shed, log, absorb — or, on a fed cube server, log
+    /// and fold. `received` is the batch as a client sent it, logged
+    /// verbatim; an in-process batch is encoded for the WAL here.
     pub(super) fn ingest_items(
         &self,
         items: &[u64],
@@ -87,25 +89,59 @@ impl Engine {
             if self.stopped.load(Ordering::Acquire) {
                 return Err(ServiceError::Shutdown);
             }
-            match (&self.durable, &self.cube) {
-                // No WAL to number the batch: the cube numbers it.
-                (None, Some(cube)) => {
-                    cube.record(items);
-                }
-                // The group-commit leader folds the logged batch into the
-                // cube, if there is one, before the append returns.
-                _ => self.append_durable(|record| match received {
-                    Some(bytes) => record.extend_from_slice(bytes),
-                    None => encode_u64_slice_into(record, items),
-                })?,
+            if self.fed_cube().is_some() {
+                self.log_and_fold(items, received)?;
+            } else {
+                self.log(items, received)?;
+                self.absorb(items);
             }
-            self.absorb(items);
         }
         // Hand the core to whatever became runnable while the batch was
         // absorbed — on a busy host, other connections' requests — outside
         // every lock. One system call when nothing else is runnable.
         std::thread::yield_now();
         Ok(())
+    }
+
+    /// Log the batch: to the WAL, whose group-commit leader folds it into
+    /// the cube, if there is one, before the append returns; or, with no
+    /// WAL to number it, straight into the cube, which numbers it.
+    fn log(&self, items: &[u64], received: Option<&[u8]>) -> Result<(), ServiceError> {
+        match (&self.durable, &self.cube) {
+            (None, Some(cube)) => {
+                cube.record(items);
+                Ok(())
+            }
+            _ => self.append_durable(|record| match received {
+                Some(bytes) => record.extend_from_slice(bytes),
+                None => encode_u64_slice_into(record, items),
+            }),
+        }
+    }
+
+    /// [`Engine::log`] on a fed cube server, where the fold is the absorb:
+    /// it counts what an absorb counts. The queue-depth gauge of the next
+    /// shard counts the batch while it waits for or is inside the log and
+    /// fold, so the overload plane sees the load.
+    fn log_and_fold(&self, items: &[u64], received: Option<&[u8]>) -> Result<(), ServiceError> {
+        let telemetry = &self.telemetry;
+        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        telemetry.queue_pushed(shard);
+        let (logged, micros) = timed(|| self.log(items, received));
+        telemetry.queue_popped(shard);
+        logged?;
+        self.count_absorbed(shard, items, micros);
+        Ok(())
+    }
+
+    /// Count a batch `shard` absorbed in `micros`. Ground truth observes
+    /// exactly what the summary absorbed.
+    fn count_absorbed(&self, shard: usize, items: &[u64], micros: u64) {
+        let telemetry = &self.telemetry;
+        telemetry.record_ingest_batch(shard, micros);
+        telemetry.counters.updates.add(items.len() as u64);
+        telemetry.counters.batches.inc();
+        self.audit.observe(items);
     }
 
     /// Absorb `items` into the next shard's delta under its lock, and hand
@@ -139,11 +175,7 @@ impl Engine {
             .unwrap_or(false)
         });
         if absorbed {
-            telemetry.record_ingest_batch(shard, micros);
-            telemetry.counters.updates.add(items.len() as u64);
-            telemetry.counters.batches.inc();
-            // Ground truth observes exactly what the delta absorbed.
-            self.audit.observe(items);
+            self.count_absorbed(shard, items, micros);
             if delta.total_weight() >= cfg.delta_updates as u64 {
                 self.hand_off(shard, delta);
             }
@@ -170,7 +202,7 @@ impl Engine {
         let spare = lock(&self.shards[shard].spare).take();
         let fresh = spare.unwrap_or_else(|| ShardSummary::new(&self.cfg, shard));
         let full = std::mem::replace(delta, fresh);
-        let _ = self.compact_tx.send(CompactMsg::Delta(shard, full));
+        let _ = self.compact_tx.send(CompactMsg::Delta(Some(shard), full));
     }
 
     /// Hand off every shard's non-empty delta: the first half of the

@@ -24,6 +24,25 @@
 //!                                            an immutable value)
 //! ```
 //!
+//! On a cube server whose cube streams the engine's family (MG,
+//! SpaceSaving, which reads the MG slot, or the hybrid quantile) the
+//! segment fold is the only absorb and the shards stay empty:
+//!
+//! ```text
+//! ingest(batch) ── log ──▶ cube fold (under the fold lock, in seq order)
+//!                            │ sealed segment's family  ── fold for good ──┐
+//!                            │ open segment's view, every `delta_updates`  │
+//!                            │ items and on every barrier (replaces the    ▼
+//!                            │ last one)                             compactor
+//!                            └────────── same bounded channel ──────────────┘
+//!                  publish = global ⊕ view  ──▶ SwapCell<Snapshot>
+//! ```
+//!
+//! Sealed segments are folded left-deep in seq order, so such a server's
+//! served summary is a function of the WAL order alone. Recovery still
+//! replays into the shards (see `durable.rs`); the segment it leaves open
+//! feeds only the batches folded after the restart.
+//!
 //! Readers never block writers: a query clones the current `Arc<Snapshot>`
 //! out of a [`ms_core::SwapCell`] under a briefly held lock and then works
 //! on the immutable snapshot; the compactor builds the next snapshot off
@@ -36,9 +55,9 @@
 //!
 //! | File | Stage | Ledger rows |
 //! |------|-------|-------------|
-//! | `ingest.rs` | shed, log, absorb into a shard delta, hand off full deltas | `engine.ingest`, `summary.update_batch` |
+//! | `ingest.rs` | shed, log, absorb into a shard delta (on a fed cube server: log and fold), hand off full deltas | `engine.ingest`, `summary.update_batch`, `cube.fold` |
 //! | `durable.rs` | WAL group commit, checkpoints, segment files, recovery | `wal.append`, `checkpoint.write`, `segment.write` |
-//! | `compactor.rs` | fold deltas, publish snapshots, ready spares; the shared barrier | `compactor.merge_many`, `swap.publish` |
+//! | `compactor.rs` | fold deltas and sealed segments, publish snapshots (with the open view), ready spares; the shared barrier | `compactor.merge_many`, `swap.publish` |
 //! | `audit.rs` | accuracy self-audit against ground truth | — |
 //!
 //! This file holds the engine itself: start, the public methods, the
@@ -72,6 +91,10 @@
 //! never per item: the pause lock (read), the item-buffer pool
 //! ([`ms_core::BufferPool`]) and the shard lock — plus, once per
 //! `delta_updates` updates, the spare slot and one bounded-channel send.
+//! On a fed cube server the fold lock takes the shard lock's place, and
+//! the bounded-channel send (a view, or a sealed segment's family) is
+//! made under it; the family is cloned for it, once per `delta_updates`
+//! items and once per seal. Each item is summarised once.
 //! Durable appends go through leader–follower group commit
 //! ([`ms_store::GroupCommit`]) so the store mutex is amortized across
 //! concurrent callers. See DESIGN.md §Hot path for the per-batch budget.
@@ -100,7 +123,8 @@ mod ingest;
 pub use durable::RecoveryReport;
 
 use audit::AuditPlane;
-use compactor::{CompactMsg, HANDOFF_SLOTS};
+pub(crate) use compactor::CompactMsg;
+use compactor::HANDOFF_SLOTS;
 use durable::Durable;
 use ingest::Shard;
 
@@ -121,9 +145,10 @@ pub struct Snapshot {
 /// Point-in-time engine counters, cheap to copy over the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsReport {
-    /// Updates absorbed into shard deltas.
+    /// Updates absorbed: into shard deltas, or, on a cube server that
+    /// streams the engine's family, folded into the open segment.
     pub updates: u64,
-    /// Batches absorbed into shard deltas.
+    /// Batches absorbed, as for `updates`.
     pub batches: u64,
     /// Always 0: nothing drops an accepted batch. The field keeps its
     /// wire slot.
@@ -175,7 +200,8 @@ const ITEM_POOL_SLOTS: usize = 8;
 /// The engine: owns the shard deltas and the compactor thread. Cheap to
 /// share as `Arc<Engine>`; all public methods take `&self`.
 pub struct Engine {
-    /// The engine's own `Arc`, which every thread it spawns holds.
+    /// The engine itself, as the threads it spawns hold it: a `Weak`, so
+    /// the engine is freed once its callers drop it, shut down or not.
     me: Weak<Engine>,
     cfg: ServiceConfig,
     /// One per shard: the delta ingesting threads absorb into, and the
@@ -269,13 +295,21 @@ impl Engine {
         if let Some(recovery) = recovered {
             engine.recover(recovery)?;
         }
+        // Whatever recovery rebuilt is in the shards; from here on the
+        // cube's folds are the engine's only absorb.
+        if let Some(cube) = engine.fed_cube() {
+            let tx = engine.compact_tx.clone();
+            cube.start_feed(tx, engine.cfg.kind, engine.cfg.delta_updates as u64);
+        }
         Ok(engine)
     }
 
-    /// The `Arc` a spawned thread holds. Upgrading cannot fail while a
-    /// method runs on `&self`: some `Arc<Engine>` is keeping it alive.
-    fn arc(&self) -> Arc<Engine> {
-        self.me.upgrade().expect("engine methods run on a live Arc")
+    /// The cube, when it folds the engine's family: then the segment fold
+    /// replaces the shard absorb (see [`crate::cube`]'s feed). A Count-Min
+    /// engine keeps its shards; no segment streams that family.
+    fn fed_cube(&self) -> Option<&SegmentCube> {
+        let fed = self.cfg.kind != SummaryKind::CountMin;
+        self.cube.as_deref().filter(|_| fed)
     }
 
     /// What recovery found when this engine started, or `None` for an
@@ -431,16 +465,19 @@ impl Engine {
             ("snapshot_weight", snap.summary.total_weight()),
         ];
         if let Some(d) = &self.durable {
-            let r = lock(&d.recovery).clone();
+            let (duration, replayed, corrupt) = {
+                let r = lock(&d.recovery);
+                let corrupt = r.corrupt_records + r.corrupt_checkpoints;
+                (r.duration_micros, r.replayed_records, corrupt)
+            };
             let (ckpt_seq, ckpt_at) = *lock(&d.last_ckpt);
             let ckpt_age = ckpt_at.elapsed().as_micros() as u64;
-            let corrupt = r.corrupt_records + r.corrupt_checkpoints;
             gauges.extend([
                 ("checkpoint_seq", ckpt_seq),
                 ("checkpoint_age_micros", ckpt_age),
                 ("wal_last_seq", lock(&d.store).wal.last_seq()),
-                ("recovery_duration_micros", r.duration_micros),
-                ("recovery_replayed_records", r.replayed_records),
+                ("recovery_duration_micros", duration),
+                ("recovery_replayed_records", replayed),
                 ("recovery_corrupt_records", corrupt),
             ]);
         }
@@ -550,6 +587,17 @@ impl Engine {
         if let Some(handle) = lock(&self.compactor_handle).take() {
             let _ = handle.join();
         }
+    }
+}
+
+impl Drop for Engine {
+    /// An engine dropped without a shutdown: tell the compactor to stop,
+    /// without waiting for it (this may run on the compactor thread
+    /// itself, as the last holder). A full channel needs no sentinel: the
+    /// compactor's next receive finds the engine gone. The checkpointer
+    /// ends when its trigger channel, dropped with the engine, closes.
+    fn drop(&mut self) {
+        let _ = self.compact_tx.try_send(CompactMsg::Stop);
     }
 }
 
@@ -747,6 +795,38 @@ pub(super) mod tests {
         let health = engine.cube().expect("a cube").health();
         assert_eq!((health.sealed, health.resident_bytes as i64), (3, resident));
         engine.shutdown();
+    }
+
+    /// The threads an engine spawns hold it weakly: once its last `Arc`
+    /// goes without a shutdown, the engine is freed and its compactor
+    /// and checkpointer exit.
+    #[test]
+    fn dropping_the_last_arc_frees_the_engine_and_ends_its_threads() {
+        let dir = temp_data_dir("leak");
+        let cfg = durable_cfg(&dir).segments(crate::config::SegmentConfig::new().seal_batches(2));
+        let engine = Engine::start(cfg).unwrap();
+        for i in 0..9 {
+            engine.ingest(vec![i; 50]).unwrap();
+        }
+        engine.checkpoint_now().unwrap();
+        let weak = Arc::downgrade(&engine);
+        let compactor = lock(&engine.compactor_handle).take().unwrap();
+        let d = engine.durable.as_ref().unwrap();
+        let checkpointer = lock(&d.checkpointer).take().unwrap();
+        drop(engine);
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while weak.strong_count() > 0 || !compactor.is_finished() || !checkpointer.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "engine still held ({}) or a thread still running",
+                weak.strong_count()
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(weak.upgrade().is_none());
+        compactor.join().unwrap();
+        checkpointer.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     pub(super) fn temp_data_dir(tag: &str) -> std::path::PathBuf {

@@ -209,8 +209,9 @@ fn drop_without_shutdown_does_not_hang_the_process() {
             let engine = small_engine(SummaryKind::CountMin, i);
             engine.ingest(vec![5; 100]).unwrap();
             // Dropping the last caller's Arc without calling shutdown
-            // leaks no lock and blocks nothing: the compactor thread,
-            // parked on its channel, is all that keeps the engine.
+            // leaks no lock and blocks nothing: the compactor holds the
+            // engine weakly, so the engine is freed here and the thread,
+            // told to stop by the drop, exits.
             drop(engine);
         }
     });
