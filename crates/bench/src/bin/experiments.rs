@@ -1075,7 +1075,6 @@ fn e12_service_scaling() {
         &[
             "shards",
             "merges",
-            "epochs",
             "max error",
             "within eps*n",
             "snapshot wire B",
@@ -1102,7 +1101,6 @@ fn e12_service_scaling() {
         table.row(vec![
             shards.to_string(),
             m.merges.to_string(),
-            m.epoch.to_string(),
             max_err.to_string(),
             (max_err <= bound).to_string(),
             snapshot.summary.wire_len().to_string(),

@@ -20,7 +20,8 @@
 //! the two families exactly one counter apart, so the SpaceSaving answer
 //! over a window is the MG fold relabelled: `ShardSummary::SpaceSaving`
 //! holds an MG table and answers and encodes it by SpaceSaving's rules.
-//! No segment keeps a Count-Min family: no request reads one, and
+//! No segment streams or writes a Count-Min family (a Count-Min engine's
+//! feed folds one beside them, see below): no request reads one, and
 //! [`SegmentCube::query`] answers `None` for it.
 //!
 //! Files written before this layout hold four slots, one per family in
@@ -43,10 +44,9 @@
 //! engine without a WAL calls [`SegmentCube::record`], which numbers the
 //! batch under the fold lock.
 //!
-//! Feed: when a segment streams the engine's own family (MG, SpaceSaving,
-//! which reads the MG slot, or the hybrid quantile), the cube's fold is
-//! the engine's only absorb: the engine starts the feed once recovery is
-//! done ([`SegmentCube::start_feed`]). Each seal then sends the engine's
+//! Feed: on every engine with a cube, the cube's fold is the engine's
+//! only absorb: the engine starts the feed once recovery is done
+//! ([`SegmentCube::start_feed`]). Each seal then sends the engine's
 //! family of the sealed segment to the compactor, which folds it into the
 //! global summary for good, left-deep in seq order; the open segment's
 //! family goes as a *view* every `delta_updates` items and on every
@@ -54,9 +54,13 @@
 //! Both are sent under the fold lock over the engine's bounded compact
 //! channel, so they arrive in fold order and a barrier's view holds every
 //! fold that finished before it; a compactor that falls behind holds the
-//! folds back. The segment recovery leaves open holds batches that the
-//! checkpoint and the replay already gave the engine, so it feeds only
-//! the batches folded after the feed started.
+//! folds back. The engine's family is a streamed one (MG, SpaceSaving,
+//! read off the MG one, or the hybrid quantile) unless a segment keeps its
+//! *own*: a Count-Min engine's segments fold its sketch beside the
+//! streamed families, and the segment recovery leaves open, whose earlier
+//! batches the checkpoint and the replay already gave the engine, folds
+//! only the batches after the feed started. An own family is sent, never
+//! written to a segment file, and never answers a range read.
 //!
 //! Concurrency contract — each lock guards one thing:
 //!
@@ -101,9 +105,9 @@
 //! segment ([`SegmentCube::persisted_floor`]), so a segment lost between
 //! seal and fsync is rebuilt by replaying the WAL tail through
 //! [`SegmentCube::record_at`]. A file error never fails the batch that
-//! sealed the segment (it is in the WAL and must still reach a shard): it
-//! is traced and counted, and from then on the directory is left as it
-//! is. Files only go once everything written before them is on disk, so
+//! sealed the segment (it is in the WAL and already folded): it is traced
+//! and counted, and from then on the directory is left as it is. Files
+//! only go once everything written before them is on disk, so
 //! what is there stays a gapless prefix up to the floor, which stops with
 //! it — the WAL keeps the tail and the next recovery rebuilds the rest.
 
@@ -205,10 +209,11 @@ struct Open {
     meta: SegmentMeta,
     mg: ShardSummary,
     quantile: HybridQuantile<u64>,
-    /// The fed family of only the batches folded since the feed started,
-    /// when this segment opened before it (recovery's last segment,
-    /// whose earlier batches the checkpoint and the shards hold).
-    partial: Option<ShardSummary>,
+    /// The engine's family, when the segment's streamed families cannot
+    /// stand in for it: a Count-Min sketch, or the batches a recovered
+    /// open segment folds after the feed started. Sent by seals and
+    /// views; never written to a segment file, never read by a range.
+    own: Option<ShardSummary>,
 }
 
 impl Open {
@@ -223,10 +228,11 @@ impl Open {
     }
 
     /// What the feed sends for this segment: a copy of the engine's
-    /// family, labelled as the engine's kind.
+    /// family, labelled as the engine's kind. A Count-Min segment
+    /// opened under the feed always has its own.
     fn fed(&self, kind: SummaryKind) -> ShardSummary {
-        match (&self.partial, kind) {
-            (Some(partial), _) => partial.clone(),
+        match (&self.own, kind) {
+            (Some(own), _) => own.clone(),
             (None, SummaryKind::SpaceSaving) => derive_space_saving(self.mg.clone()),
             (None, kind) => self.family(kind),
         }
@@ -236,7 +242,7 @@ impl Open {
 /// Where a fed cube sends the engine's family (module doc).
 struct Feed {
     tx: SyncSender<CompactMsg>,
-    /// The engine's kind: MG, SpaceSaving or the hybrid quantile.
+    /// The engine's kind.
     kind: SummaryKind,
     /// Items between two views of the open segment.
     every: u64,
@@ -376,7 +382,7 @@ impl Segment {
             meta,
             mg,
             quantile,
-            partial: None,
+            own: None,
         })
     }
 
@@ -683,7 +689,10 @@ impl SegmentCube {
                 mg: self.fresh(SummaryKind::Mg),
                 // `self.fresh`'s quantile summary: shard 0's seed is `seed`.
                 quantile: HybridQuantile::new(self.epsilon, self.seed),
-                partial: None,
+                // No streamed family stands in for a Count-Min engine's.
+                own: (fold.feed.as_ref())
+                    .filter(|feed| feed.kind == SummaryKind::CountMin)
+                    .map(|feed| self.fresh(feed.kind)),
             });
             fold.next_id += 1;
         }
@@ -696,8 +705,8 @@ impl SegmentCube {
         // counter table and the quantile buffers stay hot.
         open.mg.update_batch(batch);
         open.quantile.insert_batch(batch);
-        if let Some(partial) = &mut open.partial {
-            partial.update_batch(batch);
+        if let Some(own) = &mut open.own {
+            own.update_batch(batch);
         }
         if open.meta.batches >= self.cfg.seal_batches {
             self.seal(fold, &mut out);
@@ -721,7 +730,7 @@ impl SegmentCube {
     pub(crate) fn start_feed(&self, tx: SyncSender<CompactMsg>, kind: SummaryKind, every: u64) {
         let mut fold = lock(&self.fold);
         if let Some(open) = &mut fold.open {
-            open.partial = Some(self.fresh(kind));
+            open.own = Some(self.fresh(kind));
         }
         fold.feed = Some(Feed {
             tx,
@@ -803,7 +812,7 @@ impl SegmentCube {
     /// summaries do not decode, preserving contiguity; the rest is
     /// rebuilt from the WAL. A record whose families do not merge with
     /// this cube's — written under another ε — is a configuration error,
-    /// as it is for a checkpoint part (`Engine::preload`): the WAL may
+    /// as it is for a checkpoint part (`Engine::recover`): the WAL may
     /// already be pruned below it, so it cannot be rebuilt.
     pub fn adopt(&self, records: &[SegmentRecord]) -> Result<AdoptOutcome, ServiceError> {
         let mut fold = lock(&self.fold);

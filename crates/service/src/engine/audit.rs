@@ -33,9 +33,9 @@ struct AuditState {
 
 /// The engine's audit plane: `None` inside unless [`ServiceConfig::audit`]
 /// is set, so the default ingest path pays one branch per *batch* and
-/// nothing per item. Every absorb that succeeds (on a fed cube server,
-/// every log and fold) calls [`AuditPlane::observe`] — observing at
-/// absorption (not admission)
+/// nothing per item. Every absorb that succeeds (on a cube server, every
+/// log and fold) and every batch recovery replays calls
+/// [`AuditPlane::observe`] — observing at absorption (not admission)
 /// keeps the ground truth aligned with what the summary actually saw: a
 /// failed absorb's batch reaches neither.
 pub(super) struct AuditPlane {

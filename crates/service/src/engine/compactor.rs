@@ -1,9 +1,10 @@
 //! The compactor: one thread folds the parts it is handed into the global
 //! summary for good, in the order they arrive (Definition 1), and
 //! publishes each fold as the next immutable [`Snapshot`]. A part is a
-//! shard's full delta, after which the compactor builds that shard's
-//! next spare, or, on a fed cube server, a sealed segment's family
-//! ([`crate::cube`]). Such a server also sends the open segment's family
+//! piece of the recovered state (a checkpoint part, or the replayed WAL
+//! tail), a shard's full delta, after which the compactor builds that
+//! shard's next spare, or, on a cube server, a sealed segment's family
+//! ([`crate::cube`]). A cube server also sends the open segment's family
 //! as a view, which each publish merges into a copy of the global summary
 //! and the next view replaces. Also the one barrier flush, checkpoint and
 //! shutdown share. Ledger rows `compactor.merge_many` and `swap.publish`.
@@ -31,10 +32,11 @@ pub(super) const HANDOFF_SLOTS: usize = 16;
 
 pub(crate) enum CompactMsg {
     /// A part to fold for good: a delta handed off by shard `Some(s)`,
-    /// whose spare it took, or the family of a segment a fed cube sealed
-    /// (`None`), which also retires the open view.
+    /// whose spare it took; or (`None`) a part of the recovered state, or
+    /// the family of a segment the cube sealed, which also retires the
+    /// open view.
     Delta(Option<usize>, ShardSummary),
-    /// The fed cube's open segment's family as of its last fold: every
+    /// The cube's open segment's family as of its last fold: every
     /// publish until the next view or seal merges it in.
     View(ShardSummary),
     /// Publish the global summary and hand that snapshot back: it holds
@@ -53,7 +55,7 @@ struct Compaction {
     /// Mirrors the left-deep fold: after k parts, merges == depth == k
     /// and weight == global.total_weight().
     lineage: MergeLineage,
-    /// The fed cube's open view, if one is current.
+    /// The cube's open view, if one is current.
     view: Option<ShardSummary>,
     merge_index: u64,
     trace: ms_obs::TraceHandle,
@@ -61,7 +63,7 @@ struct Compaction {
 
 impl Engine {
     /// The barrier flush, checkpoint and shutdown share: every shard
-    /// hands its delta to the compactor, a fed cube sends its open view,
+    /// hands its delta to the compactor, or the cube sends its open view,
     /// then a publish is queued behind them. The receiver yields that
     /// snapshot.
     ///
@@ -71,7 +73,7 @@ impl Engine {
     /// the publish is.
     pub(super) fn barrier(&self) -> Result<Receiver<Arc<Snapshot>>, ServiceError> {
         self.hand_off_all();
-        if let Some(cube) = self.fed_cube() {
+        if let Some(cube) = &self.cube {
             cube.send_view();
         }
         let (tx, rx) = mpsc::channel();

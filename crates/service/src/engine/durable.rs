@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use ms_core::wire::decode_u64_slice_into;
+use ms_core::wire::{decode_u64_slice_into, encode_u64_slice_into};
 use ms_core::{lock, BufferPool, Mergeable, ServiceError, Summary, Wire, WireReader};
 use ms_store::{GroupCommit, Store};
 
@@ -154,6 +154,13 @@ impl Engine {
     /// segment's families ([`crate::cube::SegmentCube::adopt`]), and
     /// each WAL payload must decode as a batch. Fails with a typed error
     /// rather than half-restoring. Then starts the checkpointer.
+    ///
+    /// The replay is one part: every tail record above the checkpoint cut
+    /// is absorbed, in seq order on this thread, into one summary, which
+    /// the compactor folds after the checkpoint's parts. So the recovered
+    /// summary is a function of the data directory alone, whatever the
+    /// shard count and whether or not a cube is on. The cube, if any,
+    /// refolds every record above its own floor.
     pub(super) fn recover(&self, recovery: ms_store::Recovery) -> Result<(), ServiceError> {
         let started = Instant::now();
         let mut report = RecoveryReport {
@@ -180,26 +187,23 @@ impl Engine {
                 let part = ShardSummary::decode(bytes).map_err(|_| {
                     ServiceError::Config("checkpoint part does not decode as a shard summary")
                 })?;
-                let merged = ShardSummary::new(&self.cfg, i % self.cfg.shards)
-                    .merge(part)
-                    .map_err(|_| {
-                        ServiceError::Config(
-                            "checkpoint incompatible with configured kind/epsilon/seed",
-                        )
-                    })?;
+                let merged = ShardSummary::new(&self.cfg, i).merge(part).map_err(|_| {
+                    ServiceError::Config(
+                        "checkpoint incompatible with configured kind/epsilon/seed",
+                    )
+                })?;
                 parts.push(merged);
             }
-            for (i, part) in parts.into_iter().enumerate() {
+            for part in parts {
                 report.preloaded_weight += part.total_weight();
-                self.compact_tx
-                    .send(CompactMsg::Delta(Some(i % self.cfg.shards), part))
-                    .map_err(|_| ServiceError::Shutdown)?;
+                self.preload(part)?;
             }
         }
         // The tail reaches back to min(checkpoint cut, cube floor): the
         // cube replays every record above *its* floor to rebuild lost or
         // unsealed segments, while the global summary only re-applies
         // records the checkpoint has not already restored.
+        let mut replayed = ShardSummary::new(&self.cfg, 0);
         let mut items = Vec::new();
         for mut entry in recovery.tail {
             let frame = IngestFrame::parse(&mut entry.payload, 0).map_err(|_| {
@@ -213,8 +217,12 @@ impl Engine {
             if entry.seq > report.checkpoint_seq {
                 report.replayed_records += 1;
                 report.replayed_weight += items.len() as u64;
-                self.absorb(&items);
+                replayed.update_batch(&items);
+                self.count_batch(&items);
             }
+        }
+        if report.replayed_records > 0 {
+            self.preload(replayed)?;
         }
         self.flush()?;
         report.duration_micros = started.elapsed().as_micros() as u64;
@@ -258,25 +266,35 @@ impl Engine {
         Ok(())
     }
 
+    /// Hand `part` of the recovered state to the compactor, to fold for
+    /// good.
+    fn preload(&self, part: ShardSummary) -> Result<(), ServiceError> {
+        (self.compact_tx.send(CompactMsg::Delta(None, part))).map_err(|_| ServiceError::Shutdown)
+    }
+
     /// Append one batch to the WAL via group commit — folding it into the
     /// cube on the way ([`fold_logged`]) — and trigger a background
     /// checkpoint at the configured cadence. No-op for in-memory engines.
     /// The caller holds the pause lock for read, so the append and the
     /// absorb that follows land on the same side of any checkpoint cut.
     ///
-    /// `fill` writes the record's payload — a received batch verbatim
-    /// ([`IngestFrame::payload`]) — into a buffer that comes from (and
-    /// returns to) the WAL buffer pool, so the durable hot path does not
-    /// allocate in steady state.
+    /// The record is `received` verbatim ([`IngestFrame::payload`]), or
+    /// `items` encoded when the batch came in process, written into a
+    /// buffer that comes from (and returns to) the WAL buffer pool, so the
+    /// durable hot path does not allocate in steady state.
     pub(super) fn append_durable(
         &self,
-        fill: impl FnOnce(&mut Vec<u8>),
+        items: &[u64],
+        received: Option<&[u8]>,
     ) -> Result<(), ServiceError> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
         let mut record = d.wal_pool.get();
-        fill(&mut record);
+        match received {
+            Some(bytes) => record.extend_from_slice(bytes),
+            None => encode_u64_slice_into(&mut record, items),
+        }
         let outcome = d.group.append(&d.store, record)?;
         self.telemetry.record_wal_group(
             outcome.led.groups,
@@ -297,9 +315,9 @@ impl Engine {
     ///
     /// Consistency argument: with the pause lock held for write, no ingest
     /// is between "appended to WAL" and "absorbed", so the cut `W =
-    /// last_seq` covers exactly the absorbed batches (on a fed cube
-    /// server, the folded ones: the cube's last seq is `W`); the barrier
-    /// then hands every shard's delta and the cube's open view to the
+    /// last_seq` covers exactly the absorbed batches (on a cube server,
+    /// the folded ones: the cube's last seq is `W`); the barrier then
+    /// hands every shard's delta, or the cube's open view, to the
     /// compactor queue, and its publish drains behind them — the snapshot
     /// it hands back holds precisely the surviving data of seqs ≤ W. The
     /// lock is released before waiting, so ingest resumes while the

@@ -1,22 +1,23 @@
 //! The whole ingest path, on the thread that received the batch: shed
-//! doomed work, log the batch (WAL, cube), then absorb it into the next
-//! shard's delta under that shard's lock, handing a full delta to the
-//! compactor in exchange for a spare. On a cube server that streams the
-//! engine's family the cube's fold is the absorb, and the shards stay
-//! empty. Ledger rows `engine.ingest` (the path as the caller sees it)
-//! and `summary.update_batch` (the shard absorb).
+//! doomed work, then one of two absorbs, picked by whether the engine has
+//! a cube. Without one, log the batch to the WAL (if any) and absorb it
+//! into the next shard's delta under that shard's lock, handing a full
+//! delta to the compactor in exchange for a spare. With one, log and fold:
+//! the cube's fold is the absorb, and the engine has no shards. Ledger
+//! rows `engine.ingest` (the path as the caller sees it) and
+//! `summary.update_batch` (the shard absorb).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ms_core::wire::encode_u64_slice_into;
 use ms_core::{lock, ServiceError, Summary};
 
 use super::compactor::CompactMsg;
 use super::Engine;
 use crate::config::ServiceConfig;
+use crate::cube::SegmentCube;
 use crate::deadline;
 use crate::fault::FaultAction;
 use crate::summary::ShardSummary;
@@ -64,9 +65,9 @@ impl Shard {
 
 impl Engine {
     /// What [`Engine::ingest`] and [`Engine::ingest_frame`] share once the
-    /// batch is items: shed, log, absorb — or, on a fed cube server, log
-    /// and fold. `received` is the batch as a client sent it, logged
-    /// verbatim; an in-process batch is encoded for the WAL here.
+    /// batch is items: shed, then log and absorb — or, on a cube server,
+    /// log and fold. `received` is the batch as a client sent it, logged
+    /// verbatim; an in-process batch is encoded for the WAL.
     pub(super) fn ingest_items(
         &self,
         items: &[u64],
@@ -89,11 +90,12 @@ impl Engine {
             if self.stopped.load(Ordering::Acquire) {
                 return Err(ServiceError::Shutdown);
             }
-            if self.fed_cube().is_some() {
-                self.log_and_fold(items, received)?;
-            } else {
-                self.log(items, received)?;
-                self.absorb(items);
+            match &self.cube {
+                Some(cube) => self.log_and_fold(cube, items, received)?,
+                None => {
+                    self.append_durable(items, received)?;
+                    self.absorb(items);
+                }
             }
         }
         // Hand the core to whatever became runnable while the batch was
@@ -103,44 +105,41 @@ impl Engine {
         Ok(())
     }
 
-    /// Log the batch: to the WAL, whose group-commit leader folds it into
-    /// the cube, if there is one, before the append returns; or, with no
-    /// WAL to number it, straight into the cube, which numbers it.
-    fn log(&self, items: &[u64], received: Option<&[u8]>) -> Result<(), ServiceError> {
-        match (&self.durable, &self.cube) {
-            (None, Some(cube)) => {
+    /// A cube server's absorb: log the batch to the WAL, whose
+    /// group-commit leader folds it into `cube` before the append returns,
+    /// or, with no WAL to number it, fold it straight into `cube`, which
+    /// numbers it. It counts what a shard absorb counts. The queue-depth
+    /// gauge of the next shard index counts the batch while it waits for or
+    /// is inside the log and fold, so the overload plane sees the load.
+    fn log_and_fold(
+        &self,
+        cube: &SegmentCube,
+        items: &[u64],
+        received: Option<&[u8]>,
+    ) -> Result<(), ServiceError> {
+        let telemetry = &self.telemetry;
+        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.cfg.shards;
+        telemetry.queue_pushed(shard);
+        let (logged, micros) = timed(|| match self.durable {
+            Some(_) => self.append_durable(items, received),
+            None => {
                 cube.record(items);
                 Ok(())
             }
-            _ => self.append_durable(|record| match received {
-                Some(bytes) => record.extend_from_slice(bytes),
-                None => encode_u64_slice_into(record, items),
-            }),
-        }
-    }
-
-    /// [`Engine::log`] on a fed cube server, where the fold is the absorb:
-    /// it counts what an absorb counts. The queue-depth gauge of the next
-    /// shard counts the batch while it waits for or is inside the log and
-    /// fold, so the overload plane sees the load.
-    fn log_and_fold(&self, items: &[u64], received: Option<&[u8]>) -> Result<(), ServiceError> {
-        let telemetry = &self.telemetry;
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        telemetry.queue_pushed(shard);
-        let (logged, micros) = timed(|| self.log(items, received));
+        });
         telemetry.queue_popped(shard);
         logged?;
-        self.count_absorbed(shard, items, micros);
+        telemetry.record_ingest_batch(shard, micros);
+        self.count_batch(items);
         Ok(())
     }
 
-    /// Count a batch `shard` absorbed in `micros`. Ground truth observes
-    /// exactly what the summary absorbed.
-    fn count_absorbed(&self, shard: usize, items: &[u64], micros: u64) {
-        let telemetry = &self.telemetry;
-        telemetry.record_ingest_batch(shard, micros);
-        telemetry.counters.updates.add(items.len() as u64);
-        telemetry.counters.batches.inc();
+    /// Count a batch the engine's summary took in: ingested, or replayed
+    /// by recovery. Ground truth observes exactly what the summary holds.
+    pub(super) fn count_batch(&self, items: &[u64]) {
+        let counters = &self.telemetry.counters;
+        counters.updates.add(items.len() as u64);
+        counters.batches.inc();
         self.audit.observe(items);
     }
 
@@ -148,9 +147,8 @@ impl Engine {
     /// the delta off once it holds `delta_updates` updates. A panic inside
     /// the absorb (or an injected [`FaultAction::Die`]) loses the shard's
     /// delta and this batch: both are counted in `shards_lost` and a fresh
-    /// delta takes their place. Recovery replay calls this directly (the
-    /// records are already in the WAL).
-    pub(super) fn absorb(&self, items: &[u64]) {
+    /// delta takes their place.
+    fn absorb(&self, items: &[u64]) {
         let (cfg, telemetry) = (&self.cfg, &self.telemetry);
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         // The queue-depth gauge counts batches waiting for or inside this
@@ -175,7 +173,8 @@ impl Engine {
             .unwrap_or(false)
         });
         if absorbed {
-            self.count_absorbed(shard, items, micros);
+            telemetry.record_ingest_batch(shard, micros);
+            self.count_batch(items);
             if delta.total_weight() >= cfg.delta_updates as u64 {
                 self.hand_off(shard, delta);
             }

@@ -9,7 +9,8 @@
 //! answers queries with the same `εn` bound as a single-threaded summary
 //! of the whole stream.
 //!
-//! Data flow:
+//! One fact picks the absorb: whether the engine has a segment cube.
+//! Without one (data flow):
 //!
 //! ```text
 //! ingest(batch) ──round-robin──▶ shard 0..N delta   (absorbed by the calling
@@ -24,9 +25,8 @@
 //!                                            an immutable value)
 //! ```
 //!
-//! On a cube server whose cube streams the engine's family (MG,
-//! SpaceSaving, which reads the MG slot, or the hybrid quantile) the
-//! segment fold is the only absorb and the shards stay empty:
+//! With one, whatever the kind, the segment fold is the only absorb and
+//! the engine has no shards:
 //!
 //! ```text
 //! ingest(batch) ── log ──▶ cube fold (under the fold lock, in seq order)
@@ -38,10 +38,13 @@
 //!                  publish = global ⊕ view  ──▶ SwapCell<Snapshot>
 //! ```
 //!
-//! Sealed segments are folded left-deep in seq order, so such a server's
-//! served summary is a function of the WAL order alone. Recovery still
-//! replays into the shards (see `durable.rs`); the segment it leaves open
-//! feeds only the batches folded after the restart.
+//! Sealed segments are folded left-deep in seq order, so a cube server's
+//! served summary is a function of the WAL order alone. Recovery hands
+//! the compactor the same parts on either engine: the checkpoint's, then
+//! the WAL tail above its cut absorbed into one summary in seq order (see
+//! `durable.rs`), so a data directory recovers to the same bytes at any
+//! shard count, cube on or off. The segment recovery leaves open feeds
+//! only the batches folded after the restart.
 //!
 //! Readers never block writers: a query clones the current `Arc<Snapshot>`
 //! out of a [`ms_core::SwapCell`] under a briefly held lock and then works
@@ -55,9 +58,9 @@
 //!
 //! | File | Stage | Ledger rows |
 //! |------|-------|-------------|
-//! | `ingest.rs` | shed, log, absorb into a shard delta (on a fed cube server: log and fold), hand off full deltas | `engine.ingest`, `summary.update_batch`, `cube.fold` |
+//! | `ingest.rs` | shed, log, absorb into a shard delta and hand off full deltas (on a cube server: log and fold) | `engine.ingest`, `summary.update_batch`, `cube.fold` |
 //! | `durable.rs` | WAL group commit, checkpoints, segment files, recovery | `wal.append`, `checkpoint.write`, `segment.write` |
-//! | `compactor.rs` | fold deltas and sealed segments, publish snapshots (with the open view), ready spares; the shared barrier | `compactor.merge_many`, `swap.publish` |
+//! | `compactor.rs` | fold recovered parts, deltas and sealed segments, publish snapshots (with the open view), ready spares; the shared barrier | `compactor.merge_many`, `swap.publish` |
 //! | `audit.rs` | accuracy self-audit against ground truth | — |
 //!
 //! This file holds the engine itself: start, the public methods, the
@@ -67,9 +70,9 @@
 //!
 //! ## Failure model
 //!
-//! The engine is built to *degrade*, not die. An absorb that panics inside
-//! a summary (or is told to fail by [`crate::FaultPlan`]) loses only that
-//! shard's un-handed-off delta and the batch in hand; a fresh delta takes
+//! The engine is built to *degrade*, not die. A shard absorb that panics
+//! inside a summary (or is told to fail by [`crate::FaultPlan`]) loses
+//! only that shard's un-handed-off delta and the batch in hand; a fresh delta takes
 //! their place and the calling connection keeps serving. Every delta
 //! already merged by the compactor stays in the published snapshot, which
 //! remains a valid `ε·n'` summary of the `n'` updates that survived — that
@@ -91,7 +94,7 @@
 //! never per item: the pause lock (read), the item-buffer pool
 //! ([`ms_core::BufferPool`]) and the shard lock — plus, once per
 //! `delta_updates` updates, the spare slot and one bounded-channel send.
-//! On a fed cube server the fold lock takes the shard lock's place, and
+//! On a cube server the fold lock takes the shard lock's place, and
 //! the bounded-channel send (a view, or a sealed segment's family) is
 //! made under it; the family is cloned for it, once per `delta_updates`
 //! items and once per seal. Each item is summarised once.
@@ -145,8 +148,8 @@ pub struct Snapshot {
 /// Point-in-time engine counters, cheap to copy over the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsReport {
-    /// Updates absorbed: into shard deltas, or, on a cube server that
-    /// streams the engine's family, folded into the open segment.
+    /// Updates absorbed: into shard deltas, or, on a cube server, folded
+    /// into the open segment; and those recovery replayed.
     pub updates: u64,
     /// Batches absorbed, as for `updates`.
     pub batches: u64,
@@ -161,8 +164,8 @@ pub struct MetricsReport {
     pub snapshot_age_micros: u64,
     /// Total weight visible in the current snapshot.
     pub snapshot_weight: u64,
-    /// Absorbs that failed (a panic inside a summary or an injected
-    /// fault), each losing its shard's un-handed-off delta.
+    /// Shard absorbs that failed (a panic inside a summary or an
+    /// injected fault), each losing its shard's un-handed-off delta.
     pub shards_lost: u64,
     /// Wire frames the server rejected as malformed.
     pub frames_rejected: u64,
@@ -205,7 +208,8 @@ pub struct Engine {
     me: Weak<Engine>,
     cfg: ServiceConfig,
     /// One per shard: the delta ingesting threads absorb into, and the
-    /// spare the compactor readies for its next hand-off.
+    /// spare the compactor readies for its next hand-off. Empty on a cube
+    /// server, whose cube is its absorb.
     shards: Vec<Shard>,
     /// Cached plain sender, never locked; a bounded channel, so a send
     /// does not allocate. The compactor exits on [`CompactMsg::Stop`],
@@ -262,6 +266,10 @@ impl Engine {
             (cfg.shards * cfg.queue_depth) as u64,
         ));
         let (compact_tx, compact_rx) = mpsc::sync_channel::<CompactMsg>(HANDOFF_SLOTS);
+        let shards = match cube {
+            Some(_) => Vec::new(),
+            None => (0..cfg.shards).map(|s| Shard::new(&cfg, s)).collect(),
+        };
 
         let engine = Arc::new_cyclic(|me| Engine {
             me: me.clone(),
@@ -271,9 +279,7 @@ impl Engine {
                 lineage: MergeLineage::default(),
                 published_at: Instant::now(),
             }),
-            shards: (0..cfg.shards)
-                .map(|shard| Shard::new(&cfg, shard))
-                .collect(),
+            shards,
             compact_tx,
             // A caller holds an item buffer only for the length of one
             // call, so a few slots cover every thread that ingests at once.
@@ -295,21 +301,13 @@ impl Engine {
         if let Some(recovery) = recovered {
             engine.recover(recovery)?;
         }
-        // Whatever recovery rebuilt is in the shards; from here on the
-        // cube's folds are the engine's only absorb.
-        if let Some(cube) = engine.fed_cube() {
+        // Whatever recovery rebuilt is in the global summary; from here on
+        // the cube's folds are the engine's only absorb.
+        if let Some(cube) = &engine.cube {
             let tx = engine.compact_tx.clone();
             cube.start_feed(tx, engine.cfg.kind, engine.cfg.delta_updates as u64);
         }
         Ok(engine)
-    }
-
-    /// The cube, when it folds the engine's family: then the segment fold
-    /// replaces the shard absorb (see [`crate::cube`]'s feed). A Count-Min
-    /// engine keeps its shards; no segment streams that family.
-    fn fed_cube(&self) -> Option<&SegmentCube> {
-        let fed = self.cfg.kind != SummaryKind::CountMin;
-        self.cube.as_deref().filter(|_| fed)
     }
 
     /// What recovery found when this engine started, or `None` for an

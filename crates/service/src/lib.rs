@@ -3,24 +3,30 @@
 //! This crate turns the paper's mergeability guarantee into a concurrent
 //! systems design. An [`Engine`] keeps `N` ingest shards, each a **delta**
 //! summary that the thread receiving a batch absorbs it into, of one of
-//! four kinds ([`SummaryKind`]), held in three counter types: a SpaceSaving summary is the Misra-Gries
-//! table it is a view of (PODS'12 §3, Lemma 1); a background **compactor** merges handed-off deltas
-//! into a global summary and publishes immutable [`Snapshot`]s behind an
-//! `Arc`, so queries never block ingest. Because summaries are mergeable
-//! under *arbitrary* merge trees (PODS'12, Definition 1), the
-//! nondeterministic interleaving of shard hand-offs does not degrade the
-//! `εn` error bound — the differential tests in `tests/` check the
+//! four kinds ([`SummaryKind`]), held in three counter types: a
+//! SpaceSaving summary is the Misra-Gries table it is a view of (PODS'12
+//! §3, Lemma 1); a background **compactor** merges handed-off deltas into
+//! a global summary and publishes immutable [`Snapshot`]s behind an `Arc`,
+//! so queries never block ingest. An engine with a segment cube
+//! ([`SegmentCube`]) has no shards: the cube's sealed segments and its
+//! open one are the parts. Because summaries are mergeable under
+//! *arbitrary* merge trees (PODS'12, Definition 1), the nondeterministic
+//! interleaving of concurrent writers' shard hand-offs does not degrade
+//! the `εn` error bound — the differential tests in `tests/` check the
 //! concurrent engine against a single-threaded reference on the same
-//! stream.
+//! stream. Everything else is deterministic: a cube server folds in
+//! batch-seq order, one writer's hand-offs arrive in its send order, and
+//! recovery folds the checkpoint and then the replayed WAL tail, so those
+//! serve the same bytes on every run.
 //!
 //! The [`server`] module adds a TCP front-end: [`Wire`]-encoded
 //! [`Request`]/[`Response`] values carried in `WireFrame`s
 //! (`ms_core::wire`), served by `mergeable serve` and exercised by
 //! `mergeable bench-client`.
 //!
-//! The same mergeability argument covers *failure*: a failed absorb loses
-//! only its shard's un-handed-off delta, and the deltas already merged stay,
-//! so the engine degrades to a valid summary of the surviving updates
+//! The same mergeability argument covers *failure*: a failed shard absorb
+//! loses only its shard's un-handed-off delta, and the deltas already
+//! merged stay, so the engine degrades to a valid summary of the surviving updates
 //! instead of dying. The [`fault`] module defines the injection seams
 //! ([`FaultPlan`]) the `ms-faultsim` harness drives to prove that under
 //! seeded schedules of shard loss, stalls, frame corruption and client

@@ -1,5 +1,5 @@
-//! The cube feed: on a server whose segment cube streams the engine's
-//! family, the segment fold is the only absorb. Sealed segments are folded
+//! The cube feed: on a server with a segment cube, the segment fold is
+//! the only absorb, whatever the engine's kind. Sealed segments are folded
 //! into the global summary in seq order and the open segment is published
 //! as a view, so the served summary is a function of the batch order
 //! alone, a recovery feeds exactly what its checkpoint and replay lack,
@@ -16,8 +16,9 @@ use ms_service::{
 };
 use ms_workloads::StreamKind;
 
-/// The kinds a cube streams.
-const FED_KINDS: [SummaryKind; 3] = [
+/// The kinds a range read answers: the families a cube streams, and
+/// SpaceSaving, read off the MG one.
+const STREAMED_KINDS: [SummaryKind; 3] = [
     SummaryKind::Mg,
     SummaryKind::SpaceSaving,
     SummaryKind::HybridQuantile,
@@ -58,8 +59,9 @@ fn with_deadline<F: FnOnce() + Send + 'static>(secs: u64, what: &str, f: F) {
 }
 
 /// One batch sequence from one thread, at 1, 2 and 4 shards: the served
-/// summary's bytes are the same, because the shards absorb nothing and
-/// the fold order is the seq order.
+/// summary's bytes are the same, because a cube server has no shards and
+/// the fold order is the seq order. Count-Min is linear, so a cube server
+/// of that kind also serves the bytes a cube-off engine does.
 #[test]
 fn a_cube_server_serves_the_same_bytes_at_any_shard_count() {
     let items = zipf(40_000, 0xFEED);
@@ -74,15 +76,16 @@ fn a_cube_server_serves_the_same_bytes_at_any_shard_count() {
         batches.push(batch.to_vec());
         rest = tail;
     }
-    for kind in FED_KINDS {
+    let cfg = |kind, shards| {
+        ServiceConfig::new(kind, 0.01)
+            .shards(shards)
+            .delta_updates(900)
+    };
+    for kind in SummaryKind::all() {
         let served: Vec<Vec<u8>> = [1, 2, 4]
             .into_iter()
             .map(|shards| {
-                let cfg = ServiceConfig::new(kind, 0.01)
-                    .shards(shards)
-                    .delta_updates(900)
-                    .segments(segments(5));
-                let engine = Engine::start(cfg).unwrap();
+                let engine = Engine::start(cfg(kind, shards).segments(segments(5))).unwrap();
                 for (i, batch) in batches.iter().enumerate() {
                     engine.ingest(batch.clone()).unwrap();
                     if i % 37 == 0 {
@@ -101,6 +104,14 @@ fn a_cube_server_serves_the_same_bytes_at_any_shard_count() {
             served.windows(2).all(|w| w[0] == w[1]),
             "{kind:?}: the served bytes depend on the shard count"
         );
+        if kind == SummaryKind::CountMin {
+            let engine = Engine::start(cfg(kind, 4)).unwrap();
+            for batch in &batches {
+                engine.ingest(batch.clone()).unwrap();
+            }
+            let cube_off = engine.shutdown().summary.encode();
+            assert_eq!(served[0], cube_off, "a cube changed the Count-Min sketch");
+        }
     }
 }
 
@@ -121,7 +132,7 @@ fn a_restart_inside_an_open_segment_feeds_each_batch_once() {
     let batches: Vec<Vec<u64>> = (0..30u64)
         .map(|i| (0..100).map(|j| (i * 17 + j * j) % 89).collect())
         .collect();
-    for kind in FED_KINDS {
+    for kind in SummaryKind::all() {
         let dir = scratch_dir(kind.label());
         let cfg = durable_cube(&dir, kind);
         let engine = Engine::start(cfg.clone()).unwrap();
@@ -179,7 +190,12 @@ fn a_restart_inside_an_open_segment_feeds_each_batch_once() {
         let bound = cfg.epsilon * stream.len() as f64 + 1.0;
         let frequency = FrequencyOracle::from_stream(stream.iter().copied());
         let rank = RankOracle::from_stream(stream.iter().copied());
-        for range_kind in FED_KINDS {
+        // A Count-Min engine's segments fold its sketch, but no range
+        // reads it.
+        assert!(engine
+            .range_query(0, u64::MAX, SummaryKind::CountMin)
+            .is_err());
+        for range_kind in STREAMED_KINDS {
             let (meta, merged) = engine.range_query(0, u64::MAX, range_kind).unwrap();
             assert_eq!(meta.covered_weight, weight(30), "{range_kind:?}");
             let merged = merged.unwrap();

@@ -202,6 +202,82 @@ fn recovery_is_idempotent_across_repeated_restarts() {
     }
 }
 
+/// Copy the data directory `from` to `to`, files and subdirectories.
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// One directory, written with a checkpoint mid-stream and then aborted,
+/// recovers to the same summary bytes at 1, 2 and 4 shards with the cube
+/// off and on: the checkpoint is one part and the replayed tail another,
+/// folded in that order, so the recovered summary is a function of the
+/// directory alone. The weights account for every written batch.
+#[test]
+fn recovery_is_a_function_of_the_directory() {
+    let stream: Vec<Vec<u64>> = support::zipf(40 * 500, 0x5EED)
+        .chunks(500)
+        .map(<[u64]>::to_vec)
+        .collect();
+    let written = stream.iter().map(Vec::len).sum::<usize>() as u64;
+    let cfg = |kind, dir: &PathBuf, shards, cube: bool| {
+        let cfg = ServiceConfig::new(kind, 0.02)
+            .shards(shards)
+            .delta_updates(1_000)
+            .durability(DurabilityConfig::new(dir));
+        match cube {
+            true => cfg.segments(SegmentConfig::new().seal_batches(6)),
+            false => cfg,
+        }
+    };
+    for kind in [
+        SummaryKind::Mg,
+        SummaryKind::HybridQuantile,
+        SummaryKind::CountMin,
+    ] {
+        for writer_cube in [false, true] {
+            let tag = format!("function-{}-{writer_cube}", kind.label());
+            let dir = scratch_dir(&tag);
+            let engine = Engine::start(cfg(kind, &dir, 4, writer_cube)).unwrap();
+            for (i, batch) in stream.iter().enumerate() {
+                engine.ingest(batch.clone()).unwrap();
+                if i + 1 == 15 {
+                    engine.checkpoint_now().unwrap();
+                }
+            }
+            engine.abort();
+
+            let mut served = Vec::new();
+            for shards in [1, 2, 4] {
+                for cube in [false, true] {
+                    let copy = scratch_dir(&format!("{tag}-{shards}-{cube}"));
+                    copy_dir(&dir, &copy);
+                    let engine = Engine::start(cfg(kind, &copy, shards, cube)).unwrap();
+                    let r = engine.recovery().unwrap();
+                    assert_eq!(r.checkpoint_seq, 15, "{tag}");
+                    assert_eq!(r.preloaded_weight + r.replayed_weight, written, "{tag}");
+                    served.push(engine.snapshot().summary.encode());
+                    engine.abort();
+                    let _ = std::fs::remove_dir_all(&copy);
+                }
+            }
+            assert!(
+                served.windows(2).all(|w| w[0] == w[1]),
+                "{tag}: the recovered bytes depend on the shard count or the cube"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
 #[test]
 fn a_streamed_space_saving_checkpoint_part_still_adopts() {
     // Engines before SpaceSaving shards ran MG form could checkpoint a

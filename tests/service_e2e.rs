@@ -3,16 +3,18 @@
 //! 4-shard engine, and the published snapshot must answer heavy-hitter and
 //! quantile queries within the paper's error bounds — the merge guarantee
 //! (PODS'12 Definition 1) is exactly what makes the nondeterministic
-//! interleaving of shard hand-offs harmless. The snapshot must also
-//! survive a trip through the binary wire codec for every family, and a
-//! panic inside one shard's absorb must cost that shard's delta, not the
-//! connection that sent the batch.
+//! interleaving of concurrent writers' shard hand-offs harmless. One
+//! writer, by contrast, is served the same bytes on every run. The
+//! snapshot must also survive a trip through the binary wire codec for
+//! every family, and a panic inside one shard's absorb must cost that
+//! shard's delta, not the connection that sent the batch.
 
 use std::sync::Arc;
 
 use mergeable_summaries::core::{FrequencyOracle, RankOracle, Summary, Wire};
 use mergeable_summaries::service::{
-    plan_fn, Client, Engine, FaultAction, Server, ServiceConfig, ShardSummary, SummaryKind,
+    plan_fn, Client, Engine, FaultAction, Request, Response, Server, ServiceConfig, ShardSummary,
+    SummaryKind,
 };
 use mergeable_summaries::workloads::StreamKind;
 
@@ -138,6 +140,50 @@ fn snapshots_survive_the_wire_codec() {
             assert_eq!(back.rank(probe), snapshot.summary.rank(probe));
         }
         assert_eq!(back.quantile(0.5), snapshot.summary.quantile(0.5));
+    }
+}
+
+/// One writer on a cube-off engine: its batches reach the shards
+/// round-robin in send order, each shard hands off at the same points and
+/// the compactor folds the hand-offs in send order, so every run at a
+/// given shard count is served the same `Request::Summary` bytes.
+#[test]
+fn one_writer_is_served_the_same_bytes_on_every_run() {
+    let items = zipf(96 * 1_024, SEED);
+    for kind in [
+        SummaryKind::Mg,
+        SummaryKind::HybridQuantile,
+        SummaryKind::CountMin,
+    ] {
+        for shards in [1, 2, 4] {
+            let served: Vec<Vec<u8>> = (0..3)
+                .map(|_| {
+                    let cfg = ServiceConfig::new(kind, EPS)
+                        .shards(shards)
+                        .delta_updates(4_096)
+                        .seed(SEED);
+                    let engine = Engine::start(cfg).expect("engine start");
+                    for batch in items.chunks(1_024) {
+                        engine.ingest(batch.to_vec()).unwrap();
+                    }
+                    engine.flush().unwrap();
+                    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+                    let mut client = Client::connect(server.local_addr()).expect("connect");
+                    let reply = client.call(&Request::Summary).expect("summary");
+                    server.stop();
+                    engine.shutdown();
+                    match reply {
+                        Response::Summary(bytes) => bytes,
+                        other => panic!("summary request answered {other:?}"),
+                    }
+                })
+                .collect();
+            assert!(
+                served.windows(2).all(|w| w[0] == w[1]),
+                "{} at {shards} shard(s): one writer was served different bytes",
+                kind.label()
+            );
+        }
     }
 }
 
