@@ -1,7 +1,8 @@
 //! Batched CPU hot-path kernels: Count-Min batch update and multiway
 //! merge, scalar reference vs runtime-dispatched (AVX2/AVX-512) variants,
 //! the hybrid quantile kernels, the segment cube's range read cold and
-//! through its memo, a sealed segment's packed resting form, the batch
+//! through its memo, a sealed segment's bit-packed resting form (pack,
+//! unpack and bytes per point), the batch
 //! varint codec beside the byte-at-a-time
 //! loops it replaced, and a Misra-Gries shard's update and merge.
 //! Persists `results/BENCH_kernels.json`.
@@ -395,9 +396,11 @@ fn main() {
 
     // -- A sealed segment's resting form: packing the quantile family of
     // a ledger-shaped segment (64 batches of 1,024 Zipf items, the cube's
-    // ε = 0.01) when it seals, and unpacking the copy a range read
-    // merges. Ungated: the rows keep the read-side cost of the packed
-    // form a committed number.
+    // ε = 0.01) into bit-width blocks when it seals, and unpacking the
+    // copy a range read merges; then what the whole segment rests in —
+    // the packed quantile blocks and the MG slot, `resident_bytes` of a
+    // cube that sealed it. Ungated: the rows keep the read cost, the
+    // write cost and the space of the resting form committed numbers.
     let mut segment = HybridQuantile::new(HYBRID_EPS, 7);
     for batch in items.chunks(INSERT_BATCH) {
         segment.insert_batch(batch);
@@ -412,6 +415,24 @@ fn main() {
     cube_rest.bench("pack", || std::hint::black_box(&segment).pack());
     cube_rest.bench("unpack", || std::hint::black_box(&packed).unpack());
     let cube_rest_rows = cube_rest.finish();
+    let sealed = SegmentCube::new(HYBRID_EPS, 7, SegmentConfig::new().seal_batches(64));
+    for batch in items.chunks(INSERT_BATCH) {
+        sealed.record(batch);
+    }
+    let resident = sealed.health().resident_bytes;
+    let quantile_per_point = packed.heap_bytes() as f64 / segment.size() as f64;
+    let resident_per_point = resident as f64 / segment.size() as f64;
+    println!(
+        "cube_rest bytes: quantile {quantile_per_point:.3} B/point, \
+         segment resident {resident} B ({resident_per_point:.3} B/point)"
+    );
+    let cube_rest_bytes = Json::obj([
+        ("points", segment.size().to_json()),
+        ("quantile_bytes", packed.heap_bytes().to_json()),
+        ("quantile_bytes_per_point", quantile_per_point.to_json()),
+        ("resident_bytes", resident.to_json()),
+        ("resident_bytes_per_point", resident_per_point.to_json()),
+    ]);
 
     // -- Batch varint codec: what every ingest frame, WAL record and
     // coordinator leg goes through. The ledger's stream, and a uniform
@@ -522,6 +543,7 @@ fn main() {
         ("hybrid_quantile", suite_json(&hybrid_quantile_rows)),
         ("cube_range", suite_json(&cube_range_rows)),
         ("cube_rest", suite_json(&cube_rest_rows)),
+        ("cube_rest_bytes", cube_rest_bytes),
         ("varint_zipf", suite_json(&varint_zipf_rows)),
         ("varint_uniform", suite_json(&varint_uniform_rows)),
         ("mg_update", suite_json(&mg_update_rows)),

@@ -10,17 +10,21 @@
 //! than accumulating worst cases.
 
 use ms_core::simd;
-use ms_core::wire::{Wire, WireError, WireReader};
+use ms_core::wire::{
+    decode_u64_slice_into, encode_u64_slice_into, put_varint, Wire, WireError, WireReader,
+};
 use ms_core::Rng64;
 
-/// A point a [`SortedBuffer`] can hold: ordered, cloneable, and able to
-/// run the §4.1 keep-parity merge. The default method is the generic
-/// stable merge loop (ties taken from `a`); `u64` overrides it with the
-/// dispatched SIMD kernel, which returns the same vector because equal
-/// `u64`s are indistinguishable. A point type whose ties carry a payload
-/// must keep the default, since only the loop fixes which input a tie
-/// comes from. Every primitive integer implements it; any other `Ord +
-/// Clone` point opts in with an empty `impl`.
+/// A point a [`SortedBuffer`] can hold: ordered, cloneable, able to run
+/// the §4.1 keep-parity merge and to code a buffer of points. The default
+/// methods are the generic loops: the stable merge loop (ties taken from
+/// `a`) and the per-point [`Wire`] codec of a `Vec`. `u64` overrides them
+/// with the dispatched SIMD merge kernel, which returns the same vector
+/// because equal `u64`s are indistinguishable, and with the batch varint
+/// codec, which reads and writes the same bytes. A point type whose ties
+/// carry a payload must keep the default merge, since only the loop fixes
+/// which input a tie comes from. Every primitive integer implements it;
+/// any other `Ord + Clone` point opts in with an empty `impl`.
 pub trait MergePoint: Ord + Clone {
     /// Positions `offset, offset + 2, …` (`offset` is 0 or 1) of the
     /// sorted merge of the sorted `a` and `b`.
@@ -29,11 +33,42 @@ pub trait MergePoint: Ord + Clone {
         simd::merge_keep_parity_into(a, b, offset, &mut out);
         out
     }
+
+    /// Append `points` as `Vec<Self>::encode_into` does: a varint count,
+    /// then each point.
+    fn encode_points(points: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Wire,
+    {
+        put_varint(out, points.len() as u64);
+        for point in points {
+            point.encode_into(out);
+        }
+    }
+
+    /// Read what [`MergePoint::encode_points`] wrote, as
+    /// `Vec<Self>::decode_from` does.
+    fn decode_points(r: &mut WireReader<'_>) -> Result<Vec<Self>, WireError>
+    where
+        Self: Wire,
+    {
+        Vec::decode_from(r)
+    }
 }
 
 impl MergePoint for u64 {
     fn merge_keep_parity(a: &[u64], b: &[u64], offset: usize) -> Vec<u64> {
         simd::merge_keep_parity_u64(a, b, offset)
+    }
+
+    fn encode_points(points: &[u64], out: &mut Vec<u8>) {
+        encode_u64_slice_into(out, points);
+    }
+
+    fn decode_points(r: &mut WireReader<'_>) -> Result<Vec<u64>, WireError> {
+        let mut points = Vec::new();
+        decode_u64_slice_into(r, &mut points)?;
+        Ok(points)
     }
 }
 
@@ -50,13 +85,13 @@ pub struct SortedBuffer<T> {
     points: Vec<T>,
 }
 
-impl<T: Wire + Ord> Wire for SortedBuffer<T> {
+impl<T: Wire + MergePoint> Wire for SortedBuffer<T> {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.points.encode_into(out);
+        T::encode_points(&self.points, out);
     }
 
     fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        let points = Vec::<T>::decode_from(r)?;
+        let points = T::decode_points(r)?;
         if points.windows(2).any(|w| w[0] > w[1]) {
             return Err(WireError::Malformed("buffer points not sorted"));
         }
@@ -282,6 +317,42 @@ mod tests {
                             "{la}+{lb} offset {offset}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// `u64`'s batch codec writes the bytes of the generic per-point
+    /// `Vec` codec and reads them back, at every length up to past a
+    /// 64-item chunk, with 0 and `u64::MAX` among the points; a sorted
+    /// buffer still refuses unsorted points.
+    #[test]
+    fn u64_points_code_as_the_generic_vec_does() {
+        let mut rng = Rng64::new(0xC0DE);
+        for len in 0..=70usize {
+            for spread in [1u64, 1 << 7, 1 << 35, u64::MAX] {
+                let mut points: Vec<u64> = (0..len).map(|_| rng.next_u64() % spread).collect();
+                if len > 2 {
+                    points[rng.below(len as u64) as usize] = u64::MAX;
+                    points[rng.below(len as u64) as usize] = 0;
+                }
+                let mut fast = Vec::new();
+                u64::encode_points(&points, &mut fast);
+                assert_eq!(fast, points.encode(), "{len} points under {spread}");
+                let mut r = WireReader::new(&fast);
+                assert_eq!(u64::decode_points(&mut r).unwrap(), points);
+                r.finish().unwrap();
+
+                points.sort_unstable();
+                let buffer = SortedBuffer::from_sorted(points.clone());
+                assert_eq!(buffer.encode(), points.encode());
+                assert_eq!(
+                    SortedBuffer::<u64>::decode(&buffer.encode()).unwrap(),
+                    buffer
+                );
+                if points.first() != points.last() {
+                    points.reverse();
+                    assert!(SortedBuffer::<u64>::decode(&points.encode()).is_err());
                 }
             }
         }

@@ -19,7 +19,7 @@ pub struct BufferHierarchy<T> {
     levels: Vec<Option<SortedBuffer<T>>>,
 }
 
-impl<T: Wire + Ord> Wire for BufferHierarchy<T> {
+impl<T: Wire + MergePoint> Wire for BufferHierarchy<T> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.levels.encode_into(out);
     }

@@ -69,7 +69,7 @@ pub struct HybridQuantile<T> {
     pub(crate) rng: Rng64,
 }
 
-impl<T: Wire + Ord> Wire for HybridQuantile<T> {
+impl<T: Wire + MergePoint> Wire for HybridQuantile<T> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.epsilon.encode_into(out);
         self.m.encode_into(out);
@@ -77,7 +77,7 @@ impl<T: Wire + Ord> Wire for HybridQuantile<T> {
         self.w.encode_into(out);
         self.block_count.encode_into(out);
         self.block_candidate.encode_into(out);
-        self.base.encode_into(out);
+        T::encode_points(&self.base, out);
         self.hierarchy.encode_into(out);
         self.n.encode_into(out);
         self.rng.encode_into(out);
@@ -106,7 +106,7 @@ impl<T: Wire + Ord> Wire for HybridQuantile<T> {
             w,
             block_count,
             block_candidate,
-            base: Vec::<T>::decode_from(r)?,
+            base: T::decode_points(r)?,
             hierarchy: BufferHierarchy::<T>::decode_from(r)?,
             n: u64::decode_from(r)?,
             rng: Rng64::decode_from(r)?,

@@ -35,11 +35,11 @@ pub struct KnownNQuantile<T> {
     rng: Rng64,
 }
 
-impl<T: Wire + Ord> Wire for KnownNQuantile<T> {
+impl<T: Wire + MergePoint> Wire for KnownNQuantile<T> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.epsilon.encode_into(out);
         self.m.encode_into(out);
-        self.base.encode_into(out);
+        T::encode_points(&self.base, out);
         self.hierarchy.encode_into(out);
         self.n.encode_into(out);
         self.rng.encode_into(out);
@@ -53,7 +53,7 @@ impl<T: Wire + Ord> Wire for KnownNQuantile<T> {
         Ok(KnownNQuantile {
             epsilon,
             m: usize::decode_from(r)?,
-            base: Vec::<T>::decode_from(r)?,
+            base: T::decode_points(r)?,
             hierarchy: BufferHierarchy::<T>::decode_from(r)?,
             n: u64::decode_from(r)?,
             rng: Rng64::decode_from(r)?,

@@ -31,10 +31,11 @@
 //! pruned below such segments, so they cannot be rebuilt instead.
 //!
 //! Residency: the open segment's families are live. A sealed one keeps
-//! its MG family re-read from its slot and its quantile family packed
-//! ([`PackedQuantile`]) — when it seals, when it is adopted from a file
-//! and when coarsening builds it — and a read unpacks a copy. The slots
-//! on disk are the plain encodings either way.
+//! each family in one resting form — its MG family as the bytes of its
+//! record's slot, its quantile family bit-packed ([`PackedQuantile`]) —
+//! whether it sealed, was adopted from a file or was built by
+//! coarsening; a read decodes a copy of the one it asks for. The slots on
+//! disk are the plain encodings either way.
 //!
 //! Seqs: all the cube needs from ingest is a dense batch seq in WAL
 //! order. A durable engine's group-commit leader hands the cube each
@@ -116,7 +117,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 
-use ms_core::{lock, ServiceError, Summary, Wire, WireError};
+use ms_core::{lock, ServiceError, Wire, WireError};
 use ms_quantiles::{HybridQuantile, PackedQuantile};
 use ms_store::{SegmentRecord, SegmentStore};
 
@@ -184,7 +185,7 @@ pub struct CubeHealth {
     /// pressure never forced a merge).
     pub max_tier: u64,
     /// Heap bytes the sealed segments' families hold at rest: the packed
-    /// quantile forms plus the MG counters.
+    /// quantile forms plus the MG slots' bytes.
     pub resident_bytes: u64,
     /// Pairwise coarsening merges since the cube was built.
     pub coarsened: u64,
@@ -252,21 +253,25 @@ struct Feed {
 
 /// A sealed segment, behind an `Arc` in the index (immutable there:
 /// coarsening builds a new segment and swaps it in): its coordinates plus
-/// each streamed family at rest. The MG family is the summary re-read
-/// from its slot, which sheds the spare capacity streaming grew; the
-/// quantile family is packed ([`PackedQuantile`]), and a copy that
-/// answers for it is unpacked.
+/// each streamed family at rest, and a copy that answers for a family is
+/// rebuilt from it. The MG family rests as its slot's bytes, the
+/// encoding the record holds; the quantile family is bit-packed
+/// ([`PackedQuantile`]).
 ///
-/// The quantile family is most of a sealed segment (≈ 3,800 points at
-/// ε = 0.01, 30 KB as live `u64`s), and the resident segments are what
-/// `peak_rss_mb` of a cube server grows by, so a closed-loop server's
-/// peak follows its throughput — and the throughput's spread from one
-/// run to the next. Packed, the family takes ≈ 7 KB whatever its
-/// values; [`SegmentCube::health`] reports what the resident families
-/// hold (`resident_bytes`).
+/// The resident segments are what `peak_rss_mb` of a cube server grows
+/// by, so a closed-loop server's peak follows its throughput — and the
+/// throughput's spread from one run to the next. A ledger-shaped segment
+/// (64 batches of 1,024 Zipf items, ε = 0.01) holds ≈ 3,800 quantile
+/// points, 30 KB as live `u64`s, which pack into ≈ 2.9 KB; its MG slot
+/// is a few hundred bytes at most, a fraction of the decoded table. A
+/// read pays for the small rest: it decodes the slot and unpacks the
+/// points (the `cube_rest` rows of `results/BENCH_kernels.json`).
+/// [`SegmentCube::health`] reports what the resident families hold
+/// (`resident_bytes`).
 struct Segment {
     meta: SegmentMeta,
-    mg: ShardSummary,
+    /// The MG slot of the segment's record, as written.
+    mg: Box<[u8]>,
     quantile: PackedQuantile,
 }
 
@@ -275,7 +280,8 @@ impl Segment {
     /// (SpaceSaving is read off the MG one — see the module doc).
     fn family(&self, kind: SummaryKind) -> ShardSummary {
         match kind {
-            SummaryKind::Mg | SummaryKind::SpaceSaving => self.mg.clone(),
+            SummaryKind::Mg | SummaryKind::SpaceSaving => ShardSummary::decode(&self.mg)
+                .expect("a resting MG slot was decoded when it came to rest"),
             SummaryKind::HybridQuantile => ShardSummary::HybridQuantile(self.quantile.unpack()),
             SummaryKind::CountMin => unreachable!("no segment keeps a Count-Min family"),
         }
@@ -304,10 +310,9 @@ impl Segment {
             tier: meta.tier,
             summaries,
         };
-        let mg = ShardSummary::decode(&record.summaries[0]).expect("a slot just encoded decodes");
         let segment = Segment {
             meta,
-            mg,
+            mg: record.summaries[0].clone().into_boxed_slice(),
             quantile: packed,
         };
         (segment, record)
@@ -332,7 +337,7 @@ impl Segment {
                 return Err(WireError::Malformed("segment family out of order"));
             }
             match fam {
-                ShardSummary::Mg(_) => mg = Some(fam),
+                ShardSummary::Mg(_) => mg = Some(bytes.clone().into_boxed_slice()),
                 ShardSummary::HybridQuantile(q) => quantile = Some(q.pack()),
                 _ => {}
             }
@@ -370,9 +375,10 @@ impl Segment {
         meta.weight += next.meta.weight;
         meta.batches += next.meta.batches;
         meta.tier = meta.tier.max(next.meta.tier) + 1;
-        let (mut mg, mut quantile) = (self.mg.clone(), self.quantile.unpack());
+        let mut mg = self.family(SummaryKind::Mg);
+        let mut quantile = self.quantile.unpack();
         let merges = [
-            mg.merge_in_place(next.mg.clone()),
+            mg.merge_in_place(next.family(SummaryKind::Mg)),
             quantile.merge_from(next.quantile.unpack()),
         ];
         for merge in merges {
@@ -387,9 +393,9 @@ impl Segment {
     }
 
     /// Heap bytes the resting families hold: the packed quantile form
-    /// and the MG counters.
+    /// and the MG slot.
     fn resident_bytes(&self) -> usize {
-        self.quantile.heap_bytes() + self.mg.size() * std::mem::size_of::<(u64, u64)>()
+        self.quantile.heap_bytes() + self.mg.len()
     }
 }
 
@@ -1067,6 +1073,7 @@ pub(crate) fn four_slot_record(
 mod tests {
     use super::*;
     use crate::config::ManualClock;
+    use ms_core::Summary;
     use std::sync::Arc;
 
     const EPS: f64 = 0.02;
@@ -1271,11 +1278,62 @@ mod tests {
         assert_eq!(slots[0].0, last.last().unwrap().summaries[1]);
     }
 
-    /// A ledger-shaped segment — 64 batches of 1,024 Zipf items at
-    /// ε = 0.01 — rests in under half of four bytes a stored point: the
-    /// packed form is less than half the `u32` points it replaced.
+    /// A resting MG family is its record's slot, and the copy a reader
+    /// decodes encodes to those bytes again — whether the segment sealed,
+    /// was adopted from a two- or a four-slot record, or was coarsened.
     #[test]
-    fn a_ledger_shaped_segment_packs_under_two_bytes_a_point() {
+    fn sealed_mg_family_rests_as_its_slot() {
+        // Each sealed segment's resting MG bytes and the copy it reads.
+        let mg_slots = |c: &SegmentCube| -> Vec<(Vec<u8>, Vec<u8>)> {
+            let sealed = lock(&c.index).sealed.clone();
+            sealed
+                .iter()
+                .map(|seg| (seg.mg.to_vec(), seg.family(SummaryKind::Mg).encode()))
+                .collect()
+        };
+        let c = cube(SegmentConfig::new().seal_batches(2));
+        let (mut records, mut items) = (Vec::new(), Vec::new());
+        for i in 0..6u64 {
+            let batch: Vec<u64> = (0..300).map(|v| (v * v + i) % 97).collect();
+            records.extend(ok(&c, &batch).sealed);
+            items.push(batch);
+        }
+        assert_eq!(records.len(), 3);
+        let slots = mg_slots(&c);
+        for ((rest, read), rec) in slots.iter().zip(&records) {
+            assert_eq!(rest, &rec.summaries[0]);
+            assert_eq!(read, &rec.summaries[0]);
+        }
+        let four: Vec<SegmentRecord> = records
+            .iter()
+            .zip(items.chunks(2))
+            .map(|(rec, batches)| four_slot_record(rec, &batches.concat(), EPS, 42))
+            .collect();
+        for layout in [&records, &four] {
+            let adopted = cube(SegmentConfig::new().seal_batches(2));
+            assert_eq!(adopted.adopt(layout).unwrap().adopted, 3);
+            assert_eq!(mg_slots(&adopted), slots);
+        }
+
+        // Coarsening merges decoded copies; the survivor rests as the
+        // slot of the record it wrote.
+        let coarse = cube(SegmentConfig::new().seal_batches(1).coarsen_watermark(1));
+        let mut last = Vec::new();
+        for i in 0..3u64 {
+            last = ok(&coarse, &[i, i + 1, 7]).sealed;
+        }
+        let [(rest, read)] = &mg_slots(&coarse)[..] else {
+            panic!("coarsened down to one segment");
+        };
+        assert_eq!(rest, &last.last().unwrap().summaries[0]);
+        assert_eq!(read, rest);
+    }
+
+    /// A ledger-shaped segment — 64 batches of 1,024 Zipf items at
+    /// ε = 0.01 — rests in under a byte a stored point, and
+    /// `resident_bytes` is its packed blocks plus its MG slot.
+    #[test]
+    fn a_ledger_shaped_segment_rests_in_under_a_byte_a_point() {
         let items = ms_workloads::StreamKind::Zipf {
             s: 1.1,
             universe: 1 << 20,
@@ -1292,12 +1350,8 @@ mod tests {
         let points = seg.family(SummaryKind::HybridQuantile).size();
         let packed = seg.quantile.heap_bytes();
         assert!(points > 3_000, "{points} points");
-        assert!(
-            2 * packed < 4 * points,
-            "{packed} bytes for {points} points"
-        );
-        let counters = seg.mg.size() * std::mem::size_of::<(u64, u64)>();
-        assert_eq!(c.health().resident_bytes, (packed + counters) as u64);
+        assert!(packed < points, "{packed} bytes for {points} points");
+        assert_eq!(c.health().resident_bytes, (packed + seg.mg.len()) as u64);
     }
 
     #[test]
@@ -1747,7 +1801,7 @@ mod tests {
 
     // ---- Lemma 1: the derived SpaceSaving family ----
 
-    use ms_core::{ItemSummary, Summary};
+    use ms_core::ItemSummary;
     use ms_frequency::{MgSummary, SpaceSavingSummary};
     use ms_workloads::StreamKind;
 

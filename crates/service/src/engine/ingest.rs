@@ -108,9 +108,9 @@ impl Engine {
     /// A cube server's absorb: log the batch to the WAL, whose
     /// group-commit leader folds it into `cube` before the append returns,
     /// or, with no WAL to number it, fold it straight into `cube`, which
-    /// numbers it. It counts what a shard absorb counts. The queue-depth
-    /// gauge of the next shard index counts the batch while it waits for or
-    /// is inside the log and fold, so the overload plane sees the load.
+    /// numbers it. It counts what a shard absorb counts. The cube server's
+    /// one queue-depth gauge counts the batch while it waits for or is
+    /// inside the log and fold, so the overload plane sees the load.
     fn log_and_fold(
         &self,
         cube: &SegmentCube,
@@ -118,8 +118,7 @@ impl Engine {
         received: Option<&[u8]>,
     ) -> Result<(), ServiceError> {
         let telemetry = &self.telemetry;
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.cfg.shards;
-        telemetry.queue_pushed(shard);
+        telemetry.queue_pushed(0);
         let (logged, micros) = timed(|| match self.durable {
             Some(_) => self.append_durable(items, received),
             None => {
@@ -127,9 +126,9 @@ impl Engine {
                 Ok(())
             }
         });
-        telemetry.queue_popped(shard);
+        telemetry.queue_popped(0);
         logged?;
-        telemetry.record_ingest_batch(shard, micros);
+        telemetry.record_ingest_batch(0, micros);
         self.count_batch(items);
         Ok(())
     }

@@ -252,13 +252,17 @@ impl Engine {
     /// [`Engine::recovery`]) and starts the checkpointer thread.
     pub fn start(cfg: ServiceConfig) -> Result<Arc<Engine>, ServiceError> {
         cfg.check()?;
-        let telemetry = Arc::new(EngineTelemetry::new(cfg.shards, cfg.telemetry, cfg.seed));
+        let telemetry = Arc::new(match cfg.segments {
+            Some(_) => EngineTelemetry::for_cube(cfg.telemetry, cfg.seed),
+            None => EngineTelemetry::new(cfg.shards, cfg.telemetry, cfg.seed),
+        });
         // Open the store and scan before any thread starts; the recovered
         // state is applied below once the compactor runs to receive it.
         let cube = (cfg.segments.clone()).map(|scfg| SegmentCube::new(cfg.epsilon, cfg.seed, scfg));
         let (cube, opened) = Durable::open(&cfg, cube, &telemetry)?;
         let (durable, recovered) = opened.unzip();
-        // Pressure reads the live per-shard queue-depth gauges.
+        // Pressure reads the live queue-depth gauges, one per ingest path,
+        // against `shards × queue_depth` slots whatever the paths.
         let admission = Arc::new(Admission::new(
             cfg.overload.clone(),
             telemetry.registry(),
@@ -750,6 +754,39 @@ pub(super) mod tests {
                 Some(0)
             );
         }
+        engine.shutdown();
+    }
+
+    /// A cube server has no shards: it exports one unlabelled row of each
+    /// per-path instrument, which counts every batch, and no per-shard
+    /// row; the admission controller reads that one gauge against the
+    /// same `shards × queue_depth` slots as a sharded engine.
+    #[test]
+    fn a_cube_server_exports_only_its_one_ingest_path() {
+        let engine = Engine::start(
+            ServiceConfig::new(SummaryKind::Mg, 0.05)
+                .shards(4)
+                .segments(crate::config::SegmentConfig::new().seal_batches(4)),
+        )
+        .unwrap();
+        for i in 0..10 {
+            engine.ingest(vec![i; 25]).unwrap();
+        }
+        engine.flush().unwrap();
+        let snap = engine.telemetry_snapshot();
+        let absorbed = snap.histogram("ingest_batch_micros").map(|h| h.count);
+        assert_eq!(absorbed, Some(10), "every batch is one log and fold");
+        assert_eq!(snap.gauge("queue_depth"), Some(0));
+        let rows = (snap.histograms.iter().map(|(name, _)| name))
+            .chain(snap.gauges.iter().map(|(name, _)| name));
+        for name in rows {
+            assert!(!name.contains("shard="), "{name} names a shard");
+        }
+        let gauges = engine.telemetry.queue_depth_gauges();
+        assert_eq!(gauges.len(), 1);
+        gauges[0].add(2 * 64);
+        assert_eq!(engine.admission.pressure(), 0.5, "128 of 4 × 64 slots");
+        gauges[0].add(-2 * 64);
         engine.shutdown();
     }
 

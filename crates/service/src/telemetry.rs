@@ -70,11 +70,12 @@ pub struct EngineTelemetry {
     pub(crate) counters: EngineCounters,
     registry: Arc<MetricsRegistry>,
     recorder: Arc<FlightRecorder>,
-    /// Absorb time per ingested batch, per shard.
+    /// Absorb time per ingested batch, per ingest path (a shard, or a
+    /// cube server's one log-and-fold path).
     ingest_batch: Vec<Arc<Histogram>>,
-    /// Time a batch waited for its shard's lock.
+    /// Time a batch waited for its shard's lock (none on a cube server).
     queue_wait: Vec<Arc<Histogram>>,
-    /// Batches waiting for or inside each shard's absorb (always
+    /// Batches waiting for or inside each ingest path's absorb (always
     /// recorded).
     queue_depth: Vec<Arc<Gauge>>,
     /// Compactor merge duration.
@@ -124,19 +125,36 @@ pub struct EngineTelemetry {
 }
 
 impl EngineTelemetry {
-    /// Build the instrument set for `shards` ingest shards. When
+    /// Build the instrument set for `shards` ingest shards, one
+    /// `{shard="i"}` row of each per-shard instrument apiece. When
     /// `enabled` is false every instrument still exists (snapshots stay
     /// well-formed) but only the work counters and the queue-depth gauges
     /// record. `seed` feeds deterministic trace
     /// ids ([`EngineTelemetry::root_context`]), so a replayed run mints
     /// the same trace tree.
     pub fn new(shards: usize, enabled: bool, seed: u64) -> EngineTelemetry {
+        let rows: Vec<String> = (0..shards).map(|s| format!("{{shard=\"{s}\"}}")).collect();
+        EngineTelemetry::with_rows(&rows, &rows, enabled, seed)
+    }
+
+    /// [`EngineTelemetry::new`] for a cube server, which has no shards:
+    /// its one ingest path, the log and fold, has one unlabelled
+    /// `queue_depth` and `ingest_batch_micros` row, and no batch waits
+    /// for a shard lock, so there is no `queue_wait_micros` row.
+    pub fn for_cube(enabled: bool, seed: u64) -> EngineTelemetry {
+        EngineTelemetry::with_rows(&[String::new()], &[], enabled, seed)
+    }
+
+    /// The instrument set with a row per label in `paths` of the
+    /// per-path instruments and one per label in `waits` of the
+    /// queue-wait histogram.
+    fn with_rows(paths: &[String], waits: &[String], enabled: bool, seed: u64) -> EngineTelemetry {
         let registry = Arc::new(MetricsRegistry::new());
         let recorder = Arc::new(FlightRecorder::new(FLIGHT_RING_CAPACITY));
         recorder.set_enabled(enabled);
-        let per_shard_hist = |name: &str| -> Vec<Arc<Histogram>> {
-            (0..shards)
-                .map(|s| registry.histogram(&format!("{name}{{shard=\"{s}\"}}")))
+        let hists = |name: &str, rows: &[String]| -> Vec<Arc<Histogram>> {
+            rows.iter()
+                .map(|row| registry.histogram(&format!("{name}{row}")))
                 .collect()
         };
         let engine_events = recorder.register("engine");
@@ -149,10 +167,11 @@ impl EngineTelemetry {
                 shards_lost: registry.counter("shards_lost_total"),
                 frames_rejected: registry.counter("frames_rejected_total"),
             },
-            ingest_batch: per_shard_hist("ingest_batch_micros"),
-            queue_wait: per_shard_hist("queue_wait_micros"),
-            queue_depth: (0..shards)
-                .map(|s| registry.gauge(&format!("queue_depth{{shard=\"{s}\"}}")))
+            ingest_batch: hists("ingest_batch_micros", paths),
+            queue_wait: hists("queue_wait_micros", waits),
+            queue_depth: paths
+                .iter()
+                .map(|row| registry.gauge(&format!("queue_depth{row}")))
                 .collect(),
             compact_merge: registry.histogram("compact_merge_micros"),
             epoch_duration: registry.histogram("epoch_duration_micros"),
@@ -200,10 +219,10 @@ impl EngineTelemetry {
         &self.recorder
     }
 
-    /// The per-shard queue-depth gauges — the admission controller's
-    /// pressure signal ([`crate::overload::Admission`]). They move whether
-    /// or not telemetry is enabled, so watermark shedding never depends
-    /// on it.
+    /// The queue-depth gauges, one per ingest path — the admission
+    /// controller's pressure signal ([`crate::overload::Admission`]).
+    /// They move whether or not telemetry is enabled, so watermark
+    /// shedding never depends on it.
     pub fn queue_depth_gauges(&self) -> Vec<Arc<Gauge>> {
         self.queue_depth.clone()
     }
@@ -272,10 +291,10 @@ impl EngineTelemetry {
         }
     }
 
-    /// Record one absorbed batch on `shard`.
-    pub fn record_ingest_batch(&self, shard: usize, micros: u64) {
+    /// Record one absorbed batch on ingest path `path`.
+    pub fn record_ingest_batch(&self, path: usize, micros: u64) {
         if self.enabled {
-            self.ingest_batch[shard].record(micros);
+            self.ingest_batch[path].record(micros);
         }
     }
 
@@ -286,14 +305,14 @@ impl EngineTelemetry {
         }
     }
 
-    /// A batch started waiting for `shard`'s absorb.
-    pub fn queue_pushed(&self, shard: usize) {
-        self.queue_depth[shard].inc();
+    /// A batch started waiting for ingest path `path`'s absorb.
+    pub fn queue_pushed(&self, path: usize) {
+        self.queue_depth[path].inc();
     }
 
-    /// A batch left `shard`'s absorb.
-    pub fn queue_popped(&self, shard: usize) {
-        self.queue_depth[shard].dec();
+    /// A batch left ingest path `path`'s absorb.
+    pub fn queue_popped(&self, path: usize) {
+        self.queue_depth[path].dec();
     }
 
     /// Record one compactor merge and the resulting merge-tree depth.
