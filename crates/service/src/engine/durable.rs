@@ -1,15 +1,14 @@
 //! The durability plane, present when the config names a data directory:
 //! the group-commit WAL append on the ingest path, whose leader folds each
 //! logged batch into the cube under the seq the log gave it (the cube then
-//! writes the segment files it seals); the checkpointer thread and the
-//! checkpoint sets it writes; and the recovery that reads WAL, checkpoints
-//! and segment files back at start. Ledger rows `wal.append`,
-//! `checkpoint.write` and `segment.write`.
+//! writes the segment files it seals); the checkpoint cycle, which the
+//! ingest whose append crosses the cadence runs on its own thread before
+//! its ack, and the one-part checkpoint sets it writes; and the recovery
+//! that reads WAL, checkpoints and segment files back at start. Ledger
+//! rows `wal.append`, `checkpoint.write` and `segment.write`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
 
 use ms_core::wire::{decode_u64_slice_into, encode_u64_slice_into};
@@ -32,7 +31,8 @@ use crate::telemetry::EngineTelemetry;
 pub struct RecoveryReport {
     /// WAL cut of the checkpoint set that was merged back (0 = none).
     pub checkpoint_seq: u64,
-    /// Per-shard parts in that set.
+    /// Parts in that set: one for every set this engine writes, one per
+    /// shard in sets older engines wrote.
     pub checkpoint_parts: usize,
     /// Total weight restored from the checkpoint.
     pub preloaded_weight: u64,
@@ -61,8 +61,7 @@ pub struct RecoveryReport {
     pub notes: Vec<String>,
 }
 
-/// The engine's durability plane. Owns the open store and the
-/// checkpointer thread.
+/// The engine's durability plane. Owns the open store.
 pub(super) struct Durable {
     cfg: DurabilityConfig,
     pub(super) store: Mutex<Store>,
@@ -73,10 +72,13 @@ pub(super) struct Durable {
     /// Recycled WAL record buffers, refilled by [`fold_logged`].
     wal_pool: Arc<BufferPool<u8>>,
     batches_since_ckpt: AtomicU64,
-    /// `None` once the checkpointer stopped. A trigger may carry an ack
-    /// sender ([`Engine::checkpoint_now`] waits on it).
-    pub(super) trigger_tx: Mutex<Option<Sender<Option<Sender<()>>>>>,
-    pub(super) checkpointer: Mutex<Option<JoinHandle<()>>>,
+    /// Held for a whole checkpoint cycle, so one runs at a time. A cadence
+    /// checkpoint that finds it taken is skipped, [`Engine::checkpoint_now`]
+    /// waits for it, and stop holds it from setting `stopped` on, so no
+    /// checkpoint lands after stop returns. Lock order: this, the pause
+    /// lock (write), shard `live` then `spare` or the cube fold, the
+    /// compact channel; then `store`.
+    pub(super) checkpointing: Mutex<()>,
     /// WAL cut of the last checkpoint set written, and when.
     pub(super) last_ckpt: Mutex<(u64, Instant)>,
     pub(super) recovery: Mutex<RecoveryReport>,
@@ -114,8 +116,7 @@ impl Durable {
             group: GroupCommit::new().with_record_hook(fold_logged(&cube, &wal_pool)),
             wal_pool,
             batches_since_ckpt: AtomicU64::new(0),
-            trigger_tx: Mutex::new(None),
-            checkpointer: Mutex::new(None),
+            checkpointing: Mutex::new(()),
             last_ckpt: Mutex::new((ckpt_seq, Instant::now())),
             recovery: Mutex::new(RecoveryReport::default()),
         };
@@ -153,7 +154,7 @@ impl Engine {
     /// catches kind, ε, and hash-seed mismatches), so must each adopted
     /// segment's families ([`crate::cube::SegmentCube::adopt`]), and
     /// each WAL payload must decode as a batch. Fails with a typed error
-    /// rather than half-restoring. Then starts the checkpointer.
+    /// rather than half-restoring.
     ///
     /// The replay is one part: every tail record above the checkpoint cut
     /// is absorbed, in seq order on this thread, into one summary, which
@@ -237,32 +238,6 @@ impl Engine {
         );
         let d = self.durable.as_ref().expect("recovered implies durable");
         *lock(&d.recovery) = report;
-        // The checkpointer runs one cycle per trigger: a cadence trigger
-        // from ingest every `checkpoint_batches` batches, or an explicit
-        // `Engine::checkpoint_now` with an ack. It exits when the
-        // trigger channel closes (shutdown, abort, or the engine dropped:
-        // it holds only a `Weak`, upgraded per cycle).
-        let (trigger_tx, triggers) = mpsc::channel::<Option<Sender<()>>>();
-        *lock(&d.trigger_tx) = Some(trigger_tx);
-        let me = self.me.clone();
-        let checkpointer = std::thread::Builder::new()
-            .name("ms-checkpointer".to_string())
-            .spawn(move || {
-                for trigger in triggers {
-                    let Some(engine) = me.upgrade() else {
-                        break;
-                    };
-                    if engine.perform_checkpoint().is_err() {
-                        // A failed checkpoint is not fatal: the WAL still
-                        // has everything. Record it and keep serving.
-                        engine.telemetry.event("checkpoint_failed", &[]);
-                    }
-                    if let Some(ack) = trigger {
-                        let _ = ack.send(());
-                    }
-                }
-            })?;
-        *lock(&d.checkpointer) = Some(checkpointer);
         Ok(())
     }
 
@@ -273,10 +248,12 @@ impl Engine {
     }
 
     /// Append one batch to the WAL via group commit — folding it into the
-    /// cube on the way ([`fold_logged`]) — and trigger a background
-    /// checkpoint at the configured cadence. No-op for in-memory engines.
-    /// The caller holds the pause lock for read, so the append and the
-    /// absorb that follows land on the same side of any checkpoint cut.
+    /// cube on the way ([`fold_logged`]) — and say whether this append
+    /// crossed the checkpoint cadence: then the caller runs
+    /// [`Engine::checkpoint_at_cadence`] once its pause guard is gone,
+    /// before its ack. No-op for in-memory engines. The caller holds the
+    /// pause lock for read, so the append and the absorb that follows land
+    /// on the same side of any checkpoint cut.
     ///
     /// The record is `received` verbatim ([`IngestFrame::payload`]), or
     /// `items` encoded when the batch came in process, written into a
@@ -286,9 +263,9 @@ impl Engine {
         &self,
         items: &[u64],
         received: Option<&[u8]>,
-    ) -> Result<(), ServiceError> {
+    ) -> Result<bool, ServiceError> {
         let Some(d) = &self.durable else {
-            return Ok(());
+            return Ok(false);
         };
         let mut record = d.wal_pool.get();
         match received {
@@ -303,15 +280,27 @@ impl Engine {
             outcome.led.fsyncs,
         );
         let since = d.batches_since_ckpt.fetch_add(1, Ordering::Relaxed) + 1;
-        if since % d.cfg.checkpoint_batches == 0 {
-            if let Some(tx) = lock(&d.trigger_tx).as_ref() {
-                let _ = tx.send(None);
-            }
-        }
-        Ok(())
+        Ok(since % d.cfg.checkpoint_batches == 0)
     }
 
-    /// One checkpoint cycle, run on the checkpointer thread.
+    /// The cadence checkpoint, on the ingesting thread whose append crossed
+    /// the cadence, unless a checkpoint is running: the next crossing
+    /// catches up. A failed checkpoint is not fatal: the WAL still has
+    /// everything, and [`Engine::perform_checkpoint`] records the failure.
+    pub(super) fn checkpoint_at_cadence(&self) {
+        let Some(d) = &self.durable else {
+            return;
+        };
+        let _one = match d.checkpointing.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return,
+        };
+        let _ = self.perform_checkpoint(d);
+    }
+
+    /// One checkpoint cycle on the caller's thread, which holds
+    /// `d.checkpointing`. Fails with `Shutdown` once the engine is stopped.
     ///
     /// Consistency argument: with the pause lock held for write, no ingest
     /// is between "appended to WAL" and "absorbed", so the cut `W =
@@ -322,12 +311,9 @@ impl Engine {
     /// it hands back holds precisely the surviving data of seqs ≤ W. The
     /// lock is released before waiting, so ingest resumes while the
     /// compactor catches up and files are written.
-    fn perform_checkpoint(&self) -> Result<(), ServiceError> {
-        let Some(d) = &self.durable else {
-            return Ok(());
-        };
+    pub(super) fn perform_checkpoint(&self, d: &Durable) -> Result<(), ServiceError> {
         if self.stopped.load(Ordering::Acquire) {
-            return Ok(());
+            return Err(ServiceError::Shutdown);
         }
         let (cut, published) = {
             let _pause = self.pause.write().unwrap_or_else(|e| e.into_inner());
@@ -335,7 +321,11 @@ impl Engine {
             (cut, self.barrier()?)
         };
         let merged = published.recv().map_err(|_| ServiceError::Shutdown)?;
-        self.write_checkpoint(&merged, cut)
+        let written = self.write_checkpoint(&merged, cut);
+        if written.is_err() {
+            self.telemetry.event("checkpoint_failed", &[]);
+        }
+        written
     }
 
     /// Persist `merged` as the one-part checkpoint set for WAL cut `cut`,
@@ -370,18 +360,6 @@ impl Engine {
         self.telemetry.record_checkpoint();
         self.telemetry.event("checkpoint", &[("wal_seq", cut)]);
         Ok(())
-    }
-
-    /// Stop the checkpointer thread (idempotent). Runs first in the stop
-    /// path, so no checkpoint races the final one.
-    pub(super) fn stop_checkpointer(&self) {
-        let Some(d) = &self.durable else {
-            return;
-        };
-        drop(lock(&d.trigger_tx).take());
-        if let Some(handle) = lock(&d.checkpointer).take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -696,6 +674,86 @@ mod tests {
         );
         engine.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Four writers cross a two-batch cadence while `abort`, then
+    /// `shutdown`, runs. Once stop returns no checkpoint file is created,
+    /// renamed or removed, `checkpoint_now` fails with `Shutdown`, and a
+    /// restart reads the newest set on disk at stop and every acked item.
+    /// Each stop is raced several times: a checkpoint is in flight at
+    /// only some of them.
+    #[test]
+    fn no_checkpoint_lands_after_stop_returns() {
+        use std::collections::BTreeMap;
+        const WRITERS: u64 = 4;
+        for clean in [false, true].repeat(8) {
+            let dir = temp_data_dir(&format!("stoprace-{clean}"));
+            let cfg = durable_cfg(&dir).durability(
+                DurabilityConfig::new(&dir)
+                    .fsync(ms_store::FsyncPolicy::Never)
+                    .checkpoint_batches(2),
+            );
+            // Every file under the checkpoint directory, `.tmp` included,
+            // with its size.
+            let listing = || -> BTreeMap<String, u64> {
+                std::fs::read_dir(dir.join("ckpt"))
+                    .unwrap()
+                    .map(|e| {
+                        let e = e.unwrap();
+                        let name = e.file_name().into_string().unwrap();
+                        (name, e.metadata().unwrap().len())
+                    })
+                    .collect()
+            };
+            let engine = Engine::start(cfg.clone()).unwrap();
+            let acked = AtomicU64::new(0);
+            let at_stop = std::thread::scope(|scope| {
+                for w in 0..WRITERS {
+                    let (engine, acked) = (&engine, &acked);
+                    scope.spawn(move || loop {
+                        match engine.ingest(vec![w; 16]) {
+                            Ok(()) => acked.fetch_add(16, Ordering::Relaxed),
+                            Err(ServiceError::Shutdown) => break,
+                            Err(e) => panic!("writer {w}: {e:?}"),
+                        };
+                    });
+                }
+                let d = engine.durable.as_ref().unwrap();
+                while lock(&d.last_ckpt).0 < 1_024 {
+                    std::thread::yield_now();
+                }
+                if clean {
+                    engine.shutdown();
+                } else {
+                    engine.abort();
+                }
+                listing()
+            });
+            // The writers are gone, each past its last cadence crossing.
+            assert_eq!(listing(), at_stop, "clean {clean}");
+            assert_eq!(engine.checkpoint_now(), Err(ServiceError::Shutdown));
+            assert_eq!(listing(), at_stop, "clean {clean}");
+            let newest = (at_stop.keys())
+                .filter_map(|name| name.strip_prefix("ckpt-")?.strip_suffix("-0000.ckpt"))
+                .map(|seq| u64::from_str_radix(seq, 16).unwrap())
+                .max();
+            drop(engine);
+
+            let engine = Engine::start(cfg).unwrap();
+            let recovery = engine.recovery().unwrap();
+            assert_eq!(Some(recovery.checkpoint_seq), newest, "clean {clean}");
+            assert_eq!(recovery.corrupt_checkpoints, 0, "{:?}", recovery.notes);
+            let weight = engine.snapshot().summary.total_weight();
+            assert_eq!(weight, acked.load(Ordering::Relaxed), "clean {clean}");
+            if clean {
+                assert_eq!(
+                    recovery.replayed_records, 0,
+                    "the final checkpoint covers all"
+                );
+            }
+            engine.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

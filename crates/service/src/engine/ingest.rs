@@ -66,8 +66,10 @@ impl Shard {
 impl Engine {
     /// What [`Engine::ingest`] and [`Engine::ingest_frame`] share once the
     /// batch is items: shed, then log and absorb — or, on a cube server,
-    /// log and fold. `received` is the batch as a client sent it, logged
-    /// verbatim; an in-process batch is encoded for the WAL.
+    /// log and fold — and, when the append crossed the checkpoint cadence,
+    /// checkpoint before returning. `received` is the batch as a client
+    /// sent it, logged verbatim; an in-process batch is encoded for the
+    /// WAL.
     pub(super) fn ingest_items(
         &self,
         items: &[u64],
@@ -84,7 +86,7 @@ impl Engine {
                 retry_after_micros: self.admission.retry_after_micros(),
             });
         }
-        {
+        let checkpoint_due = {
             // Poison-tolerant, for the same reason as `ms_core::lock`.
             let _pause = self.pause.read().unwrap_or_else(|e| e.into_inner());
             if self.stopped.load(Ordering::Acquire) {
@@ -93,10 +95,15 @@ impl Engine {
             match &self.cube {
                 Some(cube) => self.log_and_fold(cube, items, received)?,
                 None => {
-                    self.append_durable(items, received)?;
+                    let due = self.append_durable(items, received)?;
                     self.absorb(items);
+                    due
                 }
             }
+        };
+        // Outside the pause guard: the checkpoint takes that lock for write.
+        if checkpoint_due {
+            self.checkpoint_at_cadence();
         }
         // Hand the core to whatever became runnable while the batch was
         // absorbed — on a busy host, other connections' requests — outside
@@ -108,29 +115,30 @@ impl Engine {
     /// A cube server's absorb: log the batch to the WAL, whose
     /// group-commit leader folds it into `cube` before the append returns,
     /// or, with no WAL to number it, fold it straight into `cube`, which
-    /// numbers it. It counts what a shard absorb counts. The cube server's
-    /// one queue-depth gauge counts the batch while it waits for or is
-    /// inside the log and fold, so the overload plane sees the load.
+    /// numbers it. It counts what a shard absorb counts, and says what
+    /// [`Engine::append_durable`] says. The cube server's one queue-depth
+    /// gauge counts the batch while it waits for or is inside the log and
+    /// fold, so the overload plane sees the load.
     fn log_and_fold(
         &self,
         cube: &SegmentCube,
         items: &[u64],
         received: Option<&[u8]>,
-    ) -> Result<(), ServiceError> {
+    ) -> Result<bool, ServiceError> {
         let telemetry = &self.telemetry;
         telemetry.queue_pushed(0);
         let (logged, micros) = timed(|| match self.durable {
             Some(_) => self.append_durable(items, received),
             None => {
                 cube.record(items);
-                Ok(())
+                Ok(false)
             }
         });
         telemetry.queue_popped(0);
-        logged?;
+        let checkpoint_due = logged?;
         telemetry.record_ingest_batch(0, micros);
         self.count_batch(items);
-        Ok(())
+        Ok(checkpoint_due)
     }
 
     /// Count a batch the engine's summary took in: ingested, or replayed

@@ -100,7 +100,9 @@
 //! items and once per seal. Each item is summarised once.
 //! Durable appends go through leader–follower group commit
 //! ([`ms_store::GroupCommit`]) so the store mutex is amortized across
-//! concurrent callers. See DESIGN.md §Hot path for the per-batch budget.
+//! concurrent callers. One durable ingest in `checkpoint_batches`, the one
+//! whose append crosses the cadence, also writes the checkpoint before its
+//! ack. See DESIGN.md §Hot path for the per-batch budget.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, SyncSender};
@@ -203,7 +205,7 @@ const ITEM_POOL_SLOTS: usize = 8;
 /// The engine: owns the shard deltas and the compactor thread. Cheap to
 /// share as `Arc<Engine>`; all public methods take `&self`.
 pub struct Engine {
-    /// The engine itself, as the threads it spawns hold it: a `Weak`, so
+    /// The engine itself, as its compactor thread holds it: a `Weak`, so
     /// the engine is freed once its callers drop it, shut down or not.
     me: Weak<Engine>,
     cfg: ServiceConfig,
@@ -225,8 +227,8 @@ pub struct Engine {
     stopped: AtomicBool,
     /// Every ingest holds this for read from its `stopped` check to the
     /// end of its absorb. Stop takes it for write to wait out the ingests
-    /// already past that check, and the checkpointer to establish a WAL
-    /// cut: "logged" and "absorbed" stay in lockstep.
+    /// already past that check, and a checkpoint to establish a WAL cut:
+    /// "logged" and "absorbed" stay in lockstep.
     pause: RwLock<()>,
     /// Held for the whole drain: a concurrent second `shutdown` blocks on
     /// it and then observes the fully drained snapshot, never a partial one.
@@ -247,9 +249,9 @@ pub struct Engine {
 
 impl Engine {
     /// Start the compactor thread for `cfg`. With durability configured
-    /// this also opens the data directory, recovers its state (newest
+    /// this also opens the data directory and recovers its state (newest
     /// valid checkpoint merged back, WAL tail replayed — see
-    /// [`Engine::recovery`]) and starts the checkpointer thread.
+    /// [`Engine::recovery`]).
     pub fn start(cfg: ServiceConfig) -> Result<Arc<Engine>, ServiceError> {
         cfg.check()?;
         let telemetry = Arc::new(match cfg.segments {
@@ -372,21 +374,16 @@ impl Engine {
         Ok(())
     }
 
-    /// Write a checkpoint set now and wait for it to reach disk. Errors
-    /// with `Config` when the engine has no data directory.
+    /// Write a checkpoint set now, on this thread, once any checkpoint
+    /// in flight is done. Errors with `Config` when the engine has no data
+    /// directory, with `Shutdown` once it is stopped, and with the store's
+    /// error when the set could not be written.
     pub fn checkpoint_now(&self) -> Result<(), ServiceError> {
         let Some(d) = &self.durable else {
             return Err(ServiceError::Config("durability is not enabled"));
         };
-        let (ack_tx, ack_rx) = mpsc::channel();
-        let sent = match lock(&d.trigger_tx).as_ref() {
-            Some(tx) => tx.send(Some(ack_tx)).is_ok(),
-            None => false,
-        };
-        if !sent {
-            return Err(ServiceError::Shutdown);
-        }
-        ack_rx.recv().map_err(|_| ServiceError::Shutdown)
+        let _one = lock(&d.checkpointing);
+        self.perform_checkpoint(d)
     }
 
     /// The current snapshot. The lock is held only to clone the `Arc`.
@@ -561,9 +558,10 @@ impl Engine {
         self.stop(false);
     }
 
-    /// The stop path `shutdown` and `abort` share: stop the checkpointer,
-    /// wait out the ingests in flight (the pause lock for write), then
-    /// stop and join the compactor. A `clean` stop first publishes every
+    /// The stop path `shutdown` and `abort` share: wait out a checkpoint in
+    /// flight (the checkpoint lock, held to the end, so none starts after
+    /// it) and the ingests in flight (the pause lock for write), then stop
+    /// and join the compactor. A `clean` stop first publishes every
     /// shard's delta and checkpoints that snapshot; otherwise queries
     /// keep answering from the last published snapshot, like a real crash
     /// survivor's client would have seen. Only the first call stops
@@ -573,7 +571,8 @@ impl Engine {
         if self.stopped.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.stop_checkpointer();
+        // A checkpoint that takes the lock after this finds `stopped` set.
+        let _checkpoints = self.durable.as_ref().map(|d| lock(&d.checkpointing));
         // Every ingest checks `stopped` under the pause lock, so once the
         // write lock is ours none is absorbing and none will again.
         drop(self.pause.write().unwrap_or_else(|e| e.into_inner()));
@@ -596,8 +595,7 @@ impl Drop for Engine {
     /// An engine dropped without a shutdown: tell the compactor to stop,
     /// without waiting for it (this may run on the compactor thread
     /// itself, as the last holder). A full channel needs no sentinel: the
-    /// compactor's next receive finds the engine gone. The checkpointer
-    /// ends when its trigger channel, dropped with the engine, closes.
+    /// compactor's next receive finds the engine gone.
     fn drop(&mut self) {
         let _ = self.compact_tx.try_send(CompactMsg::Stop);
     }
@@ -832,9 +830,8 @@ pub(super) mod tests {
         engine.shutdown();
     }
 
-    /// The threads an engine spawns hold it weakly: once its last `Arc`
-    /// goes without a shutdown, the engine is freed and its compactor
-    /// and checkpointer exit.
+    /// The compactor holds the engine weakly: once its last `Arc` goes
+    /// without a shutdown, the engine is freed and the compactor exits.
     #[test]
     fn dropping_the_last_arc_frees_the_engine_and_ends_its_threads() {
         let dir = temp_data_dir("leak");
@@ -846,11 +843,9 @@ pub(super) mod tests {
         engine.checkpoint_now().unwrap();
         let weak = Arc::downgrade(&engine);
         let compactor = lock(&engine.compactor_handle).take().unwrap();
-        let d = engine.durable.as_ref().unwrap();
-        let checkpointer = lock(&d.checkpointer).take().unwrap();
         drop(engine);
         let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while weak.strong_count() > 0 || !compactor.is_finished() || !checkpointer.is_finished() {
+        while weak.strong_count() > 0 || !compactor.is_finished() {
             assert!(
                 Instant::now() < deadline,
                 "engine still held ({}) or a thread still running",
@@ -860,7 +855,6 @@ pub(super) mod tests {
         }
         assert!(weak.upgrade().is_none());
         compactor.join().unwrap();
-        checkpointer.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,12 +1,14 @@
-//! Per-shard checkpoint sets.
+//! Checkpoint sets.
 //!
-//! A checkpoint is one file per shard, `ckpt-<wal-seq:016x>-<shard:04x>
-//! .ckpt`, each holding a durable-framed [`CheckpointRecord`]. The wal-seq
-//! in the name is the cut: every WAL record with seq ≤ wal-seq is folded
-//! into the set, so recovery replays only the newer tail.
+//! A checkpoint set is one file per part, `ckpt-<wal-seq:016x>-<part:04x>
+//! .ckpt`, each holding a durable-framed [`CheckpointRecord`]. The engine
+//! writes one-part sets; sets of one part per shard, as older engines
+//! wrote them, still load. The wal-seq in the name is the cut: every WAL
+//! record with seq ≤ wal-seq is folded into the set, so recovery replays
+//! only the newer tail.
 //!
 //! Writes are atomic per file (tmp + rename, fsync'd when the store's
-//! policy syncs). A set is only *used* when every shard's file is present
+//! policy syncs). A set is only *used* when every part's file is present
 //! and verifies; a damaged or incomplete set is discarded with a note and
 //! the loader falls back to the next-newest — mergeability (PODS'12,
 //! Definition 1) guarantees the older summary merges back with the same

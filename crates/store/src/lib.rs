@@ -177,7 +177,8 @@ pub struct Recovery {
 pub struct Store {
     /// Append-only ingest-batch log.
     pub wal: Wal,
-    /// Per-shard checkpoint files.
+    /// Checkpoint sets: one part each as the engine writes them, older
+    /// per-shard sets still read.
     pub checkpoints: CheckpointStore,
     /// Sealed cube segments; `None` unless [`StoreConfig::cube_segments`].
     pub segments: Option<SegmentStore>,

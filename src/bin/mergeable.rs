@@ -111,7 +111,7 @@ coordinator all produce files any of the others can merge and query
 (files written before this format are refused: rebuild them). `serve`
 runs the sharded concurrent engine on A (default 127.0.0.1:7433) until
 stdin closes. `bench-client` streams a seeded Zipf workload at it and
-reports throughput, engine metrics and per-shard buffer-pool reuse.
+reports throughput and engine metrics.
 `metrics` scrapes a live server's telemetry plane: per-opcode latency
 histograms (p50/p95/p99/max), per-shard queue-depth gauges and byte
 counters, as a table or (--prom) Prometheus text exposition.
@@ -127,8 +127,8 @@ planes merge (work counters sum, gauges take max, latency histograms
 merge bucket-wise).
 
 `serve --data-dir DIR` makes the engine crash-safe: every acked batch is
-appended to a write-ahead log and periodically folded into per-shard
-checkpoint files under DIR, and restarting with the same DIR recovers
+appended to a write-ahead log and periodically folded into a checkpoint
+file under DIR, and restarting with the same DIR recovers
 the state (newest valid checkpoint set + WAL tail replay) with no error
 growth — summaries merge back losslessly. `--fsync` trades durability
 for throughput (`always` per batch, `every:N` bounded loss window,

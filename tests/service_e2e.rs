@@ -13,13 +13,13 @@ use std::sync::Arc;
 
 use mergeable_summaries::core::{FrequencyOracle, RankOracle, Summary, Wire};
 use mergeable_summaries::service::{
-    plan_fn, Client, Engine, FaultAction, Request, Response, Server, ServiceConfig, ShardSummary,
-    SummaryKind,
+    plan_fn, Client, DurabilityConfig, Engine, FaultAction, FsyncPolicy, Request, Response, Server,
+    ServiceConfig, ShardSummary, SummaryKind,
 };
 use mergeable_summaries::workloads::StreamKind;
 
 mod support;
-use support::zipf;
+use support::{scratch_dir, zipf};
 
 const N: usize = 1_000_000;
 const EPS: f64 = 0.01;
@@ -146,43 +146,61 @@ fn snapshots_survive_the_wire_codec() {
 /// One writer on a cube-off engine: its batches reach the shards
 /// round-robin in send order, each shard hands off at the same points and
 /// the compactor folds the hand-offs in send order, so every run at a
-/// given shard count is served the same `Request::Summary` bytes.
+/// given shard count is served the same `Request::Summary` bytes. A
+/// durable engine too: its cadence checkpoint runs on the ingest that
+/// crosses the cadence, so its barrier cuts the deltas at the same batch.
 #[test]
 fn one_writer_is_served_the_same_bytes_on_every_run() {
     let items = zipf(96 * 1_024, SEED);
-    for kind in [
-        SummaryKind::Mg,
-        SummaryKind::HybridQuantile,
-        SummaryKind::CountMin,
-    ] {
-        for shards in [1, 2, 4] {
-            let served: Vec<Vec<u8>> = (0..3)
-                .map(|_| {
-                    let cfg = ServiceConfig::new(kind, EPS)
-                        .shards(shards)
-                        .delta_updates(4_096)
-                        .seed(SEED);
-                    let engine = Engine::start(cfg).expect("engine start");
-                    for batch in items.chunks(1_024) {
-                        engine.ingest(batch.to_vec()).unwrap();
-                    }
-                    engine.flush().unwrap();
-                    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
-                    let mut client = Client::connect(server.local_addr()).expect("connect");
-                    let reply = client.call(&Request::Summary).expect("summary");
-                    server.stop();
-                    engine.shutdown();
-                    match reply {
-                        Response::Summary(bytes) => bytes,
-                        other => panic!("summary request answered {other:?}"),
-                    }
-                })
-                .collect();
-            assert!(
-                served.windows(2).all(|w| w[0] == w[1]),
-                "{} at {shards} shard(s): one writer was served different bytes",
-                kind.label()
-            );
+    for durable in [false, true] {
+        for kind in [
+            SummaryKind::Mg,
+            SummaryKind::HybridQuantile,
+            SummaryKind::CountMin,
+        ] {
+            for shards in [1, 2, 4] {
+                let served: Vec<Vec<u8>> = (0..3)
+                    .map(|run| {
+                        let mut cfg = ServiceConfig::new(kind, EPS)
+                            .shards(shards)
+                            .delta_updates(4_096)
+                            .seed(SEED);
+                        // A checkpoint every eight batches cuts every
+                        // shard's delta short: at the same batch on every
+                        // run, or the bytes differ.
+                        let dir = scratch_dir(&format!("same-bytes-{run}"));
+                        if durable {
+                            cfg = cfg.durability(
+                                DurabilityConfig::new(&dir)
+                                    .fsync(FsyncPolicy::Never)
+                                    .checkpoint_batches(8),
+                            );
+                        }
+                        let engine = Engine::start(cfg).expect("engine start");
+                        for batch in items.chunks(1_024) {
+                            engine.ingest(batch.to_vec()).unwrap();
+                        }
+                        engine.flush().unwrap();
+                        let server =
+                            Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+                        let mut client = Client::connect(server.local_addr()).expect("connect");
+                        let reply = client.call(&Request::Summary).expect("summary");
+                        server.stop();
+                        engine.shutdown();
+                        let _ = std::fs::remove_dir_all(&dir);
+                        match reply {
+                            Response::Summary(bytes) => bytes,
+                            other => panic!("summary request answered {other:?}"),
+                        }
+                    })
+                    .collect();
+                assert!(
+                    served.windows(2).all(|w| w[0] == w[1]),
+                    "{} at {shards} shard(s), durable {durable}: one writer was served \
+                     different bytes",
+                    kind.label()
+                );
+            }
         }
     }
 }
