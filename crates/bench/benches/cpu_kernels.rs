@@ -54,9 +54,10 @@ const INSERT_BATCH: usize = 1_024;
 /// The ledger's `read-write` segment: 256 batches of 128 items.
 const SEGMENT_BATCHES: u64 = 256;
 const SEGMENT_BATCH: usize = 128;
-/// Distinct windows a cold row rotates over: more than the range memo
-/// keeps, so every window's fold has aged out before it comes round.
+/// Distinct windows a cold row rotates over.
 const COLD_WINDOWS: usize = 16;
+/// Folds the cube's range memo keeps (`MEMO_ENTRIES` in `ms-service`).
+const MEMO_ENTRIES: usize = 8;
 
 fn rate(measurements: &[Measurement], label: &str) -> f64 {
     measurements
@@ -131,26 +132,35 @@ fn varint_rows(name: &str, items: &[u64]) -> Vec<Measurement> {
     rows
 }
 
-/// A cube of `segments` sealed `read-write`-shaped segments (Zipf items,
-/// ε = 0.01, one clock micro per batch) and each one's `[start, end]`.
-fn sealed_cube(segments: usize) -> (SegmentCube, Vec<(u64, u64)>) {
+/// Record `read-write`-shaped segment `i` into `cube`: 256 batches of
+/// 128 Zipf items (seeded by `i`), one clock micro per batch.
+fn feed_segment(cube: &SegmentCube, clock: &ManualClock, i: u64) {
+    let items = StreamKind::Zipf {
+        s: 1.1,
+        universe: 1 << 20,
+    }
+    .generate(SEGMENT_ITEMS, 0x5E6_0100 + i);
+    for batch in items.chunks(SEGMENT_BATCH) {
+        clock.advance(1);
+        cube.record(batch);
+    }
+}
+
+/// A cube of `read-write`-shaped segments (ε = 0.01) and its clock.
+fn segment_cube() -> (SegmentCube, Arc<ManualClock>) {
     let clock = Arc::new(ManualClock::new(0));
     let cfg = SegmentConfig::new()
         .seal_batches(SEGMENT_BATCHES)
         .clock(clock.clone());
-    let cube = SegmentCube::new(HYBRID_EPS, 7, cfg);
-    let mut seq = 0;
-    for i in 0..segments as u64 {
-        let items = StreamKind::Zipf {
-            s: 1.1,
-            universe: 1 << 20,
-        }
-        .generate(SEGMENT_ITEMS, 0x5E6_0100 + i);
-        for batch in items.chunks(SEGMENT_BATCH) {
-            clock.advance(1);
-            seq += 1;
-            cube.record_at(seq, batch);
-        }
+    (SegmentCube::new(HYBRID_EPS, 7, cfg), clock)
+}
+
+/// A cube of `segments` sealed `read-write`-shaped segments and each
+/// one's `[start, end]`.
+fn sealed_cube(segments: u64) -> (SegmentCube, Vec<(u64, u64)>) {
+    let (cube, clock) = segment_cube();
+    for i in 0..segments {
+        feed_segment(&cube, &clock, i);
     }
     let spans = cube
         .report()
@@ -161,10 +171,10 @@ fn sealed_cube(segments: usize) -> (SegmentCube, Vec<(u64, u64)>) {
     (cube, spans)
 }
 
-/// The range memo's counts: hits, extends, misses.
-fn memo_counts(cube: &SegmentCube) -> [u64; 3] {
+/// The range memo's counts: hits, partial, misses, warmed.
+fn memo_counts(cube: &SegmentCube) -> [u64; 4] {
     let h = cube.health();
-    [h.memo_hits, h.memo_extends, h.memo_misses]
+    [h.memo_hits, h.memo_partial, h.memo_misses, h.memo_warmed]
 }
 
 fn main() {
@@ -342,56 +352,82 @@ fn main() {
 
     // -- The segment cube's quantile range read over 8 and 64 sealed
     // segments, through `SegmentCube::query` and its range memo: a cold
-    // fold (the window rotates past what the memo keeps), a repeat of a
-    // memoized window, and a window one sealed segment longer than a
-    // memoized one (the read after a seal). The ledger's in-process
-    // replay repeats one window, so its `cube.query_us_per_segment` reads
-    // the hit path; the cold rows are where a fold's per-segment cost
-    // stays measured. Each row checks it took the memo path it names.
-    let (cube, spans) = sealed_cube(64 + COLD_WINDOWS);
+    // fold (nothing of the window memoized), a repeat of a memoized
+    // window, and the newest eight sealed segments re-read after every
+    // second seal, whose aligned blocks the seals built (the read of a
+    // window anchored at now on `ingest-wal-cube`). The ledger's
+    // in-process replay repeats one window, so its
+    // `cube.query_us_per_segment` reads the hit path; the cold rows are
+    // where a fold's per-segment cost stays measured. Each row checks it
+    // took the memo path it names.
+    let (cube, spans) = sealed_cube(64 + COLD_WINDOWS as u64);
     let window = |first: usize, len: usize| (spans[first].0, spans[first + len - 1].1);
     let read = |(start, end): (u64, u64)| cube.query(start, end, SummaryKind::HybridQuantile);
-    // Ages every memoized fold out (more distinct runs than the memo
-    // keeps) and returns the counts to measure a row's lookups from.
-    let fresh_memo = || {
-        for first in 0..COLD_WINDOWS {
-            cube.query(spans[first].0, spans[first + 1].1, SummaryKind::Mg);
+    // Forgets every quantile fold: two-segment MG reads, more than the
+    // memo keeps entries, each storing one fold; a pair comes round
+    // again only after every other pair, long after it was forgotten.
+    let mut pair = 0;
+    let mut forget = || {
+        for _ in 0..=MEMO_ENTRIES {
+            pair = (pair + 1) % (spans.len() - 1);
+            cube.query(spans[pair].0, spans[pair + 1].1, SummaryKind::Mg);
         }
-        memo_counts(&cube)
     };
-    let since = |before: [u64; 3]| -> [u64; 3] {
+    let since = |before: [u64; 4]| -> [u64; 4] {
         let now = memo_counts(&cube);
         std::array::from_fn(|i| now[i] - before[i])
     };
     let mut cube_range = Suite::new("cube_range (read-write segments: 32Ki items, eps=0.01)");
     for len in [8, 64] {
-        let before = fresh_memo();
+        let before = memo_counts(&cube);
         let mut at = 0;
-        cube_range.bench(&format!("fold{len}_cold"), || {
+        cube_range.bench_with_setup(&format!("fold{len}_cold"), &mut forget, |()| {
             at = (at + 1) % COLD_WINDOWS;
             read(window(at, len))
         });
-        let [hits, extends, _] = since(before);
-        assert_eq!((hits, extends), (0, 0), "fold{len}_cold must miss");
-        let before = fresh_memo();
+        let [hits, partial, _, _] = since(before);
+        assert_eq!((hits, partial), (0, 0), "fold{len}_cold must miss");
+        forget();
+        let before = memo_counts(&cube);
         read(window(0, len));
         cube_range.bench(&format!("fold{len}_hit"), || read(window(0, len)));
-        let [_, extends, misses] = since(before);
-        assert_eq!((extends, misses), (0, 1), "fold{len}_hit must hit");
+        let [_, partial, misses, _] = since(before);
+        assert_eq!((partial, misses), (0, 1), "fold{len}_hit must hit");
     }
-    let before = fresh_memo();
-    let mut at = 0;
+    let (sliding, clock) = segment_cube();
+    let feed = |i: u64| feed_segment(&sliding, &clock, i);
+    (0..8).for_each(feed);
+    let newest = |count: usize| {
+        let sealed: Vec<_> = sliding
+            .report()
+            .segments
+            .into_iter()
+            .filter(|s| s.sealed)
+            .collect();
+        let first = &sealed[sealed.len() - count];
+        (first.start_micros, sealed[sealed.len() - 1].end_micros)
+    };
+    let slide = |(start, end)| sliding.query(start, end, SummaryKind::HybridQuantile);
+    slide(newest(8));
+    let before = memo_counts(&sliding);
+    let mut sealed = 8;
     cube_range.bench_with_setup(
-        "fold8_extend",
+        "fold8_slide",
         || {
-            at = (at + 1) % COLD_WINDOWS;
-            read(window(at, 7));
-            at
+            for _ in 0..2 {
+                feed(sealed);
+                sealed += 1;
+            }
+            newest(8)
         },
-        |at| read(window(at, 8)),
+        slide,
     );
-    let [hits, extends, misses] = since(before);
-    assert!(hits == 0 && extends == misses, "fold8_extend must extend");
+    let now = memo_counts(&sliding);
+    let [_, partial, misses, warmed] = std::array::from_fn(|i| now[i] - before[i]);
+    assert!(
+        misses == 0 && partial > 0 && warmed > 0,
+        "fold8_slide must find what the seals warmed: {partial} {misses} {warmed}"
+    );
     let cube_range_rows = cube_range.finish();
 
     // -- A sealed segment's resting form: packing the quantile family of

@@ -1,9 +1,12 @@
 //! Self-contained micro-benchmark harness.
 //!
 //! The `cpu_kernels` bench (a `harness = false` binary) is built on this
-//! module: it registers closures with a [`Suite`], which warms up,
-//! calibrates an iteration count against a wall-clock budget, measures,
-//! and prints an aligned table of ns/iter plus throughput.
+//! module: it registers closures with a [`Suite`], which warms each row
+//! up, sizes its iteration count from one warm call against a wall-clock
+//! budget, times it in [`BATCHES`] batches, and prints an aligned table of
+//! the median batch's ns/iter plus throughput. A row's first calls pay
+//! for cold caches, page faults and lazily built state, which the warm-up
+//! absorbs; a preempted batch moves a mean, not the median.
 //!
 //! Environment knobs:
 //!
@@ -13,14 +16,22 @@
 
 use std::time::{Duration, Instant};
 
+/// Timed batches per row; the row reports the median batch.
+pub const BATCHES: u64 = 9;
+/// Untimed calls that warm a row up, at the least (it warms for a tenth
+/// of its budget).
+pub const WARM_CALLS: u64 = 2;
+
 /// One measured benchmark.
 #[derive(Debug, Clone)]
 pub struct Measurement {
     /// Benchmark label within its suite.
     pub label: String,
-    /// Iterations actually timed.
+    /// Iterations actually timed, over all batches.
     pub iters: u64,
-    /// Mean wall-clock nanoseconds per iteration.
+    /// Calls made before timing began: the warm-up, then the sizing call.
+    pub untimed: u64,
+    /// Wall-clock nanoseconds per iteration of the median batch.
     pub ns_per_iter: f64,
     /// Logical elements processed per iteration (0 = unset).
     pub elements: u64,
@@ -77,39 +88,56 @@ impl Suite {
         mut setup: impl FnMut() -> S,
         mut f: impl FnMut(S) -> T,
     ) {
-        let mut timed = || {
-            let input = std::hint::black_box(setup());
-            let t0 = Instant::now();
-            std::hint::black_box(f(input));
-            t0.elapsed()
-        };
-        let once = timed().max(Duration::from_nanos(1));
-        let iters = (self.budget.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
-        let total: Duration = (0..iters).map(|_| timed()).sum();
-        self.results.push(Measurement {
-            label: label.to_string(),
-            iters,
-            ns_per_iter: total.as_nanos() as f64 / iters as f64,
-            elements: 0,
+        self.measure(label, 0, |calls| {
+            (0..calls)
+                .map(|_| {
+                    let input = std::hint::black_box(setup());
+                    let t0 = Instant::now();
+                    std::hint::black_box(f(input));
+                    t0.elapsed()
+                })
+                .sum()
         });
     }
 
     fn run<T>(&mut self, label: &str, elements: u64, mut f: impl FnMut() -> T) {
-        // Warm-up: one untimed call, also used to calibrate.
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        let once = t0.elapsed().max(Duration::from_nanos(1));
-        let iters = (self.budget.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
+        self.measure(label, elements, |calls| {
+            let start = Instant::now();
+            for _ in 0..calls {
+                std::hint::black_box(f());
+            }
+            start.elapsed()
+        });
+    }
 
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
+    /// One row: `timed(n)` makes `n` calls and returns the time they took.
+    /// Warm-up calls run for a tenth of the budget (at least
+    /// [`WARM_CALLS`]), one warm call — its wall clock, with any setup —
+    /// sizes the batches to fill the budget, and the row reports the
+    /// median of [`BATCHES`] batches.
+    fn measure(&mut self, label: &str, elements: u64, mut timed: impl FnMut(u64) -> Duration) {
+        let warm = Instant::now();
+        let mut untimed = 0;
+        while untimed < WARM_CALLS || warm.elapsed() < self.budget / 10 {
+            timed(1);
+            untimed += 1;
         }
-        let total = start.elapsed();
+        // Wall clock, a setup included: the row fits its budget.
+        let sizing = Instant::now();
+        timed(1);
+        let once = sizing.elapsed().max(Duration::from_nanos(1));
+        untimed += 1;
+        let per_batch = (self.budget.as_nanos() / once.as_nanos() / u128::from(BATCHES))
+            .clamp(1, 1_000_000 / u128::from(BATCHES)) as u64;
+        let mut batches: Vec<f64> = (0..BATCHES)
+            .map(|_| timed(per_batch).as_nanos() as f64 / per_batch as f64)
+            .collect();
+        batches.sort_by(f64::total_cmp);
         self.results.push(Measurement {
             label: label.to_string(),
-            iters,
-            ns_per_iter: total.as_nanos() as f64 / iters as f64,
+            iters: per_batch * BATCHES,
+            untimed,
+            ns_per_iter: batches[batches.len() / 2],
             elements,
         });
     }
@@ -194,8 +222,11 @@ mod tests {
             },
         );
         let results = s.finish();
-        // One untimed calibration call, then `iters` timed ones.
-        assert_eq!(calls, results[0].iters + 1);
+        // The warm-up and the sizing call, untimed, then `iters` timed
+        // ones in `BATCHES` batches.
+        assert!(results[0].untimed > WARM_CALLS, "{}", results[0].untimed);
+        assert_eq!(results[0].iters % BATCHES, 0);
+        assert_eq!(calls, results[0].untimed + results[0].iters);
         assert_eq!(setups, calls);
     }
 

@@ -383,14 +383,46 @@ pub trait Wire: Sized {
     fn wire_len(&self) -> usize {
         self.encode().len()
     }
+
+    /// Append the encodings of `items`, one after another (a `Vec<T>`'s
+    /// body, after its length prefix).
+    fn encode_slice_into(items: &[Self], out: &mut Vec<u8>) {
+        for v in items {
+            v.encode_into(out);
+        }
+    }
+
+    /// Decode `len` values one after another, appending them to `out`.
+    fn decode_slice_from(
+        r: &mut WireReader<'_>,
+        len: usize,
+        out: &mut Vec<Self>,
+    ) -> Result<(), WireError> {
+        for _ in 0..len {
+            out.push(Self::decode_from(r)?);
+        }
+        Ok(())
+    }
 }
 
+/// A byte encodes as itself, so a run of them moves as one copy.
 impl Wire for u8 {
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(*self);
     }
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         r.byte()
+    }
+    fn encode_slice_into(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    fn decode_slice_from(
+        r: &mut WireReader<'_>,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), WireError> {
+        out.extend_from_slice(r.take(len)?);
+        Ok(())
     }
 }
 
@@ -498,16 +530,12 @@ impl<T: Wire> Wire for Option<T> {
 impl<T: Wire> Wire for Vec<T> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         put_varint(out, self.len() as u64);
-        for v in self {
-            v.encode_into(out);
-        }
+        T::encode_slice_into(self, out);
     }
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let len = r.length()?;
         let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode_from(r)?);
-        }
+        T::decode_slice_from(r, len, &mut out)?;
         Ok(out)
     }
 }
@@ -907,6 +935,65 @@ mod tests {
         assert_eq!(5u64.encode().len(), 1);
         assert_eq!(300u64.encode().len(), 2);
         assert_eq!((-2i64).encode().len(), 1);
+    }
+
+    /// `Vec<u8>` the way the generic `Vec<T>` codec moved it before `u8`
+    /// copied its runs whole: one `encode_into` per byte.
+    fn bytes_per_element(items: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, items.len() as u64);
+        for b in items {
+            b.encode_into(&mut out);
+        }
+        out
+    }
+
+    /// ... and one `decode_from` per byte, then `finish`.
+    fn decode_per_element(bytes: &[u8]) -> Result<Vec<u8>, WireError> {
+        let mut r = WireReader::new(bytes);
+        let len = r.length()?;
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(u8::decode_from(&mut r)?);
+        }
+        r.finish()?;
+        Ok(out)
+    }
+
+    #[test]
+    fn byte_vectors_copy_whole_with_the_per_element_bytes_and_verdicts() {
+        let mut rng = crate::rng::Rng64::new(0xB17E_B10B);
+        for len in (0..=300).chain([4 << 10, 64 << 10]) {
+            let items: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+            let bytes = items.encode();
+            assert_eq!(bytes, bytes_per_element(&items), "{len} bytes");
+            assert_eq!(Vec::<u8>::decode(&bytes), Ok(items.clone()), "{len} bytes");
+            // Every cut of a short one, a few of a long one: a length
+            // past the end is `Truncated` either way.
+            let cuts: Vec<usize> = if len <= 300 {
+                (0..bytes.len()).collect()
+            } else {
+                vec![0, 1, 2, 3, bytes.len() / 2, bytes.len() - 1]
+            };
+            for cut in cuts {
+                let got = Vec::<u8>::decode(&bytes[..cut]);
+                assert_eq!(got, decode_per_element(&bytes[..cut]), "{len} cut at {cut}");
+                assert_eq!(got, Err(WireError::Truncated), "{len} cut at {cut}");
+            }
+            for extra in 1..=2 {
+                let mut long = bytes.clone();
+                long.extend(std::iter::repeat_n(0xA5, extra));
+                let got = Vec::<u8>::decode(&long);
+                assert_eq!(got, decode_per_element(&long), "{len} + {extra}");
+                assert_eq!(got, Err(WireError::Trailing(extra)), "{len} + {extra}");
+            }
+            // Inside a larger value the cursor ends where it did before.
+            let pair = (items.clone(), len as u64);
+            let encoded = pair.encode();
+            let mut r = WireReader::new(&encoded);
+            assert_eq!(<(Vec<u8>, u64)>::decode_from(&mut r), Ok(pair));
+            assert_eq!(r.remaining(), 0);
+        }
     }
 
     #[test]

@@ -78,8 +78,8 @@
 //!   when the window reaches it), drops both guards, and only then
 //!   merges.
 //! * **memo** (the range memo, see below): taken alone — never while a
-//!   cube lock is held and never across a merge — to look up and bump
-//!   one entry, or to store one.
+//!   cube lock is held and never across a merge or a summary copy — to
+//!   look up and bump one entry, or to store some and count the read.
 //!
 //! Segment files: a durable cube owns its data directory's
 //! [`SegmentStore`] (`SegmentCube::with_store`) and, once the fold lock
@@ -89,18 +89,40 @@
 //! recovery before ingest opens — so files reach disk in seal order with
 //! no lock of their own, and no reader waits on a file.
 //!
-//! Range memo: a handful of left-deep folds over sealed runs, least
+//! Fold order: Definition 1 lets a range answer merge its covering
+//! segments in any tree, so the cube fixes one. The covering sealed run's
+//! *id* interval is cut into maximal aligned blocks — `[k·2ʲ, (k+1)·2ʲ)`,
+//! each as long as alignment and the interval allow — which are folded
+//! left to right; each block is the balanced tree of its two halves (a
+//! half whose ids coarsening absorbed adds nothing), and the open segment
+//! is merged last. A reply is then a function of its covering run alone:
+//! the merges are deterministic — the hybrid summary's generator is part
+//! of its state — and a clone carries that whole state, so a memoized
+//! block merged with `x` is the block's fold merged with `x` to the byte.
+//!
+//! Range memo: a handful of folds — whole runs and aligned blocks — least
 //! recently used first out (`MEMO_ENTRIES`). An entry is keyed by the
-//! streamed family and the exact list of sealed segments it covers, each
-//! named by `(id, end_seq)` — coarsening keeps a survivor's id but moves
-//! its `end_seq`, and ids are never reused, so a coarsened or evicted
-//! segment can never match. [`SegmentCube::query`] resumes from the
-//! longest memoized prefix of its covering run (after a seal, one merge
-//! is left), stores the longer fold, and only then merges the open
-//! segment, which is never memoized. A hit is byte-exact: the merges are
-//! deterministic — the hybrid summary's generator is part of its state —
-//! and a clone carries that whole state, so a clone of `fold(s₁..sₖ)`
-//! merged with `x` is `fold(s₁..sₖ, x)` to the byte.
+//! streamed family, the ids it folds over (a run's first id and length,
+//! or an aligned block; a block whose ids sit in one half is keyed as
+//! that half) and the exact list of sealed segments it covers, each named
+//! by `(id, end_seq)` — coarsening keeps a survivor's id but moves its
+//! `end_seq`, and ids are never reused, so a coarsened or evicted segment
+//! can never match, and a run is never mistaken for a block of the same
+//! segments that folds in another order. [`SegmentCube::query`] looks up
+//! its whole run, and failing that each block at every level of the
+//! recursion; it stores the run and the maximal blocks it built, not the
+//! sub-blocks it built on the way.
+//!
+//! Warming at seal: the thread that seals segment `s` builds the aligned
+//! blocks `s` completes (`[s + 1 − 2ʲ, s]` for each `2ʲ` dividing
+//! `s + 1`), after the fold lock is released and beside the segment-file
+//! writes, so a window anchored at now finds its blocks built whichever
+//! way its left edge moved. It builds them only for families a range read
+//! has asked for, and only up to the longest block a read of that family
+//! has folded: both come from the reads, not from a setting. Each block
+//! is one merge of two halves the memo usually still holds. The warm
+//! takes the index lock only to clone handles and never folds the open
+//! segment.
 //!
 //! Crash safety: the WAL is never pruned past the last *persisted*
 //! segment ([`SegmentCube::persisted_floor`]), so a segment lost between
@@ -192,12 +214,14 @@ pub struct CubeHealth {
     /// Range reads over two or more sealed segments whose whole sealed
     /// run was memoized.
     pub memo_hits: u64,
-    /// Range reads that resumed from a shorter memoized prefix (after a
-    /// seal: one merge).
-    pub memo_extends: u64,
-    /// Range reads over two or more sealed segments that folded from
-    /// scratch.
+    /// Range reads over two or more sealed segments that found some of
+    /// their aligned blocks memoized, but not the whole run.
+    pub memo_partial: u64,
+    /// Range reads over two or more sealed segments that found nothing
+    /// memoized and folded from scratch.
     pub memo_misses: u64,
+    /// Aligned blocks that seals built and memoized ahead of the reads.
+    pub memo_warmed: u64,
 }
 
 /// The families a segment streams, in the slot order of the records
@@ -276,6 +300,11 @@ struct Segment {
 }
 
 impl Segment {
+    /// How the range memo names this segment (module doc).
+    fn key(&self) -> SegKey {
+        (self.meta.id, self.meta.end_seq)
+    }
+
     /// A copy of the streamed family that answers for `kind`
     /// (SpaceSaving is read off the MG one — see the module doc).
     fn family(&self, kind: SummaryKind) -> ShardSummary {
@@ -442,28 +471,98 @@ fn intersects(meta: &SegmentMeta, start_micros: u64, end_micros: u64) -> bool {
     meta.batches > 0 && meta.start_micros <= end_micros && meta.end_micros >= start_micros
 }
 
-/// `part` merged into `acc`, left-deep.
+/// `part` merged into `acc`.
 fn merged(mut acc: ShardSummary, part: ShardSummary) -> ShardSummary {
     acc.merge_in_place(part)
         .expect("same-family segment summaries always merge");
     acc
 }
 
+/// The streamed family whose fold answers for `kind`: SpaceSaving answers
+/// are derived from the MG family's fold.
+fn streamed(kind: SummaryKind) -> SummaryKind {
+    match kind {
+        SummaryKind::SpaceSaving => SummaryKind::Mg,
+        other => other,
+    }
+}
+
+/// The maximal aligned blocks of the ids `[lo, hi)`, left to right, each
+/// as `(start, len)`: `len` a power of two that divides `start`.
+fn aligned_blocks(mut lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> {
+    std::iter::from_fn(move || {
+        if lo >= hi {
+            return None;
+        }
+        let mut len = 1 << (63 - (hi - lo).leading_zeros());
+        if lo != 0 {
+            len = len.min(1 << lo.trailing_zeros());
+        }
+        let block = (lo, len);
+        lo += len;
+        Some(block)
+    })
+}
+
+/// The smallest aligned block inside `[lo, lo + len)` that holds the ids
+/// of `segs` (two or more): a block whose ids all sit in one half folds
+/// as that half does.
+fn narrow(segs: &[Arc<Segment>], mut lo: u64, mut len: u64) -> (u64, u64) {
+    let (first, last) = (segs[0].meta.id, segs[segs.len() - 1].meta.id);
+    loop {
+        let mid = lo + len / 2;
+        if first >= mid {
+            lo = mid;
+        } else if last >= mid {
+            return (lo, len);
+        }
+        len /= 2;
+    }
+}
+
 /// Folds the range memo keeps. The ledger's `read-write` reader has three
 /// windows over two or more sealed segments live at once (quantile over 8
-/// and 64, heavy hitters over 8); the rest is room for the folds a moved
-/// left edge strands, which age out.
+/// and 64, heavy hitters over 8); the rest is room for the blocks those
+/// windows and the seals build, which age out.
 const MEMO_ENTRIES: usize = 8;
 
 /// A sealed segment as the memo names it (see the module doc).
 type SegKey = (u64, u64);
 
 /// One memoized fold: `family`'s summaries of the sealed segments `run`
-/// names, merged left-deep in index order.
+/// names, folded in the canonical order of the ids `span` = `(start,
+/// len)` — an aligned block, or a whole run's first id and length.
 struct MemoEntry {
     family: SummaryKind,
+    span: (u64, u64),
     run: Vec<SegKey>,
     fold: Arc<ShardSummary>,
+}
+
+impl MemoEntry {
+    fn new(
+        family: SummaryKind,
+        span: (u64, u64),
+        segs: &[Arc<Segment>],
+        fold: &ShardSummary,
+    ) -> Self {
+        MemoEntry {
+            family,
+            span,
+            run: segs.iter().map(|seg| seg.key()).collect(),
+            fold: Arc::new(fold.clone()),
+        }
+    }
+
+    fn is(&self, family: SummaryKind, span: (u64, u64), segs: &[Arc<Segment>]) -> bool {
+        self.family == family
+            && self.span == span
+            && self
+                .run
+                .iter()
+                .copied()
+                .eq(segs.iter().map(|seg| seg.key()))
+    }
 }
 
 /// Guarded by the memo lock.
@@ -471,49 +570,98 @@ struct MemoEntry {
 struct Memo {
     /// Least recently used first.
     entries: VecDeque<MemoEntry>,
+    /// The longest aligned block a read of each [`STREAMED`] family has
+    /// folded (0 until one does): what a seal warms up to.
+    largest: [u64; 2],
     hits: u64,
-    extends: u64,
+    partial: u64,
     misses: u64,
+    warmed: u64,
 }
 
 impl Memo {
-    /// The longest memoized prefix of `run` for `family`, as its length
-    /// and fold, made the most recently used entry. Counts the lookup.
-    fn longest_prefix(
+    /// The memoized fold of `segs` over `span`, made the most recently
+    /// used entry.
+    fn get(
         &mut self,
         family: SummaryKind,
-        run: &[SegKey],
-    ) -> Option<(usize, Arc<ShardSummary>)> {
-        let found = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.family == family && run.starts_with(&e.run))
-            .max_by_key(|(_, e)| e.run.len())
-            .map(|(at, _)| at);
-        let Some(entry) = found.and_then(|at| self.entries.remove(at)) else {
-            self.misses += 1;
-            return None;
-        };
-        if entry.run.len() == run.len() {
-            self.hits += 1;
-        } else {
-            self.extends += 1;
-        }
-        let prefix = (entry.run.len(), Arc::clone(&entry.fold));
+        span: (u64, u64),
+        segs: &[Arc<Segment>],
+    ) -> Option<Arc<ShardSummary>> {
+        let at = self.entries.iter().position(|e| e.is(family, span, segs))?;
+        let entry = self.entries.remove(at).expect("position is in range");
+        let fold = Arc::clone(&entry.fold);
         self.entries.push_back(entry);
-        Some(prefix)
+        Some(fold)
     }
 
-    /// Keep `entry` as the most recently used, in place of every entry it
-    /// extends (a racing reader's copy of the same run included).
+    /// Keep `entry` as the most recently used, in place of an equal one
+    /// (a racing reader's copy).
     fn store(&mut self, entry: MemoEntry) {
         self.entries
-            .retain(|e| e.family != entry.family || !entry.run.starts_with(&e.run));
+            .retain(|e| e.family != entry.family || e.span != entry.span || e.run != entry.run);
         if self.entries.len() == MEMO_ENTRIES {
             self.entries.pop_front();
         }
         self.entries.push_back(entry);
+    }
+
+    fn largest(&mut self, family: SummaryKind) -> &mut u64 {
+        let at = STREAMED.iter().position(|&k| k == family);
+        &mut self.largest[at.expect("a streamed family")]
+    }
+}
+
+/// One family's folds in the canonical order (module doc), each aligned
+/// block looked up in the memo before it is built. Takes only the memo
+/// lock, and never across a merge or a summary copy.
+struct Folder<'a> {
+    memo: &'a Mutex<Memo>,
+    family: SummaryKind,
+    /// Whether a lookup found a fold.
+    found: bool,
+    /// The kept blocks built, for the memo.
+    built: Vec<MemoEntry>,
+}
+
+impl Folder<'_> {
+    /// [`Folder::block`], keeping the block's fold in `built` if it was
+    /// built here.
+    fn kept(&mut self, segs: &[Arc<Segment>], lo: u64, len: u64) -> ShardSummary {
+        if let [seg] = segs {
+            return seg.family(self.family);
+        }
+        let span = narrow(segs, lo, len);
+        self.lookup(segs, span).unwrap_or_else(|| {
+            let fold = self.build(segs, span);
+            (self.built).push(MemoEntry::new(self.family, span, segs, &fold));
+            fold
+        })
+    }
+
+    /// The fold of `segs` (one or more), every sealed segment whose id
+    /// lies in the aligned block `[lo, lo + len)`: memoized, or the
+    /// balanced tree of its two halves.
+    fn block(&mut self, segs: &[Arc<Segment>], lo: u64, len: u64) -> ShardSummary {
+        if let [seg] = segs {
+            return seg.family(self.family);
+        }
+        let span = narrow(segs, lo, len);
+        self.lookup(segs, span)
+            .unwrap_or_else(|| self.build(segs, span))
+    }
+
+    fn lookup(&mut self, segs: &[Arc<Segment>], span: (u64, u64)) -> Option<ShardSummary> {
+        let memoized = lock(self.memo).get(self.family, span, segs);
+        self.found |= memoized.is_some();
+        memoized.map(|fold| ShardSummary::clone(&fold))
+    }
+
+    fn build(&mut self, segs: &[Arc<Segment>], (lo, len): (u64, u64)) -> ShardSummary {
+        let mid = lo + len / 2;
+        let (left, right) = segs.split_at(segs.partition_point(|seg| seg.meta.id < mid));
+        let left = self.block(left, lo, len / 2);
+        merged(left, self.block(right, mid, len / 2))
     }
 }
 
@@ -779,6 +927,9 @@ impl SegmentCube {
         let out = self.fold_batch(&mut fold, seq, batch);
         drop(fold);
         self.persist(&out.sealed, &out.evicted);
+        if let Some(id) = out.sealed.iter().map(|rec| rec.id).max() {
+            self.warm(id);
+        }
         out
     }
 
@@ -889,8 +1040,8 @@ impl SegmentCube {
     ///
     /// Under the locks this only clones handles (and the open segment's
     /// one requested family); the merge runs after both are released,
-    /// resuming from the range memo (see the module doc). The reply is
-    /// byte for byte the plain left-deep fold's.
+    /// in the canonical order and through the range memo (see the module
+    /// doc). The reply is a function of the covering run alone.
     pub fn query(
         &self,
         start_micros: u64,
@@ -957,38 +1108,120 @@ impl SegmentCube {
         (covering, open)
     }
 
-    /// `kind`'s family folded left-deep over the sealed run `covering`,
-    /// resumed from the longest memoized prefix; a fold that merged
-    /// anything is memoized. Takes only the memo lock, and never across a
-    /// merge.
+    /// `kind`'s family folded over the sealed run `covering` in the
+    /// canonical order (module doc): the maximal aligned blocks of its id
+    /// interval, left to right, each the balanced tree of its halves. The
+    /// whole run, and then each block at every level, is looked up in the
+    /// memo first; the read stores the run and the maximal blocks it
+    /// built. Takes only the memo lock, and never across a merge.
     fn fold_sealed(&self, kind: SummaryKind, covering: &[Arc<Segment>]) -> Option<ShardSummary> {
-        let (first, rest) = covering.split_first()?;
-        if rest.is_empty() {
+        let (first, last) = (covering.first()?, covering.last()?);
+        if covering.len() == 1 {
             return Some(first.family(kind));
         }
-        // SpaceSaving answers are derived from the MG family's fold.
-        let family = match kind {
-            SummaryKind::SpaceSaving => SummaryKind::Mg,
-            other => other,
+        let family = streamed(kind);
+        let (lo, hi) = (first.meta.id, last.meta.id + 1);
+        let span = (lo, hi - lo);
+        let memoized = {
+            let mut memo = lock(&self.memo);
+            let fold = memo.get(family, span, covering);
+            memo.hits += u64::from(fold.is_some());
+            fold
         };
-        let run: Vec<SegKey> = covering
-            .iter()
-            .map(|seg| (seg.meta.id, seg.meta.end_seq))
-            .collect();
-        let prefix = lock(&self.memo).longest_prefix(family, &run);
-        let (done, mut acc) = match prefix {
-            Some((done, fold)) => (done, ShardSummary::clone(&fold)),
-            None => (1, first.family(kind)),
+        if let Some(fold) = memoized {
+            return Some(ShardSummary::clone(&fold));
+        }
+        let mut folder = Folder {
+            memo: &self.memo,
+            family,
+            found: false,
+            built: Vec::new(),
         };
-        if done == covering.len() {
-            return Some(acc);
+        let (mut acc, mut blocks, mut largest) = (None, 0, 0);
+        let mut rest = covering;
+        for (lo, len) in aligned_blocks(lo, hi) {
+            let (segs, tail) = rest.split_at(rest.partition_point(|seg| seg.meta.id < lo + len));
+            rest = tail;
+            if segs.is_empty() {
+                continue;
+            }
+            if segs.len() > 1 {
+                largest = largest.max(len);
+            }
+            let fold = folder.kept(segs, lo, len);
+            blocks += 1;
+            acc = Some(match acc {
+                None => fold,
+                Some(acc) => merged(acc, fold),
+            });
         }
-        for seg in &covering[done..] {
-            acc = merged(acc, seg.family(kind));
+        let acc = acc.expect("a run holds its first segment");
+        // A run that is one aligned block was kept as that block.
+        let run = (blocks > 1).then(|| MemoEntry::new(family, span, covering, &acc));
+        let mut memo = lock(&self.memo);
+        if folder.found {
+            memo.partial += 1;
+        } else {
+            memo.misses += 1;
         }
-        let fold = Arc::new(acc.clone());
-        lock(&self.memo).store(MemoEntry { family, run, fold });
+        let most = memo.largest(family);
+        *most = largest.max(*most);
+        for entry in folder.built.into_iter().chain(run) {
+            memo.store(entry);
+        }
         Some(acc)
+    }
+
+    /// Build and memoize the aligned blocks that sealed segment `id`
+    /// completes — `[id + 1 - len, id]` for each `len` dividing `id + 1` —
+    /// for every family a range read has folded, up to the longest block
+    /// a read of it has folded. Runs after the fold lock is released;
+    /// takes the index lock only to clone handles, and never folds the
+    /// open segment.
+    fn warm(&self, id: u64) {
+        let end = id + 1;
+        let largest = lock(&self.memo).largest;
+        let reach = largest
+            .into_iter()
+            .max()
+            .unwrap_or(0)
+            .min(1 << end.trailing_zeros());
+        if reach < 2 {
+            return;
+        }
+        let mut segs: Vec<Arc<Segment>> = lock(&self.index)
+            .sealed
+            .iter()
+            .rev()
+            .skip_while(|seg| seg.meta.id >= end)
+            .take_while(|seg| seg.meta.id >= end - reach)
+            .cloned()
+            .collect();
+        segs.reverse();
+        for (family, most) in STREAMED.into_iter().zip(largest) {
+            let mut folder = Folder {
+                memo: &self.memo,
+                family,
+                found: false,
+                built: Vec::new(),
+            };
+            let mut len = 2;
+            while len <= most.min(reach) {
+                let lo = end - len;
+                let block = &segs[segs.partition_point(|seg| seg.meta.id < lo)..];
+                if block.len() > 1 {
+                    folder.kept(block, lo, len);
+                }
+                // Stored before the next block, whose right half it is.
+                let mut memo = lock(&self.memo);
+                memo.warmed += folder.built.len() as u64;
+                for entry in folder.built.drain(..) {
+                    memo.store(entry);
+                }
+                drop(memo);
+                len *= 2;
+            }
+        }
     }
 
     /// Current health gauges (sealed count and resident bytes,
@@ -1018,8 +1251,9 @@ impl SegmentCube {
         };
         let memo = lock(&self.memo);
         health.memo_hits = memo.hits;
-        health.memo_extends = memo.extends;
+        health.memo_partial = memo.partial;
         health.memo_misses = memo.misses;
+        health.memo_warmed = memo.warmed;
         health
     }
 
@@ -1648,9 +1882,52 @@ mod tests {
 
     // ---- the range memo ----
 
-    /// What `query` returned before the range memo: every covering
-    /// segment's family merged left-deep, the open one last.
-    fn query_unmemoized(
+    /// The canonical fold of `parts` — `(id, part)` in id order, the ids of
+    /// a sealed run — written plainly, with no memo: the run's id interval
+    /// cut into maximal aligned blocks, folded left to right, each block
+    /// the balanced tree of its halves (an empty half adds nothing).
+    fn canonical<T>(parts: Vec<(u64, T)>, merge: &impl Fn(T, T) -> T) -> Option<T> {
+        fn block<T>(
+            parts: Vec<(u64, T)>,
+            lo: u64,
+            len: u64,
+            merge: &impl Fn(T, T) -> T,
+        ) -> Option<T> {
+            if len == 1 || parts.len() < 2 {
+                return parts.into_iter().next().map(|(_, part)| part);
+            }
+            let mid = lo + len / 2;
+            let (left, right) = parts.into_iter().partition(|&(id, _)| id < mid);
+            match (
+                block(left, lo, len / 2, merge),
+                block(right, mid, len / 2, merge),
+            ) {
+                (Some(left), Some(right)) => Some(merge(left, right)),
+                (left, right) => left.or(right),
+            }
+        }
+        let (first, last) = (parts.first()?.0, parts.last()?.0);
+        let (mut lo, mut acc, mut parts) = (first, None, parts);
+        while lo <= last {
+            let mut len = 1;
+            while (lo == 0 || lo % (2 * len) == 0) && lo + 2 * len - 1 <= last {
+                len *= 2;
+            }
+            let rest = parts.split_off(parts.partition_point(|&(id, _)| id < lo + len));
+            if let Some(fold) = block(std::mem::replace(&mut parts, rest), lo, len, merge) {
+                acc = Some(match acc {
+                    None => fold,
+                    Some(acc) => merge(acc, fold),
+                });
+            }
+            lo += len;
+        }
+        acc
+    }
+
+    /// What `query` must return whatever the memo holds: the canonical
+    /// fold of the covering sealed run, then the open segment merged last.
+    fn query_reference(
         c: &SegmentCube,
         start_micros: u64,
         end_micros: u64,
@@ -1666,19 +1943,22 @@ mod tests {
             start_seq: 0,
             end_seq: 0,
         };
-        let mut answer: Option<ShardSummary> = None;
-        let parts = covering
-            .iter()
-            .map(|seg| (seg.meta.clone(), seg.family(kind)))
-            .chain(open);
-        for (seg, part) in parts {
+        let metas = covering.iter().map(|seg| &seg.meta);
+        for seg in metas.chain(open.as_ref().map(|(seg, _)| seg)) {
             meta.segments_merged += 1;
             meta.covered_weight += seg.weight;
             if meta.segments_merged == 1 {
                 meta.start_seq = seg.start_seq;
             }
             meta.end_seq = seg.end_seq;
-            answer = Some(match answer.take() {
+        }
+        let parts = covering
+            .iter()
+            .map(|seg| (seg.meta.id, seg.family(kind)))
+            .collect();
+        let mut answer = canonical(parts, &merged);
+        if let Some((_, part)) = open {
+            answer = Some(match answer {
                 None => part,
                 Some(acc) => merged(acc, part),
             });
@@ -1689,20 +1969,42 @@ mod tests {
         (meta, answer)
     }
 
-    fn memo_counts(c: &SegmentCube) -> (u64, u64, u64) {
+    #[test]
+    fn canonical_order_cuts_runs_into_maximal_aligned_blocks() {
+        // Parts are their own id lists; merging concatenates with brackets.
+        let fold = |ids: &[u64]| {
+            let parts = ids.iter().map(|&id| (id, id.to_string())).collect();
+            canonical(parts, &|a: String, b: String| format!("({a} {b})")).unwrap()
+        };
+        assert_eq!(fold(&[5]), "5");
+        assert_eq!(fold(&[0, 1, 2, 3]), "((0 1) (2 3))");
+        assert_eq!(fold(&[3, 4, 5, 6, 7, 8]), "((3 ((4 5) (6 7))) 8)");
+        // A gap (an id absorbed by coarsening) leaves its half out.
+        assert_eq!(fold(&[2, 4, 6, 7]), "(2 (4 (6 7)))");
+        assert_eq!(
+            aligned_blocks(3, 12).collect::<Vec<_>>(),
+            [(3, 1), (4, 4), (8, 4)]
+        );
+        assert_eq!(
+            aligned_blocks(0, 7).collect::<Vec<_>>(),
+            [(0, 4), (4, 2), (6, 1)]
+        );
+    }
+
+    fn memo_counts(c: &SegmentCube) -> (u64, u64, u64, u64) {
         let h = c.health();
-        (h.memo_hits, h.memo_extends, h.memo_misses)
+        (h.memo_hits, h.memo_partial, h.memo_misses, h.memo_warmed)
     }
 
     /// Seeded ingest beside range reads of every kind: windows anchored
-    /// at now (repeats between seals, one-seal extensions after them, a
+    /// at now (repeats between seals, one seal longer after them, a
     /// left edge that moves), sealed-only windows, windows asked again
     /// after the segments under them were coarsened or evicted, and the
     /// full range after every seal that did either. Coarsening holds the
     /// sealed count at the watermark, so a cube evicts past `max_sealed`
     /// only when that is below the watermark — hence two cubes.
     #[test]
-    fn memo_replies_equal_the_unmemoized_fold() {
+    fn memo_replies_equal_the_canonical_fold() {
         for seed in SEEDS {
             for cfg in [
                 SegmentConfig::new().seal_batches(3).coarsen_watermark(5),
@@ -1745,7 +2047,7 @@ mod tests {
                     for &(start, end) in &windows {
                         let kind = RANGE_KINDS[rng.below_usize(RANGE_KINDS.len())];
                         let (meta, answer) = c.query(start, end, kind);
-                        let (want_meta, want) = query_unmemoized(&c, start, end, kind);
+                        let (want_meta, want) = query_reference(&c, start, end, kind);
                         let what = format!("seed {seed:#x} step {step} [{start}, {end}] {kind:?}");
                         assert_eq!(meta, want_meta, "{what}");
                         let bytes = |s: Option<ShardSummary>| s.map(|s| s.encode());
@@ -1756,18 +2058,79 @@ mod tests {
                         asked.pop_front();
                     }
                 }
-                let (hits, extends, misses) = memo_counts(&c);
+                let (hits, partial, misses, warmed) = memo_counts(&c);
                 assert!(
-                    hits > 0 && extends > 0 && misses > 0,
-                    "{hits} {extends} {misses}"
+                    hits > 0 && partial > 0 && misses > 0 && warmed > 0,
+                    "{hits} {partial} {misses} {warmed}"
                 );
                 assert!(gone > 0, "no segment was absorbed or evicted");
             }
         }
     }
 
+    /// Two cubes fed the same batches, one read after every batch — its
+    /// memo churns, and its seals warm blocks — and one read only at the
+    /// end: every window gets the same coverage and the same bytes from
+    /// both.
     #[test]
-    fn memo_counts_hits_extends_and_misses() {
+    fn a_reply_depends_only_on_its_covering_run() {
+        for seed in SEEDS {
+            let cfg = |clock: Arc<ManualClock>| {
+                SegmentConfig::new()
+                    .seal_batches(3)
+                    .coarsen_watermark(24)
+                    .clock(clock)
+            };
+            let (busy_clock, idle_clock) =
+                (Arc::new(ManualClock::new(0)), Arc::new(ManualClock::new(0)));
+            let (busy, idle) = (cube(cfg(busy_clock.clone())), cube(cfg(idle_clock.clone())));
+            let mut rng = ms_core::Rng64::new(seed);
+            for _ in 0..120 {
+                // Enough items that the quantile family flushes buffers
+                // and its merges draw coins: merge order shows in bytes.
+                let universe = 1 << (4 + rng.below(28));
+                let batch: Vec<u64> = (0..1 + rng.below(300))
+                    .map(|_| rng.below(universe))
+                    .collect();
+                let tick = 1 + rng.below(3);
+                busy_clock.advance(tick);
+                idle_clock.advance(tick);
+                ok(&busy, &batch);
+                ok(&idle, &batch);
+                // Sliding windows over 2 to 9 segments, of every kind.
+                let segs = busy.report().segments;
+                let back = 2 + rng.below_usize(8);
+                let from = segs[segs.len().saturating_sub(back)].start_micros;
+                busy.query(from, u64::MAX, RANGE_KINDS[rng.below_usize(3)]);
+            }
+            let (_, _, _, warmed) = memo_counts(&busy);
+            assert!(warmed > 0 && busy.health().max_tier > 0, "seed {seed:#x}");
+            let segs = idle.report().segments;
+            assert_eq!(busy.report().segments, segs);
+            // Newest windows first, while the blocks the last seals warmed
+            // are still memoized.
+            let mut windows = Vec::new();
+            for (i, b) in segs.iter().enumerate().rev() {
+                for a in segs[..=i].iter().rev() {
+                    windows.push((a.start_micros, b.end_micros));
+                }
+            }
+            windows.push((0, u64::MAX));
+            for (start, end) in windows {
+                for kind in RANGE_KINDS {
+                    let (meta, answer) = busy.query(start, end, kind);
+                    let (want_meta, want) = idle.query(start, end, kind);
+                    let what = format!("seed {seed:#x} [{start}, {end}] {kind:?}");
+                    assert_eq!(meta, want_meta, "{what}");
+                    let bytes = |s: Option<ShardSummary>| s.map(|s| s.encode());
+                    assert!(bytes(answer) == bytes(want), "{what}: reply bytes differ");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_counts_hits_partial_misses_and_warmed() {
         let clock = Arc::new(ManualClock::new(0));
         let c = cube(SegmentConfig::new().seal_batches(1).clock(clock.clone()));
         // Segments 0, 1, 2 sealed at t = 10, 20, 30.
@@ -1775,28 +2138,38 @@ mod tests {
             clock.advance(10);
             ok(&c, &[i; 5]);
         }
+        // Run [0, 2]: blocks [0, 1] and [2]; the run and [0, 1] are stored.
         c.query(0, u64::MAX, SummaryKind::HybridQuantile);
-        assert_eq!(memo_counts(&c), (0, 0, 1));
+        assert_eq!(memo_counts(&c), (0, 0, 1, 0));
         c.query(0, u64::MAX, SummaryKind::HybridQuantile);
-        assert_eq!(memo_counts(&c), (1, 0, 1));
+        assert_eq!(memo_counts(&c), (1, 0, 1, 0));
         // SpaceSaving and MG answers share the MG family's fold.
         c.query(0, u64::MAX, SummaryKind::SpaceSaving);
         c.query(0, u64::MAX, SummaryKind::Mg);
-        assert_eq!(memo_counts(&c), (2, 0, 2));
+        assert_eq!(memo_counts(&c), (2, 0, 2, 0));
+        // Reads folded blocks of two: sealing segment 3 completes [2, 3]
+        // and warms it for both families; [0, 3] then finds both halves.
         clock.advance(10);
         ok(&c, &[3; 5]);
+        assert_eq!(memo_counts(&c), (2, 0, 2, 2));
         c.query(0, u64::MAX, SummaryKind::HybridQuantile);
-        assert_eq!(memo_counts(&c), (2, 1, 2), "one seal later: extend");
+        assert_eq!(memo_counts(&c), (2, 1, 2, 2), "one seal later: partial");
         c.query(0, u64::MAX, SummaryKind::HybridQuantile);
-        assert_eq!(memo_counts(&c), (3, 1, 2));
-        // The left edge moves past segment 0; a window shorter than the
-        // memoized run is not its prefix either.
+        assert_eq!(memo_counts(&c), (3, 1, 2, 2));
+        // The left edge moves past segment 0: [1] and the warmed [2, 3].
         c.query(15, u64::MAX, SummaryKind::HybridQuantile);
-        c.query(0, 25, SummaryKind::HybridQuantile);
-        assert_eq!(memo_counts(&c), (3, 1, 4));
+        assert_eq!(memo_counts(&c), (3, 2, 2, 2));
+        // Sealing 4 completes no block of two or more.
+        clock.advance(10);
+        ok(&c, &[4; 5]);
+        assert_eq!(memo_counts(&c).3, 2);
+        // Two single segments across a block boundary: nothing to look
+        // up, a miss.
+        c.query(35, u64::MAX, SummaryKind::Mg);
+        assert_eq!(memo_counts(&c), (3, 2, 3, 2));
         // One sealed segment is nothing to fold: not counted.
-        c.query(35, u64::MAX, SummaryKind::HybridQuantile);
-        assert_eq!(memo_counts(&c), (3, 1, 4));
+        c.query(45, u64::MAX, SummaryKind::HybridQuantile);
+        assert_eq!(memo_counts(&c), (3, 2, 3, 2));
     }
 
     // ---- Lemma 1: the derived SpaceSaving family ----
@@ -1887,16 +2260,20 @@ mod tests {
                             ));
                         }
                     }
-                    if current.total_weight() > 0 {
-                        refs.push(current);
-                    }
-                    // The full-range answer folds MG segments and derives
+                    // The full-range answer folds MG segments in the
+                    // canonical order, the open one last, and derives
                     // once; the reference folds streamed summaries in the
                     // same order.
-                    let mut folded = refs[0].clone();
-                    for next in &refs[1..] {
-                        folded.merge_from(next.clone()).unwrap();
-                    }
+                    let merge = |mut acc: SpaceSavingSummary<u64>, part| {
+                        acc.merge_from(part).unwrap();
+                        acc
+                    };
+                    let sealed = (0u64..).zip(refs).collect();
+                    let folded = match (canonical(sealed, &merge), current.total_weight()) {
+                        (Some(acc), 0) => acc,
+                        (Some(acc), _) => merge(acc, current),
+                        (None, _) => current,
+                    };
                     let (meta, answer) = c.query(0, u64::MAX, SummaryKind::SpaceSaving);
                     assert_eq!(meta.covered_weight, items.len() as u64, "{what}");
                     let answer = match answer.expect("non-empty range") {

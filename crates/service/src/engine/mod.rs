@@ -486,8 +486,9 @@ impl Engine {
             counters.extend([
                 ("cube_coarsen_total", health.coarsened),
                 ("cube_range_memo_hits", health.memo_hits),
-                ("cube_range_memo_extends", health.memo_extends),
+                ("cube_range_memo_partial", health.memo_partial),
                 ("cube_range_memo_misses", health.memo_misses),
+                ("cube_range_memo_warmed", health.memo_warmed),
             ]);
         }
         let engine = RegistrySnapshot {
@@ -798,15 +799,22 @@ pub(super) mod tests {
         for i in 0..3 {
             engine.ingest(vec![i; 10]).unwrap();
         }
-        for _ in 0..2 {
+        let read = || {
             engine
                 .range_query(0, u64::MAX, SummaryKind::HybridQuantile)
-                .unwrap();
-        }
+                .unwrap()
+        };
+        // A miss, then a hit; the seal of segment 3 warms the block of
+        // segments 2 and 3, so the next read finds both halves of its run.
+        read();
+        read();
+        engine.ingest(vec![3; 10]).unwrap();
+        read();
         let snap = engine.telemetry_snapshot();
         assert_eq!(snap.counter("cube_range_memo_hits"), Some(1));
-        assert_eq!(snap.counter("cube_range_memo_extends"), Some(0));
+        assert_eq!(snap.counter("cube_range_memo_partial"), Some(1));
         assert_eq!(snap.counter("cube_range_memo_misses"), Some(1));
+        assert_eq!(snap.counter("cube_range_memo_warmed"), Some(1));
         engine.shutdown();
     }
     #[test]

@@ -413,8 +413,10 @@ fn digest(bytes: &[u8]) -> u64 {
 
 /// `segments` hybrid summaries of 32 Ki items each (the ledger's Zipf
 /// stream, the cube's ε = 0.01 geometry, the `read-write` segment size)
-/// folded the way `SegmentCube::query` folds a covering run: the first
-/// one, then `merge_from` each of the rest in order. With `rest`, each
+/// folded left-deep: the first one, then `merge_from` each of the rest in
+/// order. It pins the merge kernel's bytes; `SegmentCube::query` folds a
+/// covering run in its own order, pinned by
+/// `cube_range_folds_reproduce_their_pinned_bytes`. With `rest`, each
 /// part is first packed and unpacked, as a sealed segment rests.
 fn segment_fold(segments: usize, rest: bool) -> HybridQuantile<u64> {
     const SEGMENT_ITEMS: usize = 32_768;
@@ -470,6 +472,50 @@ fn segment_folds_reproduce_their_pinned_bytes() {
             folded.count(),
             "{segments} segments"
         );
+    }
+}
+
+/// The cube's quantile range reads over 64 sealed `read-write`-shaped
+/// segments (256 batches of 128 items of the ledger's Zipf stream,
+/// ε = 0.01, one clock micro per batch), pinned as (length, digest) of
+/// the reply's summary: segments 0–7 and 0–63 (one aligned block each,
+/// the balanced tree of its halves) and 3–10 (blocks [3], [4, 7], [8, 9],
+/// [10], left to right). Each is read twice: cold, then through what the
+/// memo kept.
+#[test]
+fn cube_range_folds_reproduce_their_pinned_bytes() {
+    const SEGMENTS: usize = 64;
+    let items = StreamKind::Zipf {
+        s: 1.1,
+        universe: 1 << 20,
+    }
+    .generate(SEGMENTS * 32_768, 0x5E6_0001);
+    let clock = std::sync::Arc::new(ManualClock::new(0));
+    let cfg = SegmentConfig::new().seal_batches(256).clock(clock.clone());
+    let cube = SegmentCube::new(0.01, 7, cfg);
+    for (seq, batch) in (1..).zip(items.chunks(128)) {
+        clock.advance(1);
+        cube.record_at(seq, batch);
+    }
+    let span = |first: u64, last: u64| (256 * first + 1, 256 * (last + 1));
+    for ((first, last), len, want) in [
+        ((0, 7), 6_938usize, 0x774C_66CD_0E18_0FC6u64),
+        ((3, 10), 6_967, 0xD64E_60F1_7C9E_8C1C),
+        ((0, 63), 6_936, 0x4B45_CAE1_38E4_1C6B),
+    ] {
+        let (start, end) = span(first, last);
+        for read in ["cold", "again"] {
+            let (meta, answer) = cube.query(start, end, SummaryKind::HybridQuantile);
+            assert_eq!(meta.segments_merged as u64, last - first + 1);
+            assert!(!meta.open_included);
+            let bytes = answer.expect("a covered window").encode();
+            assert_eq!(
+                (bytes.len(), digest(&bytes)),
+                (len, want),
+                "segments {first}-{last}, {read}, on {:?}",
+                simd::active_isa()
+            );
+        }
     }
 }
 
