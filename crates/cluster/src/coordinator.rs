@@ -284,7 +284,10 @@ impl Coordinator {
     /// Send one batch to every live member of `slot`. Returns whether
     /// at least one member accepted it; transport failures mark the
     /// member's health and are otherwise swallowed here (the caller
-    /// walks on).
+    /// walks on). An ingest is never replayed: a leg that timed out
+    /// after its frame was written may yet be absorbed, so it gets no
+    /// coordinator retry, and unless another member took the batch the
+    /// timeout reaches the caller instead of sending the batch on.
     fn send_batch(&self, slot: usize, frame: &IngestFrame) -> Result<bool, ServiceError> {
         let mut delivered = false;
         let mut last_err: Option<ServiceError> = None;
@@ -303,20 +306,25 @@ impl Coordinator {
                         self.count_scatter(client);
                         result
                     };
-                    let mut client = lock(&self.nodes[member].client);
-                    let first = self.attempt(member, &mut client, &send);
-                    self.retry(member, &mut client, first, &send)
+                    self.attempt(member, &mut lock(&self.nodes[member].client), &send)
                 });
-            match result {
-                Ok(()) => delivered = true,
-                Err(e) => last_err = Some(e),
+            // A timeout outranks another member's error: the batch may be
+            // in, and that is what the caller must hear.
+            match (result, &last_err) {
+                (Ok(()), _) => delivered = true,
+                (Err(_), Some(ServiceError::Timeout { .. })) => {}
+                (Err(e), _) => last_err = Some(e),
             }
         }
         match (delivered, last_err) {
             (true, _) => Ok(true),
             // A shed is not a death: rerouting the batch would aim the
             // same storm at the next node, so surface it typed instead.
-            (false, Some(e @ ServiceError::Overloaded { .. })) => Err(e),
+            // A timed-out batch may already be absorbed: sending it on
+            // could count it twice.
+            (false, Some(e @ (ServiceError::Overloaded { .. } | ServiceError::Timeout { .. }))) => {
+                Err(e)
+            }
             (false, Some(e)) if e.is_transient() => Ok(false), // walk on
             (false, Some(e)) => Err(e),                        // the backend answered and refused
             (false, None) => Ok(false),                        // every member already dead

@@ -12,13 +12,23 @@
 //! Spans are opened with [`TraceHandle::span`] (or the [`crate::span!`]
 //! macro, which also attaches named `u64` fields) and record their
 //! duration when the guard drops.
+//!
+//! A ring outlives its [`TraceHandle`], so a dump still shows what a
+//! finished thread or connection recorded — but only the newest
+//! `ENDED_RINGS` ended rings are kept, so a server that accepts a
+//! connection at a time, for ever, keeps a bounded recorder.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use ms_core::{lock, Json, ToJson};
+
+/// Ended rings a recorder keeps, newest by registration first: a ring
+/// ends when its [`TraceHandle`] drops. Every ring whose handle is alive
+/// is kept besides.
+const ENDED_RINGS: usize = 64;
 
 /// One recorded span or instantaneous event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,7 +146,8 @@ impl FlightRecorder {
     /// Register a ring for the calling thread (label it with the thread's
     /// role: `worker-0`, `compactor`, `conn`). Each registration gets its
     /// own ring; a respawned worker registers again and both incarnations
-    /// appear in the dump.
+    /// appear in the dump while the old one is among the newest
+    /// `ENDED_RINGS` ended rings.
     pub fn register(self: &Arc<Self>, label: &str) -> TraceHandle {
         let ring = Arc::new(ThreadRing {
             label: label.to_string(),
@@ -147,26 +158,42 @@ impl FlightRecorder {
                 overwritten: 0,
             }),
         });
-        lock(&self.rings).push(Arc::clone(&ring));
+        self.rings().push(Arc::clone(&ring));
         TraceHandle {
             recorder: Arc::clone(self),
             ring,
         }
     }
 
+    /// The rings, less every ended one but the newest `ENDED_RINGS`. A
+    /// ring has ended when the recorder holds its only reference: its
+    /// handle is gone, and no new one is ever made for it.
+    fn rings(&self) -> MutexGuard<'_, Vec<Arc<ThreadRing>>> {
+        let mut rings = lock(&self.rings);
+        let ended = |ring: &Arc<ThreadRing>| Arc::strong_count(ring) == 1;
+        let mut surplus = rings
+            .iter()
+            .filter(|r| ended(r))
+            .count()
+            .saturating_sub(ENDED_RINGS);
+        rings.retain(|ring| {
+            let gone = surplus > 0 && ended(ring);
+            surplus -= usize::from(gone);
+            !gone
+        });
+        rings
+    }
+
     /// Total events currently held across all rings (for tests).
     pub fn event_count(&self) -> usize {
-        lock(&self.rings)
-            .iter()
-            .map(|t| lock(&t.ring).buf.len())
-            .sum()
+        self.rings().iter().map(|t| lock(&t.ring).buf.len()).sum()
     }
 
     /// Snapshot every ring into owned [`ThreadExport`]s (label, evicted
     /// count, surviving events oldest-first). The wire-facing counterpart
     /// of [`FlightRecorder::dump_json`].
     pub fn export(&self) -> Vec<ThreadExport> {
-        lock(&self.rings)
+        self.rings()
             .iter()
             .map(|t| {
                 let ring = lock(&t.ring);
@@ -195,22 +222,18 @@ impl FlightRecorder {
     /// and each ring its own `evicted` count, so a dump states exactly
     /// how much history it is missing.
     pub fn dump_json(&self, seed: u64) -> Json {
-        let mut evicted_total = 0u64;
-        let threads: Vec<Json> = lock(&self.rings)
-            .iter()
-            .map(|t| {
-                let ring = lock(&t.ring);
-                evicted_total += ring.overwritten;
-                Json::obj([
-                    ("thread", Json::Str(t.label.clone())),
-                    ("evicted", Json::U64(ring.overwritten)),
-                    (
-                        "events",
-                        Json::Arr(ring.ordered().iter().map(ToJson::to_json).collect()),
-                    ),
-                ])
-            })
-            .collect();
+        let threads = self.export();
+        let evicted_total = threads.iter().map(|t| t.evicted).sum();
+        let threads = threads.into_iter().map(|t| {
+            Json::obj([
+                ("thread", Json::Str(t.label)),
+                ("evicted", Json::U64(t.evicted)),
+                (
+                    "events",
+                    Json::Arr(t.events.iter().map(ToJson::to_json).collect()),
+                ),
+            ])
+        });
         Json::obj([
             ("seed", Json::Str(format!("{seed:#x}"))),
             ("ring_capacity", Json::U64(self.capacity as u64)),
@@ -219,7 +242,7 @@ impl FlightRecorder {
                 "captured_micros",
                 Json::U64(self.origin.elapsed().as_micros() as u64),
             ),
-            ("threads", Json::Arr(threads)),
+            ("threads", Json::Arr(threads.collect())),
         ])
     }
 
@@ -372,6 +395,23 @@ mod tests {
         assert_eq!(order, vec![6, 7, 8, 9]);
         assert_eq!(export[1].evicted, 0);
         assert_eq!(export[1].events.len(), 1);
+    }
+
+    #[test]
+    fn ended_rings_are_pruned_to_the_newest() {
+        let rec = Arc::new(FlightRecorder::new(8));
+        let live = rec.register("live");
+        live.event("up", &[]);
+        for i in 0..1_000u64 {
+            let h = rec.register("conn");
+            drop(crate::span!(h, "request", i = i));
+        }
+        let export = rec.export();
+        assert!(export.len() <= ENDED_RINGS + 1, "{} rings", export.len());
+        assert_eq!(export[0].label, "live", "a live ring is never pruned");
+        let last = export.last().expect("the newest ring is kept");
+        assert_eq!(last.events[0].fields, vec![("i", 999)]);
+        assert_eq!(rec.event_count(), export.len());
     }
 
     #[test]

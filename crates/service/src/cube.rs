@@ -43,7 +43,7 @@
 //! ([`SegmentCube::record_at`]), so cube seq ≡ WAL seq by construction and
 //! recovery aligns sealed segments against WAL records by seq alone. An
 //! engine without a WAL calls [`SegmentCube::record`], which numbers the
-//! batch under the fold lock.
+//! batch under the cube lock.
 //!
 //! Feed: on every engine with a cube, the cube's fold is the engine's
 //! only absorb: the engine starts the feed once recovery is done
@@ -52,7 +52,7 @@
 //! global summary for good, left-deep in seq order; the open segment's
 //! family goes as a *view* every `delta_updates` items and on every
 //! barrier ([`SegmentCube::send_view`]), and each view replaces the last.
-//! Both are sent under the fold lock over the engine's bounded compact
+//! Both are sent under the cube lock over the engine's bounded compact
 //! channel, so they arrive in fold order and a barrier's view holds every
 //! fold that finished before it; a compactor that falls behind holds the
 //! folds back. The engine's family is a streamed one (MG, SpaceSaving,
@@ -63,26 +63,24 @@
 //! only the batches after the feed started. An own family is sent, never
 //! written to a segment file, and never answers a range read.
 //!
-//! Concurrency contract — each lock guards one thing:
+//! Concurrency contract — two locks, never held together:
 //!
-//! * **fold** (the open segment, the highest seq recorded and the feed):
-//!   held for one batch's fold and any seal it triggers, so folds run in
-//!   seq order, and across the feed's sends to the compact channel (the
-//!   compactor takes no cube lock).
-//! * **index** (`Arc<Segment>` handles to the sealed segments plus a copy
-//!   of the open segment's coordinates): held only to clone handles out
-//!   or swap one in. [`SegmentCube::report`] and [`SegmentCube::health`]
-//!   take nothing else. [`SegmentCube::query`] takes fold → index so its
-//!   cut across sealed and open segments is consistent, clones the
-//!   covering handles (and the one requested family of the open segment
-//!   when the window reaches it), drops both guards, and only then
-//!   merges.
-//! * **memo** (the range memo, see below): taken alone — never while a
+//! * **cube** (the open segment, the feed, the highest seq recorded, the
+//!   next segment id, `Arc<Segment>` handles to the sealed segments, the
+//!   coarsening count and the clock clamp): held for one batch's fold and
+//!   any seal or coarsening it triggers, so folds run in seq order, and
+//!   across the feed's sends to the compact channel (the compactor takes
+//!   no cube lock). Readers hold it only to clone handles or read
+//!   coordinates: [`SegmentCube::query`] takes one consistent cut across
+//!   sealed and open segments — the covering handles and, when the window
+//!   reaches it, a copy of the open segment's one requested family — and
+//!   merges after releasing it.
+//! * **memo** (the range memo, see below): taken alone — never while the
 //!   cube lock is held and never across a merge or a summary copy — to
 //!   look up and bump one entry, or to store some and count the read.
 //!
 //! Segment files: a durable cube owns its data directory's
-//! [`SegmentStore`] (`SegmentCube::with_store`) and, once the fold lock
+//! [`SegmentStore`] (`SegmentCube::with_store`) and, once the cube lock
 //! is released, writes what a fold sealed and removes what it evicted or
 //! absorbed, on the thread that folded. Only one thread folds a durable
 //! cube — the group-commit leader, whose turns follow one another, or
@@ -115,13 +113,13 @@
 //!
 //! Warming at seal: the thread that seals segment `s` builds the aligned
 //! blocks `s` completes (`[s + 1 − 2ʲ, s]` for each `2ʲ` dividing
-//! `s + 1`), after the fold lock is released and beside the segment-file
+//! `s + 1`), after the cube lock is released and beside the segment-file
 //! writes, so a window anchored at now finds its blocks built whichever
 //! way its left edge moved. It builds them only for families a range read
 //! has asked for, and only up to the longest block a read of that family
 //! has folded: both come from the reads, not from a setting. Each block
 //! is one merge of two halves the memo usually still holds. The warm
-//! takes the index lock only to clone handles and never folds the open
+//! takes the cube lock only to clone handles and never folds the open
 //! segment.
 //!
 //! Crash safety: the WAL is never pruned past the last *persisted*
@@ -228,7 +226,7 @@ pub struct CubeHealth {
 /// [`Segment::seal`] writes.
 const STREAMED: [SummaryKind; 2] = [SummaryKind::Mg, SummaryKind::HybridQuantile];
 
-/// The segment being folded into, under the fold lock: its coordinates
+/// The segment being folded into, under the cube lock: its coordinates
 /// plus a live summary per streamed family.
 struct Open {
     meta: SegmentMeta,
@@ -275,7 +273,7 @@ struct Feed {
     since_view: u64,
 }
 
-/// A sealed segment, behind an `Arc` in the index (immutable there:
+/// A sealed segment, behind an `Arc` in the cube state (immutable there:
 /// coarsening builds a new segment and swaps it in): its coordinates plus
 /// each streamed family at rest, and a copy that answers for a family is
 /// rebuilt from it. The MG family rests as its slot's bytes, the
@@ -429,7 +427,7 @@ impl Segment {
 }
 
 impl Feed {
-    /// Send a view of `open`. Under the fold lock, over the bounded compact
+    /// Send a view of `open`. Under the cube lock, over the bounded compact
     /// channel: a compactor that falls behind holds folds back.
     fn send_view(&mut self, open: &Open) {
         let _ = self.tx.send(CompactMsg::View(open.fed(self.kind)));
@@ -437,8 +435,9 @@ impl Feed {
     }
 }
 
-/// Guarded by the fold lock: the segment being folded into.
-struct Fold {
+/// Guarded by the cube lock: everything a fold writes (module doc).
+#[derive(Default)]
+struct State {
     /// Highest batch seq recorded (== WAL last seq while running).
     last_seq: u64,
     /// Id the next opened segment gets.
@@ -446,6 +445,12 @@ struct Fold {
     open: Option<Open>,
     /// Set once the engine's cube takes over its absorb.
     feed: Option<Feed>,
+    sealed: VecDeque<Arc<Segment>>,
+    /// Pairwise coarsening merges since the cube was built.
+    coarsened: u64,
+    /// Monotone clamp over the injected clock: segment times never
+    /// regress even if the clock does.
+    clamp_micros: u64,
 }
 
 /// A durable cube's segment files (module doc).
@@ -454,16 +459,6 @@ struct SegmentFiles {
     telemetry: Arc<EngineTelemetry>,
     /// Latched by the first failed write or remove (module doc).
     broken: AtomicBool,
-}
-
-/// Guarded by the index lock: what readers clone out of.
-#[derive(Default)]
-struct Index {
-    sealed: VecDeque<Arc<Segment>>,
-    /// Coordinates of the open segment as of its last fold.
-    open: Option<SegmentMeta>,
-    /// Pairwise coarsening merges since the cube was built.
-    coarsened: u64,
 }
 
 /// Does a segment with these coordinates intersect `[start, end]` micros?
@@ -671,12 +666,8 @@ pub struct SegmentCube {
     epsilon: f64,
     seed: u64,
     cfg: SegmentConfig,
-    fold: Mutex<Fold>,
-    index: Mutex<Index>,
+    state: Mutex<State>,
     memo: Mutex<Memo>,
-    /// Monotone clamp over the injected clock: segment times never
-    /// regress even if the clock does.
-    last_micros: AtomicU64,
     /// End seq of the newest segment known durable on disk; the WAL
     /// must never be pruned past it (0 = no segment persisted, keep
     /// everything).
@@ -694,15 +685,8 @@ impl SegmentCube {
             epsilon,
             seed,
             cfg,
-            fold: Mutex::new(Fold {
-                last_seq: 0,
-                next_id: 0,
-                open: None,
-                feed: None,
-            }),
-            index: Mutex::new(Index::default()),
+            state: Mutex::new(State::default()),
             memo: Mutex::new(Memo::default()),
-            last_micros: AtomicU64::new(0),
             persisted_floor: AtomicU64::new(0),
             files: None,
         }
@@ -728,32 +712,27 @@ impl SegmentCube {
     }
 
     /// Read the clock, clamped monotone against everything recorded.
-    fn now(&self) -> u64 {
-        let now = self.cfg.clock.now_micros();
-        now.max(self.last_micros.fetch_max(now, Ordering::AcqRel))
+    fn now(&self, state: &mut State) -> u64 {
+        state.clamp_micros = state.clamp_micros.max(self.cfg.clock.now_micros());
+        state.clamp_micros
     }
 
-    /// Seal the open segment into the index, then coarsen and evict. A
-    /// fed cube first sends the engine's family of it to be folded for good.
-    fn seal(&self, fold: &mut Fold, out: &mut CubeOutcome) {
-        let Some(open) = fold.open.take() else {
+    /// Seal the open segment, then coarsen and evict. A fed cube first
+    /// sends the engine's family of it to be folded for good.
+    fn seal(&self, state: &mut State, out: &mut CubeOutcome) {
+        let Some(open) = state.open.take() else {
             return;
         };
-        if let Some(feed) = &mut fold.feed {
+        if let Some(feed) = &mut state.feed {
             let _ = feed.tx.send(CompactMsg::Delta(None, open.fed(feed.kind)));
             feed.since_view = 0;
         }
         let (seg, record) = Segment::seal(open);
         out.sealed.push(record);
-        {
-            let mut ix = lock(&self.index);
-            ix.open = None;
-            ix.sealed.push_back(Arc::new(seg));
-        }
-        self.coarsen(out);
-        let mut ix = lock(&self.index);
-        while ix.sealed.len() > self.cfg.max_sealed {
-            let old = ix.sealed.pop_front().expect("non-empty past cap");
+        state.sealed.push_back(Arc::new(seg));
+        self.coarsen(state, out);
+        while state.sealed.len() > self.cfg.max_sealed {
+            let old = state.sealed.pop_front().expect("non-empty past cap");
             out.evicted.push(old.meta.id);
         }
     }
@@ -767,34 +746,23 @@ impl SegmentCube {
     /// merge, so range answers over the coarser segment keep the eps·n
     /// bound on its (admitted) weight — the window just snaps outward to
     /// coarser boundaries.
-    ///
-    /// Runs under the fold lock, the only writer of the index, so a pair
-    /// picked under one index guard is still in place under the next;
-    /// the merge itself runs between the two, off the index lock.
-    fn coarsen(&self, out: &mut CubeOutcome) {
+    fn coarsen(&self, state: &mut State, out: &mut CubeOutcome) {
         if self.cfg.coarsen_watermark == 0 {
             return;
         }
-        loop {
-            let (i, survivor, next) = {
-                let ix = lock(&self.index);
-                if ix.sealed.len() <= self.cfg.coarsen_watermark || ix.sealed.len() < 2 {
-                    break;
-                }
-                let i = (0..ix.sealed.len() - 1)
-                    .min_by_key(|&i| ix.sealed[i].meta.tier.max(ix.sealed[i + 1].meta.tier))
-                    .expect("at least one adjacent pair");
-                (i, Arc::clone(&ix.sealed[i]), Arc::clone(&ix.sealed[i + 1]))
-            };
+        let sealed = &mut state.sealed;
+        while sealed.len() > self.cfg.coarsen_watermark && sealed.len() >= 2 {
+            let i = (0..sealed.len() - 1)
+                .min_by_key(|&i| sealed[i].meta.tier.max(sealed[i + 1].meta.tier))
+                .expect("at least one adjacent pair");
             // Readers may hold either handle: merge into a new segment.
-            let (merged, record) = survivor.absorb(&next);
+            let next = sealed.remove(i + 1).expect("the pair is in range");
+            let (merged, record) = sealed[i].absorb(&next);
+            sealed[i] = Arc::new(merged);
             out.evicted.push(next.meta.id);
             out.sealed.push(record);
             out.coarsened += 1;
-            let mut ix = lock(&self.index);
-            ix.sealed[i] = Arc::new(merged);
-            ix.sealed.remove(i + 1);
-            ix.coarsened += 1;
+            state.coarsened += 1;
         }
         // A record both written and absorbed this call need not be
         // written at all, and only the last version per id matters.
@@ -810,27 +778,27 @@ impl SegmentCube {
         }
     }
 
-    /// Fold batch `seq` into the open segment, under the fold lock.
-    fn fold_batch(&self, fold: &mut Fold, seq: u64, batch: &[u64]) -> CubeOutcome {
-        fold.last_seq = seq;
-        let now = self.now();
+    /// Fold batch `seq` into the open segment, under the cube lock.
+    fn fold_batch(&self, state: &mut State, seq: u64, batch: &[u64]) -> CubeOutcome {
+        state.last_seq = seq;
+        let now = self.now(state);
         let mut out = CubeOutcome {
             seq,
             ..CubeOutcome::default()
         };
         // Wall-clock boundary first: an aged open segment seals *before*
         // this batch, which then opens the next segment.
-        if fold
+        if state
             .open
             .as_ref()
             .is_some_and(|o| now.saturating_sub(o.meta.start_micros) >= self.cfg.seal_micros)
         {
-            self.seal(fold, &mut out);
+            self.seal(state, &mut out);
         }
-        if fold.open.is_none() {
-            fold.open = Some(Open {
+        if state.open.is_none() {
+            state.open = Some(Open {
                 meta: SegmentMeta {
-                    id: fold.next_id,
+                    id: state.next_id,
                     start_seq: seq,
                     end_seq: seq,
                     start_micros: now,
@@ -844,13 +812,13 @@ impl SegmentCube {
                 // `self.fresh`'s quantile summary: shard 0's seed is `seed`.
                 quantile: HybridQuantile::new(self.epsilon, self.seed),
                 // No streamed family stands in for a Count-Min engine's.
-                own: (fold.feed.as_ref())
+                own: (state.feed.as_ref())
                     .filter(|feed| feed.kind == SummaryKind::CountMin)
                     .map(|feed| self.fresh(feed.kind)),
             });
-            fold.next_id += 1;
+            state.next_id += 1;
         }
-        let open = fold.open.as_mut().expect("open segment just ensured");
+        let open = state.open.as_mut().expect("open segment just ensured");
         open.meta.end_seq = seq;
         open.meta.end_micros = now;
         open.meta.batches += 1;
@@ -863,14 +831,11 @@ impl SegmentCube {
             own.update_batch(batch);
         }
         if open.meta.batches >= self.cfg.seal_batches {
-            self.seal(fold, &mut out);
-        } else {
-            lock(&self.index).open = Some(open.meta.clone());
-            if let Some(feed) = &mut fold.feed {
-                feed.since_view += batch.len() as u64;
-                if feed.since_view >= feed.every {
-                    feed.send_view(open);
-                }
+            self.seal(state, &mut out);
+        } else if let Some(feed) = &mut state.feed {
+            feed.since_view += batch.len() as u64;
+            if feed.since_view >= feed.every {
+                feed.send_view(open);
             }
         }
         out
@@ -882,11 +847,11 @@ impl SegmentCube {
     /// [`SegmentCube::send_view`]. A segment already open keeps what it
     /// folded so far to itself: the engine holds those batches already.
     pub(crate) fn start_feed(&self, tx: SyncSender<CompactMsg>, kind: SummaryKind, every: u64) {
-        let mut fold = lock(&self.fold);
-        if let Some(open) = &mut fold.open {
+        let mut state = lock(&self.state);
+        if let Some(open) = &mut state.open {
             open.own = Some(self.fresh(kind));
         }
-        fold.feed = Some(Feed {
+        state.feed = Some(Feed {
             tx,
             kind,
             every,
@@ -895,17 +860,17 @@ impl SegmentCube {
     }
 
     /// Send the open segment's view now, if the cube is fed: the barrier's
-    /// cut, taken under the fold lock so it holds every finished fold.
+    /// cut, taken under the cube lock so it holds every finished fold.
     pub(crate) fn send_view(&self) {
-        let mut fold = lock(&self.fold);
-        let Fold { open, feed, .. } = &mut *fold;
+        let mut state = lock(&self.state);
+        let State { open, feed, .. } = &mut *state;
         if let (Some(open), Some(feed)) = (open, feed) {
             feed.send_view(open);
         }
     }
 
     /// Record one batch of an engine without a WAL, numbered next under
-    /// the fold lock.
+    /// the cube lock.
     pub fn record(&self, batch: &[u64]) -> CubeOutcome {
         self.record_seq(None, batch)
     }
@@ -919,13 +884,13 @@ impl SegmentCube {
     }
 
     fn record_seq(&self, seq: Option<u64>, batch: &[u64]) -> CubeOutcome {
-        let mut fold = lock(&self.fold);
-        let seq = seq.unwrap_or(fold.last_seq + 1);
-        if seq <= fold.last_seq {
+        let mut state = lock(&self.state);
+        let seq = seq.unwrap_or(state.last_seq + 1);
+        if seq <= state.last_seq {
             return CubeOutcome::default();
         }
-        let out = self.fold_batch(&mut fold, seq, batch);
-        drop(fold);
+        let out = self.fold_batch(&mut state, seq, batch);
+        drop(state);
         self.persist(&out.sealed, &out.evicted);
         if let Some(id) = out.sealed.iter().map(|rec| rec.id).max() {
             self.warm(id);
@@ -972,8 +937,7 @@ impl SegmentCube {
     /// as it is for a checkpoint part (`Engine::recover`): the WAL may
     /// already be pruned below it, so it cannot be rebuilt.
     pub fn adopt(&self, records: &[SegmentRecord]) -> Result<AdoptOutcome, ServiceError> {
-        let mut fold = lock(&self.fold);
-        let mut ix = lock(&self.index);
+        let mut state = lock(&self.state);
         let (mut out, mut evicted) = (AdoptOutcome::default(), Vec::new());
         for rec in records {
             match Segment::from_record(rec) {
@@ -983,11 +947,10 @@ impl SegmentCube {
                     ));
                 }
                 Ok(seg) => {
-                    fold.last_seq = seg.meta.end_seq;
-                    self.last_micros
-                        .fetch_max(seg.meta.end_micros, Ordering::AcqRel);
-                    fold.next_id = seg.meta.id + 1;
-                    ix.sealed.push_back(Arc::new(seg));
+                    state.last_seq = seg.meta.end_seq;
+                    state.clamp_micros = state.clamp_micros.max(seg.meta.end_micros);
+                    state.next_id = seg.meta.id + 1;
+                    state.sealed.push_back(Arc::new(seg));
                     out.adopted += 1;
                 }
                 Err(why) => {
@@ -1002,11 +965,13 @@ impl SegmentCube {
                 }
             }
         }
-        while ix.sealed.len() > self.cfg.max_sealed {
-            evicted.push(ix.sealed.pop_front().expect("non-empty past cap").meta.id);
+        while state.sealed.len() > self.cfg.max_sealed {
+            let old = state.sealed.pop_front().expect("non-empty past cap");
+            evicted.push(old.meta.id);
         }
-        self.persisted_floor.store(fold.last_seq, Ordering::Release);
-        drop((fold, ix));
+        self.persisted_floor
+            .store(state.last_seq, Ordering::Release);
+        drop(state);
         self.persist(&[], &evicted);
         Ok(out)
     }
@@ -1026,7 +991,7 @@ impl SegmentCube {
 
     /// Highest batch seq the cube has recorded.
     pub fn last_seq(&self) -> u64 {
-        lock(&self.fold).last_seq
+        lock(&self.state).last_seq
     }
 
     /// Answer a time-window query from `kind`'s family: merge the
@@ -1038,8 +1003,8 @@ impl SegmentCube {
     /// segments whose spans intersect the window — exactly the segments
     /// whose batches a per-range oracle must replay.
     ///
-    /// Under the locks this only clones handles (and the open segment's
-    /// one requested family); the merge runs after both are released,
+    /// Under the cube lock this only clones handles (and the open segment's
+    /// one requested family); the merge runs after it is released,
     /// in the canonical order and through the range memo (see the module
     /// doc). The reply is a function of the covering run alone.
     pub fn query(
@@ -1086,21 +1051,19 @@ impl SegmentCube {
 
     /// The sealed segments intersecting `[start, end]` micros and, when
     /// the window reaches it, the open segment's coordinates and a copy of
-    /// its `kind` family: one consistent cut, taken under fold → index.
+    /// its `kind` family: one consistent cut, taken under the cube lock.
     fn cut(
         &self,
         start_micros: u64,
         end_micros: u64,
         kind: SummaryKind,
     ) -> (Vec<Arc<Segment>>, Option<(SegmentMeta, ShardSummary)>) {
-        let fold = lock(&self.fold);
-        let covering = lock(&self.index)
-            .sealed
-            .iter()
+        let state = lock(&self.state);
+        let covering = (state.sealed.iter())
             .filter(|seg| intersects(&seg.meta, start_micros, end_micros))
             .cloned()
             .collect();
-        let open = fold
+        let open = state
             .open
             .as_ref()
             .filter(|seg| intersects(&seg.meta, start_micros, end_micros))
@@ -1175,9 +1138,9 @@ impl SegmentCube {
     /// Build and memoize the aligned blocks that sealed segment `id`
     /// completes — `[id + 1 - len, id]` for each `len` dividing `id + 1` —
     /// for every family a range read has folded, up to the longest block
-    /// a read of it has folded. Runs after the fold lock is released;
-    /// takes the index lock only to clone handles, and never folds the
-    /// open segment.
+    /// a read of it has folded. Runs after the cube lock is released;
+    /// takes it again only to clone handles, and never folds the open
+    /// segment.
     fn warm(&self, id: u64) {
         let end = id + 1;
         let largest = lock(&self.memo).largest;
@@ -1189,7 +1152,7 @@ impl SegmentCube {
         if reach < 2 {
             return;
         }
-        let mut segs: Vec<Arc<Segment>> = lock(&self.index)
+        let mut segs: Vec<Arc<Segment>> = lock(&self.state)
             .sealed
             .iter()
             .rev()
@@ -1229,23 +1192,20 @@ impl SegmentCube {
     /// clock that stamps segments, and the range memo's counts.
     pub fn health(&self) -> CubeHealth {
         let mut health = {
-            let ix = lock(&self.index);
-            let now = self.now();
-            let (open_age_micros, open_weight) = match &ix.open {
-                Some(open) => (now.saturating_sub(open.start_micros), open.weight),
+            let mut state = lock(&self.state);
+            let now = self.now(&mut state);
+            let (open_age_micros, open_weight) = match &state.open {
+                Some(open) => (now.saturating_sub(open.meta.start_micros), open.meta.weight),
                 None => (0, 0),
             };
+            let sealed = &state.sealed;
             CubeHealth {
-                sealed: ix.sealed.len() as u64,
+                sealed: sealed.len() as u64,
                 open_age_micros,
                 open_weight,
-                max_tier: ix.sealed.iter().map(|seg| seg.meta.tier).max().unwrap_or(0),
-                resident_bytes: ix
-                    .sealed
-                    .iter()
-                    .map(|seg| seg.resident_bytes() as u64)
-                    .sum(),
-                coarsened: ix.coarsened,
+                max_tier: sealed.iter().map(|seg| seg.meta.tier).max().unwrap_or(0),
+                resident_bytes: sealed.iter().map(|seg| seg.resident_bytes() as u64).sum(),
+                coarsened: state.coarsened,
                 ..CubeHealth::default()
             }
         };
@@ -1259,13 +1219,11 @@ impl SegmentCube {
 
     /// The cube's index: sealed segments in id order, then the open one.
     pub fn report(&self) -> SegmentReport {
-        let ix = lock(&self.index);
-        let now = self.now();
-        let segments = ix
-            .sealed
-            .iter()
-            .map(|seg| seg.meta.clone())
-            .chain(ix.open.clone())
+        let mut state = lock(&self.state);
+        let now = self.now(&mut state);
+        let segments = (state.sealed.iter().map(|seg| &seg.meta))
+            .chain(state.open.as_ref().map(|open| &open.meta))
+            .cloned()
             .collect();
         SegmentReport {
             now_micros: now,
@@ -1467,7 +1425,7 @@ mod tests {
         // Each sealed segment's packed form, as the bytes it unpacks to
         // and its heap size.
         let quantile_slots = |c: &SegmentCube| -> Vec<(Vec<u8>, usize)> {
-            let sealed = lock(&c.index).sealed.clone();
+            let sealed = lock(&c.state).sealed.clone();
             sealed
                 .iter()
                 .map(|seg| {
@@ -1519,7 +1477,7 @@ mod tests {
     fn sealed_mg_family_rests_as_its_slot() {
         // Each sealed segment's resting MG bytes and the copy it reads.
         let mg_slots = |c: &SegmentCube| -> Vec<(Vec<u8>, Vec<u8>)> {
-            let sealed = lock(&c.index).sealed.clone();
+            let sealed = lock(&c.state).sealed.clone();
             sealed
                 .iter()
                 .map(|seg| (seg.mg.to_vec(), seg.family(SummaryKind::Mg).encode()))
@@ -1577,7 +1535,7 @@ mod tests {
         for batch in items.chunks(1_024) {
             ok(&c, batch);
         }
-        let sealed = lock(&c.index).sealed.clone();
+        let sealed = lock(&c.state).sealed.clone();
         let [seg] = &sealed.iter().collect::<Vec<_>>()[..] else {
             panic!("one sealed segment, got {}", sealed.len());
         };
@@ -2526,9 +2484,9 @@ mod tests {
                                     "index has a hole"
                                 );
                             }
-                            // A seal is visible for a moment before its
-                            // coarsening merge lands.
-                            assert!(c.health().sealed <= 5 + 1, "watermark holds");
+                            // A seal and the coarsening it triggers land
+                            // under one guard.
+                            assert!(c.health().sealed <= 5, "watermark holds");
                             polls += 1;
                             if polls == 1 {
                                 observed.fetch_add(1, Ordering::SeqCst);

@@ -68,7 +68,7 @@ impl Engine {
     /// snapshot.
     ///
     /// Ordering argument: a delta enters the channel under its shard's
-    /// lock and a view under the cube's fold lock, so an absorb or fold
+    /// lock and a view under the cube lock, so an absorb or fold
     /// that finished before this call has its part or view queued before
     /// the publish is.
     pub(super) fn barrier(&self) -> Result<Receiver<Arc<Snapshot>>, ServiceError> {

@@ -29,7 +29,7 @@
 //! the engine has no shards:
 //!
 //! ```text
-//! ingest(batch) ── log ──▶ cube fold (under the fold lock, in seq order)
+//! ingest(batch) ── log ──▶ cube fold (under the cube lock, in seq order)
 //!                            │ sealed segment's family  ── fold for good ──┐
 //!                            │ open segment's view, every `delta_updates`  │
 //!                            │ items and on every barrier (replaces the    ▼
@@ -94,7 +94,7 @@
 //! never per item: the pause lock (read), the item-buffer pool
 //! ([`ms_core::BufferPool`]) and the shard lock — plus, once per
 //! `delta_updates` updates, the spare slot and one bounded-channel send.
-//! On a cube server the fold lock takes the shard lock's place, and
+//! On a cube server the cube lock takes the shard lock's place, and
 //! the bounded-channel send (a view, or a sealed segment's family) is
 //! made under it; the family is cloned for it, once per `delta_updates`
 //! items and once per seal. Each item is summarised once.

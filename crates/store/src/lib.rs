@@ -227,7 +227,7 @@ impl Store {
         wal.resume_after(ckpt_seq.max(recovery.cube_floor));
         recovery.segments = scans.len();
         let mut last_seq = 0u64;
-        for (path, scan) in &scans {
+        for (path, scan) in scans {
             recovery.wal_bytes += scan.bytes;
             recovery.corrupt_records += scan.corrupt_spans;
             recovery.torn_bytes += scan.torn_bytes;
@@ -243,14 +243,14 @@ impl Store {
                         .unwrap_or_default(),
                 ));
             }
-            for entry in &scan.entries {
+            for entry in scan.entries {
                 if entry.seq <= last_seq {
                     recovery.duplicates += 1;
                     continue;
                 }
                 last_seq = entry.seq;
                 if entry.seq > tail_floor {
-                    recovery.tail.push(entry.clone());
+                    recovery.tail.push(entry);
                 }
             }
         }

@@ -1,5 +1,5 @@
 //! Acceptance tests for the overload control plane, end to end over real
-//! TCP and with no sleeps anywhere:
+//! TCP and with no sleeps but the one stall test 5 waits out:
 //!
 //! 1. A seeded 4-client ingest storm against a deliberately small server
 //!    (one slow shard, two-deep queues, tight watermarks) must be shed
@@ -14,7 +14,10 @@
 //!    only once an operator rejoin proves it back.
 //! 4. A shed is an answer: it reaches the coordinator's caller typed,
 //!    with the backend's own retry hint, and keeps the node alive.
-//! 5. Pressure-driven coarsening holds the sealed-segment count at the
+//! 5. A timed-out ingest is neither replayed nor sent on: it reaches the
+//!    caller typed, and the backend that was slow to absorb it holds it
+//!    once.
+//! 6. Pressure-driven coarsening holds the sealed-segment count at the
 //!    watermark while range queries stay within `ε·n` of exact ranks on
 //!    the admitted stream (PODS'12 Definition 1: merging summaries —
 //!    here adjacent segments — does not degrade the bound).
@@ -23,7 +26,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mergeable_summaries::cluster::{ClusterConfig, Coordinator};
 use mergeable_summaries::core::wire::FRAME_HEADER_LEN;
@@ -334,6 +337,63 @@ fn backend_sheds_reach_the_caller_typed_and_keep_the_node_alive() {
     // Dropping the coordinator hangs up on the backend, which then ends.
     drop(coordinator);
     backend.join().expect("scripted backend");
+}
+
+/// An ingest leg that times out after its frame was written may still be
+/// absorbed, so the coordinator must neither replay it nor send it on.
+/// The one backend stalls its first absorb past the coordinator's read
+/// timeout, under the default `dead_after(3)`, so the node stays alive
+/// and a retry would find it: the caller hears the timeout, and once the
+/// stall is over the backend holds the batch exactly once.
+#[test]
+fn a_timed_out_ingest_reaches_the_caller_and_lands_once() {
+    let engine = Engine::start(
+        ServiceConfig::new(SummaryKind::Mg, EPS)
+            .shards(1)
+            .seed(SEED)
+            .fault_plan(plan_fn(|_, idx| match idx {
+                0 => FaultAction::StallMs(600),
+                _ => FaultAction::Continue,
+            })),
+    )
+    .expect("engine");
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("server");
+    let coordinator = Coordinator::start(
+        ClusterConfig::new([server.local_addr().to_string()])
+            .client_options(ClientOptions {
+                read_timeout: Duration::from_millis(150),
+                ..fast_options()
+            })
+            .ping_interval(None),
+    )
+    .expect("coordinator");
+    let batch = stream(1_000);
+    let weight = batch.len() as u64;
+    let timed_out = coordinator.ingest(&batch);
+    // The stalled absorb, and anything sent after it, is done once the
+    // backend has nothing in flight.
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while engine.admission().inflight() > 0 {
+        assert!(Instant::now() < give_up, "the stalled absorb never ended");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    engine.flush().expect("flush");
+    assert_eq!(
+        engine.snapshot().summary.total_weight(),
+        weight,
+        "the backend must hold the batch once"
+    );
+    assert!(
+        matches!(timed_out, Err(ServiceError::Timeout { .. })),
+        "the caller must hear the timeout, got {timed_out:?}"
+    );
+    // One timeout leaves the node alive: the next batch lands.
+    coordinator.ingest(&batch).expect("ingest after the stall");
+    coordinator.flush().expect("flush through the coordinator");
+    assert_eq!(engine.snapshot().summary.total_weight(), 2 * weight);
+    assert_eq!(coordinator.cluster_info().nodes[0].state, NodeState::Alive);
+    coordinator.shutdown();
+    server.stop();
 }
 
 /// Coarsening under segment pressure: with `seal_batches(1)` every batch
