@@ -3,7 +3,7 @@
 //! The paper's mergeability guarantee (Agarwal et al., PODS'12,
 //! Definition 1) is a statement about *arbitrary* merge trees — including
 //! the degenerate trees a crashing system produces: branches pruned by a
-//! dead shard, merges deferred by a lagging compactor, leaves that never
+//! dead shard, folds stalled on the threads that make them, leaves that never
 //! arrive because a client vanished mid-write. This crate turns that
 //! observation into an executable test: seeded schedules of fourteen
 //! fault classes ([`FaultClass`]) drive a live engine (and, for the wire

@@ -29,8 +29,8 @@ fn mix(seed: u64, shard: u64, index: u64) -> u64 {
 ///   to fire once a shard has been given `p` batches.
 /// * **stall**: with probability `stall_per_10k / 10_000`, a batch is
 ///   delayed by `stall_ms` before being absorbed.
-/// * **compactor stall**: every `compactor_period`-th delta merge sleeps
-///   `compactor_stall_ms` before merging.
+/// * **compactor stall**: every `compactor_period`-th fold into the global
+///   summary sleeps `compactor_stall_ms` first, on the thread that folds.
 ///
 /// Deaths take priority over stalls at the same index.
 #[derive(Debug, Default)]

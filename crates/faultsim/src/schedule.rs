@@ -77,7 +77,7 @@ pub enum FaultClass {
     CorruptFrames,
     /// Clients push partial frames and vanish mid-write.
     PartialWrites,
-    /// The compactor lags behind the shards' hand-offs.
+    /// Folds into the global summary stall on the threads that make them.
     CompactorDelay,
     /// Clients disconnect mid-epoch without flushing.
     ClientDisconnect,
@@ -603,7 +603,7 @@ fn partial_writes(kind: SummaryKind, seed: u64) -> Result<ScheduleReport, String
     h.finish(&snap.summary, metrics)
 }
 
-/// Class 5: the compactor lags. Delayed merges must delay visibility, not
+/// Class 5: folds stall. Delayed merges must delay visibility, not
 /// correctness — after the final flush everything accepted is visible and
 /// within the strict bound.
 fn compactor_delay(kind: SummaryKind, seed: u64) -> Result<ScheduleReport, String> {

@@ -277,14 +277,21 @@ impl<I: Eq + Hash + Clone> MgSummary<I> {
 
     /// In-place Theorem 1 merge: the same counter-wise combine + prune as
     /// [`Mergeable::merge`], but mutating `self` instead of consuming and
-    /// reallocating it — the compactor's steady-state path. `other`'s
-    /// counters are added in their order, new items appended to `self`'s.
-    /// On error (capacity mismatch, or a total weight that overflows
-    /// `u64`) `self` is left untouched.
-    pub fn merge_from(&mut self, other: Self) -> Result<()> {
+    /// reallocating it. `other`'s counters are added in their order, new
+    /// items appended to `self`'s. On error (capacity mismatch, or a total
+    /// weight that overflows `u64`) `self` is left untouched.
+    pub fn merge_from(&mut self, mut other: Self) -> Result<()> {
+        self.merge_drain(&mut other)
+    }
+
+    /// [`MgSummary::merge_from`] that leaves `other` empty instead of
+    /// consuming it: its storage is kept, so a delta folded this way and
+    /// updated again allocates nothing. On error both are left untouched.
+    pub fn merge_drain(&mut self, other: &mut Self) -> Result<()> {
         ensure_same_capacity("counters (k)", self.k, other.k)?;
         self.n = combined_weight(self.n, other.n)?;
-        for (item, c) in other.counters.into_entries() {
+        other.n = 0;
+        for (item, c) in other.counters.drain() {
             self.counters.add(item, c);
         }
         self.prune();

@@ -59,6 +59,13 @@ impl<I> Counters<I> {
     pub(crate) fn into_entries(self) -> std::vec::IntoIter<(I, u64)> {
         self.entries.into_iter()
     }
+
+    /// The `(item, count)` pairs, moved out in entry order; the table is
+    /// left empty, its storage kept.
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, (I, u64)> {
+        self.index.fill(0);
+        self.entries.drain(..)
+    }
 }
 
 /// The empty index slot a missing item's entry would take.

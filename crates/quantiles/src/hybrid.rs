@@ -282,8 +282,8 @@ impl<T: MergePoint> HybridQuantile<T> {
 
     /// In-place §4.3 merge: the same weight alignment, hierarchy absorb
     /// and partial-block combine as [`Mergeable::merge`], but mutating
-    /// `self` instead of consuming and reallocating it — the compactor's
-    /// steady-state path. On error (mismatched ε or m) `self` is left
+    /// `self` instead of consuming and reallocating it — the steady-state
+    /// fold into a service's global summary. On error (mismatched ε or m) `self` is left
     /// untouched, as it is when the combined `n` would overflow `u64`.
     pub fn merge_from(&mut self, mut other: Self) -> Result<()> {
         if (self.epsilon - other.epsilon).abs() > f64::EPSILON {

@@ -274,8 +274,9 @@ pub struct ServiceConfig {
     /// full queue pressure for the overload plane's watermarks (see
     /// [`crate::Admission::pressure`]). Nothing blocks or drops at it.
     pub queue_depth: usize,
-    /// Updates a shard absorbs into its delta before handing it to the
-    /// compactor and starting on a spare.
+    /// Updates a shard absorbs into its delta before the ingesting thread
+    /// folds it into the global summary and empties it; on a cube server,
+    /// items folded between two views of the open segment.
     pub delta_updates: usize,
     /// Slots in the engine's recycling buffer pools: the item buffers
     /// ingests decode into (at most 8 of them) and the WAL's record
@@ -348,7 +349,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the per-shard delta hand-off threshold.
+    /// Set the per-shard delta fold threshold.
     pub fn delta_updates(mut self, updates: usize) -> Self {
         self.delta_updates = updates;
         self

@@ -47,20 +47,19 @@
 //!
 //! Feed: on every engine with a cube, the cube's fold is the engine's
 //! only absorb: the engine starts the feed once recovery is done
-//! ([`SegmentCube::start_feed`]). Each seal then sends the engine's
-//! family of the sealed segment to the compactor, which folds it into the
-//! global summary for good, left-deep in seq order; the open segment's
-//! family goes as a *view* every `delta_updates` items and on every
-//! barrier ([`SegmentCube::send_view`]), and each view replaces the last.
-//! Both are sent under the cube lock over the engine's bounded compact
-//! channel, so they arrive in fold order and a barrier's view holds every
-//! fold that finished before it; a compactor that falls behind holds the
-//! folds back. The engine's family is a streamed one (MG, SpaceSaving,
+//! ([`SegmentCube::start_feed`]). Each seal then folds the engine's
+//! family of the sealed segment into the engine's global summary for
+//! good, left-deep in seq order; the open segment's family replaces the
+//! engine's *view* every `delta_updates` items and on every barrier
+//! ([`SegmentCube::send_view`]). Both happen under the cube lock, which
+//! the global lock nests inside, so they land in fold order and a
+//! barrier's view holds every fold that finished before it. The engine's
+//! family is a streamed one (MG, SpaceSaving,
 //! read off the MG one, or the hybrid quantile) unless a segment keeps its
 //! *own*: a Count-Min engine's segments fold its sketch beside the
 //! streamed families, and the segment recovery leaves open, whose earlier
 //! batches the checkpoint and the replay already gave the engine, folds
-//! only the batches after the feed started. An own family is sent, never
+//! only the batches after the feed started. An own family is folded, never
 //! written to a segment file, and never answers a range read.
 //!
 //! Concurrency contract — two locks, never held together:
@@ -69,9 +68,10 @@
 //!   next segment id, `Arc<Segment>` handles to the sealed segments, the
 //!   coarsening count and the clock clamp): held for one batch's fold and
 //!   any seal or coarsening it triggers, so folds run in seq order, and
-//!   across the feed's sends to the compact channel (the compactor takes
-//!   no cube lock). Readers hold it only to clone handles or read
-//!   coordinates: [`SegmentCube::query`] takes one consistent cut across
+//!   across the feed's folds and views into the engine's global summary,
+//!   whose lock is taken inside it (never the other way round). Readers
+//!   hold it only to clone handles or read coordinates:
+//!   [`SegmentCube::query`] takes one consistent cut across
 //!   sealed and open segments — the covering handles and, when the window
 //!   reaches it, a copy of the open segment's one requested family — and
 //!   merges after releasing it.
@@ -134,7 +134,6 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 
 use ms_core::{lock, ServiceError, Wire, WireError};
@@ -142,7 +141,7 @@ use ms_quantiles::{HybridQuantile, PackedQuantile};
 use ms_store::{SegmentRecord, SegmentStore};
 
 use crate::config::{SegmentConfig, ServiceConfig, SummaryKind};
-use crate::engine::CompactMsg;
+use crate::engine::Global;
 use crate::protocol::{RangeMeta, SegmentMeta, SegmentReport};
 use crate::summary::ShardSummary;
 use crate::telemetry::EngineTelemetry;
@@ -262,9 +261,9 @@ impl Open {
     }
 }
 
-/// Where a fed cube sends the engine's family (module doc).
+/// Where a fed cube folds the engine's family (module doc).
 struct Feed {
-    tx: SyncSender<CompactMsg>,
+    global: Arc<Global>,
     /// The engine's kind.
     kind: SummaryKind,
     /// Items between two views of the open segment.
@@ -427,10 +426,9 @@ impl Segment {
 }
 
 impl Feed {
-    /// Send a view of `open`. Under the cube lock, over the bounded compact
-    /// channel: a compactor that falls behind holds folds back.
+    /// Replace the engine's view with one of `open`, under the cube lock.
     fn send_view(&mut self, open: &Open) {
-        let _ = self.tx.send(CompactMsg::View(open.fed(self.kind)));
+        self.global.view(open.fed(self.kind));
         self.since_view = 0;
     }
 }
@@ -718,13 +716,13 @@ impl SegmentCube {
     }
 
     /// Seal the open segment, then coarsen and evict. A fed cube first
-    /// sends the engine's family of it to be folded for good.
+    /// folds the engine's family of it for good.
     fn seal(&self, state: &mut State, out: &mut CubeOutcome) {
         let Some(open) = state.open.take() else {
             return;
         };
         if let Some(feed) = &mut state.feed {
-            let _ = feed.tx.send(CompactMsg::Delta(None, open.fed(feed.kind)));
+            feed.global.fold(open.fed(feed.kind));
             feed.since_view = 0;
         }
         let (seg, record) = Segment::seal(open);
@@ -842,25 +840,26 @@ impl SegmentCube {
     }
 
     /// Make the cube the engine's only absorb: from now on every seal
-    /// sends the engine's family of the segment to `tx`, and the open
-    /// segment's is sent as a view every `every` items and on
+    /// folds the engine's family of the segment into `global`, and the
+    /// open segment's replaces its view every `every` items and on
     /// [`SegmentCube::send_view`]. A segment already open keeps what it
     /// folded so far to itself: the engine holds those batches already.
-    pub(crate) fn start_feed(&self, tx: SyncSender<CompactMsg>, kind: SummaryKind, every: u64) {
+    pub(crate) fn start_feed(&self, global: Arc<Global>, kind: SummaryKind, every: u64) {
         let mut state = lock(&self.state);
         if let Some(open) = &mut state.open {
             open.own = Some(self.fresh(kind));
         }
         state.feed = Some(Feed {
-            tx,
+            global,
             kind,
             every,
             since_view: 0,
         });
     }
 
-    /// Send the open segment's view now, if the cube is fed: the barrier's
-    /// cut, taken under the cube lock so it holds every finished fold.
+    /// Replace the engine's view with the open segment's now, if the cube
+    /// is fed: the barrier's cut, taken under the cube lock so it holds
+    /// every finished fold.
     pub(crate) fn send_view(&self) {
         let mut state = lock(&self.state);
         let State { open, feed, .. } = &mut *state;

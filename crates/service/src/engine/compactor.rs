@@ -1,230 +1,184 @@
-//! The compactor: one thread folds the parts it is handed into the global
-//! summary for good, in the order they arrive (Definition 1), and
-//! publishes each fold as the next immutable [`Snapshot`]. A part is a
-//! piece of the recovered state (a checkpoint part, or the replayed WAL
-//! tail), a shard's full delta, after which the compactor builds that
-//! shard's next spare, or, on a cube server, a sealed segment's family
-//! ([`crate::cube`]). A cube server also sends the open segment's family
-//! as a view, which each publish merges into a copy of the global summary
-//! and the next view replaces. Also the one barrier flush, checkpoint and
-//! shutdown share. Ledger rows `compactor.merge_many` and `swap.publish`.
+//! The global summary: every part is folded into it for good, in the order
+//! its producers fold it (Definition 1), each on its own thread under the
+//! lock it already holds: a shard's full delta (which the shard keeps,
+//! emptied), a sealed segment's family on a cube server (which retires the
+//! open view), or a piece of the recovered state. A cube server's open
+//! segment is a *view* that each publish merges into a copy.
+//!
+//! A read publishes ([`Global::snapshot`]) when a fold or view moved the
+//! summary since the last publish, sharing it copy-on-write: the next fold
+//! copies it, and frees the snapshot that publish replaced, so neither
+//! lands on a read (DESIGN.md §3a.4 has the measured cost). Also the one
+//! barrier flush, checkpoint and shutdown share. Ledger rows
+//! `compactor.merge_many` and `swap.publish`.
 
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ms_core::{ServiceError, Summary};
+use ms_core::{lock, Summary};
 
 use super::{Engine, Snapshot};
+use crate::config::ServiceConfig;
+use crate::fault::FaultPlan;
 use crate::summary::{MergeLineage, ShardSummary};
-use crate::telemetry::timed;
+use crate::telemetry::{timed, EngineTelemetry};
 
-/// How many backlogged parts one compaction pass will fuse. Under steady
-/// load the channel is empty and each part is folded as it arrives;
-/// under backlog the linear families (Count-Min) fold the whole batch in a
-/// single pass over the global table.
-const MAX_COMPACT_FUSE: usize = 16;
-
-/// Bound of the compact channel: parts, views and barrier messages in
-/// flight to the compactor before a sender waits for it.
-pub(super) const HANDOFF_SLOTS: usize = 16;
-
-pub(crate) enum CompactMsg {
-    /// A part to fold for good: a delta handed off by shard `Some(s)`,
-    /// whose spare it took; or (`None`) a part of the recovered state, or
-    /// the family of a segment the cube sealed, which also retires the
-    /// open view.
-    Delta(Option<usize>, ShardSummary),
-    /// The cube's open segment's family as of its last fold: every
-    /// publish until the next view or seal merges it in.
-    View(ShardSummary),
-    /// Publish the global summary and hand that snapshot back: it holds
-    /// every part and view queued before this message. By Definition 1
-    /// the merged summary is also the checkpoint.
-    Publish(Sender<Arc<Snapshot>>),
-    /// Shut the compactor down. Senders are plain cached clones (no lock
-    /// on the hand-off path), so the channel need not disconnect by
-    /// itself; this sentinel is the explicit stop signal.
-    Stop,
+/// The global summary and the snapshot published from it, behind one
+/// lock. Lock order: a shard's lock or the cube's, then this; a reader
+/// takes only this.
+pub(crate) struct Global {
+    folded: Mutex<Folded>,
+    fault_plan: Arc<dyn FaultPlan>,
+    telemetry: Arc<EngineTelemetry>,
 }
 
-/// What the compactor thread folds into and publishes from.
-struct Compaction {
-    global: ShardSummary,
-    /// Mirrors the left-deep fold: after k parts, merges == depth == k
-    /// and weight == global.total_weight().
-    lineage: MergeLineage,
+/// What the global lock guards.
+struct Folded {
+    /// The global summary and its lineage (the left-deep fold's), held as
+    /// the next snapshot: a publish without a view shares this `Arc`, and
+    /// a fold copies it first while it is shared (`Arc::make_mut`).
+    global: Arc<Snapshot>,
     /// The cube's open view, if one is current.
     view: Option<ShardSummary>,
     merge_index: u64,
+    /// Whether a fold or view moved the global summary since the last
+    /// publish.
+    moved: bool,
+    published: Arc<Snapshot>,
+    /// The snapshot the last publish replaced, for the next fold or view
+    /// to free: a free costs a read about as much as a copy.
+    retired: Option<Arc<Snapshot>>,
     trace: ms_obs::TraceHandle,
 }
 
+impl Global {
+    pub(super) fn new(cfg: &ServiceConfig, telemetry: &Arc<EngineTelemetry>) -> Global {
+        let global = Arc::new(Snapshot {
+            epoch: 0,
+            summary: ShardSummary::new(cfg, usize::MAX),
+            lineage: MergeLineage::default(),
+            published_at: Instant::now(),
+        });
+        Global {
+            folded: Mutex::new(Folded {
+                published: Arc::clone(&global),
+                global,
+                view: None,
+                merge_index: 0,
+                moved: false,
+                retired: None,
+                trace: telemetry.recorder().register("compactor"),
+            }),
+            fault_plan: Arc::clone(&cfg.fault_plan),
+            telemetry: Arc::clone(telemetry),
+        }
+    }
+
+    /// Fold `part` for good: a piece of the recovered state, or a sealed
+    /// segment's family, which holds everything its views held and so
+    /// retires the current one.
+    pub(crate) fn fold(&self, part: ShardSummary) {
+        let mut folded = lock(&self.folded);
+        folded.view = None;
+        let weight = part.total_weight();
+        self.fold_with(&mut folded, weight, |summary| summary.merge_in_place(part));
+    }
+
+    /// Fold a shard's full `delta` for good and leave it empty to absorb
+    /// into again; `fresh` replaces a delta that cannot empty in place
+    /// ([`ShardSummary::merge_drain`]).
+    pub(super) fn drain(&self, delta: &mut ShardSummary, fresh: impl FnOnce() -> ShardSummary) {
+        let mut folded = lock(&self.folded);
+        let weight = delta.total_weight();
+        self.fold_with(&mut folded, weight, |summary| {
+            summary.merge_drain(delta, fresh)
+        });
+    }
+
+    /// Replace the cube's open view: every publish until the next view or
+    /// seal merges it in.
+    pub(crate) fn view(&self, view: ShardSummary) {
+        let mut folded = lock(&self.folded);
+        (folded.view, folded.retired) = (Some(view), None);
+        folded.moved = true;
+    }
+
+    /// One fold into the global summary, on the caller's thread; a stall
+    /// the fault plan asks for is served here first.
+    fn fold_with(
+        &self,
+        folded: &mut Folded,
+        weight: u64,
+        merge: impl FnOnce(&mut ShardSummary) -> ms_core::Result<()>,
+    ) {
+        let stall_ms = self.fault_plan.compactor_merge(folded.merge_index);
+        folded.merge_index += 1;
+        if stall_ms > 0 {
+            folded.trace.event("stall", &[("ms", stall_ms)]);
+            std::thread::sleep(std::time::Duration::from_millis(stall_ms));
+        }
+        folded.retired = None;
+        let global = Arc::make_mut(&mut folded.global);
+        // A span with no fields: a field would allocate on the folding
+        // thread, and the merge index is the tree-depth gauge below.
+        let span = folded.trace.span("compact");
+        let (merged, micros) = timed(|| merge(&mut global.summary));
+        drop(span);
+        // Parts come from the same config, so kinds/ε always match; a
+        // failure here would be an engine bug and leaves the summary
+        // untouched for that part.
+        if merged.is_ok() {
+            global.lineage.absorb(MergeLineage::leaf(weight));
+            self.telemetry.counters.merges.inc();
+        }
+        folded.moved = true;
+        // The folds are left-deep, so the merge tree is `merge_index` deep.
+        (self.telemetry).record_compact_merge(micros, folded.merge_index);
+    }
+
+    /// The current snapshot: the published one, published anew first if
+    /// `publish` is set and a fold or view moved the global summary since
+    /// — the global summary as the next epoch, shared as it is, or with
+    /// the open view merged into a copy of it when there is one.
+    pub(super) fn snapshot(&self, publish: bool) -> Arc<Snapshot> {
+        let mut guard = lock(&self.folded);
+        let folded = &mut *guard;
+        if publish && folded.moved {
+            let last = &folded.published;
+            let (epoch, since_last) = (last.epoch + 1, last.published_at.elapsed());
+            // Not shared here on an engine without a cube: every fold
+            // since the last publish wrote to its own copy.
+            let global = Arc::make_mut(&mut folded.global);
+            (global.epoch, global.published_at) = (epoch, Instant::now());
+            let next = match &folded.view {
+                None => Arc::clone(&folded.global),
+                Some(view) => {
+                    let mut next = Snapshot::clone(&folded.global);
+                    if next.summary.merge_in_place(view.clone()).is_ok() {
+                        next.lineage.absorb(MergeLineage::leaf(view.total_weight()));
+                    }
+                    Arc::new(next)
+                }
+            };
+            folded.retired = Some(std::mem::replace(&mut folded.published, next));
+            folded.moved = false;
+            (self.telemetry).record_publish(epoch, since_last.as_micros() as u64);
+        }
+        Arc::clone(&folded.published)
+    }
+}
+
 impl Engine {
-    /// The barrier flush, checkpoint and shutdown share: every shard
-    /// hands its delta to the compactor, or the cube sends its open view,
-    /// then a publish is queued behind them. The receiver yields that
-    /// snapshot.
-    ///
-    /// Ordering argument: a delta enters the channel under its shard's
-    /// lock and a view under the cube lock, so an absorb or fold
-    /// that finished before this call has its part or view queued before
-    /// the publish is.
-    pub(super) fn barrier(&self) -> Result<Receiver<Arc<Snapshot>>, ServiceError> {
+    /// The barrier flush, checkpoint and shutdown share: every shard folds
+    /// its delta and the cube replaces its view, then the global summary
+    /// is published. The snapshot returned holds every absorb or fold that
+    /// finished before this call: each took the lock its fold here takes.
+    pub(super) fn barrier(&self) -> Arc<Snapshot> {
         self.hand_off_all();
         if let Some(cube) = &self.cube {
             cube.send_view();
         }
-        let (tx, rx) = mpsc::channel();
-        self.compact_tx
-            .send(CompactMsg::Publish(tx))
-            .map_err(|_| ServiceError::Shutdown)?;
-        Ok(rx)
-    }
-
-    /// Start the compactor thread. It holds only `rx` and a `Weak` to the
-    /// engine, upgraded per message, so an engine whose callers drop it
-    /// without a shutdown is freed and the thread then exits.
-    pub(super) fn spawn_compactor(
-        &self,
-        rx: Receiver<CompactMsg>,
-    ) -> std::io::Result<JoinHandle<()>> {
-        let me = self.me.clone();
-        let compaction = Compaction {
-            global: ShardSummary::new(&self.cfg, usize::MAX),
-            lineage: MergeLineage::leaf(0),
-            view: None,
-            merge_index: 0,
-            trace: self.telemetry.recorder().register("compactor"),
-        };
-        std::thread::Builder::new()
-            .name("ms-compactor".to_string())
-            .spawn(move || run_compactor(&me, &rx, compaction))
-    }
-}
-
-fn run_compactor(me: &Weak<Engine>, rx: &Receiver<CompactMsg>, mut c: Compaction) {
-    let mut carried: Option<CompactMsg> = None;
-    loop {
-        let msg = match carried.take() {
-            Some(msg) => msg,
-            None => match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            },
-        };
-        // Gone once its callers dropped it without a shutdown.
-        let Some(engine) = me.upgrade() else {
-            break;
-        };
-        match msg {
-            CompactMsg::Delta(shard, part) => {
-                // Drain whatever backlog is already queued, stopping at
-                // the first other message so barriers and views keep
-                // their channel ordering.
-                let mut shards = vec![shard];
-                let mut batch = vec![part];
-                while batch.len() < MAX_COMPACT_FUSE {
-                    match rx.try_recv() {
-                        Ok(CompactMsg::Delta(shard, part)) => {
-                            shards.push(shard);
-                            batch.push(part);
-                        }
-                        Ok(other) => {
-                            carried = Some(other);
-                            break;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                c.fold(&engine, batch);
-                for shard in shards {
-                    match shard {
-                        Some(shard) => engine.shards[shard].ready_spare(&engine.cfg, shard),
-                        // A sealed segment holds everything its views held.
-                        None => c.view = None,
-                    }
-                }
-                engine.publish(&c);
-            }
-            CompactMsg::View(view) => {
-                c.view = Some(view);
-                engine.publish(&c);
-            }
-            CompactMsg::Publish(ack) => {
-                engine.publish(&c);
-                // Only this thread publishes, so the current snapshot is
-                // the one just published.
-                let _ = ack.send(engine.snapshot());
-            }
-            CompactMsg::Stop => break,
-        }
-    }
-}
-
-impl Compaction {
-    /// Fold `batch` into the global summary in place, in order.
-    fn fold(&mut self, engine: &Engine, batch: Vec<ShardSummary>) {
-        let fused = batch.len() as u64;
-        let mut weights = Vec::with_capacity(batch.len());
-        for part in &batch {
-            let stall_ms = engine.cfg.fault_plan.compactor_merge(self.merge_index);
-            self.merge_index += 1;
-            if stall_ms > 0 {
-                self.trace.event("stall", &[("ms", stall_ms)]);
-                std::thread::sleep(std::time::Duration::from_millis(stall_ms));
-            }
-            weights.push(part.total_weight());
-        }
-        let mut span = ms_obs::span!(self.trace, "compact", merge_index = self.merge_index);
-        if fused > 1 {
-            span.field("fused", fused);
-        }
-        // In-place: the global summary's storage is reused across merges
-        // instead of being cloned per part; linear families fold the
-        // whole batch in one pass.
-        let (results, micros) = timed(|| self.global.merge_in_place_many(batch));
-        for (result, weight) in results.iter().zip(weights) {
-            if result.is_ok() {
-                // Parts come from the same config, so kinds/ε always
-                // match; a failure here would be an engine bug and leaves
-                // `global` untouched for that part.
-                self.lineage.absorb(MergeLineage::leaf(weight));
-                engine.telemetry.counters.merges.inc();
-            }
-        }
-        // The compactor folds left-deep, so the snapshot's merge tree is
-        // `merge_index` deep.
-        engine
-            .telemetry
-            .record_compact_merge(micros, self.merge_index);
-    }
-}
-
-impl Engine {
-    /// Publish the next epoch: the global summary, with the open view
-    /// merged into a copy of it when there is one. Only the compactor
-    /// thread calls this, so the snapshot read here is still current when
-    /// `swap` replaces it.
-    fn publish(&self, c: &Compaction) {
-        let (mut summary, mut lineage) = (c.global.clone(), c.lineage);
-        if let Some(view) = &c.view {
-            if summary.merge_in_place(view.clone()).is_ok() {
-                lineage.absorb(MergeLineage::leaf(view.total_weight()));
-            }
-        }
-        let last = self.snapshot.load();
-        let epoch = last.epoch + 1;
-        let since_last = last.published_at.elapsed().as_micros() as u64;
-        drop(last);
-        self.snapshot.swap(Snapshot {
-            epoch,
-            summary,
-            lineage,
-            published_at: Instant::now(),
-        });
-        self.telemetry.record_publish(epoch, since_last);
+        self.global.snapshot(true)
     }
 }
 
@@ -253,6 +207,32 @@ mod tests {
         assert_eq!(late.summary.total_weight(), 1000);
         engine.shutdown();
     }
+
+    /// A read publishes only what moved: with nothing folded since, it
+    /// hands back the same snapshot; after a fold, the next epoch.
+    #[test]
+    fn a_read_publishes_only_when_a_fold_moved_the_summary() {
+        let cfg = ServiceConfig::new(SummaryKind::Mg, 0.05)
+            .shards(1)
+            .delta_updates(100);
+        let engine = Engine::start(cfg).unwrap();
+        let first = engine.snapshot();
+        assert!(Arc::ptr_eq(&first, &engine.snapshot()), "nothing folded");
+        engine.ingest(vec![3; 50]).unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &engine.snapshot()),
+            "the delta holds it"
+        );
+        engine.ingest(vec![3; 50]).unwrap();
+        let folded = engine.snapshot();
+        assert_eq!(
+            (folded.epoch, folded.summary.total_weight()),
+            (first.epoch + 1, 100)
+        );
+        assert!(Arc::ptr_eq(&folded, &engine.snapshot()));
+        engine.shutdown();
+    }
+
     #[test]
     fn compactor_stall_delays_but_preserves_data() {
         use std::sync::atomic::AtomicU64 as A;

@@ -15,7 +15,6 @@ use ms_core::wire::{decode_u64_slice_into, encode_u64_slice_into};
 use ms_core::{lock, BufferPool, Mergeable, ServiceError, Summary, Wire, WireReader};
 use ms_store::{GroupCommit, Store};
 
-use super::compactor::CompactMsg;
 use super::{Engine, Snapshot};
 use crate::config::{DurabilityConfig, ServiceConfig};
 use crate::cube::SegmentCube;
@@ -76,8 +75,8 @@ pub(super) struct Durable {
     /// checkpoint that finds it taken is skipped, [`Engine::checkpoint_now`]
     /// waits for it, and stop holds it from setting `stopped` on, so no
     /// checkpoint lands after stop returns. Lock order: this, the pause
-    /// lock (write), shard `live` then `spare` or the cube fold, the
-    /// compact channel; then `store`.
+    /// lock (write), a shard or the cube, the global summary; then
+    /// `store`.
     pub(super) checkpointing: Mutex<()>,
     /// WAL cut of the last checkpoint set written, and when.
     pub(super) last_ckpt: Mutex<(u64, Instant)>,
@@ -93,7 +92,7 @@ type Opened = (
 impl Durable {
     /// Open and scan the data directory `cfg` names, if any, handing
     /// `cube` the store's segment files. What the scan found is applied by
-    /// [`Engine::recover`] once the compactor runs.
+    /// [`Engine::recover`] once the engine exists.
     pub(super) fn open(
         cfg: &ServiceConfig,
         cube: Option<SegmentCube>,
@@ -158,10 +157,10 @@ impl Engine {
     ///
     /// The replay is one part: every tail record above the checkpoint cut
     /// is absorbed, in seq order on this thread, into one summary, which
-    /// the compactor folds after the checkpoint's parts. So the recovered
-    /// summary is a function of the data directory alone, whatever the
-    /// shard count and whether or not a cube is on. The cube, if any,
-    /// refolds every record above its own floor.
+    /// is folded after the checkpoint's parts, before ingest opens. So the
+    /// recovered summary is a function of the data directory alone,
+    /// whatever the shard count and whether or not a cube is on. The
+    /// cube, if any, refolds every record above its own floor.
     pub(super) fn recover(&self, recovery: ms_store::Recovery) -> Result<(), ServiceError> {
         let started = Instant::now();
         let mut report = RecoveryReport {
@@ -197,7 +196,7 @@ impl Engine {
             }
             for part in parts {
                 report.preloaded_weight += part.total_weight();
-                self.preload(part)?;
+                self.global.fold(part);
             }
         }
         // The tail reaches back to min(checkpoint cut, cube floor): the
@@ -223,9 +222,8 @@ impl Engine {
             }
         }
         if report.replayed_records > 0 {
-            self.preload(replayed)?;
+            self.global.fold(replayed);
         }
-        self.flush()?;
         report.duration_micros = started.elapsed().as_micros() as u64;
         let corrupt = report.corrupt_records + report.corrupt_checkpoints;
         self.telemetry.event(
@@ -239,12 +237,6 @@ impl Engine {
         let d = self.durable.as_ref().expect("recovered implies durable");
         *lock(&d.recovery) = report;
         Ok(())
-    }
-
-    /// Hand `part` of the recovered state to the compactor, to fold for
-    /// good.
-    fn preload(&self, part: ShardSummary) -> Result<(), ServiceError> {
-        (self.compact_tx.send(CompactMsg::Delta(None, part))).map_err(|_| ServiceError::Shutdown)
     }
 
     /// Append one batch to the WAL via group commit — folding it into the
@@ -306,21 +298,19 @@ impl Engine {
     /// is between "appended to WAL" and "absorbed", so the cut `W =
     /// last_seq` covers exactly the absorbed batches (on a cube server,
     /// the folded ones: the cube's last seq is `W`); the barrier then
-    /// hands every shard's delta, or the cube's open view, to the
-    /// compactor queue, and its publish drains behind them — the snapshot
-    /// it hands back holds precisely the surviving data of seqs ≤ W. The
-    /// lock is released before waiting, so ingest resumes while the
-    /// compactor catches up and files are written.
+    /// folds every shard's delta, or replaces the cube's open view, and
+    /// publishes — the snapshot it hands back holds precisely the
+    /// surviving data of seqs ≤ W. The lock is released before the files
+    /// are written, so ingest resumes meanwhile.
     pub(super) fn perform_checkpoint(&self, d: &Durable) -> Result<(), ServiceError> {
         if self.stopped.load(Ordering::Acquire) {
             return Err(ServiceError::Shutdown);
         }
-        let (cut, published) = {
+        let (cut, merged) = {
             let _pause = self.pause.write().unwrap_or_else(|e| e.into_inner());
             let cut = lock(&d.store).wal.last_seq();
-            (cut, self.barrier()?)
+            (cut, self.barrier())
         };
-        let merged = published.recv().map_err(|_| ServiceError::Shutdown)?;
         let written = self.write_checkpoint(&merged, cut);
         if written.is_err() {
             self.telemetry.event("checkpoint_failed", &[]);

@@ -1,20 +1,18 @@
 //! The whole ingest path, on the thread that received the batch: shed
 //! doomed work, then one of two absorbs, picked by whether the engine has
 //! a cube. Without one, log the batch to the WAL (if any) and absorb it
-//! into the next shard's delta under that shard's lock, handing a full
-//! delta to the compactor in exchange for a spare. With one, log and fold:
-//! the cube's fold is the absorb, and the engine has no shards. Ledger
-//! rows `engine.ingest` (the path as the caller sees it) and
-//! `summary.update_batch` (the shard absorb).
+//! into the next shard's delta under that shard's lock, folding a full
+//! delta into the global summary there and keeping it, emptied. With one,
+//! log and fold: the cube's fold is the absorb, and the engine has no
+//! shards. Ledger rows `engine.ingest` (the path as the caller sees it)
+//! and `summary.update_batch` (the shard absorb).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ms_core::{lock, ServiceError, Summary};
 
-use super::compactor::CompactMsg;
 use super::Engine;
 use crate::config::ServiceConfig;
 use crate::cube::SegmentCube;
@@ -23,19 +21,11 @@ use crate::fault::FaultAction;
 use crate::summary::ShardSummary;
 use crate::telemetry::timed;
 
-/// One ingest shard. Lock order: `live`, then `spare`; the compactor
-/// takes only `spare`.
+/// One ingest shard, under its own lock. Lock order: a shard, then the
+/// global summary's lock.
 pub(super) struct Shard {
-    live: Mutex<Live>,
-    /// A fresh delta the compactor built for the next hand-off, so the
-    /// ingesting thread never builds one in steady state.
-    spare: Mutex<Option<ShardSummary>>,
-}
-
-/// What the shard lock guards.
-struct Live {
-    /// The delta absorbs land in; its weight is what has not been handed
-    /// off yet.
+    /// The delta absorbs land in; its weight is what has not been folded
+    /// into the global summary yet.
     delta: ShardSummary,
     /// Batches this shard has been given, lost ones included (fault plans
     /// key off it).
@@ -45,20 +35,8 @@ struct Live {
 impl Shard {
     pub(super) fn new(cfg: &ServiceConfig, shard: usize) -> Shard {
         Shard {
-            live: Mutex::new(Live {
-                delta: ShardSummary::new(cfg, shard),
-                batches: 0,
-            }),
-            spare: Mutex::new(Some(ShardSummary::new(cfg, shard))),
-        }
-    }
-
-    /// Put a fresh delta in the spare slot if the last hand-off took it.
-    /// Only the compactor calls this, and only ingest empties the slot.
-    pub(super) fn ready_spare(&self, cfg: &ServiceConfig, shard: usize) {
-        if lock(&self.spare).is_none() {
-            let fresh = ShardSummary::new(cfg, shard);
-            *lock(&self.spare) = Some(fresh);
+            delta: ShardSummary::new(cfg, shard),
+            batches: 0,
         }
     }
 }
@@ -150,8 +128,8 @@ impl Engine {
         self.audit.observe(items);
     }
 
-    /// Absorb `items` into the next shard's delta under its lock, and hand
-    /// the delta off once it holds `delta_updates` updates. A panic inside
+    /// Absorb `items` into the next shard's delta under its lock, and fold
+    /// the delta once it holds `delta_updates` updates. A panic inside
     /// the absorb (or an injected [`FaultAction::Die`]) loses the shard's
     /// delta and this batch: both are counted in `shards_lost` and a fresh
     /// delta takes their place.
@@ -162,7 +140,7 @@ impl Engine {
         // shard's absorb: the overload plane's pressure signal.
         telemetry.queue_pushed(shard);
         let waiting = Instant::now();
-        let mut live = lock(&self.shards[shard].live);
+        let mut live = lock(&self.shards[shard]);
         telemetry.record_queue_wait(shard, waiting.elapsed().as_micros() as u64);
         let index = live.batches;
         live.batches += 1;
@@ -201,21 +179,16 @@ impl Engine {
         telemetry.queue_popped(shard);
     }
 
-    /// Swap `shard`'s delta (the caller holds its lock) for the spare and
-    /// send the full one to the compactor. The channel is bounded, so a
-    /// compactor that falls behind holds this shard back.
-    pub(super) fn hand_off(&self, shard: usize, delta: &mut ShardSummary) {
-        let spare = lock(&self.shards[shard].spare).take();
-        let fresh = spare.unwrap_or_else(|| ShardSummary::new(&self.cfg, shard));
-        let full = std::mem::replace(delta, fresh);
-        let _ = self.compact_tx.send(CompactMsg::Delta(Some(shard), full));
+    /// Fold `shard`'s delta (the caller holds its lock) into the global
+    /// summary, on this thread, and keep it, emptied, to absorb into again.
+    fn hand_off(&self, shard: usize, delta: &mut ShardSummary) {
+        (self.global).drain(delta, || ShardSummary::new(&self.cfg, shard));
     }
 
-    /// Hand off every shard's non-empty delta: the first half of the
-    /// barrier.
+    /// Fold every shard's non-empty delta: the first half of the barrier.
     pub(super) fn hand_off_all(&self) {
         for (shard, s) in self.shards.iter().enumerate() {
-            let mut live = lock(&s.live);
+            let mut live = lock(s);
             if live.delta.total_weight() > 0 {
                 self.hand_off(shard, &mut live.delta);
             }
@@ -226,7 +199,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::AtomicU64;
-    use std::sync::{mpsc, Arc};
+    use std::sync::{mpsc, Arc, Mutex};
 
     use super::*;
     use crate::config::SummaryKind;

@@ -2,12 +2,12 @@
 //!
 //! Mergeability (PODS'12, Definition 1) is exactly what makes this design
 //! correct: the thread that receives a batch absorbs it into one of `N`
-//! shard *delta* summaries, and a background compactor merges the deltas —
-//! in whatever order they are handed off — into one global summary. Any
+//! shard *delta* summaries, and a full delta is folded into one global
+//! summary by that same thread, in whatever order the shards fill. Any
 //! split of the stream into deltas is one more merge tree, and the error
 //! guarantee survives arbitrary merge trees, so the concurrent engine
 //! answers queries with the same `εn` bound as a single-threaded summary
-//! of the whole stream.
+//! of the whole stream. The engine starts no thread and owns no channel.
 //!
 //! One fact picks the absorb: whether the engine has a segment cube.
 //! Without one (data flow):
@@ -15,14 +15,13 @@
 //! ```text
 //! ingest(batch) ──round-robin──▶ shard 0..N delta   (absorbed by the calling
 //!                                │                   thread, under the shard lock)
-//!                                │ full delta swapped for a spare every
-//!                                │ `delta_updates` updates (bounded channel)
+//!                                │ full delta folded every `delta_updates`
+//!                                │ updates, on the same thread, and kept emptied
 //!                                ▼
-//!                             compactor ── merge ──▶ global summary
-//!                                │ publish (epoch += 1), build the next spare
-//!                                ▼
-//!                    SwapCell<Snapshot>  ◀── snapshot()/queries (reads of
-//!                                            an immutable value)
+//!                      global summary (global lock) ── version += 1
+//!                                ▲
+//!   snapshot()/queries ──────────┘ publish it as is (epoch += 1) if a fold
+//!                                  moved it, else the published Arc<Snapshot>
 //! ```
 //!
 //! With one, whatever the kind, the segment fold is the only absorb and
@@ -30,26 +29,27 @@
 //!
 //! ```text
 //! ingest(batch) ── log ──▶ cube fold (under the cube lock, in seq order)
-//!                            │ sealed segment's family  ── fold for good ──┐
-//!                            │ open segment's view, every `delta_updates`  │
-//!                            │ items and on every barrier (replaces the    ▼
-//!                            │ last one)                             compactor
-//!                            └────────── same bounded channel ──────────────┘
-//!                  publish = global ⊕ view  ──▶ SwapCell<Snapshot>
+//!                            │ sealed segment's family ── folded for good ──┐
+//!                            │ open segment's view, every `delta_updates`   │
+//!                            │ items and on every barrier (replaces the     ▼
+//!                            │ last one) ─────────────────────────▶ global summary
+//!                  read: publish = global ⊕ view ──▶ Arc<Snapshot>
 //! ```
 //!
 //! Sealed segments are folded left-deep in seq order, so a cube server's
-//! served summary is a function of the WAL order alone. Recovery hands
-//! the compactor the same parts on either engine: the checkpoint's, then
-//! the WAL tail above its cut absorbed into one summary in seq order (see
-//! `durable.rs`), so a data directory recovers to the same bytes at any
-//! shard count, cube on or off. The segment recovery leaves open feeds
+//! served summary is a function of the WAL order alone. Recovery folds the
+//! same parts on either engine, before ingest opens: the checkpoint's,
+//! then the WAL tail above its cut absorbed into one summary in seq order
+//! (see `durable.rs`), so a data directory recovers to the same bytes at
+//! any shard count, cube on or off. The segment recovery leaves open feeds
 //! only the batches folded after the restart.
 //!
-//! Readers never block writers: a query clones the current `Arc<Snapshot>`
-//! out of a [`ms_core::SwapCell`] under a briefly held lock and then works
-//! on the immutable snapshot; the compactor builds the next snapshot off
-//! to the side and swaps it in.
+//! Readers take only the global lock, and only to clone the published
+//! `Arc<Snapshot>` — or, when a fold or view moved the global summary
+//! since, to publish it first: shared as it is, or, on a cube server, ⊕
+//! the view in a copy — and then work on the immutable snapshot. A fold
+//! copies a global summary that a published snapshot still shares before
+//! it writes (copy-on-write), so no snapshot ever changes.
 //!
 //! ## Stages
 //!
@@ -58,9 +58,9 @@
 //!
 //! | File | Stage | Ledger rows |
 //! |------|-------|-------------|
-//! | `ingest.rs` | shed, log, absorb into a shard delta and hand off full deltas (on a cube server: log and fold) | `engine.ingest`, `summary.update_batch`, `cube.fold` |
+//! | `ingest.rs` | shed, log, absorb into a shard delta and fold full deltas (on a cube server: log and fold) | `engine.ingest`, `summary.update_batch`, `cube.fold` |
 //! | `durable.rs` | WAL group commit, checkpoints, segment files, recovery | `wal.append`, `checkpoint.write`, `segment.write` |
-//! | `compactor.rs` | fold recovered parts, deltas and sealed segments, publish snapshots (with the open view), ready spares; the shared barrier | `compactor.merge_many`, `swap.publish` |
+//! | `compactor.rs` | the global summary: fold recovered parts, deltas and sealed segments, keep the open view, publish snapshots on reads; the shared barrier | `compactor.merge_many`, `swap.publish` |
 //! | `audit.rs` | accuracy self-audit against ground truth | — |
 //!
 //! This file holds the engine itself: start, the public methods, the
@@ -72,14 +72,14 @@
 //!
 //! The engine is built to *degrade*, not die. A shard absorb that panics
 //! inside a summary (or is told to fail by [`crate::FaultPlan`]) loses
-//! only that shard's un-handed-off delta and the batch in hand; a fresh delta takes
-//! their place and the calling connection keeps serving. Every delta
-//! already merged by the compactor stays in the published snapshot, which
-//! remains a valid `ε·n'` summary of the `n'` updates that survived — that
-//! is the mergeability theorem doing systems work. Each such loss counts
-//! once in [`MetricsReport::shards_lost`]. Fallible operations return
-//! [`ServiceError`] instead of panicking, and internal locks tolerate
-//! poisoning.
+//! only that shard's unfolded delta and the batch in hand; a fresh delta
+//! takes their place and the calling connection keeps serving. Every delta
+//! already folded stays in the global summary, and so in every snapshot
+//! published from it, which remains a valid `ε·n'` summary of the `n'`
+//! updates that survived — that is the mergeability theorem doing systems
+//! work. Each such loss counts once in [`MetricsReport::shards_lost`].
+//! Fallible operations return [`ServiceError`] instead of panicking, and
+//! internal locks tolerate poisoning.
 //!
 //! ## Hot path
 //!
@@ -93,24 +93,25 @@
 //! fixed handful of short mutex sections, each paid once per *batch*,
 //! never per item: the pause lock (read), the item-buffer pool
 //! ([`ms_core::BufferPool`]) and the shard lock — plus, once per
-//! `delta_updates` updates, the spare slot and one bounded-channel send.
-//! On a cube server the cube lock takes the shard lock's place, and
-//! the bounded-channel send (a view, or a sealed segment's family) is
-//! made under it; the family is cloned for it, once per `delta_updates`
-//! items and once per seal. Each item is summarised once.
-//! Durable appends go through leader–follower group commit
+//! `delta_updates` updates, the global lock, under which the full delta is
+//! folded and emptied in place (a hybrid quantile delta is replaced by a
+//! fresh one instead). The one allocation left is the copy-on-write copy
+//! of the global summary, by the first fold after each read's publish. On
+//! a cube server the cube lock takes the shard
+//! lock's place, and the global lock is taken under it to replace the view
+//! or fold a sealed segment's family; the family is cloned for it, once
+//! per `delta_updates` items and once per seal. Each item is summarised
+//! once. Durable appends go through leader–follower group commit
 //! ([`ms_store::GroupCommit`]) so the store mutex is amortized across
 //! concurrent callers. One durable ingest in `checkpoint_batches`, the one
 //! whose append crosses the cadence, also writes the checkpoint before its
 //! ack. See DESIGN.md §Hot path for the per-batch budget.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, SyncSender};
-use std::sync::{Arc, Mutex, RwLock, Weak};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use ms_core::{lock, BufferPool, ServiceError, Summary, SwapCell};
+use ms_core::{lock, BufferPool, ServiceError, Summary};
 use ms_obs::RegistrySnapshot;
 
 use crate::config::{ServiceConfig, SummaryKind};
@@ -128,8 +129,7 @@ mod ingest;
 pub use durable::RecoveryReport;
 
 use audit::AuditPlane;
-pub(crate) use compactor::CompactMsg;
-use compactor::HANDOFF_SLOTS;
+pub(crate) use compactor::Global;
 use durable::Durable;
 use ingest::Shard;
 
@@ -158,7 +158,8 @@ pub struct MetricsReport {
     /// Always 0: nothing drops an accepted batch. The field keeps its
     /// wire slot.
     pub dropped: u64,
-    /// Delta merges the compactor performed.
+    /// Parts folded into the global summary: shard deltas, sealed
+    /// segments' families and recovered parts.
     pub merges: u64,
     /// Epoch of the current snapshot.
     pub epoch: u64,
@@ -167,7 +168,7 @@ pub struct MetricsReport {
     /// Total weight visible in the current snapshot.
     pub snapshot_weight: u64,
     /// Shard absorbs that failed (a panic inside a summary or an
-    /// injected fault), each losing its shard's un-handed-off delta.
+    /// injected fault), each losing its shard's unfolded delta.
     pub shards_lost: u64,
     /// Wire frames the server rejected as malformed.
     pub frames_rejected: u64,
@@ -202,27 +203,20 @@ impl MetricsReport {
 /// Idle `Vec<u64>` buffers the item pool keeps at most.
 const ITEM_POOL_SLOTS: usize = 8;
 
-/// The engine: owns the shard deltas and the compactor thread. Cheap to
-/// share as `Arc<Engine>`; all public methods take `&self`.
+/// The engine: owns the shard deltas and the global summary. It starts no
+/// thread. Cheap to share as `Arc<Engine>`; all public methods take
+/// `&self`.
 pub struct Engine {
-    /// The engine itself, as its compactor thread holds it: a `Weak`, so
-    /// the engine is freed once its callers drop it, shut down or not.
-    me: Weak<Engine>,
     cfg: ServiceConfig,
-    /// One per shard: the delta ingesting threads absorb into, and the
-    /// spare the compactor readies for its next hand-off. Empty on a cube
-    /// server, whose cube is its absorb.
-    shards: Vec<Shard>,
-    /// Cached plain sender, never locked; a bounded channel, so a send
-    /// does not allocate. The compactor exits on [`CompactMsg::Stop`],
-    /// after which sends fail with a disconnect the callers map to
-    /// [`ServiceError::Shutdown`].
-    compact_tx: SyncSender<CompactMsg>,
+    /// One per shard: the delta ingesting threads absorb into. Empty on a
+    /// cube server, whose cube is its absorb.
+    shards: Vec<Mutex<Shard>>,
+    /// The global summary every part is folded into, and the snapshot
+    /// published from it (the cube holds it too, to fold into).
+    global: Arc<Global>,
     /// Recycled item buffers (`Vec<u64>`): what [`Engine::ingest_buffer`]
     /// lends an in-process caller, and what a received frame decodes into.
     item_pool: BufferPool<u64>,
-    /// The published snapshot. Only the compactor swaps it.
-    snapshot: SwapCell<Snapshot>,
     next_shard: AtomicUsize,
     stopped: AtomicBool,
     /// Every ingest holds this for read from its `stopped` check to the
@@ -233,7 +227,6 @@ pub struct Engine {
     /// Held for the whole drain: a concurrent second `shutdown` blocks on
     /// it and then observes the fully drained snapshot, never a partial one.
     shutdown_lock: Mutex<()>,
-    compactor_handle: Mutex<Option<JoinHandle<()>>>,
     telemetry: Arc<EngineTelemetry>,
     /// Admission control / load shedding (permissive unless
     /// [`ServiceConfig::overload`] sets caps or watermarks).
@@ -248,18 +241,18 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Start the compactor thread for `cfg`. With durability configured
-    /// this also opens the data directory and recovers its state (newest
-    /// valid checkpoint merged back, WAL tail replayed — see
-    /// [`Engine::recovery`]).
+    /// Start an engine for `cfg`. With durability configured this also
+    /// opens the data directory and recovers its state (newest valid
+    /// checkpoint merged back, WAL tail replayed — see
+    /// [`Engine::recovery`]) before it returns.
     pub fn start(cfg: ServiceConfig) -> Result<Arc<Engine>, ServiceError> {
         cfg.check()?;
         let telemetry = Arc::new(match cfg.segments {
             Some(_) => EngineTelemetry::for_cube(cfg.telemetry, cfg.seed),
             None => EngineTelemetry::new(cfg.shards, cfg.telemetry, cfg.seed),
         });
-        // Open the store and scan before any thread starts; the recovered
-        // state is applied below once the compactor runs to receive it.
+        // Open the store and scan; the recovered state is applied below,
+        // once the engine exists to fold it.
         let cube = (cfg.segments.clone()).map(|scfg| SegmentCube::new(cfg.epsilon, cfg.seed, scfg));
         let (cube, opened) = Durable::open(&cfg, cube, &telemetry)?;
         let (durable, recovered) = opened.unzip();
@@ -271,22 +264,16 @@ impl Engine {
             telemetry.queue_depth_gauges(),
             (cfg.shards * cfg.queue_depth) as u64,
         ));
-        let (compact_tx, compact_rx) = mpsc::sync_channel::<CompactMsg>(HANDOFF_SLOTS);
         let shards = match cube {
             Some(_) => Vec::new(),
-            None => (0..cfg.shards).map(|s| Shard::new(&cfg, s)).collect(),
+            None => (0..cfg.shards)
+                .map(|s| Mutex::new(Shard::new(&cfg, s)))
+                .collect(),
         };
 
-        let engine = Arc::new_cyclic(|me| Engine {
-            me: me.clone(),
-            snapshot: SwapCell::new(Snapshot {
-                epoch: 0,
-                summary: ShardSummary::new(&cfg, usize::MAX),
-                lineage: MergeLineage::default(),
-                published_at: Instant::now(),
-            }),
+        let engine = Arc::new(Engine {
             shards,
-            compact_tx,
+            global: Arc::new(Global::new(&cfg, &telemetry)),
             // A caller holds an item buffer only for the length of one
             // call, so a few slots cover every thread that ingests at once.
             item_pool: BufferPool::new(cfg.pool_buffers.min(ITEM_POOL_SLOTS)),
@@ -294,7 +281,6 @@ impl Engine {
             stopped: AtomicBool::new(false),
             pause: RwLock::new(()),
             shutdown_lock: Mutex::new(()),
-            compactor_handle: Mutex::new(None),
             telemetry,
             admission,
             audit: AuditPlane::new(&cfg),
@@ -303,15 +289,14 @@ impl Engine {
             cfg,
         });
 
-        *lock(&engine.compactor_handle) = Some(engine.spawn_compactor(compact_rx)?);
         if let Some(recovery) = recovered {
             engine.recover(recovery)?;
         }
         // Whatever recovery rebuilt is in the global summary; from here on
         // the cube's folds are the engine's only absorb.
         if let Some(cube) = &engine.cube {
-            let tx = engine.compact_tx.clone();
-            cube.start_feed(tx, engine.cfg.kind, engine.cfg.delta_updates as u64);
+            let global = Arc::clone(&engine.global);
+            cube.start_feed(global, engine.cfg.kind, engine.cfg.delta_updates as u64);
         }
         Ok(engine)
     }
@@ -364,13 +349,13 @@ impl Engine {
         outcome
     }
 
-    /// Hand every shard's delta to the compactor and publish a fresh
-    /// snapshot containing all data ingested before this call.
+    /// Fold every shard's delta into the global summary and publish a
+    /// fresh snapshot containing all data ingested before this call.
     pub fn flush(&self) -> Result<(), ServiceError> {
         if self.stopped.load(Ordering::Acquire) {
             return Err(ServiceError::Shutdown);
         }
-        self.barrier()?.recv().map_err(|_| ServiceError::Shutdown)?;
+        self.barrier();
         Ok(())
     }
 
@@ -386,10 +371,14 @@ impl Engine {
         self.perform_checkpoint(d)
     }
 
-    /// The current snapshot. The lock is held only to clone the `Arc`.
-    /// Always answers, even after shutdown or a panicking absorb.
+    /// The current snapshot: what the shards have folded so far (on a
+    /// cube server, with the open view), published first by this call if
+    /// a fold moved the global summary since the last publish. Only the
+    /// global lock is taken. Always answers, even after shutdown or a
+    /// panicking absorb; once the engine is stopped, with the last
+    /// snapshot it published.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.snapshot.load()
+        self.global.snapshot(!self.stopped.load(Ordering::Acquire))
     }
 
     /// Answer a time-range query from the segment cube: merge the minimal
@@ -535,12 +524,12 @@ impl Engine {
         }
     }
 
-    /// Drain everything, stop all threads, and return the final snapshot.
+    /// Drain everything, stop ingest, and return the final snapshot.
     /// Idempotent; later calls just return the current snapshot.
     ///
     /// Clean shutdown is lossless: stop waits out every ingest already
     /// past its `stopped` check — including ones that will be acked while
-    /// shutdown is starting — before the final barrier hands off every
+    /// shutdown is starting — before the final barrier folds every
     /// shard's delta. A durable engine then writes a final checkpoint
     /// and fsyncs the WAL regardless of policy, so a restart restores
     /// exactly what this snapshot holds.
@@ -549,7 +538,7 @@ impl Engine {
         self.snapshot()
     }
 
-    /// Simulate a hard crash (`kill -9`): stop every thread *without* the
+    /// Simulate a hard crash (`kill -9`): stop ingest *without* the
     /// final flush, checkpoint, or fsync that [`Engine::shutdown`]
     /// performs. On-disk state is whatever the fsync policy already made
     /// durable — exactly the state recovery must be able to live with.
@@ -561,12 +550,13 @@ impl Engine {
 
     /// The stop path `shutdown` and `abort` share: wait out a checkpoint in
     /// flight (the checkpoint lock, held to the end, so none starts after
-    /// it) and the ingests in flight (the pause lock for write), then stop
-    /// and join the compactor. A `clean` stop first publishes every
-    /// shard's delta and checkpoints that snapshot; otherwise queries
-    /// keep answering from the last published snapshot, like a real crash
-    /// survivor's client would have seen. Only the first call stops
-    /// anything; a racing second one waits until the first is done.
+    /// it) and the ingests in flight (the pause lock for write). A `clean`
+    /// stop then publishes every shard's delta and checkpoints that
+    /// snapshot. Either way no read publishes once `stopped` is set: after
+    /// an abort, queries keep answering from the last published snapshot,
+    /// like a real crash survivor's client would have seen. Only the first
+    /// call stops anything; a racing second one waits until the first is
+    /// done.
     fn stop(&self, clean: bool) {
         let _draining = lock(&self.shutdown_lock);
         if self.stopped.swap(true, Ordering::AcqRel) {
@@ -577,28 +567,16 @@ impl Engine {
         // Every ingest checks `stopped` under the pause lock, so once the
         // write lock is ours none is absorbing and none will again.
         drop(self.pause.write().unwrap_or_else(|e| e.into_inner()));
-        let published = clean.then(|| self.barrier().map(|rx| rx.recv()));
-        if let (Some(Ok(Ok(merged))), Some(d)) = (published, &self.durable) {
-            // The final checkpoint fsyncs the WAL whatever the policy.
-            let cut = lock(&d.store).wal.last_seq();
-            if self.write_checkpoint(&merged, cut).is_err() {
-                self.telemetry.event("final_checkpoint_failed", &[]);
+        if clean {
+            let merged = self.barrier();
+            if let Some(d) = &self.durable {
+                // The final checkpoint fsyncs the WAL whatever the policy.
+                let cut = lock(&d.store).wal.last_seq();
+                if self.write_checkpoint(&merged, cut).is_err() {
+                    self.telemetry.event("final_checkpoint_failed", &[]);
+                }
             }
         }
-        let _ = self.compact_tx.send(CompactMsg::Stop);
-        if let Some(handle) = lock(&self.compactor_handle).take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Engine {
-    /// An engine dropped without a shutdown: tell the compactor to stop,
-    /// without waiting for it (this may run on the compactor thread
-    /// itself, as the last holder). A full channel needs no sentinel: the
-    /// compactor's next receive finds the engine gone.
-    fn drop(&mut self) {
-        let _ = self.compact_tx.try_send(CompactMsg::Stop);
     }
 }
 
@@ -740,8 +718,8 @@ pub(super) mod tests {
             .map(|h| h.count)
             .sum();
         assert_eq!(waited, 40, "every dequeue must record its queue wait");
-        // 1000 updates at delta_updates=100 hand off at least once per
-        // shard that saw data; each hand-off is one compactor merge.
+        // 1000 updates at delta_updates=100 fold at least once per shard
+        // that saw data; each fold is one merge into the global summary.
         let merges = snap.histogram("compact_merge_micros").unwrap();
         assert!(merges.count >= 1);
         assert_eq!(snap.gauge("epoch"), Some(engine.snapshot().epoch as i64));
@@ -838,8 +816,9 @@ pub(super) mod tests {
         engine.shutdown();
     }
 
-    /// The compactor holds the engine weakly: once its last `Arc` goes
-    /// without a shutdown, the engine is freed and the compactor exits.
+    /// Nothing inside the engine holds it: once its last `Arc` goes
+    /// without a shutdown, the engine is freed on the spot, and with it
+    /// the global summary its cube folded into.
     #[test]
     fn dropping_the_last_arc_frees_the_engine_and_ends_its_threads() {
         let dir = temp_data_dir("leak");
@@ -850,19 +829,13 @@ pub(super) mod tests {
         }
         engine.checkpoint_now().unwrap();
         let weak = Arc::downgrade(&engine);
-        let compactor = lock(&engine.compactor_handle).take().unwrap();
+        let global = Arc::downgrade(&engine.global);
         drop(engine);
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while weak.strong_count() > 0 || !compactor.is_finished() {
-            assert!(
-                Instant::now() < deadline,
-                "engine still held ({}) or a thread still running",
-                weak.strong_count()
-            );
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(weak.upgrade().is_none());
-        compactor.join().unwrap();
+        assert!(weak.upgrade().is_none(), "the engine is still held");
+        assert!(
+            global.upgrade().is_none(),
+            "the global summary is still held"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -26,7 +26,7 @@ pub enum FaultAction {
     /// gauge rises).
     StallMs(u64),
     /// Fail the absorb as a panic inside the summary would: the shard's
-    /// un-handed-off delta and this batch are lost — exactly what a
+    /// unfolded delta and this batch are lost — exactly what a
     /// crashed shard loses.
     Die,
 }
@@ -34,7 +34,7 @@ pub enum FaultAction {
 /// A deterministic schedule of injected faults.
 ///
 /// Implementations must be `Send + Sync` (consulted concurrently from every
-/// ingesting thread and the compactor) and should derive their answers only
+/// ingesting thread) and should derive their answers only
 /// from the arguments, so the same seed replays the same schedule.
 pub trait FaultPlan: Send + Sync + fmt::Debug {
     /// Consulted inside `shard`'s absorb of a batch, under its lock: a
@@ -46,8 +46,11 @@ pub trait FaultPlan: Send + Sync + fmt::Debug {
         FaultAction::Continue
     }
 
-    /// Consulted by the compactor before merge number `merge_index`.
-    /// Returns a stall in milliseconds (0 = no fault).
+    /// Consulted before fold number `merge_index` into the global summary,
+    /// on the thread that folds — an ingesting thread, under its shard's
+    /// or the cube's lock and the global lock, or recovery. Returns a
+    /// stall in milliseconds (0 = no fault): visibility waits, and so do
+    /// that shard's ingests and every read.
     fn compactor_merge(&self, merge_index: u64) -> u64 {
         let _ = merge_index;
         0

@@ -5,17 +5,18 @@
 //! summary that the thread receiving a batch absorbs it into, of one of
 //! four kinds ([`SummaryKind`]), held in three counter types: a
 //! SpaceSaving summary is the Misra-Gries table it is a view of (PODS'12
-//! §3, Lemma 1); a background **compactor** merges handed-off deltas into
-//! a global summary and publishes immutable [`Snapshot`]s behind an `Arc`,
-//! so queries never block ingest. An engine with a segment cube
+//! §3, Lemma 1); a full delta is folded into one **global** summary by the
+//! thread that filled it, and a read publishes the global summary as an
+//! immutable [`Snapshot`] behind an `Arc` whenever a fold moved it. The
+//! engine starts no thread of its own. An engine with a segment cube
 //! ([`SegmentCube`]) has no shards: the cube's sealed segments and its
 //! open one are the parts. Because summaries are mergeable under
 //! *arbitrary* merge trees (PODS'12, Definition 1), the nondeterministic
-//! interleaving of concurrent writers' shard hand-offs does not degrade
+//! interleaving of concurrent writers' shard folds does not degrade
 //! the `εn` error bound — the differential tests in `tests/` check the
 //! concurrent engine against a single-threaded reference on the same
 //! stream. Everything else is deterministic: a cube server folds in
-//! batch-seq order, one writer's hand-offs arrive in its send order, and
+//! batch-seq order, one writer's deltas fold in its send order, and
 //! recovery folds the checkpoint and then the replayed WAL tail, so those
 //! serve the same bytes on every run.
 //!
@@ -25,7 +26,7 @@
 //! `mergeable bench-client`.
 //!
 //! The same mergeability argument covers *failure*: a failed shard absorb
-//! loses only its shard's un-handed-off delta, and the deltas already
+//! loses only its shard's unfolded delta, and the deltas already
 //! merged stay, so the engine degrades to a valid summary of the surviving updates
 //! instead of dying. The [`fault`] module defines the injection seams
 //! ([`FaultPlan`]) the `ms-faultsim` harness drives to prove that under

@@ -1,5 +1,5 @@
 //! Runtime-dispatched summary: one enum over the four kinds the engine can
-//! maintain, so shards, the compactor, and the wire protocol handle any
+//! maintain, so shards, the global summary and the wire protocol handle any
 //! configured kind uniformly. Four kinds, three counter types: a
 //! SpaceSaving summary is held as the Misra-Gries table it is a view of
 //! (§3 Lemma 1), so the two kinds share every update, merge and size, and
@@ -190,7 +190,7 @@ impl ShardSummary {
     }
 
     /// In-place merge: fold `other` into `self` without reallocating
-    /// `self`'s storage — the compactor's steady-state path. On error
+    /// `self`'s storage. On error
     /// (kind or parameter mismatch) `self` is left untouched.
     pub fn merge_in_place(&mut self, other: ShardSummary) -> ms_core::Result<()> {
         match (self, other) {
@@ -201,6 +201,24 @@ impl ShardSummary {
             _ => Err(MergeError::Incompatible(
                 "cannot merge summaries of different kinds",
             )),
+        }
+    }
+
+    /// [`ShardSummary::merge_in_place`] for a delta that stays in use:
+    /// `other` is left empty to absorb into again. Misra-Gries, SpaceSaving
+    /// and Count-Min empty in place, keeping their storage, so a
+    /// steady-state fold allocates nothing; a hybrid quantile summary is
+    /// replaced by `fresh()`, since its sampler state cannot be emptied.
+    pub fn merge_drain(
+        &mut self,
+        other: &mut ShardSummary,
+        fresh: impl FnOnce() -> ShardSummary,
+    ) -> ms_core::Result<()> {
+        match (self, other) {
+            (ShardSummary::Mg(a), ShardSummary::Mg(b))
+            | (ShardSummary::SpaceSaving(a), ShardSummary::SpaceSaving(b)) => a.merge_drain(b),
+            (ShardSummary::CountMin(a), ShardSummary::CountMin(b)) => a.merge_drain(b),
+            (summary, other) => summary.merge_in_place(std::mem::replace(other, fresh())),
         }
     }
 
@@ -400,6 +418,29 @@ mod tests {
             assert!(matches!(err, MergeError::Incompatible(_)));
             assert_eq!(acc.total_weight(), 500, "self untouched on mismatch");
             assert_eq!(acc.encode(), before, "{} into {}", b.label(), a.label());
+        }
+    }
+
+    /// A drained delta holds nothing, and refilled it folds to the bytes
+    /// a fresh delta would: the global summary cannot tell them apart.
+    #[test]
+    fn merge_drain_leaves_a_delta_that_refills_like_a_fresh_one() {
+        for kind in SummaryKind::all() {
+            let cfg = ServiceConfig::new(kind, 0.05);
+            let fresh = || ShardSummary::new(&cfg, 0);
+            let (mut drained, mut consumed) = (filled(kind), filled(kind));
+            let mut delta = filled(kind);
+            drained.merge_drain(&mut delta, fresh).unwrap();
+            consumed.merge_in_place(filled(kind)).unwrap();
+            assert_eq!(drained.encode(), consumed.encode(), "{}", kind.label());
+            assert_eq!(delta.total_weight(), 0, "{}", kind.label());
+            assert_eq!(delta.encode(), fresh().encode(), "{}", kind.label());
+            let mut refilled = fresh();
+            let batch: Vec<u64> = (0..300).map(|i| i % 17).collect();
+            for summary in [&mut delta, &mut refilled] {
+                summary.update_batch(&batch);
+            }
+            assert_eq!(delta.encode(), refilled.encode(), "{}", kind.label());
         }
     }
 

@@ -1,7 +1,7 @@
 //! Differential tests: the sharded concurrent engine must satisfy the same
 //! paper error bounds as a single-threaded summary of the identical seeded
 //! stream. This is the mergeability theorem made operational — the split
-//! into shard deltas and the order of their hand-offs is just one more
+//! into shard deltas and the order of their folds is just one more
 //! arbitrary merge tree, so it cannot degrade the `εn` guarantee.
 
 use ms_core::{FrequencyOracle, Summary};

@@ -142,8 +142,8 @@ fn clean_shutdown_preserves_every_acked_batch() {
             std::thread::sleep(Duration::from_micros(rng.below(2_000)));
             let snap = engine.shutdown();
             let acked = pusher.join().unwrap();
-            // Clean shutdown waits out in-flight absorbs and hands off every
-            // delta before the compactor exits: the final snapshot holds
+            // Clean shutdown waits out in-flight absorbs and folds every
+            // delta before it publishes: the final snapshot holds
             // *exactly* the acked batches — an Ok ingest is never lost, a
             // rejected one never counted.
             assert_eq!(
@@ -209,9 +209,8 @@ fn drop_without_shutdown_does_not_hang_the_process() {
             let engine = small_engine(SummaryKind::CountMin, i);
             engine.ingest(vec![5; 100]).unwrap();
             // Dropping the last caller's Arc without calling shutdown
-            // leaks no lock and blocks nothing: the compactor holds the
-            // engine weakly, so the engine is freed here and the thread,
-            // told to stop by the drop, exits.
+            // leaks no lock and blocks nothing: the engine starts no
+            // thread and nothing inside it holds it, so it is freed here.
             drop(engine);
         }
     });

@@ -150,10 +150,19 @@ impl<I: Hash> CountMinSketch<I> {
     /// In-place cell-wise merge — the same result as [`Mergeable::merge`]
     /// without moving the table. On error (shape or seed mismatch) `self`
     /// is left untouched.
-    pub fn merge_from(&mut self, other: Self) -> Result<()> {
-        self.check_compatible(&other)?;
+    pub fn merge_from(&mut self, mut other: Self) -> Result<()> {
+        self.merge_drain(&mut other)
+    }
+
+    /// [`Self::merge_from`] that leaves `other` empty instead of consuming
+    /// it: its cells are zeroed in place, so a delta folded this way and
+    /// updated again allocates nothing. On error both are left untouched.
+    pub fn merge_drain(&mut self, other: &mut Self) -> Result<()> {
+        self.check_compatible(other)?;
         simd::add_slices(&mut self.table, &other.table);
         self.n += other.n;
+        other.table.fill(0);
+        other.n = 0;
         Ok(())
     }
 

@@ -4,7 +4,7 @@
 //! seeded Zipf workload at it through the wire-protocol client, and
 //! checks the snapshot's heavy hitters against an exact oracle — the
 //! concurrent rendition of the paper's merge guarantee (the scheduler's
-//! interleaving of shard hand-offs is just another merge tree).
+//! interleaving of shard folds is just another merge tree).
 //!
 //! Run with: `cargo run --release --example live_service`
 

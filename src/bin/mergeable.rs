@@ -90,10 +90,9 @@ USAGE:
                   [--audit] [--data-dir DIR] [--fsync always|every:N|never]
                   [--checkpoint-batches N] [--segment-batches N] [--segment-secs N]
                   [--coarsen-watermark N] [--max-inflight N] [--max-inflight-per-conn N]
-                  [--shed-watermark F] [--ingest-watermark F] [--retry-after-micros U]
-  mergeable serve --coordinator --nodes H:P,H:P,... [--addr A] [--replicas]
-                  [--ping-interval-ms N] [--seed S]
-  mergeable bench-client --addr A [--items N] [--batch B] [--seed S] [--zipf S]
+                  [--shed-watermark F] [--ingest-watermark F]
+  mergeable serve --coordinator --nodes H:P,H:P,... [--addr A] [--replicas] [--seed S]
+  mergeable bench-client --addr A [--items N] [--batch B] [--seed S]
   mergeable metrics --addr A [--prom | --accuracy]
   mergeable metrics --cluster --nodes H:P,H:P,... [--prom]
   mergeable trace --addr A [--nodes H:P,H:P,...] [--json]
@@ -153,11 +152,11 @@ weight, Definition 1) so resident memory stays bounded under sustained
 ingest.
 
 `serve --max-inflight N` (and `--max-inflight-per-conn`,
-`--shed-watermark F`, `--ingest-watermark F`, `--retry-after-micros U`)
-turn on the **overload control plane**: requests beyond the in-flight
-caps, or arriving while queue pressure is above the watermark for their
-class (queries shed first, ingest last, control never), are refused
-with a typed `Overloaded{retry-after}` answer instead of queueing —
+`--shed-watermark F`, `--ingest-watermark F`) turn on the **overload
+control plane**: requests beyond the in-flight caps, or arriving while
+queue pressure is above the watermark for their class (queries shed
+first, ingest last, control never), are refused with a typed
+`Overloaded{retry-after}` answer instead of queueing —
 and a request whose propagated deadline budget is already spent is shed
 before dispatch. Shed/admit counters appear in `mergeable metrics`.
 
@@ -504,12 +503,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let max_inflight_per_conn = take_flag(&mut args, "--max-inflight-per-conn");
     let shed_watermark = take_flag(&mut args, "--shed-watermark");
     let ingest_watermark = take_flag(&mut args, "--ingest-watermark");
-    let retry_after = take_flag(&mut args, "--retry-after-micros");
     if max_inflight.is_some()
         || max_inflight_per_conn.is_some()
         || shed_watermark.is_some()
         || ingest_watermark.is_some()
-        || retry_after.is_some()
     {
         let mut ocfg = OverloadConfig::default();
         if let Some(v) = &max_inflight {
@@ -531,12 +528,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             ocfg = ocfg.ingest_watermark(
                 v.parse()
                     .map_err(|e| format!("bad --ingest-watermark: {e}"))?,
-            );
-        }
-        if let Some(v) = &retry_after {
-            ocfg = ocfg.retry_after_micros(
-                v.parse()
-                    .map_err(|e| format!("bad --retry-after-micros: {e}"))?,
             );
         }
         cfg = cfg.overload(ocfg);
@@ -658,12 +649,6 @@ fn cmd_serve_coordinator(mut args: Vec<String>) -> Result<(), String> {
     if take_switch(&mut args, "--replicas") {
         cfg = cfg.replicas(true);
     }
-    if let Some(millis) = take_flag(&mut args, "--ping-interval-ms") {
-        let millis: u64 = millis
-            .parse()
-            .map_err(|e| format!("bad --ping-interval-ms: {e}"))?;
-        cfg = cfg.ping_interval((millis > 0).then(|| std::time::Duration::from_millis(millis)));
-    }
     if let Some(seed) = take_flag(&mut args, "--seed") {
         cfg = cfg.seed(seed.parse().map_err(|e| format!("bad --seed: {e}"))?);
     }
@@ -706,16 +691,12 @@ fn cmd_bench_client(args: &[String]) -> Result<(), String> {
         Some(v) => v.parse().map_err(|e| format!("bad --seed: {e}"))?,
         None => 42,
     };
-    let zipf: f64 = match take_flag(&mut args, "--zipf") {
-        Some(v) => v.parse().map_err(|e| format!("bad --zipf: {e}"))?,
-        None => 1.1,
-    };
     if !args.is_empty() {
         return Err(format!("unexpected arguments: {args:?}"));
     }
 
     let stream = StreamKind::Zipf {
-        s: zipf,
+        s: 1.1,
         universe: 1 << 20,
     }
     .generate(items, seed);

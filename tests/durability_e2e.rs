@@ -322,8 +322,8 @@ fn a_streamed_space_saving_checkpoint_part_still_adopts() {
 
 #[test]
 fn multi_part_checkpoint_set_recovers_and_the_next_set_is_one_part() {
-    // Engines before the compactor stopped keeping per-shard accumulators
-    // wrote one checkpoint part per shard. Plant exactly that — three
+    // Older engines kept per-shard accumulators and wrote one checkpoint
+    // part per shard. Plant exactly that — three
     // shard summaries at cut 20, same file format — beside a WAL holding
     // 30 batches, and recover from it.
     let dir = scratch_dir("multi-part");

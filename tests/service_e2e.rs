@@ -3,7 +3,7 @@
 //! 4-shard engine, and the published snapshot must answer heavy-hitter and
 //! quantile queries within the paper's error bounds — the merge guarantee
 //! (PODS'12 Definition 1) is exactly what makes the nondeterministic
-//! interleaving of concurrent writers' shard hand-offs harmless. One
+//! interleaving of concurrent writers' shard folds harmless. One
 //! writer, by contrast, is served the same bytes on every run. The
 //! snapshot must also survive a trip through the binary wire codec for
 //! every family, and a panic inside one shard's absorb must cost that
@@ -11,11 +11,12 @@
 
 use std::sync::Arc;
 
-use mergeable_summaries::core::{FrequencyOracle, RankOracle, Summary, Wire};
+use mergeable_summaries::core::{crc32, FrequencyOracle, RankOracle, Summary, Wire};
 use mergeable_summaries::service::{
-    plan_fn, Client, DurabilityConfig, Engine, FaultAction, FsyncPolicy, Request, Response, Server,
-    ServiceConfig, ShardSummary, SummaryKind,
+    plan_fn, Client, DurabilityConfig, Engine, FaultAction, FsyncPolicy, ManualClock, Request,
+    Response, SegmentConfig, Server, ServiceConfig, ShardSummary, SummaryKind,
 };
+use mergeable_summaries::store::CheckpointStore;
 use mergeable_summaries::workloads::StreamKind;
 
 mod support;
@@ -144,8 +145,8 @@ fn snapshots_survive_the_wire_codec() {
 }
 
 /// One writer on a cube-off engine: its batches reach the shards
-/// round-robin in send order, each shard hands off at the same points and
-/// the compactor folds the hand-offs in send order, so every run at a
+/// round-robin in send order, and each shard folds its delta into the
+/// global summary at the same points, in send order, so every run at a
 /// given shard count is served the same `Request::Summary` bytes. A
 /// durable engine too: its cadence checkpoint runs on the ingest that
 /// crosses the cadence, so its barrier cuts the deltas at the same batch.
@@ -246,4 +247,104 @@ fn a_panicking_absorb_is_acked_and_costs_at_most_one_delta() {
         acked - weight <= (DELTA + BATCH) as u64,
         "acked {acked}, final weight {weight}"
     );
+}
+
+/// `(length, CRC-32)` of `bytes`.
+fn fingerprint(bytes: &[u8]) -> (usize, u32) {
+    (bytes.len(), crc32(bytes))
+}
+
+/// What one writer is given back, per kind: the checkpoint set
+/// `checkpoint_now` writes halfway through the stream (its WAL cut and
+/// the fingerprint of each part) and the flushed snapshot's encoding at
+/// the end. Cube off, a label names the shard count; cube on, "cube".
+type Served = (
+    &'static str,
+    &'static str,
+    (u64, Vec<(usize, u32)>),
+    (usize, u32),
+);
+
+/// One writer, durable, every kind: cube off at 1, 2 and 4 shards, and
+/// cube on. The checkpoint cuts every delta short mid-stream, so these
+/// pin where a barrier cuts as well as the fold order, whatever the
+/// engine's threads. The checkpoint's epoch is left out: it counts
+/// publishes, not data.
+#[test]
+fn one_writer_is_served_pinned_bytes_at_every_shard_count_and_with_a_cube() {
+    let items = zipf(48 * 1_024, SEED);
+    let mut served: Vec<Served> = Vec::new();
+    for kind in SummaryKind::all() {
+        for (label, shards, cube) in [
+            ("1", 1, false),
+            ("2", 2, false),
+            ("4", 4, false),
+            ("cube", 2, true),
+        ] {
+            let dir = scratch_dir(&format!("pinned-{}-{label}", kind.label()));
+            let mut cfg = ServiceConfig::new(kind, EPS)
+                .shards(shards)
+                .delta_updates(4_096)
+                .seed(SEED)
+                .durability(
+                    DurabilityConfig::new(&dir)
+                        .fsync(FsyncPolicy::Never)
+                        .checkpoint_batches(1 << 30),
+                );
+            if cube {
+                cfg = cfg.segments(
+                    SegmentConfig::new()
+                        .seal_batches(8)
+                        .clock(Arc::new(ManualClock::new(0))),
+                );
+            }
+            let engine = Engine::start(cfg).expect("engine start");
+            let (first, second) = items.split_at(23 * 1_024 + 300);
+            for batch in first.chunks(1_000) {
+                engine.ingest(batch.to_vec()).unwrap();
+            }
+            engine.checkpoint_now().unwrap();
+            let set = CheckpointStore::open(dir.join("ckpt"), false)
+                .unwrap()
+                .load_newest()
+                .unwrap()
+                .newest
+                .expect("checkpoint_now writes a set");
+            let parts = set.parts.iter().map(|part| fingerprint(part)).collect();
+            for batch in second.chunks(1_000) {
+                engine.ingest(batch.to_vec()).unwrap();
+            }
+            engine.flush().unwrap();
+            let snapshot = engine.snapshot();
+            assert_eq!(snapshot.summary.total_weight(), items.len() as u64);
+            let summary = fingerprint(&snapshot.summary.encode());
+            engine.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+            served.push((kind.label(), label, (set.wal_seq, parts), summary));
+        }
+    }
+    assert_eq!(served, pinned());
+}
+
+/// The parts' and snapshot's `(length, CRC-32)`, row by row.
+#[rustfmt::skip]
+fn pinned() -> Vec<Served> {
+    vec![
+        ("mg", "1", (24, vec![(92, 0xc421_03a4)]), (253, 0x2147_c964)),
+        ("mg", "2", (24, vec![(98, 0xf0ae_aae5)]), (242, 0xf045_388a)),
+        ("mg", "4", (24, vec![(212, 0x08f3_f86e)]), (205, 0xa6d4_cd9e)),
+        ("mg", "cube", (24, vec![(89, 0xaa52_f868)]), (151, 0xd86b_3864)),
+        ("space-saving", "1", (24, vec![(93, 0x55f2_6a67)]), (254, 0x50f4_09a5)),
+        ("space-saving", "2", (24, vec![(99, 0x4fd9_8a60)]), (243, 0x42e7_c29e)),
+        ("space-saving", "4", (24, vec![(213, 0x1a68_66be)]), (206, 0x06e6_9365)),
+        ("space-saving", "cube", (24, vec![(90, 0xe205_550f)]), (152, 0x04be_287c)),
+        ("hybrid-quantile", "1", (24, vec![(4_876, 0xe9c5_c5eb)]), (5_483, 0x91c5_cef9)),
+        ("hybrid-quantile", "2", (24, vec![(4_866, 0x68ed_5d26)]), (5_501, 0x291b_ab08)),
+        ("hybrid-quantile", "4", (24, vec![(4_862, 0x4b24_e8c7)]), (5_486, 0x3cb8_b1e9)),
+        ("hybrid-quantile", "cube", (24, vec![(4_905, 0x7795_660b)]), (5_513, 0xaef0_6c6f)),
+        ("count-min", "1", (24, vec![(1_489, 0x8f8a_5a89)]), (1_660, 0x6dc4_afea)),
+        ("count-min", "2", (24, vec![(1_489, 0x8f8a_5a89)]), (1_660, 0x6dc4_afea)),
+        ("count-min", "4", (24, vec![(1_489, 0x8f8a_5a89)]), (1_660, 0x6dc4_afea)),
+        ("count-min", "cube", (24, vec![(1_489, 0x8f8a_5a89)]), (1_660, 0x6dc4_afea)),
+    ]
 }
