@@ -2,8 +2,6 @@
 
 use std::time::Duration;
 
-use ms_service::ClientOptions;
-
 /// How a coordinator is built: the backend set and the knobs on routing,
 /// health, and transport.
 #[derive(Debug, Clone)]
@@ -21,8 +19,11 @@ pub struct ClusterConfig {
     /// pinger or a rejoin. Any failure short of it makes the node
     /// suspect.
     pub dead_after: u32,
-    /// Transport options for every backend client.
-    pub client: ClientOptions,
+    /// Deadline for opening a backend connection.
+    pub connect_timeout: Duration,
+    /// How long one exchange waits for its reply: a leg is one send and
+    /// one read, so this bounds what a silent node costs an attempt.
+    pub read_timeout: Duration,
     /// Ping cadence for the background prober; `None` disables it (tests
     /// drive health through request outcomes alone).
     pub ping_interval: Option<Duration>,
@@ -38,15 +39,16 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Defaults: no replicas, 64 vnodes, dead after 3 failures, default
-    /// client transport, 1s pings.
+    /// Defaults: no replicas, 64 vnodes, dead after 3 failures, 10s
+    /// connects, 30s reads, 1s pings.
     pub fn new<S: Into<String>>(nodes: impl IntoIterator<Item = S>) -> ClusterConfig {
         ClusterConfig {
             nodes: nodes.into_iter().map(Into::into).collect(),
             replicas: false,
             vnodes: 64,
             dead_after: 3,
-            client: ClientOptions::default(),
+            connect_timeout: Duration::from_secs(10),
+            read_timeout: Duration::from_secs(30),
             ping_interval: Some(Duration::from_secs(1)),
             seed: 0x0C00_D1E5,
             retry_budget_capacity: 10,
@@ -66,9 +68,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Override the transport options.
-    pub fn client_options(mut self, opts: ClientOptions) -> Self {
-        self.client = opts;
+    /// Override the connect and read timeouts of every backend exchange.
+    pub fn timeouts(mut self, connect: Duration, read: Duration) -> Self {
+        self.connect_timeout = connect;
+        self.read_timeout = read;
         self
     }
 

@@ -17,6 +17,11 @@
 //! With `replicas` on, consecutive nodes form **pairs** that both
 //! receive every write for their slot, so a single death never blanks
 //! it; reads take one member per slot (`fold_groups` says which and why).
+//!
+//! Every backend exchange is one send and one read on the node's locked
+//! client, booked once; the clients run no retry loop of their own. The
+//! one second attempt is a query leg's retry drawn from the
+//! [`RetryBudget`]; an ingest is never replayed.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
@@ -27,7 +32,6 @@ use ms_core::wire::FRAME_HEADER_LEN;
 use ms_core::{lock, ServiceError, Summary, Wire};
 use ms_obs::{Counter, Gauge, Histogram, RegistrySnapshot, SpanGuard, TraceHandle};
 use ms_service::deadline;
-use ms_service::telemetry::timed;
 use ms_service::tracectx::{self, FIELD_PARENT, FIELD_SPAN, FIELD_TRACE};
 use ms_service::{
     answer_query, answer_range, AccuracyAudit, Client, ClientOptions, ClusterInfo, EngineTelemetry,
@@ -55,15 +59,14 @@ struct Node {
 
 /// One gather leg between its send and its reply.
 struct Flight<'a> {
-    /// The node's client lock, held across both halves.
+    /// The node's client lock, held across both halves and the retry.
     client: MutexGuard<'a, Option<Client>>,
     /// The scatter span, open until the reply lands.
     _span: Option<SpanGuard<'a>>,
     envelope: RequestEnvelope,
     started: Instant,
-    /// Outer error: the connect failed (and is already booked against the
-    /// node). Inner: what the write made of it, booked when it lands.
-    sent: Result<Result<(), ServiceError>, ServiceError>,
+    /// What the write made of the request, booked when the leg lands.
+    sent: Result<(), ServiceError>,
 }
 
 /// Coordinator-plane instruments, registered on the same registry the
@@ -209,7 +212,13 @@ impl Coordinator {
             nodes,
             slots,
             ring,
-            client_opts: cfg.client.clone(),
+            // No client-level retry: a leg is one send and one read.
+            client_opts: ClientOptions {
+                connect_timeout: cfg.connect_timeout,
+                read_timeout: cfg.read_timeout,
+                retries: 0,
+                ..ClientOptions::default()
+            },
             replicas: cfg.replicas,
             telemetry,
             scatter_ring,
@@ -301,12 +310,15 @@ impl Coordinator {
             let result = self
                 .leg(member, Request::Ingest(Vec::new()).opcode())
                 .and_then(|(envelope, _span)| {
-                    let send = |client: &mut Client| {
-                        let result = client.ingest_frame_enveloped(envelope, frame);
-                        self.count_scatter(client);
-                        result
-                    };
-                    self.attempt(member, &mut lock(&self.nodes[member].client), &send)
+                    let mut client = lock(&self.nodes[member].client);
+                    self.exchange(member, &mut client, |c| {
+                        c.send_ingest_frame(envelope, frame)
+                    })
+                })
+                .and_then(|response| match response {
+                    Response::Ok => Ok(()),
+                    Response::Error(message) => Err(ServiceError::Protocol(message)),
+                    other => Err(unexpected(other)),
                 });
             // A timeout outranks another member's error: the batch may be
             // in, and that is what the caller must hear.
@@ -437,16 +449,14 @@ impl Coordinator {
         }
         match self.scatter_call(idx, &Request::Summary)? {
             Response::Summary(raw) => Ok(raw),
-            other => Err(ServiceError::Protocol(format!(
-                "unexpected response {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
     /// Bring a node back: optionally update its address (a restarted
     /// process rarely keeps its port), drop any stale connection, and
-    /// ping it. On success the node is alive and the ring routes to it
-    /// again — its WAL/checkpoint recovery already happened inside the
+    /// ping it, once. On success the node is alive and the ring routes to
+    /// it again — its WAL/checkpoint recovery already happened inside the
     /// node before it started listening. On failure the node is booked
     /// like any other failed request, so a dead node stays dead.
     pub fn rejoin(&self, idx: usize, addr: Option<&str>) -> Result<(), ServiceError> {
@@ -459,11 +469,10 @@ impl Coordinator {
         }
         let mut client = lock(&node.client);
         *client = None;
-        match self.attempt(idx, &mut client, &|c| c.call(&Request::Ping))? {
+        let ping = |c: &mut Client| c.send_enveloped(RequestEnvelope::default(), &Request::Ping);
+        match self.exchange(idx, &mut client, ping)? {
             Response::Ok => Ok(()),
-            other => Err(ServiceError::Protocol(format!(
-                "unexpected ping response {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -619,25 +628,6 @@ impl Coordinator {
         self.land(idx, self.launch(idx, request), request)
     }
 
-    /// `request` out and its reply back on `client`, as one blocking call.
-    fn round_trip(
-        &self,
-        client: &mut Client,
-        envelope: RequestEnvelope,
-        request: &Request,
-    ) -> Result<Response, ServiceError> {
-        let reply = client.call_enveloped(envelope, request);
-        self.count_scatter(client);
-        reply.and_then(typed_shed)
-    }
-
-    /// Scatter-byte accounting: the request frame `client` just wrote.
-    fn count_scatter(&self, client: &Client) {
-        self.instruments
-            .scatter_bytes
-            .add(client.last_frame_len() as u64);
-    }
-
     /// The send half of one query leg: write `request` to node `idx` and
     /// return with the reply still to come, holding the node's client
     /// lock so nothing else can interleave on the connection. A gather
@@ -647,11 +637,7 @@ impl Coordinator {
         let (envelope, span) = self.leg(idx, request.opcode())?;
         let mut client = lock(&self.nodes[idx].client);
         let started = Instant::now();
-        let sent = self.connect(idx, &mut client).map(|client| {
-            let sent = client.send_enveloped(envelope, request);
-            self.count_scatter(client);
-            sent
-        });
+        let sent = self.send(idx, &mut client, |c| c.send_enveloped(envelope, request))?;
         Ok(Flight {
             client,
             _span: span,
@@ -662,10 +648,11 @@ impl Coordinator {
     }
 
     /// The receive half: read the reply a [`Coordinator::launch`] left in
-    /// flight and book the exchange exactly as a blocking
-    /// [`Coordinator::attempt`] would have — a leg that died between its
-    /// send and its reply is a transport failure like any other, and gets
-    /// the same budget-gated retry (a whole round trip this time).
+    /// flight and book it. A transport failure that left the node short of
+    /// dead may draw one token from the retry budget, and the retry is one
+    /// more exchange on the lock the leg already holds. A shed is never
+    /// retried here: the node answered and asked for air — an immediate
+    /// replay would feed the storm it is shedding.
     fn land(
         &self,
         idx: usize,
@@ -673,15 +660,24 @@ impl Coordinator {
         request: &Request,
     ) -> Result<Response, ServiceError> {
         let mut flight = flight?;
-        let first = flight.sent.and_then(|sent| {
-            let reply = sent
-                .and_then(|()| flight.client.as_mut().expect("sent on it").read_response())
-                .and_then(typed_shed);
-            let micros = flight.started.elapsed().as_micros() as u64;
-            self.settle(idx, &mut flight.client, reply, micros)
-        });
-        self.retry(idx, &mut flight.client, first, &|client| {
-            self.round_trip(client, flight.envelope, request)
+        let first = self.settle(idx, &mut flight.client, flight.sent, flight.started);
+        let retry = transport_failure(&first) && !self.nodes[idx].health.is_dead() && {
+            let granted = self.retry_budget.try_withdraw();
+            if granted {
+                self.instruments.retries_granted.add(1);
+            } else {
+                self.instruments.retries_denied.add(1);
+            }
+            granted
+        };
+        self.instruments
+            .retry_tokens
+            .set(self.retry_budget.tokens() as i64);
+        if !retry {
+            return first;
+        }
+        self.exchange(idx, &mut flight.client, |c| {
+            c.send_enveloped(flight.envelope, request)
         })
     }
 
@@ -734,85 +730,70 @@ impl Coordinator {
         ))
     }
 
-    /// One budget-gated coordinator retry replays a transient
-    /// *transport* failure, unless that failure left the node dead. A
-    /// shed is never retried here: the node answered and asked for air —
-    /// an immediate replay would feed the storm it is shedding.
-    fn retry<T>(
+    /// One exchange with node `idx` on its locked client: connect if need
+    /// be, write what `write` serializes, read one reply, book it once.
+    fn exchange(
         &self,
         idx: usize,
         client: &mut Option<Client>,
-        mut result: Result<T, ServiceError>,
-        f: &impl Fn(&mut Client) -> Result<T, ServiceError>,
-    ) -> Result<T, ServiceError> {
-        if transport_failure(&result) && !self.nodes[idx].health.is_dead() {
-            if self.retry_budget.try_withdraw() {
-                self.instruments.retries_granted.add(1);
-                result = self.attempt(idx, client, f);
-            } else {
-                self.instruments.retries_denied.add(1);
-            }
-        }
-        self.instruments
-            .retry_tokens
-            .set(self.retry_budget.tokens() as i64);
-        result
+        write: impl FnOnce(&mut Client) -> Result<(), ServiceError>,
+    ) -> Result<Response, ServiceError> {
+        let started = Instant::now();
+        let sent = self.send(idx, client, write)?;
+        self.settle(idx, client, sent, started)
     }
 
-    /// One connect-and-call attempt on node `idx`'s (locked) client.
-    fn attempt<T>(
+    /// The send half of an exchange: connect lazily, write what `write`
+    /// serializes, and count the request bytes. A refused connect kills
+    /// the node at once (the process is gone, no three-strikes grace
+    /// needed); what the write made of it is booked with the reply, by
+    /// [`Coordinator::settle`].
+    fn send(
         &self,
         idx: usize,
         client: &mut Option<Client>,
-        f: &impl Fn(&mut Client) -> Result<T, ServiceError>,
-    ) -> Result<T, ServiceError> {
-        let connected = self.connect(idx, client)?;
-        let (result, micros) = timed(|| f(connected));
-        self.settle(idx, client, result, micros)
-    }
-
-    /// Node `idx`'s client, connecting lazily. A refused connect kills
-    /// the node immediately (the process is gone, no three-strikes grace
-    /// needed).
-    fn connect<'c>(
-        &self,
-        idx: usize,
-        client: &'c mut Option<Client>,
-    ) -> Result<&'c mut Client, ServiceError> {
+        write: impl FnOnce(&mut Client) -> Result<(), ServiceError>,
+    ) -> Result<Result<(), ServiceError>, ServiceError> {
         if client.is_none() {
             let node = &self.nodes[idx];
             let addr = lock(&node.addr).clone();
-            match Client::connect_with(addr.as_str(), self.client_opts.clone()) {
-                Ok(connected) => *client = Some(connected),
-                Err(e) => {
-                    node.failures.fetch_add(1, Ordering::Relaxed);
-                    self.instruments.node_failures[idx].add(1);
-                    if node.health.mark_dead() {
-                        self.telemetry.event("node-dead", &[("node", idx as u64)]);
-                    }
-                    self.sync_state_gauge(idx);
-                    return Err(e);
+            let connected = Client::connect_with(addr.as_str(), self.client_opts.clone());
+            *client = Some(connected.inspect_err(|_| {
+                node.failures.fetch_add(1, Ordering::Relaxed);
+                self.instruments.node_failures[idx].add(1);
+                if node.health.mark_dead() {
+                    self.telemetry.event("node-dead", &[("node", idx as u64)]);
                 }
-            }
+                self.sync_state_gauge(idx);
+            })?);
         }
-        Ok(client.as_mut().expect("client connected above"))
+        let connected = client.as_mut().expect("client connected above");
+        let sent = write(connected);
+        self.instruments
+            .scatter_bytes
+            .add(connected.last_frame_len() as u64);
+        Ok(sent)
     }
 
-    /// Book one finished exchange with node `idx`: its latency, and its
-    /// outcome into the node's health. Transport failures drop the
-    /// connection (a poisoned one is never reused) and count toward
-    /// death. Any reply means the node answered, which is a liveness
-    /// *success* — a shed ([`ServiceError::Overloaded`]) included, which
-    /// reaches the caller typed with the node's own retry hint.
-    fn settle<T>(
+    /// The receive half of an exchange that began at `started`: read the
+    /// reply to what `sent` wrote, and book its latency and its outcome
+    /// into node `idx`'s health. Transport failures drop the connection (a
+    /// poisoned one is never reused) and count toward death. Any reply
+    /// means the node answered, which is a liveness *success* — a shed
+    /// ([`ServiceError::Overloaded`]) included, which reaches the caller
+    /// typed with the node's own retry hint.
+    fn settle(
         &self,
         idx: usize,
         client: &mut Option<Client>,
-        result: Result<T, ServiceError>,
-        micros: u64,
-    ) -> Result<T, ServiceError> {
+        sent: Result<(), ServiceError>,
+        started: Instant,
+    ) -> Result<Response, ServiceError> {
+        let result = sent
+            .and_then(|()| client.as_mut().expect("sent on it").read_response())
+            .and_then(typed_shed);
         let node = &self.nodes[idx];
-        self.instruments.node_latency[idx].record(micros);
+        self.instruments.node_latency[idx].record(started.elapsed().as_micros() as u64);
         if transport_failure(&result) {
             *client = None;
             node.failures.fetch_add(1, Ordering::Relaxed);
@@ -915,9 +896,11 @@ fn ping_loop(
     let (stop, cvar) = &*signal;
     loop {
         {
+            // Checked before the wait too: a stop that lands before this
+            // thread first waits must not cost a whole interval.
             let guard = lock(stop);
             let (guard, _) = cvar
-                .wait_timeout(guard, interval)
+                .wait_timeout_while(guard, interval, |stopped| !*stopped)
                 .unwrap_or_else(|p| p.into_inner());
             if *guard {
                 return;
@@ -941,6 +924,11 @@ fn transport_failure<T>(result: &Result<T, ServiceError>) -> bool {
         result,
         Err(ServiceError::Io { .. } | ServiceError::Timeout { .. } | ServiceError::Wire(_))
     )
+}
+
+/// A reply that is not the one the request asked for.
+fn unexpected(response: Response) -> ServiceError {
+    ServiceError::Protocol(format!("unexpected response {response:?}"))
 }
 
 /// A typed shed becomes the typed error, so every caller sees one shape
@@ -1188,14 +1176,65 @@ mod tests {
         let addrs = servers
             .iter()
             .map(|s| s.as_ref().unwrap().local_addr().to_string());
-        let cfg = ClusterConfig::new(addrs)
-            .client_options(ClientOptions {
-                retries: 0,
-                ..ClientOptions::default()
-            })
-            .ping_interval(None)
-            .dead_after(1);
+        let cfg = ClusterConfig::new(addrs).ping_interval(None).dead_after(1);
         (servers, Coordinator::start(cfg).unwrap())
+    }
+
+    /// A backend that accepts every connection, reads one request frame
+    /// and hangs up without a reply. Returns its address and the number
+    /// of connections it has taken; each is counted before its reader
+    /// can see the hang-up.
+    fn hang_up_backend() -> (String, Arc<AtomicU64>) {
+        use std::io::Read;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let accepted = Arc::new(AtomicU64::new(0));
+        let count = Arc::clone(&accepted);
+        std::thread::spawn(move || {
+            for mut conn in listener.incoming().map_while(Result::ok) {
+                count.fetch_add(1, Ordering::SeqCst);
+                let mut header = [0u8; FRAME_HEADER_LEN];
+                if conn.read_exact(&mut header).is_ok() {
+                    let len = u32::from_le_bytes(header[5..].try_into().unwrap());
+                    let _ = conn.read_exact(&mut vec![0u8; len as usize]);
+                }
+            }
+        });
+        (addr, accepted)
+    }
+
+    #[test]
+    fn a_budgeted_retry_is_one_more_exchange_and_every_attempt_is_booked() {
+        let (addr, accepted) = hang_up_backend();
+        let opened = |call: &dyn Fn()| {
+            let before = accepted.load(Ordering::SeqCst);
+            call();
+            accepted.load(Ordering::SeqCst) - before
+        };
+        // Default transport and budget; the node outlives every failure here.
+        let start = |cfg: ClusterConfig| {
+            Coordinator::start(cfg.ping_interval(None).dead_after(10)).unwrap()
+        };
+        let failures = |c: &Coordinator| u64::from(c.cluster_info().nodes[0].consecutive_failures);
+
+        // A token is available: the first exchange and the one retry.
+        let coordinator = start(ClusterConfig::new([addr.clone()]));
+        let summary = || assert!(coordinator.node_summary(0).is_err());
+        assert_eq!(opened(&summary), 2, "first attempt and its retry");
+        assert_eq!(failures(&coordinator), 2, "both attempts booked");
+        assert_eq!(coordinator.retry_budget().withdrawn(), 1);
+        // A rejoin is one ping, whatever the budget holds.
+        let rejoin = || assert!(coordinator.rejoin(0, None).is_err());
+        assert_eq!(opened(&rejoin), 1, "one ping");
+        assert_eq!(failures(&coordinator), 3);
+        assert_eq!(coordinator.retry_budget().withdrawn(), 1);
+
+        // An empty budget: the first exchange alone.
+        let dry = start(ClusterConfig::new([addr]).retry_budget(0, 0));
+        let summary = || assert!(dry.node_summary(0).is_err());
+        assert_eq!(opened(&summary), 1, "no token, no retry");
+        assert_eq!(failures(&dry), 1);
+        assert_eq!(dry.retry_budget().denied(), 1);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! retry withdraws a whole token, and when the bucket is dry the retry
 //! is denied — under a persistent outage the coordinator degrades to
 //! one attempt per request instead of amplifying the overload.
+//!
+//! A granted retry is one more send and read on the connection lock the
+//! failed leg holds, booked like the first attempt. The coordinator's
+//! backend clients run no retry loop of their own, so this bucket bounds
+//! every extra attempt the coordinator makes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use ms_cluster::{ClusterConfig, Coordinator};
 use ms_core::wire::encode_frame_into;
 use ms_service::{
-    Client, ClientOptions, DurabilityConfig, Engine, FsyncPolicy, Request, Response, Server,
-    Service, ServiceConfig, SummaryKind, REQUEST_TAG,
+    Client, DurabilityConfig, Engine, FsyncPolicy, Request, Response, Server, Service,
+    ServiceConfig, SummaryKind, REQUEST_TAG,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -50,12 +50,8 @@ fn a_coordinator_refuses_malformed_frames_itself_and_forwards_good_ones_verbatim
             Server::bind(Engine::start(cfg).unwrap(), "127.0.0.1:0").unwrap()
         })
         .collect();
-    let cfg = ClusterConfig::new(backends.iter().map(|s| s.local_addr().to_string()))
-        .client_options(ClientOptions {
-            retries: 0,
-            ..ClientOptions::default()
-        })
-        .ping_interval(None);
+    let cfg =
+        ClusterConfig::new(backends.iter().map(|s| s.local_addr().to_string())).ping_interval(None);
     let coordinator = Coordinator::start(cfg).unwrap();
     let front =
         Server::bind_service(Arc::clone(&coordinator) as Arc<dyn Service>, "127.0.0.1:0").unwrap();

@@ -790,7 +790,12 @@ impl WireFrame {
         let mut header = [0u8; FRAME_HEADER_LEN];
         let mut filled = 0;
         while filled < header.len() {
-            let n = r.read(&mut header[filled..])?;
+            let n = match r.read(&mut header[filled..]) {
+                Ok(n) => n,
+                // A signal cut the read short: retry, as `read_exact` does.
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
             if n == 0 {
                 if filled == 0 {
                     return Ok(None);

@@ -24,9 +24,7 @@ use std::time::Duration;
 
 use ms_cluster::{ClusterConfig, Coordinator};
 use ms_core::{Rng64, ServiceError, Summary};
-use ms_service::{
-    ClientOptions, Engine, FsyncPolicy, NodeState, Server, ServiceConfig, SummaryKind,
-};
+use ms_service::{Engine, FsyncPolicy, NodeState, Server, ServiceConfig, SummaryKind};
 
 use crate::schedule::{
     base_config, durable_config, scratch_dir, stream, FaultClass, Harness, ScheduleReport,
@@ -62,18 +60,12 @@ impl TestNode {
     }
 }
 
-/// Coordinator transport tuned for schedules: fast timeouts, one retry,
-/// no background pinger (health moves only on request outcomes, so every
+/// Coordinator transport tuned for schedules: fast timeouts, no
+/// background pinger (health moves only on request outcomes, so every
 /// transition is seed-deterministic), death on the first failure.
 fn cluster_config(addrs: impl IntoIterator<Item = String>) -> ClusterConfig {
     ClusterConfig::new(addrs)
-        .client_options(ClientOptions {
-            connect_timeout: Duration::from_secs(2),
-            read_timeout: Duration::from_secs(5),
-            retries: 1,
-            backoff: Duration::from_millis(5),
-            ..ClientOptions::default()
-        })
+        .timeouts(Duration::from_secs(2), Duration::from_secs(5))
         .ping_interval(None)
         .dead_after(1)
 }

@@ -60,7 +60,8 @@ pub struct RecoveryReport {
     pub notes: Vec<String>,
 }
 
-/// The engine's durability plane. Owns the open store.
+/// The engine's durability plane. Owns the open store, whose lock comes
+/// last in the engine's lock order (see `Engine::checkpointing`).
 pub(super) struct Durable {
     cfg: DurabilityConfig,
     pub(super) store: Mutex<Store>,
@@ -71,13 +72,6 @@ pub(super) struct Durable {
     /// Recycled WAL record buffers, refilled by [`fold_logged`].
     wal_pool: Arc<BufferPool<u8>>,
     batches_since_ckpt: AtomicU64,
-    /// Held for a whole checkpoint cycle, so one runs at a time. A cadence
-    /// checkpoint that finds it taken is skipped, [`Engine::checkpoint_now`]
-    /// waits for it, and stop holds it from setting `stopped` on, so no
-    /// checkpoint lands after stop returns. Lock order: this, the pause
-    /// lock (write), a shard or the cube, the global summary; then
-    /// `store`.
-    pub(super) checkpointing: Mutex<()>,
     /// WAL cut of the last checkpoint set written, and when.
     pub(super) last_ckpt: Mutex<(u64, Instant)>,
     pub(super) recovery: Mutex<RecoveryReport>,
@@ -115,7 +109,6 @@ impl Durable {
             group: GroupCommit::new().with_record_hook(fold_logged(&cube, &wal_pool)),
             wal_pool,
             batches_since_ckpt: AtomicU64::new(0),
-            checkpointing: Mutex::new(()),
             last_ckpt: Mutex::new((ckpt_seq, Instant::now())),
             recovery: Mutex::new(RecoveryReport::default()),
         };
@@ -283,7 +276,7 @@ impl Engine {
         let Some(d) = &self.durable else {
             return;
         };
-        let _one = match d.checkpointing.try_lock() {
+        let _one = match self.checkpointing.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
             Err(TryLockError::WouldBlock) => return,
@@ -292,7 +285,7 @@ impl Engine {
     }
 
     /// One checkpoint cycle on the caller's thread, which holds
-    /// `d.checkpointing`. Fails with `Shutdown` once the engine is stopped.
+    /// `self.checkpointing`. Fails with `Shutdown` once the engine is stopped.
     ///
     /// Consistency argument: with the pause lock held for write, no ingest
     /// is between "appended to WAL" and "absorbed", so the cut `W =

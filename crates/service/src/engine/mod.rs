@@ -224,9 +224,12 @@ pub struct Engine {
     /// already past that check, and a checkpoint to establish a WAL cut:
     /// "logged" and "absorbed" stay in lockstep.
     pause: RwLock<()>,
-    /// Held for the whole drain: a concurrent second `shutdown` blocks on
-    /// it and then observes the fully drained snapshot, never a partial one.
-    shutdown_lock: Mutex<()>,
+    /// Held for a whole checkpoint cycle and for stop's whole drain, so one
+    /// runs at a time; it holds whether stop has drained. A cadence
+    /// checkpoint that finds it taken is skipped; `checkpoint_now` and a
+    /// racing second stop wait for it. Lock order: this, the pause lock
+    /// (write), a shard or the cube, the global summary; then the store.
+    checkpointing: Mutex<bool>,
     telemetry: Arc<EngineTelemetry>,
     /// Admission control / load shedding (permissive unless
     /// [`ServiceConfig::overload`] sets caps or watermarks).
@@ -280,7 +283,7 @@ impl Engine {
             next_shard: AtomicUsize::new(0),
             stopped: AtomicBool::new(false),
             pause: RwLock::new(()),
-            shutdown_lock: Mutex::new(()),
+            checkpointing: Mutex::new(false),
             telemetry,
             admission,
             audit: AuditPlane::new(&cfg),
@@ -367,7 +370,7 @@ impl Engine {
         let Some(d) = &self.durable else {
             return Err(ServiceError::Config("durability is not enabled"));
         };
-        let _one = lock(&d.checkpointing);
+        let _one = lock(&self.checkpointing);
         self.perform_checkpoint(d)
     }
 
@@ -548,22 +551,22 @@ impl Engine {
         self.stop(false);
     }
 
-    /// The stop path `shutdown` and `abort` share: wait out a checkpoint in
-    /// flight (the checkpoint lock, held to the end, so none starts after
-    /// it) and the ingests in flight (the pause lock for write). A `clean`
-    /// stop then publishes every shard's delta and checkpoints that
-    /// snapshot. Either way no read publishes once `stopped` is set: after
-    /// an abort, queries keep answering from the last published snapshot,
-    /// like a real crash survivor's client would have seen. Only the first
-    /// call stops anything; a racing second one waits until the first is
-    /// done.
+    /// The stop path `shutdown` and `abort` share: set `stopped`, then
+    /// wait out a checkpoint in flight (the checkpoint lock, held to the
+    /// end, so none starts after it) and the ingests in flight (the pause
+    /// lock for write). A `clean` stop then publishes every shard's delta
+    /// and checkpoints that snapshot. Either way no read publishes once
+    /// `stopped` is set: after an abort, queries keep answering from the
+    /// last published snapshot, like a real crash survivor's client would
+    /// have seen. Only the call that takes the lock first drains; a racing
+    /// second one waits until it is done.
     fn stop(&self, clean: bool) {
-        let _draining = lock(&self.shutdown_lock);
-        if self.stopped.swap(true, Ordering::AcqRel) {
+        // Set before the wait, so no ingest or checkpoint starts meanwhile.
+        self.stopped.store(true, Ordering::Release);
+        let mut drained = lock(&self.checkpointing);
+        if std::mem::replace(&mut *drained, true) {
             return;
         }
-        // A checkpoint that takes the lock after this finds `stopped` set.
-        let _checkpoints = self.durable.as_ref().map(|d| lock(&d.checkpointing));
         // Every ingest checks `stopped` under the pause lock, so once the
         // write lock is ours none is absorbing and none will again.
         drop(self.pause.write().unwrap_or_else(|e| e.into_inner()));

@@ -644,7 +644,30 @@ impl Client {
         envelope: RequestEnvelope,
         request: &Request,
     ) -> Result<(), ServiceError> {
-        let frame = self.encode(envelope, |out| request.encode_into(out));
+        self.write_enveloped(envelope, |out| request.encode_into(out))
+    }
+
+    /// [`Client::send_enveloped`] for an ingest whose batch is already
+    /// encoded: the frame's payload is copied behind the opcode as it is,
+    /// so a coordinator forwards a batch without decoding it.
+    pub fn send_ingest_frame(
+        &mut self,
+        envelope: RequestEnvelope,
+        frame: &IngestFrame,
+    ) -> Result<(), ServiceError> {
+        self.write_enveloped(envelope, |out| {
+            out.push(Request::Ingest(Vec::new()).opcode());
+            out.extend_from_slice(frame.payload());
+        })
+    }
+
+    /// Serialize one enveloped request frame and write it, reading nothing.
+    fn write_enveloped(
+        &mut self,
+        envelope: RequestEnvelope,
+        request: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), ServiceError> {
+        let frame = self.encode(envelope, request);
         let result = self.send_raw(&frame);
         self.scratch = frame;
         result
@@ -768,26 +791,14 @@ impl Client {
     }
 
     /// [`Client::ingest_slice`] inside `envelope` (see
-    /// [`Client::call_enveloped`]): same reused scratch buffer, so the
-    /// coordinator's ingest legs join the caller's trace and carry its
-    /// remaining budget without allocating either.
+    /// [`Client::call_enveloped`]): same reused scratch buffer, so a
+    /// traced or budgeted ingest allocates nothing either.
     pub fn ingest_slice_enveloped(
         &mut self,
         envelope: RequestEnvelope,
         items: &[u64],
     ) -> Result<(), ServiceError> {
         self.send_ingest(envelope, |out| encode_u64_slice_into(out, items))
-    }
-
-    /// [`Client::ingest_slice_enveloped`] for a batch that is already
-    /// encoded: the frame's payload is copied behind the opcode as it is,
-    /// so a coordinator forwards a batch without decoding it.
-    pub fn ingest_frame_enveloped(
-        &mut self,
-        envelope: RequestEnvelope,
-        frame: &IngestFrame,
-    ) -> Result<(), ServiceError> {
-        self.send_ingest(envelope, |out| out.extend_from_slice(frame.payload()))
     }
 
     /// Send one [`Request::Ingest`] whose encoded batch `batch` writes.

@@ -222,13 +222,7 @@ fn breaker_opens_on_slow_node_and_partial_gathers_report_coverage() {
     addrs.push(dark.local_addr().expect("dark addr").to_string());
     let coordinator = Coordinator::start(
         ClusterConfig::new(addrs)
-            .client_options(ClientOptions {
-                connect_timeout: Duration::from_secs(2),
-                read_timeout: Duration::from_millis(150),
-                retries: 0,
-                backoff: Duration::from_millis(1),
-                ..ClientOptions::default()
-            })
+            .timeouts(Duration::from_secs(2), Duration::from_millis(150))
             .ping_interval(None)
             .dead_after(2)
             .retry_budget(10, 1_000),
@@ -319,7 +313,7 @@ fn backend_sheds_reach_the_caller_typed_and_keep_the_node_alive() {
     let (addr, backend) = shedding_backend(777);
     let coordinator = Coordinator::start(
         ClusterConfig::new([addr.to_string()])
-            .client_options(fast_options())
+            .timeouts(Duration::from_secs(5), Duration::from_secs(5))
             .ping_interval(None),
     )
     .expect("coordinator");
@@ -360,10 +354,7 @@ fn a_timed_out_ingest_reaches_the_caller_and_lands_once() {
     let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0").expect("server");
     let coordinator = Coordinator::start(
         ClusterConfig::new([server.local_addr().to_string()])
-            .client_options(ClientOptions {
-                read_timeout: Duration::from_millis(150),
-                ..fast_options()
-            })
+            .timeouts(Duration::from_secs(5), Duration::from_millis(150))
             .ping_interval(None),
     )
     .expect("coordinator");

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use mergeable_summaries::cluster::ClusterConfig;
-use mergeable_summaries::service::{ClientOptions, Engine, Server, ServiceConfig};
+use mergeable_summaries::service::{Engine, Server, ServiceConfig};
 use mergeable_summaries::workloads::StreamKind;
 
 /// A fresh, empty scratch directory for `tag`, unique to this test binary
@@ -55,13 +55,10 @@ impl Node {
 /// first request after it and every health transition is deterministic.
 pub fn cluster_config(addrs: impl IntoIterator<Item = String>) -> ClusterConfig {
     ClusterConfig::new(addrs)
-        .client_options(ClientOptions {
-            connect_timeout: std::time::Duration::from_secs(2),
-            read_timeout: std::time::Duration::from_secs(10),
-            retries: 1,
-            backoff: std::time::Duration::from_millis(5),
-            ..ClientOptions::default()
-        })
+        .timeouts(
+            std::time::Duration::from_secs(2),
+            std::time::Duration::from_secs(10),
+        )
         .ping_interval(None)
         .dead_after(1)
 }
